@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check smoke gendrill corpusdrill clusterdrill overloaddrill shepherddrill fuzz bench
+.PHONY: build test check smoke corpusdrill clusterdrill overloaddrill shepherddrill fuzz bench
 
 build:
 	$(GO) build ./...
@@ -8,7 +8,7 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the CI gate: build, vet, the serve smoke test, the gendata
+# check is the CI gate: build, vet, the serve smoke test, the corpus
 # kill→resume drill, and the full test suite under the race detector
 # (worker pools, the imported-matrix registry, the checkpointer and the
 # serving tier are all concurrency-sensitive).
@@ -21,17 +21,13 @@ check:
 smoke:
 	$(GO) run ./scripts/servesmoke
 
-# gendrill runs only the corpus crash drill: SIGKILL a journaled
-# gendata build mid-flight, resume it, require byte-identical output,
-# and prove an injected poison matrix is quarantined rather than fatal.
-gendrill:
-	$(GO) run ./scripts/gendrill
-
-# corpusdrill runs only the streamed-corpus crash drill: SIGKILL a bulk
-# MatrixMarket ingest mid-flight, resume it to a byte-identical store,
-# then corrupt shards and require training and the held-out evaluation
-# to complete on salvage (quarantine + salvage.json) instead of
-# aborting.
+# corpusdrill runs only the corpus crash drill, once per gendata source
+# (synthetic generator, MatrixMarket tree): SIGKILL a store build
+# mid-flight, resume it to a byte-identical store (through an injected
+# full disk), refuse a resume with changed flags, prove an injected
+# poison matrix is quarantined rather than fatal, then corrupt shards
+# and require training and the held-out evaluation to complete on
+# salvage (quarantine + salvage.json) instead of aborting.
 corpusdrill:
 	$(GO) run ./scripts/corpusdrill
 
@@ -60,9 +56,9 @@ shepherddrill:
 	$(GO) run ./scripts/shepherddrill
 
 # fuzz runs the native fuzz targets over the hardened ingestion
-# surfaces (MatrixMarket parsing and the predict request path). Budget
-# per target is FUZZTIME (default 30s); CI runs a shorter smoke via
-# scripts/check.sh.
+# surfaces (MatrixMarket parsing, the predict request path, opening and
+# salvaging a corpus store). Budget per target is FUZZTIME (default
+# 30s); CI runs a shorter smoke via scripts/check.sh.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMatrixMarket$$' -fuzztime=$(FUZZTIME) ./internal/sparse

@@ -33,7 +33,7 @@ func main() {
 	repBins := flag.Int("repbins", 0, "override histogram bins")
 	seed := flag.Int64("seed", 0, "override seed")
 	wallclock := flag.Bool("wallclock", false, "label the CPU corpus with real kernel timings (table2/fig8)")
-	dataIn := flag.String("dataset", "", "reuse this pre-labeled xeonlike corpus (a gendata .bin file or a sharded store directory) for the CPU experiments instead of generating one")
+	dataIn := flag.String("dataset", "", "reuse this pre-labeled xeonlike corpus store (a gendata -store directory) for the CPU experiments instead of generating one; -run heldout evaluates its held-out shards")
 	model := flag.String("model", "", "trained selector artifact for -run heldout")
 	reportPath := flag.String("report", "", "write the heldout JSON report here (default stdout)")
 	platform := flag.String("platform", "xeonlike", "platform for -run heldout")
@@ -103,21 +103,28 @@ func main() {
 	}
 
 	if *dataIn != "" {
-		// The CPU experiments reuse one pre-labeled corpus — either a
-		// monolithic gendata artifact or a sharded store directory; the
-		// typed load errors distinguish damage (regenerate) from platform
-		// mismatch (wrong artifact) from semantic breakage (bug).
+		// The CPU experiments reuse one pre-labeled corpus store, loaded
+		// whole (cross-validation needs every record resident); the typed
+		// errors distinguish damage (regenerate) from platform mismatch
+		// (wrong artifact) from semantic breakage (bug).
 		lab := machine.NewLabeler(machine.XeonLike(), o.Seed)
-		d, err := dataset.LoadValidatedAny(*dataIn, lab)
+		var d *dataset.Dataset
+		store, _, err := dataset.OpenValidatedStore(*dataIn, lab)
+		if err == nil {
+			d, err = store.LoadStoreAll()
+		}
 		switch {
+		case errors.Is(err, dataset.ErrStore):
+			fmt.Fprintf(os.Stderr, "experiments: %s is not a corpus store directory (%v); build one with gendata -store\n", *dataIn, err)
+			os.Exit(1)
 		case errors.Is(err, dataset.ErrCorrupt):
-			fmt.Fprintf(os.Stderr, "experiments: %s is corrupt or truncated (%v); regenerate it with gendata\n", *dataIn, err)
+			fmt.Fprintf(os.Stderr, "experiments: %s is corrupt beyond salvage (%v); regenerate it with gendata\n", *dataIn, err)
 			os.Exit(1)
 		case errors.Is(err, dataset.ErrMismatch):
 			fmt.Fprintf(os.Stderr, "experiments: %s does not match the xeonlike CPU platform (%v); regenerate with gendata -platform xeonlike\n", *dataIn, err)
 			os.Exit(1)
 		case errors.Is(err, dataset.ErrInvalid):
-			fmt.Fprintf(os.Stderr, "experiments: %s decodes but fails semantic validation (%v); regenerate it with gendata\n", *dataIn, err)
+			fmt.Fprintf(os.Stderr, "experiments: %s opens but fails semantic validation (%v); regenerate it with gendata\n", *dataIn, err)
 			os.Exit(1)
 		case err != nil:
 			fmt.Fprintln(os.Stderr, "experiments:", err)

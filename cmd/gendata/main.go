@@ -1,42 +1,37 @@
-// Command gendata generates and labels a training corpus and writes it
-// to an integrity-checked dataset file — step 1 of the paper's Figure 3
-// pipeline as a standalone tool, so label collection (the expensive
-// step on real hardware) can be reused across training runs.
+// Command gendata builds a labelled training corpus into a corpus
+// store directory — step 1 of the paper's Figure 3 pipeline as a
+// standalone tool, so label collection (the expensive step on real
+// hardware) can be reused across training runs. The matrices come from
+// one of two sources: the synthetic generator (-count/-seed/-maxn), or
+// a directory tree of MatrixMarket files such as a SuiteSparse mirror
+// (-import-dir).
 //
-//	gendata -platform titanlike -count 2000 -out gpu.gob
+//	gendata -platform titanlike -count 2000 -store gpu.store
+//	gendata -import-dir suitesparse/ -store corpus.store
 //
 // Label collection is the stage the paper spends weeks of machine time
-// on, so gendata is built to survive anything short of a disk fire:
-// with -journal every completed shard is persisted atomically, and a
-// build killed at any instant (kill -9 included) continues with
-// -resume, skipping finished shards and producing a byte-identical
-// dataset. A matrix that panics or exceeds -matrix-timeout is
-// quarantined (spec + error in <journal>/quarantine.jsonl) instead of
-// aborting the build; systemic failure still aborts via the
-// consecutive-failure breaker and the -max-quarantine-frac threshold.
+// on, so gendata is built to survive anything short of a disk fire, the
+// same way for both sources: every published shard is journaled against
+// the position in the source walk, and a build killed at any instant
+// (kill -9 included) continues with -resume, reusing the published
+// shards and producing a byte-identical store. A matrix that is
+// malformed, oversized, panics the reader or the labeler, or exceeds
+// -matrix-timeout is quarantined (what it was and why it failed in
+// <store>/quarantine/quarantine.jsonl) instead of aborting the build;
+// systemic failure still aborts via the consecutive-failure breaker and
+// the -max-quarantine-frac budget. A full disk aborts cleanly at a
+// shard boundary for a later -resume. -resume with different flags or a
+// changed source is refused, never mixed in.
 //
-//	gendata -count 5000 -journal build/ -out corpus.gob      # killed...
-//	gendata -count 5000 -journal build/ -out corpus.gob -resume
+//	gendata -count 5000 -store corpus.store          # killed...
+//	gendata -count 5000 -store corpus.store -resume
 //
 // -metrics-addr serves live gendata_* build gauges (shards done,
 // records labeled, quarantined, labels/sec) plus pprof while the build
 // runs, and a one-line JSON build report is appended to
-// <journal>/report.jsonl on completion.
-//
-// Bulk ingestion mode walks a directory tree of MatrixMarket files (a
-// SuiteSparse mirror) into a sharded corpus store instead of
-// generating synthetic matrices:
-//
-//	gendata -import-dir suitesparse/ -store corpus.store          # killed...
-//	gendata -import-dir suitesparse/ -store corpus.store -resume  # byte-identical
-//
-// Every file goes through the resource-governed reader (-import-max-*
-// caps); malformed, oversized or panicking files are quarantined in
-// the store, never fatal. Progress is journaled at each shard, dupes
-// are skipped via the store's fingerprint index, and a full disk
-// aborts cleanly at a shard boundary for later -resume. With -store
-// and no -import-dir, the generated synthetic corpus is written as a
-// sharded store instead of a monolithic -out file.
+// <store>/report.jsonl on completion. Imported files go through the
+// resource-governed reader (-import-max-* caps), and byte-identical
+// duplicates are skipped via the store's fingerprint index.
 package main
 
 import (
@@ -64,18 +59,16 @@ func main() {
 	maxN := flag.Int("maxn", 2048, "matrix dimension bound")
 	seed := flag.Int64("seed", 1, "random seed")
 	noise := flag.Float64("noise", 0.03, "relative measurement noise sigma")
-	out := flag.String("out", "dataset.gob", "output file")
 	workers := flag.Int("workers", 0, "labeling worker goroutines (0 = GOMAXPROCS)")
-	journal := flag.String("journal", "", "journal directory for crash-safe shard persistence (empty = in-memory build)")
-	resume := flag.Bool("resume", false, "skip shards already journaled by a previous identical run (requires -journal)")
-	shardSize := flag.Int("shard-size", 64, "matrices per journal shard")
-	matrixTimeout := flag.Duration("matrix-timeout", 0, "per-matrix build+label deadline; exceeding it quarantines the matrix (0 = none)")
-	maxQuarantine := flag.Float64("max-quarantine-frac", 0.25, "abort when quarantined/count exceeds this fraction (negative disables)")
+	resume := flag.Bool("resume", false, "continue an interrupted build of -store from the same source and flags, reusing its published shards")
+	shardSize := flag.Int("shard-size", 64, "records per store shard")
+	matrixTimeout := flag.Duration("matrix-timeout", 0, "per-matrix build-or-read+label deadline; exceeding it quarantines the matrix (0 = none)")
+	maxQuarantine := flag.Float64("max-quarantine-frac", 0.25, "abort when more than this fraction of the matrices examined so far were quarantined (negative disables)")
 	breakerThreshold := flag.Int("breaker-threshold", 16, "abort after this many consecutive per-matrix failures (negative disables)")
 	metricsAddr := flag.String("metrics-addr", "", "serve live build metrics and pprof on this address while the build runs (empty disables)")
 	quiet := flag.Bool("quiet", false, "suppress per-shard progress lines")
 	importDir := flag.String("import-dir", "", "ingest every .mtx under this directory into -store instead of generating matrices")
-	storeDir := flag.String("store", "", "sharded corpus store directory to write (required with -import-dir)")
+	storeDir := flag.String("store", "dataset.store", "corpus store directory to write")
 	importMaxRows := flag.Int("import-max-rows", 0, "per-file row cap for -import-dir (0 = service default)")
 	importMaxCols := flag.Int("import-max-cols", 0, "per-file column cap for -import-dir (0 = service default)")
 	importMaxNNZ := flag.Int("import-max-nnz", 0, "per-file nonzero cap for -import-dir (0 = service default)")
@@ -85,16 +78,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "gendata:", err)
 		os.Exit(1)
 	}
-	if *resume && *journal == "" && *importDir == "" {
-		fmt.Fprintln(os.Stderr, "gendata: -resume requires -journal (or -import-dir)")
-		os.Exit(2)
-	}
-	if *importDir != "" && *storeDir == "" {
-		fmt.Fprintln(os.Stderr, "gendata: -import-dir requires -store")
-		os.Exit(2)
-	}
 	// Fire-drill hook, mirroring cmd/serve's SERVE_FAULT_INJECT: arm
-	// label-panic / label-stall / shard-corrupt faults from the
+	// label-panic / label-stall / store-corrupt faults from the
 	// environment so the kill→resume and quarantine drills exercise the
 	// real binary.
 	if spec := os.Getenv("GENDATA_FAULT_INJECT"); spec != "" {
@@ -111,53 +96,14 @@ func main() {
 	lab := machine.NewLabeler(p, *seed)
 	lab.NoiseSigma = *noise
 
-	// Ctrl-C / SIGTERM stops the build at the next shard boundary;
-	// journaled shards survive for -resume.
+	// Ctrl-C / SIGTERM stops the build at the next matrix; published
+	// shards survive for -resume.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *importDir != "" {
-		lim := sparse.DefaultLimits()
-		if *importMaxRows > 0 {
-			lim.MaxRows = *importMaxRows
-		}
-		if *importMaxCols > 0 {
-			lim.MaxCols = *importMaxCols
-		}
-		if *importMaxNNZ > 0 {
-			lim.MaxNNZ = *importMaxNNZ
-		}
-		opts := dataset.IngestOptions{
-			ShardSize:         *shardSize,
-			Limits:            lim,
-			FileTimeout:       *matrixTimeout,
-			MaxQuarantineFrac: *maxQuarantine,
-			Resume:            *resume,
-		}
-		if !*quiet {
-			opts.Logf = func(format string, args ...any) {
-				fmt.Printf("gendata: "+format+"\n", args...)
-			}
-		}
-		report, err := dataset.IngestDir(ctx, *importDir, *storeDir, lab, opts)
-		switch {
-		case errors.Is(err, context.Canceled):
-			fmt.Fprintf(os.Stderr, "gendata: interrupted; store journal preserved in %s (rerun with -resume to continue)\n", *storeDir)
-			os.Exit(130)
-		case errors.Is(err, dataset.ErrNoSpace):
-			fmt.Fprintf(os.Stderr, "gendata: %v\nstore left consistent at the last published shard; free space and rerun with -resume\n", err)
-			os.Exit(1)
-		case err != nil:
-			fail(err)
-		}
-		fmt.Printf("ingested %d records into %s (%d shards, %d dupes skipped, %d files quarantined)\n",
-			report.Records, *storeDir, report.Shards, report.Dupes, len(report.Quarantined))
-		return
-	}
-
 	cfg := dataset.Config{
 		Count: *count, Seed: *seed, MaxN: *maxN, Workers: *workers,
-		ShardSize: *shardSize, JournalDir: *journal, Resume: *resume,
+		ShardSize: *shardSize, Resume: *resume,
 		MatrixTimeout: *matrixTimeout, MaxQuarantineFrac: *maxQuarantine,
 		BreakerThreshold: *breakerThreshold,
 	}
@@ -180,56 +126,44 @@ func main() {
 	if !*quiet {
 		start := time.Now()
 		cfg.OnShard = func(done, total int) {
-			fmt.Printf("gendata: shard %d/%d done (%.1fs)\n", done, total, time.Since(start).Seconds())
+			fmt.Printf("gendata: shard %d/%d published (%.1fs)\n", done, total, time.Since(start).Seconds())
 		}
 	}
 
-	d, report, err := dataset.GenerateCtx(ctx, cfg, lab)
-	if err != nil {
-		switch {
-		case errors.Is(err, context.Canceled):
-			if *journal != "" {
-				fmt.Fprintf(os.Stderr, "gendata: interrupted; journal preserved in %s (rerun with -resume to continue)\n", *journal)
-			} else {
-				fmt.Fprintln(os.Stderr, "gendata: interrupted (no -journal, progress lost)")
-			}
-			os.Exit(130)
-		case errors.Is(err, dataset.ErrBreakerTripped):
-			fail(fmt.Errorf("labeling is failing consecutively, aborting (%v)", err))
-		case errors.Is(err, dataset.ErrTooManyQuarantined):
-			fail(fmt.Errorf("quarantine threshold exceeded, aborting (%v)", err))
-		case errors.Is(err, dataset.ErrMismatch):
-			fail(fmt.Errorf("%v; use a fresh -journal directory or matching flags", err))
-		default:
-			fail(err)
+	var report *dataset.BuildReport
+	if *importDir != "" {
+		cfg.Limits = sparse.DefaultLimits()
+		if *importMaxRows > 0 {
+			cfg.Limits.MaxRows = *importMaxRows
 		}
-	}
-
-	if report != nil {
-		fmt.Printf("gendata: %s\n", report)
-	}
-	counts := d.ClassCounts()
-	fmt.Printf("labelled %d matrices on %s\n", len(d.Records), p)
-	for i, f := range d.Formats {
-		fmt.Printf("  %-5s %6d\n", f, counts[i])
-	}
-	if report != nil && report.Quarantined > 0 {
-		where := "in-memory only (use -journal to persist quarantine reports)"
-		if *journal != "" {
-			where = fmt.Sprintf("see %s/quarantine.jsonl", *journal)
+		if *importMaxCols > 0 {
+			cfg.Limits.MaxCols = *importMaxCols
 		}
-		fmt.Printf("quarantined %d matrices; %s\n", report.Quarantined, where)
-	}
-	if *storeDir != "" {
-		s, err := dataset.WriteStore(*storeDir, d, *shardSize)
-		if err != nil {
-			fail(err)
+		if *importMaxNNZ > 0 {
+			cfg.Limits.MaxNNZ = *importMaxNNZ
 		}
-		fmt.Printf("dataset stored to %s (%d shards, %d dupes skipped)\n", *storeDir, s.NumShards(), s.Dupes())
-		return
+		report, err = dataset.IngestDir(ctx, *importDir, *storeDir, cfg, lab)
+	} else {
+		report, err = dataset.GenerateStore(ctx, *storeDir, cfg, lab)
 	}
-	if err := d.Save(*out); err != nil {
+	switch {
+	case errors.Is(err, context.Canceled):
+		fmt.Fprintf(os.Stderr, "gendata: interrupted; published shards and journal preserved in %s (rerun with -resume to continue)\n", *storeDir)
+		os.Exit(130)
+	case errors.Is(err, dataset.ErrNoSpace):
+		fmt.Fprintf(os.Stderr, "gendata: %v\nstore left consistent at the last published shard; free space and rerun with -resume\n", err)
+		os.Exit(1)
+	case errors.Is(err, dataset.ErrBreakerTripped):
+		fail(fmt.Errorf("labeling is failing consecutively, aborting (%v); see %s/quarantine/quarantine.jsonl", err, *storeDir))
+	case errors.Is(err, dataset.ErrTooManyQuarantined):
+		fail(fmt.Errorf("quarantine budget exceeded, aborting (%v); see %s/quarantine/quarantine.jsonl", err, *storeDir))
+	case err != nil:
 		fail(err)
 	}
-	fmt.Printf("dataset saved to %s\n", *out)
+
+	fmt.Printf("gendata: %s\n", report)
+	fmt.Printf("labelled %d matrices on %s into %s\n", report.Records, p, *storeDir)
+	if n := len(report.Quarantined); n > 0 {
+		fmt.Printf("quarantined %d matrices; see %s/quarantine/quarantine.jsonl\n", n, *storeDir)
+	}
 }

@@ -38,7 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	target := fs.String("target", "a8like", "target platform: xeonlike, a8like, titanlike")
 	method := fs.String("method", "top", "migration method: scratch, continuous, top")
 	budget := fs.Int("budget", 200, "target-platform label budget (matrices)")
-	dataIn := fs.String("dataset", "", "retrain on this pre-labeled target-platform corpus (a gendata artifact) instead of collecting -budget labels")
+	dataIn := fs.String("dataset", "", "retrain on this pre-labeled target-platform corpus store (a gendata -store directory) instead of collecting -budget labels")
 	maxN := fs.Int("maxn", 2048, "matrix dimension bound for the retraining corpus")
 	seed := fs.Int64("seed", 1, "random seed")
 	out := fs.String("out", "migrated.gob", "output model file")
@@ -87,14 +87,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var d *dataset.Dataset
 	if *dataIn != "" {
 		fmt.Fprintf(stdout, "loading target-platform corpus from %s\n", *dataIn)
-		d, err = dataset.LoadValidatedAny(*dataIn, lab)
+		var store *dataset.CorpusStore
+		if store, _, err = dataset.OpenValidatedStore(*dataIn, lab); err == nil {
+			d, err = store.LoadStoreAll()
+		}
 		switch {
+		case errors.Is(err, dataset.ErrStore):
+			return fail(fmt.Errorf("%s is not a corpus store directory (%v); build one with gendata -store", *dataIn, err))
 		case errors.Is(err, dataset.ErrCorrupt):
-			return fail(fmt.Errorf("%s is corrupt or truncated (%v); regenerate it with gendata", *dataIn, err))
+			return fail(fmt.Errorf("%s is corrupt beyond salvage (%v); regenerate it with gendata", *dataIn, err))
 		case errors.Is(err, dataset.ErrMismatch):
 			return fail(fmt.Errorf("%s was not labeled for %s (%v); migration needs target-platform labels — regenerate with gendata -platform %s", *dataIn, *target, err, *target))
 		case errors.Is(err, dataset.ErrInvalid):
-			return fail(fmt.Errorf("%s decodes but fails semantic validation (%v); regenerate it with gendata", *dataIn, err))
+			return fail(fmt.Errorf("%s opens but fails semantic validation (%v); regenerate it with gendata", *dataIn, err))
 		case err != nil:
 			return fail(err)
 		}

@@ -30,7 +30,7 @@ func saveModel(t *testing.T, path string) {
 	}
 }
 
-// saveCorpus writes a small corpus labeled for the named platform.
+// saveCorpus writes a small corpus store labeled for the named platform.
 func saveCorpus(t *testing.T, path, platform string) {
 	t.Helper()
 	p, err := machine.PlatformByName(platform)
@@ -48,7 +48,7 @@ func saveCorpus(t *testing.T, path, platform string) {
 			ID: uint64(i), Spec: spec, Stats: st, Label: label, Times: times,
 		})
 	}
-	if err := d.Save(path); err != nil {
+	if _, err := dataset.WriteStore(path, d, 0); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -60,7 +60,7 @@ func saveCorpus(t *testing.T, path, platform string) {
 func TestDatasetGatingMismatchExitsNonZero(t *testing.T) {
 	dir := t.TempDir()
 	model := filepath.Join(dir, "model.gob")
-	corpus := filepath.Join(dir, "corpus.gob")
+	corpus := filepath.Join(dir, "corpus.store")
 	saveModel(t, model)
 	saveCorpus(t, corpus, "a8like") // CPU format set, wrong platform name
 
@@ -86,21 +86,28 @@ func TestDatasetGatingMismatchExitsNonZero(t *testing.T) {
 	}
 }
 
-// TestDatasetGatingCorruptExitsNonZero: a corrupt corpus artifact must
-// exit 1 with the corruption typed, not fall back.
+// TestDatasetGatingCorruptExitsNonZero: a corpus store damaged beyond
+// salvage must exit 1 with the corruption typed, not fall back. (Damage
+// that leaves survivors is salvaged and migration proceeds on them —
+// that contract is drilled by scripts/corpusdrill.)
 func TestDatasetGatingCorruptExitsNonZero(t *testing.T) {
 	dir := t.TempDir()
 	model := filepath.Join(dir, "model.gob")
-	corpus := filepath.Join(dir, "corpus.gob")
+	corpus := filepath.Join(dir, "corpus.store")
 	saveModel(t, model)
 	saveCorpus(t, corpus, "xeonlike")
-	data, err := os.ReadFile(corpus)
-	if err != nil {
-		t.Fatal(err)
+	shards, err := filepath.Glob(filepath.Join(corpus, "corpus-0*.bin"))
+	if err != nil || len(shards) == 0 {
+		t.Fatalf("no shards in %s (%v)", corpus, err)
 	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(corpus, data, 0o644); err != nil {
-		t.Fatal(err)
+	for _, shard := range shards {
+		data, err := os.ReadFile(shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(shard, data[:20], 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	var stdout, stderr bytes.Buffer
@@ -123,7 +130,7 @@ func TestDatasetGatingCorruptExitsNonZero(t *testing.T) {
 func TestValidDatasetMigrates(t *testing.T) {
 	dir := t.TempDir()
 	model := filepath.Join(dir, "model.gob")
-	corpus := filepath.Join(dir, "corpus.gob")
+	corpus := filepath.Join(dir, "corpus.store")
 	out := filepath.Join(dir, "out.gob")
 	saveModel(t, model)
 	saveCorpus(t, corpus, "xeonlike")

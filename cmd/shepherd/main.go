@@ -9,7 +9,7 @@
 //
 //	shepherd -work /var/lib/shepherd -model model.gob \
 //	  -admin http://127.0.0.1:9090 -feedback-dir /var/log/feedback \
-//	  -train-dataset corpus.gob
+//	  -train-dataset corpus.store
 //
 // The state machine: observing (collect + drift-monitor) → retraining
 // (bounded top-evolvement transfer off the live model, checkpointed
@@ -57,8 +57,8 @@ func run(args []string, stdout, stderr *os.File) int {
 	model := fs.String("model", "model.gob", "live model artifact the serving tier watches (promotion swaps it)")
 	admin := fs.String("admin", "", "serving tier admin base URL (shadow control + metrics), e.g. http://127.0.0.1:9090")
 	feedbackDir := fs.String("feedback-dir", "", "the serving tier's feedback log directory (rotated segments are folded from here)")
-	corpus := fs.String("corpus", "", "online corpus artifact (default <work>/corpus.gob)")
-	trainDataset := fs.String("train-dataset", "", "training corpus the live model was fitted on — its profile is the drift baseline")
+	corpus := fs.String("corpus", "", "online corpus store directory (default <work>/corpus.store)")
+	trainDataset := fs.String("train-dataset", "", "corpus store the live model was fitted on — its profile is the drift baseline")
 	platform := fs.String("platform", "xeonlike", "cost-model platform for labeling folded patterns (must match the training corpus)")
 	seed := fs.Int64("seed", 1, "labeling seed")
 	maxRecords := fs.Int("max-records", 4096, "online corpus cap (oldest evicted)")
@@ -83,7 +83,7 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 	if *corpus == "" {
-		*corpus = filepath.Join(*work, "corpus.gob")
+		*corpus = filepath.Join(*work, "corpus.store")
 	}
 
 	if spec := os.Getenv("SHEPHERD_FAULT_INJECT"); spec != "" {
@@ -104,7 +104,11 @@ func run(args []string, stdout, stderr *os.File) int {
 	// The drift baseline: the corpus the live model was trained on,
 	// validated against the same platform cost model used for folding,
 	// so online labels and the reference profile are consistent.
-	train, err := dataset.LoadValidatedAny(*trainDataset, lab)
+	var train *dataset.Dataset
+	store, _, err := dataset.OpenValidatedStore(*trainDataset, lab)
+	if err == nil {
+		train, err = store.LoadStoreAll()
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "shepherd: train dataset:", err)
 		return 1

@@ -1,7 +1,9 @@
 // Command train builds a CNN format selector for a platform — the
 // equivalent of the paper artifact's `spmv_model.py train` mode. It
-// generates and labels a corpus, trains the selector, reports held-out
-// metrics, and saves the model (and optionally the dataset).
+// generates and labels a corpus (or streams a pre-built corpus store,
+// -dataset-in), trains the selector, reports held-out metrics, and
+// saves the model (and, with -dataset, the generated corpus as a
+// store).
 //
 // With -checkpoint-dir the run snapshots training state periodically;
 // an interrupted run (crash, Ctrl-C, SIGTERM) can then be continued
@@ -57,8 +59,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	wall := flag.Bool("wallclock", false, "label with real kernel timings instead of the platform model")
 	out := flag.String("out", "model.gob", "output model file")
-	dataIn := flag.String("dataset-in", "", "train on this pre-labeled corpus (a gendata artifact) instead of generating one; it must match -platform")
-	dataOut := flag.String("dataset", "", "optional dataset output file (gob)")
+	dataIn := flag.String("dataset-in", "", "train on this pre-labeled corpus store (a gendata -store directory) instead of generating one; it must match -platform")
+	dataOut := flag.String("dataset", "", "optional directory to write the generated corpus to, as a corpus store")
 	dtreeOut := flag.String("dtree-out", "", "optional decision-tree baseline artifact, trained on the same split (for serve -dtree)")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for periodic training checkpoints")
 	ckptEvery := flag.Int("checkpoint-every", 5, "checkpoint period in epochs")
@@ -158,14 +160,17 @@ func main() {
 		EpochHook: epochHook,
 	})
 	switch {
+	case errors.Is(err, dataset.ErrStore):
+		fmt.Fprintf(os.Stderr, "train: %s is not a corpus store directory (%v); build one with gendata -store\n", *dataIn, err)
+		os.Exit(1)
 	case errors.Is(err, dataset.ErrCorrupt):
-		fmt.Fprintf(os.Stderr, "train: %s is corrupt or truncated (%v); regenerate it with gendata\n", *dataIn, err)
+		fmt.Fprintf(os.Stderr, "train: %s is corrupt beyond salvage (%v); regenerate it with gendata\n", *dataIn, err)
 		os.Exit(1)
 	case errors.Is(err, dataset.ErrMismatch):
 		fmt.Fprintf(os.Stderr, "train: %s was labeled for a different platform or format set (%v); labels are architecture-dependent — regenerate with gendata -platform %s or change -platform\n", *dataIn, err, *platform)
 		os.Exit(1)
 	case errors.Is(err, dataset.ErrInvalid):
-		fmt.Fprintf(os.Stderr, "train: %s decodes but fails semantic validation (%v); this is a corpus-builder bug, please report it\n", *dataIn, err)
+		fmt.Fprintf(os.Stderr, "train: %s opens but fails semantic validation (%v); this is a corpus-builder bug, please report it\n", *dataIn, err)
 		os.Exit(1)
 	}
 	if errors.Is(err, context.Canceled) {
@@ -193,11 +198,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, "train: -dataset is not applicable when training from store %s (the store is already persistent)\n", *dataIn)
 			os.Exit(1)
 		}
-		if err := res.Dataset.Save(*dataOut); err != nil {
+		if _, err := dataset.WriteStore(*dataOut, res.Dataset, 0); err != nil {
 			fmt.Fprintln(os.Stderr, "train:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("dataset saved to %s\n", *dataOut)
+		fmt.Printf("dataset stored to %s\n", *dataOut)
 	}
 	if *dtreeOut != "" {
 		// The serving ladder's middle rung: the SMAT-style tree fitted on

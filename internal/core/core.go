@@ -48,12 +48,13 @@ type Options struct {
 	// the host instead of the platform cost model. Slower but
 	// measurement-grounded.
 	WallClock bool
-	// DatasetPath, when non-empty, loads a pre-built corpus (a gendata
-	// artifact) instead of generating one. The corpus must be labeled
-	// for Platform with its format set — dataset.ErrMismatch otherwise:
-	// labels are architecture-dependent, so a GPU corpus silently
-	// training a CPU selector is a correctness bug, not a convenience.
-	// Count, MaxN and WallClock are ignored on this path.
+	// DatasetPath, when non-empty, trains from a pre-built corpus store
+	// (a gendata -store directory) instead of generating one, streaming
+	// it shard by shard. The corpus must be labeled for Platform with
+	// its format set — dataset.ErrMismatch otherwise: labels are
+	// architecture-dependent, so a GPU corpus silently training a CPU
+	// selector is a correctness bug, not a convenience. Count, MaxN and
+	// WallClock are ignored on this path.
 	DatasetPath string
 	// CheckpointDir, when non-empty, makes training write periodic
 	// checkpoints there (and a best-by-loss copy) so an interrupted run
@@ -140,27 +141,18 @@ func TrainCtx(ctx context.Context, o Options) (*Result, error) {
 		return nil, err
 	}
 	lab := machine.NewLabeler(p, o.Seed)
-	if o.DatasetPath != "" && dataset.IsStoreDir(o.DatasetPath) {
+	if o.DatasetPath != "" {
 		return trainStoreCtx(ctx, o, lab)
 	}
-	var d *dataset.Dataset
-	if o.DatasetPath != "" {
-		o.logf("step 1: loading pre-labeled corpus from %s", o.DatasetPath)
-		d, err = dataset.LoadValidated(o.DatasetPath, lab)
-		if err != nil {
+	o.logf("step 1: generating and labelling %d matrices on %s", o.Count, p)
+	d, _, err := dataset.GenerateCtx(ctx, dataset.Config{Count: o.Count, Seed: o.Seed, MaxN: o.MaxN, Workers: o.Workers}, lab)
+	if err != nil {
+		return nil, err
+	}
+	if o.WallClock {
+		o.logf("        relabelling with wall-clock kernel timings")
+		if err := relabelWallClock(ctx, d, o.Workers); err != nil {
 			return nil, err
-		}
-	} else {
-		o.logf("step 1: generating and labelling %d matrices on %s", o.Count, p)
-		d, _, err = dataset.GenerateCtx(ctx, dataset.Config{Count: o.Count, Seed: o.Seed, MaxN: o.MaxN, Workers: o.Workers}, lab)
-		if err != nil {
-			return nil, err
-		}
-		if o.WallClock {
-			o.logf("        relabelling with wall-clock kernel timings")
-			if err := relabelWallClock(ctx, d, o.Workers); err != nil {
-				return nil, err
-			}
 		}
 	}
 	counts := d.ClassCounts()
@@ -245,7 +237,7 @@ func TrainCtx(ctx context.Context, o Options) (*Result, error) {
 	return partial, nil
 }
 
-// trainStoreCtx is TrainCtx for a sharded corpus store: training
+// trainStoreCtx is TrainCtx for a pre-built corpus store: training
 // streams one shard at a time (peak memory is bounded by shard size,
 // not corpus size), and evaluation runs over held-out shards that the
 // training stream never sees. Result.Dataset is nil on this path —

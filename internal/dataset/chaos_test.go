@@ -3,9 +3,9 @@ package dataset
 import (
 	"bufio"
 	"context"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,229 +13,290 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/machine"
+	"repro/internal/sparse"
+	"repro/internal/synthgen"
 )
 
-// chaosConfig is the shared build shape for the crash/containment
-// drills: small enough to run in a test, sharded finely enough that an
-// interrupt leaves real resume work behind.
-func chaosConfig(journal string) Config {
-	return Config{
-		Count: 80, Seed: 11, MaxN: 192, Workers: 2,
-		ShardSize: 8, JournalDir: journal,
-	}
-}
+// The crash and containment drills for the one resumable build. Every
+// case runs against both sources — the spec generator and a
+// MatrixMarket tree — through the same buildStore loop; what differs
+// is only where an item's matrix comes from.
 
 func chaosLabeler() *machine.Labeler {
 	return machine.NewLabeler(machine.XeonLike(), 11)
 }
 
-// saveChecksum saves d to a temp file and returns the sha256 of the
-// file bytes — the "same checksum" the resume-equivalence guarantee is
-// stated in.
-func saveChecksum(t *testing.T, d *Dataset) [32]byte {
+// chaosConfig is the shared build shape: 80 items, small enough to run
+// in a test, sharded finely enough that an interrupt leaves real resume
+// work behind.
+var chaosConfig = Config{Count: 80, Seed: 11, MaxN: 192, Workers: 2, ShardSize: 8}
+
+// chaosSource is one 80-item source under test.
+type chaosSource struct {
+	name  string
+	build func(ctx context.Context, store string, cfg Config) (*BuildReport, error)
+	// perturb changes the source so a resume must refuse the journal.
+	perturb func(t *testing.T, cfg *Config)
+}
+
+func chaosSources(t *testing.T) []chaosSource {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "d.bin")
-	if err := d.Save(path); err != nil {
-		t.Fatal(err)
+	lab := chaosLabeler()
+	tree := t.TempDir()
+	for i := 0; i < 80; i++ {
+		m := synthgen.Random(40+i, 40+i, 300+10*i, int64(i+1))
+		if err := sparse.WriteMatrixMarketFile(filepath.Join(tree, fmt.Sprintf("m%03d.mtx", i)), m); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	return []chaosSource{
+		{
+			name: "generator",
+			build: func(ctx context.Context, store string, cfg Config) (*BuildReport, error) {
+				return GenerateStore(ctx, store, cfg, lab)
+			},
+			perturb: func(_ *testing.T, cfg *Config) { cfg.Seed++ },
+		},
+		{
+			name: "directory",
+			build: func(ctx context.Context, store string, cfg Config) (*BuildReport, error) {
+				return IngestDir(ctx, tree, store, cfg, lab)
+			},
+			perturb: func(t *testing.T, _ *Config) {
+				extra := synthgen.Random(70, 70, 500, 99)
+				if err := sparse.WriteMatrixMarketFile(filepath.Join(tree, "zz_new.mtx"), extra); err != nil {
+					t.Fatal(err)
+				}
+			},
+		},
 	}
-	return sha256.Sum256(b)
+}
+
+// forEachSource runs fn as a subtest per source, each with its own
+// uninterrupted reference store.
+func forEachSource(t *testing.T, fn func(t *testing.T, src chaosSource, ref string)) {
+	for _, src := range chaosSources(t) {
+		t.Run(src.name, func(t *testing.T) {
+			ref := t.TempDir()
+			if _, err := src.build(context.Background(), ref, chaosConfig); err != nil {
+				t.Fatal(err)
+			}
+			fn(t, src, ref)
+		})
+	}
 }
 
 // TestInterruptResumeByteIdentity is the headline crash drill: a build
-// cancelled mid-flight (standing in for kill -9 — the journal only ever
+// cancelled mid-flight (standing in for kill -9 — the store only ever
 // sees completed atomic writes either way) and then resumed must
-// produce a dataset whose saved bytes are identical to an uninterrupted
-// run with the same seed.
+// produce shard, manifest and dedup files identical to an
+// uninterrupted run's.
 func TestInterruptResumeByteIdentity(t *testing.T) {
-	lab := chaosLabeler()
-
-	// Uninterrupted reference build, no journal.
-	ref, _, err := GenerateCtx(context.Background(), chaosConfig(""), lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := saveChecksum(t, ref)
-
-	// Interrupted build: cancel once a few shards have landed.
-	dir := t.TempDir()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg := chaosConfig(dir)
-	cfg.OnShard = func(done, total int) {
-		if done >= 3 {
-			cancel()
+	forEachSource(t, func(t *testing.T, src chaosSource, ref string) {
+		store := t.TempDir()
+		cfg := chaosConfig
+		var ctx context.Context
+		ctx, cfg.OnShard = cancelAfterShards(3)
+		report, err := src.build(ctx, store, cfg)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("interrupted build: err = %v, want context.Canceled", err)
 		}
-	}
-	_, report, err := GenerateCtx(ctx, cfg, lab)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("interrupted build: err = %v, want context.Canceled", err)
-	}
-	if report == nil {
-		t.Fatal("interrupted build returned no report")
-	}
+		if report == nil {
+			t.Fatal("interrupted build returned no report")
+		}
+		shards, _ := filepath.Glob(filepath.Join(store, "corpus-0*.bin"))
+		if len(shards) < 3 {
+			t.Fatalf("store holds %d shards after interrupt, want >= 3", len(shards))
+		}
 
-	// The journal must hold at least the shards OnShard observed.
-	shards, _ := filepath.Glob(filepath.Join(dir, "shard-*.bin"))
-	if len(shards) < 3 {
-		t.Fatalf("journal holds %d shards after interrupt, want >= 3", len(shards))
-	}
-
-	// Resume with the identical configuration.
-	cfg = chaosConfig(dir)
-	cfg.Resume = true
-	d, report, err := GenerateCtx(context.Background(), cfg, lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.ResumedShards < 3 {
-		t.Fatalf("resume reused %d shards, want >= 3", report.ResumedShards)
-	}
-	if got := saveChecksum(t, d); got != want {
-		t.Fatal("resumed dataset is not byte-identical to the uninterrupted build")
-	}
+		cfg = chaosConfig
+		cfg.Resume = true
+		report, err = src.build(context.Background(), store, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.ResumedShards < 3 || report.ResumedAt == 0 {
+			t.Fatalf("resume reused %d shards from item %d, want >= 3 and a journaled position", report.ResumedShards, report.ResumedAt)
+		}
+		if report.Records != 80 {
+			t.Fatalf("resumed store holds %d records, want 80", report.Records)
+		}
+		compareStoreBytes(t, ref, store)
+	})
 }
 
 // TestResumeOfCompleteJournalIsPureReplay asserts the degenerate resume:
-// every shard already journaled, nothing re-run, identical bytes.
+// every shard already published, nothing re-run, identical bytes.
 func TestResumeOfCompleteJournalIsPureReplay(t *testing.T) {
-	lab := chaosLabeler()
-	dir := t.TempDir()
-	cfg := chaosConfig(dir)
-	d1, _, err := GenerateCtx(context.Background(), cfg, lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Resume = true
-	d2, report, err := GenerateCtx(context.Background(), cfg, lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.ResumedShards != report.Shards {
-		t.Fatalf("replay re-ran shards: resumed %d of %d", report.ResumedShards, report.Shards)
-	}
-	if saveChecksum(t, d1) != saveChecksum(t, d2) {
-		t.Fatal("pure replay changed the dataset bytes")
-	}
+	forEachSource(t, func(t *testing.T, src chaosSource, ref string) {
+		cfg := chaosConfig
+		cfg.Resume = true
+		report, err := src.build(context.Background(), ref, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.ResumedShards != report.Shards || report.ResumedAt != report.Items {
+			t.Fatalf("replay re-ran work: resumed %d of %d shards at item %d of %d",
+				report.ResumedShards, report.Shards, report.ResumedAt, report.Items)
+		}
+		fresh := t.TempDir()
+		if _, err := src.build(context.Background(), fresh, chaosConfig); err != nil {
+			t.Fatal(err)
+		}
+		compareStoreBytes(t, fresh, ref)
+	})
 }
 
-// TestQuarantinePanicNotAbort injects per-matrix panics and requires
-// the build to complete with the poisoned matrices quarantined — spec
-// and error preserved in quarantine.jsonl — instead of aborting.
+// TestQuarantinePanicNotAbort injects per-item panics and requires the
+// build to complete with the poisoned items quarantined — what they
+// were and why they failed preserved in quarantine/quarantine.jsonl —
+// instead of aborting.
 func TestQuarantinePanicNotAbort(t *testing.T) {
-	defer faultinject.Reset()
-	faultinject.Enable(faultinject.PointLabelPanic, faultinject.Fault{Panic: "poison matrix", Remaining: 3})
-
-	lab := chaosLabeler()
-	dir := t.TempDir()
-	d, report, err := GenerateCtx(context.Background(), chaosConfig(dir), lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Quarantined != 3 {
-		t.Fatalf("quarantined %d, want 3", report.Quarantined)
-	}
-	if len(d.Records) != 80-3 {
-		t.Fatalf("records %d, want %d", len(d.Records), 80-3)
-	}
-
-	f, err := os.Open(filepath.Join(dir, "quarantine.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	var entries []QuarantineEntry
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		var e QuarantineEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("quarantine.jsonl line undecodable: %v", err)
-		}
-		entries = append(entries, e)
-	}
-	if len(entries) != 3 {
-		t.Fatalf("quarantine.jsonl has %d entries, want 3", len(entries))
-	}
-	for _, e := range entries {
-		if !e.Panic || e.Error == "" || e.Spec.N == 0 && e.Spec.Rows == 0 {
-			t.Fatalf("quarantine entry missing forensics: %+v", e)
-		}
+	for _, src := range chaosSources(t) {
+		t.Run(src.name, func(t *testing.T) {
+			defer faultinject.Reset()
+			faultinject.Enable(faultinject.PointLabelPanic, faultinject.Fault{Panic: "poison matrix", Remaining: 3})
+			store := t.TempDir()
+			report, err := src.build(context.Background(), store, chaosConfig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(report.Quarantined) != 3 || report.Records != 80-3 {
+				t.Fatalf("quarantined %d records %d, want 3 and 77", len(report.Quarantined), report.Records)
+			}
+			f, err := os.Open(filepath.Join(store, storeQuarantine, quarantineLogFile))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			var entries []QuarantineEntry
+			sc := bufio.NewScanner(f)
+			for sc.Scan() {
+				var e QuarantineEntry
+				if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
+					t.Fatalf("quarantine.jsonl line undecodable: %v", err)
+				}
+				entries = append(entries, e)
+			}
+			if len(entries) != 3 {
+				t.Fatalf("quarantine.jsonl has %d entries, want 3", len(entries))
+			}
+			for _, e := range entries {
+				if !e.Panic || e.Error == "" || (e.File == "" && (e.Spec == nil || e.Spec.N == 0 && e.Spec.Rows == 0)) {
+					t.Fatalf("quarantine entry missing forensics: %+v", e)
+				}
+			}
+			if _, err := os.Stat(filepath.Join(store, reportLogFile)); err != nil {
+				t.Fatalf("build report not appended: %v", err)
+			}
+		})
 	}
 }
 
-// TestShardCorruptSelfHeal writes a build whose first journaled shard
-// is bit-flipped after landing (the torn-write fault), then resumes: the
-// corrupt shard must be detected by its envelope CRC, deleted, re-run,
-// and the final dataset must still be byte-identical to a clean build.
+// TestShardCorruptSelfHeal writes a build whose first two published
+// shards are bit-flipped after landing (the torn-write fault), then
+// resumes: salvage must detect both on open, the rewind must drop them
+// (a salvaged shard no longer matches its journal mark), and the
+// regenerated store must still be byte-identical to a clean build.
 func TestShardCorruptSelfHeal(t *testing.T) {
-	defer faultinject.Reset()
-	lab := chaosLabeler()
+	forEachSource(t, func(t *testing.T, src chaosSource, ref string) {
+		defer faultinject.Reset()
+		store := t.TempDir()
+		faultinject.Enable(faultinject.PointStoreCorrupt, faultinject.Fault{Err: faultinject.ErrInjected, Remaining: 2})
+		if _, err := src.build(context.Background(), store, chaosConfig); err != nil {
+			t.Fatal(err)
+		}
+		faultinject.Reset()
 
-	ref, _, err := GenerateCtx(context.Background(), chaosConfig(""), lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := saveChecksum(t, ref)
-
-	dir := t.TempDir()
-	faultinject.Enable(faultinject.PointShardCorrupt, faultinject.Fault{Err: faultinject.ErrInjected, Remaining: 2})
-	if _, _, err := GenerateCtx(context.Background(), chaosConfig(dir), lab); err != nil {
-		t.Fatal(err)
-	}
-	faultinject.Reset()
-
-	cfg := chaosConfig(dir)
-	cfg.Resume = true
-	d, report, err := GenerateCtx(context.Background(), cfg, lab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.HealedShards != 2 {
-		t.Fatalf("healed %d shards, want 2", report.HealedShards)
-	}
-	if got := saveChecksum(t, d); got != want {
-		t.Fatal("self-healed dataset differs from the clean build")
-	}
+		cfg := chaosConfig
+		cfg.Resume = true
+		report, err := src.build(context.Background(), store, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.HealedShards != 2 {
+			t.Fatalf("healed %d shards, want 2", report.HealedShards)
+		}
+		compareStoreBytes(t, ref, store)
+	})
 }
 
-// TestResumeRefusesDifferentConfig: shards from one configuration must
-// never be assembled into another's corpus.
+// TestResumeRefusesDifferentConfig: shards from one configuration or
+// source must never be assembled into another's corpus. The refusal
+// leaves the store untouched; dropping Resume rebuilds it.
 func TestResumeRefusesDifferentConfig(t *testing.T) {
-	lab := chaosLabeler()
-	dir := t.TempDir()
-	if _, _, err := GenerateCtx(context.Background(), chaosConfig(dir), lab); err != nil {
-		t.Fatal(err)
-	}
-	cfg := chaosConfig(dir)
-	cfg.Seed++ // different corpus entirely
-	cfg.Resume = true
-	_, _, err := GenerateCtx(context.Background(), cfg, lab)
-	if !errors.Is(err, ErrMismatch) {
-		t.Fatalf("err = %v, want ErrMismatch", err)
-	}
+	forEachSource(t, func(t *testing.T, src chaosSource, ref string) {
+		cfg := chaosConfig
+		src.perturb(t, &cfg)
+		cfg.Resume = true
+		if _, err := src.build(context.Background(), ref, cfg); !errors.Is(err, ErrMismatch) {
+			t.Fatalf("err = %v, want ErrMismatch", err)
+		}
+		if s, salv, err := OpenStore(ref); err != nil || salv != nil || s.NumRecords() != 80 {
+			t.Fatalf("refused resume disturbed the store: salvage=%v err=%v", salv, err)
+		}
+		cfg.Resume = false
+		report, err := src.build(context.Background(), ref, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.ResumedShards != 0 {
+			t.Fatalf("rebuild reused %d shards of the other configuration", report.ResumedShards)
+		}
+	})
 }
 
-// TestMatrixTimeoutQuarantines arms a stall longer than the per-matrix
-// deadline: the stalled matrices must be quarantined as timeouts while
+// containmentRunners are the three ways into the labelling loop: the
+// in-memory build and the two store builds. Each returns the record
+// count, the report and the error.
+func containmentRunners(t *testing.T) map[string]func(cfg Config) (int, *BuildReport, error) {
+	runners := map[string]func(cfg Config) (int, *BuildReport, error){
+		"memory": func(cfg Config) (int, *BuildReport, error) {
+			d, report, err := GenerateCtx(context.Background(), cfg, chaosLabeler())
+			if err != nil {
+				return 0, report, err
+			}
+			return len(d.Records), report, nil
+		},
+	}
+	for _, src := range chaosSources(t) {
+		runners[src.name] = func(cfg Config) (int, *BuildReport, error) {
+			report, err := src.build(context.Background(), t.TempDir(), cfg)
+			if err != nil {
+				return 0, report, err
+			}
+			return report.Records, report, nil
+		}
+	}
+	return runners
+}
+
+// TestMatrixTimeoutQuarantines arms a stall longer than the per-item
+// deadline: the stalled items must be quarantined as timeouts while
 // the build completes.
 func TestMatrixTimeoutQuarantines(t *testing.T) {
-	defer faultinject.Reset()
-	// The stall must dwarf the deadline and the deadline must dwarf an
-	// honest (race-instrumented) build+label, or slow-but-healthy
-	// matrices get quarantined and the count assertion flakes.
-	faultinject.Enable(faultinject.PointLabelStall, faultinject.Fault{Delay: 30 * time.Second, Remaining: 2})
-
-	cfg := chaosConfig("")
-	cfg.MatrixTimeout = 2 * time.Second
-	d, report, err := GenerateCtx(context.Background(), cfg, chaosLabeler())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Quarantined != 2 || len(d.Records) != 80-2 {
-		t.Fatalf("quarantined %d records %d, want 2 and 78", report.Quarantined, len(d.Records))
+	for name, run := range containmentRunners(t) {
+		t.Run(name, func(t *testing.T) {
+			defer faultinject.Reset()
+			// The stall must dwarf the deadline and the deadline must dwarf
+			// an honest (race-instrumented) build+label, or slow-but-healthy
+			// matrices get quarantined and the count assertion flakes.
+			faultinject.Enable(faultinject.PointLabelStall, faultinject.Fault{Delay: 30 * time.Second, Remaining: 2})
+			cfg := chaosConfig
+			cfg.MatrixTimeout = 2 * time.Second
+			records, report, err := run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(report.Quarantined) != 2 || records != 80-2 {
+				t.Fatalf("quarantined %d records %d, want 2 and 78", len(report.Quarantined), records)
+			}
+			for _, q := range report.Quarantined {
+				if !q.Timeout {
+					t.Fatalf("stalled item not marked as a timeout: %+v", q)
+				}
+			}
+		})
 	}
 }
 
@@ -243,31 +304,35 @@ func TestMatrixTimeoutQuarantines(t *testing.T) {
 // means the labeler is sick, not the matrices — the build must abort
 // with ErrBreakerTripped instead of quarantining the whole corpus.
 func TestBreakerTripsOnConsecutiveFailures(t *testing.T) {
-	defer faultinject.Reset()
-	faultinject.Enable(faultinject.PointLabelPanic, faultinject.Fault{Panic: "labeler sick", Remaining: -1})
-
-	cfg := chaosConfig("")
-	cfg.BreakerThreshold = 4
-	cfg.MaxQuarantineFrac = -1 // isolate the breaker path
-	_, _, err := GenerateCtx(context.Background(), cfg, chaosLabeler())
-	if !errors.Is(err, ErrBreakerTripped) {
-		t.Fatalf("err = %v, want ErrBreakerTripped", err)
+	for name, run := range containmentRunners(t) {
+		t.Run(name, func(t *testing.T) {
+			defer faultinject.Reset()
+			faultinject.Enable(faultinject.PointLabelPanic, faultinject.Fault{Panic: "labeler sick", Remaining: -1})
+			cfg := chaosConfig
+			cfg.BreakerThreshold = 4
+			cfg.MaxQuarantineFrac = -1 // isolate the breaker path
+			if _, _, err := run(cfg); !errors.Is(err, ErrBreakerTripped) {
+				t.Fatalf("err = %v, want ErrBreakerTripped", err)
+			}
+		})
 	}
 }
 
 // TestQuarantineOverflowAborts: past the quarantine budget the build
 // aborts with ErrTooManyQuarantined rather than shipping a corpus with
-// a silently decimated spec distribution.
+// a silently decimated distribution.
 func TestQuarantineOverflowAborts(t *testing.T) {
-	defer faultinject.Reset()
-	faultinject.Enable(faultinject.PointLabelPanic, faultinject.Fault{Panic: "poison", Remaining: -1})
-
-	cfg := chaosConfig("")
-	cfg.BreakerThreshold = -1 // isolate the overflow path
-	cfg.MaxQuarantineFrac = 0.05
-	_, _, err := GenerateCtx(context.Background(), cfg, chaosLabeler())
-	if !errors.Is(err, ErrTooManyQuarantined) {
-		t.Fatalf("err = %v, want ErrTooManyQuarantined", err)
+	for name, run := range containmentRunners(t) {
+		t.Run(name, func(t *testing.T) {
+			defer faultinject.Reset()
+			faultinject.Enable(faultinject.PointLabelPanic, faultinject.Fault{Panic: "poison", Remaining: -1})
+			cfg := chaosConfig
+			cfg.BreakerThreshold = -1 // isolate the overflow path
+			cfg.MaxQuarantineFrac = 0.05
+			if _, _, err := run(cfg); !errors.Is(err, ErrTooManyQuarantined) {
+				t.Fatalf("err = %v, want ErrTooManyQuarantined", err)
+			}
+		})
 	}
 }
 
@@ -276,7 +341,7 @@ func TestQuarantineOverflowAborts(t *testing.T) {
 func TestGenerateCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	d, _, err := GenerateCtx(ctx, chaosConfig(""), chaosLabeler())
+	d, _, err := GenerateCtx(ctx, chaosConfig, chaosLabeler())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -1,20 +1,21 @@
 // Package dataset assembles labelled training corpora: it samples
-// matrix specs from the synthgen mixture, computes structural
-// statistics, collects per-format SpMV times and best-format labels from
-// a machine labeler (step 1 of the paper's Figure 3 pipeline), and
-// provides train/test splits, 5-fold cross validation and integrity-
-// checked persistence. Matrices themselves are regenerated on demand
-// from their specs, keeping stored datasets compact (the paper's corpus
-// is 400 GB; ours is a spec list).
+// matrix specs from the synthgen mixture (or walks a MatrixMarket
+// tree), computes structural statistics, collects per-format SpMV times
+// and best-format labels from a machine labeler (step 1 of the paper's
+// Figure 3 pipeline), and provides train/test splits, 5-fold cross
+// validation and one integrity-checked on-disk form, the CorpusStore.
+// Synthetic matrices are regenerated on demand from their specs,
+// keeping stored corpora compact (the paper's corpus is 400 GB; a
+// synthetic one is a spec list).
 //
 // Label collection is by far the most expensive stage of the pipeline
-// (the paper spends weeks of machine time on ~9,200 matrices), so
-// generation is crash-safe: GenerateCtx shards the build, journals
-// completed shards atomically (see journal.go), quarantines matrices
-// that panic or stall instead of aborting (quarantine.go), and resumes
-// a killed build without repeating finished work. Stored datasets live
-// inside versioned CRC-checksummed envelopes and are semantically
-// validated on load (persist.go).
+// (the paper spends weeks of machine time on ~9,200 matrices), so a
+// store build is crash-safe: every published shard is journaled
+// against the source walk (build.go), items that panic or stall are
+// quarantined instead of aborting (quarantine.go), and a killed build
+// resumes without repeating finished work. Shards are CRC-framed,
+// salvaged rather than rejected when damaged (salvage.go), and
+// semantically validated on read (persist.go).
 package dataset
 
 import (
@@ -36,7 +37,7 @@ type Record struct {
 	// memory. Shard-at-a-time store iteration uses it for imported
 	// patterns so a streamed shard's matrices are released with the
 	// shard instead of accumulating in the process-global imported
-	// registry. Unexported, so gob-journaled records never carry it.
+	// registry. Unexported, so it is never serialised.
 	mat *sparse.COO
 }
 

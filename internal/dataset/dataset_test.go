@@ -1,6 +1,9 @@
 package dataset
 
 import (
+	"context"
+	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -123,13 +126,26 @@ func TestKFold(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip: the corpus the store build writes is the
+// corpus Generate returns — same records, same order — both read back
+// and byte for byte against WriteStore of the in-memory build.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	d := smallDataset(t)
-	path := filepath.Join(t.TempDir(), "d.gob")
-	if err := d.Save(path); err != nil {
+	lab := machine.NewLabeler(machine.XeonLike(), 1)
+	cfg := Config{Count: 60, Seed: 5, MaxN: 256, ShardSize: 16}
+	d := Generate(cfg, lab)
+	dir := t.TempDir()
+	report, err := GenerateStore(context.Background(), dir, cfg, lab)
+	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := Load(path)
+	if report.Records != len(d.Records) || report.Shards != 4 {
+		t.Fatalf("report %+v, want %d records in 4 shards", report, len(d.Records))
+	}
+	s, salvage, err := OpenValidatedStore(dir, lab)
+	if err != nil || salvage != nil {
+		t.Fatalf("reopen: salvage=%v err=%v", salvage, err)
+	}
+	d2, err := s.LoadStoreAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,15 +153,32 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal("round trip lost data")
 	}
 	for i := range d.Records {
-		if d2.Records[i].Label != d.Records[i].Label || d2.Records[i].Stats != d.Records[i].Stats {
-			t.Fatal("record mismatch after round trip")
+		g, w := &d2.Records[i], &d.Records[i]
+		if g.ID != w.ID || g.Spec != w.Spec || g.Label != w.Label || g.Stats != w.Stats {
+			t.Fatalf("record %d mismatch after round trip", i)
 		}
 	}
+	written := t.TempDir()
+	if _, err := WriteStore(written, d, 16); err != nil {
+		t.Fatal(err)
+	}
+	compareStoreBytes(t, written, dir)
 }
 
+// TestLoadMissingFile: what is not a store directory is refused with
+// ErrStore — a missing path, and a regular file such as a corpus in
+// the retired monolithic form.
 func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load("/nonexistent/d.gob"); err == nil {
-		t.Fatal("expected error")
+	lab := machine.NewLabeler(machine.XeonLike(), 1)
+	if _, _, err := OpenValidatedStore("/nonexistent/corpus.store", lab); !errors.Is(err, ErrStore) {
+		t.Fatalf("missing path: err = %v, want ErrStore", err)
+	}
+	file := filepath.Join(t.TempDir(), "corpus.gob")
+	if err := os.WriteFile(file, []byte("SMFS not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenValidatedStore(file, lab); !errors.Is(err, ErrStore) {
+		t.Fatalf("regular file: err = %v, want ErrStore", err)
 	}
 }
 

@@ -2,9 +2,9 @@ package dataset
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,45 +15,56 @@ import (
 	"repro/internal/synthgen"
 )
 
-// Config controls dataset generation.
+// Config controls a corpus build: an in-memory generation (GenerateCtx)
+// or a resumable store build from either source (GenerateStore,
+// IngestDir).
 type Config struct {
-	Count   int
-	Seed    int64
-	MaxN    int // matrix dimension bound for the generator
+	// Count, Seed and MaxN shape the generator source: how many specs
+	// are sampled, from which seed, under which dimension bound. A
+	// directory build ignores them.
+	Count int
+	Seed  int64
+	MaxN  int
+	// Limits is the per-file resource budget of a directory build; the
+	// zero value means sparse.DefaultLimits (service-grade caps), not
+	// unlimited — bulk ingestion reads untrusted archives.
+	Limits sparse.Limits
+
 	Workers int // <=0 means GOMAXPROCS
 
-	// ShardSize is the journaling/progress granularity in matrices
-	// (default 64). Shards are the unit of crash-safe resume: a killed
-	// build loses at most the shards in flight.
+	// ShardSize is the store's shard granularity in records (default
+	// 64) and the unit of crash-safe resume: a killed build loses at
+	// most the shard in flight. Items are also labelled this many at a
+	// time.
 	ShardSize int
-	// JournalDir, when non-empty, journals every completed shard there
-	// (atomic temp+rename envelope files plus a CRC'd manifest) so the
-	// build survives kill -9.
-	JournalDir string
-	// Resume skips shards already journaled in JournalDir from a
-	// previous run with the identical configuration. Because every
-	// record is a pure function of (spec, labeler seed), a resumed
-	// build produces a dataset byte-identical to an uninterrupted one.
+	// Resume continues an interrupted build of the same store directory
+	// from the same source and flags instead of resetting it. Because
+	// every record is a pure function of (source, walk position,
+	// labeler), a resumed build produces a store byte-identical to an
+	// uninterrupted one.
 	Resume bool
-	// MatrixTimeout is the per-matrix build+label deadline; a matrix
-	// exceeding it is quarantined (the stalled goroutine is abandoned —
-	// Go cannot preempt a hot loop — so pathological matrices cost one
-	// goroutine, not the build). 0 disables.
+	// MatrixTimeout is the per-item deadline over build-or-read, stats
+	// and label; an item exceeding it is quarantined (a stalled
+	// goroutine is abandoned — Go cannot preempt a hot loop — so a
+	// pathological matrix costs one goroutine, not the build). 0
+	// disables.
 	MatrixTimeout time.Duration
 	// MaxQuarantineFrac aborts the build with ErrTooManyQuarantined
-	// when quarantined/Count exceeds it (default 0.25; negative
-	// disables). Containment is for poison matrices, not for masking a
-	// systemically broken labeler.
+	// when more than this fraction of the items examined so far were
+	// quarantined (default 0.25; negative disables). Containment is for
+	// poison matrices, not for masking a systemically broken labeler or
+	// a mis-pointed directory.
 	MaxQuarantineFrac float64
 	// BreakerThreshold trips ErrBreakerTripped after this many
-	// consecutive per-matrix failures (default 16; negative disables).
+	// consecutive per-item failures (default 16; negative disables).
 	BreakerThreshold int
-	// Metrics, when set, receives live build progress (see
+	// Metrics, when set, receives live progress of a store build (see
 	// NewBuildMetrics).
 	Metrics *BuildMetrics
-	// OnShard, if set, observes (completedShards, totalShards) after
-	// every shard — the progress hook for logging and tests. It may be
-	// called concurrently from worker goroutines.
+	// OnShard, if set, observes (publishedShards, upperBound) after
+	// every shard a store build publishes — the progress hook for
+	// logging and tests. The bound is the shard count if no item is
+	// quarantined or deduplicated.
 	OnShard func(done, total int)
 }
 
@@ -92,301 +103,265 @@ func Generate(cfg Config, lab *machine.Labeler) *Dataset {
 	return d
 }
 
-// GenerateCtx is the fault-tolerant corpus builder — step 1 of the
-// paper's Figure 3 pipeline, hardened for the multi-hour label
-// collections the paper spends weeks of machine time on. It drives
-// robust worker goroutines over fixed-size shards of the sampled spec
-// list; each matrix is built, measured and labelled inside its own
-// panic containment and optional deadline, with failures quarantined
-// (spec + error preserved) instead of aborting the build. With
-// cfg.JournalDir set, completed shards are journaled atomically so a
-// crashed build resumes (cfg.Resume) by re-running only missing or
-// corrupt shards, reproducing the identical dataset.
+// GenerateCtx is the in-memory corpus builder — step 1 of the paper's
+// Figure 3 pipeline for corpora small enough to hold, which is what
+// training from scratch, the experiments and the tests use. It runs the
+// same labelling loop as the store builds (see build.run): every matrix
+// is built, measured and labelled inside its own panic containment and
+// optional deadline, with failures quarantined instead of aborting.
+// Nothing is persisted; GenerateStore is the crash-safe form.
 //
 // The returned BuildReport is non-nil whenever the build ran at all,
 // even on error, so callers can log partial progress.
 func GenerateCtx(ctx context.Context, cfg Config, lab *machine.Labeler) (*Dataset, *BuildReport, error) {
 	cfg.defaults()
 	start := time.Now()
-	specs := synthgen.SampleSpecs(cfg.Count, cfg.Seed, cfg.MaxN)
-	numShards := (cfg.Count + cfg.ShardSize - 1) / cfg.ShardSize
-
-	report := &BuildReport{
-		Platform: lab.Platform.Name, Count: cfg.Count,
-		ShardSize: cfg.ShardSize, Shards: numShards,
-	}
-	if m := cfg.Metrics; m != nil {
-		m.ShardsTotal.SetInt(uint64(numShards))
-	}
-
-	// Journal setup: load trusted shards on resume, reset otherwise.
-	var (
-		jl   *journal
-		done = map[int]*shardBlob{}
-	)
-	if cfg.JournalDir != "" {
-		var healed int
-		var err error
-		jl, done, healed, err = openJournal(cfg.JournalDir, fingerprintFor(cfg, lab), numShards, cfg.Resume)
-		if err != nil {
-			return nil, report, err
-		}
-		report.ResumedShards = len(done)
-		report.HealedShards = healed
-		if m := cfg.Metrics; m != nil {
-			m.ShardsDone.SetInt(uint64(len(done)))
-			m.Resumed.SetInt(uint64(len(done)))
-			m.Healed.SetInt(uint64(healed))
-		}
-	}
-
-	// Work queue: the shards not already trusted from the journal.
-	pending := make(chan int, numShards)
-	for idx := 0; idx < numShards; idx++ {
-		if _, ok := done[idx]; !ok {
-			pending <- idx
-		}
-	}
-	close(pending)
-
-	var (
-		mu          sync.Mutex // guards done + report counters
-		shardsDone  = int64(len(done))
-		labeled     atomic.Int64
-		quarantined atomic.Int64
-	)
-	for _, b := range done {
-		labeled.Add(int64(len(b.Records)))
-		quarantined.Add(int64(len(b.Quarantined)))
-	}
-
-	// The breaker watches consecutive per-matrix failures across all
-	// workers: scattered poison matrices are quarantine's job, an
-	// unbroken run of failures means the labeler or generator is sick
-	// and the build must stop burning machine time.
-	var breaker *robust.Breaker
-	if cfg.BreakerThreshold > 0 {
-		breaker = robust.NewBreaker(cfg.BreakerThreshold, time.Hour)
-	}
-	maxQuarantine := -1
-	if cfg.MaxQuarantineFrac >= 0 {
-		maxQuarantine = int(cfg.MaxQuarantineFrac * float64(cfg.Count))
-	}
-
-	workers := cfg.Workers
-	if n := numShards - len(done); workers > n {
-		workers = n
-	}
-	err := robust.WorkersCtx(ctx, workers, func(wctx context.Context, _ int) error {
-		for {
-			select {
-			case <-wctx.Done():
-				return wctx.Err()
-			case idx, ok := <-pending:
-				if !ok {
-					return nil
-				}
-				blob, err := buildShard(wctx, cfg, lab, specs, idx, breaker, &quarantined, maxQuarantine)
-				if err != nil {
-					return err
-				}
-				labeled.Add(int64(len(blob.Records)))
-				if jl != nil {
-					if err := jl.writeShard(blob); err != nil {
-						return err
-					}
-				}
-				mu.Lock()
-				done[idx] = blob
-				shardsDone++
-				sd := shardsDone
-				mu.Unlock()
-				if m := cfg.Metrics; m != nil {
-					m.ShardsDone.SetInt(uint64(sd))
-					m.Records.Add(uint64(len(blob.Records)))
-					m.Quarantined.Add(uint64(len(blob.Quarantined)))
-					if el := time.Since(start).Seconds(); el > 0 {
-						m.LabelsPerSec.Set(float64(labeled.Load()) / el)
-					}
-				}
-				if cfg.OnShard != nil {
-					cfg.OnShard(int(sd), numShards)
-				}
-			}
-		}
+	b := &build{cfg: cfg, lab: lab, src: newSpecSource(cfg)}
+	d := &Dataset{Platform: lab.Platform.Name, Formats: lab.FormatSet()}
+	err := b.run(ctx, 0, func(_ int, it *labelled) error {
+		d.Records = append(d.Records, it.rec)
+		return nil
 	})
-	report.ElapsedSec = time.Since(start).Seconds()
+	report := b.report(start, len(d.Records))
 	if err != nil {
-		// Completed shards are journaled; surface the most actionable
-		// cause (abort conditions over secondary worker noise).
 		return nil, report, err
 	}
-
-	// Assemble the dataset in shard order. Record IDs are the spec's
-	// position in the sampled list, so noise seeds — and therefore the
-	// assembled bytes — are identical whether or not any run in between
-	// was interrupted, and regardless of quarantine gaps.
-	d := &Dataset{Platform: lab.Platform.Name, Formats: lab.Platform.FormatSet()}
-	if len(lab.Formats) > 0 {
-		d.Formats = lab.Formats
-	}
-	var entries []QuarantineEntry
-	for idx := 0; idx < numShards; idx++ {
-		b, ok := done[idx]
-		if !ok {
-			return nil, report, fmt.Errorf("dataset: shard %d missing after build (internal error)", idx)
-		}
-		d.Records = append(d.Records, b.Records...)
-		entries = append(entries, b.Quarantined...)
-	}
-	report.Records = len(d.Records)
-	report.Quarantined = len(entries)
-	if report.ElapsedSec > 0 {
-		report.LabelsPerSec = float64(report.Records) / report.ElapsedSec
-	}
-	if jl != nil {
-		if err := jl.writeQuarantine(entries); err != nil {
-			return nil, report, err
-		}
-		if err := jl.appendReport(report); err != nil {
-			return nil, report, err
-		}
-	}
 	if len(d.Records) == 0 {
-		return nil, report, fmt.Errorf("%w: every matrix was quarantined (%d/%d)", ErrTooManyQuarantined, len(entries), cfg.Count)
+		return nil, report, fmt.Errorf("%w: every matrix was quarantined (%d/%d)", ErrTooManyQuarantined, len(b.quarantined), cfg.Count)
 	}
 	return d, report, nil
 }
 
-// buildShard labels one contiguous spec range with per-matrix
-// containment. A contained failure quarantines the matrix and feeds the
-// breaker; an abort condition (breaker trip, quarantine overflow,
-// cancellation) fails the shard so nothing partial is journaled.
-func buildShard(ctx context.Context, cfg Config, lab *machine.Labeler, specs []synthgen.Spec, idx int,
-	breaker *robust.Breaker, quarantined *atomic.Int64, maxQuarantine int) (*shardBlob, error) {
-	lo := idx * cfg.ShardSize
-	hi := lo + cfg.ShardSize
-	if hi > len(specs) {
-		hi = len(specs)
-	}
-	blob := &shardBlob{FP: fingerprintFor(cfg, lab).hash64(), Index: idx, Specs: hi - lo}
-	for i := lo; i < hi; i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		rec, qe := labelOne(ctx, lab, specs[i], i, cfg.MatrixTimeout)
-		if qe == nil {
-			blob.Records = append(blob.Records, rec)
-			if breaker != nil {
-				breaker.Success()
-			}
-			continue
-		}
-		if ctx.Err() != nil {
-			// Cancellation mid-matrix is not a quarantinable fault.
-			return nil, ctx.Err()
-		}
-		blob.Quarantined = append(blob.Quarantined, *qe)
-		q := quarantined.Add(1)
-		if breaker != nil {
-			breaker.Failure()
-			if breaker.State() == robust.BreakerOpen {
-				return nil, fmt.Errorf("%w: %d consecutive failures, last: %s", ErrBreakerTripped, breaker.Consecutive(), qe.Error)
-			}
-		}
-		if maxQuarantine >= 0 && int(q) > maxQuarantine {
-			return nil, fmt.Errorf("%w: %d of %d matrices (threshold %.0f%%)",
-				ErrTooManyQuarantined, q, cfg.Count, cfg.MaxQuarantineFrac*100)
-		}
-	}
-	return blob, nil
+// source is the walk a build labels: a sampled spec list or a sorted
+// MatrixMarket tree. An item's walk position is also its record ID and
+// label-noise seed, so a record is a pure function of (source,
+// position) — independent of worker scheduling, of quarantine gaps and
+// of how often the build was interrupted.
+type source interface {
+	len() int
+	// load builds or reads item i. The spec regenerates the matrix, or
+	// carries importedFamily when only the stored pattern can.
+	load(ctx context.Context, i int) (*sparse.COO, synthgen.Spec, error)
+	// name fills in what identifies item i in a quarantine entry.
+	name(i int, q *QuarantineEntry)
+	// identity is everything about the source that shapes the records;
+	// it is hashed into the build journal so a resume against a
+	// different source is refused.
+	identity() any
 }
 
-// labelOutcome carries one matrix's result out of its containment
-// goroutine over a buffered channel, so a deadline-abandoned goroutine
-// finishing late writes into garbage-collectable memory instead of
-// racing the caller.
-type labelOutcome struct {
-	rec   Record
-	stage string
-	err   error
-	panic bool
+// specSource is the synthetic generator: cfg.Count specs sampled from
+// the synthgen mixture.
+type specSource struct {
+	specs []synthgen.Spec
+	id    specIdentity
 }
 
-// labelOne builds, measures and labels one spec with panic containment
-// and an optional deadline. It returns either the record or a
-// quarantine entry; it never panics and never blocks past the deadline.
-func labelOne(ctx context.Context, lab *machine.Labeler, spec synthgen.Spec, index int, timeout time.Duration) (Record, *QuarantineEntry) {
-	if timeout <= 0 {
-		// No deadline: run inline (cancellation is checked between
-		// matrices by the caller; Go cannot preempt a hot loop anyway).
-		out := labelSpec(ctx, lab, spec, index)
-		return out.rec, quarantineFor(spec, index, out)
+type specIdentity struct {
+	Count int
+	Seed  int64
+	MaxN  int
+}
+
+func newSpecSource(cfg Config) *specSource {
+	return &specSource{
+		specs: synthgen.SampleSpecs(cfg.Count, cfg.Seed, cfg.MaxN),
+		id:    specIdentity{cfg.Count, cfg.Seed, cfg.MaxN},
 	}
-	ch := make(chan labelOutcome, 1)
-	go func() { ch <- labelSpec(ctx, lab, spec, index) }()
-	var deadline <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		deadline = t.C
+}
+
+func (s *specSource) len() int      { return len(s.specs) }
+func (s *specSource) identity() any { return s.id }
+
+func (s *specSource) load(_ context.Context, i int) (*sparse.COO, synthgen.Spec, error) {
+	return synthgen.Build(s.specs[i]), s.specs[i], nil
+}
+
+func (s *specSource) name(i int, q *QuarantineEntry) { q.Spec = &s.specs[i] }
+
+// build is one run of the labelling loop over a source.
+type build struct {
+	cfg Config
+	lab *machine.Labeler
+	src source
+
+	// quarantined holds the failed items in walk order; a resumed store
+	// build seeds it from the journal.
+	quarantined []QuarantineEntry
+	// consecutive is the unbroken run of failures ending at the last
+	// item examined — the breaker's input.
+	consecutive int
+}
+
+// labelled carries one item's result out of its containment: the
+// record with its dedup fingerprint, or the stage and error it failed
+// at.
+type labelled struct {
+	rec      Record
+	fp       uint64
+	stage    string
+	err      error
+	panicked bool
+	timeout  bool
+}
+
+// run labels items [start, len) of the source and hands each labelled
+// one to emit in walk order. Items are labelled ShardSize at a time by
+// a panic-containing worker fan-out; failures are quarantined and
+// charged to the breaker and the quarantine budget by the single
+// caller goroutine, in walk order, so where a build aborts does not
+// depend on worker scheduling. Cancellation is never quarantined —
+// Ctrl-C must not poison the quarantine ledger.
+func (b *build) run(ctx context.Context, start int, emit func(i int, it *labelled) error) error {
+	n := b.src.len()
+	outs := make([]labelled, b.cfg.ShardSize)
+	for lo := start; lo < n; lo += len(outs) {
+		hi := min(lo+len(outs), n)
+		var next atomic.Int64
+		next.Store(int64(lo))
+		err := robust.WorkersCtx(ctx, min(b.cfg.Workers, hi-lo), func(wctx context.Context, _ int) error {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= hi {
+					return nil
+				}
+				if err := wctx.Err(); err != nil {
+					return err
+				}
+				outs[i-lo] = b.labelOne(wctx, i)
+			}
+		})
+		if err != nil {
+			return err
+		}
+		for i := lo; i < hi; i++ {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			it := &outs[i-lo]
+			if it.err != nil {
+				err = b.quarantine(i, it)
+			} else {
+				b.consecutive = 0
+				err = emit(i, it)
+			}
+			if err != nil {
+				return err
+			}
+		}
 	}
+	return nil
+}
+
+// quarantine records item i's failure and escalates when failure looks
+// systemic. The breaker watches consecutive failures: scattered poison
+// matrices are quarantine's job, an unbroken run means the labeler or
+// the source is sick and the build must stop burning machine time. The
+// budget bounds total attrition, after a minimum sample so one early
+// bad item cannot kill a run, as a share of the items examined since
+// the walk began — not since the last resume, which would charge a
+// resumed build's whole quarantine history to its first few items.
+func (b *build) quarantine(i int, it *labelled) error {
+	q := QuarantineEntry{Index: i, Stage: it.stage, Error: it.err.Error(), Panic: it.panicked, Timeout: it.timeout}
+	b.src.name(i, &q)
+	b.quarantined = append(b.quarantined, q)
+	b.consecutive++
+	if m := b.cfg.Metrics; m != nil {
+		m.Quarantined.Inc()
+	}
+	if t := b.cfg.BreakerThreshold; t > 0 && b.consecutive >= t {
+		return fmt.Errorf("%w: %d consecutive failures, last: %s", ErrBreakerTripped, b.consecutive, q.Error)
+	}
+	const minSample = 16
+	examined, frac := i+1, b.cfg.MaxQuarantineFrac
+	if frac >= 0 && examined >= minSample && float64(len(b.quarantined)) > frac*float64(examined) {
+		return fmt.Errorf("%w: %d of the first %d items (budget %.0f%%)",
+			ErrTooManyQuarantined, len(b.quarantined), examined, frac*100)
+	}
+	return nil
+}
+
+// labelOne labels item i under the optional per-item deadline. It
+// never panics and never blocks past the deadline: the result travels
+// over a buffered channel, so a deadline-abandoned goroutine finishing
+// late writes into garbage-collectable memory instead of racing the
+// caller.
+func (b *build) labelOne(ctx context.Context, i int) labelled {
+	if b.cfg.MatrixTimeout <= 0 {
+		return b.labelItem(ctx, i)
+	}
+	tctx, cancel := context.WithTimeout(ctx, b.cfg.MatrixTimeout)
+	defer cancel() // also stops a cooperative reader the deadline abandoned
+	ch := make(chan labelled, 1)
+	go func() { ch <- b.labelItem(tctx, i) }()
+	var out labelled
 	select {
-	case out := <-ch:
-		return out.rec, quarantineFor(spec, index, out)
-	case <-deadline:
-		return Record{}, &QuarantineEntry{
-			Index: index, Spec: spec, Stage: StageLabel,
-			Error: fmt.Sprintf("%v after %v", ErrMatrixTimeout, timeout), Timeout: true,
-		}
-	case <-ctx.Done():
-		return Record{}, &QuarantineEntry{
-			Index: index, Spec: spec, Stage: StageLabel, Error: ctx.Err().Error(),
-		}
+	case out = <-ch:
+	case <-tctx.Done():
+		out = labelled{stage: StageLabel, err: tctx.Err()}
 	}
+	if errors.Is(out.err, context.DeadlineExceeded) && ctx.Err() == nil {
+		out.timeout = true
+		out.err = fmt.Errorf("%w after %v", ErrMatrixTimeout, b.cfg.MatrixTimeout)
+	}
+	return out
 }
 
-func quarantineFor(spec synthgen.Spec, index int, out labelOutcome) *QuarantineEntry {
-	if out.err == nil {
-		return nil
-	}
-	return &QuarantineEntry{
-		Index: index, Spec: spec, Stage: out.stage,
-		Error: out.err.Error(), Panic: out.panic,
-	}
-}
-
-// labelSpec is the contained unit of work: build the matrix, compute
-// stats, label. Panics at any stage are recovered into the outcome.
-func labelSpec(ctx context.Context, lab *machine.Labeler, spec synthgen.Spec, index int) (out labelOutcome) {
+// labelItem is the contained unit of work: build or read the matrix,
+// compute stats, label. Panics at any stage are recovered into the
+// result.
+func (b *build) labelItem(ctx context.Context, i int) (out labelled) {
 	out.stage = StageBuild
 	defer func() {
 		if r := recover(); r != nil {
 			out.err = fmt.Errorf("panic: %v", r)
-			out.panic = true
+			out.panicked = true
 		}
 	}()
+	// Chaos hooks: the drill slows the build here to land its SIGKILL
+	// mid-run, and the poison-matrix fault proves quarantine.
 	if err := faultinject.InjectCtx(ctx, faultinject.PointLabelStall); err != nil {
-		out.stage = StageLabel
-		out.err = err
+		out.stage, out.err = StageLabel, err
 		return out
 	}
 	if err := faultinject.Inject(faultinject.PointLabelPanic); err != nil {
-		out.stage = StageLabel
+		out.stage, out.err = StageLabel, err
+		return out
+	}
+	m, spec, err := b.src.load(ctx, i)
+	if err != nil {
 		out.err = err
 		return out
 	}
-	m := synthgen.Build(spec)
 	out.stage = StageStats
 	st := sparse.ComputeStats(m)
 	if st.NNZ == 0 {
-		out.err = fmt.Errorf("generated matrix is empty (%dx%d)", st.Rows, st.Cols)
+		out.err = fmt.Errorf("matrix is empty (%dx%d)", st.Rows, st.Cols)
 		return out
 	}
 	out.stage = StageLabel
-	label, times := lab.Label(st, uint64(index))
-	out.rec = Record{ID: uint64(index), Spec: spec, Stats: st, Label: label, Times: times}
+	label, times := b.lab.Label(st, uint64(i))
+	out.rec = Record{ID: uint64(i), Spec: spec, Stats: st, Label: label, Times: times}
+	if spec.Family == importedFamily {
+		out.rec.mat = m
+		out.fp = sparse.Fingerprint(m)
+	} else {
+		out.fp = RecordFingerprint(&out.rec)
+	}
 	return out
+}
+
+// report summarises the run so far.
+func (b *build) report(start time.Time, records int) *BuildReport {
+	r := &BuildReport{
+		Platform: b.lab.Platform.Name, Items: b.src.len(),
+		Records: records, Quarantined: b.quarantined,
+		ElapsedSec: time.Since(start).Seconds(),
+	}
+	if r.ElapsedSec > 0 {
+		r.LabelsPerSec = float64(records) / r.ElapsedSec
+	}
+	return r
 }
 
 // Relabel returns a copy of the dataset with labels and times collected
@@ -405,10 +380,7 @@ func (d *Dataset) Relabel(lab *machine.Labeler) *Dataset {
 // expensive as the first, so it gets the same containment and the same
 // Ctrl-C behaviour.
 func (d *Dataset) RelabelCtx(ctx context.Context, lab *machine.Labeler, workers int) (*Dataset, error) {
-	out := &Dataset{Platform: lab.Platform.Name, Formats: lab.Platform.FormatSet()}
-	if len(lab.Formats) > 0 {
-		out.Formats = lab.Formats
-	}
+	out := &Dataset{Platform: lab.Platform.Name, Formats: lab.FormatSet()}
 	out.Records = make([]Record, len(d.Records))
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

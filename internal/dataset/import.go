@@ -43,17 +43,14 @@ func ImportMatrixMarket(dir string, lab *machine.Labeler) (*Dataset, []error, er
 	if len(paths) == 0 {
 		return nil, nil, fmt.Errorf("dataset: no .mtx files in %s", dir)
 	}
-	d := &Dataset{Platform: lab.Platform.Name, Formats: lab.Platform.FormatSet()}
-	if len(lab.Formats) > 0 {
-		d.Formats = lab.Formats
-	}
+	d := &Dataset{Platform: lab.Platform.Name, Formats: lab.FormatSet()}
 	var skipped []error
 	for _, path := range paths {
 		// Imported archives are untrusted input: read through the
 		// resource-governed reader so one pathological file costs a skip
-		// entry, not an unbounded allocation (see readMatrixFileLimits
-		// for the panic containment the bulk ingester shares).
-		m, err := readMatrixFileLimits(context.Background(), path, sparse.DefaultLimits(), 0)
+		// entry, not an unbounded allocation (see readMatrixFile for the
+		// panic containment the bulk ingester shares).
+		m, err := readMatrixFile(context.Background(), path, sparse.DefaultLimits())
 		if err != nil {
 			skipped = append(skipped, fmt.Errorf("dataset: skipping %s: %w", path, err))
 			continue
@@ -77,9 +74,8 @@ func ImportMatrixMarket(dir string, lab *machine.Labeler) (*Dataset, []error, er
 
 // Imported matrices cannot be regenerated from a synthgen spec, so they
 // are parked in an in-process registry and addressed by a spec whose
-// Family is the sentinel below. Imported datasets therefore do not
-// survive Save/Load round trips of the matrices themselves (stats and
-// labels do) — re-import to recover matrix access.
+// Family is the sentinel below. WriteStore persists their patterns, so
+// a store round trip recovers matrix access in a fresh process.
 const importedFamily synthgen.Family = -1
 
 var (
@@ -92,18 +88,6 @@ func registerImported(m *sparse.COO) synthgen.Spec {
 	defer importedMu.Unlock()
 	importedRegistry = append(importedRegistry, m)
 	return synthgen.Spec{Family: importedFamily, Seed: int64(len(importedRegistry) - 1)}
-}
-
-// ImportCOO registers a matrix that did not come from a generator spec
-// — a request-captured pattern from the serving tier's feedback log, or
-// any other externally sourced matrix — and returns the synthetic spec
-// that addresses it through Record.Matrix(). The registration is
-// in-process only, exactly like ImportMatrixMarket's: a dataset whose
-// records carry these specs serialises stats and labels but not the
-// matrices, so a fresh process must re-register (internal/feedback
-// keeps the patterns in a sidecar store for that).
-func ImportCOO(m *sparse.COO) synthgen.Spec {
-	return registerImported(m)
 }
 
 // Matrix is shadowed for imported records via this hook in Record.

@@ -20,10 +20,10 @@ type BuildMetrics struct {
 // NewBuildMetrics registers the gendata_* instrument set on r.
 func NewBuildMetrics(r *obs.Registry) *BuildMetrics {
 	return &BuildMetrics{
-		ShardsTotal:  r.Gauge("gendata_shards_total", "shards in the current corpus build"),
-		ShardsDone:   r.Gauge("gendata_shards_done", "shards completed (journaled or in memory)"),
-		Resumed:      r.Gauge("gendata_shards_resumed", "shards trusted from the journal on resume"),
-		Healed:       r.Gauge("gendata_shards_healed", "journaled shards that failed validation and were re-run"),
+		ShardsTotal:  r.Gauge("gendata_shards_total", "upper bound on the shards of the current corpus build"),
+		ShardsDone:   r.Gauge("gendata_shards_done", "shards published and journaled"),
+		Resumed:      r.Gauge("gendata_shards_resumed", "published shards reused on resume"),
+		Healed:       r.Gauge("gendata_shards_healed", "shards found damaged on resume, salvaged and regenerated"),
 		Records:      r.Counter("gendata_records_labeled_total", "matrices labeled this run"),
 		Quarantined:  r.Counter("gendata_quarantined_total", "matrices quarantined this run"),
 		LabelsPerSec: r.Gauge("gendata_labels_per_sec", "labeling throughput over the run so far"),

@@ -1,53 +1,37 @@
 package dataset
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
-	"repro/internal/machine"
-	"repro/internal/nn"
 	"repro/internal/sparse"
 	"repro/internal/synthgen"
 )
 
-// gob assigns type IDs from a process-global counter in first-encounter
-// order, and every Encoder stream embeds those global IDs. Without
-// pinning, the bytes Save produces would depend on whether a shard blob
-// happened to be gob-encoded earlier in the process (journaled builds)
-// or not (plain builds) — breaking the resume-equivalence guarantee
-// that interrupted and uninterrupted runs serialise checksum-identical
-// files. Encoding a zero value at init allocates the whole wire type
-// graph's IDs before any code path can race it.
-func init() {
-	gob.NewEncoder(io.Discard).Encode(wireDataset{})
-}
-
 // Typed persistence errors. ErrCorrupt means the bytes on disk cannot be
-// trusted (truncation, bit flips, wrong artifact kind, legacy raw gob,
-// undecodable payload); ErrInvalid means the bytes decoded fine but the
-// dataset they describe is semantically broken (labels outside the
-// format set, NaN/negative times, empty corpus, out-of-range specs);
+// trusted (truncation, bit flips, wrong artifact kind, undecodable
+// payload — for a store, damage that salvage recovered nothing from);
+// ErrInvalid means the bytes decoded fine but the dataset they describe
+// is semantically broken (labels outside the format set, NaN/negative
+// times, empty corpus, out-of-range specs);
 // ErrMismatch means a well-formed dataset was offered to the wrong
 // consumer (a GPU-labeled corpus fed to a CPU labeler). Callers match
 // with errors.Is and surface each distinctly — a corrupt file wants
 // regeneration, an invalid one wants a bug report, a mismatched one
 // wants a different -platform.
 var (
-	ErrCorrupt  = errors.New("dataset: corrupt dataset file")
+	ErrCorrupt  = errors.New("dataset: corrupt corpus")
 	ErrInvalid  = errors.New("dataset: invalid dataset")
 	ErrMismatch = errors.New("dataset: dataset does not match the requesting platform")
 )
 
 // wireRecord is the deterministic serialisation of a Record: the Times
 // map is flattened into format-sorted parallel slices because gob
-// encodes maps in randomised iteration order, and corpus files must be
+// encodes maps in randomised iteration order, and shard files must be
 // byte-identical across runs for the resume-equivalence guarantee
-// (same seed, interrupted or not, same checksum).
+// (same source, interrupted or not, same checksum).
 type wireRecord struct {
 	ID    uint64
 	Spec  synthgen.Spec
@@ -58,155 +42,30 @@ type wireRecord struct {
 	TimeSecs    []float64
 }
 
-// wireDataset is the envelope payload: a versioned, deterministic
-// projection of Dataset.
-type wireDataset struct {
-	Version  int
-	Platform string
-	Formats  []sparse.Format
-	Records  []wireRecord
+func toWireRecord(r *Record) wireRecord {
+	wr := wireRecord{ID: r.ID, Spec: r.Spec, Stats: r.Stats, Label: r.Label}
+	wr.TimeFormats = make([]sparse.Format, 0, len(r.Times))
+	for f := range r.Times {
+		wr.TimeFormats = append(wr.TimeFormats, f)
+	}
+	sort.Slice(wr.TimeFormats, func(a, b int) bool { return wr.TimeFormats[a] < wr.TimeFormats[b] })
+	wr.TimeSecs = make([]float64, len(wr.TimeFormats))
+	for j, f := range wr.TimeFormats {
+		wr.TimeSecs[j] = r.Times[f]
+	}
+	return wr
 }
 
-const wireVersion = 1
-
-func toWire(d *Dataset) wireDataset {
-	w := wireDataset{Version: wireVersion, Platform: d.Platform, Formats: d.Formats}
-	w.Records = make([]wireRecord, len(d.Records))
-	for i, r := range d.Records {
-		wr := wireRecord{ID: r.ID, Spec: r.Spec, Stats: r.Stats, Label: r.Label}
-		wr.TimeFormats = make([]sparse.Format, 0, len(r.Times))
-		for f := range r.Times {
-			wr.TimeFormats = append(wr.TimeFormats, f)
-		}
-		sort.Slice(wr.TimeFormats, func(a, b int) bool { return wr.TimeFormats[a] < wr.TimeFormats[b] })
-		wr.TimeSecs = make([]float64, len(wr.TimeFormats))
-		for j, f := range wr.TimeFormats {
-			wr.TimeSecs[j] = r.Times[f]
-		}
-		w.Records[i] = wr
+func fromWireRecord(wr *wireRecord) (Record, error) {
+	if len(wr.TimeFormats) != len(wr.TimeSecs) {
+		return Record{}, fmt.Errorf("%w: record %d has %d time formats but %d time values",
+			ErrInvalid, wr.ID, len(wr.TimeFormats), len(wr.TimeSecs))
 	}
-	return w
-}
-
-func fromWire(w wireDataset) (*Dataset, error) {
-	d := &Dataset{Platform: w.Platform, Formats: w.Formats}
-	d.Records = make([]Record, len(w.Records))
-	for i, wr := range w.Records {
-		if len(wr.TimeFormats) != len(wr.TimeSecs) {
-			return nil, fmt.Errorf("%w: record %d has %d time formats but %d time values",
-				ErrInvalid, i, len(wr.TimeFormats), len(wr.TimeSecs))
-		}
-		times := make(map[sparse.Format]float64, len(wr.TimeFormats))
-		for j, f := range wr.TimeFormats {
-			times[f] = wr.TimeSecs[j]
-		}
-		d.Records[i] = Record{ID: wr.ID, Spec: wr.Spec, Stats: wr.Stats, Label: wr.Label, Times: times}
+	times := make(map[sparse.Format]float64, len(wr.TimeFormats))
+	for j, f := range wr.TimeFormats {
+		times[f] = wr.TimeSecs[j]
 	}
-	return d, nil
-}
-
-// encode gob-encodes the deterministic wire form.
-func encode(d *Dataset) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(toWire(d)); err != nil {
-		return nil, fmt.Errorf("dataset: encoding: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Save writes the dataset to path inside the versioned CRC-checksummed
-// envelope (see internal/nn/serialize.go), atomically: temp file in the
-// destination directory, fsync, rename. A crash mid-save can never
-// leave a torn file at the published path, and Load rejects any later
-// corruption with a typed error instead of an opaque gob panic.
-//
-// The byte stream is deterministic for a given dataset value, so two
-// builds that produce the same records produce checksum-identical
-// files — the property the crash/resume drill asserts.
-func (d *Dataset) Save(path string) error {
-	payload, err := encode(d)
-	if err != nil {
-		return err
-	}
-	return nn.WriteEnvelopeFile(path, nn.EnvelopeDataset, payload)
-}
-
-// Load reads a dataset written by Save, validating the envelope
-// (magic, version, kind, length, CRC) and then the semantics of the
-// decoded corpus. Envelope or decode failures return errors matching
-// ErrCorrupt; semantic failures return errors matching ErrInvalid.
-// Legacy raw-gob files (pre-envelope) are reported as corrupt with a
-// regeneration hint rather than trusted.
-func Load(path string) (*Dataset, error) {
-	payload, err := nn.ReadEnvelopeFile(path, nn.EnvelopeDataset)
-	if err != nil {
-		switch {
-		case errors.Is(err, nn.ErrBadMagic):
-			return nil, fmt.Errorf("%w: %s is not an enveloped dataset (legacy raw-gob corpus? regenerate with gendata): %v", ErrCorrupt, path, err)
-		case errors.Is(err, nn.ErrWrongKind):
-			return nil, fmt.Errorf("%w: %s holds a different artifact kind: %v", ErrCorrupt, path, err)
-		case errors.Is(err, nn.ErrTruncated), errors.Is(err, nn.ErrChecksum), errors.Is(err, nn.ErrVersion):
-			return nil, fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
-		default:
-			return nil, fmt.Errorf("dataset: %w", err)
-		}
-	}
-	return decodeDataset(payload)
-}
-
-// decodeDataset turns an envelope payload into a validated Dataset.
-func decodeDataset(payload []byte) (*Dataset, error) {
-	var w wireDataset
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&w); err != nil {
-		return nil, fmt.Errorf("%w: decoding: %v", ErrCorrupt, err)
-	}
-	if w.Version != wireVersion {
-		return nil, fmt.Errorf("%w: dataset wire version %d, supported %d", ErrCorrupt, w.Version, wireVersion)
-	}
-	d, err := fromWire(w)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	return d, nil
-}
-
-// LoadValidated loads a dataset and additionally checks that it was
-// labeled for the given labeler's platform and format set, so a corpus
-// collected on one architecture cannot silently train a selector for
-// another (labels are architecture-dependent — that mismatch is the
-// whole point of the paper's Section 6). Mismatches return errors
-// matching ErrMismatch.
-func LoadValidated(path string, lab *machine.Labeler) (*Dataset, error) {
-	d, err := Load(path)
-	if err != nil {
-		return nil, err
-	}
-	if d.Platform != lab.Platform.Name {
-		return nil, fmt.Errorf("%w: corpus labeled on %q, labeler targets %q", ErrMismatch, d.Platform, lab.Platform.Name)
-	}
-	want := lab.Formats
-	if len(want) == 0 {
-		want = lab.Platform.FormatSet()
-	}
-	if !formatsEqual(d.Formats, want) {
-		return nil, fmt.Errorf("%w: corpus selects among %v, labeler selects among %v", ErrMismatch, d.Formats, want)
-	}
-	return d, nil
-}
-
-func formatsEqual(a, b []sparse.Format) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return Record{ID: wr.ID, Spec: wr.Spec, Stats: wr.Stats, Label: wr.Label, Times: times}, nil
 }
 
 // Validate checks the dataset's semantic invariants: a non-empty

@@ -13,25 +13,33 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/faultinject"
+	"repro/internal/machine"
 	"repro/internal/nn"
 	"repro/internal/sparse"
 )
 
-// CorpusStore is the sharded, failure-tolerant corpus layout that
-// replaces "one giant .bin in RAM" for corpora too large to
-// materialise — the paper trains on ~9,200 SuiteSparse matrices plus
-// augmentation; millions are the target. Layout of a store directory:
+// CorpusStore is the one on-disk corpus: a sharded, failure-tolerant
+// directory every producer writes (gendata from either source, train
+// -dataset, the feedback collector) and every consumer opens. The
+// paper trains on ~9,200 SuiteSparse matrices plus augmentation;
+// millions are the target, so nothing here needs the corpus in RAM.
+// Layout of a store directory:
 //
 //	corpus-manifest.bin  envelope(EnvelopeCorpusManifest, JSON manifest)
 //	corpus-00000.bin     envelope(EnvelopeCorpusShard, framed records)
 //	corpus-00001.bin     ...
 //	corpus-dedup.bin     envelope(EnvelopeCorpusIndex, fingerprint set)
+//	build-journal.json   resume state of the build that filled it (build.go)
+//	report.jsonl         one line per completed build
 //	salvage.json         report of the last open that had to salvage
-//	quarantine/          corrupt originals + rejected-record log
+//	quarantine/          corrupt originals, rejected-record log, and the
+//	                     build's quarantine.jsonl of skipped source items
 //
 // Each shard's envelope payload is a chain of CRC-framed records
 // (header frame first), so corruption is survivable at two levels: the
@@ -113,12 +121,45 @@ type storeShardHeader struct {
 
 const storeVersion = 1
 
+// gob assigns type IDs from a process-global counter in first-encounter
+// order, and every Encoder stream embeds those global IDs. Without
+// pinning, shard bytes would depend on what happened to be gob-encoded
+// earlier in the process, breaking the guarantee that interrupted and
+// uninterrupted builds write checksum-identical files. Encoding zero
+// values at init allocates the wire types' IDs before any code path can
+// race it. The first value has the shape of the retired monolithic
+// dataset form, which used to be pinned ahead of the store types: its
+// IDs stay allocated so that stores written today are byte-identical to
+// stores written before it was deleted (TestStoreFormatFrozen).
 func init() {
-	// Pin gob type IDs for the store wire types at init, for the same
-	// reason persist.go pins wireDataset: shard bytes must not depend on
-	// what happened to be encoded earlier in the process.
+	gob.NewEncoder(io.Discard).Encode(struct {
+		Version  int
+		Platform string
+		Formats  []sparse.Format
+		Records  []wireRecord
+	}{})
 	gob.NewEncoder(io.Discard).Encode(storeRecord{})
 	gob.NewEncoder(io.Discard).Encode(storeShardHeader{})
+}
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+func fileCRC(path string) (uint32, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return 0, err
+	}
+	return crc32.Checksum(b, crcTable), nil
+}
+
+// corruptFile flips one payload byte in place (chaos testing only).
+func corruptFile(path string) {
+	b, err := os.ReadFile(path)
+	if err != nil || len(b) == 0 {
+		return
+	}
+	b[len(b)/2] ^= 0xff
+	os.WriteFile(path, b, 0o644)
 }
 
 // CorpusStore provides append and shard-at-a-time read access to one
@@ -135,7 +176,8 @@ type CorpusStore struct {
 }
 
 // CreateStore initialises dir as an empty corpus store for one
-// platform's format set. An existing store in dir is reset.
+// platform's format set. An existing store in dir is reset, build
+// journal included — its shard marks describe shards that are gone.
 func CreateStore(dir, platform string, formats []sparse.Format, shardSize int) (*CorpusStore, error) {
 	if shardSize <= 0 {
 		shardSize = 256
@@ -150,7 +192,7 @@ func CreateStore(dir, platform string, formats []sparse.Format, shardSize int) (
 	for _, e := range entries {
 		name := e.Name()
 		if name == storeManifestFile || name == storeDedupFile || name == storeSalvageFile ||
-			(len(name) > 7 && name[:7] == "corpus-") {
+			name == buildJournalFile || strings.HasPrefix(name, "corpus-") {
 			os.Remove(filepath.Join(dir, name))
 		}
 	}
@@ -170,7 +212,9 @@ func CreateStore(dir, platform string, formats []sparse.Format, shardSize int) (
 // returned report is nil when the store opened clean; when salvage
 // ran, the report has also been written to <dir>/salvage.json. A
 // missing or corrupt manifest is itself salvageable: the manifest is
-// rebuilt from whatever shard files validate.
+// rebuilt from whatever shard files validate. The open fails only on a
+// directory that is no store at all (ErrStore) or one whose damage
+// left salvage nothing to recover (ErrCorrupt).
 func OpenStore(dir string) (*CorpusStore, *SalvageReport, error) {
 	fi, err := os.Stat(dir)
 	if err != nil {
@@ -267,6 +311,11 @@ func OpenStore(dir string) (*CorpusStore, *SalvageReport, error) {
 			return nil, nil, err
 		}
 		report.write(dir)
+		if records == 0 && report.Salvaged() {
+			// Every record the store held is gone: that is a corrupt
+			// corpus, not an empty one.
+			return nil, report, fmt.Errorf("%w: %s: no record survived salvage (see %s)", ErrCorrupt, dir, storeSalvageFile)
+		}
 		return s, report, nil
 	}
 	return s, nil, nil
@@ -309,14 +358,6 @@ func (s *CorpusStore) Contains(fp uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.seen[fp]
-}
-
-// NoteDupe counts an append the caller skipped after its own Contains
-// check (the ingester dedups before paying for labelling).
-func (s *CorpusStore) NoteDupe() {
-	s.mu.Lock()
-	s.man.Dupes++
-	s.mu.Unlock()
 }
 
 // RecordFingerprint derives the dedup fingerprint of a record that has
@@ -482,34 +523,6 @@ func readDedupIndex(path string) ([]uint64, error) {
 		fps[i] = binary.BigEndian.Uint64(payload[8*i:])
 	}
 	return fps, nil
-}
-
-// toWireRecord is the single-record projection of toWire.
-func toWireRecord(r *Record) wireRecord {
-	wr := wireRecord{ID: r.ID, Spec: r.Spec, Stats: r.Stats, Label: r.Label}
-	wr.TimeFormats = make([]sparse.Format, 0, len(r.Times))
-	for f := range r.Times {
-		wr.TimeFormats = append(wr.TimeFormats, f)
-	}
-	sort.Slice(wr.TimeFormats, func(a, b int) bool { return wr.TimeFormats[a] < wr.TimeFormats[b] })
-	wr.TimeSecs = make([]float64, len(wr.TimeFormats))
-	for j, f := range wr.TimeFormats {
-		wr.TimeSecs[j] = r.Times[f]
-	}
-	return wr
-}
-
-// fromWireRecord is the single-record projection of fromWire.
-func fromWireRecord(wr *wireRecord) (Record, error) {
-	if len(wr.TimeFormats) != len(wr.TimeSecs) {
-		return Record{}, fmt.Errorf("%w: record %d has %d time formats but %d time values",
-			ErrInvalid, wr.ID, len(wr.TimeFormats), len(wr.TimeSecs))
-	}
-	times := make(map[sparse.Format]float64, len(wr.TimeFormats))
-	for j, f := range wr.TimeFormats {
-		times[f] = wr.TimeSecs[j]
-	}
-	return Record{ID: wr.ID, Spec: wr.Spec, Stats: wr.Stats, Label: wr.Label, Times: times}, nil
 }
 
 // encodeStoreShard builds the framed shard payload: a header frame
@@ -760,11 +773,11 @@ func (it *ShardIter) Err() error { return it.err }
 
 // TruncateShards drops every published shard past the first n,
 // deleting their files and rebuilding the dedup index and record
-// count from the survivors. The resumable ingester uses it to rewind
-// a store to its last journaled consistent point: orphan shards
-// (published but killed before the progress journal landed) and
+// count from the survivors. The resumable build uses it to rewind a
+// store to its last journaled consistent point: orphan shards
+// (published but killed before the build journal landed) and
 // salvage-degraded shards are simply regenerated, which is what makes
-// a resumed ingest byte-identical to an uninterrupted one.
+// a resumed build byte-identical to an uninterrupted one.
 func (s *CorpusStore) TruncateShards(n int, dupes int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -800,16 +813,9 @@ func (s *CorpusStore) TruncateShards(n int, dupes int) error {
 	return s.writeManifest()
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// WriteStore converts a monolithic in-memory dataset into a sharded
-// store at dir — the bridge from the journaled generate pipeline (and
-// from legacy .bin corpora) to the streaming layout.
+// WriteStore persists an in-memory dataset as a store at dir — how a
+// corpus that was generated, relabelled or assembled in memory reaches
+// disk (train -dataset, the tests' fixtures).
 func WriteStore(dir string, d *Dataset, shardSize int) (*CorpusStore, error) {
 	s, err := CreateStore(dir, d.Platform, d.Formats, shardSize)
 	if err != nil {
@@ -836,10 +842,12 @@ func WriteStore(dir string, d *Dataset, shardSize int) (*CorpusStore, error) {
 	return s, nil
 }
 
-// LoadStoreAll streams every shard into one in-memory Dataset — the
-// compatibility path for consumers that need the whole corpus
-// (migrate's retraining, shepherd's drift profile). Corrupt shards
-// have already been salvaged by OpenStore; this cannot abort on them.
+// LoadStoreAll streams every shard into one in-memory Dataset, for
+// consumers that need the whole corpus resident (migrate's retraining,
+// the experiments' cross-validation, shepherd's drift profile);
+// corpus-scale training should iterate the store instead. Corrupt
+// shards have already been salvaged by OpenStore; this cannot abort on
+// them.
 func (s *CorpusStore) LoadStoreAll() (*Dataset, error) {
 	d := &Dataset{Platform: s.man.Platform, Formats: s.man.Formats}
 	it := s.Iter()
@@ -853,4 +861,26 @@ func (s *CorpusStore) LoadStoreAll() (*Dataset, error) {
 		return nil, fmt.Errorf("%w: store %s holds no valid records", ErrInvalid, s.dir)
 	}
 	return d, nil
+}
+
+// OpenValidatedStore opens a store directory and checks that it was
+// labeled for the given labeler's platform and format set, so a corpus
+// collected on one architecture cannot silently train a selector for
+// another (labels are architecture-dependent — that mismatch is the
+// whole point of the paper's Section 6). Mismatches return errors
+// matching ErrMismatch. Salvage runs inside OpenStore; the report (nil
+// when the store opened clean) is returned so callers can log what was
+// repaired.
+func OpenValidatedStore(dir string, lab *machine.Labeler) (*CorpusStore, *SalvageReport, error) {
+	s, report, err := OpenStore(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	if s.Platform() != lab.Platform.Name {
+		return nil, report, fmt.Errorf("%w: store labeled on %q, labeler targets %q", ErrMismatch, s.Platform(), lab.Platform.Name)
+	}
+	if want := lab.FormatSet(); !slices.Equal(s.Formats(), want) {
+		return nil, report, fmt.Errorf("%w: store selects among %v, labeler selects among %v", ErrMismatch, s.Formats(), want)
+	}
+	return s, report, nil
 }

@@ -47,10 +47,6 @@ const (
 	// the pathological-matrix fault the -matrix-timeout deadline must
 	// contain.
 	PointLabelStall = "dataset.label.stall"
-	// PointShardCorrupt flips a byte in a freshly journaled shard file —
-	// the torn-write fault resume must detect via the envelope CRC and
-	// self-heal by re-running the shard.
-	PointShardCorrupt = "dataset.shard.corrupt"
 	// PointPeerStall delays inside the peer cache-fill call — the
 	// sick-but-listening shard owner fault; the fill must fail open to
 	// local compute at its own small deadline, never stalling the
@@ -70,7 +66,8 @@ const (
 	PointStoreWriteFail = "dataset.store.writefail"
 	// PointStoreCorrupt flips a byte in a freshly published corpus-store
 	// shard — the torn-write fault the salvage path must detect on open,
-	// recover what it can from, and quarantine the rest of.
+	// recover what it can from, and quarantine the rest of, and that a
+	// resumed build must heal by regenerating the shard.
 	PointStoreCorrupt = "dataset.store.corrupt"
 )
 

@@ -3,10 +3,12 @@ package feedback
 import (
 	"bufio"
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 
 	"repro/internal/dataset"
@@ -20,15 +22,13 @@ type CollectorConfig struct {
 	// SegmentDir is the feedback log directory rotated segments are
 	// folded from (a Logger's Dir).
 	SegmentDir string
-	// CorpusPath is the online corpus artifact — a regular
-	// internal/dataset envelope, loadable by train/migrate like any
-	// gendata corpus.
+	// CorpusPath is the online corpus — a regular internal/dataset
+	// corpus store directory, openable by train/migrate like any
+	// gendata store. The captured patterns are stored with their
+	// records, so a fresh process rebuilds the corpus' matrices from
+	// the store alone. CorpusPath+".seen" keeps the fingerprints of
+	// evicted records, which must outlive them in the dedup set.
 	CorpusPath string
-	// PatternsPath is the sidecar pattern store (default
-	// CorpusPath+".patterns"): the captured COO patterns that let a
-	// fresh process rebuild the corpus' matrices, plus the fingerprint
-	// dedup set (which must outlive record eviction).
-	PatternsPath string
 	// Labeler labels folded patterns with the platform cost model —
 	// the same labeling path the training corpus used, so online and
 	// offline labels are mutually consistent.
@@ -46,22 +46,10 @@ func (c *CollectorConfig) defaults() error {
 	if c.Labeler == nil {
 		return fmt.Errorf("feedback: collector needs a labeler")
 	}
-	if c.PatternsPath == "" {
-		c.PatternsPath = c.CorpusPath + ".patterns"
-	}
 	if c.MaxRecords <= 0 {
 		c.MaxRecords = 4096
 	}
 	return nil
-}
-
-// foldedRec is one deduplicated, labeled pattern in the online corpus.
-type foldedRec struct {
-	fp               uint64
-	stats            sparse.Stats
-	label            sparse.Format
-	times            map[sparse.Format]float64
-	patRows, patCols []int32
 }
 
 // CollectReport summarises one fold pass.
@@ -86,15 +74,17 @@ type CollectReport struct {
 }
 
 // Collector folds rotated feedback segments into the online corpus:
-// dedup by fingerprint, label with the platform cost model, persist
-// through the dataset envelope machinery (corpus) plus a checksummed
-// sidecar (patterns + dedup set), then delete the folded segments.
-// Persistence happens before deletion, so a crash between the two can
-// only re-fold — and the dedup set makes re-folding idempotent.
+// dedup by fingerprint, label with the platform cost model, append
+// record and pattern to the corpus store, publish, then delete the
+// folded segments. Publication happens before deletion, so a crash
+// between the two can only re-fold — and the store's dedup index makes
+// re-folding idempotent.
 type Collector struct {
-	cfg     CollectorConfig
-	seen    map[uint64]bool
-	records []foldedRec
+	cfg   CollectorConfig
+	store *dataset.CorpusStore
+	// evicted holds the fingerprints of records the cap has dropped;
+	// with the store's own index it is the dedup set.
+	evicted map[uint64]bool
 }
 
 // NewCollector builds a collector, resuming from a previously
@@ -105,11 +95,14 @@ func NewCollector(cfg CollectorConfig) (*Collector, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	c := &Collector{cfg: cfg, seen: map[uint64]bool{}}
-	if err := c.load(); err != nil {
-		c.logf("feedback: discarding persisted online corpus: %v", err)
-		c.seen = map[uint64]bool{}
-		c.records = nil
+	c := &Collector{cfg: cfg}
+	if err := c.open(); err != nil {
+		if !errors.Is(err, fs.ErrNotExist) {
+			c.logf("feedback: discarding persisted online corpus: %v", err)
+		}
+		if err := c.reset(); err != nil {
+			return nil, err
+		}
 	}
 	return c, nil
 }
@@ -120,8 +113,65 @@ func (c *Collector) logf(format string, args ...any) {
 	}
 }
 
+// Side paths of the corpus store: the evicted-fingerprint set, and the
+// two directories an eviction's rewrite passes through.
+func (c *Collector) seenPath() string    { return c.cfg.CorpusPath + ".seen" }
+func (c *Collector) compactPath() string { return c.cfg.CorpusPath + ".compact" }
+func (c *Collector) oldPath() string     { return c.cfg.CorpusPath + ".old" }
+
+// open resumes collector state from a previous process' store. A
+// missing store reports fs.ErrNotExist; anything else unreadable is an
+// error the constructor downgrades to a fresh start.
+func (c *Collector) open() error {
+	path := c.cfg.CorpusPath
+	if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
+		// Either the first run, or an eviction was killed between its
+		// two renames and the rewritten store is waiting beside the path.
+		if err := os.Rename(c.compactPath(), path); err != nil {
+			return fs.ErrNotExist
+		}
+	}
+	s, salvage, err := dataset.OpenValidatedStore(path, c.cfg.Labeler)
+	if err != nil {
+		return err
+	}
+	if salvage != nil {
+		c.logf("feedback: online corpus needed salvage: %d shard(s) repaired, %d record(s) dropped", len(salvage.Shards), len(salvage.DroppedRecords))
+	}
+	evicted := map[uint64]bool{}
+	payload, err := nn.ReadEnvelopeFile(c.seenPath(), nn.EnvelopeFeedbackSeen)
+	switch {
+	case errors.Is(err, fs.ErrNotExist): // nothing evicted yet
+	case err != nil:
+		return fmt.Errorf("evicted-fingerprint set: %w", err)
+	case len(payload)%8 != 0:
+		return fmt.Errorf("evicted-fingerprint set: odd length %d", len(payload))
+	}
+	for ; len(payload) > 0; payload = payload[8:] {
+		evicted[binary.BigEndian.Uint64(payload)] = true
+	}
+	c.store, c.evicted = s, evicted
+	return nil
+}
+
+// reset starts an empty corpus, clearing whatever was at the path.
+func (c *Collector) reset() error {
+	for _, p := range []string{c.cfg.CorpusPath, c.compactPath(), c.oldPath(), c.seenPath()} {
+		if err := os.RemoveAll(p); err != nil {
+			return fmt.Errorf("feedback: %w", err)
+		}
+	}
+	lab := c.cfg.Labeler
+	s, err := dataset.CreateStore(c.cfg.CorpusPath, lab.Platform.Name, lab.FormatSet(), 0)
+	if err != nil {
+		return fmt.Errorf("feedback: %w", err)
+	}
+	c.store, c.evicted = s, map[uint64]bool{}
+	return nil
+}
+
 // Records reports the current corpus size.
-func (c *Collector) Records() int { return len(c.records) }
+func (c *Collector) Records() int { return c.store.NumRecords() }
 
 // Collect runs one fold pass over the rotated segments.
 func (c *Collector) Collect() (*CollectReport, error) {
@@ -136,24 +186,24 @@ func (c *Collector) Collect() (*CollectReport, error) {
 		}
 		rep.Segments++
 	}
-	if len(c.records) > c.cfg.MaxRecords {
-		evicted := len(c.records) - c.cfg.MaxRecords
-		c.records = c.records[evicted:]
-		c.logf("feedback: online corpus capped, %d oldest records evicted", evicted)
-	}
 	if rep.Folded > 0 {
-		if err := c.persist(); err != nil {
-			return nil, err
+		if err := c.store.Flush(); err != nil {
+			return nil, fmt.Errorf("feedback: persisting online corpus: %w", err)
 		}
 	}
-	// Segments are only removed after a successful persist (or when
+	// Segments are only removed after a successful publication (or when
 	// they contributed nothing new).
-	for i := 0; i < rep.Segments; i++ {
-		if err := os.Remove(segs[i]); err != nil {
+	for _, seg := range segs {
+		if err := os.Remove(seg); err != nil {
 			c.logf("feedback: removing folded segment: %v", err)
 		}
 	}
-	rep.Records = len(c.records)
+	if c.store.NumRecords() > c.cfg.MaxRecords {
+		if err := c.evict(); err != nil {
+			return nil, err
+		}
+	}
+	rep.Records = c.store.NumRecords()
 	return rep, nil
 }
 
@@ -179,58 +229,43 @@ func (c *Collector) foldSegment(path string, rep *CollectReport) error {
 		switch {
 		case !e.HasPattern():
 			rep.NoPattern++
-		case c.seen[e.Fingerprint]:
+		case c.evicted[e.Fingerprint] || c.store.Contains(e.Fingerprint):
 			rep.Duplicates++
 		default:
+			m, err := reconstruct(e.Stats.Rows, e.Stats.Cols, e.PatRows, e.PatCols)
+			if err != nil {
+				rep.SkippedLines++ // a pattern outside its declared shape is a corrupt line
+				continue
+			}
 			label, times := c.cfg.Labeler.Label(e.Stats, e.Fingerprint)
-			c.records = append(c.records, foldedRec{
-				fp:      e.Fingerprint,
-				stats:   e.Stats,
-				label:   label,
-				times:   times,
-				patRows: e.PatRows,
-				patCols: e.PatCols,
-			})
-			c.seen[e.Fingerprint] = true
+			rec := dataset.Record{ID: e.Fingerprint, Stats: e.Stats, Label: label, Times: times}
+			if _, err := c.store.Append(rec, e.Fingerprint, m); err != nil {
+				return fmt.Errorf("feedback: persisting online corpus: %w", err)
+			}
 			rep.Folded++
 		}
 	}
 	return sc.Err()
 }
 
-// Corpus materialises the online corpus as a live dataset: every
-// pattern is rebuilt and registered through dataset.ImportCOO so
-// Record.Matrix() works — the form selector training consumes.
+// Corpus materialises the online corpus as a live dataset, every
+// record carrying its rebuilt pattern so Record.Matrix() works — the
+// form selector training consumes.
 func (c *Collector) Corpus() (*dataset.Dataset, error) {
-	if len(c.records) == 0 {
+	if c.store.NumRecords() == 0 {
 		return nil, fmt.Errorf("feedback: online corpus is empty")
 	}
-	d := c.newDataset()
-	for _, r := range c.records {
-		m, err := reconstruct(r.stats.Rows, r.stats.Cols, r.patRows, r.patCols)
-		if err != nil {
-			return nil, fmt.Errorf("feedback: rebuilding pattern %x: %w", r.fp, err)
-		}
-		d.Records = append(d.Records, dataset.Record{
-			ID:    r.fp,
-			Spec:  dataset.ImportCOO(m),
-			Stats: r.stats,
-			Label: r.label,
-			Times: r.times,
-		})
+	d, err := c.store.LoadStoreAll()
+	if err != nil {
+		return nil, fmt.Errorf("feedback: %w", err)
 	}
 	return d, nil
 }
 
-func (c *Collector) newDataset() *dataset.Dataset {
-	formats := c.cfg.Labeler.Formats
-	if len(formats) == 0 {
-		formats = c.cfg.Labeler.Platform.FormatSet()
-	}
-	return &dataset.Dataset{Platform: c.cfg.Labeler.Platform.Name, Formats: formats}
-}
-
 func reconstruct(rows, cols int, patRows, patCols []int32) (*sparse.COO, error) {
+	if len(patRows) != len(patCols) {
+		return nil, fmt.Errorf("pattern arrays disagree (%d rows, %d cols)", len(patRows), len(patCols))
+	}
 	entries := make([]sparse.Entry, len(patRows))
 	for i := range patRows {
 		entries[i] = sparse.Entry{Row: int(patRows[i]), Col: int(patCols[i]), Val: 1}
@@ -238,111 +273,49 @@ func reconstruct(rows, cols int, patRows, patCols []int32) (*sparse.COO, error) 
 	return sparse.NewCOO(rows, cols, entries)
 }
 
-// wirePatterns is the sidecar payload: the dedup set plus per-record
-// patterns, parallel to the corpus records by fingerprint.
-type wirePatterns struct {
-	Version  int
-	Seen     []uint64
-	FPs      []uint64
-	PatRows  [][]int32
-	PatCols  [][]int32
-	RowsDims []int32
-	ColsDims []int32
-}
-
-const patternsVersion = 1
-
-// persist writes the corpus (dataset envelope) and the pattern sidecar
-// (checksummed envelope) — both atomic temp+fsync+rename writes.
-func (c *Collector) persist() error {
-	d := c.newDataset()
-	w := wirePatterns{Version: patternsVersion}
-	for fp := range c.seen {
-		w.Seen = append(w.Seen, fp)
-	}
-	for _, r := range c.records {
-		d.Records = append(d.Records, dataset.Record{
-			ID:    r.fp,
-			Spec:  dataset.ImportCOO(mustReconstruct(r)),
-			Stats: r.stats,
-			Label: r.label,
-			Times: r.times,
-		})
-		w.FPs = append(w.FPs, r.fp)
-		w.PatRows = append(w.PatRows, r.patRows)
-		w.PatCols = append(w.PatCols, r.patCols)
-		w.RowsDims = append(w.RowsDims, int32(r.stats.Rows))
-		w.ColsDims = append(w.ColsDims, int32(r.stats.Cols))
-	}
-	if err := d.Save(c.cfg.CorpusPath); err != nil {
-		return fmt.Errorf("feedback: persisting online corpus: %w", err)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return fmt.Errorf("feedback: encoding patterns: %w", err)
-	}
-	if err := nn.WriteEnvelopeFile(c.cfg.PatternsPath, nn.EnvelopeFeedbackPatterns, buf.Bytes()); err != nil {
-		return fmt.Errorf("feedback: persisting patterns: %w", err)
-	}
-	return nil
-}
-
-func mustReconstruct(r foldedRec) *sparse.COO {
-	m, err := reconstruct(r.stats.Rows, r.stats.Cols, r.patRows, r.patCols)
+// evict drops the oldest records past the cap. The store only grows,
+// so eviction rewrites it: the evicted fingerprints are added to the
+// .seen set first (a crash after that merely remembers a few
+// fingerprints the store also knows), the survivors are written to a
+// sibling store, and two renames swap it in — open finishes the swap
+// if the process dies between them.
+func (c *Collector) evict() error {
+	d, err := c.store.LoadStoreAll()
 	if err != nil {
-		// The pattern was validated when first folded; failure here
-		// means in-memory corruption.
-		panic(fmt.Sprintf("feedback: pattern %x no longer reconstructs: %v", r.fp, err))
+		return fmt.Errorf("feedback: %w", err)
 	}
-	return m
-}
+	// n can be short of what the manifest counted: records the store
+	// refused to hand out as invalid are dropped by the rewrite too.
+	n := max(len(d.Records)-c.cfg.MaxRecords, 0)
+	for _, r := range d.Records[:n] {
+		c.evicted[r.ID] = true
+	}
+	d.Records = d.Records[n:]
+	payload := make([]byte, 0, 8*len(c.evicted))
+	for fp := range c.evicted {
+		payload = binary.BigEndian.AppendUint64(payload, fp)
+	}
+	if err := nn.WriteEnvelopeFile(c.seenPath(), nn.EnvelopeFeedbackSeen, payload); err != nil {
+		return fmt.Errorf("feedback: persisting evicted fingerprints: %w", err)
+	}
 
-// load resumes collector state from a previous process' persisted
-// corpus and pattern sidecar. Missing files mean a fresh start; a
-// present-but-unreadable pair is an error the constructor downgrades
-// to a fresh start.
-func (c *Collector) load() error {
-	if _, err := os.Stat(c.cfg.CorpusPath); os.IsNotExist(err) {
-		return nil
+	path, tmp, old := c.cfg.CorpusPath, c.compactPath(), c.oldPath()
+	if err := errors.Join(os.RemoveAll(tmp), os.RemoveAll(old)); err != nil {
+		return fmt.Errorf("feedback: %w", err)
 	}
-	d, err := dataset.LoadValidated(c.cfg.CorpusPath, c.cfg.Labeler)
-	if err != nil {
-		return err
+	if _, err := dataset.WriteStore(tmp, d, 0); err != nil {
+		return fmt.Errorf("feedback: rewriting online corpus: %w", err)
 	}
-	payload, err := nn.ReadEnvelopeFile(c.cfg.PatternsPath, nn.EnvelopeFeedbackPatterns)
-	if err != nil {
-		return fmt.Errorf("pattern sidecar: %w", err)
+	if err := os.Rename(path, old); err != nil {
+		return fmt.Errorf("feedback: swapping in rewritten corpus: %w", err)
 	}
-	var w wirePatterns
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&w); err != nil {
-		return fmt.Errorf("pattern sidecar: %w", err)
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("feedback: swapping in rewritten corpus: %w", err)
 	}
-	if w.Version != patternsVersion {
-		return fmt.Errorf("pattern sidecar version %d, supported %d", w.Version, patternsVersion)
+	os.RemoveAll(old) // left for the next eviction if this fails
+	if c.store, _, err = dataset.OpenStore(path); err != nil {
+		return fmt.Errorf("feedback: %w", err)
 	}
-	if len(w.FPs) != len(w.PatRows) || len(w.FPs) != len(w.PatCols) {
-		return fmt.Errorf("pattern sidecar is internally inconsistent")
-	}
-	pats := make(map[uint64]int, len(w.FPs))
-	for i, fp := range w.FPs {
-		pats[fp] = i
-	}
-	for _, r := range d.Records {
-		i, ok := pats[r.ID]
-		if !ok {
-			return fmt.Errorf("corpus record %x has no pattern", r.ID)
-		}
-		c.records = append(c.records, foldedRec{
-			fp:      r.ID,
-			stats:   r.Stats,
-			label:   r.Label,
-			times:   r.Times,
-			patRows: w.PatRows[i],
-			patCols: w.PatCols[i],
-		})
-	}
-	for _, fp := range w.Seen {
-		c.seen[fp] = true
-	}
+	c.logf("feedback: online corpus capped, %d oldest records evicted", n)
 	return nil
 }

@@ -9,8 +9,8 @@
 //     otherwise a cachesim-replayed estimate). Writes are batched off
 //     the request path and segments rotate by size and age.
 //   - Collector: folds rotated segments into an online corpus — a
-//     first-class dataset artifact (internal/dataset envelope) plus a
-//     sidecar pattern store — deduplicating by fingerprint, so the
+//     regular internal/dataset corpus store, each record stored with
+//     its captured pattern — deduplicating by fingerprint, so the
 //     corpus reflects the distinct patterns production traffic actually
 //     carries.
 //   - Detector: watches the folded entries for distribution drift

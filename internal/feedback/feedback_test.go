@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/sparse"
@@ -192,7 +194,7 @@ func fillSegments(t *testing.T, dir string, seeds []int64) {
 
 func TestCollectorFoldDedupPersistResume(t *testing.T) {
 	dir := t.TempDir()
-	corpus := filepath.Join(t.TempDir(), "corpus.gob")
+	corpus := filepath.Join(t.TempDir(), "corpus.store")
 	fillSegments(t, dir, []int64{1, 2, 3, 1, 2}) // two duplicates
 
 	c, err := NewCollector(CollectorConfig{SegmentDir: dir, CorpusPath: corpus, Labeler: testLabeler(t)})
@@ -242,23 +244,114 @@ func TestCollectorFoldDedupPersistResume(t *testing.T) {
 }
 
 func TestCollectorDiscardsCorruptState(t *testing.T) {
+	// Three shapes of unusable state at the corpus path: a store damaged
+	// beyond salvage, a store labeled for another platform, and a regular
+	// file (what the retired monolithic corpus.gob would be).
+	damaged := func(t *testing.T, corpus string) {
+		dir := t.TempDir()
+		fillSegments(t, dir, []int64{1, 2})
+		c, err := NewCollector(CollectorConfig{SegmentDir: dir, CorpusPath: corpus, Labeler: testLabeler(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Collect(); err != nil {
+			t.Fatal(err)
+		}
+		shards, _ := filepath.Glob(filepath.Join(corpus, "corpus-0*.bin"))
+		if len(shards) == 0 {
+			t.Fatal("fold published no shard")
+		}
+		for _, sh := range shards {
+			if err := os.WriteFile(sh, []byte("not a shard"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cases := map[string]func(t *testing.T, corpus string){
+		"store damaged beyond salvage": damaged,
+		"store of another platform": func(t *testing.T, corpus string) {
+			if _, err := dataset.CreateStore(corpus, "a8like", sparse.CPUFormats(), 0); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"regular file": func(t *testing.T, corpus string) {
+			if err := os.WriteFile(corpus, []byte("not an envelope"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, prepare := range cases {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			corpus := filepath.Join(t.TempDir(), "corpus.store")
+			prepare(t, corpus)
+			var log bytes.Buffer
+			c, err := NewCollector(CollectorConfig{SegmentDir: dir, CorpusPath: corpus, Labeler: testLabeler(t), Log: &log})
+			if err != nil {
+				t.Fatalf("NewCollector should start fresh on corrupt state, got %v", err)
+			}
+			if c.Records() != 0 {
+				t.Fatalf("corrupt state not discarded: %d records", c.Records())
+			}
+			if !strings.Contains(log.String(), "discarding persisted online corpus") {
+				t.Fatalf("discard not logged: %q", log.String())
+			}
+			// The fresh corpus is usable.
+			fillSegments(t, dir, []int64{5})
+			if rep, err := c.Collect(); err != nil || rep.Folded != 1 {
+				t.Fatalf("fold after discard: %+v, %v", rep, err)
+			}
+		})
+	}
+}
+
+// The cap evicts oldest-first by rewriting the store; evicted
+// fingerprints stay in the dedup set across restarts, and a rewrite
+// killed between its two renames is finished by the next start.
+func TestCollectorEvictionKeepsDedupSet(t *testing.T) {
 	dir := t.TempDir()
-	corpus := filepath.Join(t.TempDir(), "corpus.gob")
-	if err := os.WriteFile(corpus, []byte("not an envelope"), 0o644); err != nil {
+	corpus := filepath.Join(t.TempDir(), "corpus.store")
+	cfg := CollectorConfig{SegmentDir: dir, CorpusPath: corpus, Labeler: testLabeler(t), MaxRecords: 2}
+	c, err := NewCollector(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCollector(CollectorConfig{SegmentDir: dir, CorpusPath: corpus, Labeler: testLabeler(t)})
+	fillSegments(t, dir, []int64{1, 2, 3, 4})
+	rep, err := c.Collect()
 	if err != nil {
-		t.Fatalf("NewCollector should start fresh on corrupt state, got %v", err)
+		t.Fatal(err)
 	}
-	if c.Records() != 0 {
-		t.Fatalf("corrupt state not discarded: %d records", c.Records())
+	if rep.Folded != 4 || rep.Records != 2 {
+		t.Fatalf("fold = %+v; want 4 folded, 2 kept", rep)
+	}
+	d, err := c.Corpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sparse.Fingerprint(testMatrix(t, 3)); len(d.Records) != 2 || d.Records[0].ID != want {
+		t.Fatalf("eviction kept the wrong records: first ID %x, want %x (the third folded)", d.Records[0].ID, want)
+	}
+
+	// Model a kill between the two renames of a later eviction.
+	if err := os.Rename(corpus, corpus+".compact"); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := NewCollector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c2.Records() != 2 {
+		t.Fatalf("interrupted swap not finished: %d records", c2.Records())
+	}
+	fillSegments(t, dir, []int64{1, 2, 3, 4})
+	if rep, err = c2.Collect(); err != nil || rep.Folded != 0 || rep.Duplicates != 4 {
+		t.Fatalf("re-captured traffic after eviction and restart: %+v, %v; want 4 duplicates", rep, err)
 	}
 }
 
 func TestCollectorSkipsTornLines(t *testing.T) {
 	dir := t.TempDir()
-	corpus := filepath.Join(t.TempDir(), "corpus.gob")
+	corpus := filepath.Join(t.TempDir(), "corpus.store")
 	fillSegments(t, dir, []int64{7})
 	segs, _ := SegmentFiles(dir)
 	f, err := os.OpenFile(segs[0], os.O_WRONLY|os.O_APPEND, 0)
@@ -412,7 +505,7 @@ func TestShepherdJournalResume(t *testing.T) {
 	work := t.TempDir()
 	lab := testLabeler(t)
 	col, err := NewCollector(CollectorConfig{
-		SegmentDir: t.TempDir(), CorpusPath: filepath.Join(work, "corpus.gob"), Labeler: lab,
+		SegmentDir: t.TempDir(), CorpusPath: filepath.Join(work, "corpus.store"), Labeler: lab,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -497,7 +590,7 @@ func TestReplaceFileAtomic(t *testing.T) {
 
 func TestNewProfileFromDataset(t *testing.T) {
 	dir := t.TempDir()
-	corpus := filepath.Join(t.TempDir(), "corpus.gob")
+	corpus := filepath.Join(t.TempDir(), "corpus.store")
 	fillSegments(t, dir, []int64{1, 2, 3, 4})
 	c, err := NewCollector(CollectorConfig{SegmentDir: dir, CorpusPath: corpus, Labeler: testLabeler(t)})
 	if err != nil {

@@ -36,8 +36,9 @@ func NewLabeler(p *Platform, seed int64) *Labeler {
 	return &Labeler{Platform: p, Formats: p.FormatSet(), NoiseSigma: 0.005, Seed: seed}
 }
 
-// formats returns the effective selection set.
-func (l *Labeler) formats() []sparse.Format {
+// FormatSet returns the effective selection set — what a corpus this
+// labeler labels is tied to.
+func (l *Labeler) FormatSet() []sparse.Format {
 	if len(l.Formats) > 0 {
 		return l.Formats
 	}
@@ -48,8 +49,8 @@ func (l *Labeler) formats() []sparse.Format {
 // format. id must be a stable identifier of the matrix so the noise is
 // reproducible.
 func (l *Labeler) Times(st sparse.Stats, id uint64) map[sparse.Format]float64 {
-	out := make(map[sparse.Format]float64, len(l.formats()))
-	for _, f := range l.formats() {
+	out := make(map[sparse.Format]float64, len(l.FormatSet()))
+	for _, f := range l.FormatSet() {
 		t := l.Platform.EstimateSeconds(st, f)
 		if l.NoiseSigma > 0 {
 			rng := rand.New(rand.NewSource(int64(noiseSeed(uint64(l.Seed), id, uint64(f), hashString(l.Platform.Name)))))
@@ -63,8 +64,8 @@ func (l *Labeler) Times(st sparse.Stats, id uint64) map[sparse.Format]float64 {
 // Label returns the fastest format for the matrix and the full time map.
 func (l *Labeler) Label(st sparse.Stats, id uint64) (sparse.Format, map[sparse.Format]float64) {
 	times := l.Times(st, id)
-	best := l.formats()[0]
-	for _, f := range l.formats() {
+	best := l.FormatSet()[0]
+	for _, f := range l.FormatSet() {
 		if times[f] < times[best] {
 			best = f
 		}

@@ -45,21 +45,15 @@ const (
 	// degradation rung the serving ladder falls back to when the CNN
 	// path is sick.
 	EnvelopeDTree
-	// EnvelopeDataset holds a labelled training corpus written by
-	// internal/dataset — label collection is the most expensive artifact
-	// in the pipeline, so it gets the same corruption armour as models.
-	EnvelopeDataset
-	// EnvelopeDatasetShard holds one journaled shard of an in-progress
-	// corpus build (crash-safe resume unit).
-	EnvelopeDatasetShard
-	// EnvelopeDatasetManifest holds the corpus build journal's manifest
-	// (config fingerprint plus the CRC'd list of completed shards).
-	EnvelopeDatasetManifest
-	// EnvelopeFeedbackPatterns holds the sidecar pattern store of an
-	// online feedback corpus (internal/feedback): the request-captured
-	// COO patterns that let a fresh process rebuild the matrices a
-	// corpus' records describe, plus the fingerprint dedup set.
-	EnvelopeFeedbackPatterns
+	// Kinds 5–8 were the monolithic dataset file, the shard and manifest
+	// of its build journal, and the feedback corpus' pattern sidecar,
+	// all replaced by the corpus store below. The numbers stay retired:
+	// kinds are written to disk, so reusing one would let an old file
+	// pass a new reader's kind check.
+	_
+	_
+	_
+	_
 	// EnvelopeCorpusShard holds one shard of a sharded corpus store
 	// (internal/dataset CorpusStore): a header frame plus per-record
 	// CRC-framed payloads, so a torn shard can be salvaged record by
@@ -73,6 +67,11 @@ const (
 	// stale), persisted so reopening a million-record store does not
 	// re-hash the world.
 	EnvelopeCorpusIndex
+	// EnvelopeFeedbackSeen holds the fingerprints an online feedback
+	// corpus (internal/feedback) has evicted: its store's dedup index
+	// forgets a record with its shard, but re-captured traffic must
+	// still fold to nothing.
+	EnvelopeFeedbackSeen
 )
 
 // Typed envelope errors. Callers match with errors.Is to distinguish

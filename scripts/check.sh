@@ -54,18 +54,18 @@ fi
 
 go run ./scripts/servesmoke
 
-# Corpus crash drill: build with the real gendata binary, SIGKILL it
-# mid-build, resume, and require the resumed dataset's checksum to
-# match an uninterrupted run — plus the quarantine (poison-matrix)
-# drill. See scripts/gendrill.
-go run ./scripts/gendrill
-
-# Streamed-corpus crash drill: SIGKILL a real `gendata -import-dir`
-# bulk ingest mid-flight, resume it to a byte-identical sharded store,
-# then corrupt shards and require train + experiments to complete on
-# salvage (quarantine + salvage.json) instead of aborting. See
+# Corpus crash drill, once per gendata source (synthetic generator,
+# MatrixMarket tree): SIGKILL a real store build mid-flight, resume it
+# — through an injected full disk — to a byte-identical store, refuse a
+# resume with changed flags, quarantine injected poison matrices, then
+# corrupt shards and require train + experiments to complete on salvage
+# (quarantine + salvage.json) instead of aborting. See
 # scripts/corpusdrill.
-go run ./scripts/corpusdrill
+if [[ "${SHORT:-0}" == "1" ]]; then
+    go run ./scripts/corpusdrill -short
+else
+    go run ./scripts/corpusdrill
+fi
 
 # Cluster chaos drill: router + three replicas + heavy-tailed load,
 # SIGKILL one replica mid-run, require >= 99% success and router

@@ -1,28 +1,37 @@
-// Command corpusdrill is the CI crash drill for the streamed corpus
-// layer (wired into scripts/check.sh / make check). The in-process
-// tests prove the store and ingester invariants under cooperative
-// faults; this drill proves them against the real binaries:
+// Command corpusdrill is the CI crash drill for the corpus store and
+// the one resumable build that fills it (wired into scripts/check.sh /
+// make check). The in-process tests prove the invariants under
+// cooperative faults; this drill proves them against the real
+// binaries, running the same script once per source — the synthetic
+// generator (`gendata -count`) and a MatrixMarket tree (`gendata
+// -import-dir`, with nested dirs, one byte-identical duplicate and one
+// malformed file):
 //
-//  1. fixture: a MatrixMarket tree (nested dirs, one byte-identical
-//     duplicate, one malformed file) written from the synthetic
-//     generators;
-//  2. reference run: `gendata -import-dir` ingests it uninterrupted
-//     into a sharded store, checksummed file by file;
-//  3. kill run: the same ingest, slowed by the dataset.label.stall
-//     fault, SIGKILLed once at least two shards have been published;
-//  4. resume run: `gendata -import-dir -resume` must exit 0, pick up
-//     at the journaled walk position (not start over), and produce a
-//     store byte-identical to the reference — shard files, manifest
-//     and dedup index alike;
-//  5. corruption run: with one shard deliberately bit-flipped, both
-//     `train -dataset-in <store>` and `experiments -run heldout` must
-//     complete, quarantining the damaged original and writing
-//     salvage.json rather than aborting.
+//  1. reference: an uninterrupted build into a store, checksummed file
+//     by file;
+//  2. kill: the same build, slowed by the dataset.label.stall fault,
+//     SIGKILLed once at least two shards have been published and
+//     journaled (three shard files on disk);
+//  3. disk full: `-resume` with dataset.store.writefail armed must
+//     abort with exit 1 at a shard boundary, the published shards
+//     intact;
+//  4. resume: `-resume` must exit 0, reuse the published shards (not
+//     start over), and produce a store byte-identical to the reference
+//     — shard files, manifest and dedup index alike;
+//  5. refusal: `-resume` with a changed flag must be refused, leaving
+//     the store as it was;
+//  6. quarantine: with dataset.label.panic armed the build must still
+//     complete and persist what it skipped and why to
+//     quarantine/quarantine.jsonl;
+//  7. salvage: with shards deliberately bit-flipped, `train
+//     -dataset-in <store>` and `experiments -run heldout` must
+//     complete on the survivors, quarantining the damaged originals
+//     and writing salvage.json rather than aborting.
 //
-// With -dir the drill artifacts (the store, salvage.json, the
-// quarantine directory, the held-out report) are kept there so CI can
-// upload the salvage evidence; by default a temp dir is used and
-// removed.
+// With -dir the drill artifacts (the stores, quarantine logs,
+// salvage.json, the held-out reports) are kept there so CI can upload
+// the evidence; by default a temp dir is used and removed. -short
+// halves the corpus sizes for the fast merge gate.
 package main
 
 import (
@@ -33,6 +42,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"time"
 
@@ -42,15 +53,28 @@ import (
 
 func main() {
 	dir := flag.String("dir", "", "keep drill artifacts in this directory (default: temp dir, removed)")
+	short := flag.Bool("short", false, "halve the corpus sizes")
 	flag.Parse()
-	if err := run(*dir); err != nil {
+	if err := run(*dir, *short); err != nil {
 		fmt.Fprintln(os.Stderr, "corpusdrill: FAIL:", err)
 		os.Exit(1)
 	}
 	fmt.Println("corpusdrill: PASS")
 }
 
-func run(dir string) error {
+// source is one way of feeding gendata, with what its uninterrupted
+// build must report.
+type source struct {
+	name    string
+	args    []string // source-selecting flags, shared by every run
+	changed []string // one flag changed: -resume must refuse
+	stall   string   // per-matrix delay that lets the SIGKILL land mid-build
+	records int
+	dupes   int
+	broken  int // items the source itself gets quarantined
+}
+
+func run(dir string, short bool) error {
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "corpusdrill")
 		if err != nil {
@@ -72,50 +96,79 @@ func run(dir string) error {
 		bins[name] = bin
 	}
 
+	count, files := 240, 60
+	if short {
+		count, files = 120, 40
+	}
 	step("writing the MatrixMarket fixture tree")
-	src := filepath.Join(dir, "mtx")
-	if err := writeFixtureTree(src); err != nil {
+	tree := filepath.Join(dir, "mtx")
+	if err := writeFixtureTree(tree, files); err != nil {
 		return err
 	}
+	sources := []source{
+		{
+			name:    "generator",
+			args:    []string{"-count", strconv.Itoa(count), "-maxn", "160", "-seed", "7", "-shard-size", "8", "-workers", "2"},
+			changed: []string{"-count", strconv.Itoa(count), "-maxn", "160", "-seed", "8", "-shard-size", "8", "-workers", "2"},
+			stall:   "25ms", records: count,
+		},
+		{
+			name:    "directory",
+			args:    []string{"-import-dir", tree, "-shard-size", "4", "-seed", "7"},
+			changed: []string{"-import-dir", tree, "-shard-size", "5", "-seed", "7"},
+			stall:   "40ms", records: files, dupes: 1, broken: 1,
+		},
+	}
+	for _, src := range sources {
+		if err := drill(filepath.Join(dir, src.name), bins, src); err != nil {
+			return fmt.Errorf("%s source: %w", src.name, err)
+		}
+	}
+	return nil
+}
 
-	common := []string{"-import-dir", src, "-shard-size", "4", "-seed", "7"}
+func drill(dir string, bins map[string]string, src source) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	gendata := func(env []string, store string, extra ...string) (string, error) {
+		args := append(append([]string{}, src.args...), "-store", store)
+		return runCmd(bins["gendata"], env, append(args, extra...)...)
+	}
 
-	// 2. Uninterrupted reference ingest — the bytes every other run
-	// must reproduce.
-	step("reference ingest (uninterrupted)")
+	// 1. Uninterrupted reference build — the bytes every other run must
+	// reproduce.
+	step(src.name + ": reference build (uninterrupted)")
 	refStore := filepath.Join(dir, "ref.store")
-	out, err := runCmd(bins["gendata"], nil, append(common, "-store", refStore)...)
+	out, err := gendata(nil, refStore)
 	if err != nil {
-		return fmt.Errorf("reference ingest: %v\n%s", err, out)
+		return fmt.Errorf("reference build: %v\n%s", err, out)
 	}
-	if !strings.Contains(out, "1 files quarantined") {
-		return fmt.Errorf("the malformed fixture was not quarantined:\n%s", out)
-	}
-	if !strings.Contains(out, "1 dupes skipped") {
-		return fmt.Errorf("the duplicate fixture was not deduped:\n%s", out)
+	want := fmt.Sprintf("built %d records", src.records)
+	if !strings.Contains(out, want) ||
+		!strings.Contains(out, fmt.Sprintf("%d dupes skipped, %d quarantined", src.dupes, src.broken)) {
+		return fmt.Errorf("reference build should report %q with %d dupes and %d quarantined:\n%s", want, src.dupes, src.broken, out)
 	}
 
-	// 3. Ingest again, slowed per file, SIGKILLed mid-run.
-	step("ingest with SIGKILL after >= 2 published shards")
+	// 2. The same build, slowed per matrix, SIGKILLed mid-run.
+	// Three shard files on disk means at least two are journaled: the
+	// journal write follows each publication before the next can start.
+	step(src.name + ": build with SIGKILL after >= 2 journaled shards")
 	liveStore := filepath.Join(dir, "live.store")
 	var killOut strings.Builder
-	kill := exec.Command(bins["gendata"], append(append([]string{}, common...), "-store", liveStore)...)
+	kill := exec.Command(bins["gendata"], append(append([]string{}, src.args...), "-store", liveStore)...)
 	kill.Stdout, kill.Stderr = &killOut, &killOut
-	kill.Env = append(os.Environ(), "GENDATA_FAULT_INJECT=dataset.label.stall@40ms")
+	kill.Env = append(os.Environ(), "GENDATA_FAULT_INJECT=dataset.label.stall@"+src.stall)
 	if err := kill.Start(); err != nil {
 		return err
 	}
 	exited := make(chan error, 1)
 	go func() { exited <- kill.Wait() }()
 	deadline := time.Now().Add(60 * time.Second)
-	for {
-		shards, _ := filepath.Glob(filepath.Join(liveStore, "corpus-0*.bin"))
-		if len(shards) >= 2 {
-			break
-		}
+	for len(shardFiles(liveStore)) < 3 {
 		select {
 		case err := <-exited:
-			return fmt.Errorf("ingest exited (%v) before it could be killed; increase the stall delay\n%s", err, killOut.String())
+			return fmt.Errorf("build exited (%v) before it could be killed; increase the stall delay\n%s", err, killOut.String())
 		default:
 		}
 		if time.Now().After(deadline) {
@@ -129,29 +182,80 @@ func run(dir string) error {
 		return fmt.Errorf("kill -9: %v", err)
 	}
 	if err := <-exited; err == nil {
-		return fmt.Errorf("killed ingest exited cleanly — the kill landed too late to mean anything")
+		return fmt.Errorf("killed build exited cleanly — the kill landed too late to mean anything")
 	}
-	shards, _ := filepath.Glob(filepath.Join(liveStore, "corpus-0*.bin"))
-	fmt.Printf("corpusdrill: killed with %d shards published\n", len(shards))
+	killed := len(shardFiles(liveStore))
+	fmt.Printf("corpusdrill: %s: killed with %d shards published\n", src.name, killed)
 
-	// 4. Resume. Must pick up at the journaled position and converge on
-	// the reference bytes.
-	step("resume after kill")
-	out, err = runCmd(bins["gendata"], nil, append(common, "-store", liveStore, "-resume")...)
+	// 3. Resume onto a full disk: the first publication fails, the
+	// build aborts resumably, and nothing already published is lost.
+	step(src.name + ": resume with the disk full")
+	out, err = gendata([]string{"GENDATA_FAULT_INJECT=dataset.store.writefail:1"}, liveStore, "-resume")
+	if err == nil || !strings.Contains(out, "free space and rerun with -resume") {
+		return fmt.Errorf("a failed shard write should abort with the resume hint (err %v):\n%s", err, out)
+	}
+	if n := len(shardFiles(liveStore)); n < 2 || n > killed {
+		return fmt.Errorf("aborted store holds %d shards, want between 2 and the %d on disk at the kill", n, killed)
+	}
+
+	// 4. Resume. Must reuse the published shards and converge on the
+	// reference bytes.
+	step(src.name + ": resume after kill")
+	out, err = gendata(nil, liveStore, "-resume")
 	if err != nil {
 		return fmt.Errorf("resume: %v\n%s", err, out)
 	}
-	if !strings.Contains(out, "resuming ingest at file ") {
-		return fmt.Errorf("resume started over instead of picking up the journal:\n%s", out)
+	n, err := resumedShards(out)
+	if err != nil {
+		return fmt.Errorf("resume output unparsable: %v\n%s", err, out)
+	}
+	if n < 2 {
+		return fmt.Errorf("resume reused %d shards, want >= 2 — it started over\n%s", n, out)
 	}
 	if err := compareStores(refStore, liveStore); err != nil {
 		return fmt.Errorf("resumed store diverged from the uninterrupted one: %v", err)
 	}
-	fmt.Println("corpusdrill: resumed store is byte-identical to the reference")
+	fmt.Printf("corpusdrill: %s: resume reused %d shards, store is byte-identical to the reference\n", src.name, n)
 
-	// 5. Corrupt a shard, then require training and the held-out
+	// 5. A resume with a changed flag is refused, not mixed in and not
+	// allowed to reset the store.
+	step(src.name + ": resume with a changed flag")
+	out, err = runCmd(bins["gendata"], nil, append(append([]string{}, src.changed...), "-store", liveStore, "-resume")...)
+	if err == nil || !strings.Contains(out, "different source or with different flags") {
+		return fmt.Errorf("resume with changed flags should be refused (err %v):\n%s", err, out)
+	}
+	if err := compareStores(refStore, liveStore); err != nil {
+		return fmt.Errorf("refused resume disturbed the store: %v", err)
+	}
+
+	// 6. Quarantine: three injected per-matrix panics must not abort the
+	// build, and must leave forensics on disk.
+	step(src.name + ": quarantine drill (3 injected label panics)")
+	qStore := filepath.Join(dir, "quarantine.store")
+	out, err = gendata([]string{"GENDATA_FAULT_INJECT=dataset.label.panic:3"}, qStore)
+	if err != nil {
+		return fmt.Errorf("quarantine build aborted: %v\n%s", err, out)
+	}
+	if !strings.Contains(out, fmt.Sprintf("quarantined %d matrices", 3+src.broken)) {
+		return fmt.Errorf("expected %d quarantined matrices in output:\n%s", 3+src.broken, out)
+	}
+	qb, err := os.ReadFile(filepath.Join(qStore, "quarantine", "quarantine.jsonl"))
+	if err != nil {
+		return fmt.Errorf("quarantine log: %v", err)
+	}
+	if lines := strings.Count(string(qb), "\n"); lines != 3+src.broken {
+		return fmt.Errorf("quarantine.jsonl has %d entries, want %d", lines, 3+src.broken)
+	}
+	if strings.Count(string(qb), `"panic":true`) != 3 || !(strings.Contains(string(qb), `"spec":`) || strings.Contains(string(qb), `"file":`)) {
+		return fmt.Errorf("quarantine.jsonl entries missing forensics: %s", qb)
+	}
+	if _, err := os.Stat(filepath.Join(qStore, "report.jsonl")); err != nil {
+		return fmt.Errorf("build report: %v", err)
+	}
+
+	// 7. Corrupt a shard, then require training and the held-out
 	// evaluation to survive on salvage rather than abort.
-	step("corrupting one shard, training through salvage")
+	step(src.name + ": corrupting one shard, training through salvage")
 	if err := flipShardByte(filepath.Join(liveStore, "corpus-00001.bin")); err != nil {
 		return err
 	}
@@ -170,7 +274,7 @@ func run(dir string) error {
 		return fmt.Errorf("corrupt shard original was not quarantined")
 	}
 
-	step("corrupting another shard, held-out evaluation through salvage")
+	step(src.name + ": corrupting another shard, held-out evaluation through salvage")
 	if err := flipShardByte(filepath.Join(liveStore, "corpus-00002.bin")); err != nil {
 		return err
 	}
@@ -198,21 +302,21 @@ func run(dir string) error {
 	if !rep.Salvaged {
 		return fmt.Errorf("held-out report does not record the salvage:\n%s", rb)
 	}
-	fmt.Printf("corpusdrill: held-out evaluation survived salvage (%d records, accuracy %.2f)\n",
-		rep.Records, rep.Accuracy)
+	fmt.Printf("corpusdrill: %s: held-out evaluation survived salvage (%d records, accuracy %.2f)\n",
+		src.name, rep.Records, rep.Accuracy)
 	return nil
 }
 
-// writeFixtureTree lays out the ingest corpus: 60 distinct matrices in
-// nested directories, one byte-identical duplicate under a different
-// name, and one malformed file.
-func writeFixtureTree(dir string) error {
+// writeFixtureTree lays out the directory source: n distinct matrices
+// in nested directories, one byte-identical duplicate under a
+// different name, and one malformed file.
+func writeFixtureTree(dir string, n int) error {
 	if err := os.MkdirAll(filepath.Join(dir, "group1"), 0o755); err != nil {
 		return err
 	}
-	for i := 0; i < 60; i++ {
-		n := 40 + i
-		m := synthgen.Random(n, n, n*8, int64(i+1))
+	for i := 0; i < n; i++ {
+		size := 40 + i
+		m := synthgen.Random(size, size, size*8, int64(i+1))
 		name := fmt.Sprintf("m%03d.mtx", i)
 		if i%2 == 0 {
 			name = filepath.Join("group1", name)
@@ -226,24 +330,31 @@ func writeFixtureTree(dir string) error {
 		return err
 	}
 	bad := "%%MatrixMarket matrix coordinate real general\n9 9 4\n1 1 1.0\n2 2"
-	return os.WriteFile(filepath.Join(dir, "broken.mtx"), []byte(bad), 0o644)
+	// Both odd files sort after the healthy ones, so the quarantine
+	// drill's injected panics (which hit the first matrices labelled)
+	// never land on them and the expected counts are exact.
+	return os.WriteFile(filepath.Join(dir, "zz_broken.mtx"), []byte(bad), 0o644)
+}
+
+func shardFiles(store string) []string {
+	names, _ := filepath.Glob(filepath.Join(store, "corpus-0*.bin"))
+	return names
 }
 
 // compareStores requires byte-identical shard, manifest and dedup
 // files between two store directories.
 func compareStores(ref, got string) error {
-	names, err := filepath.Glob(filepath.Join(ref, "corpus-0*.bin"))
-	if err != nil || len(names) == 0 {
-		return fmt.Errorf("no shards in %s (%v)", ref, err)
+	names := shardFiles(ref)
+	if len(names) == 0 {
+		return fmt.Errorf("no shards in %s", ref)
+	}
+	// A resumed store must not hold extra shards either.
+	if n := len(shardFiles(got)); n != len(names) {
+		return fmt.Errorf("%d shards, reference has %d", n, len(names))
 	}
 	files := []string{"corpus-manifest.bin", "corpus-dedup.bin"}
 	for _, n := range names {
 		files = append(files, filepath.Base(n))
-	}
-	// A resumed store must not hold extra shards either.
-	gotShards, _ := filepath.Glob(filepath.Join(got, "corpus-0*.bin"))
-	if len(gotShards) != len(names) {
-		return fmt.Errorf("%d shards, reference has %d", len(gotShards), len(names))
 	}
 	for _, name := range files {
 		a, err := sha256File(filepath.Join(ref, name))
@@ -281,6 +392,19 @@ func runCmd(bin string, env []string, args ...string) (string, error) {
 	cmd.Env = append(os.Environ(), env...)
 	out, err := cmd.CombinedOutput()
 	return string(out), err
+}
+
+var resumedRE = regexp.MustCompile(`\((\d+) resumed`)
+
+// resumedShards parses the build-report line gendata prints, e.g.
+// "built 240 records from 240 items in 30 shards (12 resumed at item
+// 96, ...)".
+func resumedShards(out string) (int, error) {
+	m := resumedRE.FindStringSubmatch(out)
+	if m == nil {
+		return 0, fmt.Errorf("no build report line found")
+	}
+	return strconv.Atoi(m[1])
 }
 
 func sha256File(path string) ([32]byte, error) {

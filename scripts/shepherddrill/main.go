@@ -32,6 +32,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -110,8 +111,8 @@ func run() error {
 			ID: uint64(i), Spec: spec, Stats: st, Label: label, Times: times,
 		})
 	}
-	trainPath := filepath.Join(dir, "train.gob")
-	if err := train.Save(trainPath); err != nil {
+	trainPath := filepath.Join(dir, "train.store")
+	if _, err := dataset.WriteStore(trainPath, train, 32); err != nil {
 		return err
 	}
 
@@ -410,13 +411,21 @@ func happyLeg(dir string, bins map[string]string, model, trainPath string, bodie
 	}
 	fmt.Printf("shepherddrill: %d shifted requests, 0 failures\n", reqs.Load())
 
-	// The journal must show the machine walking the full cycle.
-	entries, err := feedback.ReadJournal(filepath.Join(pr.workDir, "journal.jsonl"))
-	if err != nil {
-		return err
-	}
-	if err := expectJournalCycle(entries); err != nil {
-		return err
+	// The journal must show the machine walking the full cycle. The
+	// promotion counter moves before the closing transition is journaled
+	// (the shepherd rebases the detector on the on-disk online corpus in
+	// between), so the last entry gets a moment to land.
+	var entries []feedback.JournalEntry
+	var cycleErr error
+	if err := waitFor(10*time.Second, func() (bool, error) {
+		var err error
+		if entries, err = feedback.ReadJournal(filepath.Join(pr.workDir, "journal.jsonl")); err != nil {
+			return false, err
+		}
+		cycleErr = expectJournalCycle(entries)
+		return cycleErr == nil, nil
+	}); err != nil {
+		return errors.Join(err, cycleErr)
 	}
 	var promoted bool
 	for _, e := range entries {
