@@ -22,10 +22,14 @@
 // flips to 503, in-flight requests finish within -drain-timeout, and a
 // final metrics snapshot is logged.
 //
+// Request path: a cache miss is one job on one bounded queue (-queue)
+// feeding -workers pool workers, answered by the compiled float32
+// forward pass.
+//
 // Robustness: ingestion is resource-governed (-max-rows, -max-cols,
 // -max-nnz, -max-body bound what one request may cost; violations
-// answer 413), overload is shed from a bounded queue (-queue) with
-// 429 + Retry-After, and a circuit breaker (-breaker-threshold,
+// answer 413), overload is shed from the queue with 429 +
+// Retry-After, and a circuit breaker (-breaker-threshold,
 // -breaker-cooldown) degrades a sick CNN onto the decision-tree rung
 // (-dtree, or a built-in heuristic) and recovers it via half-open
 // probes. SERVE_FAULT_INJECT arms chaos points for drills, e.g.
@@ -64,8 +68,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 	adminAddr := flag.String("admin-addr", "", "admin listen address for /metrics, /debug/pprof/ and /debug/traces (empty disables)")
 	model := flag.String("model", "model.gob", "trained model file (selector envelope)")
-	batch := flag.Int("batch", 16, "max prediction jobs per micro-batch")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond, "how long a batch waits to fill")
 	workers := flag.Int("workers", 0, "prediction worker pool size (0 = GOMAXPROCS)")
 	cacheSize := flag.Int("cache", 1024, "prediction cache entries (0 disables)")
 	watch := flag.Duration("watch", 2*time.Second, "model file watch interval (0 disables hot-reload watching)")
@@ -74,8 +76,8 @@ func main() {
 	maxCols := flag.Int("max-cols", 4<<20, "largest accepted column count per matrix (413 beyond)")
 	maxNNZ := flag.Int("max-nnz", 16<<20, "largest accepted nonzero count per matrix (413 beyond)")
 	maxBody := flag.Int64("max-body", 32<<20, "largest accepted request body in bytes (413 beyond)")
-	queue := flag.Int("queue", 0, "prediction queue depth before shedding 429s (0 = 4*batch*workers)")
-	sloTarget := flag.Duration("slo-target-p99", 0, "p99 latency SLO enabling adaptive admission, autosized batching, brownout and drain-rate Retry-After (0 disables)")
+	queue := flag.Int("queue", 0, "prediction queue depth before shedding 429s (0 = 64*workers)")
+	sloTarget := flag.Duration("slo-target-p99", 0, "p99 latency SLO enabling adaptive admission, brownout and drain-rate Retry-After (0 disables)")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive CNN failures before degrading to the decision tree")
 	breakerCooldown := flag.Duration("breaker-cooldown", 15*time.Second, "wait before a half-open probe retries the CNN")
 	predictTimeout := flag.Duration("predict-timeout", 2*time.Second, "per-inference CNN deadline before degrading")
@@ -88,7 +90,6 @@ func main() {
 	feedbackSegBytes := flag.Int64("feedback-segment-bytes", 1<<20, "feedback log segment size before rotation")
 	feedbackSegAge := flag.Duration("feedback-segment-age", 30*time.Second, "feedback log segment age before rotation")
 	shadowSample := flag.Int("shadow-sample", 8, "mirror every Nth prediction through a loaded shadow model (0 disables)")
-	f32 := flag.Bool("f32-inference", true, "serve predictions from the compiled float32 engine (false = reference float64 path)")
 	spmvTable := flag.String("spmv-table", "", "autotuned SpMV dispatch table JSON (spmvbench -autotune output); empty keeps built-in defaults")
 	flag.Parse()
 
@@ -118,8 +119,6 @@ func main() {
 
 	s, err := serve.New(serve.Config{
 		ModelPath:               *model,
-		BatchMax:                *batch,
-		BatchWindow:             *batchWindow,
 		Workers:                 *workers,
 		QueueDepth:              *queue,
 		CacheSize:               *cacheSize,
@@ -138,7 +137,6 @@ func main() {
 		FeedbackMaxSegmentBytes: *feedbackSegBytes,
 		FeedbackMaxSegmentAge:   *feedbackSegAge,
 		ShadowSampleN:           *shadowSample,
-		DisableFloat32:          !*f32,
 		Log:                     os.Stderr,
 	})
 	if err != nil {

@@ -112,22 +112,27 @@ func TestInfer32ZeroAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
+	// The race detector makes sync.Pool drop items at random, so the
+	// scratch arena is re-allocated there; only the plain build gates it.
+	if allocs != 0 && !raceEnabled {
 		t.Fatalf("Infer32.Predict allocates %.1f objects per run, want 0", allocs)
 	}
 }
 
-// TestInfer32RejectsUnsupportedLayer ensures an uncompilable model
-// falls back cleanly via a build error, never a bad compile.
+// unsupportedLayer is a Layer the engine has no op for.
+type unsupportedLayer struct{ *ReLU }
+
+// TestInfer32RejectsUnsupportedLayer ensures an uncompilable model is a
+// build error, never a bad compile.
 func TestInfer32RejectsUnsupportedLayer(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewModel([][]Layer{{
 		NewConv2D(1, 2, 3, 3, 1, 1, 1, 1, rng),
-		NewAvgPool2D(2, 0),
+		unsupportedLayer{NewReLU()},
 		NewFlatten(),
-	}}, []Layer{NewDense(2*4*4, 3, rng)})
+	}}, []Layer{NewDense(2*8*8, 3, rng)})
 	if _, err := BuildInfer32(m, [][]int{{1, 8, 8}}); err == nil {
-		t.Fatal("BuildInfer32 compiled an AvgPool2D model")
+		t.Fatal("BuildInfer32 compiled a model with a layer it has no op for")
 	}
 }
 

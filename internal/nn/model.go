@@ -156,7 +156,9 @@ func (m *Model) Replica() *Model {
 }
 
 // Predict returns the argmax class and the softmax probabilities for
-// one sample.
+// one sample through the float64 training layers. It is the reference
+// forward pass — training-time evaluation, experiments and the tests
+// that pin Infer32 against it; deployed inference runs on Infer32.
 func (m *Model) Predict(inputs []*tensor.Tensor) (int, []float64) {
 	logits := m.Forward(inputs, false)
 	probs := Softmax(logits.Data())

@@ -2,8 +2,10 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/tensor"
@@ -344,6 +346,37 @@ func TestSGDAndAdamStepSkipFrozen(t *testing.T) {
 		}
 		if p.Value.Data()[0] == 1 {
 			t.Fatalf("%T did not move live param", opt)
+		}
+	}
+}
+
+func TestAdamWeightDecayShrinksWeights(t *testing.T) {
+	p := newParam("w", tensor.FromSlice([]float64{10}, 1))
+	opt := NewAdam(0.1)
+	opt.WeightDecay = 0.5
+	// Zero gradient: only decay acts.
+	opt.Step([]*Param{p}, 1)
+	if v := p.Value.Data()[0]; v >= 10 {
+		t.Fatalf("weight not decayed: %v", v)
+	}
+}
+
+// TestLoadRejectsRemovedLayerTypes: an artifact written when the
+// framework still had average pooling and leaky ReLU must fail to load
+// with the unknown-layer error, not decode into something else.
+func TestLoadRejectsRemovedLayerTypes(t *testing.T) {
+	for _, spec := range []LayerSpec{
+		{Type: "avgpool", Ints: []int{2, 2}},
+		{Type: "leakyrelu", Rate: 0.05},
+	} {
+		var buf bytes.Buffer
+		blob := modelBlob{Towers: [][]LayerSpec{{spec, {Type: "flatten"}}}}
+		if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(&buf)
+		if want := `unknown layer type "` + spec.Type + `"`; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s artifact: got %v, want an error containing %q", spec.Type, err, want)
 		}
 	}
 }

@@ -212,10 +212,6 @@ func specOf(l Layer) (LayerSpec, error) {
 		return LayerSpec{Type: "conv", Ints: []int{v.InC, v.OutC, v.KH, v.KW, v.StrideH, v.StrideW, v.PadH, v.PadW}}, nil
 	case *MaxPool2D:
 		return LayerSpec{Type: "pool", Ints: []int{v.K, v.Stride}}, nil
-	case *AvgPool2D:
-		return LayerSpec{Type: "avgpool", Ints: []int{v.K, v.Stride}}, nil
-	case *LeakyReLU:
-		return LayerSpec{Type: "leakyrelu", Rate: v.Alpha}, nil
 	case *ReLU:
 		return LayerSpec{Type: "relu"}, nil
 	case *Flatten:
@@ -244,13 +240,6 @@ func buildLayer(s LayerSpec, rng *rand.Rand) (Layer, error) {
 			return nil, fmt.Errorf("nn: bad pool spec %v", s)
 		}
 		return NewMaxPool2D(s.Ints[0], s.Ints[1]), nil
-	case "avgpool":
-		if len(s.Ints) != 2 {
-			return nil, fmt.Errorf("nn: bad avgpool spec %v", s)
-		}
-		return NewAvgPool2D(s.Ints[0], s.Ints[1]), nil
-	case "leakyrelu":
-		return NewLeakyReLU(s.Rate), nil
 	case "relu":
 		return NewReLU(), nil
 	case "flatten":

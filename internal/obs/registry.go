@@ -476,11 +476,6 @@ func DefLatencyBuckets() []float64 {
 	return []float64{0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5}
 }
 
-// DefBatchBuckets covers micro-batch sizes up to the default cap.
-func DefBatchBuckets() []float64 {
-	return []float64{1, 2, 4, 8, 16, 32, 64}
-}
-
 // DefEpochBuckets covers per-epoch wall-clock from sub-second toy runs
 // through multi-minute full-corpus epochs.
 func DefEpochBuckets() []float64 {

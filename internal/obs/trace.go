@@ -14,8 +14,8 @@ import (
 )
 
 // Request tracing. A Trace is minted at HTTP ingress (one span ID per
-// request), carried through the batching pipeline — handler → queue →
-// batch worker → ladder rung → forward pass — and each stage records a
+// request), carried through the request pipeline — handler → queue →
+// pool worker → ladder rung → forward pass — and each stage records a
 // named span with its start offset and duration. Completed traces land
 // in a fixed-size ring buffer served at /debug/traces, so "why was
 // that request slow" is answerable from a running server without any
@@ -23,7 +23,7 @@ import (
 
 // Span is one named, timed stage of a request.
 type Span struct {
-	// Name identifies the stage: "parse", "queue", "batch", "rung:cnn", …
+	// Name identifies the stage: "parse", "queue", "rung:cnn", …
 	Name string `json:"name"`
 	// StartMicros is the span start as an offset from the trace start.
 	StartMicros int64 `json:"start_us"`
@@ -32,7 +32,7 @@ type Span struct {
 }
 
 // Trace is one request's span collection. All methods are safe for
-// concurrent use: the handler and a batch worker may append spans from
+// concurrent use: the handler and a pool worker may append spans from
 // different goroutines.
 type Trace struct {
 	id    string
@@ -213,7 +213,7 @@ func (l *TraceLog) Handler() http.Handler {
 // traceKey carries a *Trace through a context.
 type traceKey struct{}
 
-// WithTrace attaches tr to ctx so downstream stages (batch workers, the
+// WithTrace attaches tr to ctx so downstream stages (pool workers, the
 // inference goroutine) can record spans without explicit plumbing.
 func WithTrace(ctx context.Context, tr *Trace) context.Context {
 	return context.WithValue(ctx, traceKey{}, tr)

@@ -10,6 +10,10 @@ import (
 // ErrPoolClosed reports a Submit against a pool that has been Closed.
 var ErrPoolClosed = errors.New("robust: pool closed")
 
+// ErrPoolFull reports a Submit refused because the task queue was at
+// capacity; the task was not accepted and will never run.
+var ErrPoolFull = errors.New("robust: pool queue full")
+
 // Pool is a long-lived panic-safe worker pool for services: a fixed set
 // of goroutines executing submitted tasks, where a panicking task is
 // contained to that task instead of killing the process or the worker.
@@ -55,9 +59,10 @@ func (p *Pool) Stats() PoolStats {
 }
 
 // NewPool starts n workers (minimum 1) with a task queue of the given
-// capacity (minimum 0, i.e. rendezvous). onPanic, when non-nil, is
-// called from the worker goroutine with every recovered task panic —
-// the hook for metrics and logging; it must not itself panic.
+// capacity (minimum 0: a task is accepted only by an idle worker).
+// onPanic, when non-nil, is called from the worker goroutine with every
+// recovered task panic — the hook for metrics and logging; it must not
+// itself panic.
 func NewPool(n, queue int, onPanic func(*PanicError)) *Pool {
 	if n < 1 {
 		n = 1
@@ -95,8 +100,10 @@ func (p *Pool) run(task func()) {
 	task()
 }
 
-// Submit enqueues a task, blocking while the queue is full. It returns
-// ErrPoolClosed once Close has begun; a nil task is ignored.
+// Submit enqueues a task without blocking: a full queue refuses it with
+// ErrPoolFull, so the queue capacity is the caller's load-shedding
+// bound. It returns ErrPoolClosed once Close has begun; a nil task is
+// ignored.
 func (p *Pool) Submit(task func()) error {
 	if task == nil {
 		return nil
@@ -109,9 +116,13 @@ func (p *Pool) Submit(task func()) error {
 	if p.closed {
 		return ErrPoolClosed
 	}
-	p.submitted.Add(1)
-	p.tasks <- task
-	return nil
+	select {
+	case p.tasks <- task:
+		p.submitted.Add(1)
+		return nil
+	default:
+		return ErrPoolFull
+	}
 }
 
 // Close stops intake, waits for queued and running tasks to finish, and

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPoolRunsTasks(t *testing.T) {
-	p := NewPool(4, 8, nil)
+	p := NewPool(4, 100, nil)
 	var n atomic.Int64
 	for i := 0; i < 100; i++ {
 		if err := p.Submit(func() { n.Add(1) }); err != nil {
@@ -25,7 +25,7 @@ func TestPoolRunsTasks(t *testing.T) {
 
 func TestPoolContainsPanics(t *testing.T) {
 	var reported atomic.Int64
-	p := NewPool(2, 0, func(pe *PanicError) {
+	p := NewPool(2, 20, func(pe *PanicError) {
 		if pe.Value != "boom" || len(pe.Stack) == 0 {
 			t.Errorf("bad panic report: %+v", pe)
 		}
@@ -61,6 +61,33 @@ func TestPoolSubmitAfterClose(t *testing.T) {
 	p.Close() // idempotent
 }
 
+// TestPoolSubmitFullSheds pins the non-blocking contract: with the one
+// worker held and the queue at capacity, Submit refuses at once and the
+// refused task never runs.
+func TestPoolSubmitFullSheds(t *testing.T) {
+	p := NewPool(1, 1, nil)
+	running, hold := make(chan struct{}), make(chan struct{})
+	if err := p.Submit(func() { close(running); <-hold }); err != nil {
+		t.Fatal(err)
+	}
+	<-running
+	var ran atomic.Int64
+	if err := p.Submit(func() { ran.Add(1) }); err != nil {
+		t.Fatalf("queue slot refused: %v", err)
+	}
+	if err := p.Submit(func() { ran.Add(10) }); err != ErrPoolFull {
+		t.Fatalf("got %v, want ErrPoolFull", err)
+	}
+	if st := p.Stats(); st.Submitted != 2 || st.Queued != 1 {
+		t.Fatalf("stats %+v, want 2 submitted, 1 queued", st)
+	}
+	close(hold)
+	p.Close()
+	if ran.Load() != 1 {
+		t.Fatalf("ran = %d, want only the accepted task (1)", ran.Load())
+	}
+}
+
 // TestPoolCloseDrains submits slow tasks and checks Close waits for all
 // of them, racing Submit and Close from separate goroutines.
 func TestPoolCloseDrains(t *testing.T) {
@@ -79,6 +106,9 @@ func TestPoolCloseDrains(t *testing.T) {
 				})
 				if err == ErrPoolClosed {
 					return
+				}
+				if err == ErrPoolFull {
+					continue
 				}
 				submitted.Add(1)
 			}

@@ -46,45 +46,26 @@ type Selector struct {
 	// state, not part of the model.
 	epochHook func(nn.EpochStats)
 
-	// inf32 caches the compiled float32 inference engine, built lazily
-	// on first Predict and dropped whenever a training entry point runs
-	// (the engine snapshots weights). f32off latches the engine off:
-	// either the model contains a layer the engine cannot compile, or
-	// the operator disabled it via SetFloat32(false).
-	inf32  atomic.Pointer[nn.Infer32]
-	f32off atomic.Bool
-}
-
-// SetFloat32 enables or disables the compiled float32 inference engine
-// (enabled by default). Disabling forces every Predict through the
-// reference float64 path; re-enabling rebuilds the engine lazily.
-func (s *Selector) SetFloat32(enabled bool) {
-	s.f32off.Store(!enabled)
-	s.inf32.Store(nil)
+	// inf32 caches the compiled float32 inference engine — the one
+	// path from inputs to probabilities — built lazily on first Predict
+	// and dropped whenever training runs (the engine snapshots weights).
+	inf32 atomic.Pointer[nn.Infer32]
 }
 
 // engine32 returns the compiled engine, building it on first use. A
-// build failure (unsupported layer type) latches the float64 path — it
-// would fail identically every time.
-func (s *Selector) engine32() *nn.Infer32 {
-	if s.f32off.Load() {
-		return nil
-	}
+// model the engine cannot compile is an error every Predict returns:
+// there is no second inference path to fall back to.
+func (s *Selector) engine32() (*nn.Infer32, error) {
 	if e := s.inf32.Load(); e != nil {
-		return e
+		return e, nil
 	}
 	e, err := nn.BuildInfer32(s.Model, InputShapes(s.Cfg))
 	if err != nil {
-		s.f32off.Store(true)
-		return nil
+		return nil, fmt.Errorf("selector: compiling inference engine: %w", err)
 	}
 	s.inf32.Store(e)
-	return e
+	return e, nil
 }
-
-// invalidate32 drops the compiled engine after weight mutation; the
-// next Predict rebuilds it from the new weights.
-func (s *Selector) invalidate32() { s.inf32.Store(nil) }
 
 // SetEpochHook installs (or clears, with nil) a per-epoch telemetry
 // observer for subsequent training runs. The hook runs on the training
@@ -164,16 +145,14 @@ func (s *Selector) Predict(m *sparse.COO) (f sparse.Format, probs map[sparse.For
 	if err != nil {
 		return 0, nil, err
 	}
-	var cls int
-	var ps []float64
-	if e := s.engine32(); e != nil {
-		buf := make([]float64, e.Classes())
-		if c, ferr := e.Predict(inputs, buf); ferr == nil {
-			cls, ps = c, buf
-		}
+	e, err := s.engine32()
+	if err != nil {
+		return 0, nil, err
 	}
-	if ps == nil {
-		cls, ps = s.Model.Predict(inputs)
+	ps := make([]float64, e.Classes())
+	cls, err := e.Predict(inputs, ps)
+	if err != nil {
+		return 0, nil, err
 	}
 	out := make(map[sparse.Format]float64, len(ps))
 	for i, p := range ps {
@@ -310,6 +289,19 @@ func (s *Selector) TrainSamples(samples []nn.Sample) ([]float64, error) {
 // checkpoint previously loaded with LoadCheckpoint — resumes exactly
 // where the interrupted run stopped.
 func (s *Selector) TrainSamplesCtx(ctx context.Context, samples []nn.Sample, cp *nn.Checkpointer, resume *nn.Checkpoint) ([]float64, error) {
+	return s.train(cp, resume, func(tr *nn.Trainer, opts nn.RunOpts) ([]float64, error) {
+		return tr.Run(ctx, samples, opts)
+	})
+}
+
+// train is the set-up every epoch-based training entry point shares:
+// optimizer, trainer, checkpoint resume and the LRDecayAt schedule
+// (the learning rate drops 5x after that fraction of the epochs). run
+// picks the sample source. train owns dropping the compiled inference
+// engine, so no entry point can leave Predict answering from
+// pre-training weights.
+func (s *Selector) train(cp *nn.Checkpointer, resume *nn.Checkpoint, run func(*nn.Trainer, nn.RunOpts) ([]float64, error)) ([]float64, error) {
+	defer s.inf32.Store(nil)
 	opt := nn.NewAdam(s.Cfg.LearningRate)
 	opt.WeightDecay = s.Cfg.WeightDecay
 	tr := nn.NewTrainer(s.Model, opt, s.Cfg.BatchSize, s.Cfg.Seed+101)
@@ -329,8 +321,7 @@ func (s *Selector) TrainSamplesCtx(ctx context.Context, samples []nn.Sample, cp 
 		return nil, err
 	}
 	decayed := resume != nil && resume.Epoch >= decayEpoch
-	defer s.invalidate32()
-	return tr.Run(ctx, samples, nn.RunOpts{
+	return run(tr, nn.RunOpts{
 		Epochs:       s.Cfg.Epochs,
 		Checkpointer: cp,
 		Extra:        extra,
@@ -349,7 +340,7 @@ func (s *Selector) TrainSamplesCtx(ctx context.Context, samples []nn.Sample, cp 
 // TrainSteps runs exactly n minibatch steps and returns per-step losses
 // — the Figure 11 convergence curves.
 func (s *Selector) TrainSteps(samples []nn.Sample, n int) ([]float64, error) {
-	defer s.invalidate32()
+	defer s.inf32.Store(nil)
 	return s.newTrainer().TrainSteps(samples, n)
 }
 

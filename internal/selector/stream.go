@@ -93,38 +93,8 @@ func (v *dsShards) Shard(i int) (*dataset.Dataset, error) {
 // same fault tolerance (divergence rollback + LR backoff via
 // nn.RunStream), checkpointing, and exact resume.
 func (s *Selector) TrainStreamCtx(ctx context.Context, store ShardStream, cp *nn.Checkpointer, resume *nn.Checkpoint) ([]float64, error) {
-	opt := nn.NewAdam(s.Cfg.LearningRate)
-	opt.WeightDecay = s.Cfg.WeightDecay
-	tr := nn.NewTrainer(s.Model, opt, s.Cfg.BatchSize, s.Cfg.Seed+101)
-	tr.Workers = s.Cfg.Workers
-	tr.MaxGradNorm = s.Cfg.MaxGradNorm
-	if resume != nil {
-		if err := tr.RestoreCheckpoint(resume); err != nil {
-			return nil, fmt.Errorf("selector: restoring checkpoint: %w", err)
-		}
-	}
-	decayEpoch := s.Cfg.Epochs + 1
-	if s.Cfg.LRDecayAt > 0 && s.Cfg.LRDecayAt < 1 {
-		decayEpoch = int(float64(s.Cfg.Epochs) * s.Cfg.LRDecayAt)
-	}
-	extra, err := s.checkpointExtra()
-	if err != nil {
-		return nil, err
-	}
-	decayed := resume != nil && resume.Epoch >= decayEpoch
-	return tr.RunStream(ctx, &storeSource{sel: s, store: store}, nn.RunOpts{
-		Epochs:       s.Cfg.Epochs,
-		Checkpointer: cp,
-		Extra:        extra,
-		MaxRetries:   s.Cfg.MaxRetries,
-		LRBackoff:    s.Cfg.LRBackoff,
-		PreEpoch: func(e int) {
-			if !decayed && e >= decayEpoch {
-				decayed = true
-				opt.LR = s.Cfg.LearningRate * 0.2
-			}
-		},
-		PostEpoch: s.epochHook,
+	return s.train(cp, resume, func(tr *nn.Trainer, opts nn.RunOpts) ([]float64, error) {
+		return tr.RunStream(ctx, &storeSource{sel: s, store: store}, opts)
 	})
 }
 

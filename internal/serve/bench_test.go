@@ -5,11 +5,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
-// benchPredict drives the full handler path — parse, cache, batch
-// dispatch, ladder, render — without network overhead.
+// benchPredict drives the full handler path — parse, cache, queue hop,
+// ladder, render — without network overhead.
 func benchPredict(b *testing.B, mutate func(*Config)) {
 	s, _ := newTestServer(b, mutate)
 	h := s.Handler()
@@ -33,13 +32,10 @@ func BenchmarkPredictCached(b *testing.B) {
 	benchPredict(b, nil)
 }
 
-// BenchmarkPredictUncached forces every request through batch dispatch
-// and a full forward pass (cache disabled, no batching delay).
+// BenchmarkPredictUncached forces every request through the queue hop
+// and a full forward pass (cache disabled).
 func BenchmarkPredictUncached(b *testing.B) {
-	benchPredict(b, func(c *Config) {
-		c.CacheSize = 0
-		c.BatchWindow = 50 * time.Microsecond
-	})
+	benchPredict(b, func(c *Config) { c.CacheSize = 0 })
 }
 
 // BenchmarkPredictFeedback is the cached hot path with feedback logging

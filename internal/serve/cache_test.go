@@ -105,7 +105,6 @@ func TestMetricsRender(t *testing.T) {
 	m.request("predict", 400, time.Now())
 	m.predictions.With(`format="CSR"`).Inc()
 	m.cacheHits.Add(3)
-	m.batchSize.Observe(4)
 
 	var b strings.Builder
 	if _, err := m.WriteTo(&b); err != nil {
@@ -118,9 +117,6 @@ func TestMetricsRender(t *testing.T) {
 		`serve_predictions_total{format="CSR"} 1`,
 		"serve_cache_hits_total 3",
 		`serve_request_seconds_count{endpoint="predict"} 2`,
-		`serve_batch_size_bucket{le="4"} 1`,
-		`serve_batch_size_bucket{le="2"} 0`,
-		`serve_batch_size_bucket{le="+Inf"} 1`,
 		"# TYPE serve_requests_total counter",
 		"# TYPE serve_cache_entries gauge",
 		"# TYPE serve_request_seconds histogram",

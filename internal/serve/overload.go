@@ -17,7 +17,7 @@ import (
 // under sustained overload the queue fills with requests that will
 // expire before service, every admitted request times out late instead
 // of shedding early, and the CNN rung burns CPU on answers nobody is
-// still waiting for. This plane closes four loops instead:
+// still waiting for. This plane closes three loops instead:
 //
 //   - admission: a robust.Limiter adapts the number of jobs allowed in
 //     the system (queued + executing) to observed job latency against
@@ -27,9 +27,6 @@ import (
 //     the expected queue wait plus service time is shed at admission
 //     (429 + Retry-After) rather than admitted to time out late; jobs
 //     that expire anyway are evicted unexecuted at dequeue.
-//   - autosizing: the effective batch-worker parallelism tracks the
-//     limiter, so a shrinking limit concentrates work on fewer workers
-//     (coherent batches) and a recovering one fans back out.
 //   - brownout: sustained SLO burn or shedding proactively steps the
 //     ladder cnn→dtree before the breaker ever trips — the decision
 //     gets cheaper exactly when cycles are the scarce resource — and
@@ -59,11 +56,9 @@ const (
 // admission is the per-server overload-control state.
 type admission struct {
 	target  time.Duration // the configured SLO (p99) target
-	workers int           // configured worker ceiling
-	batch   int           // configured batch size cap
+	workers int           // configured worker pool size
 	lim     *robust.Limiter
 	tracker *obs.SLOTracker
-	gate    *workerGate
 
 	onBrownout func(engaged bool) // transition hook (metrics + log)
 
@@ -84,7 +79,6 @@ func newAdmission(cfg Config) *admission {
 	a := &admission{
 		target:  cfg.SLOTargetP99,
 		workers: cfg.Workers,
-		batch:   cfg.BatchMax,
 		now:     time.Now,
 	}
 	// The limiter bounds jobs in the system. Its latency target is half
@@ -105,7 +99,6 @@ func newAdmission(cfg Config) *admission {
 		Window:  5 * time.Second,
 		Buckets: 10,
 	})
-	a.gate = newWorkerGate(a.effWorkers)
 	a.winStart = a.now()
 	return a
 }
@@ -229,21 +222,6 @@ func (a *admission) brownedOut() bool {
 	return a.engaged
 }
 
-// effWorkers is the autosized batch-worker parallelism: enough workers
-// to execute the limiter's current allowance in BatchMax-sized batches,
-// clamped to the configured pool. As the limit collapses, work
-// concentrates onto fewer workers; as it recovers, the fan-out returns.
-func (a *admission) effWorkers() int {
-	n := (a.lim.Limit() + a.batch - 1) / a.batch
-	if n < 1 {
-		n = 1
-	}
-	if n > a.workers {
-		n = a.workers
-	}
-	return n
-}
-
 // evaluateLocked closes the current brownout interval when due and
 // moves the engaged state. Caller holds a.mu.
 func (a *admission) evaluateLocked() {
@@ -281,10 +259,10 @@ func (a *admission) evaluateLocked() {
 		overFrac = float64(a.overSLO) / float64(a.completions)
 	}
 	// CNN capacity in jobs/sec, from the (possibly stale) forward-pass
-	// estimate and the autosized worker count.
+	// estimate and the workers the limiter lets run at once.
 	cnnCap := math.Inf(1)
 	if a.cnnEWMA > 0 {
-		cnnCap = float64(a.effWorkers()) / a.cnnEWMA
+		cnnCap = float64(min(a.workers, a.lim.Limit())) / a.cnnEWMA
 	}
 
 	// Hot: the SLO is burning (sheds or blown latencies) or offered
@@ -319,55 +297,4 @@ func (a *admission) evaluateLocked() {
 
 	a.winStart = t
 	a.admits, a.sheds, a.completions, a.overSLO = 0, 0, 0, 0
-}
-
-// workerGate is a dynamic semaphore: at most limit() batches execute
-// concurrently, where limit is re-read on every acquire so the
-// autosizer moves it without waking anyone.
-type workerGate struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	active int
-	closed bool
-	limit  func() int
-}
-
-func newWorkerGate(limit func() int) *workerGate {
-	g := &workerGate{limit: limit}
-	g.cond = sync.NewCond(&g.mu)
-	return g
-}
-
-// acquire blocks until a slot under the current limit frees (or the
-// gate closes — false means shutting down).
-func (g *workerGate) acquire() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for !g.closed {
-		lim := g.limit()
-		if lim < 1 {
-			lim = 1
-		}
-		if g.active < lim {
-			g.active++
-			return true
-		}
-		g.cond.Wait()
-	}
-	return false
-}
-
-func (g *workerGate) release() {
-	g.mu.Lock()
-	g.active--
-	g.mu.Unlock()
-	g.cond.Broadcast()
-}
-
-// close unblocks all waiters permanently (shutdown).
-func (g *workerGate) close() {
-	g.mu.Lock()
-	g.closed = true
-	g.mu.Unlock()
-	g.cond.Broadcast()
 }

@@ -178,55 +178,6 @@ func TestShedOnlyIntervalsKeepDrainEstimate(t *testing.T) {
 	}
 }
 
-// TestWorkerGate: the dynamic semaphore honours its limit function,
-// wakes on release, and close unblocks waiters permanently.
-func TestWorkerGate(t *testing.T) {
-	limit := 1
-	var mu sync.Mutex
-	g := newWorkerGate(func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return limit
-	})
-	if !g.acquire() {
-		t.Fatal("first acquire refused")
-	}
-	second := make(chan bool, 1)
-	go func() { second <- g.acquire() }()
-	select {
-	case <-second:
-		t.Fatal("second acquire did not block at limit 1")
-	case <-time.After(20 * time.Millisecond):
-	}
-	g.release()
-	select {
-	case ok := <-second:
-		if !ok {
-			t.Fatal("second acquire returned false after release")
-		}
-	case <-time.After(time.Second):
-		t.Fatal("second acquire still blocked after release")
-	}
-	// Raising the limit admits more without any release.
-	mu.Lock()
-	limit = 3
-	mu.Unlock()
-	if !g.acquire() || !g.acquire() {
-		t.Fatal("raised limit did not admit more batches")
-	}
-	// close unblocks a waiter with false.
-	blocked := make(chan bool, 1)
-	go func() { blocked <- g.acquire() }()
-	time.Sleep(10 * time.Millisecond)
-	g.close()
-	if ok := <-blocked; ok {
-		t.Fatal("acquire returned true after close")
-	}
-	if g.acquire() {
-		t.Fatal("acquire succeeded on a closed gate")
-	}
-}
-
 // TestAdmissionShedsWith429: with the overload plane on and the lone
 // worker parked, the adaptive limiter (ceiling = queue depth) refuses
 // the overflow with 429 + Retry-After, visible in
@@ -237,12 +188,11 @@ func TestAdmissionShedsWith429(t *testing.T) {
 	s, _ := newTestServer(t, func(c *Config) {
 		c.CacheSize = 0
 		c.Workers = 1
-		c.BatchMax = 1
 		c.QueueDepth = 2
 		c.SLOTargetP99 = 2 * time.Second
 	})
 	entered := make(chan struct{}, 16)
-	s.testHookPreBatch = func() {
+	s.testHookPreJob = func() {
 		entered <- struct{}{}
 		<-hold
 	}
@@ -352,17 +302,16 @@ func TestExpiredDeadlineHeaderSheds(t *testing.T) {
 
 // TestExpiredJobEvictedAtDequeue: a job whose deadline dies while
 // queued behind a parked worker is answered without a forward pass —
-// serve_queue_expired_total counts it and no extra batch job runs.
+// serve_queue_expired_total counts it and no extra job reaches the ladder.
 func TestExpiredJobEvictedAtDequeue(t *testing.T) {
 	hold := make(chan struct{})
 	release := sync.OnceFunc(func() { close(hold) })
 	s, _ := newTestServer(t, func(c *Config) {
 		c.CacheSize = 0 // dedup off: the job context is the request context
 		c.Workers = 1
-		c.BatchMax = 1
 	})
 	entered := make(chan struct{}, 16)
-	s.testHookPreBatch = func() {
+	s.testHookPreJob = func() {
 		entered <- struct{}{}
 		<-hold
 	}
@@ -375,7 +324,7 @@ func TestExpiredJobEvictedAtDequeue(t *testing.T) {
 		_, _, _, err := postPredictErr(ts, matrixJSON(11, 1), "application/json")
 		first <- err
 	}()
-	<-entered // worker parked on the first job's batch
+	<-entered // worker parked on the first job
 
 	// The second job enters the queue with a tight deadline and expires
 	// there (the handler gives up at the deadline with a non-5xx shed
@@ -403,12 +352,10 @@ func TestExpiredJobEvictedAtDequeue(t *testing.T) {
 		page := scrapeMetrics(t, ts)
 		return metricValue(t, page, "serve_queue_expired_total") >= 1
 	})
-	// The evicted job never reached the ladder: exactly one batch job
-	// (the parked one) executed a prediction.
+	// The evicted job never reached the ladder: exactly one job (the
+	// parked one) executed a prediction.
 	page := scrapeMetrics(t, ts)
-	if rungs := labeledMetric(page, `serve_rung_total{rung="cnn"}`) +
-		labeledMetric(page, `serve_rung_total{rung="dtree"}`) +
-		labeledMetric(page, `serve_rung_total{rung="csr"}`); rungs != 1 {
+	if rungs := jobsExecuted(page); rungs != 1 {
 		t.Fatalf("ladder answered %g jobs, want 1 (evicted job must skip the forward pass)", rungs)
 	}
 }

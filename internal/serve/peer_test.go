@@ -254,10 +254,8 @@ func TestPredictCoalescesDuplicates(t *testing.T) {
 	hold := make(chan struct{})
 	entered := make(chan struct{})
 	var once sync.Once
-	s, _ := newTestServer(t, func(c *Config) {
-		c.BatchMax = 1 // the leader's batch holds only the leader
-	})
-	s.testHookPreBatch = func() {
+	s, _ := newTestServer(t, nil)
+	s.testHookPreJob = func() {
 		once.Do(func() { close(entered) })
 		<-hold
 	}
@@ -321,7 +319,7 @@ func TestPredictCoalescesDuplicates(t *testing.T) {
 		t.Fatalf("%d coalesced answers, want 3", coalesced)
 	}
 	page := scrapeMetrics(t, ts)
-	if jobs := metricValue(t, page, "serve_batch_jobs_total"); jobs != 1 {
+	if jobs := jobsExecuted(page); jobs != 1 {
 		t.Fatalf("%g forward passes for 4 identical requests, want 1", jobs)
 	}
 	if v := labeledMetric(page, `serve_requests_total{code="200",endpoint="predict",retried="true"}`); v != 3 {

@@ -43,9 +43,6 @@ func (s *Server) Reload() error {
 
 	sel, err := selector.LoadFile(s.cfg.ModelPath)
 	if err == nil {
-		if s.cfg.DisableFloat32 {
-			sel.SetFloat32(false)
-		}
 		// Validation beyond decode: the selector must actually answer on
 		// a probe matrix before it is allowed to take traffic. The chaos
 		// suite injects a rejection here to model an artifact that decays

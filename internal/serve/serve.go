@@ -12,9 +12,9 @@
 //   - Prediction cache: an LRU keyed by sparse.Fingerprint — a
 //     position-only pattern hash — so structurally identical matrices
 //     skip the CNN forward pass entirely.
-//   - Micro-batching dispatcher: concurrent requests are coalesced
-//     into bounded batches (BatchMax jobs or BatchWindow, whichever
-//     first) and executed on a robust.Pool of panic-contained workers.
+//   - One bounded queue: a cache miss is submitted as one job to a
+//     robust.Pool of panic-contained workers (queue capacity
+//     QueueDepth); a full queue sheds with 429 + Retry-After.
 //   - Model slot: an atomic.Pointer[selector.Selector] swapped by
 //     Reload after the candidate file passes the checksummed-envelope
 //     loader, so a corrupt deploy artifact can never take over and
@@ -52,15 +52,10 @@ type Config struct {
 	// ModelPath is the checksummed model artifact (selector.SaveFile
 	// output). It is re-read on Reload.
 	ModelPath string
-	// BatchMax bounds jobs per micro-batch (default 16).
-	BatchMax int
-	// BatchWindow is how long the dispatcher waits to fill a batch
-	// after the first job arrives (default 2ms).
-	BatchWindow time.Duration
 	// Workers sizes the prediction pool (default GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds jobs waiting for dispatch; beyond it requests
-	// are rejected with 503 (default 4*BatchMax*Workers).
+	// QueueDepth bounds jobs waiting for a worker; beyond it requests
+	// are shed with 429 + Retry-After (default 64*Workers).
 	QueueDepth int
 	// CacheSize is the LRU prediction cache capacity in entries
 	// (default 1024; 0 disables, negative means default).
@@ -76,10 +71,9 @@ type Config struct {
 	RequestTimeout time.Duration
 	// SLOTargetP99 enables the SLO-driven overload-control plane (see
 	// overload.go): adaptive admission sized to keep p99 job latency
-	// inside this target, deadline-aware enqueue, autosized batch
-	// workers, adaptive Retry-After and the brownout rung-step. Zero
-	// disables the plane entirely — fixed queue, static Retry-After —
-	// which is the zero-value default.
+	// inside this target, deadline-aware enqueue, adaptive Retry-After
+	// and the brownout rung-step. Zero disables the plane entirely —
+	// fixed queue, static Retry-After — which is the zero-value default.
 	SLOTargetP99 time.Duration
 	// PredictTimeout bounds one CNN inference before the ladder counts
 	// it as a failure and degrades (default 2s).
@@ -127,27 +121,16 @@ type Config struct {
 	// shadow model (see shadow.go); 0 disables mirroring, 1 mirrors
 	// everything.
 	ShadowSampleN int
-	// DisableFloat32 forces every CNN inference through the reference
-	// float64 path instead of the compiled float32 engine. The engine is
-	// the default; this is the operator escape hatch for bit-exact
-	// comparison against offline float64 evaluation.
-	DisableFloat32 bool
 	// Log receives operational lines (nil = silent).
 	Log io.Writer
 }
 
 func (c *Config) defaults() {
-	if c.BatchMax <= 0 {
-		c.BatchMax = 16
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
-	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4 * c.BatchMax * c.Workers
+		c.QueueDepth = 64 * c.Workers
 	}
 	if c.CacheSize < 0 {
 		c.CacheSize = 1024
@@ -190,11 +173,8 @@ type Server struct {
 	cache   *predictionCache
 	met     *metrics
 	traces  *obs.TraceLog
-	pool    *robust.Pool
-	jobs    chan *job
-	adm     *admission // overload-control plane (nil when SLOTargetP99 is 0)
-	quit    chan struct{}
-	dispWG  sync.WaitGroup
+	pool    *robust.Pool // workers plus the one bounded job queue
+	adm     *admission   // overload-control plane (nil when SLOTargetP99 is 0)
 	httpSrv atomic.Pointer[http.Server]
 
 	// Single-flight window: fingerprints with a computation already in
@@ -223,9 +203,9 @@ type Server struct {
 	shadow    atomic.Pointer[shadowState]
 	shadowSeq atomic.Uint64
 
-	// testHookPreBatch, when set, runs in the worker before a batch is
+	// testHookPreJob, when set, runs in the worker before a job is
 	// predicted — tests use it to hold requests in flight.
-	testHookPreBatch func()
+	testHookPreJob func()
 }
 
 // New builds a Server and loads the initial model from cfg.ModelPath.
@@ -239,8 +219,6 @@ func New(cfg Config) (*Server, error) {
 		cache:      newPredictionCache(cfg.CacheSize),
 		met:        newMetrics(),
 		traces:     obs.NewTraceLog(256),
-		jobs:       make(chan *job, cfg.QueueDepth),
-		quit:       make(chan struct{}),
 		inflightFP: map[uint64]*call{},
 		peerClient: &http.Client{Timeout: 2 * cfg.PeerFillTimeout},
 	}
@@ -248,7 +226,7 @@ func New(cfg Config) (*Server, error) {
 		self := strings.TrimSuffix(cfg.SelfURL, "/")
 		s.selfURL.Store(&self)
 	}
-	s.pool = robust.NewPool(cfg.Workers, cfg.Workers, func(pe *robust.PanicError) {
+	s.pool = robust.NewPool(cfg.Workers, cfg.QueueDepth, func(pe *robust.PanicError) {
 		s.logf("serve: contained worker panic: %v", pe.Value)
 		s.met.workerPanics.SetInt(s.pool.Panics())
 	})
@@ -313,8 +291,6 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.fb = fb
 	}
-	s.dispWG.Add(1)
-	go s.dispatch()
 	return s, nil
 }
 
@@ -389,9 +365,9 @@ func (s *Server) ListenAndServe(addr string, onListen func(net.Addr)) error {
 
 // Shutdown drains the server: readiness flips to 503, new predictions
 // are refused, in-flight requests run to completion (bounded by ctx),
-// the dispatcher and worker pool stop, and a final metrics snapshot is
-// flushed to the configured log. It returns ctx.Err() when the drain
-// deadline expires first.
+// the worker pool stops, and a final metrics snapshot is flushed to the
+// configured log. It returns ctx.Err() when the drain deadline expires
+// first.
 func (s *Server) Shutdown(ctx context.Context) error {
 	var err error
 	s.shutOnce.Do(func() {
@@ -419,17 +395,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			}
 		}
 
-		// No new jobs can be accepted now. On a clean drain, stop the
-		// dispatcher and wait for the pool so every queued batch
-		// finishes. On a blown deadline a worker may be wedged; waiting
-		// on it would turn a bounded shutdown into an unbounded one, so
-		// the pool is abandoned (the process is exiting anyway).
-		close(s.quit)
-		if s.adm != nil {
-			s.adm.gate.close()
-		}
+		// No new jobs can be accepted now. On a clean drain, close the
+		// pool and wait for it so every queued job finishes. On a blown
+		// deadline a worker may be wedged; waiting on it would turn a
+		// bounded shutdown into an unbounded one, so the pool is
+		// abandoned (the process is exiting anyway).
 		if drained {
-			s.dispWG.Wait()
 			s.pool.Close()
 		} else {
 			s.logf("serve: drain deadline exceeded; abandoning in-flight work")
@@ -453,12 +424,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // predictOne resolves one prediction request end to end: local cache
 // lookup, peer cache-fill (when the router's X-Shard-Owner hint names
-// another replica), single-flight coalescing, micro-batched inference,
-// cache fill. It is the handler-side entry point; ctx aborts the wait
-// (client gone / drain deadline) and carries the request trace, which
-// gains cache/queue spans here and batch/rung/forward spans on the
-// worker side. meta carries the cluster hints in and the cache/peer
-// outcomes back out to the handler's response headers.
+// another replica), single-flight coalescing, one queue hop to a
+// worker, cache fill. It is the handler-side entry point; ctx aborts
+// the wait (client gone / drain deadline) and carries the request
+// trace, which gains the cache span here and queue/rung/forward spans
+// on the worker side. meta carries the cluster hints in and the
+// cache/peer outcomes back out to the handler's response headers.
 func (s *Server) predictOne(ctx context.Context, m *sparse.COO, meta *predictMeta) (response, error) {
 	tr := obs.TraceFrom(ctx)
 	cacheStart := time.Now()
@@ -541,18 +512,21 @@ func (s *Server) predictOne(ctx context.Context, m *sparse.COO, meta *predictMet
 		}
 		j.admitted = true
 	}
-	select {
-	case s.jobs <- j:
-	default:
+	if err := s.pool.Submit(func() { s.runJob(j) }); err != nil {
 		// Admission control: a full queue sheds immediately (the
 		// handler answers 429 + Retry-After) instead of letting latency
 		// grow without bound under overload. Coalesced waiters shed
 		// with their leader. With the adaptive plane on, the limiter
 		// (whose ceiling is the queue depth) sheds first, so this path
 		// is the legacy fixed-queue behaviour.
-		s.met.queueRejects.Inc()
-		s.finishJob(j, jobResult{err: errOverloaded})
-		return response{}, errOverloaded
+		if errors.Is(err, robust.ErrPoolFull) {
+			s.met.queueRejects.Inc()
+			err = errOverloaded
+		} else {
+			err = errShutdown
+		}
+		s.finishJob(j, jobResult{err: err})
+		return response{}, err
 	}
 	select {
 	case <-c.done:

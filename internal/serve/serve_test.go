@@ -46,7 +46,7 @@ func newTestServer(t testing.TB, mutate func(*Config)) (*Server, string) {
 	dir := t.TempDir()
 	model := filepath.Join(dir, "model.gob")
 	saveTestModel(t, model, 1)
-	cfg := Config{ModelPath: model, BatchWindow: time.Millisecond, CacheSize: 64}
+	cfg := Config{ModelPath: model, CacheSize: 64}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -278,10 +278,18 @@ func metricValue(t testing.TB, page, name string) float64 {
 	return 0
 }
 
+// jobsExecuted is how many jobs a worker ran through the ladder: every
+// executed job answers from exactly one rung.
+func jobsExecuted(page string) float64 {
+	return labeledMetric(page, `serve_rung_total{rung="cnn"}`) +
+		labeledMetric(page, `serve_rung_total{rung="dtree"}`) +
+		labeledMetric(page, `serve_rung_total{rung="csr"}`)
+}
+
 // TestCacheHitSkipsForwardPass is acceptance-critical: the second
 // request for the same sparsity pattern must be answered from the LRU
 // cache (visible in /metrics) without another NN forward pass (visible
-// as an unchanged batch-job count).
+// as an unchanged executed-job count).
 func TestCacheHitSkipsForwardPass(t *testing.T) {
 	s, _ := newTestServer(t, nil)
 	ts := httptest.NewServer(s.Handler())
@@ -292,7 +300,7 @@ func TestCacheHitSkipsForwardPass(t *testing.T) {
 	if code != 200 || first.Cached {
 		t.Fatalf("first: code %d cached=%v", code, first.Cached)
 	}
-	jobsAfterMiss := metricValue(t, scrapeMetrics(t, ts), "serve_batch_jobs_total")
+	jobsAfterMiss := jobsExecuted(scrapeMetrics(t, ts))
 
 	// Same pattern, different values, different entry order: still a hit.
 	alt := matrixJSON(20, 1)
@@ -320,15 +328,16 @@ func TestCacheHitSkipsForwardPass(t *testing.T) {
 	if hits := metricValue(t, page, "serve_cache_hits_total"); hits < 1 {
 		t.Fatalf("cache hits %g, want >= 1", hits)
 	}
-	if jobs := metricValue(t, page, "serve_batch_jobs_total"); jobs != jobsAfterMiss {
-		t.Fatalf("batch jobs moved %g -> %g: cache hit did not skip the forward pass", jobsAfterMiss, jobs)
+	if jobs := jobsExecuted(page); jobs != jobsAfterMiss || jobs != 1 {
+		t.Fatalf("executed jobs moved %g -> %g (want 1 -> 1): cache hit did not skip the forward pass", jobsAfterMiss, jobs)
 	}
 }
 
 // TestConcurrentClients covers the acceptance load shape: 100
 // concurrent clients, each issuing several predictions over a mix of
 // patterns, everything answered 200 with a valid format. Run under
-// -race (scripts/check.sh) this also proves the batching path clean.
+// -race (scripts/check.sh) this also proves the queue-and-worker path
+// clean.
 func TestConcurrentClients(t *testing.T) {
 	s, _ := newTestServer(t, func(c *Config) { c.CacheSize = 32 })
 	ts := httptest.NewServer(s.Handler())
@@ -368,12 +377,60 @@ func TestConcurrentClients(t *testing.T) {
 		t.Fatalf("%d failed requests", failures.Load())
 	}
 	page := scrapeMetrics(t, ts)
-	// Every request is either a batch job, a cache hit, or coalesced onto
-	// an in-flight job for the same fingerprint (single-flight dedup).
-	jobs := metricValue(t, page, "serve_batch_jobs_total")
+	// Every request is either an executed job, a cache hit, or coalesced
+	// onto an in-flight job for the same fingerprint (single-flight dedup).
+	jobs := jobsExecuted(page)
 	hits := metricValue(t, page, "serve_cache_hits_total")
 	dedup := metricValue(t, page, "serve_dedup_hits_total")
 	if jobs+hits+dedup < clients*perClient {
 		t.Fatalf("accounting: %g jobs + %g hits + %g coalesced for %d requests", jobs, hits, dedup, clients*perClient)
+	}
+}
+
+// TestConcurrentMissesRunOnSeparateWorkers: between handler and worker
+// there is one queue and nothing that gathers jobs, so four distinct
+// cache misses on a four-worker pool are all executing at the same
+// moment — each held in the per-job hook until all four have arrived.
+func TestConcurrentMissesRunOnSeparateWorkers(t *testing.T) {
+	const n = 4
+	s, _ := newTestServer(t, func(c *Config) {
+		c.CacheSize = 0
+		c.Workers = n
+	})
+	var arrived sync.WaitGroup
+	arrived.Add(n)
+	all := make(chan struct{})
+	go func() { arrived.Wait(); close(all) }()
+	s.testHookPreJob = func() {
+		arrived.Done()
+		select {
+		case <-all:
+		case <-time.After(10 * time.Second):
+			// Fall through: the request completes and the assertion
+			// below reports how many jobs ever ran side by side.
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	codes := make(chan int, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			code, _, _, err := postPredictErr(ts, matrixJSON(14+i, 1), "application/json")
+			if err != nil {
+				t.Error(err)
+			}
+			codes <- code
+		}(i)
+	}
+	for i := 0; i < n; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Errorf("request answered %d, want 200", code)
+		}
+	}
+	select {
+	case <-all:
+	default:
+		t.Fatalf("the %d jobs were never on workers simultaneously", n)
 	}
 }

@@ -92,14 +92,6 @@ func (s *Server) ShadowScorecard() feedback.ShadowScorecard {
 	return card
 }
 
-// shadowSample is one mirrored prediction, queued during a batch and
-// run after every response in the batch has been answered.
-type shadowSample struct {
-	m      *sparse.COO
-	live   selector.Prediction
-	liveNs int64
-}
-
 // shouldShadow reports whether this prediction falls in the mirror's
 // sample (every ShadowSampleN-th request; 0 disables, 1 mirrors all).
 func (s *Server) shouldShadow() bool {
@@ -109,45 +101,42 @@ func (s *Server) shouldShadow() bool {
 	return s.shadowSeq.Add(1)%uint64(s.cfg.ShadowSampleN) == 0
 }
 
-// mirrorShadow re-runs sampled predictions through the shadow model.
-// It executes on the batch worker after every job in the batch has been
-// answered: the responses are gone, so nothing here can affect them.
-// The forward pass is bounded by PredictTimeout and panic-contained —
-// a pathological shadow burns its budget and scores an error, nothing
-// more.
-func (s *Server) mirrorShadow(samples []shadowSample) {
+// mirrorShadow re-runs one sampled prediction through the shadow model.
+// It executes on the worker after the job has been answered: the
+// response is gone, so nothing here can affect it. The forward pass is
+// bounded by PredictTimeout and panic-contained — a pathological shadow
+// burns its budget and scores an error, nothing more.
+func (s *Server) mirrorShadow(m *sparse.COO, live selector.Prediction, liveNs int64) {
 	st := s.shadow.Load()
 	if st == nil {
 		return
 	}
-	for _, sm := range samples {
-		st.samples.Add(1)
-		st.liveNs.Add(sm.liveNs)
-		s.met.shadowRequests.Inc()
-		start := time.Now()
-		pred, err := s.shadowOnce(st.sel, sm.m)
-		elapsed := time.Since(start)
-		st.shadowNs.Add(elapsed.Nanoseconds())
-		s.met.shadowSeconds.Observe(elapsed.Seconds())
-		if err != nil {
-			st.errs.Add(1)
-			s.met.shadowErrors.Inc()
-			s.logf("serve: shadow predict failed: %v", err)
-			continue
-		}
-		// Agreement is judged on healthy live answers only: comparing
-		// against a degraded (dtree/CSR) answer would score the shadow
-		// against the wrong reference.
-		if sm.live.FellBack {
-			continue
-		}
-		if pred.Format == sm.live.Format {
-			st.agree.Add(1)
-			s.met.shadowAgree.Inc()
-		} else {
-			st.disagree.Add(1)
-			s.met.shadowDisagree.Inc()
-		}
+	st.samples.Add(1)
+	st.liveNs.Add(liveNs)
+	s.met.shadowRequests.Inc()
+	start := time.Now()
+	pred, err := s.shadowOnce(st.sel, m)
+	elapsed := time.Since(start)
+	st.shadowNs.Add(elapsed.Nanoseconds())
+	s.met.shadowSeconds.Observe(elapsed.Seconds())
+	if err != nil {
+		st.errs.Add(1)
+		s.met.shadowErrors.Inc()
+		s.logf("serve: shadow predict failed: %v", err)
+		return
+	}
+	// Agreement is judged on healthy live answers only: comparing
+	// against a degraded (dtree/CSR) answer would score the shadow
+	// against the wrong reference.
+	if live.FellBack {
+		return
+	}
+	if pred.Format == live.Format {
+		st.agree.Add(1)
+		s.met.shadowAgree.Inc()
+	} else {
+		st.disagree.Add(1)
+		s.met.shadowDisagree.Inc()
 	}
 }
 

@@ -25,7 +25,7 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	release := sync.OnceFunc(func() { close(hold) })
 
 	s, _ := newTestServer(t, func(c *Config) { c.Log = &log })
-	s.testHookPreBatch = func() { <-hold }
+	s.testHookPreJob = func() { <-hold }
 	ts := httptest.NewServer(s.Handler())
 	// Release the hook before closing the test server: Close waits for
 	// outstanding requests, which wait on the hook.
@@ -111,11 +111,11 @@ func TestShutdownDeadline(t *testing.T) {
 	dir := t.TempDir()
 	model := filepath.Join(dir, "model.gob")
 	saveTestModel(t, model, 1)
-	s, err := New(Config{ModelPath: model, BatchWindow: time.Millisecond})
+	s, err := New(Config{ModelPath: model})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.testHookPreBatch = func() { <-hold }
+	s.testHookPreJob = func() { <-hold }
 	ts := httptest.NewServer(s.Handler())
 	defer func() { release(); ts.Close() }()
 

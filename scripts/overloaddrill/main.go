@@ -129,7 +129,6 @@ func run() error {
 			"-watch", "0",
 			"-cache", "0",
 			"-workers", "2",
-			"-batch", "2",
 			"-slo-target-p99", sloTarget.String(),
 			"-predict-timeout", "2s",
 			"-request-timeout", "10s",

@@ -185,7 +185,6 @@ func start(dir string, bins map[string]string, model, trainPath, tag string, she
 		"-model", model,
 		"-watch", "100ms",
 		"-cache", "512",
-		"-batch-window", "1ms",
 		"-feedback-dir", pr.feedback,
 		"-feedback-segment-age", "250ms",
 		"-shadow-sample", "1",
@@ -574,7 +573,7 @@ func corpusBodies(d *dataset.Dataset) [][]byte {
 // shiftedBody builds one out-of-distribution matrix: a large random
 // scatter — dimensions, diagonal count and row spread all far outside
 // the banded training profile — unique per call so it always misses
-// the cache and flows through the batch (and shadow) path.
+// the cache and flows through the worker (and shadow) path.
 func shiftedBody(r *rand.Rand) []byte {
 	n := 200 + r.Intn(57)
 	var req struct {
