@@ -56,13 +56,15 @@ shepherddrill:
 	$(GO) run ./scripts/shepherddrill
 
 # fuzz runs the native fuzz targets over the hardened ingestion
-# surfaces (MatrixMarket parsing, the predict request path, opening and
+# surfaces (MatrixMarket parsing, the predict request path, the JSON
+# body scanner against its encoding/json reference, opening and
 # salvaging a corpus store). Budget per target is FUZZTIME (default
 # 30s); CI runs a shorter smoke via scripts/check.sh.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMatrixMarket$$' -fuzztime=$(FUZZTIME) ./internal/sparse
 	$(GO) test -run='^$$' -fuzz='^FuzzPredictJSON$$' -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeJSONDifferential$$' -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadDataset$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzSalvageShard$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 
@@ -77,8 +79,8 @@ fuzz:
 # 25% gate threshold hold on noisy shared runners. -benchmem is
 # mandatory on the guarded run: the alloc columns are part of the gate.
 BENCHTIME ?= 200ms
-GUARDED_PKGS = ./internal/spmv ./internal/tensor ./internal/represent ./internal/serve ./internal/dataset ./internal/nn
-GUARDED_BENCH = 'KernelMul|MatMul|Normalize|Predict|ShardIter|Infer32'
+GUARDED_PKGS = ./internal/spmv ./internal/tensor ./internal/represent ./internal/serve ./internal/dataset ./internal/nn ./internal/sparse
+GUARDED_BENCH = 'KernelMul|MatMul|Normalize|Predict|Decode|Fingerprint|ShardIter|Infer32'
 bench:
 	$(GO) test -bench=. -benchtime=$(BENCHTIME) -benchmem -run=^$$ ./... > BENCH.txt || { cat BENCH.txt; exit 1; }
 	$(GO) test -bench=$(GUARDED_BENCH) -benchtime=$(BENCHTIME) -benchmem -count=3 -run=^$$ $(GUARDED_PKGS) >> BENCH.txt || { cat BENCH.txt; exit 1; }

@@ -284,15 +284,10 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, routeError{Error: "POST only"})
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxBodyBytes+1))
+	body, err := serve.ReadBody(r, rt.cfg.MaxBodyBytes)
 	if err != nil {
-		code = http.StatusBadRequest
-		writeJSON(w, code, routeError{Error: "reading body: " + err.Error()})
-		return
-	}
-	if int64(len(body)) > rt.cfg.MaxBodyBytes {
-		code = http.StatusRequestEntityTooLarge
-		writeJSON(w, code, routeError{Error: fmt.Sprintf("body exceeds %d bytes", rt.cfg.MaxBodyBytes)})
+		code = serve.IngestStatus(err)
+		writeJSON(w, code, routeError{Error: err.Error()})
 		return
 	}
 

@@ -237,6 +237,13 @@ func TestRouterRejectsMalformedAtEdge(t *testing.T) {
 	if gr.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET: code %d, want 405", gr.StatusCode)
 	}
+	_, small := newTestRouter(t, func(c *Config) { c.MaxBodyBytes = 32 }, a)
+	if res, _ := postRouter(t, small, predictBody(1)); res.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: code %d, want 413", res.StatusCode)
+	}
+	if a.hits.Load() != 0 {
+		t.Fatal("oversized body reached a replica")
+	}
 }
 
 func TestRouterRetriesAcrossReplicasOn5xx(t *testing.T) {

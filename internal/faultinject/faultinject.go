@@ -36,8 +36,9 @@ const (
 	// PointReloadCorrupt fails model reload validation after a
 	// successful decode — the corrupt deploy artifact fault.
 	PointReloadCorrupt = "serve.reload.corrupt"
-	// PointParseStall delays inside the MatrixMarket scan loop — the
-	// slow-loris request body fault; it honours the request context.
+	// PointParseStall delays inside the request-body scan loops (Matrix
+	// Market lines, JSON triplets) — the slow-loris request body
+	// fault; it honours the request context.
 	PointParseStall = "sparse.parse.stall"
 	// PointLabelPanic panics inside the per-matrix build/label step of
 	// corpus generation — the poison-matrix fault that must be

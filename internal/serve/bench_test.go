@@ -2,9 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"repro/internal/sparse"
 )
 
 // benchPredict drives the full handler path — parse, cache, queue hop,
@@ -48,4 +53,56 @@ func BenchmarkPredictFeedback(b *testing.B) {
 		c.FeedbackDir = b.TempDir()
 		c.FeedbackEstimates = false
 	})
+}
+
+// benchBodies renders one 300×300 banded matrix (2,088 nonzeros with
+// 17-digit values, the shape and size of a typical request) in both
+// body encodings.
+func benchBodies(b *testing.B) (jsonBody, mmBody []byte) {
+	const n, band = 300, 3
+	var es []sparse.Entry
+	for i := 0; i < n; i++ {
+		for j := max(i-band, 0); j <= min(i+band, n-1); j++ {
+			es = append(es, sparse.Entry{Row: i, Col: j, Val: math.Sin(float64(i*n + j + 1))})
+		}
+	}
+	m := sparse.MustCOO(n, n, es)
+	req := predictRequest{Rows: n, Cols: n}
+	for _, e := range es {
+		req.Entries = append(req.Entries, [3]float64{float64(e.Row), float64(e.Col), e.Val})
+	}
+	jsonBody, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var mm bytes.Buffer
+	if err := sparse.WriteMatrixMarket(&mm, m); err != nil {
+		b.Fatal(err)
+	}
+	return jsonBody, mm.Bytes()
+}
+
+func benchDecode(b *testing.B, body []byte, contentType string) {
+	lim := sparse.DefaultLimits()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := DecodeMatrixMeta(context.Background(), body, contentType, lim); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeJSON and BenchmarkDecodeMatrixMarket are the parse
+// stage of a request on the same matrix in its two encodings: body
+// bytes to canonical COO. Guarded by scripts/benchgate.
+func BenchmarkDecodeJSON(b *testing.B) {
+	body, _ := benchBodies(b)
+	benchDecode(b, body, "application/json")
+}
+
+func BenchmarkDecodeMatrixMarket(b *testing.B) {
+	_, body := benchBodies(b)
+	benchDecode(b, body, "text/matrix-market")
 }

@@ -301,8 +301,8 @@ func TestChaosQueueShedsWith429(t *testing.T) {
 }
 
 // TestChaosParserStallHonoursDeadline: a stalled parse (injected in the
-// MatrixMarket entry loop) is cut off by the request budget — the
-// client gets a 4xx, not a hung connection or a 500.
+// entry loop of either body encoding) is cut off by the request budget
+// — the client gets a 4xx, not a hung connection or a 500.
 func TestChaosParserStallHonoursDeadline(t *testing.T) {
 	s, _ := newChaosServer(t, func(c *Config) {
 		c.RequestTimeout = 100 * time.Millisecond
@@ -312,28 +312,30 @@ func TestChaosParserStallHonoursDeadline(t *testing.T) {
 
 	faultinject.Enable(faultinject.PointParseStall, faultinject.Fault{Delay: time.Minute})
 
-	// Enough entries to cross the parser's periodic context check.
-	var body bytes.Buffer
+	// Enough entries to cross the parsers' periodic checkpoint.
 	const n = 5000
-	body.WriteString("%%MatrixMarket matrix coordinate real general\n")
-	body.WriteString("5000 5000 5000\n")
-	for i := 1; i <= n; i++ {
-		body.WriteString(strconv.Itoa(i) + " " + strconv.Itoa(i) + " 1\n")
-	}
-
-	start := time.Now()
-	code, _, bad := postPredict(t, ts, body.Bytes(), "text/matrix-market")
-	if el := time.Since(start); el > 5*time.Second {
-		t.Fatalf("stalled parse held the request %v", el)
-	}
-	if code < 400 || code >= 500 {
-		t.Fatalf("stalled parse answered %d, want a 4xx", code)
-	}
-	if bad.Error == "" {
-		t.Fatal("empty error body")
-	}
-	if got := faultinject.Fired(faultinject.PointParseStall); got == 0 {
-		t.Fatal("stall point never fired — the test is not exercising the parser")
+	for _, tc := range []struct {
+		contentType string
+		body        []byte
+	}{
+		{"text/matrix-market", bigMM(n)},
+		{"application/json", bigJSON(n)},
+	} {
+		fired := faultinject.Fired(faultinject.PointParseStall)
+		start := time.Now()
+		code, _, bad := postPredict(t, ts, tc.body, tc.contentType)
+		if el := time.Since(start); el > 5*time.Second {
+			t.Fatalf("%s: stalled parse held the request %v", tc.contentType, el)
+		}
+		if code < 400 || code >= 500 {
+			t.Fatalf("%s: stalled parse answered %d, want a 4xx", tc.contentType, code)
+		}
+		if bad.Error == "" {
+			t.Fatalf("%s: empty error body", tc.contentType)
+		}
+		if faultinject.Fired(faultinject.PointParseStall) == fired {
+			t.Fatalf("%s: stall point never fired — the test is not exercising the parser", tc.contentType)
+		}
 	}
 }
 

@@ -1,0 +1,446 @@
+package serve
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strings"
+	"testing"
+	"testing/iotest"
+
+	"repro/internal/sparse"
+	"repro/internal/synthgen"
+)
+
+// predictRequest is the JSON request body as encoding/json sees it: the
+// shape tests marshal bodies from, and the target of the reference
+// decoder below.
+type predictRequest struct {
+	Rows        int          `json:"rows"`
+	Cols        int          `json:"cols"`
+	Entries     [][3]float64 `json:"entries"` // [row, col, value]
+	SpmvSeconds float64      `json:"spmv_seconds,omitempty"`
+}
+
+// decodeJSONReference is the JSON half of DecodeMatrixMeta as it was
+// before the hand-rolled scanner: encoding/json into predictRequest,
+// limits, integer-coordinate check, copy into []sparse.Entry, NewCOO.
+// It is the oracle FuzzDecodeJSONDifferential holds the scanner to.
+func decodeJSONReference(data []byte, lim sparse.Limits) (*sparse.COO, float64, error) {
+	var req predictRequest
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, 0, fmt.Errorf("parsing JSON body: %w", err)
+	}
+	if lim.MaxRows > 0 && req.Rows > lim.MaxRows {
+		return nil, 0, fmt.Errorf("%w: %d rows exceeds cap %d", sparse.ErrTooLarge, req.Rows, lim.MaxRows)
+	}
+	if lim.MaxCols > 0 && req.Cols > lim.MaxCols {
+		return nil, 0, fmt.Errorf("%w: %d cols exceeds cap %d", sparse.ErrTooLarge, req.Cols, lim.MaxCols)
+	}
+	if lim.MaxNNZ > 0 && len(req.Entries) > lim.MaxNNZ {
+		return nil, 0, fmt.Errorf("%w: %d entries exceeds cap %d", sparse.ErrTooLarge, len(req.Entries), lim.MaxNNZ)
+	}
+	entries := make([]sparse.Entry, len(req.Entries))
+	for i, e := range req.Entries {
+		r0, c0 := int(e[0]), int(e[1])
+		if float64(r0) != e[0] || float64(c0) != e[1] {
+			return nil, 0, fmt.Errorf("entry %d: non-integer coordinates (%g,%g)", i, e[0], e[1])
+		}
+		entries[i] = sparse.Entry{Row: r0, Col: c0, Val: e[2]}
+	}
+	m, err := sparse.NewCOO(req.Rows, req.Cols, entries)
+	if err != nil {
+		return nil, 0, fmt.Errorf("building matrix: %w", err)
+	}
+	clientSec := req.SpmvSeconds
+	if clientSec < 0 || clientSec != clientSec || clientSec > 1e9 {
+		clientSec = 0
+	}
+	return m, clientSec, nil
+}
+
+// stricter names the rule by which the scanner refuses a body the
+// reference decoder takes, "" when no such rule applies. These four are
+// the whole list of deliberate differences (README, "Request grammar"):
+// everything encoding/json forgives beyond them, the scanner forgives
+// too. body must be one the reference accepted.
+func stricter(body []byte) string {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if t, err := dec.Token(); err != nil || t != json.Delim('{') {
+		return "" // null: refused by both, for its dimensions
+	}
+	exact := map[string]bool{`"rows"`: true, `"cols"`: true, `"entries"`: true, `"spmv_seconds"`: true}
+	seen := map[string]bool{}
+	for dec.More() {
+		start := dec.InputOffset()
+		if _, err := dec.Token(); err != nil {
+			return ""
+		}
+		name := string(bytes.TrimLeft(body[start:dec.InputOffset()], " \t\r\n,"))
+		switch {
+		case !exact[name]:
+			return "a field name in another case or with an escape in it"
+		case seen[name]:
+			return "a field given twice"
+		}
+		seen[name] = true
+		if name != `"entries"` {
+			var skip json.RawMessage
+			if dec.Decode(&skip) != nil {
+				return ""
+			}
+			continue
+		}
+		if t, _ := dec.Token(); t != json.Delim('[') {
+			continue // null: no entries
+		}
+		for dec.More() {
+			if t, _ := dec.Token(); t != json.Delim('[') {
+				return "null for a triplet"
+			}
+			n := 0
+			for ; dec.More(); n++ {
+				var v json.RawMessage
+				if dec.Decode(&v) != nil {
+					return ""
+				}
+				if string(v) == "null" {
+					return "null for a number in a triplet"
+				}
+			}
+			if n != 3 {
+				return "a triplet of fewer or more than three numbers"
+			}
+			dec.Token() // ]
+		}
+		dec.Token() // ]
+	}
+	return ""
+}
+
+// predictJSONSeeds is the JSON seed corpus shared by FuzzPredictJSON
+// and FuzzDecodeJSONDifferential.
+var predictJSONSeeds = []string{
+	`{"rows":3,"cols":3,"entries":[[0,0,1],[1,2,-4]]}`,
+	`{"rows":0,"cols":0,"entries":[]}`,
+	`{"rows":3`,
+	`{"rows":3,"cols":3,"entries":[[0.5,1,1]]}`,
+	`{"rows":99999999,"cols":99999999,"entries":[]}`,
+	`{"rows":2,"cols":2,"entries":[[5,0,1]]}`,
+	`{"rows":3,"cols":3,"entries":[],"extra":1}`,
+	"not a matrix at all",
+	"",
+}
+
+// FuzzDecodeJSONDifferential is the scanner's correctness contract: on
+// any body, it and the encoding/json reference agree on accept or
+// refuse, and on accept the matrix is the same bit for bit — dimensions,
+// every (row, col, value), the fingerprint, the clamped spmv_seconds.
+// Only the error text may differ (and 400 against 413 where a body is
+// wrong twice: the scanner meets the nnz cap before a later syntax
+// error). The scanner may refuse more only under a rule stricter()
+// names. Limits are service-like: with none at all, dimensions past
+// 2^53 are accepted by both and mean nothing.
+func FuzzDecodeJSONDifferential(f *testing.F) {
+	for _, s := range predictJSONSeeds {
+		f.Add(s)
+	}
+	// One seed per way a number, a triplet, a field or the object can
+	// be almost right.
+	for _, v := range []string{
+		"1e400", "-1e400", "1e-400", "NaN", "Infinity", "0x10", "1_000", ".5", "+1", "01", "1.", "-0",
+		"-0.0", "-", "1e", "1e+", "1E2", "1.5e-1", "2.0", "2e0", "20e-1", "1.5.3", "null", "true", `"1"`,
+		"9007199254740993", "123456789012345678", "1234567890123456789", "-9223372036854775808",
+		"9223372036854775808", "0.8414709848078965", "1 ",
+	} {
+		f.Add(`{"rows":3,"cols":3,"entries":[[1,2,` + v + `]]}`)
+		f.Add(`{"rows":3,"cols":3,"entries":[[` + v + `,2,1]]}`)
+		f.Add(`{"rows":` + v + `,"cols":3,"entries":[[0,0,1]]}`)
+		f.Add(`{"rows":3,"cols":3,"entries":[[0,0,1]],"spmv_seconds":` + v + `}`)
+	}
+	for _, s := range []string{
+		`{"rows":3,"cols":3,"entries":[[[0,0,1]]]}`,
+		`{"rows":3,"cols":3,"entries":[0,0,1]}`,
+		`{"rows":3,"cols":3,"entries":[[]]}`,
+		`{"rows":3,"cols":3,"entries":[[1,2]]}`,
+		`{"rows":3,"cols":3,"entries":[[1,2,3,4]]}`,
+		`{"rows":3,"cols":3,"entries":[[1,2,3,"x",{"a":[]}]]}`,
+		`{"rows":3,"cols":3,"entries":[null]}`,
+		`{"rows":3,"cols":3,"entries":[[1,null,2]]}`,
+		`{"rows":3,"cols":3,"entries":null}`,
+		`{"rows":null,"cols":3,"entries":[]}`,
+		`{"rows":3,"cols":3,"entries":[[0,0,1],]}`,
+		`{"rows":3,"cols":3,"entries":[[0,0,1]],}`,
+		`{"rows":3,"cols":3,"entries":[[0,0,1] [1,1,1]]}`,
+		`{"rows":3,"rows":2,"cols":3,"entries":[[2,2,1]]}`,
+		`{"rows":3,"cols":3,"entries":[[1,1,5]],"entries":[null]}`,
+		`{"Rows":3,"COLS":3,"Entries":[[0,0,1]]}`,
+		"{\"rowſ\":3,\"cols\":3,\"entries\":[[0,0,1]]}",
+		`{"ro\u0077s":3,"cols":3,"entries":[[0,0,1]]}`,
+		`{"ro\"ws":3,"cols":3,"entries":[[0,0,1]]}`,
+		`{"rows":3,"cols":3,"entries":[[0,0,1]]} trailing`,
+		`{"rows":3,"cols":3,"entries":[[0,0,1]]}{"rows":1}`,
+		`{"entries":[[2,1,7],[0,0,1],[2,1,-7],[0,0,2],[0,0,0.5]],"spmv_seconds":0.125,"cols":3,"rows":3}`,
+		" \t\r\n{ \"rows\" : 3 , \"cols\" : 3 , \"entries\" : [ [ 0 , 0 , 1 ] , [ 1 , 1 , 2 ] ] } ",
+		"{\"rows\":3,\"cols\":3,\"entries\":[[0,\v0,1]]}",
+		"\ufeff" + `{"rows":3,"cols":3,"entries":[]}`,
+		`{}`, `null`, `[]`, `3`, `"rows"`, `{"rows"}`, `{"rows":}`, `{,}`, `{"rows":3 "cols":3}`,
+		`{"rows":3,"cols":3,"entries":[[0,0,1]],"spmv_seconds":-1}`,
+		`{"rows":3,"cols":3,"entries":[[0,0,1]],"spmv_seconds":1e10}`,
+		`{"rows":3,"cols":3,"entries":[[-1,0,1]]}`,
+		`{"rows":3,"cols":3,"entries":[[0,1e3,1]]}`,
+		`{"rows":2000,"cols":3,"entries":[]}`,
+	} {
+		f.Add(s)
+	}
+	f.Add(string(matrixJSON(40, 30))) // past MaxNNZ
+
+	lim := sparse.Limits{MaxRows: 1 << 10, MaxCols: 1 << 10, MaxNNZ: 1 << 10, MaxLineBytes: 1 << 8}
+	f.Fuzz(func(t *testing.T, body string) {
+		data := []byte(body)
+		if bytes.HasPrefix(bytes.TrimSpace(data), []byte("%%MatrixMarket")) {
+			t.Skip() // sniffed as Matrix Market: not this decoder's
+		}
+		got, gotSec, gotErr := DecodeMatrixMeta(context.Background(), data, "application/json", lim)
+		want, wantSec, wantErr := decodeJSONReference(data, lim)
+		if gotErr != nil {
+			if st := IngestStatus(gotErr); st != 400 && st != 413 {
+				t.Fatalf("rejection mapped to status %d (err %v)", st, gotErr)
+			}
+			if wantErr == nil && stricter(data) == "" {
+				t.Fatalf("refused a body the reference accepts, under no listed rule: %v", gotErr)
+			}
+			return
+		}
+		if wantErr != nil {
+			t.Fatalf("accepted a body the reference refuses: %v", wantErr)
+		}
+		if why := stricter(data); why != "" {
+			t.Fatalf("accepted a body that has %s", why)
+		}
+		gr, gc := got.Dims()
+		wr, wc := want.Dims()
+		if gr != wr || gc != wc || got.NNZ() != want.NNZ() {
+			t.Fatalf("decoded %dx%d nnz %d, reference %dx%d nnz %d", gr, gc, got.NNZ(), wr, wc, want.NNZ())
+		}
+		for k := range want.Vals {
+			if got.Rows[k] != want.Rows[k] || got.Cols[k] != want.Cols[k] ||
+				math.Float64bits(got.Vals[k]) != math.Float64bits(want.Vals[k]) {
+				t.Fatalf("entry %d: (%d,%d,%x), reference (%d,%d,%x)", k,
+					got.Rows[k], got.Cols[k], math.Float64bits(got.Vals[k]),
+					want.Rows[k], want.Cols[k], math.Float64bits(want.Vals[k]))
+			}
+		}
+		if g, w := sparse.Fingerprint(got), sparse.Fingerprint(want); g != w {
+			t.Fatalf("fingerprint %x, reference %x", g, w)
+		}
+		if math.Float64bits(gotSec) != math.Float64bits(wantSec) {
+			t.Fatalf("spmv_seconds %v, reference %v", gotSec, wantSec)
+		}
+	})
+}
+
+// TestDecodeJSONMatchesReferenceOnGeneratedMatrices: the differential
+// contract over bodies of the shape clients send — marshalled COO of
+// every synthgen family, 17-digit values, and one body in shuffled
+// order with duplicates so the sorting path is held to it too.
+func TestDecodeJSONMatchesReferenceOnGeneratedMatrices(t *testing.T) {
+	lim := sparse.DefaultLimits()
+	check := func(name string, body []byte) {
+		t.Helper()
+		got, _, err := DecodeMatrixMeta(context.Background(), body, "application/json", lim)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, _, err := decodeJSONReference(body, lim)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if !got.Equal(want) || sparse.Fingerprint(got) != sparse.Fingerprint(want) {
+			t.Fatalf("%s: decoded matrix differs from the reference", name)
+		}
+	}
+	for i, sp := range synthgen.SampleSpecs(40, 7, 400) {
+		m := synthgen.Build(sp)
+		rows, cols := m.Dims()
+		req := predictRequest{Rows: rows, Cols: cols}
+		for _, e := range m.Entries() {
+			req.Entries = append(req.Entries, [3]float64{float64(e.Row), float64(e.Col), e.Val})
+		}
+		body, _ := json.Marshal(req)
+		check(fmt.Sprintf("spec %d", i), body)
+
+		// Reversed and doubled: unsorted input with a duplicate of every
+		// entry.
+		n := len(req.Entries)
+		for k := n - 1; k >= 0; k-- {
+			req.Entries = append(req.Entries, req.Entries[k])
+		}
+		req.Entries = req.Entries[n/2:]
+		body, _ = json.Marshal(req)
+		check(fmt.Sprintf("spec %d shuffled", i), body)
+	}
+}
+
+// bigJSON renders an n×n diagonal matrix as a predict body.
+func bigJSON(n int) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, `{"rows":%d,"cols":%d,"entries":[`, n, n)
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, "[%d,%d,1]", i, i)
+	}
+	b.WriteString("]}")
+	return b.Bytes()
+}
+
+// bigMM is the same matrix as Matrix Market text.
+func bigMM(n int) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "%%%%MatrixMarket matrix coordinate real general\n%d %d %d\n", n, n, n)
+	for i := 1; i <= n; i++ {
+		fmt.Fprintf(&b, "%d %d 1\n", i, i)
+	}
+	return b.Bytes()
+}
+
+// TestDecodeContextCancelBothEncodings: a request whose deadline has
+// passed abandons a long body in either encoding, with one status.
+func TestDecodeContextCancelBothEncodings(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	n := 3 * sparse.CtxCheckEvery
+	var status [2]int
+	for i, body := range [][]byte{bigMM(n), bigJSON(n)} {
+		_, err := DecodeMatrix(ctx, body, "", sparse.DefaultLimits())
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("body %d: err = %v, want context.Canceled", i, err)
+		}
+		status[i] = IngestStatus(err)
+	}
+	if status[0] != status[1] {
+		t.Fatalf("cancelled Matrix Market parse is a %d, cancelled JSON parse a %d", status[0], status[1])
+	}
+}
+
+// TestDecodeJSONMaxNNZRefusedWhileScanning: a body one triplet over the
+// cap is a 413 at that triplet, and what was allocated on the way is
+// the capped entry slice, not the body's worth of triplets.
+func TestDecodeJSONMaxNNZRefusedWhileScanning(t *testing.T) {
+	lim := sparse.Limits{MaxRows: 1 << 20, MaxCols: 1 << 20, MaxNNZ: 1000}
+	exact, over := bigJSON(lim.MaxNNZ), bigJSON(lim.MaxNNZ+1)
+	if _, err := DecodeMatrix(context.Background(), exact, "", lim); err != nil {
+		t.Fatalf("body at the cap refused: %v", err)
+	}
+	_, err := DecodeMatrix(context.Background(), over, "", lim)
+	if !errors.Is(err, sparse.ErrTooLarge) || IngestStatus(err) != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body over the cap: %v", err)
+	}
+
+	// What a refusal allocates follows the cap, not the body: one
+	// triplet over and two hundred thousand over cost the same.
+	lim.MaxNNZ = 16
+	refuse := func(body []byte) func() {
+		return func() {
+			if _, err := DecodeMatrix(context.Background(), body, "", lim); !errors.Is(err, sparse.ErrTooLarge) {
+				t.Fatal(err)
+			}
+		}
+	}
+	just, far := refuse(bigJSON(lim.MaxNNZ+1)), refuse(bigJSON(200_000))
+	if a, b := testing.AllocsPerRun(5, just), testing.AllocsPerRun(5, far); b > a {
+		t.Errorf("%v allocations to refuse a body far over the cap, %v just over it", b, a)
+	}
+	if a, b := allocBytesPerRun(5, just), allocBytesPerRun(5, far); b > a+512 {
+		t.Errorf("%d bytes allocated to refuse a body far over the cap, %d just over it", b, a)
+	}
+}
+
+// allocBytesPerRun is testing.AllocsPerRun for bytes.
+func allocBytesPerRun(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestDecodeJSONEntryHintIsBounded: the entry slice is sized from the
+// bytes that remain, so a body that opens a million brackets after one
+// good triplet cannot make the scanner allocate a million entries.
+func TestDecodeJSONEntryHintIsBounded(t *testing.T) {
+	body := []byte(`{"rows":3,"cols":3,"entries":[[0,0,1],` + strings.Repeat("[", 1<<20))
+	// 24 bytes an entry, at most one entry per 8 bytes of body: three
+	// times the body, and the allocator's rounding.
+	got := allocBytesPerRun(3, func() {
+		if _, err := DecodeMatrix(context.Background(), body, "", sparse.Limits{}); err == nil {
+			t.Fatal("accepted")
+		}
+	})
+	if most := uint64(3*len(body) + len(body)/8); got > most {
+		t.Errorf("allocated %d bytes for a %d-byte body, want at most %d", got, len(body), most)
+	}
+}
+
+// TestReadBody: one buffer when Content-Length tells the truth, the
+// same answers as before when it is absent or lies.
+func TestReadBody(t *testing.T) {
+	const max = 64
+	payload := bytes.Repeat([]byte("x"), 40)
+	cases := []struct {
+		name     string
+		body     []byte
+		declared int64
+		want     int // bytes read; -1 = ErrTooLarge
+		oneAlloc bool
+	}{
+		{"exact", payload, 40, 40, true},
+		{"absent", payload, -1, 40, false},
+		{"zero declared", payload, 0, 40, false},
+		{"short of declared", payload, 50, 40, true},
+		{"longer than declared", payload, 10, 40, false},
+		{"at the cap", bytes.Repeat([]byte("x"), max), max, max, true},
+		{"oversize, declared", bytes.Repeat([]byte("x"), max+1), max + 1, -1, false},
+		{"oversize, undeclared", bytes.Repeat([]byte("x"), 3*max), -1, -1, false},
+		{"oversize, declared small", bytes.Repeat([]byte("x"), 3*max), 8, -1, false},
+		{"empty", nil, 0, 0, false},
+	}
+	for _, tc := range cases {
+		read := func() ([]byte, error) {
+			// OneByteReader: a body that arrives in pieces, as off a socket.
+			r := httptest.NewRequest("POST", "/v1/predict", iotest.OneByteReader(bytes.NewReader(tc.body)))
+			r.ContentLength = tc.declared
+			return ReadBody(r, max)
+		}
+		data, err := read()
+		switch {
+		case tc.want < 0:
+			if !errors.Is(err, sparse.ErrTooLarge) {
+				t.Errorf("%s: err = %v, want ErrTooLarge", tc.name, err)
+			}
+		case err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case !bytes.Equal(data, tc.body):
+			t.Errorf("%s: read %d bytes, want %d", tc.name, len(data), tc.want)
+		case tc.oneAlloc && int64(cap(data)) >= 2*(tc.declared+bytes.MinRead): // growing doubles
+			t.Errorf("%s: buffer of %d bytes for a declared %d: it grew", tc.name, cap(data), tc.declared)
+		}
+	}
+	r := httptest.NewRequest("POST", "/v1/predict", iotest.ErrReader(io.ErrUnexpectedEOF))
+	if _, err := ReadBody(r, max); !errors.Is(err, io.ErrUnexpectedEOF) || IngestStatus(err) != http.StatusBadRequest {
+		t.Errorf("failing body: err = %v", err)
+	}
+}

@@ -17,19 +17,14 @@ import (
 // and every rejection maps onto the typed 400/413/422 taxonomy (no
 // rejection may look like a server fault).
 func FuzzPredictJSON(f *testing.F) {
-	f.Add(`{"rows":3,"cols":3,"entries":[[0,0,1],[1,2,-4]]}`, "application/json")
-	f.Add(`{"rows":0,"cols":0,"entries":[]}`, "application/json")
-	f.Add(`{"rows":3`, "application/json")
-	f.Add(`{"rows":3,"cols":3,"entries":[[0.5,1,1]]}`, "application/json")
-	f.Add(`{"rows":99999999,"cols":99999999,"entries":[]}`, "application/json")
-	f.Add(`{"rows":2,"cols":2,"entries":[[5,0,1]]}`, "application/json")
-	f.Add(`{"rows":3,"cols":3,"entries":[],"extra":1}`, "application/json")
+	for _, body := range predictJSONSeeds {
+		f.Add(body, "application/json")
+	}
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1\n", "text/matrix-market")
 	f.Add("%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 3\n2 1 -1\n", "text/plain")
 	f.Add("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n", "text/matrix-market")
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 9\n1 1 1\n", "text/plain")
 	f.Add("not a matrix at all", "text/plain")
-	f.Add("", "application/json")
 
 	// A model-less server is enough: parseMatrix only needs cfg.
 	cfg := Config{

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -25,21 +24,6 @@ func wantTrace(r *http.Request) bool {
 	}
 	v := r.Header.Get("X-Trace")
 	return v == "1" || v == "true"
-}
-
-// predictRequest is the JSON request body for POST /v1/predict:
-// explicit COO triplets. Alternatively the body may be a raw Matrix
-// Market document (Content-Type text/matrix-market, or any body whose
-// first bytes are the %%MatrixMarket banner).
-type predictRequest struct {
-	Rows    int          `json:"rows"`
-	Cols    int          `json:"cols"`
-	Entries [][3]float64 `json:"entries"` // [row, col, value]
-	// SpmvSeconds optionally reports how long the client's own SpMV
-	// took for this pattern in its current format — closing the
-	// feedback loop with a measured timing instead of the server's
-	// cachesim estimate. Ignored (beyond capture) for prediction.
-	SpmvSeconds float64 `json:"spmv_seconds,omitempty"`
 }
 
 // response is the JSON answer for POST /v1/predict. Rung reports which
@@ -292,76 +276,12 @@ func isRetryAttempt(v string) bool {
 	return err == nil && n >= 1
 }
 
-// DecodeMatrix decodes a request body (already read into memory) as
-// JSON COO triplets or a Matrix Market document, bounded by lim. Every
-// failure wraps one of the typed sparse ingestion errors (or reads as
-// plain malformation) for IngestStatus to map onto 400/413/422. It is
-// shared between the replica's predict handler and the cluster router,
-// which must parse the matrix anyway to compute the shard fingerprint.
-func DecodeMatrix(ctx context.Context, data []byte, contentType string, lim sparse.Limits) (*sparse.COO, error) {
-	m, _, err := DecodeMatrixMeta(ctx, data, contentType, lim)
-	return m, err
-}
-
-// DecodeMatrixMeta is DecodeMatrix plus the request's feedback
-// metadata: the client-reported SpMV seconds (0 when absent; Matrix
-// Market bodies cannot carry one). Non-finite or negative timings are
-// discarded rather than rejected — the matrix, not the telemetry, is
-// the request.
-func DecodeMatrixMeta(ctx context.Context, data []byte, contentType string, lim sparse.Limits) (*sparse.COO, float64, error) {
-	if strings.Contains(contentType, "matrix-market") || bytes.HasPrefix(bytes.TrimSpace(data), []byte("%%MatrixMarket")) {
-		m, err := sparse.ReadMatrixMarketLimits(ctx, bytes.NewReader(data), lim)
-		if err != nil {
-			return nil, 0, fmt.Errorf("parsing Matrix Market body: %w", err)
-		}
-		return m, 0, nil
-	}
-	var req predictRequest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return nil, 0, fmt.Errorf("parsing JSON body: %w", err)
-	}
-	// The JSON path honours the same resource budget as the Matrix
-	// Market reader.
-	if lim.MaxRows > 0 && req.Rows > lim.MaxRows {
-		return nil, 0, fmt.Errorf("%w: %d rows exceeds cap %d", sparse.ErrTooLarge, req.Rows, lim.MaxRows)
-	}
-	if lim.MaxCols > 0 && req.Cols > lim.MaxCols {
-		return nil, 0, fmt.Errorf("%w: %d cols exceeds cap %d", sparse.ErrTooLarge, req.Cols, lim.MaxCols)
-	}
-	if lim.MaxNNZ > 0 && len(req.Entries) > lim.MaxNNZ {
-		return nil, 0, fmt.Errorf("%w: %d entries exceeds cap %d", sparse.ErrTooLarge, len(req.Entries), lim.MaxNNZ)
-	}
-	entries := make([]sparse.Entry, len(req.Entries))
-	for i, e := range req.Entries {
-		r0, c0 := int(e[0]), int(e[1])
-		if float64(r0) != e[0] || float64(c0) != e[1] {
-			return nil, 0, fmt.Errorf("entry %d: non-integer coordinates (%g,%g)", i, e[0], e[1])
-		}
-		entries[i] = sparse.Entry{Row: r0, Col: c0, Val: e[2]}
-	}
-	m, err := sparse.NewCOO(req.Rows, req.Cols, entries)
-	if err != nil {
-		return nil, 0, fmt.Errorf("building matrix: %w", err)
-	}
-	clientSec := req.SpmvSeconds
-	if clientSec < 0 || clientSec != clientSec || clientSec > 1e9 { // negative, NaN or absurd
-		clientSec = 0
-	}
-	return m, clientSec, nil
-}
-
 // parseMatrix reads and decodes the request body, bounded by
 // MaxBodyBytes and cfg.Limits.
 func (s *Server) parseMatrix(ctx context.Context, r *http.Request) (*sparse.COO, float64, error) {
-	body := io.LimitReader(r.Body, s.cfg.MaxBodyBytes+1)
-	data, err := io.ReadAll(body)
+	data, err := ReadBody(r, s.cfg.MaxBodyBytes)
 	if err != nil {
-		return nil, 0, fmt.Errorf("reading body: %w", err)
-	}
-	if int64(len(data)) > s.cfg.MaxBodyBytes {
-		return nil, 0, fmt.Errorf("%w: body exceeds %d bytes", sparse.ErrTooLarge, s.cfg.MaxBodyBytes)
+		return nil, 0, err
 	}
 	return DecodeMatrixMeta(ctx, data, r.Header.Get("Content-Type"), s.cfg.Limits)
 }

@@ -17,21 +17,45 @@ type COO struct {
 
 // NewCOO builds a canonical COO matrix from triplet entries. Duplicate
 // (row,col) entries are summed; entries that sum to zero are dropped.
-// It returns an error when an index is out of range.
+// It returns an error when an index is out of range. The caller's slice
+// is neither kept nor reordered; a caller that is done with its slice
+// uses NewCOOOwned and saves the copy.
 func NewCOO(rows, cols int, entries []Entry) (*COO, error) {
+	es := make([]Entry, len(entries))
+	copy(es, entries)
+	return NewCOOOwned(rows, cols, es)
+}
+
+// NewCOOOwned is NewCOO for a slice the caller gives up: es is sorted
+// in place when it has to be and must not be used afterwards. One pass
+// checks every index and notices input that is already strictly
+// row-major — what every writer of canonical COO sends — in which case
+// there is nothing to sort and nothing to merge.
+func NewCOOOwned(rows, cols int, es []Entry) (*COO, error) {
 	if rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("sparse: non-positive dimensions %dx%d", rows, cols)
 	}
-	es := make([]Entry, len(entries))
-	copy(es, entries)
+	sorted := true
+	prevRow, prevCol := -1, -1
 	for _, e := range es {
 		if e.Row < 0 || e.Row >= rows || e.Col < 0 || e.Col >= cols {
 			return nil, fmt.Errorf("sparse: entry (%d,%d) out of range for %dx%d matrix",
 				e.Row, e.Col, rows, cols)
 		}
+		if e.Row < prevRow || (e.Row == prevRow && e.Col <= prevCol) {
+			sorted = false
+		}
+		prevRow, prevCol = e.Row, e.Col
 	}
-	sortEntries(es)
-	c := &COO{rows: rows, cols: cols}
+	if !sorted {
+		sortEntries(es)
+	}
+	c := &COO{
+		rows: rows, cols: cols,
+		Rows: make([]int32, 0, len(es)),
+		Cols: make([]int32, 0, len(es)),
+		Vals: make([]float64, 0, len(es)),
+	}
 	for i := 0; i < len(es); {
 		j := i + 1
 		v := es[i].Val

@@ -26,9 +26,19 @@ import (
 // error taxonomy — see Limits, ErrMalformed, ErrTooLarge,
 // ErrUnsupported).
 
-// ctxCheckEvery is how many data lines the parser reads between
-// context-cancellation polls.
-const ctxCheckEvery = 4096
+// CtxCheckEvery is how many items (Matrix Market data lines, JSON
+// triplets) an ingestion loop reads between calls to ParseCheckpoint.
+const CtxCheckEvery = 4096
+
+// ParseCheckpoint is what every ingestion loop over untrusted input
+// calls once per CtxCheckEvery items, so that a request deadline and
+// the sparse.parse.stall fault point reach every body encoding alike.
+func ParseCheckpoint(ctx context.Context) error {
+	if err := faultinject.InjectCtx(ctx, faultinject.PointParseStall); err != nil {
+		return err
+	}
+	return ctx.Err()
+}
 
 // ReadMatrixMarket parses a MatrixMarket coordinate stream into
 // canonical COO with the permissive Unlimited budget. The stream must
@@ -149,12 +159,9 @@ func ReadMatrixMarketLimits(ctx context.Context, r io.Reader, lim Limits) (*COO,
 		if line == "" || strings.HasPrefix(line, "%") {
 			continue
 		}
-		if sinceCheck++; sinceCheck >= ctxCheckEvery {
+		if sinceCheck++; sinceCheck >= CtxCheckEvery {
 			sinceCheck = 0
-			if err := faultinject.InjectCtx(ctx, faultinject.PointParseStall); err != nil {
-				return nil, fmt.Errorf("sparse: reading MatrixMarket: %w", err)
-			}
-			if err := ctx.Err(); err != nil {
+			if err := ParseCheckpoint(ctx); err != nil {
 				return nil, fmt.Errorf("sparse: reading MatrixMarket: %w", err)
 			}
 		}
@@ -217,7 +224,7 @@ func ReadMatrixMarketLimits(ctx context.Context, r io.Reader, lim Limits) (*COO,
 	if read < nnz {
 		return nil, fmt.Errorf("%w: stream truncated: got %d of %d declared entries", ErrMalformed, read, nnz)
 	}
-	c, err := NewCOO(rows, cols, entries)
+	c, err := NewCOOOwned(rows, cols, entries)
 	if err != nil {
 		// Unreachable with the pre-validation above, but keep the class.
 		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)

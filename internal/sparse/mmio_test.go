@@ -315,7 +315,7 @@ func TestReadMatrixMarketRejectNonFinite(t *testing.T) {
 // long stream instead of parsing it to completion.
 func TestReadMatrixMarketContextCancel(t *testing.T) {
 	var sb strings.Builder
-	n := 3 * ctxCheckEvery
+	n := 3 * CtxCheckEvery
 	fmt.Fprintf(&sb, "%%%%MatrixMarket matrix coordinate real general\n%d 1 %d\n", n, n)
 	for i := 1; i <= n; i++ {
 		fmt.Fprintf(&sb, "%d 1 1\n", i)

@@ -109,6 +109,62 @@ func TestNewCOODeduplicatesAndDropsZeros(t *testing.T) {
 	}
 }
 
+// TestNewCOOOwnedMatchesNewCOO: the owned builder is NewCOO without the
+// copy — same matrix and same errors on sorted, shuffled and duplicated
+// input — and NewCOO itself still leaves the caller's slice alone.
+func TestNewCOOOwnedMatchesNewCOO(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		rows, cols := 1+rng.Intn(12), 1+rng.Intn(12)
+		es := make([]Entry, rng.Intn(40))
+		for i := range es {
+			es[i] = Entry{Row: rng.Intn(rows), Col: rng.Intn(cols), Val: float64(rng.Intn(5) - 2)}
+		}
+		switch trial % 4 {
+		case 1: // canonical order, maybe with duplicates
+			sortEntries(es)
+		case 2: // strictly row-major: the path that skips the sort
+			es = MustCOO(rows, cols, es).Entries()
+		case 3: // one index out of range
+			es = append(es, Entry{Row: rows, Col: 0, Val: 1})
+		}
+		before := append([]Entry(nil), es...)
+		want, wantErr := NewCOO(rows, cols, es)
+		for i := range es {
+			if es[i] != before[i] {
+				t.Fatalf("trial %d: NewCOO changed the caller's slice at %d", trial, i)
+			}
+		}
+		got, gotErr := NewCOOOwned(rows, cols, es)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("trial %d: NewCOO err %v, NewCOOOwned err %v", trial, wantErr, gotErr)
+		}
+		if wantErr != nil {
+			continue
+		}
+		if !got.Equal(want) {
+			t.Fatalf("trial %d: NewCOOOwned %+v, NewCOO %+v", trial, got, want)
+		}
+		dense := make([]float64, rows*cols)
+		for _, e := range before {
+			dense[e.Row*cols+e.Col] += e.Val // small integers: exact in any order
+		}
+		for i, v := range got.Dense() {
+			if v != dense[i] {
+				t.Fatalf("trial %d: dense[%d] = %v, want %v", trial, i, v, dense[i])
+			}
+		}
+		for k := 1; k < got.NNZ(); k++ {
+			if got.Rows[k-1] > got.Rows[k] || (got.Rows[k-1] == got.Rows[k] && got.Cols[k-1] >= got.Cols[k]) {
+				t.Fatalf("trial %d: not canonical at %d", trial, k)
+			}
+		}
+	}
+	if _, err := NewCOOOwned(0, 4, nil); err == nil {
+		t.Fatal("accepted zero rows")
+	}
+}
+
 func TestCOOTransposeInvolution(t *testing.T) {
 	c := paperMatrix(t)
 	if !c.Transpose().Transpose().Equal(c) {

@@ -5,8 +5,8 @@
 //	go run ./scripts/benchgate -baseline BENCH_baseline.json -current BENCH.json
 //
 // Only the guarded set is gated — the SpMV kernels, dense MatMul,
-// representation construction, the float32 inference engine, and the
-// serve predict path — because micro-noise on the heavyweight
+// representation construction, the float32 inference engine, the serve
+// predict path and its parse stage (body decode, fingerprint) — because micro-noise on the heavyweight
 // experiment reproductions would make a blanket gate flaky. Every
 // guarded benchmark is gated on BOTH axes: ns/op against -threshold
 // and allocs/op against -alloc-threshold. Allocations are counted, not
@@ -57,6 +57,8 @@ var guarded = []*regexp.Regexp{
 	regexp.MustCompile(`^repro/internal/tensor/BenchmarkMatMul`),
 	regexp.MustCompile(`^repro/internal/represent/BenchmarkNormalize`),
 	regexp.MustCompile(`^repro/internal/serve/BenchmarkPredict`),
+	regexp.MustCompile(`^repro/internal/serve/BenchmarkDecode`),
+	regexp.MustCompile(`^repro/internal/sparse/BenchmarkFingerprint`),
 	regexp.MustCompile(`^repro/internal/nn/BenchmarkInfer32Predict`),
 }
 

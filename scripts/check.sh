@@ -22,6 +22,12 @@ fi
 go build ./...
 go vet ./...
 
+# The end-to-end harness is a module of its own (benchmark/go.mod), so
+# ./... above never reaches it; it calls internal/... by name, and a
+# signature change there must fail here, not in the next benchmark run.
+go vet -C benchmark .
+go test -C benchmark .
+
 # Static analysis: staticcheck (bug-pattern lints beyond vet) and
 # govulncheck (known-vulnerable call paths in the dependency graph),
 # both version-pinned so CI cannot drift onto a lint set nobody
@@ -102,6 +108,7 @@ fi
 # violation found within the budget; regressions crash the script.
 go test -run='^$' -fuzz='^FuzzReadMatrixMarket$' -fuzztime=10s ./internal/sparse
 go test -run='^$' -fuzz='^FuzzPredictJSON$' -fuzztime=10s ./internal/serve
+go test -run='^$' -fuzz='^FuzzDecodeJSONDifferential$' -fuzztime=10s ./internal/serve
 go test -run='^$' -fuzz='^FuzzLoadDataset$' -fuzztime=10s ./internal/dataset
 
 if [[ "${SHORT:-0}" == "1" ]]; then
