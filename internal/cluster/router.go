@@ -294,18 +294,19 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.RequestTimeout)
 	defer cancel()
 
-	// The router parses every body itself: malformed requests are
+	// The router scans every body itself: malformed requests are
 	// rejected at the edge with the same 400/413/422 taxonomy a replica
 	// would use, and well-formed ones yield the sparsity fingerprint
-	// that drives shard routing.
+	// that drives shard routing. It never needs the matrix, so a
+	// canonical JSON body has no value converted on this hop.
 	ct := r.Header.Get("Content-Type")
-	m, err := serve.DecodeMatrix(ctx, body, ct, rt.cfg.Limits)
+	sc, err := serve.ScanMatrix(ctx, body, ct, rt.cfg.Limits)
 	if err != nil {
 		code = serve.IngestStatus(err)
 		writeJSON(w, code, routeError{Error: err.Error()})
 		return
 	}
-	fp := sparse.Fingerprint(m)
+	fp := sc.Fingerprint()
 
 	res := rt.forward(ctx, fp, body, ct, r.URL.RawQuery)
 	attempts = res.launches

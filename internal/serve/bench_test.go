@@ -15,9 +15,13 @@ import (
 // benchPredict drives the full handler path — parse, cache, queue hop,
 // ladder, render — without network overhead.
 func benchPredict(b *testing.B, mutate func(*Config)) {
+	benchPredictBody(b, matrixJSON(24, 2), mutate)
+}
+
+func benchPredictBody(b *testing.B, body []byte, mutate func(*Config)) {
 	s, _ := newTestServer(b, mutate)
 	h := s.Handler()
-	body := matrixJSON(24, 2)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body))
@@ -35,6 +39,14 @@ func benchPredict(b *testing.B, mutate func(*Config)) {
 // scripts/benchgate.
 func BenchmarkPredictCached(b *testing.B) {
 	benchPredict(b, nil)
+}
+
+// BenchmarkPredictCachedTypical is the same path on the 2,088-nonzero
+// body of BenchmarkDecodeJSON: what a hit costs at the size of a typical
+// request, where the scan is most of it.
+func BenchmarkPredictCachedTypical(b *testing.B) {
+	body, _ := benchBodies(b)
+	benchPredictBody(b, body, nil)
 }
 
 // BenchmarkPredictUncached forces every request through the queue hop
@@ -100,6 +112,22 @@ func benchDecode(b *testing.B, body []byte, contentType string) {
 func BenchmarkDecodeJSON(b *testing.B) {
 	body, _ := benchBodies(b)
 	benchDecode(b, body, "application/json")
+}
+
+// BenchmarkDecodePatternJSON is the parse stage of a cache hit: the same
+// body to its fingerprint, no value converted and no matrix built.
+func BenchmarkDecodePatternJSON(b *testing.B) {
+	body, _ := benchBodies(b)
+	lim := sparse.DefaultLimits()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc, err := ScanMatrix(context.Background(), body, "application/json", lim)
+		if err != nil || !sc.Streamed() {
+			b.Fatalf("streamed %v, err %v", err == nil && sc.Streamed(), err)
+		}
+	}
 }
 
 func BenchmarkDecodeMatrixMarket(b *testing.B) {

@@ -22,12 +22,12 @@ import (
 // tokens of the JSON number grammar (r and c must denote integers: 2,
 // 2.0 and 2e0 are the same coordinate); every triplet has exactly three
 // numbers; null stands for an absent field and nowhere else. Bytes
-// after the closing brace are not examined. The body is scanned once,
-// by hand, straight into the []sparse.Entry the matrix is built from:
-// parse comes before the cache, so every request pays for it, hits
-// included, and reflection through [][3]float64 cost four times the
-// forward pass. decode_test.go keeps the encoding/json decoder as the
-// reference this one is fuzzed against.
+// after the closing brace are not examined. Dimensions and coordinates
+// past int32 are refused (413): a COO cannot index them. The body is
+// scanned once, by hand: the scan comes before the cache, so every
+// request pays for it, hits included, and it does only what a hit
+// needs (see Scanned). decode_test.go keeps the encoding/json decoder
+// as the reference this one is fuzzed against.
 
 // ReadBody reads a request body of at most max bytes. A Content-Length
 // that fits sizes the buffer once; a body that overruns max (or its own
@@ -48,11 +48,10 @@ func ReadBody(r *http.Request, max int64) ([]byte, error) {
 }
 
 // DecodeMatrix decodes a request body (already read into memory) as
-// JSON COO triplets or a Matrix Market document, bounded by lim. Every
-// failure wraps one of the typed sparse ingestion errors (or reads as
-// plain malformation) for IngestStatus to map onto 400/413/422. It is
-// shared between the replica's predict handler and the cluster router,
-// which must parse the matrix anyway to compute the shard fingerprint.
+// JSON COO triplets or a Matrix Market document, bounded by lim: scan,
+// then materialise. Every failure wraps one of the typed sparse
+// ingestion errors (or reads as plain malformation) for IngestStatus to
+// map onto 400/413/422.
 func DecodeMatrix(ctx context.Context, data []byte, contentType string, lim sparse.Limits) (*sparse.COO, error) {
 	m, _, err := DecodeMatrixMeta(ctx, data, contentType, lim)
 	return m, err
@@ -64,51 +63,199 @@ func DecodeMatrix(ctx context.Context, data []byte, contentType string, lim spar
 // discarded rather than rejected — the matrix, not the telemetry, is
 // the request.
 func DecodeMatrixMeta(ctx context.Context, data []byte, contentType string, lim sparse.Limits) (*sparse.COO, float64, error) {
+	sc, err := ScanMatrix(ctx, data, contentType, lim)
+	if err != nil {
+		return nil, 0, err
+	}
+	m, err := sc.Matrix()
+	return m, sc.SpmvSeconds(), err
+}
+
+// Scanned is a request body after the one pass every request pays for:
+// accepted or refused for good, and fingerprinted. The prediction cache
+// is asked with Fingerprint; only an answer that has to be computed (or
+// logged with its pattern) calls Matrix. The body must not be written
+// to while the Scanned is in use.
+//
+// A JSON body whose triplets arrive strictly row-major with no zero
+// value — canonical COO, what every writer of the format emits — is
+// "streamed": hashed coordinate by coordinate while it is validated,
+// coordinates kept as int32, each value kept as the span of its token
+// and not converted, so a cache hit never runs strconv.ParseFloat and
+// never builds a matrix. Any other JSON body (unsorted, a position
+// twice, an explicit zero) is just as correct and costs what it always
+// did: its fingerprint depends on which entries survive summing, so the
+// matrix is built before the cache is asked. Matrix Market bodies are
+// built before the cache too, by sparse.ReadMatrixMarketLimits.
+type Scanned struct {
+	fp          uint64
+	spmvSeconds float64
+	m           *sparse.COO // nil while a streamed body's values are still text
+
+	// What Matrix builds a streamed body's matrix from.
+	rows, cols int
+	data       []byte
+	ents       triplets
+}
+
+// Fingerprint is sparse.Fingerprint of the matrix the body denotes.
+func (sc *Scanned) Fingerprint() uint64 { return sc.fp }
+
+// SpmvSeconds is the client-reported SpMV time, 0 when absent or absurd.
+func (sc *Scanned) SpmvSeconds() float64 { return sc.spmvSeconds }
+
+// Streamed reports whether the matrix is still to be materialised: the
+// body was canonical JSON and nothing has called Matrix yet.
+func (sc *Scanned) Streamed() bool { return sc.m == nil }
+
+// Matrix returns the canonical COO the body denotes, converting a
+// streamed body's value tokens on the first call: ParseFloat on the
+// recorded spans straight into Vals, coordinates adopted as scanned.
+func (sc *Scanned) Matrix() (*sparse.COO, error) {
+	if sc.m != nil {
+		return sc.m, nil
+	}
+	vals := make([]float64, len(sc.ents.vals))
+	for k := range vals {
+		vals[k] = sc.ents.value(sc.data, k)
+	}
+	m, err := sparse.NewCOOCanonical(sc.rows, sc.cols, sc.ents.ri, sc.ents.ci, vals)
+	if err != nil {
+		return nil, fmt.Errorf("materialising matrix: %w", err)
+	}
+	sc.m, sc.data, sc.ents = m, nil, triplets{}
+	return m, nil
+}
+
+// ScanMatrix validates a request body against the grammar and lim and
+// fingerprints it. What it refuses, DecodeMatrix refuses with the same
+// error; what it accepts, Matrix cannot refuse.
+func ScanMatrix(ctx context.Context, data []byte, contentType string, lim sparse.Limits) (*Scanned, error) {
 	if strings.Contains(contentType, "matrix-market") || bytes.HasPrefix(bytes.TrimSpace(data), []byte("%%MatrixMarket")) {
 		m, err := sparse.ReadMatrixMarketLimits(ctx, bytes.NewReader(data), lim)
 		if err != nil {
-			return nil, 0, fmt.Errorf("parsing Matrix Market body: %w", err)
+			return nil, fmt.Errorf("parsing Matrix Market body: %w", err)
 		}
-		return m, 0, nil
+		return &Scanned{fp: sparse.Fingerprint(m), m: m}, nil
 	}
-	s := bodyScanner{data: data}
-	req, err := s.request(ctx, lim.MaxNNZ)
-	if err != nil {
-		return nil, 0, fmt.Errorf("parsing JSON body: %w", err)
+	s := bodyScanner{data: data, ents: triplets{canonical: true, prev: -1}}
+	if err := s.request(ctx, lim.MaxNNZ); err != nil {
+		return nil, fmt.Errorf("parsing JSON body: %w", err)
+	}
+	sc := &Scanned{rows: s.rows, cols: s.cols, spmvSeconds: s.spmvSeconds, data: data, ents: s.ents}
+	if sc.spmvSeconds < 0 || sc.spmvSeconds > 1e9 { // negative or absurd; the grammar has no NaN
+		sc.spmvSeconds = 0
 	}
 	// The JSON path honours the same resource budget as the Matrix
-	// Market reader (MaxNNZ was enforced entry by entry).
-	if lim.MaxRows > 0 && req.rows > lim.MaxRows {
-		return nil, 0, fmt.Errorf("%w: %d rows exceeds cap %d", sparse.ErrTooLarge, req.rows, lim.MaxRows)
+	// Market reader (MaxNNZ was enforced entry by entry), and COO's
+	// int32 indices whatever the budget says.
+	if err := checkSide("rows", sc.rows, lim.MaxRows); err != nil {
+		return nil, err
 	}
-	if lim.MaxCols > 0 && req.cols > lim.MaxCols {
-		return nil, 0, fmt.Errorf("%w: %d cols exceeds cap %d", sparse.ErrTooLarge, req.cols, lim.MaxCols)
+	if err := checkSide("cols", sc.cols, lim.MaxCols); err != nil {
+		return nil, err
 	}
-	m, err := sparse.NewCOOOwned(req.rows, req.cols, req.entries)
+	ents := &sc.ents
+	if ents.misfit != nil {
+		return nil, ents.misfit
+	}
+	if sc.rows <= 0 || sc.cols <= 0 {
+		return nil, fmt.Errorf("%w: non-positive dimensions %dx%d", sparse.ErrMalformed, sc.rows, sc.cols)
+	}
+	if int(ents.maxRow) >= sc.rows || int(ents.maxCol) >= sc.cols {
+		for k, r := range ents.ri {
+			if c := ents.ci[k]; int(r) >= sc.rows || int(c) >= sc.cols {
+				return nil, fmt.Errorf("%w: entry (%d,%d) out of range for %dx%d matrix", sparse.ErrMalformed, r, c, sc.rows, sc.cols)
+			}
+		}
+	}
+	if ents.canonical {
+		sc.fp = ents.hash.Sum(sc.rows, sc.cols)
+		return sc, nil
+	}
+	es := make([]sparse.Entry, len(ents.ri))
+	for k := range es {
+		es[k] = sparse.Entry{Row: int(ents.ri[k]), Col: int(ents.ci[k]), Val: ents.value(data, k)}
+	}
+	m, err := sparse.NewCOOOwned(sc.rows, sc.cols, es)
 	if err != nil {
-		return nil, 0, fmt.Errorf("building matrix: %w", err)
+		return nil, fmt.Errorf("building matrix: %w", err)
 	}
-	sec := req.spmvSeconds
-	if sec < 0 || sec > 1e9 { // negative or absurd; the grammar has no NaN
-		sec = 0
-	}
-	return m, sec, nil
+	sc.m, sc.fp, sc.data, sc.ents = m, sparse.Fingerprint(m), nil, triplets{}
+	return sc, nil
 }
 
-// request is a scanned JSON predict body. spmvSeconds optionally
-// reports how long the client's own SpMV took for this pattern in its
-// current format — closing the feedback loop with a measured timing
-// instead of the server's cachesim estimate; prediction ignores it.
-type request struct {
-	rows, cols  int
-	entries     []sparse.Entry
-	spmvSeconds float64
+// checkSide refuses a dimension over its cap (0 = none) or over what an
+// int32 index can address.
+func checkSide(name string, n, limit int) error {
+	if limit <= 0 || limit > math.MaxInt32 {
+		limit = math.MaxInt32
+	}
+	if n > limit {
+		return fmt.Errorf("%w: %d %s exceeds cap %d", sparse.ErrTooLarge, n, name, limit)
+	}
+	return nil
 }
 
-// bodyScanner is a cursor over one JSON predict body.
+// triplets is the entries array as the scanner leaves it: coordinates
+// narrowed to the int32 a COO stores, values not yet numbers.
+type triplets struct {
+	ri, ci []int32
+	// vals holds one word a value: offset<<8 | length of a token still
+	// to be converted, or index<<8 into conv for one converted while
+	// scanning (length 0).
+	vals []uint64
+	conv []float64
+
+	// hash is the fingerprint so far; it and the adopted coordinates
+	// are the answer only while canonical holds: every triplet so far
+	// after its predecessor in row-major order (so none twice) and not
+	// zero.
+	hash      sparse.PatternHash
+	canonical bool
+	prev      int64 // row<<32|col of the last triplet, -1 before the first
+
+	maxRow, maxCol int32
+	// misfit is the refusal owed to the first coordinate past int32
+	// (413, wide) or else to the first negative one (400); it waits for
+	// the grammar to be checked to the end, and nothing is recorded once
+	// it is set.
+	misfit error
+	wide   bool
+}
+
+// maxSpan is the longest value token kept as text. Without an exponent
+// that many bytes cannot overflow a float64 nor round a nonzero digit
+// string to zero, so accepting the token unconverted decides nothing
+// wrongly; its length also fits the low byte of a vals word.
+const maxSpan = 40
+
+// value is the k-th value as a float64. A span was validated against
+// the number grammar and is too short to overflow, so its conversion
+// cannot fail.
+func (t *triplets) value(data []byte, k int) float64 {
+	w := t.vals[k]
+	n := int(w & 0xFF)
+	if n == 0 {
+		return t.conv[w>>8]
+	}
+	off := int(w >> 8)
+	f, _ := parseFloat(data[off : off+n])
+	return f
+}
+
+// bodyScanner is a cursor over one JSON predict body, and what it has
+// read so far. spmvSeconds optionally reports how long the client's own
+// SpMV took for this pattern in its current format — closing the
+// feedback loop with a measured timing instead of the server's cachesim
+// estimate; prediction ignores it.
 type bodyScanner struct {
 	data []byte
 	pos  int
+
+	rows, cols  int
+	spmvSeconds float64
+	ents        triplets
 }
 
 func (s *bodyScanner) errorf(format string, args ...any) error {
@@ -149,14 +296,16 @@ func (s *bodyScanner) null() bool {
 	return false
 }
 
-func (s *bodyScanner) request(ctx context.Context, maxNNZ int) (request, error) {
-	var req request
+// request scans the whole body: the one pass that validates the
+// grammar, narrows and hashes every coordinate and notes where every
+// value is.
+func (s *bodyScanner) request(ctx context.Context, maxNNZ int) error {
 	if err := s.expect('{', "the request object"); err != nil {
-		return req, err
+		return err
 	}
 	if s.peek() == '}' {
 		s.pos++
-		return req, nil
+		return nil
 	}
 	const (
 		fRows = 1 << iota
@@ -167,11 +316,11 @@ func (s *bodyScanner) request(ctx context.Context, maxNNZ int) (request, error) 
 	seen := 0
 	for {
 		if err := s.expect('"', "a field name"); err != nil {
-			return req, err
+			return err
 		}
 		end := bytes.IndexByte(s.data[s.pos:], '"')
 		if end < 0 {
-			return req, s.errorf("unterminated field name")
+			return s.errorf("unterminated field name")
 		}
 		// A name with an escape in it ends early here and is unknown,
 		// as is one in another case: the four spellings are the grammar.
@@ -186,118 +335,169 @@ func (s *bodyScanner) request(ctx context.Context, maxNNZ int) (request, error) 
 		case "spmv_seconds":
 			field = fSeconds
 		default:
-			return req, s.errorf("unknown field %q", name)
+			return s.errorf("unknown field %q", name)
 		}
 		if seen&field != 0 {
-			return req, s.errorf("field %q given twice", s.data[s.pos:s.pos+end])
+			return s.errorf("field %q given twice", s.data[s.pos:s.pos+end])
 		}
 		seen |= field
 		s.pos += end + 1
 		if err := s.expect(':', "a field"); err != nil {
-			return req, err
+			return err
 		}
 		var err error
 		switch {
 		case s.null():
 		case field == fRows:
-			req.rows, err = s.dimension()
+			s.rows, err = s.dimension()
 		case field == fCols:
-			req.cols, err = s.dimension()
+			s.cols, err = s.dimension()
 		case field == fEntries:
-			req.entries, err = s.entries(ctx, maxNNZ)
+			err = s.entries(ctx, maxNNZ)
 		case field == fSeconds:
 			var n number
 			if n, err = s.number(); err == nil {
-				req.spmvSeconds, err = s.float(n)
+				s.spmvSeconds, err = s.float(n)
 			}
 		}
 		if err != nil {
-			return req, err
+			return err
 		}
 		if s.peek() == ',' {
 			s.pos++
 			continue
 		}
-		return req, s.expect('}', "the request object")
+		return s.expect('}', "the request object")
 	}
 }
 
-// entries scans the triplet array under the cursor into a slice sized
+// entries scans the triplet array under the cursor into slices sized
 // once. The size comes from the bytes that remain — no triplet is
 // shorter than "[0,0,0]," and each opens one bracket — and never from
-// beyond maxNNZ, so the allocation is bounded by the smaller of three
-// times the body and the cap, and a body one triplet over the cap is
-// refused at that triplet, not after it has all been stored.
-func (s *bodyScanner) entries(ctx context.Context, maxNNZ int) ([]sparse.Entry, error) {
+// beyond maxNNZ, so the allocation is bounded by the smaller of twice
+// the body and the cap, and a body one triplet over the cap is refused
+// at that triplet, not after it has all been stored.
+func (s *bodyScanner) entries(ctx context.Context, maxNNZ int) error {
 	if err := s.expect('[', "entries"); err != nil {
-		return nil, err
+		return err
 	}
 	if s.peek() == ']' {
 		s.pos++
-		return nil, nil
+		return nil
 	}
 	rest := s.data[s.pos:]
 	hint := min(len(rest)/len("[0,0,0],")+1, bytes.Count(rest, []byte{'['}))
 	if maxNNZ > 0 {
 		hint = min(hint, maxNNZ)
 	}
-	es := make([]sparse.Entry, 0, hint)
-	for {
-		if maxNNZ > 0 && len(es) == maxNNZ {
-			return nil, fmt.Errorf("%w: more than %d entries", sparse.ErrTooLarge, maxNNZ)
+	t := &s.ents
+	t.ri, t.ci, t.vals = make([]int32, 0, hint), make([]int32, 0, hint), make([]uint64, 0, hint)
+	for n := 0; ; n++ {
+		if maxNNZ > 0 && n == maxNNZ {
+			return fmt.Errorf("%w: more than %d entries", sparse.ErrTooLarge, maxNNZ)
 		}
-		if len(es) > 0 && len(es)%sparse.CtxCheckEvery == 0 {
+		if n > 0 && n%sparse.CtxCheckEvery == 0 {
 			if err := sparse.ParseCheckpoint(ctx); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		e, err := s.triplet()
-		if err != nil {
-			return nil, err
+		if err := s.triplet(); err != nil {
+			return err
 		}
-		es = append(es, e)
 		if s.peek() == ',' {
 			s.pos++
 			continue
 		}
-		return es, s.expect(']', "entries")
+		return s.expect(']', "entries")
 	}
 }
 
 // triplet scans one [row, col, value].
-func (s *bodyScanner) triplet() (e sparse.Entry, err error) {
-	if err = s.expect('[', "a triplet"); err != nil {
-		return e, err
+func (s *bodyScanner) triplet() error {
+	if err := s.expect('[', "a triplet"); err != nil {
+		return err
 	}
-	if e.Row, err = s.coordinate(); err != nil {
-		return e, err
-	}
-	if err = s.expect(',', "a triplet"); err != nil {
-		return e, err
-	}
-	if e.Col, err = s.coordinate(); err != nil {
-		return e, err
+	row, err := s.coordinate()
+	if err != nil {
+		return err
 	}
 	if err = s.expect(',', "a triplet"); err != nil {
-		return e, err
+		return err
+	}
+	col, err := s.coordinate()
+	if err != nil {
+		return err
+	}
+	if err = s.expect(',', "a triplet"); err != nil {
+		return err
 	}
 	v, err := s.number()
 	if err != nil {
-		return e, err
+		return err
 	}
-	if e.Val, err = s.float(v); err != nil {
-		return e, err
+	if err = s.add(row, col, v); err != nil {
+		return err
 	}
-	return e, s.expect(']', "a triplet")
+	return s.expect(']', "a triplet")
+}
+
+// add records the triplet the cursor has just left; v is its value
+// token, the last thing scanned.
+func (s *bodyScanner) add(row, col int, v number) error {
+	t := &s.ents
+	if uint64(row) > math.MaxInt32 || uint64(col) > math.MaxInt32 {
+		switch wide := row > math.MaxInt32 || col > math.MaxInt32; {
+		case wide && !t.wide:
+			t.wide = true
+			t.misfit = fmt.Errorf("%w: entry (%d,%d) does not fit 32-bit indices", sparse.ErrTooLarge, row, col)
+		case t.misfit == nil:
+			t.misfit = fmt.Errorf("%w: entry (%d,%d) has a negative index", sparse.ErrMalformed, row, col)
+		}
+	}
+	if t.misfit != nil {
+		// The value is still held to the grammar: one that overflows is
+		// a 400 now, ahead of the refusal that waits.
+		_, err := s.float(v)
+		return err
+	}
+	r, c := int32(row), int32(col)
+	pos := int64(row)<<32 | int64(col)
+	if pos <= t.prev {
+		t.canonical = false
+	}
+	t.prev = pos
+	t.maxRow, t.maxCol = max(t.maxRow, r), max(t.maxCol, c)
+	t.hash = t.hash.Add(r, c)
+	t.ri, t.ci = append(t.ri, r), append(t.ci, c)
+
+	if !v.exp && len(v.text) <= maxSpan {
+		if !v.nonzero {
+			t.canonical = false
+		}
+		off := s.pos - len(v.text)
+		t.vals = append(t.vals, uint64(off)<<8|uint64(len(v.text)))
+		return nil
+	}
+	// An exponent or a very long mantissa can overflow (refused here,
+	// as it always was) or underflow to a zero no digit shows.
+	f, err := s.float(v)
+	if err != nil {
+		return err
+	}
+	if f == 0 {
+		t.canonical = false
+	}
+	t.vals = append(t.vals, uint64(len(t.conv))<<8)
+	t.conv = append(t.conv, f)
+	return nil
 }
 
 // number is one token of the JSON number grammar.
 type number struct {
 	text    []byte
-	mag     uint64 // the digits' value, when small
-	neg     bool
 	integer bool // no fraction, no exponent
-	small   bool // integer of at most 18 digits: mag is exact and fits an int
+	exp     bool // has an exponent
+	nonzero bool // some digit before the exponent is not 0
 }
 
 // number scans the token under the cursor. What may follow a number is
@@ -308,12 +508,12 @@ func (s *bodyScanner) number() (number, error) {
 	d, i := s.data, s.pos
 	var n number
 	if i < len(d) && d[i] == '-' {
-		n.neg = true
 		i++
 	}
 	first := i
+	var digits byte // the OR of every mantissa digit
 	for ; i < len(d) && d[i]-'0' <= 9; i++ {
-		n.mag = n.mag*10 + uint64(d[i]-'0')
+		digits |= d[i]
 	}
 	if i == first || (d[first] == '0' && i-first > 1) {
 		return n, s.errorf("not a JSON number")
@@ -324,13 +524,14 @@ func (s *bodyScanner) number() (number, error) {
 		i++
 		frac := i
 		for ; i < len(d) && d[i]-'0' <= 9; i++ {
+			digits |= d[i]
 		}
 		if i == frac {
 			return n, s.errorf("not a JSON number: no digit after the point")
 		}
 	}
 	if i < len(d) && d[i]|0x20 == 'e' {
-		n.integer = false
+		n.integer, n.exp = false, true
 		i++
 		if i < len(d) && (d[i] == '+' || d[i] == '-') {
 			i++
@@ -342,41 +543,65 @@ func (s *bodyScanner) number() (number, error) {
 			return n, s.errorf("not a JSON number: no digit in the exponent")
 		}
 	}
-	n.small = n.integer && i-first <= 18
+	n.nonzero = digits&0x0F != 0
 	n.text = d[s.pos:i]
 	s.pos = i
 	return n, nil
 }
 
-// float is the token's float64, exactly as strconv.ParseFloat reads it;
-// a token too large for one is malformed.
+// float is the token's float64; a token too large for one is malformed.
 func (s *bodyScanner) float(n number) (float64, error) {
-	if n.small && n.mag < 1<<53 {
-		f := float64(n.mag)
-		if n.neg {
-			f = -f // "-0" is negative zero, as ParseFloat has it
-		}
-		return f, nil
-	}
-	f, err := strconv.ParseFloat(string(n.text), 64)
+	f, err := parseFloat(n.text)
 	if err != nil {
 		return 0, s.errorf("number %s does not fit a float64", n.text)
 	}
 	return f, nil
 }
 
+// parseFloat is strconv.ParseFloat on a token of the JSON number
+// grammar, bit for bit. Digits alone, as a pattern-only client writes
+// every value, are exact below 10^15 and converted where they stand.
+func parseFloat(text []byte) (float64, error) {
+	if len(text) > 15 {
+		return strconv.ParseFloat(string(text), 64)
+	}
+	digits, neg := text, text[0] == '-'
+	if neg {
+		digits = text[1:]
+	}
+	var mag uint64
+	for _, c := range digits {
+		if c-'0' > 9 {
+			return strconv.ParseFloat(string(text), 64)
+		}
+		mag = mag*10 + uint64(c-'0')
+	}
+	if neg {
+		return -float64(mag), nil // "-0" is negative zero, as ParseFloat has it
+	}
+	return float64(mag), nil
+}
+
 // coordinate scans a row or column index. Digits alone — what every
-// client sends — never reach ParseFloat.
+// client sends — are read where they stand; any other spelling of an
+// integer ("2.0", "2e0", "-1") goes by way of its float64, as
+// encoding/json into a float64 field took it.
 func (s *bodyScanner) coordinate() (int, error) {
+	s.peek()
+	d, i := s.data, s.pos
+	var v int
+	for ; i < len(d) && d[i]-'0' <= 9; i++ {
+		v = v*10 + int(d[i]-'0')
+	}
+	if n := i - s.pos; n == 1 || (n > 1 && n <= 18 && d[s.pos] != '0') {
+		if i == len(d) || (d[i] != '.' && d[i]|0x20 != 'e') {
+			s.pos = i
+			return v, nil
+		}
+	}
 	n, err := s.number()
 	if err != nil {
 		return 0, err
-	}
-	if n.small {
-		if n.neg {
-			return -int(n.mag), nil
-		}
-		return int(n.mag), nil
 	}
 	f, err := s.float(n)
 	if err != nil {

@@ -13,9 +13,10 @@ import (
 // FuzzPredictJSON drives the full request-ingestion path — body size
 // cap, content sniffing, JSON and MatrixMarket decoding, resource
 // limits, COO construction — with arbitrary bodies and content types.
-// The invariant is the robustness contract: parseMatrix never panics,
-// and every rejection maps onto the typed 400/413/422 taxonomy (no
-// rejection may look like a server fault).
+// The invariant is the robustness contract: scanBody never panics,
+// every rejection maps onto the typed 400/413/422 taxonomy (no
+// rejection may look like a server fault), and a body it accepts always
+// materialises.
 func FuzzPredictJSON(f *testing.F) {
 	for _, body := range predictJSONSeeds {
 		f.Add(body, "application/json")
@@ -26,7 +27,7 @@ func FuzzPredictJSON(f *testing.F) {
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 9\n1 1 1\n", "text/plain")
 	f.Add("not a matrix at all", "text/plain")
 
-	// A model-less server is enough: parseMatrix only needs cfg.
+	// A model-less server is enough: scanBody only needs cfg.
 	cfg := Config{
 		MaxBodyBytes: 1 << 16,
 		Limits: sparse.Limits{
@@ -45,12 +46,16 @@ func FuzzPredictJSON(f *testing.F) {
 		}
 		req := httptest.NewRequest("POST", "/v1/predict", bytes.NewReader([]byte(body)))
 		req.Header.Set("Content-Type", contentType)
-		m, _, err := s.parseMatrix(context.Background(), req)
+		sc, err := s.scanBody(context.Background(), req)
 		if err != nil {
 			if st := ingestStatus(err); st != 400 && st != 413 && st != 422 {
 				t.Fatalf("rejection mapped to status %d (err %v)", st, err)
 			}
 			return
+		}
+		m, err := sc.Matrix()
+		if err != nil {
+			t.Fatalf("accepted by the scan, refused by materialise: %v", err)
 		}
 		// Accepted matrices must respect the configured resource budget
 		// (×2 headroom: symmetric MatrixMarket entries expand to two).

@@ -170,17 +170,27 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	ctx = obs.WithTrace(ctx, tr)
 
+	// parse is the scan alone: the body is validated and fingerprinted
+	// here, and becomes a matrix (the materialise span) only if the
+	// cache cannot answer.
 	parseStart := time.Now()
-	m, clientSec, err := s.parseMatrix(ctx, r)
-	meta.clientSec = clientSec
+	sc, err := s.scanBody(ctx, r)
 	tr.ObserveSpan("parse", parseStart)
 	if err != nil {
 		code = ingestStatus(err)
 		writeJSON(w, code, errorResponse{Error: err.Error()})
 		return
 	}
+	meta.clientSec = sc.SpmvSeconds()
+	// A client whose bodies are never "streamed" pays the full decode on
+	// every cache hit; this is where that shows.
+	if sc.Streamed() {
+		s.met.parsed.With(`path="streamed"`).Inc()
+	} else {
+		s.met.parsed.With(`path="built"`).Inc()
+	}
 
-	resp, err := s.predictOne(ctx, m, meta)
+	resp, err := s.predictOne(ctx, sc, meta)
 	if meta.cacheStatus != "" {
 		w.Header().Set("X-Cache-Status", meta.cacheStatus)
 	}
@@ -276,14 +286,14 @@ func isRetryAttempt(v string) bool {
 	return err == nil && n >= 1
 }
 
-// parseMatrix reads and decodes the request body, bounded by
-// MaxBodyBytes and cfg.Limits.
-func (s *Server) parseMatrix(ctx context.Context, r *http.Request) (*sparse.COO, float64, error) {
+// scanBody reads and scans the request body, bounded by MaxBodyBytes
+// and cfg.Limits.
+func (s *Server) scanBody(ctx context.Context, r *http.Request) (*Scanned, error) {
 	data, err := ReadBody(r, s.cfg.MaxBodyBytes)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return DecodeMatrixMeta(ctx, data, r.Header.Get("Content-Type"), s.cfg.Limits)
+	return ScanMatrix(ctx, data, r.Header.Get("Content-Type"), s.cfg.Limits)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

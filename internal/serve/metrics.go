@@ -44,6 +44,7 @@ type metrics struct {
 	latency        *obs.HistogramVec // endpoint -> seconds
 	predictions    *obs.CounterVec   // format
 	fallbacks      *obs.CounterVec   // reason class
+	parsed         *obs.CounterVec   // accepted bodies by path (streamed, built)
 	cacheHits      *obs.Counter
 	cacheMisses    *obs.Counter
 	cacheEvictions *obs.Counter
@@ -107,6 +108,7 @@ func newMetrics() *metrics {
 	m.breakerState = r.Gauge("serve_breaker_state", "Circuit breaker state (0=closed, 1=open, 2=half-open).")
 	m.breakerShortCircuits = r.Counter("serve_breaker_short_circuits_total", "Requests routed past the CNN rung while the breaker was open.")
 
+	m.parsed = r.CounterVec("serve_parse_total", "Accepted predict bodies, by path: streamed (canonical JSON, fingerprinted while scanned; a cache hit builds no matrix) or built (unsorted, duplicate- or zero-bearing JSON and Matrix Market: full decode before the cache).")
 	m.cacheHits = r.Counter("serve_cache_hits_total", "Prediction cache hits (NN forward pass skipped).")
 	m.cacheMisses = r.Counter("serve_cache_misses_total", "Prediction cache misses.")
 	m.cacheEvictions = r.Counter("serve_cache_evictions_total", "Prediction cache LRU evictions.")

@@ -430,15 +430,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // trace, which gains the cache span here and queue/rung/forward spans
 // on the worker side. meta carries the cluster hints in and the
 // cache/peer outcomes back out to the handler's response headers.
-func (s *Server) predictOne(ctx context.Context, m *sparse.COO, meta *predictMeta) (response, error) {
+func (s *Server) predictOne(ctx context.Context, sc *Scanned, meta *predictMeta) (response, error) {
 	tr := obs.TraceFrom(ctx)
 	cacheStart := time.Now()
-	fp := sparse.Fingerprint(m)
+	fp := sc.Fingerprint()
 	if pred, gen, ok := s.cache.Get(fp); ok {
 		s.met.cacheHits.Inc()
 		tr.ObserveSpan("cache", cacheStart)
 		meta.cacheStatus = "hit"
-		s.recordFeedback(m, fp, pred, rungCNN, gen, true, meta.clientSec)
+		// A hit needs the matrix only to log its pattern.
+		if s.fb != nil {
+			m, err := materialise(tr, sc)
+			if err != nil {
+				return response{}, err
+			}
+			s.recordFeedback(m, fp, pred, rungCNN, gen, true, meta.clientSec)
+		}
 		// Only CNN-rung answers are ever cached, so a hit reports the
 		// cnn rung.
 		return makeResponse(pred, gen, true, rungCNN), nil
@@ -496,7 +503,7 @@ func (s *Server) predictOne(ctx context.Context, m *sparse.COO, meta *predictMet
 			jctx = base
 		}
 	}
-	j := &job{ctx: jctx, cancel: jcancel, m: m, fp: fp, tr: tr, enqueued: time.Now(), call: c, clientSec: meta.clientSec}
+	j := &job{ctx: jctx, cancel: jcancel, fp: fp, tr: tr, call: c, clientSec: meta.clientSec}
 	// SLO-driven admission (when enabled): the adaptive limiter decides
 	// whether this job may enter the system, and a request whose
 	// remaining deadline cannot cover the expected queue wait is shed
@@ -511,6 +518,15 @@ func (s *Server) predictOne(ctx context.Context, m *sparse.COO, meta *predictMet
 			return response{}, aerr
 		}
 		j.admitted = true
+	}
+	// Nothing short of a computed answer needs the matrix: the cache,
+	// the peer, an in-flight duplicate and admission were all asked
+	// without it. The job's time in the system starts once it exists.
+	m, err := materialise(tr, sc)
+	j.m, j.enqueued = m, time.Now()
+	if err != nil {
+		s.finishJob(j, jobResult{err: err})
+		return response{}, err
 	}
 	if err := s.pool.Submit(func() { s.runJob(j) }); err != nil {
 		// Admission control: a full queue sheds immediately (the
@@ -534,6 +550,19 @@ func (s *Server) predictOne(ctx context.Context, m *sparse.COO, meta *predictMet
 	case <-ctx.Done():
 		return response{}, ctx.Err()
 	}
+}
+
+// materialise is sc.Matrix, under a span of its own when there are
+// values still to convert — so a trace shows that a hit's parse was the
+// scan alone and what a miss paid on top of it.
+func materialise(tr *obs.Trace, sc *Scanned) (*sparse.COO, error) {
+	if !sc.Streamed() {
+		return sc.Matrix()
+	}
+	start := time.Now()
+	m, err := sc.Matrix()
+	tr.ObserveSpan("materialise", start)
+	return m, err
 }
 
 // waitResult converts a completed call into the handler-facing answer.

@@ -73,6 +73,35 @@ func NewCOOOwned(rows, cols int, es []Entry) (*COO, error) {
 	return c, nil
 }
 
+// NewCOOCanonical adopts index and value arrays that already are
+// canonical COO — every index in range, strictly row-major (so no
+// position twice), no zero value — as a reader that checked all that
+// while scanning hands them over. It verifies rather than trusts: one
+// allocation-free pass, and input that is not canonical is an error,
+// not a matrix that breaks every kernel's invariant. The slices belong
+// to the matrix afterwards.
+func NewCOOCanonical(rows, cols int, ri, ci []int32, vals []float64) (*COO, error) {
+	if rows <= 0 || cols <= 0 {
+		return nil, fmt.Errorf("sparse: non-positive dimensions %dx%d", rows, cols)
+	}
+	if len(ri) != len(vals) || len(ci) != len(vals) {
+		return nil, fmt.Errorf("sparse: %d rows, %d cols, %d values: not parallel arrays", len(ri), len(ci), len(vals))
+	}
+	prev := int64(-1)
+	for k, v := range vals {
+		r, c := ri[k], ci[k]
+		if r < 0 || int(r) >= rows || c < 0 || int(c) >= cols {
+			return nil, fmt.Errorf("sparse: entry (%d,%d) out of range for %dx%d matrix", r, c, rows, cols)
+		}
+		pos := int64(r)<<32 | int64(c)
+		if pos <= prev || v == 0 {
+			return nil, fmt.Errorf("sparse: entry %d (%d,%d,%g) is not canonical", k, r, c, v)
+		}
+		prev = pos
+	}
+	return &COO{rows: rows, cols: cols, Rows: ri, Cols: ci, Vals: vals}, nil
+}
+
 // MustCOO is NewCOO that panics on error; for use with known-good data
 // such as generators and tests.
 func MustCOO(rows, cols int, entries []Entry) *COO {

@@ -25,17 +25,38 @@ func Fingerprint(m *COO) uint64 {
 	if m == nil {
 		return 0
 	}
-	var sum, xor uint64
+	var h PatternHash
 	for k := range m.Rows {
-		h := mix64(uint64(uint32(m.Rows[k]))<<32 | uint64(uint32(m.Cols[k])))
-		sum += h
-		xor ^= h
+		h = h.Add(m.Rows[k], m.Cols[k])
 	}
-	h := mix64(uint64(m.rows)*0x9E3779B97F4A7C15 ^ uint64(m.cols))
-	h = mix64(h ^ uint64(m.NNZ()))
-	h = mix64(h ^ sum)
-	h = mix64(h ^ xor)
-	return h
+	return h.Sum(m.rows, m.cols)
+}
+
+// PatternHash is Fingerprint computed one coordinate at a time, for a
+// reader that meets the pattern before (or instead of) building a COO.
+// Add every stored position exactly once, in any order, then Sum with
+// the dimensions: the result is Fingerprint of the canonical matrix
+// with those positions. The zero value is ready to use.
+type PatternHash struct {
+	sum, xor uint64
+	n        uint64
+}
+
+// Add returns the hash with one more (row, col) position mixed in. (By
+// value, so that a loop over a local hash runs in registers.)
+func (h PatternHash) Add(row, col int32) PatternHash {
+	x := mix64(uint64(uint32(row))<<32 | uint64(uint32(col)))
+	return PatternHash{sum: h.sum + x, xor: h.xor ^ x, n: h.n + 1}
+}
+
+// Sum folds the shape and the number of positions added over the
+// commutative reductions and returns the fingerprint.
+func (h PatternHash) Sum(rows, cols int) uint64 {
+	x := mix64(uint64(rows)*0x9E3779B97F4A7C15 ^ uint64(cols))
+	x = mix64(x ^ h.n)
+	x = mix64(x ^ h.sum)
+	x = mix64(x ^ h.xor)
+	return x
 }
 
 // mix64 is the SplitMix64 finaliser: a cheap bijective mixer with good

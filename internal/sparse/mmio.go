@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/faultinject"
 )
@@ -155,8 +157,12 @@ func ReadMatrixMarketLimits(ctx context.Context, r io.Reader, lim Limits) (*COO,
 	read := 0
 	sinceCheck := 0
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "%") {
+		// sc.Bytes and an in-place split: a request pays for this loop
+		// once per nonzero, and a string plus a []string a line was most
+		// of what a Matrix Market body allocated.
+		line := bytes.TrimSpace(sc.Bytes())
+		fields, nf := fields3(line)
+		if nf == 0 || fields[0][0] == '%' {
 			continue
 		}
 		if sinceCheck++; sinceCheck >= CtxCheckEvery {
@@ -170,15 +176,14 @@ func ReadMatrixMarketLimits(ctx context.Context, r io.Reader, lim Limits) (*COO,
 		if read >= nnz {
 			return nil, fmt.Errorf("%w: stream has more entries than the declared %d", ErrMalformed, nnz)
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
+		if nf < 2 {
 			return nil, fmt.Errorf("%w: bad MatrixMarket entry %q", ErrMalformed, line)
 		}
-		i, err := strconv.Atoi(fields[0])
+		i, err := atoiBytes(fields[0])
 		if err != nil {
 			return nil, fmt.Errorf("%w: bad row index in %q: %v", ErrMalformed, line, err)
 		}
-		j, err := strconv.Atoi(fields[1])
+		j, err := atoiBytes(fields[1])
 		if err != nil {
 			return nil, fmt.Errorf("%w: bad col index in %q: %v", ErrMalformed, line, err)
 		}
@@ -189,10 +194,10 @@ func ReadMatrixMarketLimits(ctx context.Context, r io.Reader, lim Limits) (*COO,
 		}
 		v := 1.0
 		if valType != "pattern" {
-			if len(fields) < 3 {
+			if nf < 3 {
 				return nil, fmt.Errorf("%w: missing value in %q", ErrMalformed, line)
 			}
-			v, err = strconv.ParseFloat(fields[2], 64)
+			v, err = strconv.ParseFloat(string(fields[2]), 64)
 			if err != nil {
 				return nil, fmt.Errorf("%w: bad value in %q: %v", ErrMalformed, line, err)
 			}
@@ -230,6 +235,54 @@ func ReadMatrixMarketLimits(ctx context.Context, r io.Reader, lim Limits) (*COO,
 		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
 	}
 	return c, nil
+}
+
+// fields3 is strings.Fields for the first three fields of a line,
+// without the []string: n is how many there are, and 3 also stands for
+// "three or more" since nothing reads past the value. A byte outside
+// ASCII sends the line through bytes.Fields, so the same Unicode spaces
+// separate fields as always did.
+func fields3(line []byte) (f [3][]byte, n int) {
+	i := 0
+	for n < 3 {
+		for i < len(line) && asciiSpace(line[i]) {
+			i++
+		}
+		if i == len(line) {
+			break
+		}
+		start := i
+		for i < len(line) && !asciiSpace(line[i]) {
+			if line[i] >= utf8.RuneSelf {
+				n = copy(f[:], bytes.Fields(line))
+				return f, n
+			}
+			i++
+		}
+		f[n] = line[start:i]
+		n++
+	}
+	return f, n
+}
+
+func asciiSpace(c byte) bool {
+	return c == ' ' || (c >= '\t' && c <= '\r')
+}
+
+// atoiBytes is strconv.Atoi on a field; digits alone, which is every
+// index a writer emits, are converted where they stand.
+func atoiBytes(b []byte) (int, error) {
+	if len(b) == 0 || len(b) > 18 {
+		return strconv.Atoi(string(b))
+	}
+	v := 0
+	for _, c := range b {
+		if c-'0' > 9 {
+			return strconv.Atoi(string(b))
+		}
+		v = v*10 + int(c-'0')
+	}
+	return v, nil
 }
 
 // parseDim parses a non-negative size-line integer.
