@@ -79,7 +79,7 @@ fuzz:
 # 25% gate threshold hold on noisy shared runners. -benchmem is
 # mandatory on the guarded run: the alloc columns are part of the gate.
 BENCHTIME ?= 200ms
-GUARDED_PKGS = ./internal/spmv ./internal/tensor ./internal/represent ./internal/serve ./internal/dataset ./internal/nn ./internal/sparse
+GUARDED_PKGS = ./internal/spmv ./internal/tensor ./internal/represent ./internal/serve ./internal/dataset ./internal/nn ./internal/sparse ./internal/selector
 GUARDED_BENCH = 'KernelMul|MatMul|Normalize|Predict|Decode|Fingerprint|ShardIter|Infer32'
 bench:
 	$(GO) test -bench=. -benchtime=$(BENCHTIME) -benchmem -run=^$$ ./... > BENCH.txt || { cat BENCH.txt; exit 1; }

@@ -32,8 +32,11 @@ type Options struct {
 	Count int
 	// MaxN bounds the generated matrix dimension.
 	MaxN int
-	// Representation selects the input normalisation (default:
-	// histogram, the paper's best).
+	// Representation selects the input normalisation. The zero value is
+	// represent.KindBinary — the scaled binary image, one tower — so
+	// Train(Options{}) trains a Binary selector; the paper's best,
+	// represent.KindHistogram, has to be asked for (cmd/train's -rep
+	// flag defaults to it, and every example sets it).
 	Representation represent.Kind
 	// RepSize / RepBins fix the representation geometry (defaults
 	// 32×16; the paper uses 128×50).

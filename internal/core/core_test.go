@@ -224,3 +224,12 @@ func TestGPUPlatformTrains(t *testing.T) {
 		t.Fatalf("GPU formats: %v", res.Dataset.Formats)
 	}
 }
+
+// TestZeroOptionsTrainBinary pins what Options.Representation documents:
+// the zero value is the binary image, so that is what Train(Options{})
+// — and every artifact trained without naming a representation — uses.
+func TestZeroOptionsTrainBinary(t *testing.T) {
+	if k := (Options{}).Representation; k != represent.KindBinary || k.String() != "Binary" {
+		t.Fatalf("zero-valued Options.Representation is %v, documented as Binary", k)
+	}
+}

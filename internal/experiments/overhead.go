@@ -8,6 +8,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/features"
 	"repro/internal/machine"
+	"repro/internal/nn"
 	"repro/internal/represent"
 	"repro/internal/selector"
 	"repro/internal/sparse"
@@ -45,23 +46,31 @@ func RunOverhead(o Options, w io.Writer) (*OverheadResult, error) {
 	res := &OverheadResult{ConvertX: map[sparse.Format]float64{}}
 	res.CSRIterSec = machine.Measure(csr, 0, 11)
 
-	repCfg := represent.Config{Kind: represent.KindHistogram, Size: o.RepSize, Bins: o.RepBins}
-	res.CNNReprX = timeOf(func() {
-		if _, err := represent.Normalize(c, repCfg); err != nil {
-			panic(err)
-		}
-	}, 5) / res.CSRIterSec
-
+	// Both CNN steps are timed as selector.Predict runs them: the
+	// representation written into float32 scratch, then the compiled
+	// engine's forward pass over it.
 	cfg := o.cnnConfig(represent.KindHistogram, paperCPUFormats())
 	s, err := selector.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	inputs, err := represent.Normalize(c, repCfg)
+	rep := make([]float32, cfg.Represent.Len())
+	res.CNNReprX = timeOf(func() {
+		if err := represent.Into(rep, c, cfg.Represent); err != nil {
+			panic(err)
+		}
+	}, 5) / res.CSRIterSec
+
+	eng, err := nn.BuildInfer32(s.Model, selector.InputShapes(cfg))
 	if err != nil {
 		return nil, err
 	}
-	res.CNNInferX = timeOf(func() { s.Model.Predict(inputs) }, 5) / res.CSRIterSec
+	probs := make([]float64, eng.Classes())
+	res.CNNInferX = timeOf(func() {
+		if _, err := eng.PredictInto(probs, func(in []float32) error { copy(in, rep); return nil }); err != nil {
+			panic(err)
+		}
+	}, 5) / res.CSRIterSec
 
 	res.DTFeatX = timeOf(func() { features.BaselineExtract(c) }, 5) / res.CSRIterSec
 	res.FullStatsX = timeOf(func() { sparse.ComputeStats(c) }, 5) / res.CSRIterSec

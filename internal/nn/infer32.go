@@ -12,9 +12,12 @@ import (
 // selector's fixed input geometry. Compilation walks the layer stacks
 // once, snapshots all weights as float32, fuses each Conv2D or Dense
 // with a directly following ReLU, drops inference no-ops (Flatten,
-// Dropout), and sizes a reusable scratch arena for the whole forward
-// pass — so Predict performs zero heap allocations and no layer-type
-// dispatch beyond a switch on a precompiled op code.
+// Dropout), and sizes one reusable float32 arena for the whole forward
+// pass — inputs, the zero-bordered copy a padded convolution reads,
+// two ping-pong activation buffers and the merged tower features — so
+// a prediction performs zero heap allocations and no layer-type
+// dispatch beyond a switch on a precompiled op code. Convolutions are
+// direct (tensor.ConvF32): no lowered matrix is ever built.
 //
 // The engine snapshots weights at build time: after further training
 // the owner must rebuild (the selector drops its engine whenever a
@@ -28,11 +31,12 @@ type Infer32 struct {
 	towerIn [][3]int // (C,H,W) per tower input
 	featLen []int    // flattened feature size per tower
 	classes int
+	inLen   int // all tower inputs, back to back
 	maxVol  int // largest activation volume anywhere in the net
-	maxCol  int // largest im2col matrix
+	maxPad  int // largest zero-bordered convolution input
 	featTot int
 
-	scratch sync.Pool // of *scratch32
+	scratch sync.Pool // of *arena32
 }
 
 type opKind uint8
@@ -52,26 +56,37 @@ type op32 struct {
 	outC     int
 	w, b     []float32
 	fuseRelu bool
-	// pool
-	k, stride int
-	// shared shape bookkeeping
-	inC, inH, inW     int
-	outH, outW        int
-	inLen, outLen     int
+	// pool: input shape, the window clamped to it, output shape
+	inC, inH, inW  int
+	kh, kw, stride int
+	outH, outW     int
+	// dense
 	denseIn, denseOut int
+	outLen            int // flattened output size, every kind
 }
 
-type scratch32 struct {
-	in     []float32 // f64→f32 input conversion
-	a, b   []float32 // ping-pong activations
-	col    []float32 // im2col matrix
-	feat   []float32 // concatenated tower features
-	logits []float32
+// arena32 is one caller's scratch: a single allocation carved into the
+// buffers of a forward pass.
+type arena32 struct {
+	in   []float32 // tower inputs, back to back
+	pad  []float32 // zero-bordered convolution input
+	a, b []float32 // ping-pong activations
+	feat []float32 // concatenated tower features
+}
+
+func (e *Infer32) newArena() *arena32 {
+	buf := make([]float32, e.inLen+e.maxPad+2*e.maxVol+e.featTot)
+	carve := func(n int) []float32 {
+		part := buf[:n:n]
+		buf = buf[n:]
+		return part
+	}
+	return &arena32{in: carve(e.inLen), pad: carve(e.maxPad), a: carve(e.maxVol), b: carve(e.maxVol), feat: carve(e.featTot)}
 }
 
 // BuildInfer32 compiles a model for the given per-tower input shapes
 // (each (C,H,W)). It returns an error on any layer type outside the
-// selector's inference set — the caller keeps the float64 path.
+// selector's inference set.
 func BuildInfer32(m *Model, inputShapes [][]int) (*Infer32, error) {
 	if m == nil {
 		return nil, fmt.Errorf("nn: BuildInfer32: nil model")
@@ -79,8 +94,7 @@ func BuildInfer32(m *Model, inputShapes [][]int) (*Infer32, error) {
 	if len(inputShapes) != len(m.Towers) {
 		return nil, fmt.Errorf("nn: BuildInfer32: %d towers, %d input shapes", len(m.Towers), len(inputShapes))
 	}
-	e := &Infer32{classes: -1}
-	featTot := 0
+	e := &Infer32{}
 	for i, tw := range m.Towers {
 		shape := inputShapes[i]
 		if len(shape) != 3 {
@@ -93,28 +107,14 @@ func BuildInfer32(m *Model, inputShapes [][]int) (*Infer32, error) {
 		e.towers = append(e.towers, ops)
 		e.towerIn = append(e.towerIn, [3]int{shape[0], shape[1], shape[2]})
 		e.featLen = append(e.featLen, outLen)
-		featTot += outLen
+		e.inLen += volume(shape)
+		e.featTot += outLen
 	}
-	e.featTot = featTot
-	headOps, headOut, err := e.compileStack(m.Head, []int{featTot})
-	if err != nil {
+	var err error
+	if e.head, e.classes, err = e.compileStack(m.Head, []int{e.featTot}); err != nil {
 		return nil, fmt.Errorf("nn: BuildInfer32: head: %w", err)
 	}
-	e.head = headOps
-	e.classes = headOut
-	if featTot > e.maxVol {
-		e.maxVol = featTot
-	}
-	e.scratch.New = func() any {
-		return &scratch32{
-			in:     make([]float32, e.maxVol),
-			a:      make([]float32, e.maxVol),
-			b:      make([]float32, e.maxVol),
-			col:    make([]float32, e.maxCol),
-			feat:   make([]float32, e.featTot),
-			logits: make([]float32, e.classes),
-		}
-	}
+	e.scratch.New = func() any { return e.newArena() }
 	return e, nil
 }
 
@@ -123,13 +123,20 @@ func BuildInfer32(m *Model, inputShapes [][]int) (*Infer32, error) {
 // compiled ops and the flattened output size.
 func (e *Infer32) compileStack(layers []Layer, shape []int) ([]op32, int, error) {
 	var ops []op32
-	note := func(vol int) {
-		if vol > e.maxVol {
-			e.maxVol = vol
+	e.maxVol = max(e.maxVol, volume(shape))
+	// fuse reports whether layer li is directly followed by a ReLU,
+	// and if so steps over it.
+	fuse := func(li *int) bool {
+		if *li+1 < len(layers) {
+			if _, isRelu := layers[*li+1].(*ReLU); isRelu {
+				*li++
+				return true
+			}
 		}
+		return false
 	}
-	note(volume(shape))
 	for li := 0; li < len(layers); li++ {
+		op := op32{kind: opRelu} // what a ReLU nothing fused becomes
 		switch l := layers[li].(type) {
 		case *Conv2D:
 			if len(shape) != 3 {
@@ -139,66 +146,45 @@ func (e *Infer32) compileStack(layers []Layer, shape []int) ([]op32, int, error)
 			if err := g.Validate(); err != nil {
 				return nil, 0, err
 			}
-			op := op32{
-				kind: opConv, geom: g, outC: l.OutC,
+			op = op32{
+				kind: opConv, geom: g, outC: l.OutC, fuseRelu: fuse(&li),
 				w: toF32(l.W.Value.Data()), b: toF32(l.B.Value.Data()),
-				outH: g.OutH(), outW: g.OutW(),
 			}
-			op.outLen = l.OutC * op.outH * op.outW
-			colLen := g.InC * g.KH * g.KW * op.outH * op.outW
-			if colLen > e.maxCol {
-				e.maxCol = colLen
+			shape = []int{l.OutC, g.OutH(), g.OutW()}
+			if g.PadH+g.PadW > 0 {
+				e.maxPad = max(e.maxPad, g.InC*(g.InH+2*g.PadH)*(g.InW+2*g.PadW))
 			}
-			if li+1 < len(layers) {
-				if _, isRelu := layers[li+1].(*ReLU); isRelu {
-					op.fuseRelu = true
-					li++
-				}
-			}
-			shape = []int{l.OutC, op.outH, op.outW}
-			note(op.outLen)
-			ops = append(ops, op)
 		case *MaxPool2D:
 			if len(shape) != 3 {
 				return nil, 0, fmt.Errorf("%s on non-(C,H,W) input %v", l.Name(), shape)
 			}
-			os := l.OutShape(shape)
-			op := op32{
-				kind: opPool, k: l.K, stride: l.Stride,
+			op = op32{
+				kind: opPool, kh: min(l.K, shape[1]), kw: min(l.K, shape[2]), stride: l.Stride,
 				inC: shape[0], inH: shape[1], inW: shape[2],
-				outH: os[1], outW: os[2],
-				outLen: volume(os),
 			}
-			shape = os
-			note(op.outLen)
-			ops = append(ops, op)
+			shape = l.OutShape(shape)
+			op.outH, op.outW = shape[1], shape[2]
 		case *Dense:
 			if volume(shape) != l.In {
 				return nil, 0, fmt.Errorf("%s got %d inputs", l.Name(), volume(shape))
 			}
-			op := op32{
-				kind: opDense, denseIn: l.In, denseOut: l.Out,
+			op = op32{
+				kind: opDense, denseIn: l.In, denseOut: l.Out, fuseRelu: fuse(&li),
 				w: toF32(l.W.Value.Data()), b: toF32(l.B.Value.Data()),
-				outLen: l.Out,
-			}
-			if li+1 < len(layers) {
-				if _, isRelu := layers[li+1].(*ReLU); isRelu {
-					op.fuseRelu = true
-					li++
-				}
 			}
 			shape = []int{l.Out}
-			note(l.Out)
-			ops = append(ops, op)
 		case *ReLU:
-			ops = append(ops, op32{kind: opRelu, outLen: volume(shape)})
 		case *Flatten:
 			shape = []int{volume(shape)}
+			continue
 		case *Dropout:
-			// Identity at inference.
+			continue // identity at inference
 		default:
 			return nil, 0, fmt.Errorf("unsupported inference layer %s", l.Name())
 		}
+		op.outLen = volume(shape)
+		e.maxVol = max(e.maxVol, op.outLen)
+		ops = append(ops, op)
 	}
 	return ops, volume(shape), nil
 }
@@ -214,80 +200,80 @@ func toF32(src []float64) []float32 {
 // Classes returns the number of output classes.
 func (e *Infer32) Classes() int { return e.classes }
 
-// Predict runs the compiled forward pass on the tower inputs and
-// writes softmax probabilities into probs (len must equal Classes()),
-// returning the argmax class. It allocates nothing: scratch comes from
-// an internal pool, so concurrent callers each get their own arena.
+// PredictInto runs the compiled forward pass on inputs that fill
+// writes in place: fill receives the input region of the pass's own
+// arena, contents unspecified — each tower's (C,H,W) input row-major,
+// towers back to back. It writes softmax probabilities into probs (len
+// must equal Classes()) and returns the argmax class. It allocates
+// nothing: the arena comes from an internal pool, so concurrent
+// callers each get their own.
+func (e *Infer32) PredictInto(probs []float64, fill func(in []float32) error) (int, error) {
+	if len(probs) != e.classes {
+		return 0, fmt.Errorf("nn: Infer32: probs buffer has %d slots, want %d", len(probs), e.classes)
+	}
+	s := e.scratch.Get().(*arena32)
+	defer e.scratch.Put(s)
+	if err := fill(s.in); err != nil {
+		return 0, err
+	}
+	in, feat := s.in, s.feat
+	for ti, ops := range e.towers {
+		n := e.towerIn[ti][0] * e.towerIn[ti][1] * e.towerIn[ti][2]
+		copy(feat, e.runOps(ops, in[:n], s))
+		in, feat = in[n:], feat[e.featLen[ti]:]
+	}
+	return softmaxInto(probs, e.runOps(e.head, s.feat, s)), nil
+}
+
+// Predict is PredictInto for float64 tower inputs, one tensor per
+// tower.
 func (e *Infer32) Predict(inputs []*tensor.Tensor, probs []float64) (int, error) {
 	if len(inputs) != len(e.towers) {
 		return 0, fmt.Errorf("nn: Infer32: %d towers, got %d inputs", len(e.towers), len(inputs))
 	}
-	if len(probs) != e.classes {
-		return 0, fmt.Errorf("nn: Infer32: probs buffer has %d slots, want %d", len(probs), e.classes)
-	}
-	s := e.scratch.Get().(*scratch32)
-	defer e.scratch.Put(s)
-	off := 0
-	for ti, ops := range e.towers {
-		in := inputs[ti]
-		want := e.towerIn[ti]
-		if in.Size() != want[0]*want[1]*want[2] {
-			return 0, fmt.Errorf("nn: Infer32: tower %d input has %d elements, want %dx%dx%d",
-				ti, in.Size(), want[0], want[1], want[2])
+	return e.PredictInto(probs, func(in []float32) error {
+		for ti, t := range inputs {
+			want := e.towerIn[ti]
+			if t.Size() != want[0]*want[1]*want[2] {
+				return fmt.Errorf("nn: Infer32: tower %d input has %d elements, want %dx%dx%d",
+					ti, t.Size(), want[0], want[1], want[2])
+			}
+			for i, v := range t.Data() {
+				in[i] = float32(v)
+			}
+			in = in[t.Size():]
 		}
-		src := in.Data()
-		cur := s.in[:len(src)]
-		for i, v := range src {
-			cur[i] = float32(v)
-		}
-		cur = e.runOps(ops, cur, s)
-		copy(s.feat[off:off+e.featLen[ti]], cur)
-		off += e.featLen[ti]
-	}
-	logits := e.runOps(e.head, s.feat[:e.featTot], s)
-	copy(s.logits, logits)
-	return softmaxInto(probs, s.logits), nil
+		return nil
+	})
 }
 
-// runOps executes a compiled stack, ping-ponging between the scratch
-// activation buffers; in-place ops (ReLU) reuse the current buffer.
-func (e *Infer32) runOps(ops []op32, cur []float32, s *scratch32) []float32 {
+// runOps executes a compiled stack: each op reads cur and writes the
+// activation buffer cur is not in; in-place ops (a bare ReLU) keep it.
+func (e *Infer32) runOps(ops []op32, cur []float32, s *arena32) []float32 {
+	dst, spare := s.a, s.b
 	for oi := range ops {
 		op := &ops[oi]
 		switch op.kind {
 		case opConv:
-			g := op.geom
-			tensor.Im2ColF32(s.col, cur, g)
-			nxt := e.next(cur, s)[:op.outLen]
-			n := op.outH * op.outW
-			tensor.ConvMatMulF32(nxt, op.w, s.col, op.outC, g.InC*g.KH*g.KW, n, op.b, op.fuseRelu)
-			cur = nxt
+			if g := op.geom; g.PadH+g.PadW > 0 {
+				tensor.PadF32(s.pad, cur, g.InC, g.InH, g.InW, g.PadH, g.PadW)
+				cur = s.pad
+			}
+			tensor.ConvF32(dst, cur, op.w, op.b, op.geom, op.outC, op.fuseRelu)
 		case opPool:
-			nxt := e.next(cur, s)[:op.outLen]
-			tensor.MaxPool2DF32(nxt, cur, op.inC, op.inH, op.inW, op.k, op.stride, op.outH, op.outW)
-			cur = nxt
+			tensor.MaxPoolF32(dst, cur, op.inC, op.inH, op.inW, op.kh, op.kw, op.stride, op.outH, op.outW)
 		case opDense:
-			nxt := e.next(cur, s)[:op.denseOut]
-			tensor.DenseF32(nxt, op.w, cur, op.b, op.denseOut, op.denseIn, op.fuseRelu)
-			cur = nxt
+			tensor.DenseF32(dst, op.w, cur, op.b, op.denseOut, op.denseIn, op.fuseRelu)
 		case opRelu:
 			for i, v := range cur {
-				if v < 0 {
-					cur[i] = 0
-				}
+				cur[i] = max(v, 0)
 			}
+			continue
 		}
+		cur = dst[:op.outLen]
+		dst, spare = spare, dst
 	}
 	return cur
-}
-
-// next picks the ping-pong buffer that cur does not live in. cur may
-// also be the conversion or feature buffer, in which case either works.
-func (e *Infer32) next(cur []float32, s *scratch32) []float32 {
-	if len(cur) > 0 && len(s.a) > 0 && &cur[0] == &s.a[0] {
-		return s.b
-	}
-	return s.a
 }
 
 // softmaxInto computes a numerically stable softmax of the float32

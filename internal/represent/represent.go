@@ -7,6 +7,8 @@ package represent
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 
 	"repro/internal/sparse"
 	"repro/internal/tensor"
@@ -95,176 +97,181 @@ func PaperConfig(k Kind) Config {
 	return c
 }
 
+// Elem is the storage precision of a representation: float64 for
+// training samples, float32 for the inference arena.
+type Elem interface{ float32 | float64 }
+
+// Len returns the number of elements Into writes: Channels() channels
+// of ChannelShape() each, back to back.
+func (c Config) Len() int {
+	h, w := c.ChannelShape()
+	return c.Channels() * h * w
+}
+
 // Normalize converts a matrix into the fixed-size tensor channels the
 // CNN consumes. Each returned tensor has shape (1, H, W) — one channel
-// per tower for the late-merging structure; the early-merging baseline
-// stacks them.
+// per tower for the late-merging structure — and they are consecutive
+// views of one backing slice, which is what early merging feeds its
+// single tower.
 func Normalize(m *sparse.COO, cfg Config) ([]*tensor.Tensor, error) {
-	if err := cfg.Validate(); err != nil {
+	data := make([]float64, cfg.Len())
+	if err := Into(data, m, cfg); err != nil {
 		return nil, err
 	}
-	switch cfg.Kind {
-	case KindBinary:
-		b, _ := binaryDensity(m, cfg.Size)
-		return []*tensor.Tensor{b}, nil
-	case KindBinaryDensity:
-		b, d := binaryDensity(m, cfg.Size)
-		return []*tensor.Tensor{b, d}, nil
-	case KindHistogram:
-		r := HistNorm(m, cfg.Size, cfg.Bins, false)
-		c := HistNorm(m, cfg.Size, cfg.Bins, true)
-		return []*tensor.Tensor{r, c}, nil
-	default:
-		return nil, fmt.Errorf("represent: unknown kind %v", cfg.Kind)
+	h, w := cfg.ChannelShape()
+	chans := make([]*tensor.Tensor, cfg.Channels())
+	for c := range chans {
+		chans[c] = tensor.FromSlice(data[c*h*w:(c+1)*h*w], 1, h, w)
 	}
+	return chans, nil
 }
 
-// binaryDensity down-samples the matrix onto a size×size grid and
-// returns the binary occupancy map and the density map (fraction of
-// each block's cells that are nonzero), the Figure 4/5 representations.
-// Matrices smaller than the grid are handled by the same block mapping
-// (blocks may cover fractional cells; density then uses the true block
-// area).
-func binaryDensity(m *sparse.COO, size int) (binary, density *tensor.Tensor) {
-	rows, cols := m.Dims()
-	binary = tensor.New(1, size, size)
-	density = tensor.New(1, size, size)
-	counts := make([]float64, size*size)
-	for k := range m.Vals {
-		br := int(int64(m.Rows[k]) * int64(size) / int64(rows))
-		bc := int(int64(m.Cols[k]) * int64(size) / int64(cols))
-		counts[br*size+bc]++
+// exactCount is the largest nonzero count whose per-cell tallies a
+// float32 slot still holds exactly.
+const exactCount = 1 << 24
+
+// Into writes the representation of m into dst, which must hold
+// cfg.Len() elements: the channels row-major and back to back, the
+// layout both merging structures consume. One pass over the nonzeros,
+// no allocation. Every cell is computed in float64 and converted at
+// the store, so the float32 instantiation is exactly float32 of the
+// float64 one.
+func Into[T Elem](dst []T, m *sparse.COO, cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	bd := binary.Data()
-	dd := density.Data()
+	if cfg.Kind < KindBinary || cfg.Kind > KindHistogram {
+		return fmt.Errorf("represent: unknown kind %v", cfg.Kind)
+	}
+	if len(dst) != cfg.Len() {
+		return fmt.Errorf("represent: destination holds %d elements, %v %dx%d needs %d", len(dst), cfg.Kind, cfg.Size, cfg.Bins, cfg.Len())
+	}
+	if _, narrow := any(dst).([]float32); narrow && m.NNZ() > exactCount {
+		// Counts are tallied in dst itself; past 2^24 a float32 cell
+		// could drop an increment, so tally wide and convert.
+		wide := make([]float64, len(dst))
+		if err := Into(wide, m, cfg); err != nil {
+			return err
+		}
+		for i, v := range wide {
+			dst[i] = T(v)
+		}
+		return nil
+	}
+	clear(dst)
+	sweep(dst, m, cfg)
+	return nil
+}
+
+// grid maps an index p of a dimension of dim entries onto a grid of
+// cells: slot p*cells/dim. While dim·cells fits 32 bits the divide is
+// one multiply by magic = ⌈2^64/dim⌉, whose high word is the exact
+// quotient of any 32-bit numerator (Lemire, Kaser & Kurz, "Faster
+// remainder by direct computation", 2019); larger dimensions, and
+// dim 1 whose magic does not fit, take the 64-bit divide.
+type grid struct{ cells, dim, magic uint64 }
+
+func newGrid(cells, dim int) grid {
+	g := grid{cells: uint64(cells), dim: uint64(dim)}
+	if dim > 1 && g.cells*g.dim <= math.MaxUint32 {
+		g.magic = math.MaxUint64/g.dim + 1
+	}
+	return g
+}
+
+func (g grid) slot(p int32) int {
+	n := uint64(p) * g.cells
+	if g.magic == 0 {
+		return int(n / g.dim)
+	}
+	q, _ := bits.Mul64(g.magic, n)
+	return int(q)
+}
+
+// sweep is the one pass over the nonzeros.
+func sweep[T Elem](dst []T, m *sparse.COO, cfg Config) {
+	rows, cols := m.Dims()
+	byRows, byCols := newGrid(cfg.Size, rows), newGrid(cfg.Size, cols)
+
+	if cfg.Kind != KindHistogram {
+		// Figure 4/5: block occupancy, and for the density channel the
+		// per-block tally that blockDensity turns into a fraction.
+		n := cfg.Size * cfg.Size
+		tally := cfg.Kind == KindBinaryDensity
+		for k, r := range m.Rows {
+			cell := byRows.slot(r)*cfg.Size + byCols.slot(m.Cols[k])
+			if tally {
+				dst[n+cell]++
+			} else {
+				dst[cell] = 1
+			}
+		}
+		if tally {
+			blockDensity(dst[:n], dst[n:], rows, cols, cfg.Size)
+		}
+		return
+	}
+
+	// Algorithm 1: row i of a histogram aggregates the original rows
+	// (columns, for the second channel) mapped onto it; bin b counts
+	// nonzeros whose distance |row−col| from the principal diagonal
+	// falls in [b, b+1)·MaxDim/bins. Both channels share the bin.
+	bins := cfg.Bins
+	n := cfg.Size * bins
+	rowHist, colHist := dst[:n], dst[n:]
+	byDist := newGrid(bins, max(rows, cols))
+	for k, r := range m.Rows {
+		c := m.Cols[k]
+		// |r−c| without a branch: which side of the diagonal a nonzero
+		// lies on is a coin flip for unstructured matrices.
+		dist := r - c
+		sign := dist >> 31
+		dist = (dist ^ sign) - sign
+		// dist < maxDim always, so bin < bins; the clamp is for safety.
+		bin := min(byDist.slot(dist), bins-1)
+		rowHist[byRows.slot(r)*bins+bin]++
+		colHist[byCols.slot(c)*bins+bin]++
+	}
+	scaleToMax(rowHist)
+	scaleToMax(colHist)
+}
+
+// blockDensity turns per-block nonzero tallies into the two Figure 5
+// channels: occupancy, and the fraction of the block's cells that are
+// nonzero. Matrices smaller than the grid go through the same block
+// mapping (blocks may cover fractional cells; density then uses the
+// true block area, at least one cell each way).
+func blockDensity[T Elem](binary, density []T, rows, cols, size int) {
+	extent := func(i, dim int) int {
+		lo := int(int64(i) * int64(dim) / int64(size))
+		hi := int(int64(i+1) * int64(dim) / int64(size))
+		return max(hi-lo, 1)
+	}
 	for i := 0; i < size; i++ {
-		// Block area in original cells: rows in block i × cols in block j.
-		r0 := int(int64(i) * int64(rows) / int64(size))
-		r1 := int(int64(i+1) * int64(rows) / int64(size))
-		if r1 == r0 {
-			r1 = r0 + 1
-		}
+		h := extent(i, rows)
 		for j := 0; j < size; j++ {
-			c0 := int(int64(j) * int64(cols) / int64(size))
-			c1 := int(int64(j+1) * int64(cols) / int64(size))
-			if c1 == c0 {
-				c1 = c0 + 1
+			cnt := density[i*size+j]
+			if cnt == 0 {
+				continue
 			}
-			cnt := counts[i*size+j]
-			if cnt > 0 {
-				bd[i*size+j] = 1
-				area := float64((r1 - r0) * (c1 - c0))
-				d := cnt / area
-				if d > 1 {
-					d = 1
-				}
-				dd[i*size+j] = d
-			}
+			binary[i*size+j] = 1
+			d := float64(cnt) / float64(h*extent(j, cols))
+			density[i*size+j] = T(min(d, 1))
 		}
 	}
-	return binary, density
 }
 
-// HistNorm is Algorithm 1 of the paper: it builds an r×bins histogram
-// tensor where row i aggregates the original rows mapped onto it and bin
-// b counts nonzeros whose distance |row−col| from the principal diagonal
-// falls in [b, b+1)·MaxDim/bins. byColumn builds the column-histogram
-// variant (distance histogram over columns instead of rows). Values are
-// normalised to [0,1] by the maximum bin count.
-func HistNorm(m *sparse.COO, r, bins int, byColumn bool) *tensor.Tensor {
-	rows, cols := m.Dims()
-	out := tensor.New(1, r, bins)
-	data := out.Data()
-	primary := rows
-	if byColumn {
-		primary = cols
+// scaleToMax normalises a histogram of counts to [0,1] by its largest
+// bin (final step of §4).
+func scaleToMax[T Elem](hist []T) {
+	top := T(0)
+	for _, v := range hist {
+		top = max(top, v)
 	}
-	maxDim := rows
-	if cols > maxDim {
-		maxDim = cols
+	if top == 0 {
+		return
 	}
-	for k := range m.Vals {
-		p := int(m.Rows[k])
-		if byColumn {
-			p = int(m.Cols[k])
-		}
-		// Row index in the histogram (line 8 of Algorithm 1, in integer
-		// arithmetic to avoid the float ScaleRatio edge cases).
-		hr := int(int64(p) * int64(r) / int64(primary))
-		dist := int(m.Rows[k]) - int(m.Cols[k])
-		if dist < 0 {
-			dist = -dist
-		}
-		// Bin index (line 9). dist < maxDim always, so bin < bins except
-		// in the dist == maxDim-0 corner; clamp for safety.
-		bin := int(int64(bins) * int64(dist) / int64(maxDim))
-		if bin >= bins {
-			bin = bins - 1
-		}
-		data[hr*bins+bin]++
+	for i, v := range hist {
+		hist[i] = T(float64(v) / float64(top))
 	}
-	// Normalise to [0,1] by the largest bin (final step of §4).
-	max := 0.0
-	for _, v := range data {
-		if v > max {
-			max = v
-		}
-	}
-	if max > 0 {
-		for i := range data {
-			data[i] /= max
-		}
-	}
-	return out
-}
-
-// SampleNorm is the third traditional normalisation §4 mentions
-// alongside cropping and scaling: sample `size` rows and columns of the
-// original matrix (evenly spaced) and emit the binary occupancy of the
-// sampled sub-grid. Like scaling it loses the subtle structure that
-// format selection needs — kept as the explored-and-rejected baseline
-// it is in the paper, and for the representation ablations.
-func SampleNorm(m *sparse.COO, size int) *tensor.Tensor {
-	rows, cols := m.Dims()
-	out := tensor.New(1, size, size)
-	// Membership maps from original index to sampled slot (or -1).
-	rowSlot := make([]int32, rows)
-	for i := range rowSlot {
-		rowSlot[i] = -1
-	}
-	colSlot := make([]int32, cols)
-	for j := range colSlot {
-		colSlot[j] = -1
-	}
-	for s := 0; s < size; s++ {
-		ri := int(int64(s) * int64(rows) / int64(size))
-		ci := int(int64(s) * int64(cols) / int64(size))
-		rowSlot[ri] = int32(s)
-		colSlot[ci] = int32(s)
-	}
-	d := out.Data()
-	for k := range m.Vals {
-		r := rowSlot[m.Rows[k]]
-		c := colSlot[m.Cols[k]]
-		if r >= 0 && c >= 0 {
-			d[int(r)*size+int(c)] = 1
-		}
-	}
-	return out
-}
-
-// CropNorm is the first traditional normalisation §4 mentions: keep the
-// top-left size×size window of the original matrix as a binary map,
-// discarding everything outside it. Kept for the same reason as
-// SampleNorm.
-func CropNorm(m *sparse.COO, size int) *tensor.Tensor {
-	out := tensor.New(1, size, size)
-	d := out.Data()
-	for k := range m.Vals {
-		r, c := int(m.Rows[k]), int(m.Cols[k])
-		if r < size && c < size {
-			d[r*size+c] = 1
-		}
-	}
-	return out
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/sparse"
+	"repro/internal/tensor"
 )
 
 // figure4Matrix is the 8×8 example of Figure 4(a): irregular diagonals
@@ -26,6 +27,20 @@ func figure4Matrix(t *testing.T) *sparse.COO {
 		{Row: 7, Col: 3, Val: 17}, {Row: 7, Col: 6, Val: 11},
 	}
 	return sparse.MustCOO(8, 8, entries)
+}
+
+// histNorm returns one channel of the histogram representation: the
+// row histogram, or with byColumn the column histogram.
+func histNorm(t *testing.T, m *sparse.COO, r, bins int, byColumn bool) *tensor.Tensor {
+	t.Helper()
+	reps, err := Normalize(m, Config{Kind: KindHistogram, Size: r, Bins: bins})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if byColumn {
+		return reps[1]
+	}
+	return reps[0]
 }
 
 func TestBinaryLosesDiagonalInfo(t *testing.T) {
@@ -73,7 +88,7 @@ func TestDensityValues(t *testing.T) {
 // normalisation.
 func TestHistNormPaperExample(t *testing.T) {
 	m := figure4Matrix(t)
-	h := HistNorm(m, 4, 4, false)
+	h := histNorm(t, m, 4, 4, false)
 	// Bottom histogram row (rows 6 and 7): entries (6,5) dist 1 -> bin 0;
 	// (7,3) dist 4 -> bin 2; (7,6) dist 1 -> bin 0. Row = [2 0 1 0].
 	// Normalised by the global max bin count.
@@ -101,7 +116,7 @@ func TestHistNormValuesIn01(t *testing.T) {
 		}
 		m := sparse.MustCOO(rows, cols, es)
 		for _, byCol := range []bool{false, true} {
-			h := HistNorm(m, 16, 8, byCol)
+			h := histNorm(t, m, 16, 8, byCol)
 			max := 0.0
 			for _, v := range h.Data() {
 				if v < 0 || v > 1 {
@@ -142,8 +157,8 @@ func TestHistogramSeparatesDiagonalFromScatter(t *testing.T) {
 	}
 	scatter := sparse.MustCOO(n, n, es2)
 
-	hb := HistNorm(band, 16, 8, false)
-	hs := HistNorm(scatter, 16, 8, false)
+	hb := histNorm(t, band, 16, 8, false)
+	hs := histNorm(t, scatter, 16, 8, false)
 	massInBin0 := func(h interface{ At(...int) float64 }) float64 {
 		tot, b0 := 0.0, 0.0
 		for r := 0; r < 16; r++ {
@@ -250,47 +265,5 @@ func TestKindStrings(t *testing.T) {
 	}
 	if Kind(9).String() == "" {
 		t.Fatal("unknown kind String")
-	}
-}
-
-func TestSampleNormLosesOffGridEntries(t *testing.T) {
-	// A 100x100 matrix with nonzeros only at odd coordinates and a 10-
-	// point sample grid at multiples of 10: sampling sees nothing — the
-	// information-loss failure §4 attributes to traditional methods.
-	var es []sparse.Entry
-	for i := 1; i < 100; i += 2 {
-		es = append(es, sparse.Entry{Row: i, Col: i, Val: 1})
-	}
-	m := sparse.MustCOO(100, 100, es)
-	s := SampleNorm(m, 10)
-	if s.Sum() != 0 {
-		t.Fatalf("sampling should miss off-grid entries, got mass %v", s.Sum())
-	}
-	// The histogram keeps the diagonal signal the sample dropped.
-	h := HistNorm(m, 10, 5, false)
-	if h.Sum() == 0 {
-		t.Fatal("histogram lost the diagonal entirely")
-	}
-}
-
-func TestSampleNormSeesOnGridEntries(t *testing.T) {
-	m := sparse.MustCOO(100, 100, []sparse.Entry{{Row: 0, Col: 0, Val: 1}, {Row: 50, Col: 50, Val: 1}})
-	s := SampleNorm(m, 10)
-	if s.At(0, 0, 0) != 1 || s.At(0, 5, 5) != 1 {
-		t.Fatalf("on-grid entries missed: %v", s.Data())
-	}
-}
-
-func TestCropNormWindow(t *testing.T) {
-	m := sparse.MustCOO(100, 100, []sparse.Entry{
-		{Row: 2, Col: 3, Val: 1},
-		{Row: 90, Col: 90, Val: 1}, // outside the crop
-	})
-	c := CropNorm(m, 10)
-	if c.At(0, 2, 3) != 1 {
-		t.Fatal("in-window entry missed")
-	}
-	if c.Sum() != 1 {
-		t.Fatalf("crop kept out-of-window mass: %v", c.Sum())
 	}
 }

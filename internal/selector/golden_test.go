@@ -1,0 +1,128 @@
+package selector
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"math"
+	"math/rand"
+	"os"
+	"runtime"
+	"testing"
+
+	"repro/internal/represent"
+	"repro/internal/sparse"
+	"repro/internal/synthgen"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/predict_golden.json from this build's Predict")
+
+const goldenPath = "testdata/predict_golden.json"
+
+// goldenMatrices is the fixed input set of the bit-identity gate: 200
+// seeded synthgen specs (square, tall hypersparse, derived crops and
+// permutations) plus shapes the block mapping treats specially — fewer
+// rows or columns than the grid, a single row, a single column.
+func goldenMatrices() []*sparse.COO {
+	var ms []*sparse.COO
+	for _, spec := range synthgen.SampleSpecs(200, 1717, 512) {
+		ms = append(ms, synthgen.Build(spec))
+	}
+	ms = append(ms,
+		synthgen.Banded(9, 2, 1.0, 3),
+		synthgen.Random(5, 300, 120, 4),
+		synthgen.Random(300, 5, 120, 5),
+		synthgen.Random(1, 77, 30, 6),
+		synthgen.Random(77, 1, 30, 7),
+	)
+	return ms
+}
+
+// goldenSelector builds an untrained selector and moves every
+// parameter — biases included, which start at zero — off its
+// initialisation, so a kernel that adds the bias last or reassociates
+// a sum changes the hash.
+func goldenSelector(t *testing.T, cfg Config) *Selector {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4242))
+	for _, p := range s.Model.Params() {
+		d := p.Value.Data()
+		for i := range d {
+			d[i] += 0.05 * rng.NormFloat64()
+		}
+	}
+	return s
+}
+
+// TestPredictGoldenBits pins Predict's probabilities bit for bit to the
+// values the im2col + matmul engine produced before the direct
+// convolution replaced it (recorded on that commit with
+// -update-golden). The hash covers the chosen format and the float64
+// bits of every probability over goldenMatrices, per configuration.
+// amd64 only: math.Exp is assembly on some other architectures and may
+// differ in the last place.
+func TestPredictGoldenBits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden probabilities were recorded on amd64")
+	}
+	early := DefaultConfig(represent.KindHistogram, sparse.CPUFormats())
+	early.Structure = EarlyMerging
+	early.Represent.Size, early.Represent.Bins = 24, 9 // odd pooled widths
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"binary", DefaultConfig(represent.KindBinary, sparse.CPUFormats())},
+		{"binary+density", DefaultConfig(represent.KindBinaryDensity, sparse.CPUFormats())},
+		{"histogram", DefaultConfig(represent.KindHistogram, sparse.CPUFormats())},
+		{"histogram-early-24x9", early},
+	}
+	ms := goldenMatrices()
+	got := map[string]string{}
+	for _, c := range configs {
+		s := goldenSelector(t, c.cfg)
+		h := sha256.New()
+		var buf [8]byte
+		for i, m := range ms {
+			f, probs, err := s.Predict(m)
+			if err != nil {
+				t.Fatalf("%s matrix %d: %v", c.name, i, err)
+			}
+			h.Write([]byte{byte(f)})
+			for _, g := range c.cfg.Formats {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(probs[g]))
+				h.Write(buf[:])
+			}
+		}
+		got[c.name] = hex.EncodeToString(h.Sum(nil))
+	}
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range configs {
+		if got[c.name] != want[c.name] {
+			t.Errorf("%s: probabilities over %d matrices hash to %s, golden %s", c.name, len(ms), got[c.name], want[c.name])
+		}
+	}
+}

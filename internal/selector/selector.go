@@ -81,26 +81,23 @@ func New(cfg Config) (*Selector, error) {
 	return &Selector{Cfg: cfg, Model: m}, nil
 }
 
-// inputsFor normalises a matrix into the model's tower inputs.
+// inputsFor normalises a matrix into the model's float64 tower inputs
+// (training samples and the reference forward pass): views of one
+// representation, channels back to back — one (1,H,W) tensor per
+// channel under late merging, the whole (C,H,W) under early merging.
 func (s *Selector) inputsFor(m *sparse.COO) ([]*tensor.Tensor, error) {
-	chans, err := represent.Normalize(m, s.Cfg.Represent)
-	if err != nil {
+	data := make([]float64, s.Cfg.Represent.Len())
+	if err := represent.Into(data, m, s.Cfg.Represent); err != nil {
 		return nil, err
 	}
-	if s.Cfg.Structure == EarlyMerging && len(chans) > 1 {
-		return []*tensor.Tensor{stackChannels(chans)}, nil
+	shapes := InputShapes(s.Cfg)
+	inputs := make([]*tensor.Tensor, len(shapes))
+	for i, shape := range shapes {
+		n := shape[0] * shape[1] * shape[2]
+		inputs[i] = tensor.FromSlice(data[:n:n], shape...)
+		data = data[n:]
 	}
-	return chans, nil
-}
-
-// stackChannels concatenates (1,H,W) tensors into one (C,H,W) tensor.
-func stackChannels(chans []*tensor.Tensor) *tensor.Tensor {
-	h, w := chans[0].Dim(1), chans[0].Dim(2)
-	out := tensor.New(len(chans), h, w)
-	for c, t := range chans {
-		copy(out.Data()[c*h*w:(c+1)*h*w], t.Data())
-	}
-	return out
+	return inputs, nil
 }
 
 // validateInput rejects matrices that cannot be normalised or whose
@@ -141,16 +138,19 @@ func (s *Selector) Predict(m *sparse.COO) (f sparse.Format, probs map[sparse.For
 			f, probs, err = 0, nil, fmt.Errorf("selector: inference panic: %v", r)
 		}
 	}()
-	inputs, err := s.inputsFor(m)
-	if err != nil {
-		return 0, nil, err
-	}
 	e, err := s.engine32()
 	if err != nil {
 		return 0, nil, err
 	}
+	if e.Classes() != len(s.Cfg.Formats) {
+		return 0, nil, fmt.Errorf("%w: %d outputs for %d formats", ErrBadOutput, e.Classes(), len(s.Cfg.Formats))
+	}
+	// The representation is written straight into the engine's arena;
+	// probabilities leave it once, here.
 	ps := make([]float64, e.Classes())
-	cls, err := e.Predict(inputs, ps)
+	cls, err := e.PredictInto(ps, func(in []float32) error {
+		return represent.Into(in, m, s.Cfg.Represent)
+	})
 	if err != nil {
 		return 0, nil, err
 	}
@@ -159,13 +159,7 @@ func (s *Selector) Predict(m *sparse.COO) (f sparse.Format, probs map[sparse.For
 		if math.IsNaN(p) || math.IsInf(p, 0) {
 			return 0, nil, ErrBadOutput
 		}
-		if i >= len(s.Cfg.Formats) {
-			return 0, nil, fmt.Errorf("%w: %d outputs for %d formats", ErrBadOutput, len(ps), len(s.Cfg.Formats))
-		}
 		out[s.Cfg.Formats[i]] = p
-	}
-	if cls < 0 || cls >= len(s.Cfg.Formats) {
-		return 0, nil, fmt.Errorf("%w: class %d out of range", ErrBadOutput, cls)
 	}
 	return s.Cfg.Formats[cls], out, nil
 }
@@ -225,22 +219,7 @@ func (s *Selector) Samples(d *dataset.Dataset, idx []int) ([]nn.Sample, error) {
 		}
 	}
 	samples := make([]nn.Sample, len(idx))
-	workers := s.Cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(idx) {
-		workers = len(idx)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunk := (len(idx) + workers - 1) / workers
-	if err := robust.Workers(workers, func(w int) error {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(idx) {
-			hi = len(idx)
-		}
+	if err := forChunks(s.Cfg.Workers, len(idx), func(lo, hi int) error {
 		for k := lo; k < hi; k++ {
 			r := &d.Records[idx[k]]
 			inputs, err := s.inputsFor(r.Matrix())
@@ -376,35 +355,34 @@ func (s *Selector) EvaluateSamples(samples []nn.Sample) (*Metrics, error) {
 // predictAll runs inference over samples with a panic-safe parallel
 // worker pool.
 func predictAll(model *nn.Model, samples []nn.Sample, workers int) ([]int, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(samples) {
-		workers = len(samples)
-	}
-	if workers < 1 {
-		workers = 1
-	}
 	preds := make([]int, len(samples))
-	chunk := (len(samples) + workers - 1) / workers
-	if err := robust.Workers(workers, func(w int) error {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(samples) {
-			hi = len(samples)
-		}
-		if lo >= hi {
-			return nil
-		}
+	if err := forChunks(workers, len(samples), func(lo, hi int) error {
 		rep := model.Replica()
 		for i := lo; i < hi; i++ {
-			cls, _ := rep.Predict(samples[i].Inputs)
-			preds[i] = cls
+			preds[i], _ = rep.Predict(samples[i].Inputs)
 		}
 		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("selector: predicting: %w", err)
 	}
 	return preds, nil
+}
+
+// forChunks splits [0,n) into one contiguous chunk per worker (<=0:
+// GOMAXPROCS, never more than n) and runs fn on each under the
+// panic-safe robust.Workers pool.
+func forChunks(workers, n int, fn func(lo, hi int) error) error {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, n))
+	chunk := (n + workers - 1) / workers
+	return robust.Workers(workers, func(w int) error {
+		if lo, hi := w*chunk, min((w+1)*chunk, n); lo < hi {
+			return fn(lo, hi)
+		}
+		return nil
+	})
 }
 
 // Summary renders the architecture (the Figure 10 diagram as text).

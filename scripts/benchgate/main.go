@@ -5,7 +5,8 @@
 //	go run ./scripts/benchgate -baseline BENCH_baseline.json -current BENCH.json
 //
 // Only the guarded set is gated — the SpMV kernels, dense MatMul,
-// representation construction, the float32 inference engine, the serve
+// representation construction, the float32 inference engine, the whole
+// decision at the shipped geometry (selector.Predict), the serve
 // predict path and its parse stage (body decode, fingerprint) — because micro-noise on the heavyweight
 // experiment reproductions would make a blanket gate flaky. Every
 // guarded benchmark is gated on BOTH axes: ns/op against -threshold
@@ -60,6 +61,7 @@ var guarded = []*regexp.Regexp{
 	regexp.MustCompile(`^repro/internal/serve/BenchmarkDecode`),
 	regexp.MustCompile(`^repro/internal/sparse/BenchmarkFingerprint`),
 	regexp.MustCompile(`^repro/internal/nn/BenchmarkInfer32Predict`),
+	regexp.MustCompile(`^repro/internal/selector/BenchmarkPredict/`),
 }
 
 // allocOnly names benchmarks whose allocs/op is the contract while
