@@ -8,10 +8,14 @@ build:
 test:
 	$(GO) test ./...
 
-# check is the CI gate: build, vet, the serve smoke test, the corpus
-# kill→resume drill, and the full test suite under the race detector
-# (worker pools, the imported-matrix registry, the checkpointer and the
-# serving tier are all concurrency-sensitive).
+# check is the CI gate (scripts/check.sh): gofmt, build, vet, the
+# benchmark module's vet and tests, the five real-binary drills (serve
+# smoke, corpus kill→resume, cluster chaos, overload control, continual
+# learning), a fuzz smoke, and the full test suite under the race
+# detector (worker pools, the imported-matrix registry, the
+# checkpointer and the serving tier are all concurrency-sensitive).
+# SHORT=1 shortens the drills and skips the long experiment
+# reproductions.
 check:
 	./scripts/check.sh
 

@@ -39,11 +39,12 @@
 // into a crash-safe JSONL feedback log (size/age-rotated segments that
 // cmd/shepherd folds into an online corpus). Predict requests may
 // report a measured SpMV time via a "spmv_seconds" JSON field; absent
-// that, -feedback-estimates fills in a cache-simulated estimate. The
-// admin listener additionally exposes the shadow-deployment surface
-// (POST /shadow/load, POST /shadow/clear, GET /shadow/scorecard): a
-// loaded shadow model mirrors every -shadow-sample'th prediction for
-// scoring without ever touching a response.
+// that, the entry carries the machine cost model's estimate for the
+// served format. The admin listener additionally exposes the
+// shadow-deployment surface (POST /shadow/load, POST /shadow/clear,
+// GET /shadow/scorecard): a loaded shadow model mirrors every
+// -shadow-sample'th prediction for scoring without ever touching a
+// response.
 package main
 
 import (
@@ -86,7 +87,6 @@ func main() {
 	selfURL := flag.String("self", "", "this replica's advertised base URL in a cluster (empty = derive from the listener)")
 	peerFillTimeout := flag.Duration("peer-fill-timeout", 150*time.Millisecond, "peer cache-fill deadline before failing open to local compute")
 	feedbackDir := flag.String("feedback-dir", "", "directory for the crash-safe feedback log (empty disables capture)")
-	feedbackEstimates := flag.Bool("feedback-estimates", true, "fill missing client SpMV timings with cache-simulated estimates")
 	feedbackSegBytes := flag.Int64("feedback-segment-bytes", 1<<20, "feedback log segment size before rotation")
 	feedbackSegAge := flag.Duration("feedback-segment-age", 30*time.Second, "feedback log segment age before rotation")
 	shadowSample := flag.Int("shadow-sample", 8, "mirror every Nth prediction through a loaded shadow model (0 disables)")
@@ -133,7 +133,6 @@ func main() {
 		SelfURL:                 *selfURL,
 		PeerFillTimeout:         *peerFillTimeout,
 		FeedbackDir:             *feedbackDir,
-		FeedbackEstimates:       *feedbackEstimates,
 		FeedbackMaxSegmentBytes: *feedbackSegBytes,
 		FeedbackMaxSegmentAge:   *feedbackSegAge,
 		ShadowSampleN:           *shadowSample,

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -14,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/machine"
 	"repro/internal/sparse"
 	"repro/internal/synthgen"
@@ -280,7 +282,7 @@ func (j *buildJournal) write(storeDir string) error {
 	if err != nil {
 		return fmt.Errorf("dataset: build journal: %w", err)
 	}
-	if err := atomicWriteFile(filepath.Join(storeDir, buildJournalFile), append(b, '\n')); err != nil {
+	if err := writeSideFile(filepath.Join(storeDir, buildJournalFile), append(b, '\n')); err != nil {
 		return fmt.Errorf("%w: build journal: %v", ErrNoSpace, err)
 	}
 	return nil
@@ -300,7 +302,7 @@ func writeQuarantineLog(storeDir string, qs []QuarantineEntry) {
 		enc.Encode(q)
 	}
 	if os.MkdirAll(filepath.Dir(path), 0o755) == nil {
-		atomicWriteFile(path, []byte(buf.String()))
+		writeSideFile(path, []byte(buf.String()))
 	}
 }
 
@@ -386,32 +388,11 @@ func readMatrixFile(ctx context.Context, path string, lim sparse.Limits) (m *spa
 	return sparse.ReadMatrixMarketLimits(ctx, f, lim)
 }
 
-// atomicWriteFile is temp+fsync+rename for the store's non-enveloped
+// writeSideFile durably publishes one of the store's non-enveloped
 // side files.
-func atomicWriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("dataset: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("dataset: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	return nil
+func writeSideFile(path string, data []byte) error {
+	return durable.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }

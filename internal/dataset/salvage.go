@@ -61,7 +61,7 @@ func (r *SalvageReport) Salvaged() bool {
 // returned in memory).
 func (r *SalvageReport) write(dir string) {
 	if b, err := json.MarshalIndent(r, "", "  "); err == nil {
-		atomicWriteFile(filepath.Join(dir, storeSalvageFile), append(b, '\n'))
+		writeSideFile(filepath.Join(dir, storeSalvageFile), append(b, '\n'))
 	}
 	if len(r.DroppedRecords) == 0 {
 		return

@@ -6,8 +6,9 @@
 //     to a crash-safe JSONL feedback log — fingerprint, structural
 //     features, the chosen format, the ladder rung, cache outcome, and
 //     an SpMV timing (client-reported when the request carried one,
-//     otherwise a cachesim-replayed estimate). Writes are batched off
-//     the request path and segments rotate by size and age.
+//     otherwise the machine cost model's estimate for the served
+//     format). Writes are batched off the request path and segments
+//     rotate by size and age.
 //   - Collector: folds rotated segments into an online corpus — a
 //     regular internal/dataset corpus store, each record stored with
 //     its captured pattern — deduplicating by fingerprint, so the
@@ -54,8 +55,9 @@ type Entry struct {
 	// ClientSec is the client-reported SpMV seconds for this pattern
 	// (the optional spmv_seconds request field); 0 = not reported.
 	ClientSec float64 `json:"client_spmv_sec,omitempty"`
-	// EstSec is the cachesim-replayed SpMV estimate in seconds, filled
-	// when the client reported nothing; 0 = not estimated.
+	// EstSec is the machine cost model's SpMV seconds for Format on
+	// Stats (xeonlike), filled when the client reported nothing; 0 =
+	// not estimated.
 	EstSec float64 `json:"est_spmv_sec,omitempty"`
 	// Stats are the structural statistics of the posted matrix — the
 	// drift detector's feature source and the labeler's input when the

@@ -130,43 +130,42 @@ func TestLoggerSealsStaleActiveFile(t *testing.T) {
 
 func TestLoggerEstimatesTimings(t *testing.T) {
 	dir := t.TempDir()
-	l := newTestLogger(t, dir, func(c *LoggerConfig) { c.EstimateTimings = true })
+	l := newTestLogger(t, dir, nil)
 	m := testMatrix(t, 3)
 	l.Record(m, Entry{Fingerprint: sparse.Fingerprint(m), Format: "CSR", Rung: "cnn"})
 	// A client-reported timing suppresses the estimate.
 	l.Record(m, Entry{Fingerprint: sparse.Fingerprint(m), Format: "CSR", Rung: "cnn", ClientSec: 0.5})
+	// A scattered matrix answered as DIA: ~16k diagonals of 8192 lanes
+	// would be a gigabyte to materialise; the estimate converts nothing.
+	scattered := synthgen.Build(synthgen.Spec{Family: synthgen.FamilyRandom, N: 8192, NNZ: 20000, Seed: 9})
+	l.Record(scattered, Entry{Fingerprint: sparse.Fingerprint(scattered), Format: "DIA", Rung: "dtree"})
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	segs, _ := SegmentFiles(dir)
 	data, _ := os.ReadFile(segs[0])
 	lines := splitLines(data)
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines, want 2", len(lines))
+	if len(lines) != 3 {
+		t.Fatalf("got %d lines, want 3", len(lines))
 	}
-	var est, reported Entry
-	if err := json.Unmarshal(lines[0], &est); err != nil {
-		t.Fatal(err)
+	var est, reported, dia Entry
+	for i, e := range []*Entry{&est, &reported, &dia} {
+		if err := json.Unmarshal(lines[i], e); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := json.Unmarshal(lines[1], &reported); err != nil {
-		t.Fatal(err)
-	}
-	if est.EstSec <= 0 {
-		t.Fatalf("no cachesim estimate filled: %+v", est)
+	if want := machine.XeonLike().EstimateSeconds(est.Stats, sparse.FormatCSR); est.EstSec <= 0 || est.EstSec != want {
+		t.Fatalf("est_spmv_sec = %g, want the cost model's %g", est.EstSec, want)
 	}
 	if reported.EstSec != 0 || reported.ClientSec != 0.5 {
 		t.Fatalf("client-reported timing mangled: %+v", reported)
 	}
-}
-
-func TestEstimateSpMVSeconds(t *testing.T) {
-	m := testMatrix(t, 5)
-	sec, err := EstimateSpMVSeconds(m, sparse.FormatCSR)
-	if err != nil {
-		t.Fatalf("EstimateSpMVSeconds: %v", err)
+	if dia.Stats.NumDiags < 8192 {
+		t.Fatalf("scattered matrix has only %d diagonals", dia.Stats.NumDiags)
 	}
-	if sec <= 0 {
-		t.Fatalf("estimate = %g, want > 0", sec)
+	// JSON cannot carry NaN or Inf, so a third line that parsed is finite.
+	if dia.EstSec <= 0 {
+		t.Fatalf("DIA estimate for a scattered matrix = %g, want positive", dia.EstSec)
 	}
 }
 
@@ -575,14 +574,14 @@ func TestReplaceFileAtomic(t *testing.T) {
 	dst := filepath.Join(dir, "dst")
 	os.WriteFile(src, []byte("candidate"), 0o644)
 	os.WriteFile(dst, []byte("live"), 0o644)
-	if err := replaceFile(src, dst); err != nil {
+	if err := installFile(src, dst); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(dst)
 	if string(data) != "candidate" {
 		t.Fatalf("dst = %q", data)
 	}
-	leftovers, _ := filepath.Glob(filepath.Join(dir, ".promote-*"))
+	leftovers, _ := filepath.Glob(filepath.Join(dir, ".dst.tmp-*"))
 	if len(leftovers) != 0 {
 		t.Fatalf("temp files left behind: %v", leftovers)
 	}

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/sparse"
 )
@@ -44,10 +45,6 @@ type LoggerConfig struct {
 	// in the entry (default 4096; negative disables pattern capture).
 	// Larger matrices still contribute features to drift detection.
 	MaxPatternNNZ int
-	// EstimateTimings replays an SpMV through the cache simulator for
-	// entries without a client-reported timing (background thread; the
-	// estimate is skipped for matrices past the estimator's cost guard).
-	EstimateTimings bool
 	// Registry receives the feedback_* instrument set (nil = private
 	// registry).
 	Registry *obs.Registry
@@ -93,11 +90,20 @@ func newLoggerMetrics(r *obs.Registry) *loggerMetrics {
 		dropped:     r.Counter("feedback_dropped_total", "Feedback entries dropped because the capture queue was full."),
 		flushed:     r.Counter("feedback_flushed_total", "Feedback entries written to the active segment."),
 		rotations:   r.Counter("feedback_rotations_total", "Feedback segment rotations (size, age or shutdown)."),
-		estimates:   r.Counter("feedback_estimates_total", "Entries whose SpMV timing was cachesim-estimated."),
+		estimates:   r.Counter("feedback_estimates_total", "Entries whose SpMV timing was cost-model-estimated."),
 		writeErrors: r.Counter("feedback_write_errors_total", "Failed feedback log writes (entries lost)."),
 		activeBytes: r.Gauge("feedback_active_bytes", "Bytes in the active (unrotated) feedback segment."),
 	}
 }
+
+// estPlatform prices the fallback SpMV timing: an entry whose client
+// reported none gets the cost model's seconds for the served format on
+// the Stats the flusher has just computed — the model the Collector's
+// Labeler prices the entry with when folding it (gather locality comes
+// from Stats.GatherMiss8K/32K; nothing is converted or replayed). The
+// platform is a constant because a model artifact records none and
+// xeonlike is core.Options' default.
+var estPlatform = machine.XeonLike()
 
 // pending is one capture awaiting background processing. The matrix
 // rides along so stats, pattern and estimate are computed off the
@@ -118,7 +124,6 @@ type pending struct {
 type Logger struct {
 	cfg LoggerConfig
 	met *loggerMetrics
-	est *estimator
 
 	ch     chan pending
 	quit   chan struct{}
@@ -151,13 +156,6 @@ func NewLogger(cfg LoggerConfig) (*Logger, error) {
 		met:  newLoggerMetrics(cfg.Registry),
 		ch:   make(chan pending, cfg.QueueDepth),
 		quit: make(chan struct{}),
-	}
-	if cfg.EstimateTimings {
-		est, err := newEstimator()
-		if err != nil {
-			return nil, err
-		}
-		l.est = est
 	}
 	l.seq = nextSegmentSeq(cfg.Dir)
 	// Crash recovery: a non-empty active file from a previous process
@@ -298,13 +296,10 @@ func (l *Logger) process(p pending) {
 		e.PatRows = p.m.Rows
 		e.PatCols = p.m.Cols
 	}
-	if l.est != nil && e.ClientSec == 0 {
-		f, err := sparse.ParseFormat(e.Format)
-		if err == nil {
-			if sec, err := l.est.spmvSeconds(p.m, f, e.Stats); err == nil {
-				e.EstSec = sec
-				l.met.estimates.Inc()
-			}
+	if e.ClientSec == 0 {
+		if f, err := sparse.ParseFormat(e.Format); err == nil {
+			e.EstSec = estPlatform.EstimateSeconds(e.Stats, f)
+			l.met.estimates.Inc()
 		}
 	}
 	line, err := json.Marshal(&e)

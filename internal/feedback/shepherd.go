@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/faultinject"
 	"repro/internal/nn"
 	"repro/internal/obs"
@@ -305,11 +306,11 @@ func (s *Shepherd) writeScorecard(decision string, shadow *ShadowScorecard) {
 	if err != nil {
 		return
 	}
-	tmp := s.scorecardPath() + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return
-	}
-	if err := os.Rename(tmp, s.scorecardPath()); err != nil {
+	err = durable.WriteFile(s.scorecardPath(), func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
+		return err
+	})
+	if err != nil {
 		s.logf("shepherd: writing scorecard: %v", err)
 	}
 }
@@ -529,7 +530,7 @@ func (s *Shepherd) promote(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if err := replaceFile(s.candidate, s.cfg.ModelPath); err != nil {
+	if err := installFile(s.candidate, s.cfg.ModelPath); err != nil {
 		return err
 	}
 	deadline := time.Now().Add(s.cfg.PromoteTimeout)
@@ -562,36 +563,21 @@ func (s *Shepherd) promote(ctx context.Context) error {
 	}
 }
 
-// replaceFile atomically installs src at dst (copy to a temp file in
-// dst's directory, fsync, rename) — the same crash discipline as every
-// artifact write, so the serving tier's watcher never sees a torn
-// model.
-func replaceFile(src, dst string) error {
-	data, err := os.ReadFile(src)
+// installFile durably installs a copy of src at dst — the same crash
+// discipline as every artifact write, so the serving tier's watcher
+// never sees a torn model and a promotion survives power loss.
+func installFile(src, dst string) error {
+	f, err := os.Open(src)
 	if err != nil {
 		return fmt.Errorf("feedback: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(dst), ".promote-*")
+	defer f.Close()
+	err = durable.WriteFile(dst, func(w io.Writer) error {
+		_, err := io.Copy(w, f)
+		return err
+	})
 	if err != nil {
-		return fmt.Errorf("feedback: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("feedback: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("feedback: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("feedback: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("feedback: %w", err)
+		return fmt.Errorf("feedback: installing %s: %w", dst, err)
 	}
 	return nil
 }

@@ -10,8 +10,8 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"path/filepath"
 
+	"repro/internal/durable"
 	"repro/internal/tensor"
 )
 
@@ -140,40 +140,15 @@ func ReadEnvelope(r io.Reader, kind uint32) ([]byte, error) {
 	return payload, nil
 }
 
-// WriteEnvelopeFile atomically writes an enveloped artifact: the bytes
-// land in a temp file in the destination directory, are fsynced, and
-// only then renamed over the target — a crash mid-write can never leave
-// a half-written file at the published path.
+// WriteEnvelopeFile atomically publishes an enveloped artifact through
+// durable.WriteFile: a crash mid-write can never leave a half-written
+// file at the published path.
 func WriteEnvelopeFile(path string, kind uint32, payload []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	err := durable.WriteFile(path, func(w io.Writer) error {
+		return WriteEnvelope(w, kind, payload)
+	})
 	if err != nil {
-		return fmt.Errorf("nn: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-	if err := WriteEnvelope(tmp, kind, payload); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("nn: fsync %s: %w", tmpName, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("nn: close %s: %w", tmpName, err)
-	}
-	if err := os.Chmod(tmpName, 0o644); err != nil {
-		return fmt.Errorf("nn: chmod %s: %w", tmpName, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
 		return fmt.Errorf("nn: publishing %s: %w", path, err)
-	}
-	// Persist the rename itself; ignore platforms where directories
-	// cannot be fsynced.
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
 	}
 	return nil
 }

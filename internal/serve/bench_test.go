@@ -61,10 +61,7 @@ func BenchmarkPredictUncached(b *testing.B) {
 // building the entry and the channel send). Guarded by
 // scripts/benchgate.
 func BenchmarkPredictFeedback(b *testing.B) {
-	benchPredict(b, func(c *Config) {
-		c.FeedbackDir = b.TempDir()
-		c.FeedbackEstimates = false
-	})
+	benchPredict(b, func(c *Config) { c.FeedbackDir = b.TempDir() })
 }
 
 // benchBodies renders one 300×300 banded matrix (2,088 nonzeros with

@@ -247,8 +247,8 @@ func (t *triplets) value(data []byte, k int) float64 {
 // bodyScanner is a cursor over one JSON predict body, and what it has
 // read so far. spmvSeconds optionally reports how long the client's own
 // SpMV took for this pattern in its current format — closing the
-// feedback loop with a measured timing instead of the server's cachesim
-// estimate; prediction ignores it.
+// feedback loop with a measured timing instead of the server's
+// cost-model estimate; prediction ignores it.
 type bodyScanner struct {
 	data []byte
 	pos  int

@@ -114,8 +114,10 @@ type Config struct {
 	// FeedbackMaxPatternNNZ caps which matrices embed their COO pattern
 	// in feedback entries (0 = default; negative disables patterns).
 	FeedbackMaxPatternNNZ int
-	// FeedbackEstimates replays an SpMV through the cache simulator for
-	// entries without a client-reported timing.
+	// Deprecated: FeedbackEstimates is not read. An entry without a
+	// client-reported timing always carries the cost-model estimate;
+	// the field stays declared only because benchmark/fleet.go, which
+	// may not change with the code it measures, assigns it.
 	FeedbackEstimates bool
 	// ShadowSampleN mirrors every N-th prediction through the loaded
 	// shadow model (see shadow.go); 0 disables mirroring, 1 mirrors
@@ -281,7 +283,6 @@ func New(cfg Config) (*Server, error) {
 			MaxSegmentBytes: cfg.FeedbackMaxSegmentBytes,
 			MaxSegmentAge:   cfg.FeedbackMaxSegmentAge,
 			MaxPatternNNZ:   cfg.FeedbackMaxPatternNNZ,
-			EstimateTimings: cfg.FeedbackEstimates,
 			Registry:        s.met.reg,
 			Log:             cfg.Log,
 		})

@@ -165,10 +165,7 @@ func TestShadowMirrorsWithoutAffectingResponses(t *testing.T) {
 // them, including cache-hit replays and the timing passthrough.
 func TestFeedbackCapture(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := newTestServer(t, func(c *Config) {
-		c.FeedbackDir = dir
-		c.FeedbackEstimates = true
-	})
+	s, _ := newTestServer(t, func(c *Config) { c.FeedbackDir = dir })
 	ts := httptest.NewServer(s.Handler())
 
 	// Same matrix twice: first a miss (batch path), then a cache hit.

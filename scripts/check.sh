@@ -3,13 +3,11 @@
 # end-to-end train→serve→predict pass over the real binaries), then run
 # the full test suite with the race detector. SHORT=1 narrows the race
 # run to the internal packages (skipping the slow experiment
-# reproductions at the repo root).
+# reproductions at the repo root) and runs internal/experiments with
+# -short, which its long reproductions honour.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The experiment reproductions take ~2 minutes without the race
-# detector and several times that with it; the default 10m per-package
-# timeout is too tight.
 # Formatting gate: gofmt is the one true style; a non-empty file list
 # fails the build with the offending paths.
 unformatted="$(gofmt -l .)"
@@ -111,8 +109,12 @@ go test -run='^$' -fuzz='^FuzzPredictJSON$' -fuzztime=10s ./internal/serve
 go test -run='^$' -fuzz='^FuzzDecodeJSONDifferential$' -fuzztime=10s ./internal/serve
 go test -run='^$' -fuzz='^FuzzLoadDataset$' -fuzztime=10s ./internal/dataset
 
+# The experiment reproductions take ~2 minutes without the race
+# detector and several times that with it; the default 10m per-package
+# timeout is too tight.
 if [[ "${SHORT:-0}" == "1" ]]; then
-    go test -race -timeout 45m ./internal/...
+    go test -race -timeout 45m $(go list ./internal/... | grep -v '/internal/experiments$')
+    go test -race -short -timeout 45m ./internal/experiments
 else
     go test -race -timeout 45m ./...
 fi
