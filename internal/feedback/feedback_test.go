@@ -2,6 +2,7 @@ package feedback
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -13,6 +14,8 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/represent"
+	"repro/internal/selector"
 	"repro/internal/sparse"
 	"repro/internal/synthgen"
 )
@@ -551,6 +554,75 @@ func TestShepherdJournalResume(t *testing.T) {
 	}
 	if _, err := os.Stat(s.scorecardPath()); err != nil {
 		t.Fatalf("scorecard not written on transition: %v", err)
+	}
+}
+
+// TestShepherdRetrainRecordsWallTime runs the retraining state on a
+// small online corpus: the candidate lands on disk, the machine moves
+// to shadowing, and the training call's wall time is in the transition
+// reason (the log and journal line) and the retrain_seconds gauge.
+func TestShepherdRetrainRecordsWallTime(t *testing.T) {
+	work, segs := t.TempDir(), t.TempDir()
+	lab := testLabeler(t)
+	fillSegments(t, segs, []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	col, err := NewCollector(CollectorConfig{SegmentDir: segs, CorpusPath: filepath.Join(work, "corpus.store"), Labeler: lab})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := col.Collect(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := selector.DefaultConfig(represent.KindBinary, lab.Formats)
+	cfg.Represent.Size, cfg.BatchSize = 16, 4
+	live, err := selector.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modelPath := filepath.Join(work, "model.gob")
+	if err := live.SaveFile(modelPath); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s, err := NewShepherd(ShepherdConfig{
+		WorkDir: work, ModelPath: modelPath, AdminURL: "http://127.0.0.1:1",
+		Collector: col, Detector: NewDetector(baselineProfile(), DetectorConfig{}),
+		RetrainEpochs: 2, Registry: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.retrain(context.Background()); err != nil {
+		t.Fatalf("retrain: %v", err)
+	}
+	if s.State() != StateShadowing {
+		t.Fatalf("state after retrain = %q, want shadowing", s.State())
+	}
+	if _, err := selector.LoadFile(s.candidatePath()); err != nil {
+		t.Fatalf("candidate artifact: %v", err)
+	}
+	var buf bytes.Buffer
+	if _, err := reg.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	vals, err := obs.ParseMetrics(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vals["feedback_shepherd_retrains_total"] != 1 {
+		t.Fatalf("retrains_total = %v, want 1", vals["feedback_shepherd_retrains_total"])
+	}
+	if secs, ok := vals["feedback_shepherd_retrain_seconds"]; !ok || secs <= 0 {
+		t.Fatalf("feedback_shepherd_retrain_seconds = %v (exported %v), want > 0", secs, ok)
+	}
+	entries, err := ReadJournal(s.journalPath())
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("journal = %d entries, %v; want 1", len(entries), err)
+	}
+	var n int
+	var secs, liveAcc, candAcc float64
+	if _, err := fmt.Sscanf(entries[0].Reason, "candidate retrained on %d records in %fs: live_acc=%f cand_acc=%f",
+		&n, &secs, &liveAcc, &candAcc); err != nil || n != 12 {
+		t.Fatalf("transition reason %q: %v", entries[0].Reason, err)
 	}
 }
 

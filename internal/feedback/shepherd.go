@@ -155,6 +155,7 @@ type shepherdMetrics struct {
 	collects    *obs.Counter
 	corpus      *obs.Gauge
 	retrains    *obs.Counter
+	retrainSecs *obs.Gauge
 	promotions  *obs.Counter
 	rejections  *obs.Counter
 	errors      *obs.Counter
@@ -167,6 +168,7 @@ func newShepherdMetrics(r *obs.Registry) *shepherdMetrics {
 		collects:    r.Counter("feedback_shepherd_collects_total", "Feedback fold passes run."),
 		corpus:      r.Gauge("feedback_shepherd_corpus_records", "Unique patterns in the online corpus."),
 		retrains:    r.Counter("feedback_shepherd_retrains_total", "Top-evolvement retrains completed."),
+		retrainSecs: r.Gauge("feedback_shepherd_retrain_seconds", "Wall time of the last completed retrain's training call."),
 		promotions:  r.Counter("feedback_shepherd_promotions_total", "Candidates promoted to the live model."),
 		rejections:  r.Counter("feedback_shepherd_rejections_total", "Candidates rejected (load, probe or gate failure)."),
 		errors:      r.Counter("feedback_shepherd_errors_total", "Supervision ticks that failed (retried next tick)."),
@@ -416,15 +418,20 @@ func (s *Shepherd) retrain(ctx context.Context) error {
 	// The retrain streams the corpus in fixed-size chunks (the corpus
 	// store's shard discipline applied to the in-memory online corpus),
 	// so a long-lived collector cannot push retrain memory past one
-	// chunk of normalised samples.
+	// chunk of normalised samples plus the CNN codes of the corpus: the
+	// towers are frozen, so training keeps each record's codes
+	// (featSize × 8 B, 2 KB at the default geometry) from the first
+	// epoch on, and the collector caps the corpus.
 	shards := selector.DatasetShards(corpus, retrainChunk)
 	cp, err := nn.NewCheckpointer(s.checkpointDir(), 1, 2)
 	if err != nil {
 		return fmt.Errorf("feedback: %w", err)
 	}
+	trainStart := time.Now()
 	if _, err := cand.TrainStreamCtx(ctx, shards, cp, resume); err != nil {
 		return fmt.Errorf("feedback: retraining candidate: %w", err)
 	}
+	trainSecs := time.Since(trainStart).Seconds()
 
 	liveM, err := live.EvaluateStream(shards)
 	if err != nil {
@@ -450,9 +457,10 @@ func (s *Shepherd) retrain(ctx context.Context) error {
 	os.RemoveAll(s.checkpointDir())
 	s.candidate = s.candidatePath()
 	s.met.retrains.Inc()
+	s.met.retrainSecs.Set(trainSecs)
 	return s.transition(StateShadowing, fmt.Sprintf(
-		"candidate retrained on %d records: live_acc=%.3f cand_acc=%.3f",
-		len(corpus.Records), s.liveAcc, s.candAcc), 0)
+		"candidate retrained on %d records in %.2fs: live_acc=%.3f cand_acc=%.3f",
+		len(corpus.Records), trainSecs, s.liveAcc, s.candAcc), 0)
 }
 
 // corruptFile flips one byte in the middle of a file — enough for the

@@ -358,8 +358,9 @@ func (t *Trainer) Run(ctx context.Context, samples []Sample, o RunOpts) ([]float
 
 // RunStream is Run for corpora that do not fit in memory: each epoch
 // pulls samples chunk by chunk from src (typically one corpus-store
-// shard per chunk), so peak memory is bounded by the largest chunk,
-// not the corpus. Fault tolerance is identical to Run — divergence
+// shard per chunk), so the trainer's own peak memory is the largest
+// chunk, not the corpus; a source may keep more (see ChunkStream).
+// Fault tolerance is identical to Run — divergence
 // rolls the whole epoch back and retries with a backed-off learning
 // rate, cancellation flushes a checkpoint at the last epoch boundary.
 func (t *Trainer) RunStream(ctx context.Context, src SampleSource, o RunOpts) ([]float64, error) {

@@ -14,7 +14,9 @@ import (
 type Model struct {
 	Towers [][]Layer
 	Head   []Layer
-	// concat bookkeeping for Backward.
+	// Backward bookkeeping, set by the last training-mode forward: the
+	// feature size of each tower it ran — none (empty, not nil) for a
+	// codes sample, which leaves nothing beneath the head to reach.
 	lastSizes []int
 }
 
@@ -69,10 +71,31 @@ func (m *Model) FreezeTowers(frozen bool) {
 	}
 }
 
-// Forward runs all towers on their respective inputs, concatenates the
-// flattened features, and runs the head. len(inputs) must equal
-// NumTowers.
-func (m *Model) Forward(inputs []*tensor.Tensor, train bool) *tensor.Tensor {
+// TowersFrozen reports whether every tower parameter is frozen: the
+// towers are then a fixed function of the input, and training may run
+// on their Codes.
+func (m *Model) TowersFrozen() bool {
+	for _, p := range m.TowerParams() {
+		if !p.Frozen {
+			return false
+		}
+	}
+	return true
+}
+
+// Codes runs the towers in inference mode and returns their flattened
+// features concatenated: the "CNN codes" of Section 6, the vector the
+// head reads. The towers are Conv/ReLU/MaxPool/Flatten only, none of
+// which computes differently when training, so the codes equal what a
+// training-mode Forward feeds the head bit for bit. Inference mode
+// writes no layer state: Codes is safe for concurrent callers.
+func (m *Model) Codes(inputs []*tensor.Tensor) *tensor.Tensor {
+	return m.towers(inputs, false)
+}
+
+// towers runs each tower on its input and concatenates the flattened
+// features. len(inputs) must equal NumTowers.
+func (m *Model) towers(inputs []*tensor.Tensor, train bool) *tensor.Tensor {
 	if len(inputs) != len(m.Towers) {
 		panic(fmt.Sprintf("nn: model has %d towers, got %d inputs", len(m.Towers), len(inputs)))
 	}
@@ -97,7 +120,24 @@ func (m *Model) Forward(inputs []*tensor.Tensor, train bool) *tensor.Tensor {
 	if train {
 		m.lastSizes = sizes
 	}
-	x := merged
+	return merged
+}
+
+// Forward runs all towers on their respective inputs, concatenates the
+// flattened features, and runs the head.
+func (m *Model) Forward(inputs []*tensor.Tensor, train bool) *tensor.Tensor {
+	return m.forward(Sample{Inputs: inputs}, train)
+}
+
+// forward is the one path from a sample to logits: an inputs sample
+// through towers and head, a codes sample through the head alone.
+func (m *Model) forward(s Sample, train bool) *tensor.Tensor {
+	x := s.Codes
+	if x == nil {
+		x = m.towers(s.Inputs, train)
+	} else if train {
+		m.lastSizes = []int{}
+	}
 	for _, l := range m.Head {
 		x = l.Forward(x, train)
 	}
@@ -105,8 +145,10 @@ func (m *Model) Forward(inputs []*tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward propagates dL/dLogits through the head, splits the merged
-// gradient, and propagates each slice through its tower. It returns
-// nothing: gradients land in the Params.
+// gradient, and propagates each slice through the tower it came from —
+// every tower after an inputs sample, none after a codes sample, where
+// back-propagation stops at the head. It returns nothing: gradients
+// land in the Params.
 func (m *Model) Backward(gradLogits *tensor.Tensor) {
 	if m.lastSizes == nil {
 		panic("nn: Model.Backward without Forward(train)")
@@ -116,8 +158,8 @@ func (m *Model) Backward(gradLogits *tensor.Tensor) {
 		g = m.Head[i].Backward(g)
 	}
 	off := 0
-	for i, tw := range m.Towers {
-		size := m.lastSizes[i]
+	for i, size := range m.lastSizes {
+		tw := m.Towers[i]
 		slice := tensor.FromSlice(append([]float64(nil), g.Data()[off:off+size]...), size)
 		off += size
 		gt := slice

@@ -476,3 +476,80 @@ func TestForwardWrongTowerCountPanics(t *testing.T) {
 	}()
 	m.Forward([]*tensor.Tensor{randInput(rng, 1, 6, 6)}, false)
 }
+
+// A frozen tower is a fixed function: training the head on the tower's
+// codes must match training on the raw inputs bit for bit — losses,
+// head weights, and the gradient norm, which counts only the gradient
+// the optimiser applies (with the frozen towers' gradients summed in,
+// the inputs path would report a larger norm than the codes path).
+func TestCodesMatchInputsOnFrozenTowers(t *testing.T) {
+	build := func() (*Trainer, []Sample) {
+		rng := rand.New(rand.NewSource(12))
+		m := toyModel(rng)
+		m.FreezeTowers(true)
+		tr := NewTrainer(m, NewAdam(0.003), 8, 2)
+		tr.Workers = 2
+		return tr, makeToyProblem(rng, 40)
+	}
+	onInputs, inputs := build()
+	onCodes, codes := build()
+	if !onCodes.Model.TowersFrozen() {
+		t.Fatal("TowersFrozen false after FreezeTowers(true)")
+	}
+	for i, s := range codes {
+		codes[i] = Sample{Codes: onCodes.Model.Codes(s.Inputs), Label: s.Label}
+	}
+	towers := onCodes.Model.TowerParams()
+	before := make([][]float64, len(towers))
+	for i, p := range towers {
+		before[i] = append([]float64(nil), p.Value.Data()...)
+	}
+
+	for step := 0; step < 15; step++ {
+		li, err := onInputs.TrainSteps(inputs, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lc, err := onCodes.TrainSteps(codes, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if li[0] != lc[0] {
+			t.Fatalf("step %d: loss %v on inputs, %v on codes", step, li[0], lc[0])
+		}
+		if gi, gc := onInputs.LastGradNorm(), onCodes.LastGradNorm(); gi != gc || gi == 0 {
+			t.Fatalf("step %d: grad norm %v on inputs, %v on codes", step, gi, gc)
+		}
+	}
+	hi, hc := onInputs.Model.HeadParams(), onCodes.Model.HeadParams()
+	for i := range hi {
+		a, b := hi[i].Value.Data(), hc[i].Value.Data()
+		for j := range a {
+			if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+				t.Fatalf("head param %d[%d]: %v on inputs, %v on codes", i, j, a[j], b[j])
+			}
+		}
+	}
+	for i, p := range towers {
+		for j, v := range p.Value.Data() {
+			if v != before[i][j] {
+				t.Fatalf("tower param %d[%d] moved", i, j)
+			}
+		}
+		if p.Grad.Norm2() != 0 {
+			t.Fatalf("codes samples back-propagated into tower param %d", i)
+		}
+	}
+	// Evaluation takes either kind of sample too.
+	ai, li, err := EvaluateModel(onInputs.Model, inputs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ac, lc, err := EvaluateModel(onCodes.Model, codes, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ai != ac || li != lc {
+		t.Fatalf("evaluate: %v/%v on inputs, %v/%v on codes", ai, li, ac, lc)
+	}
+}

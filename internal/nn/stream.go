@@ -15,7 +15,10 @@ type SampleSource interface {
 
 // ChunkStream yields one epoch's samples chunk by chunk. Next returns
 // (nil, nil) at end of epoch. The trainer drops each chunk before
-// pulling the next, so only one chunk is resident at a time.
+// pulling the next and never writes to a sample, so it holds one chunk
+// at a time; what else stays resident is the source's business (the
+// selector's source keeps the codes samples of a frozen-tower model
+// across epochs, up to a byte cap).
 type ChunkStream interface {
 	Next() ([]Sample, error)
 }

@@ -18,10 +18,14 @@ import (
 // weights stay finite; Run turns repeated occurrences into ErrDiverged.
 var ErrNonFinite = errors.New("nn: non-finite loss or gradient")
 
-// Sample is one training example: one input tensor per tower plus a
-// class label.
+// Sample is one training example: a class label plus either one input
+// tensor per tower or, for a model whose towers are frozen, the codes
+// Model.Codes made of them. A codes sample runs the head only, and
+// back-propagation stops there; the tensor is read, never written, so
+// one sample can serve every epoch.
 type Sample struct {
 	Inputs []*tensor.Tensor
+	Codes  *tensor.Tensor
 	Label  int
 }
 
@@ -131,7 +135,7 @@ func (t *Trainer) trainBatch(batch []Sample) (float64, error) {
 		rep.ZeroGrads()
 		sum := 0.0
 		for _, s := range batch[lo:hi] {
-			logits := rep.Forward(s.Inputs, true)
+			logits := rep.forward(s, true)
 			loss, grad := CrossEntropyLoss(logits, s.Label)
 			sum += loss
 			if logits.ArgMax() == s.Label {
@@ -176,10 +180,16 @@ func (t *Trainer) trainBatch(batch []Sample) (float64, error) {
 	return total, nil
 }
 
-// gradNorm computes the L2 norm of the full parameter gradient.
+// gradNorm computes the L2 norm of the gradient the optimiser applies:
+// frozen parameters are skipped, as Optimizer.Step skips them, so the
+// divergence gate and the grad_norm telemetry read the same whether a
+// frozen tower was back-propagated into or bypassed by a codes sample.
 func gradNorm(params []*Param) float64 {
 	sum := 0.0
 	for _, p := range params {
+		if p.Frozen {
+			continue
+		}
 		for _, g := range p.Grad.Data() {
 			sum += g * g
 		}
@@ -293,7 +303,7 @@ func EvaluateModel(m *Model, samples []Sample, workers int) (acc, meanLoss float
 		}
 		rep := m.Replica()
 		for _, s := range samples[lo:hi] {
-			logits := rep.Forward(s.Inputs, false)
+			logits := rep.forward(s, false)
 			loss, _ := CrossEntropyLoss(logits, s.Label)
 			losses[wi] += loss
 			if logits.ArgMax() == s.Label {

@@ -1,8 +1,11 @@
 package selector
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/dataset"
+	"repro/internal/machine"
 	"repro/internal/represent"
 	"repro/internal/sparse"
 	"repro/internal/synthgen"
@@ -32,4 +35,32 @@ func BenchmarkPredict(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkTrainStreamTopEvolvement is the shepherd's retrain and the
+// end-to-end benchmark's retrain_stream in miniature: a transferred
+// model with frozen towers, 256 records in four chunks, five epochs on
+// one worker — one encoding epoch and four on memoised codes. Guarded
+// by scripts/benchgate.
+func BenchmarkTrainStreamTopEvolvement(b *testing.B) {
+	lab := machine.NewLabeler(machine.XeonLike(), 1)
+	d := dataset.Generate(dataset.Config{Count: 256, Seed: 42, MaxN: 512}, lab)
+	cfg := DefaultConfig(represent.KindBinary, sparse.CPUFormats())
+	cfg.Epochs, cfg.Workers = 5, 1
+	src, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cand, err := Transfer(src, TopEvolvement)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cand.TrainStreamCtx(context.Background(), DatasetShards(d, 64), nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N*cfg.Epochs*len(d.Records))/b.Elapsed().Seconds(), "samples/s")
 }

@@ -1,25 +1,32 @@
 package selector
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"runtime"
 	"testing"
 
+	"repro/internal/nn"
 	"repro/internal/represent"
 	"repro/internal/sparse"
 	"repro/internal/synthgen"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/predict_golden.json from this build's Predict")
+var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/*_golden.json digests from this build")
 
-const goldenPath = "testdata/predict_golden.json"
+const (
+	goldenPath            = "testdata/predict_golden.json"
+	topEvolveGoldenPath   = "testdata/top_evolvement_golden.json"
+	topEvolveGoldenEpochs = 3
+)
 
 // goldenMatrices is the fixed input set of the bit-identity gate: 200
 // seeded synthgen specs (square, tall hypersparse, derived crops and
@@ -102,17 +109,29 @@ func TestPredictGoldenBits(t *testing.T) {
 		}
 		got[c.name] = hex.EncodeToString(h.Sum(nil))
 	}
+	want := goldenDigests(t, goldenPath, got)
+	for _, c := range configs {
+		if got[c.name] != want[c.name] {
+			t.Errorf("%s: probabilities over %d matrices hash to %s, golden %s", c.name, len(ms), got[c.name], want[c.name])
+		}
+	}
+}
+
+// goldenDigests returns the digests committed at path — or, under
+// -update-golden, writes got there and returns it.
+func goldenDigests(t *testing.T, path string, got map[string]string) map[string]string {
+	t.Helper()
 	if *updateGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return
+		return got
 	}
-	data, err := os.ReadFile(goldenPath)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,9 +139,67 @@ func TestPredictGoldenBits(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range configs {
-		if got[c.name] != want[c.name] {
-			t.Errorf("%s: probabilities over %d matrices hash to %s, golden %s", c.name, len(ms), got[c.name], want[c.name])
+	return want
+}
+
+// paramDigest hashes the float64 bits of every parameter value, in
+// Params order.
+func paramDigest(params []*nn.Param) string {
+	h := sha256.New()
+	var buf [8]byte
+	for _, p := range params {
+		for _, v := range p.Value.Data() {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestTopEvolvementGoldenBits pins top evolvement's result bit for bit
+// to what training on the raw inputs produced — towers forward in
+// training mode and back-propagated into every epoch — before the
+// trainer was fed CNN codes (recorded on that commit with
+// -update-golden): Transfer(TopEvolvement) of a perturbed model,
+// TrainStreamCtx over a fixed corpus in five chunks (the last one
+// partial), learning-rate decay and weight decay on. One digest per
+// worker count, because the batch gradient is summed per worker.
+// Dropout is off: replica dropout streams are numbered process-wide, so
+// with it on the weights depend on which tests ran before. amd64 only,
+// as TestPredictGoldenBits.
+func TestTopEvolvementGoldenBits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden weights were recorded on amd64")
+	}
+	d := cpuDataset(t, 72)
+	cfg := fastConfig(represent.KindHistogram)
+	cfg.Epochs = topEvolveGoldenEpochs
+	cfg.DropoutRate = 0
+	src := goldenSelector(t, cfg)
+	towers := weightBits(src.Model.TowerParams())
+	got := map[string]string{}
+	for _, workers := range []int{1, 2} {
+		cand, err := Transfer(src, TopEvolvement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cand.Cfg.Workers = workers
+		losses, err := cand.TrainStreamCtx(context.Background(), DatasetShards(d, 16), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(losses) != topEvolveGoldenEpochs {
+			t.Fatalf("workers=%d: trained %d epochs, want %d", workers, len(losses), topEvolveGoldenEpochs)
+		}
+		if !bitsEqual(weightBits(cand.Model.TowerParams()), towers) {
+			t.Fatalf("workers=%d: training moved the frozen towers", workers)
+		}
+		got[fmt.Sprintf("workers=%d", workers)] = paramDigest(cand.Model.Params())
+	}
+	want := goldenDigests(t, topEvolveGoldenPath, got)
+	for name, g := range got {
+		if g != want[name] {
+			t.Errorf("%s: parameters hash to %s, golden %s", name, g, want[name])
 		}
 	}
 }

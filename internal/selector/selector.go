@@ -268,9 +268,36 @@ func (s *Selector) TrainSamples(samples []nn.Sample) ([]float64, error) {
 // checkpoint previously loaded with LoadCheckpoint — resumes exactly
 // where the interrupted run stopped.
 func (s *Selector) TrainSamplesCtx(ctx context.Context, samples []nn.Sample, cp *nn.Checkpointer, resume *nn.Checkpoint) ([]float64, error) {
+	samples, err := s.encodeFrozen(samples)
+	if err != nil {
+		return nil, err
+	}
 	return s.train(cp, resume, func(tr *nn.Trainer, opts nn.RunOpts) ([]float64, error) {
 		return tr.Run(ctx, samples, opts)
 	})
+}
+
+// encodeFrozen returns the samples the trainer is to be fed. When every
+// tower parameter is frozen (top evolvement, Section 6) the towers are a
+// fixed function, so each sample becomes its CNN codes — towers run once
+// here, in inference mode — and every epoch after trains the head on
+// those: no tower runs in training mode or is back-propagated into, and
+// the weights come out bit-identical. Otherwise the samples are
+// returned as they are. The argument is never modified.
+func (s *Selector) encodeFrozen(samples []nn.Sample) ([]nn.Sample, error) {
+	if !s.Model.TowersFrozen() {
+		return samples, nil
+	}
+	coded := make([]nn.Sample, len(samples))
+	if err := forChunks(s.Cfg.Workers, len(samples), func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			coded[i] = nn.Sample{Codes: s.Model.Codes(samples[i].Inputs), Label: samples[i].Label}
+		}
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("selector: encoding samples: %w", err)
+	}
+	return coded, nil
 }
 
 // train is the set-up every epoch-based training entry point shares:
@@ -320,6 +347,10 @@ func (s *Selector) train(cp *nn.Checkpointer, resume *nn.Checkpoint, run func(*n
 // — the Figure 11 convergence curves.
 func (s *Selector) TrainSteps(samples []nn.Sample, n int) ([]float64, error) {
 	defer s.inf32.Store(nil)
+	samples, err := s.encodeFrozen(samples)
+	if err != nil {
+		return nil, err
+	}
 	return s.newTrainer().TrainSteps(samples, n)
 }
 

@@ -22,7 +22,9 @@ const (
 	// and fine-tunes all of them on the new platform's labels.
 	ContinuousEvolvement
 	// TopEvolvement freezes the convolutional towers (the "CNN codes"
-	// extractor) and retrains only the fully connected head.
+	// extractor) and retrains only the fully connected head. Training
+	// a model in this state runs the towers once per record, not once
+	// per epoch: see Selector.encodeFrozen.
 	TopEvolvement
 )
 

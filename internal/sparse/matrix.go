@@ -8,8 +8,9 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Format identifies a sparse storage format.
@@ -127,12 +128,15 @@ type Entry struct {
 	Val      float64
 }
 
-// sortEntries orders entries row-major (row, then col).
+// sortEntries orders entries row-major (row, then col). The sort is
+// not stable and NewCOOOwned sums duplicates in the order it leaves
+// them, so which pdqsort this is shows in the low bits of a canonical
+// value: TestSortEntriesDuplicateOrder pins it to sort.Slice's.
 func sortEntries(es []Entry) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Row != es[j].Row {
-			return es[i].Row < es[j].Row
+	slices.SortFunc(es, func(a, b Entry) int {
+		if c := cmp.Compare(a.Row, b.Row); c != 0 {
+			return c
 		}
-		return es[i].Col < es[j].Col
+		return cmp.Compare(a.Col, b.Col)
 	})
 }

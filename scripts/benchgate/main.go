@@ -6,8 +6,9 @@
 //
 // Only the guarded set is gated — the SpMV kernels, dense MatMul,
 // representation construction, the float32 inference engine, the whole
-// decision at the shipped geometry (selector.Predict), the serve
-// predict path and its parse stage (body decode, fingerprint) — because micro-noise on the heavyweight
+// decision at the shipped geometry (selector.Predict), the frozen-tower
+// retrain (selector.TrainStreamCtx after Transfer(TopEvolvement)), the
+// serve predict path and its parse stage (body decode, fingerprint) — because micro-noise on the heavyweight
 // experiment reproductions would make a blanket gate flaky. Every
 // guarded benchmark is gated on BOTH axes: ns/op against -threshold
 // and allocs/op against -alloc-threshold. Allocations are counted, not
@@ -62,6 +63,7 @@ var guarded = []*regexp.Regexp{
 	regexp.MustCompile(`^repro/internal/sparse/BenchmarkFingerprint`),
 	regexp.MustCompile(`^repro/internal/nn/BenchmarkInfer32Predict`),
 	regexp.MustCompile(`^repro/internal/selector/BenchmarkPredict/`),
+	regexp.MustCompile(`^repro/internal/selector/BenchmarkTrainStream`),
 }
 
 // allocOnly names benchmarks whose allocs/op is the contract while
