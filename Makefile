@@ -12,8 +12,8 @@ test:
 # benchmark module's vet and tests, the five real-binary drills (serve
 # smoke, corpus kill→resume, cluster chaos, overload control, continual
 # learning), a fuzz smoke, and the full test suite under the race
-# detector (worker pools, the imported-matrix registry, the
-# checkpointer and the serving tier are all concurrency-sensitive).
+# detector (worker pools, the checkpointer and the serving tier are all
+# concurrency-sensitive).
 # SHORT=1 shortens the drills and skips the long experiment
 # reproductions.
 check:

@@ -8,9 +8,8 @@
 //
 // The workload is a fixed pool of synthgen mixture matrices with
 // Zipf-distributed popularity — a few hot sparsity patterns dominate,
-// like production traffic — which exercises the prediction cache, the
-// router's shard hints and the replicas' peer fill, not just the
-// forward pass.
+// like production traffic — which exercises the prediction cache and
+// the router's shard routing, not just the forward pass.
 //
 // Two arrival processes are supported. The default, -arrival closed,
 // runs -concurrency workers that each wait for their last answer

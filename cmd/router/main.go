@@ -4,8 +4,8 @@
 // with jittered exponential backoff across the healthy set, optional
 // tail-latency hedging, and consistent cache sharding — each request's
 // sparsity fingerprint is rendezvous-hashed to a shard-owning replica,
-// and the hint travels as the X-Shard-Owner header so replicas can
-// peer-fill their caches.
+// so the same pattern keeps landing on the same cache. Replicas never
+// call each other: a request that fails over is computed where it lands.
 //
 //	router -addr 127.0.0.1:9090 \
 //	  -replicas http://127.0.0.1:8081,http://127.0.0.1:8082,http://127.0.0.1:8083
@@ -19,9 +19,8 @@
 // never amplified by its own router; replica Retry-After hints pace the
 // relaunches that do happen; every attempt carries its remaining
 // deadline as X-Request-Deadline so replicas can refuse work they
-// cannot finish in time; and -replica-slo-target arms an adaptive
-// per-replica in-flight limit that sheds at the router edge before
-// deepening a slow replica's queue.
+// cannot finish in time. Admission is the replicas' own job: a 429 from
+// one fails over to the next without a breaker penalty.
 //
 // SIGINT/SIGTERM drain gracefully: in-flight requests finish within
 // -drain-timeout, then the probe loop stops and a final metrics
@@ -58,7 +57,6 @@ func main() {
 	backoff := flag.Duration("backoff", 25*time.Millisecond, "base retry backoff (doubles per retry, jittered)")
 	retryBudgetRatio := flag.Float64("retry-budget-ratio", 0.1, "retry tokens deposited per successful attempt (caps steady-state retries at this fraction of successes; negative disables the budget)")
 	retryBudgetBurst := flag.Int("retry-budget-burst", 10, "retry-budget token cap and starting balance")
-	replicaSLO := flag.Duration("replica-slo-target", 0, "per-replica adaptive in-flight limit target latency (0 disables)")
 	hedgeAfter := flag.Duration("hedge-after", 0, "hedge to the next replica when the first attempt exceeds this (0 disables)")
 	requestTimeout := flag.Duration("request-timeout", 15*time.Second, "end-to-end deadline budget per routed request")
 	maxBody := flag.Int64("max-body", 32<<20, "largest accepted request body in bytes (413 beyond)")
@@ -80,7 +78,6 @@ func main() {
 		Backoff:          *backoff,
 		RetryBudgetRatio: *retryBudgetRatio,
 		RetryBudgetBurst: *retryBudgetBurst,
-		ReplicaSLOTarget: *replicaSLO,
 		HedgeAfter:       *hedgeAfter,
 		RequestTimeout:   *requestTimeout,
 		MaxBodyBytes:     *maxBody,

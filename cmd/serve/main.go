@@ -62,7 +62,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/serve"
 	"repro/internal/sparse"
-	"repro/internal/spmv"
 )
 
 func main() {
@@ -84,27 +83,11 @@ func main() {
 	predictTimeout := flag.Duration("predict-timeout", 2*time.Second, "per-inference CNN deadline before degrading")
 	requestTimeout := flag.Duration("request-timeout", 15*time.Second, "end-to-end deadline budget per request")
 	dtreePath := flag.String("dtree", "", "trained decision-tree artifact for the degraded rung (empty = built-in heuristic)")
-	selfURL := flag.String("self", "", "this replica's advertised base URL in a cluster (empty = derive from the listener)")
-	peerFillTimeout := flag.Duration("peer-fill-timeout", 150*time.Millisecond, "peer cache-fill deadline before failing open to local compute")
 	feedbackDir := flag.String("feedback-dir", "", "directory for the crash-safe feedback log (empty disables capture)")
 	feedbackSegBytes := flag.Int64("feedback-segment-bytes", 1<<20, "feedback log segment size before rotation")
 	feedbackSegAge := flag.Duration("feedback-segment-age", 30*time.Second, "feedback log segment age before rotation")
 	shadowSample := flag.Int("shadow-sample", 8, "mirror every Nth prediction through a loaded shadow model (0 disables)")
-	spmvTable := flag.String("spmv-table", "", "autotuned SpMV dispatch table JSON (spmvbench -autotune output); empty keeps built-in defaults")
 	flag.Parse()
-
-	if *spmvTable != "" {
-		tab, err := spmv.LoadTableFile(*spmvTable)
-		if err != nil {
-			// The table is a performance cache, never a correctness
-			// dependency: a stale or unreadable file logs and falls back to
-			// the built-in dispatch defaults.
-			fmt.Fprintln(os.Stderr, "serve: spmv table ignored:", err)
-		} else {
-			spmv.Install(tab)
-			fmt.Fprintf(os.Stderr, "serve: spmv dispatch table loaded from %s (%d entries)\n", *spmvTable, len(tab.Entries))
-		}
-	}
 
 	if spec := os.Getenv("SERVE_FAULT_INJECT"); spec != "" {
 		if err := faultinject.Arm(spec); err != nil {
@@ -130,8 +113,6 @@ func main() {
 		BreakerThreshold:        *breakerThreshold,
 		BreakerCooldown:         *breakerCooldown,
 		DTreePath:               *dtreePath,
-		SelfURL:                 *selfURL,
-		PeerFillTimeout:         *peerFillTimeout,
 		FeedbackDir:             *feedbackDir,
 		FeedbackMaxSegmentBytes: *feedbackSegBytes,
 		FeedbackMaxSegmentAge:   *feedbackSegAge,

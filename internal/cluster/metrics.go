@@ -24,9 +24,6 @@ type metrics struct {
 	hedges          *obs.CounterVec   // outcome: win, lose
 	probeFailures   *obs.CounterVec   // replica
 	replicaState    *obs.GaugeVec     // replica -> 0 healthy, 1 degraded, 2 down
-	replicaLimited  *obs.CounterVec   // replica -> attempts refused by its in-flight limiter
-	replicaLimit    *obs.GaugeVec     // replica -> current adaptive in-flight limit
-	peerFill        *obs.CounterVec   // outcome, relayed from replica X-Peer-Fill headers
 	proxyLatency    *obs.HistogramVec // replica -> one-attempt seconds
 }
 
@@ -43,9 +40,6 @@ func newMetrics() *metrics {
 	m.hedges = r.CounterVec("router_hedges_total", "Hedged attempts by outcome (win = hedge answered first).")
 	m.probeFailures = r.CounterVec("router_probe_failures_total", "Failed health probes, by replica.")
 	m.replicaState = r.GaugeVec("router_replica_state", "Replica health (0=healthy, 1=degraded, 2=down).")
-	m.replicaLimited = r.CounterVec("router_replica_limited_total", "Attempts refused locally by a replica's adaptive in-flight limiter.")
-	m.replicaLimit = r.GaugeVec("router_replica_limit", "Current adaptive per-replica in-flight limit.")
-	m.peerFill = r.CounterVec("router_peer_fill_total", "Peer cache-fill outcomes relayed from replica responses.")
 	m.proxyLatency = r.HistogramVec("router_proxy_seconds", "Single-attempt proxy latency, by replica.", obs.DefLatencyBuckets())
 	started := time.Now()
 	r.GaugeFunc("router_uptime_seconds", "Seconds since the router started.", func() float64 {

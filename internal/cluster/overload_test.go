@@ -2,13 +2,9 @@ package cluster
 
 import (
 	"net/http"
-	"net/http/httptest"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/robust"
 )
 
 func TestRetryBudgetBucket(t *testing.T) {
@@ -192,54 +188,39 @@ func TestRouterRelaysFinal503(t *testing.T) {
 	}
 }
 
-// TestRouterReplicaInflightLimit: with the per-replica limiter armed
-// and pinned to one slot, a second concurrent request is refused at the
-// router edge — the replica never sees it.
-func TestRouterReplicaInflightLimit(t *testing.T) {
-	slow := newFakeReplica(t)
-	slow.set(func(f *fakeReplica) { f.delay = 400 * time.Millisecond })
-	rt, err := New(Config{
-		Replicas:         []string{slow.url()},
-		ProbeInterval:    25 * time.Millisecond,
-		Retries:          2,
-		Backoff:          time.Millisecond,
-		RequestTimeout:   5 * time.Second,
-		ReplicaSLOTarget: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestRouterNoTargetNoRetryCost: a retry is paid for only when it can
+// be launched. Two replicas shedding with Retry-After: 1 under the
+// default two retries cost one paced wait, one budget token and one
+// counted retry for the two attempts there are replicas for; the second
+// refusal is relayed at once.
+func TestRouterNoTargetNoRetryCost(t *testing.T) {
+	a, b := newFakeReplica(t), newFakeReplica(t)
+	for _, f := range []*fakeReplica{a, b} {
+		f.set(func(f *fakeReplica) {
+			f.predictCode = http.StatusTooManyRequests
+			f.predictBody = `{"error":"shed"}`
+			f.predictHeader = http.Header{"Retry-After": []string{"1"}}
+		})
 	}
-	t.Cleanup(rt.Close)
-	// Pin the adaptive limit to a single slot (before the server starts
-	// taking requests) so the test does not have to wait for AIMD
-	// windows to shrink it.
-	rep := replicaByURL(rt, slow.url())
-	rep.limiter = robust.NewLimiter(robust.LimiterConfig{Target: 50 * time.Millisecond, Floor: 1, Ceiling: 1, Initial: 1})
-	ts := httptest.NewServer(rt.Handler())
-	t.Cleanup(ts.Close)
+	_, ts := newTestRouter(t, nil, a, b)
 
-	var wg sync.WaitGroup
-	wg.Add(1)
-	codeA := make(chan int, 1)
-	go func() {
-		defer wg.Done()
-		res, _ := postRouter(t, ts, predictBody(1))
-		codeA <- res.StatusCode
-	}()
-	time.Sleep(100 * time.Millisecond) // let A occupy the only slot
-	res, _ := postRouter(t, ts, predictBody(1))
-	wg.Wait()
-	if got := <-codeA; got != http.StatusOK {
-		t.Fatalf("first request: code %d, want 200", got)
-	}
+	start := time.Now()
+	res, _ := postRouter(t, ts, predictBody(3))
+	elapsed := time.Since(start)
 	if res.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("second request: code %d, want 429 from the edge limiter", res.StatusCode)
+		t.Fatalf("code %d, want 429 relayed", res.StatusCode)
 	}
-	if hits := slow.hits.Load(); hits != 1 {
-		t.Fatalf("replica saw %d requests, want 1 (limited attempt must not reach the wire)", hits)
+	if got := res.Header.Get("X-Router-Attempts"); got != "2" {
+		t.Fatalf("X-Router-Attempts %q, want 2", got)
+	}
+	if elapsed < 900*time.Millisecond || elapsed > 1800*time.Millisecond {
+		t.Fatalf("answered in %v, want about 1s: one Retry-After wait, none for a retry with no replica left", elapsed)
 	}
 	page := scrapeRouter(t, ts)
-	if v := metricSum(page, "router_replica_limited_total"); v == 0 {
-		t.Fatal("edge rejection not counted in router_replica_limited_total")
+	if v := metricSample(page, "router_retry_budget_tokens"); v != 9 {
+		t.Fatalf("router_retry_budget_tokens %g, want 9 (one retry launched)", v)
+	}
+	if v := metricSample(page, `router_retries_total{reason="shed"}`); v != 1 {
+		t.Fatalf(`router_retries_total{reason="shed"} %g, want 1`, v)
 	}
 }

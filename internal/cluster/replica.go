@@ -24,7 +24,6 @@ type Replica struct {
 	seed uint64 // rendezvous seed, derived from url
 
 	breaker *robust.Breaker
-	limiter *robust.Limiter        // adaptive in-flight cap (nil = uncapped)
 	rung    atomic.Pointer[string] // last rung parsed from /readyz ("" = never probed)
 }
 
@@ -57,14 +56,6 @@ func (r *Replica) state() int {
 		return stateDegraded
 	}
 	return stateHealthy
-}
-
-// limiterRelease returns an in-flight slot to the replica's adaptive
-// limiter, feeding it one completion. No-op when the limiter is off.
-func (r *Replica) limiterRelease(latency time.Duration, ok bool) {
-	if r.limiter != nil {
-		r.limiter.Release(latency, ok)
-	}
 }
 
 // replicaLabel renders the per-replica label set.

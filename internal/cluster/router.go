@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/robust"
 	"repro/internal/serve"
 	"repro/internal/sparse"
 )
@@ -63,13 +62,6 @@ type Config struct {
 	// so a cold router can still retry through an isolated failure
 	// (default 10).
 	RetryBudgetBurst int
-	// ReplicaSLOTarget, when positive, arms an adaptive in-flight
-	// limiter per replica (robust.Limiter, AIMD on observed attempt
-	// latency against this target): attempts beyond a replica's current
-	// limit are refused locally as a synthetic 429 and fail over to the
-	// next candidate instead of deepening the slow replica's queue.
-	// 0 disables (the default).
-	ReplicaSLOTarget time.Duration
 	// MaxBodyBytes caps accepted request bodies (default 32 MiB).
 	MaxBodyBytes int64
 	// Limits is the ingestion budget used to parse (and reject) bodies
@@ -179,18 +171,6 @@ func New(cfg Config) (*Router, error) {
 		// shows the whole fleet (state 2 until the first probe passes).
 		rt.met.replicaState.With(replicaLabel(rep.url)).SetInt(stateDown)
 		rt.met.probeFailures.With(replicaLabel(rep.url))
-		if cfg.ReplicaSLOTarget > 0 {
-			// Per-replica adaptive in-flight cap: the limiter sheds at the
-			// router edge before the wire, so a slow replica's queue stops
-			// growing the moment its attempt latency crosses the target.
-			rep.limiter = robust.NewLimiter(robust.LimiterConfig{
-				Target:  cfg.ReplicaSLOTarget,
-				Floor:   1,
-				Ceiling: 256,
-			})
-			rt.met.replicaLimited.With(replicaLabel(rep.url))
-			rt.met.replicaLimit.With(replicaLabel(rep.url)).Set(float64(rep.limiter.Limit()))
-		}
 	}
 	rt.probeWG.Add(1)
 	go rt.probeLoop()
@@ -331,7 +311,7 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	code = res.status
-	for _, h := range []string{"Content-Type", "X-Trace-Id", "X-Cache-Status", "X-Peer-Fill", "Retry-After"} {
+	for _, h := range []string{"Content-Type", "X-Trace-Id", "X-Cache-Status", "Retry-After"} {
 		if v := res.header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
@@ -464,7 +444,7 @@ func (rt *Router) forward(ctx context.Context, fp uint64, body []byte, contentTy
 		actx, acancel := context.WithTimeout(ctx, per)
 		cancels = append(cancels, acancel)
 		go func() {
-			results <- rt.send(actx, rep, n, owner, body, contentType, rawQuery)
+			results <- rt.send(actx, rep, n, body, contentType, rawQuery)
 		}()
 		return true
 	}
@@ -499,13 +479,13 @@ func (rt *Router) forward(ctx context.Context, fp uint64, body []byte, contentTy
 						rt.met.hedges.With(`outcome="lose"`).Inc()
 					}
 				}
-				if pf := res.header.Get("X-Peer-Fill"); pf != "" {
-					rt.met.peerFill.With(fmt.Sprintf("outcome=%q", pf)).Inc()
-				}
 				return res
 			}
 			last = res
-			if launches < maxLaunches {
+			// A retry is paid for (pacing wait, budget token, counter)
+			// only when it can be launched: with every replica tried the
+			// refusal in hand is the answer.
+			if launches < maxLaunches && len(tried) < len(ranked) {
 				wait := jitter(rt.cfg.Backoff << uint(launches-1))
 				if ra, ok := retryAfterHint(res); ok {
 					// The replica said when it can take work again. A
@@ -561,37 +541,14 @@ func (rt *Router) forward(ctx context.Context, fp uint64, body []byte, contentTy
 // send performs one outbound attempt and feeds the replica's breaker:
 // transport failures and 5xx count against it, anything the replica
 // consciously answered (2xx, 4xx, even a 429 shed) counts for it.
-func (rt *Router) send(ctx context.Context, rep *Replica, attempt int, owner string, body []byte, contentType, rawQuery string) attemptResult {
+func (rt *Router) send(ctx context.Context, rep *Replica, attempt int, body []byte, contentType, rawQuery string) attemptResult {
 	start := time.Now()
-	if rep.limiter != nil {
-		if !rep.limiter.Acquire() {
-			// Refused at the router's edge: a synthetic shed, shaped like
-			// a replica 429 so forward's retry logic fails the attempt
-			// over to the next candidate without touching the wire (or
-			// the replica's breaker — a full replica is not a sick one).
-			rt.met.replicaLimited.With(replicaLabel(rep.url)).Inc()
-			hdr := http.Header{}
-			hdr.Set("Content-Type", "application/json")
-			hdr.Set("Retry-After", "1")
-			return attemptResult{
-				status:  http.StatusTooManyRequests,
-				header:  hdr,
-				body:    []byte(`{"error":"replica in-flight limit reached"}`),
-				rep:     rep,
-				attempt: attempt,
-			}
-		}
-		defer func() {
-			rt.met.replicaLimit.With(replicaLabel(rep.url)).Set(float64(rep.limiter.Limit()))
-		}()
-	}
 	url := rep.url + "/v1/predict"
 	if rawQuery != "" {
 		url += "?" + rawQuery
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		rep.limiterRelease(time.Since(start), false)
 		return attemptResult{rep: rep, attempt: attempt, err: err}
 	}
 	if contentType != "" {
@@ -602,9 +559,6 @@ func (rt *Router) send(ctx context.Context, rep *Replica, attempt int, owner str
 		// work it cannot finish in time instead of queueing it to die.
 		req.Header.Set("X-Request-Deadline", strconv.FormatInt(dl.UnixMilli(), 10))
 	}
-	// The shard hint: whichever replica serves this, the owner's cache
-	// is where the answer may already live.
-	req.Header.Set("X-Shard-Owner", owner)
 	if attempt > 0 {
 		// Mark retries and hedges so replica-side accounting can keep
 		// true demand separate from router duplicates.
@@ -613,7 +567,6 @@ func (rt *Router) send(ctx context.Context, rep *Replica, attempt int, owner str
 	res, err := rt.client.Do(req)
 	if err != nil {
 		rep.breaker.Failure()
-		rep.limiterRelease(time.Since(start), false)
 		rt.met.proxyLatency.With(replicaLabel(rep.url)).ObserveSince(start)
 		return attemptResult{rep: rep, attempt: attempt, err: err}
 	}
@@ -622,7 +575,6 @@ func (rt *Router) send(ctx context.Context, rep *Replica, attempt int, owner str
 	rt.met.proxyLatency.With(replicaLabel(rep.url)).ObserveSince(start)
 	if err != nil {
 		rep.breaker.Failure()
-		rep.limiterRelease(time.Since(start), false)
 		return attemptResult{rep: rep, attempt: attempt, err: err}
 	}
 	if res.StatusCode >= 500 {
@@ -630,10 +582,6 @@ func (rt *Router) send(ctx context.Context, rep *Replica, attempt int, owner str
 	} else {
 		rep.breaker.Success()
 	}
-	// A shed or 5xx counts against the limiter too: an overloaded
-	// replica's fast refusals are exactly the signal that should shrink
-	// its in-flight cap.
-	rep.limiterRelease(time.Since(start), res.StatusCode < 500 && res.StatusCode != http.StatusTooManyRequests)
 	return attemptResult{status: res.StatusCode, header: res.Header, body: data, rep: rep, attempt: attempt}
 }
 

@@ -28,7 +28,6 @@ type fakeReplica struct {
 	readyBody   string
 
 	hits      atomic.Int64
-	owners    []string // X-Shard-Owner header per predict hit
 	retries   []string // X-Retry-Attempt header per predict hit
 	deadlines []string // X-Request-Deadline header per predict hit
 
@@ -49,7 +48,6 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 	mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) {
 		f.hits.Add(1)
 		f.mu.Lock()
-		f.owners = append(f.owners, r.Header.Get("X-Shard-Owner"))
 		f.retries = append(f.retries, r.Header.Get("X-Retry-Attempt"))
 		f.deadlines = append(f.deadlines, r.Header.Get("X-Request-Deadline"))
 		code, body, delay := f.predictCode, f.predictBody, f.delay
@@ -181,41 +179,20 @@ func TestRouterRoutesWithShardHint(t *testing.T) {
 	a, b := newFakeReplica(t), newFakeReplica(t)
 	rt, ts := newTestRouter(t, nil, a, b)
 
-	body := predictBody(1)
-	res, data := postRouter(t, ts, body)
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("code %d body %s", res.StatusCode, data)
-	}
-	if got := res.Header.Get("X-Served-By"); got != a.url() && got != b.url() {
-		t.Fatalf("X-Served-By %q names no replica", got)
-	}
-	// The shard hint must be consistent: both replicas see the same
-	// owner for the same fingerprint, and it matches the ring.
-	hit := a
-	if b.hits.Load() > 0 {
-		hit = b
-	}
-	hit.mu.Lock()
-	owner := hit.owners[0]
-	hit.mu.Unlock()
-	if owner == "" {
-		t.Fatal("no X-Shard-Owner hint sent")
-	}
-	wantOwner := owner
-	for i := 0; i < 5; i++ {
-		postRouter(t, ts, body)
-	}
-	for _, f := range []*fakeReplica{a, b} {
-		f.mu.Lock()
-		for _, o := range f.owners {
-			if o != wantOwner {
-				f.mu.Unlock()
-				t.Fatalf("owner hint flapped: %q vs %q", o, wantOwner)
+	// The same fingerprint keeps landing on the replica the ring names
+	// as its owner — that is what shards the caches.
+	for seed := 0; seed < 4; seed++ {
+		body, fp := fingerprintedBody(t, seed)
+		for i := 0; i < 3; i++ {
+			res, data := postRouter(t, ts, body)
+			if res.StatusCode != http.StatusOK {
+				t.Fatalf("code %d body %s", res.StatusCode, data)
+			}
+			if got, want := res.Header.Get("X-Served-By"), rt.Owner(fp); got != want {
+				t.Fatalf("seed %d served by %q, want shard owner %q", seed, got, want)
 			}
 		}
-		f.mu.Unlock()
 	}
-	_ = rt
 }
 
 func TestRouterRejectsMalformedAtEdge(t *testing.T) {

@@ -35,28 +35,28 @@ type Record struct {
 
 	// mat, when non-nil, is the record's matrix held directly in
 	// memory. Shard-at-a-time store iteration uses it for imported
-	// patterns so a streamed shard's matrices are released with the
-	// shard instead of accumulating in the process-global imported
-	// registry. Unexported, so it is never serialised.
+	// patterns, so a streamed shard's matrices are released with the
+	// shard. Unexported, so it is never serialised.
 	mat *sparse.COO
 }
 
-// Matrix regenerates the record's matrix (or returns the in-memory
-// copy for store-streamed pattern records, or fetches it from the
-// imported-matrix registry for records created by ImportMatrixMarket).
+// importedFamily marks a record whose matrix came from a file: no
+// synthgen spec can regenerate it, so the store persists its pattern
+// and a streamed record carries it in mat.
+const importedFamily synthgen.Family = -1
+
+// Matrix regenerates the record's matrix, or returns the in-memory
+// copy for imported and store-streamed pattern records.
 func (r *Record) Matrix() *sparse.COO {
 	if r.mat != nil {
 		return r.mat
-	}
-	if m, ok := importedMatrix(r.Spec); ok {
-		return m
 	}
 	return synthgen.Build(r.Spec)
 }
 
 // SetMatrix attaches an in-memory matrix to the record, overriding
-// spec regeneration and registry lookup in Matrix. The attachment is
-// process-local and never serialised.
+// spec regeneration in Matrix. The attachment is process-local and
+// never serialised.
 func (r *Record) SetMatrix(m *sparse.COO) { r.mat = m }
 
 // Dataset is a labelled corpus tied to one platform's format set.

@@ -304,3 +304,7 @@ func TestResumeQuarantineBudgetCountsFromWalkStart(t *testing.T) {
 	}
 	compareStoreBytes(t, ref, store)
 }
+
+func writeFile(path, content string) error {
+	return os.WriteFile(path, []byte(content), 0o644)
+}

@@ -825,10 +825,7 @@ func WriteStore(dir string, d *Dataset, shardSize int) (*CorpusStore, error) {
 		r := d.Records[i]
 		var pattern *sparse.COO
 		fp := RecordFingerprint(&r)
-		if m, ok := importedMatrix(r.Spec); ok {
-			pattern = m
-			fp = sparse.Fingerprint(m)
-		} else if r.mat != nil {
+		if r.mat != nil {
 			pattern = r.mat
 			fp = sparse.Fingerprint(r.mat)
 		}

@@ -48,14 +48,6 @@ const (
 	// the pathological-matrix fault the -matrix-timeout deadline must
 	// contain.
 	PointLabelStall = "dataset.label.stall"
-	// PointPeerStall delays inside the peer cache-fill call — the
-	// sick-but-listening shard owner fault; the fill must fail open to
-	// local compute at its own small deadline, never stalling the
-	// request.
-	PointPeerStall = "serve.peer.stall"
-	// PointPeerError fails the peer cache-fill call outright — the
-	// dead/refusing shard owner fault, which must also fail open.
-	PointPeerError = "serve.peer.error"
 	// PointCandidateCorrupt flips a byte in a freshly retrained
 	// candidate model artifact before the shepherd offers it for shadow
 	// loading — the corrupt-retrain fault the probe-validated shadow

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -46,14 +45,12 @@ type response struct {
 	Trace           []obs.Span         `json:"trace,omitempty"`
 }
 
-// predictMeta carries per-request cluster context between the handler
-// and predictOne: the router's hints in, the cache/peer outcomes back
-// out (they become the X-Cache-Status and X-Peer-Fill headers).
+// predictMeta carries per-request context between the handler and
+// predictOne: the router's retry mark and the client's timing in, the
+// cache outcome (the X-Cache-Status header) back out.
 type predictMeta struct {
-	owner       string  // X-Shard-Owner hint ("" = none)
 	retried     bool    // X-Retry-Attempt named a retry or hedge
-	cacheStatus string  // "hit", "peer" or "miss"
-	peerOutcome string  // "hit", "miss", "timeout", "error" ("" = not attempted)
+	cacheStatus string  // "hit" or "miss"
 	coalesced   bool    // attached to an in-flight duplicate
 	clientSec   float64 // client-reported SpMV seconds (0 = none)
 }
@@ -89,7 +86,6 @@ func makeResponse(p selector.Prediction, gen uint64, cached bool, rung string) r
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/predict", s.handlePredict)
-	mux.HandleFunc("/v1/cache", s.handleCacheLookup)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
@@ -105,15 +101,10 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	code := http.StatusOK
-	// Cluster hints from the router: which replica owns this
-	// fingerprint's cache shard, and whether this request is a retry or
-	// hedge of one the router already sent somewhere (retried requests
-	// are labeled separately in serve_requests_total so fleet-level
-	// request accounting is never double-counted by failover).
-	meta := &predictMeta{
-		owner:   strings.TrimSuffix(r.Header.Get("X-Shard-Owner"), "/"),
-		retried: isRetryAttempt(r.Header.Get("X-Retry-Attempt")),
-	}
+	// The router marks a retry or hedge of a request it already sent
+	// somewhere; those are labeled separately in serve_requests_total so
+	// fleet-level request accounting is never double-counted by failover.
+	meta := &predictMeta{retried: isRetryAttempt(r.Header.Get("X-Retry-Attempt"))}
 	// Every predict request gets a trace: the span ID goes out as the
 	// X-Trace-Id header (success or failure), the per-stage spans are
 	// recorded along the pipeline, and the finished trace lands in the
@@ -193,9 +184,6 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	resp, err := s.predictOne(ctx, sc, meta)
 	if meta.cacheStatus != "" {
 		w.Header().Set("X-Cache-Status", meta.cacheStatus)
-	}
-	if meta.peerOutcome != "" {
-		w.Header().Set("X-Peer-Fill", meta.peerOutcome)
 	}
 	switch {
 	case err == nil:

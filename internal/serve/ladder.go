@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/obs"
+	"repro/internal/robust"
 	"repro/internal/selector"
 	"repro/internal/sparse"
 )
@@ -40,6 +41,27 @@ var errBrownout = errors.New("serve: cnn rung browned out (overload)")
 // down to the dtree rung. Always false without the plane or a tree.
 func (s *Server) brownedOut() bool {
 	return s.adm != nil && s.dtree != nil && s.adm.brownedOut()
+}
+
+// CurrentRung reports which ladder rung would answer a request arriving
+// now: "cnn" while the breaker admits CNN traffic (closed or probing)
+// and the overload plane is not browned out, "dtree" while the breaker
+// is open (or brownout engaged) and the tree rung stands, "csr" when
+// the breaker is open and there is no tree — the hard-down state
+// /readyz turns into a 503. A browned-out replica reports dtree so the
+// router's prober sees it as degraded-but-routable, exactly like an
+// open breaker.
+func (s *Server) CurrentRung() string {
+	if s.brownedOut() {
+		return rungDTree
+	}
+	if s.breaker.State() != robust.BreakerOpen {
+		return rungCNN
+	}
+	if s.dtree != nil {
+		return rungDTree
+	}
+	return rungCSR
 }
 
 // ladderPredict answers one request through the ladder. It always

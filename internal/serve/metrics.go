@@ -49,9 +49,8 @@ type metrics struct {
 	cacheMisses    *obs.Counter
 	cacheEvictions *obs.Counter
 	cacheSize      *obs.Gauge
-	dedupHits      *obs.Counter    // requests coalesced onto an in-flight computation
-	peerFill       *obs.CounterVec // peer cache-fill attempts by outcome
-	predictAllocs  *obs.Gauge      // heap objects allocated by the most recent predict job
+	dedupHits      *obs.Counter // requests coalesced onto an in-flight computation
+	predictAllocs  *obs.Gauge   // heap objects allocated by the most recent predict job
 	queueRejects   *obs.Counter
 	reloads        *obs.Counter
 
@@ -114,7 +113,6 @@ func newMetrics() *metrics {
 	m.cacheEvictions = r.Counter("serve_cache_evictions_total", "Prediction cache LRU evictions.")
 	m.cacheSize = r.Gauge("serve_cache_entries", "Current prediction cache entries.")
 	m.dedupHits = r.Counter("serve_dedup_hits_total", "Requests coalesced onto an in-flight computation for the same fingerprint.")
-	m.peerFill = r.CounterVec("serve_peer_fill_total", "Peer cache-fill attempts, by outcome (hit, miss, timeout, error).")
 
 	m.predictAllocs = r.Gauge("serve_predict_allocs", "Heap objects allocated over the most recent predict job (process-wide delta: concurrent jobs and background work inflate it).")
 	m.queueRejects = r.Counter("serve_queue_rejects_total", "Requests rejected because the job queue was full.")

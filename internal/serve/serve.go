@@ -34,7 +34,6 @@ import (
 	"net"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,19 +88,11 @@ type Config struct {
 	// (dtree.SaveFile output) for the degraded rung. Empty means the
 	// built-in heuristic tree over the model's format set.
 	DTreePath string
-	// SelfURL is this replica's advertised base URL in a cluster
-	// (http://host:port). It is how the replica recognises itself in the
-	// router's X-Shard-Owner hint: a request whose hinted owner is a
-	// *different* replica triggers a bounded peer cache-fill. Empty
-	// means "derive from the listener address" when ListenAndServe/Serve
-	// is used; a replica that never learns its own URL skips peer fill
-	// entirely (fail open to local compute).
+	// Deprecated: SelfURL is not read. A replica never calls another
+	// replica, so it has no use for its own address; the field stays
+	// declared only because benchmark/fleet.go, which may not change
+	// with the code it measures, assigns it.
 	SelfURL string
-	// PeerFillTimeout bounds one peer cache-fill round trip (default
-	// 150ms). The fill is an optimisation, never a dependency: any
-	// timeout or error falls open to local compute inside the request's
-	// own budget.
-	PeerFillTimeout time.Duration
 	// FeedbackDir, when non-empty, enables feedback capture: every
 	// answered prediction is appended to a crash-safe JSONL log in this
 	// directory (see internal/feedback), off the request path. The
@@ -155,9 +146,6 @@ func (c *Config) defaults() {
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 15 * time.Second
 	}
-	if c.PeerFillTimeout <= 0 {
-		c.PeerFillTimeout = 150 * time.Millisecond
-	}
 }
 
 // Server is the online format-selection service.
@@ -186,10 +174,6 @@ type Server struct {
 	// cache's in-flight edge).
 	inflightMu sync.Mutex
 	inflightFP map[uint64]*call
-
-	// Cluster identity and the peer cache-fill client (see peer.go).
-	selfURL    atomic.Pointer[string]
-	peerClient *http.Client
 
 	draining atomic.Bool
 	inflight sync.WaitGroup
@@ -222,11 +206,6 @@ func New(cfg Config) (*Server, error) {
 		met:        newMetrics(),
 		traces:     obs.NewTraceLog(256),
 		inflightFP: map[uint64]*call{},
-		peerClient: &http.Client{Timeout: 2 * cfg.PeerFillTimeout},
-	}
-	if cfg.SelfURL != "" {
-		self := strings.TrimSuffix(cfg.SelfURL, "/")
-		s.selfURL.Store(&self)
 	}
 	s.pool = robust.NewPool(cfg.Workers, cfg.QueueDepth, func(pe *robust.PanicError) {
 		s.logf("serve: contained worker panic: %v", pe.Value)
@@ -326,23 +305,9 @@ func (s *Server) Ready() bool {
 	return s.model.Load() != nil && !s.draining.Load()
 }
 
-// SelfURL returns this replica's advertised base URL ("" when unknown).
-func (s *Server) SelfURL() string {
-	if p := s.selfURL.Load(); p != nil {
-		return *p
-	}
-	return ""
-}
-
 // Serve accepts connections on ln until Shutdown. It blocks, returning
-// http.ErrServerClosed after a clean shutdown like net/http does. When
-// Config.SelfURL was not set, the listener's address becomes the
-// replica's advertised identity for peer cache-fill.
+// http.ErrServerClosed after a clean shutdown like net/http does.
 func (s *Server) Serve(ln net.Listener) error {
-	if s.SelfURL() == "" {
-		self := "http://" + ln.Addr().String()
-		s.selfURL.Store(&self)
-	}
 	hs := &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
@@ -423,14 +388,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// predictOne resolves one prediction request end to end: local cache
-// lookup, peer cache-fill (when the router's X-Shard-Owner hint names
-// another replica), single-flight coalescing, one queue hop to a
-// worker, cache fill. It is the handler-side entry point; ctx aborts
-// the wait (client gone / drain deadline) and carries the request
-// trace, which gains the cache span here and queue/rung/forward spans
-// on the worker side. meta carries the cluster hints in and the
-// cache/peer outcomes back out to the handler's response headers.
+// predictOne resolves one prediction request end to end: cache lookup,
+// single-flight coalescing, one queue hop to a worker, cache fill. It
+// is the handler-side entry point; ctx aborts the wait (client gone /
+// drain deadline) and carries the request trace, which gains the cache
+// span here and queue/rung/forward spans on the worker side. meta
+// carries the client's timing in and the cache outcome back out to the
+// handler's response header.
 func (s *Server) predictOne(ctx context.Context, sc *Scanned, meta *predictMeta) (response, error) {
 	tr := obs.TraceFrom(ctx)
 	cacheStart := time.Now()
@@ -454,15 +418,6 @@ func (s *Server) predictOne(ctx context.Context, sc *Scanned, meta *predictMeta)
 	s.met.cacheMisses.Inc()
 	tr.ObserveSpan("cache", cacheStart)
 	meta.cacheStatus = "miss"
-
-	// Peer cache-fill: when another replica owns this fingerprint's
-	// shard, ask its cache before paying for a forward pass. Strictly
-	// bounded and fail-open — a dead or slow peer can never stall the
-	// request (see peer.go).
-	if resp, ok := s.peerFill(ctx, fp, meta); ok {
-		meta.cacheStatus = "peer"
-		return resp, nil
-	}
 
 	// Single-flight: if the same fingerprint is already being computed,
 	// attach to that computation instead of enqueueing a duplicate.
@@ -521,8 +476,8 @@ func (s *Server) predictOne(ctx context.Context, sc *Scanned, meta *predictMeta)
 		j.admitted = true
 	}
 	// Nothing short of a computed answer needs the matrix: the cache,
-	// the peer, an in-flight duplicate and admission were all asked
-	// without it. The job's time in the system starts once it exists.
+	// an in-flight duplicate and admission were all asked without it.
+	// The job's time in the system starts once it exists.
 	m, err := materialise(tr, sc)
 	j.m, j.enqueued = m, time.Now()
 	if err != nil {

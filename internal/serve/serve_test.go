@@ -333,6 +333,118 @@ func TestCacheHitSkipsForwardPass(t *testing.T) {
 	}
 }
 
+// postWithHeaders posts a predict body with the router's headers
+// attached (X-Retry-Attempt) and returns the raw response plus decoded
+// bodies.
+func postWithHeaders(t testing.TB, ts *httptest.Server, body []byte, hdr map[string]string) (*http.Response, response, errorResponse) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/predict", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	for k, v := range hdr {
+		req.Header.Set(k, v)
+	}
+	res, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Body.Close()
+	data, _ := io.ReadAll(res.Body)
+	var ok response
+	var bad errorResponse
+	if res.StatusCode == http.StatusOK {
+		if err := json.Unmarshal(data, &ok); err != nil {
+			t.Fatalf("bad 200 body %q: %v", data, err)
+		}
+	} else {
+		json.Unmarshal(data, &bad)
+	}
+	return res, ok, bad
+}
+
+// TestPredictCoalescesDuplicates: concurrent identical requests share
+// one computation (idempotency-by-fingerprint under router retries and
+// hedges). The retry header only relabels accounting; the duplicate
+// never costs a second forward pass.
+func TestPredictCoalescesDuplicates(t *testing.T) {
+	hold := make(chan struct{})
+	entered := make(chan struct{})
+	var once sync.Once
+	s, _ := newTestServer(t, nil)
+	s.testHookPreJob = func() {
+		once.Do(func() { close(entered) })
+		<-hold
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	body := matrixJSON(30, 2)
+
+	type result struct {
+		res *http.Response
+		ok  response
+	}
+	results := make(chan result, 4)
+	go func() {
+		res, ok, _ := postWithHeaders(t, ts, body, nil)
+		results <- result{res, ok}
+	}()
+	<-entered // leader is on a worker, its fingerprint registered in flight
+
+	// Router-style duplicates: same body, attempt header set.
+	for i := 0; i < 3; i++ {
+		go func() {
+			res, ok, _ := postWithHeaders(t, ts, body, map[string]string{"X-Retry-Attempt": "1"})
+			results <- result{res, ok}
+		}()
+	}
+	// Let the duplicates attach to the in-flight call before releasing
+	// the worker.
+	deadline := time.After(5 * time.Second)
+	for {
+		var v float64
+		page := scrapeMetrics(t, ts)
+		v = metricValue(t, page, "serve_dedup_hits_total")
+		if v >= 3 {
+			break
+		}
+		select {
+		case <-deadline:
+			t.Fatalf("only %g duplicates coalesced", v)
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	close(hold)
+
+	coalesced := 0
+	var format string
+	for i := 0; i < 4; i++ {
+		r := <-results
+		if r.res.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: code %d", i, r.res.StatusCode)
+		}
+		if format == "" {
+			format = r.ok.Format
+		} else if r.ok.Format != format {
+			t.Fatalf("answers diverged: %q vs %q", r.ok.Format, format)
+		}
+		if r.ok.Coalesced {
+			coalesced++
+		}
+	}
+	if coalesced != 3 {
+		t.Fatalf("%d coalesced answers, want 3", coalesced)
+	}
+	page := scrapeMetrics(t, ts)
+	if jobs := jobsExecuted(page); jobs != 1 {
+		t.Fatalf("%g forward passes for 4 identical requests, want 1", jobs)
+	}
+	if v := labeledMetric(page, `serve_requests_total{code="200",endpoint="predict",retried="true"}`); v != 3 {
+		t.Fatalf("retried request metric %g, want 3", v)
+	}
+}
+
 // TestConcurrentClients covers the acceptance load shape: 100
 // concurrent clients, each issuing several predictions over a mix of
 // patterns, everything answered 200 with a valid format. Run under

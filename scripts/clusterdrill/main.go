@@ -86,7 +86,7 @@ func run() error {
 
 	startReplica := func(addr string) (*exec.Cmd, string, error) {
 		cmd := exec.Command(bins["serve"], "-addr", addr, "-model", model,
-			"-watch", "0", "-cache", "256", "-peer-fill-timeout", "100ms")
+			"-watch", "0", "-cache", "256")
 		cmd.Stderr = io.Discard
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
