@@ -62,11 +62,13 @@ shepherddrill:
 # fuzz runs the native fuzz targets over the hardened ingestion
 # surfaces (MatrixMarket parsing, the predict request path, the JSON
 # body scanner against its encoding/json reference, opening and
-# salvaging a corpus store). Budget per target is FUZZTIME (default
-# 30s); CI runs a shorter smoke via scripts/check.sh.
+# salvaging a corpus store) and the differential one (the statistics
+# sweep against its map-based reference). Budget per target is FUZZTIME
+# (default 30s); CI runs a shorter smoke via scripts/check.sh.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMatrixMarket$$' -fuzztime=$(FUZZTIME) ./internal/sparse
+	$(GO) test -run='^$$' -fuzz='^FuzzComputeStats$$' -fuzztime=$(FUZZTIME) ./internal/sparse
 	$(GO) test -run='^$$' -fuzz='^FuzzPredictJSON$$' -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeJSONDifferential$$' -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadDataset$$' -fuzztime=$(FUZZTIME) ./internal/dataset
@@ -83,8 +85,8 @@ fuzz:
 # 25% gate threshold hold on noisy shared runners. -benchmem is
 # mandatory on the guarded run: the alloc columns are part of the gate.
 BENCHTIME ?= 200ms
-GUARDED_PKGS = ./internal/spmv ./internal/tensor ./internal/represent ./internal/serve ./internal/dataset ./internal/nn ./internal/sparse ./internal/selector
-GUARDED_BENCH = 'KernelMul|MatMul|Normalize|Predict|Decode|Fingerprint|ShardIter|Infer32|TrainStream'
+GUARDED_PKGS = ./internal/spmv ./internal/tensor ./internal/represent ./internal/serve ./internal/dataset ./internal/nn ./internal/sparse ./internal/selector ./internal/machine ./internal/dtree
+GUARDED_BENCH = 'KernelMul|MatMul|Normalize|Predict|Decode|Fingerprint|ShardIter|Infer32|TrainStream|ComputeStats|Convert|Label'
 bench:
 	$(GO) test -bench=. -benchtime=$(BENCHTIME) -benchmem -run=^$$ ./... > BENCH.txt || { cat BENCH.txt; exit 1; }
 	$(GO) test -bench=$(GUARDED_BENCH) -benchtime=$(BENCHTIME) -benchmem -count=3 -run=^$$ $(GUARDED_PKGS) >> BENCH.txt || { cat BENCH.txt; exit 1; }

@@ -7,6 +7,7 @@ package features
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/sparse"
 )
@@ -104,16 +105,27 @@ var BaselineNames = []string{
 // BaselineDim is the length of the baseline feature vector.
 var BaselineDim = len(BaselineNames)
 
+// baselineIdx is where each of BaselineNames sits in the full vector,
+// resolved once: a baseline name that is not one of Names is a bug in
+// this file and stops the program at start-up instead of silently
+// reading feature 0.
+var baselineIdx = func() []int {
+	idx := make([]int, BaselineDim)
+	for i, n := range BaselineNames {
+		idx[i] = slices.Index(Names, n)
+		if idx[i] < 0 {
+			panic("features: baseline feature " + n + " is not in Names")
+		}
+	}
+	return idx
+}()
+
 // BaselineFromStats extracts the published SMAT feature subset.
 func BaselineFromStats(st sparse.Stats) []float64 {
 	full := FromStats(st)
-	idx := make(map[string]int, Dim)
-	for i, n := range Names {
-		idx[n] = i
-	}
-	out := make([]float64, 0, BaselineDim)
-	for _, n := range BaselineNames {
-		out = append(out, full[idx[n]])
+	out := make([]float64, BaselineDim)
+	for i, j := range baselineIdx {
+		out[i] = full[j]
 	}
 	return out
 }

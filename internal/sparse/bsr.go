@@ -1,5 +1,7 @@
 package sparse
 
+import "slices"
+
 // BSR (block sparse row) partitions the matrix into B×B tiles and stores
 // every tile that contains at least one nonzero as a dense block, with
 // CSR-style indexing over block rows. The paper's GPU experiments use
@@ -34,58 +36,43 @@ func NewBSR(c *COO, b int) *BSR {
 		BlockCols: (c.cols + b - 1) / b,
 		nnz:       c.NNZ(),
 	}
-	// Pass 1: identify occupied blocks per block row. Entries are in
-	// row-major order, so blocks are discovered grouped by block row.
-	blockID := make(map[blockKey]int)
-	var keys []blockKey
-	for k := range c.Vals {
-		key := blockKey{c.Rows[k] / int32(b), c.Cols[k] / int32(b)}
-		if _, ok := blockID[key]; !ok {
-			blockID[key] = 0
-			keys = append(keys, key)
-		}
-	}
-	// Sort keys block-row-major.
-	sortBlockKeys(keys)
-	for i, key := range keys {
-		blockID[key] = i
-	}
+	// Pass 1: the occupied block columns of each block row. Entries are
+	// row-major, so a block row's entries are one run, and a block
+	// column stamped with the block row that last touched it is the set
+	// of blocks seen in that run.
+	nnz, bb := m.nnz, int32(b)
 	m.RowPtr = make([]int32, m.BlockRows+1)
-	m.ColIdx = make([]int32, len(keys))
-	for i, key := range keys {
-		m.RowPtr[key.br+1]++
-		m.ColIdx[i] = key.bc
+	m.ColIdx = make([]int32, 0, min(m.BlockRows, nnz))
+	slot := make([]int32, m.BlockCols) // pass 1: block row + 1; pass 2: block id
+	for k := 0; k < nnz; {
+		br := c.Rows[k] / bb
+		first := len(m.ColIdx)
+		for rowEnd := (int(br) + 1) * b; k < nnz && int(c.Rows[k]) < rowEnd; k++ {
+			if bc := c.Cols[k] / bb; slot[bc] != br+1 {
+				slot[bc] = br + 1
+				m.ColIdx = append(m.ColIdx, bc)
+			}
+		}
+		slices.Sort(m.ColIdx[first:])
+		m.RowPtr[br+1] = int32(len(m.ColIdx) - first)
 	}
 	for i := 0; i < m.BlockRows; i++ {
 		m.RowPtr[i+1] += m.RowPtr[i]
 	}
-	// Pass 2: scatter values into blocks.
-	m.Blocks = make([]float64, len(keys)*b*b)
-	for k := range c.Vals {
-		r, col := int(c.Rows[k]), int(c.Cols[k])
-		key := blockKey{int32(r / b), int32(col / b)}
-		id := blockID[key]
-		lr, lc := r%b, col%b
-		m.Blocks[id*b*b+lr*b+lc] = c.Vals[k]
-	}
-	return m
-}
-
-// blockKey identifies one B×B tile by block-row and block-column.
-type blockKey struct{ br, bc int32 }
-
-func sortBlockKeys(keys []blockKey) {
-	// Insertion sort is fine: keys arrive nearly sorted because COO is
-	// canonical row-major.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0; j-- {
-			a, bb := keys[j-1], keys[j]
-			if a.br < bb.br || (a.br == bb.br && a.bc <= bb.bc) {
-				break
-			}
-			keys[j-1], keys[j] = keys[j], keys[j-1]
+	// Pass 2: scatter values into blocks, one block row's ids in slot
+	// at a time.
+	m.Blocks = make([]float64, len(m.ColIdx)*b*b)
+	k := 0
+	for br := 0; br < m.BlockRows && k < nnz; br++ {
+		for p := m.RowPtr[br]; p < m.RowPtr[br+1]; p++ {
+			slot[m.ColIdx[p]] = p
+		}
+		for rowEnd := (br + 1) * b; k < nnz && int(c.Rows[k]) < rowEnd; k++ {
+			r, col := int(c.Rows[k]), int(c.Cols[k])
+			m.Blocks[int(slot[col/b])*b*b+(r%b)*b+col%b] = c.Vals[k]
 		}
 	}
+	return m
 }
 
 // Dims returns (rows, cols).

@@ -59,7 +59,7 @@ func ConversionOps(m Matrix, target Format) int64 {
 	case FormatDIA:
 		return nnz * 3 // offset discovery + lane scatter
 	case FormatBSR:
-		return nnz * 4 // block discovery (hashing) + scatter
+		return nnz * 4 // block-column discovery + blocked scatter, two divides each
 	case FormatCSR5:
 		return nnz * 3 // tiling + transposition
 	case FormatSELL:

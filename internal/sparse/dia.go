@@ -21,33 +21,25 @@ type DIA struct {
 // concentrated matrices. Use DIAFillRatio to inspect it first.
 func NewDIA(c *COO) *DIA {
 	m := &DIA{rows: c.rows, cols: c.cols, Stride: c.rows, nnz: c.NNZ()}
-	seen := make(map[int32]bool)
-	for k := range c.Vals {
-		off := c.Cols[k] - c.Rows[k]
-		if !seen[off] {
-			seen[off] = true
-			m.Offsets = append(m.Offsets, off)
-		}
+	// lane is indexed by offset+rows−1: first a mark per occupied
+	// diagonal, then, read in index order, its lane number — which
+	// yields the offsets already ascending.
+	lane := make([]int32, c.rows+c.cols-1)
+	base := c.rows - 1
+	for k, r := range c.Rows {
+		lane[base+int(c.Cols[k]-r)] = 1
 	}
-	sortInt32(m.Offsets)
-	lane := make(map[int32]int, len(m.Offsets))
-	for i, off := range m.Offsets {
-		lane[off] = i
+	for i, mark := range lane {
+		if mark != 0 {
+			lane[i] = int32(len(m.Offsets))
+			m.Offsets = append(m.Offsets, int32(i-base))
+		}
 	}
 	m.Data = make([]float64, len(m.Offsets)*m.Stride)
-	for k := range c.Vals {
-		off := c.Cols[k] - c.Rows[k]
-		m.Data[lane[off]*m.Stride+int(c.Rows[k])] = c.Vals[k]
+	for k, r := range c.Rows {
+		m.Data[int(lane[base+int(c.Cols[k]-r)])*m.Stride+int(r)] = c.Vals[k]
 	}
 	return m
-}
-
-func sortInt32(a []int32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // Dims returns (rows, cols).

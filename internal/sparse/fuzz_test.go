@@ -63,3 +63,34 @@ func FuzzReadMatrixMarket(f *testing.F) {
 		}
 	})
 }
+
+// FuzzComputeStats is differential: the bytes become a small canonical
+// COO — three bytes of shape (up to 64 × 4096, wide enough for more
+// than four lines to meet in one set of either gather cache), then
+// three bytes per entry — and the array-indexed sweep must return
+// exactly the Stats of the map-based reference, with and without the
+// cache simulation.
+func FuzzComputeStats(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 3, 0, 0, 0, 0, 1, 1, 0, 2, 2, 0, 3, 3, 0})
+	f.Add([]byte{0, 0, 0, 0, 0, 0})
+	f.Add([]byte{63, 255, 15, 0, 0, 0, 0, 0, 4, 0, 0, 8, 0, 0, 12, 0, 0, 15, 63, 255, 15, 1, 0, 4})
+	f.Add([]byte{12, 200, 5, 5, 1, 0, 5, 2, 0, 6, 1, 0, 7, 9, 0, 7, 200, 3, 11, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		rows, cols := 1+int(data[0])%64, 1+(int(data[1])|int(data[2])<<8)%4096
+		var es []Entry
+		for d := data[3:]; len(d) >= 3; d = d[3:] {
+			es = append(es, Entry{Row: int(d[0]) % rows, Col: (int(d[1]) | int(d[2])<<8) % cols, Val: 1})
+		}
+		c := MustCOO(rows, cols, es)
+		if got, want := ComputeStats(c), refComputeStats(c, true); got != want {
+			t.Fatalf("%dx%d, %d nonzeros: ComputeStats\n got %+v\nwant %+v", rows, cols, c.NNZ(), got, want)
+		}
+		if got, want := ComputeStatsLite(c), refComputeStats(c, false); got != want {
+			t.Fatalf("%dx%d, %d nonzeros: ComputeStatsLite\n got %+v\nwant %+v", rows, cols, c.NNZ(), got, want)
+		}
+	})
+}

@@ -42,9 +42,10 @@ const (
 // that field; use DefaultLimits for service-grade caps.
 type Limits struct {
 	// MaxRows / MaxCols bound the declared dimensions. Downstream
-	// feature extraction allocates O(rows) scratch, so this is the cap
-	// that keeps a one-line request from becoming a multi-gigabyte
-	// allocation.
+	// feature extraction allocates scratch sized by them, not by the
+	// nonzeros — ComputeStats (rows+cols)/8 + cols bytes — so this is
+	// the cap that keeps a one-line request from becoming a
+	// multi-gigabyte allocation.
 	MaxRows, MaxCols int
 	// MaxNNZ bounds the declared nonzero count (before symmetric
 	// expansion, which at most doubles it).

@@ -50,52 +50,32 @@ type Stats struct {
 	GatherMiss32K float64 // 32 KiB of 64-byte lines, 4-way
 }
 
-// gatherMissFrac replays the x[col] gather stream of row-major SpMV
-// through a set-associative LRU with the given number of sets (64-byte
-// lines, 4-way) and returns the miss fraction.
-func gatherMissFrac(cols []int32, sets int) float64 {
-	if len(cols) == 0 {
-		return 0
+// lruSet is one 4-way set of the gather-cache simulation: line tags in
+// recency order, most recent first, -1 for a way never filled.
+type lruSet [4]int32
+
+// touch moves line to the front of the set and reports whether it was
+// absent. Recency order needs no timestamps: the way that falls off the
+// end is the least recently used one, and never-filled ways sit at the
+// back, so the miss count is that of a stamped LRU.
+func (s *lruSet) touch(line int32) bool {
+	switch line {
+	case s[0]:
+		return false
+	case s[1]:
+		s[1], s[0] = s[0], line
+		return false
+	case s[2]:
+		s[2], s[1], s[0] = s[1], s[0], line
+		return false
 	}
-	const ways = 4
-	tags := make([]int32, sets*ways)
-	for i := range tags {
-		tags[i] = -1
-	}
-	stamp := make([]uint32, sets*ways)
-	clock := uint32(0)
-	misses := 0
-	mask := int32(sets - 1)
-	for _, c := range cols {
-		line := c >> 3 // 8 doubles per 64-byte line
-		set := int(line&mask) * ways
-		clock++
-		hit := false
-		for w := 0; w < ways; w++ {
-			if tags[set+w] == line {
-				stamp[set+w] = clock
-				hit = true
-				break
-			}
-		}
-		if hit {
-			continue
-		}
-		misses++
-		victim := set
-		for w := 1; w < ways; w++ {
-			if stamp[set+w] < stamp[victim] {
-				victim = set + w
-			}
-		}
-		tags[victim] = line
-		stamp[victim] = clock
-	}
-	return float64(misses) / float64(len(cols))
+	miss := s[3] != line
+	s[3], s[2], s[1], s[0] = s[2], s[1], s[0], line
+	return miss
 }
 
-// ComputeStats derives Stats from a canonical COO matrix in one or two
-// passes over the nonzeros, including the gather-cache simulation.
+// ComputeStats derives Stats from a canonical COO matrix in one sweep
+// over the nonzeros, including the gather-cache simulation.
 func ComputeStats(c *COO) Stats {
 	return computeStats(c, true)
 }
@@ -108,6 +88,14 @@ func ComputeStatsLite(c *COO) Stats {
 	return computeStats(c, false)
 }
 
+// computeStats walks the row runs of c once. Canonical COO is strictly
+// row-major, which turns every set the statistics need into an array:
+// a row's column span is its first and last entry, the occupied
+// diagonals are a bitmap indexed by col−row+rows−1, and because the
+// rows of one block row are adjacent, a block column stamped with the
+// block row that last touched it is a set of occupied blocks. Scratch
+// is that bitmap and the stamps — (rows+cols)/8 + cols bytes; the two
+// gather caches live on the stack.
 func computeStats(c *COO, gatherSim bool) Stats {
 	rows, cols := c.Dims()
 	s := Stats{Rows: rows, Cols: cols, NNZ: c.NNZ()}
@@ -116,23 +104,88 @@ func computeStats(c *COO, gatherSim bool) Stats {
 		return s
 	}
 	s.Density = float64(s.NNZ) / (float64(rows) * float64(cols))
+	s.HYBK = (s.NNZ + rows - 1) / rows
 
-	counts := c.RowCounts()
-	s.MinRowNNZ = math.MaxInt
-	sum, sumSq := 0.0, 0.0
-	for _, n := range counts {
-		if n == 0 {
-			s.EmptyRows++
+	// The near-diagonal window is maxDim/50 — one bin of the paper's
+	// 50-bin distance histogram, so the histogram representation carries
+	// this locality signal explicitly.
+	nearBand := max(int32(max(rows, cols)/50), 1)
+	diags := make([]uint64, (rows+cols+62)/64)
+	blockStamp := make([]int32, (cols+DefaultBlockSize-1)/DefaultBlockSize) // block row + 1; 0 = never
+	// 8 KiB = 32 sets × 4 ways × 64 B; 32 KiB = 128 sets.
+	var cache8K [32]lruSet
+	var cache32K [128]lruSet
+	if gatherSim {
+		for i := range cache8K {
+			cache8K[i] = lruSet{-1, -1, -1, -1}
 		}
-		if n < s.MinRowNNZ {
-			s.MinRowNNZ = n
+		for i := range cache32K {
+			cache32K[i] = lruSet{-1, -1, -1, -1}
 		}
-		if n > s.MaxRowNNZ {
-			s.MaxRowNNZ = n
+	}
+
+	// Sums run over occupied rows in row order, which is bit-identical
+	// to summing every row: an empty row would add 0.0.
+	occupied, near, mainDiag, miss8K, miss32K := 0, 0, 0, 0, 0
+	sum, sumSq, spreadSum := 0.0, 0.0, 0.0
+	s.MinRowNNZ = s.NNZ
+	for k := 0; k < s.NNZ; {
+		r := c.Rows[k]
+		end := k + 1
+		for end < s.NNZ && c.Rows[end] == r {
+			end++
 		}
+		n := end - k
+		occupied++
+		s.MinRowNNZ = min(s.MinRowNNZ, n)
+		s.MaxRowNNZ = max(s.MaxRowNNZ, n)
 		f := float64(n)
 		sum += f
 		sumSq += f * f
+		if n > s.HYBK {
+			s.HYBTailNNZ += n - s.HYBK
+		}
+		first, last := c.Cols[k], c.Cols[end-1]
+		spreadSum += float64(last-first+1) / float64(cols)
+		s.Bandwidth = max(s.Bandwidth, int(r-first), int(last-r))
+
+		diagBase := rows - 1 - int(r)
+		stamp := r/DefaultBlockSize + 1
+		for _, cl := range c.Cols[k:end] {
+			d := cl - r
+			if d == 0 {
+				mainDiag++
+			}
+			if d < 0 {
+				d = -d
+			}
+			if d <= nearBand {
+				near++
+			}
+			if bit := uint(diagBase + int(cl)); diags[bit/64]&(1<<(bit%64)) == 0 {
+				diags[bit/64] |= 1 << (bit % 64)
+				s.NumDiags++
+			}
+			if bc := cl / DefaultBlockSize; blockStamp[bc] != stamp {
+				blockStamp[bc] = stamp
+				s.NumBlocks++
+			}
+			if gatherSim {
+				line := cl >> 3 // 8 doubles per 64-byte line
+				if cache8K[line&31].touch(line) {
+					miss8K++
+				}
+				if cache32K[line&127].touch(line) {
+					miss32K++
+				}
+			}
+		}
+		k = end
+	}
+
+	s.EmptyRows = rows - occupied
+	if s.EmptyRows > 0 {
+		s.MinRowNNZ = 0
 	}
 	s.AvgRowNNZ = sum / float64(rows)
 	variance := sumSq/float64(rows) - s.AvgRowNNZ*s.AvgRowNNZ
@@ -140,95 +193,17 @@ func computeStats(c *COO, gatherSim bool) Stats {
 		variance = 0
 	}
 	s.RowNNZSD = math.Sqrt(variance)
-	if s.AvgRowNNZ > 0 {
-		s.RowNNZCV = s.RowNNZSD / s.AvgRowNNZ
-	}
-	if s.MaxRowNNZ > 0 {
-		s.ELLFill = float64(s.NNZ) / (float64(rows) * float64(s.MaxRowNNZ))
-	}
-	s.HYBK = (s.NNZ + rows - 1) / rows
-	for _, n := range counts {
-		if n > s.HYBK {
-			s.HYBTailNNZ += n - s.HYBK
-		}
-	}
+	s.RowNNZCV = s.RowNNZSD / s.AvgRowNNZ
+	s.ELLFill = float64(s.NNZ) / (float64(rows) * float64(s.MaxRowNNZ))
 
-	// Diagonal structure.
-	maxDim := rows
-	if cols > maxDim {
-		maxDim = cols
-	}
-	// The near-diagonal window is maxDim/50 — one bin of the paper's
-	// 50-bin distance histogram, so the histogram representation carries
-	// this locality signal explicitly.
-	nearBand := maxDim / 50
-	if nearBand < 1 {
-		nearBand = 1
-	}
-	diags := make(map[int32]struct{})
-	near := 0
-	mainDiag := 0
-	spreadMin := make([]int32, rows)
-	spreadMax := make([]int32, rows)
-	for i := range spreadMin {
-		spreadMin[i] = math.MaxInt32
-		spreadMax[i] = -1
-	}
-	blocks := make(map[blockKey]struct{})
-	for k := range c.Vals {
-		r, cl := c.Rows[k], c.Cols[k]
-		off := cl - r
-		diags[off] = struct{}{}
-		d := int(off)
-		if d < 0 {
-			d = -d
-		}
-		if d > s.Bandwidth {
-			s.Bandwidth = d
-		}
-		if d <= nearBand {
-			near++
-		}
-		if d == 0 {
-			mainDiag++
-		}
-		if cl < spreadMin[r] {
-			spreadMin[r] = cl
-		}
-		if cl > spreadMax[r] {
-			spreadMax[r] = cl
-		}
-		blocks[blockKey{r / DefaultBlockSize, cl / DefaultBlockSize}] = struct{}{}
-	}
-	s.NumDiags = len(diags)
 	s.DIAFill = float64(s.NNZ) / (float64(s.NumDiags) * float64(rows))
 	s.DiagDominance = float64(near) / float64(s.NNZ)
-	mainLen := rows
-	if cols < mainLen {
-		mainLen = cols
-	}
-	s.MainDiagFill = float64(mainDiag) / float64(mainLen)
-
-	s.NumBlocks = len(blocks)
+	s.MainDiagFill = float64(mainDiag) / float64(min(rows, cols))
 	s.BSRFill = float64(s.NNZ) / (float64(s.NumBlocks) * float64(DefaultBlockSize*DefaultBlockSize))
-
-	spreadSum := 0.0
-	occupied := 0
-	for i := 0; i < rows; i++ {
-		if spreadMax[i] < 0 {
-			continue
-		}
-		occupied++
-		spreadSum += float64(spreadMax[i]-spreadMin[i]+1) / float64(cols)
-	}
-	if occupied > 0 {
-		s.AvgColSpread = spreadSum / float64(occupied)
-	}
-
+	s.AvgColSpread = spreadSum / float64(occupied)
 	if gatherSim {
-		// 8 KiB = 32 sets × 4 ways × 64 B; 32 KiB = 128 sets.
-		s.GatherMiss8K = gatherMissFrac(c.Cols, 32)
-		s.GatherMiss32K = gatherMissFrac(c.Cols, 128)
+		s.GatherMiss8K = float64(miss8K) / float64(s.NNZ)
+		s.GatherMiss32K = float64(miss32K) / float64(s.NNZ)
 	}
 	return s
 }

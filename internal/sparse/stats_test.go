@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -121,5 +122,20 @@ func TestStatsColSpread(t *testing.T) {
 	want := (1.0 + 0.1) / 2
 	if math.Abs(s.AvgColSpread-want) > 1e-12 {
 		t.Fatalf("AvgColSpread = %v, want %v", s.AvgColSpread, want)
+	}
+}
+
+// TestComputeStatsAllocations: the sweep's scratch is the diagonal
+// bitmap and the block-column stamps — two allocations whatever the
+// number of nonzeros, diagonals or blocks.
+func TestComputeStatsAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for name, c := range map[string]*COO{
+		"tridiagonal": tridiag(500),
+		"scattered":   MustCOO(700, 900, randomPattern(rng, 700, 900, 12000)),
+	} {
+		if allocs := testing.AllocsPerRun(10, func() { ComputeStats(c) }); allocs > 2 {
+			t.Errorf("%s: ComputeStats allocates %v objects per call, want at most 2", name, allocs)
+		}
 	}
 }

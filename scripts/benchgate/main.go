@@ -8,9 +8,12 @@
 // representation construction, the float32 inference engine, the whole
 // decision at the shipped geometry (selector.Predict), the frozen-tower
 // retrain (selector.TrainStreamCtx after Transfer(TopEvolvement)), the
-// serve predict path and its parse stage (body decode, fingerprint) — because micro-noise on the heavyweight
-// experiment reproductions would make a blanket gate flaky. Every
-// guarded benchmark is gated on BOTH axes: ns/op against -threshold
+// serve predict path and its parse stage (body decode, fingerprint),
+// the structural-statistics sweep with the labeler and the
+// decision-tree rung it feeds, and format conversion — because
+// micro-noise on the heavyweight experiment reproductions would make a
+// blanket gate flaky. Every guarded benchmark is gated on BOTH axes:
+// ns/op against -threshold
 // and allocs/op against -alloc-threshold. Allocations are counted, not
 // sampled, so the alloc gate is far tighter than the timing gate; in
 // particular a baseline of 0 allocs/op is a hard contract — any
@@ -61,6 +64,10 @@ var guarded = []*regexp.Regexp{
 	regexp.MustCompile(`^repro/internal/serve/BenchmarkPredict`),
 	regexp.MustCompile(`^repro/internal/serve/BenchmarkDecode`),
 	regexp.MustCompile(`^repro/internal/sparse/BenchmarkFingerprint`),
+	regexp.MustCompile(`^repro/internal/sparse/BenchmarkComputeStats`),
+	regexp.MustCompile(`^repro/internal/sparse/BenchmarkConvert/`),
+	regexp.MustCompile(`^repro/internal/machine/BenchmarkLabel`),
+	regexp.MustCompile(`^repro/internal/dtree/BenchmarkPredict`),
 	regexp.MustCompile(`^repro/internal/nn/BenchmarkInfer32Predict`),
 	regexp.MustCompile(`^repro/internal/selector/BenchmarkPredict/`),
 	regexp.MustCompile(`^repro/internal/selector/BenchmarkTrainStream`),
