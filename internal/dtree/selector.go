@@ -45,12 +45,17 @@ func (s *Selector) validate() error {
 	return nil
 }
 
-// Predict classifies a matrix through the published SMAT baseline
-// feature pipeline. It validates the input, recovers any panic in
-// feature extraction or tree walking into an error, and never returns
-// a class outside the format list — the hardened entry point the
-// serving ladder calls with the CNN already known sick.
-func (s *Selector) Predict(m *sparse.COO) (f sparse.Format, err error) {
+// Predict is PredictPattern of m's pattern: the features read no value.
+func (s *Selector) Predict(m *sparse.COO) (sparse.Format, error) {
+	return s.PredictPattern(sparse.PatternOf(m))
+}
+
+// PredictPattern classifies a sparsity pattern through the published
+// SMAT baseline feature pipeline. It validates the input, recovers any
+// panic in feature extraction or tree walking into an error, and never
+// returns a class outside the format list — the hardened entry point
+// the serving ladder calls with the CNN already known sick.
+func (s *Selector) PredictPattern(m *sparse.Pattern) (f sparse.Format, err error) {
 	if err := s.validate(); err != nil {
 		return 0, err
 	}

@@ -90,7 +90,7 @@ func TestFitBaselineRoundTrip(t *testing.T) {
 	labels := []int{2, 2, 1, 1} // DIA, DIA, CSR, CSR under CPUFormats order
 	var X [][]float64
 	for _, m := range mats {
-		X = append(X, features.BaselineExtract(m))
+		X = append(X, features.BaselineExtract(&m.Pattern))
 	}
 	cfg := DefaultConfig()
 	cfg.MinLeafSamples = 1

@@ -56,7 +56,7 @@ func RunOverhead(o Options, w io.Writer) (*OverheadResult, error) {
 	}
 	rep := make([]float32, cfg.Represent.Len())
 	res.CNNReprX = timeOf(func() {
-		if err := represent.Into(rep, c, cfg.Represent); err != nil {
+		if err := represent.Into(rep, &c.Pattern, cfg.Represent); err != nil {
 			panic(err)
 		}
 	}, 5) / res.CSRIterSec
@@ -72,7 +72,7 @@ func RunOverhead(o Options, w io.Writer) (*OverheadResult, error) {
 		}
 	}, 5) / res.CSRIterSec
 
-	res.DTFeatX = timeOf(func() { features.BaselineExtract(c) }, 5) / res.CSRIterSec
+	res.DTFeatX = timeOf(func() { features.BaselineExtract(&c.Pattern) }, 5) / res.CSRIterSec
 	res.FullStatsX = timeOf(func() { sparse.ComputeStats(c) }, 5) / res.CSRIterSec
 
 	// A trained stand-in tree: depth comparable to the baseline's.
@@ -80,7 +80,7 @@ func RunOverhead(o Options, w io.Writer) (*OverheadResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	vec := features.BaselineExtract(c)
+	vec := features.BaselineExtract(&c.Pattern)
 	res.DTInferX = timeOf(func() { tree.Predict(vec) }, 101) / res.CSRIterSec
 
 	for _, f := range sparse.CPUFormats() {

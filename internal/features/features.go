@@ -70,9 +70,9 @@ func FromStats(st sparse.Stats) []float64 {
 	return f
 }
 
-// Extract computes the feature vector directly from a matrix.
-func Extract(c *sparse.COO) []float64 {
-	return FromStats(sparse.ComputeStats(c))
+// Extract computes the feature vector directly from a pattern.
+func Extract(p *sparse.Pattern) []float64 {
+	return FromStats(p.Stats())
 }
 
 func safeDiv(a, b float64) float64 {
@@ -130,10 +130,10 @@ func BaselineFromStats(st sparse.Stats) []float64 {
 	return out
 }
 
-// BaselineExtract computes the baseline feature vector from a matrix.
+// BaselineExtract computes the baseline feature vector from a pattern.
 // It uses the lite statistics pass: the published SMAT features need no
 // cache simulation, and the §7.6 overhead comparison charges the
 // baseline only for what it computes.
-func BaselineExtract(c *sparse.COO) []float64 {
-	return BaselineFromStats(sparse.ComputeStatsLite(c))
+func BaselineExtract(p *sparse.Pattern) []float64 {
+	return BaselineFromStats(p.StatsLite())
 }

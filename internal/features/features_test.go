@@ -14,7 +14,7 @@ func TestDimMatchesNames(t *testing.T) {
 		t.Fatal("Dim out of sync")
 	}
 	c := sparse.MustCOO(4, 4, []sparse.Entry{{Row: 0, Col: 0, Val: 1}})
-	if got := Extract(c); len(got) != Dim {
+	if got := Extract(&c.Pattern); len(got) != Dim {
 		t.Fatalf("vector length %d, want %d", len(got), Dim)
 	}
 }
@@ -25,7 +25,7 @@ func TestKnownValues(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		es = append(es, sparse.Entry{Row: i, Col: i, Val: 1})
 	}
-	f := Extract(sparse.MustCOO(8, 8, es))
+	f := Extract(&sparse.MustCOO(8, 8, es).Pattern)
 	at := func(name string) float64 {
 		for i, n := range Names {
 			if n == name {
@@ -62,7 +62,7 @@ func TestFeaturesFiniteProperty(t *testing.T) {
 		for k := 0; k < n; k++ {
 			es = append(es, sparse.Entry{Row: rng.Intn(rows), Col: rng.Intn(cols), Val: 1})
 		}
-		vec := Extract(sparse.MustCOO(rows, cols, es))
+		vec := Extract(&sparse.MustCOO(rows, cols, es).Pattern)
 		for _, v := range vec {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return false
@@ -81,13 +81,13 @@ func TestDiagonalVsScatterSeparable(t *testing.T) {
 	for i := 0; i < n; i++ {
 		es = append(es, sparse.Entry{Row: i, Col: i, Val: 1})
 	}
-	diag := Extract(sparse.MustCOO(n, n, es))
+	diag := Extract(&sparse.MustCOO(n, n, es).Pattern)
 	rng := rand.New(rand.NewSource(1))
 	var es2 []sparse.Entry
 	for k := 0; k < n; k++ {
 		es2 = append(es2, sparse.Entry{Row: rng.Intn(n), Col: rng.Intn(n), Val: 1})
 	}
-	scatter := Extract(sparse.MustCOO(n, n, es2))
+	scatter := Extract(&sparse.MustCOO(n, n, es2).Pattern)
 	idx := -1
 	for i, name := range Names {
 		if name == "diag_dominance" {
@@ -108,8 +108,8 @@ func TestBaselineSubsetOfFull(t *testing.T) {
 		es = append(es, sparse.Entry{Row: i, Col: (i * 7) % 50, Val: 1})
 	}
 	c := sparse.MustCOO(50, 50, es)
-	full := Extract(c)
-	base := BaselineExtract(c)
+	full := Extract(&c.Pattern)
+	base := BaselineExtract(&c.Pattern)
 	if len(base) != BaselineDim {
 		t.Fatalf("baseline length %d", len(base))
 	}
@@ -144,7 +144,7 @@ func TestLiteStatsSkipGatherSim(t *testing.T) {
 		es = append(es, sparse.Entry{Row: i, Col: (i * 13) % 100, Val: 1})
 	}
 	c := sparse.MustCOO(100, 100, es)
-	lite := sparse.ComputeStatsLite(c)
+	lite := c.StatsLite()
 	full := sparse.ComputeStats(c)
 	if lite.GatherMiss8K != 0 || lite.GatherMiss32K != 0 {
 		t.Fatal("lite stats ran the gather simulation")

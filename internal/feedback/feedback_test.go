@@ -44,8 +44,8 @@ func TestLoggerRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	l := newTestLogger(t, dir, nil)
 	m := testMatrix(t, 1)
-	l.Record(m, Entry{Fingerprint: sparse.Fingerprint(m), Format: "CSR", Rung: "cnn", ModelGen: 1})
-	l.Record(m, Entry{Fingerprint: sparse.Fingerprint(m), Format: "DIA", Rung: "dtree", FellBack: true, CacheHit: true, ModelGen: 1})
+	l.Record(&m.Pattern, Entry{Fingerprint: sparse.Fingerprint(m), Format: "CSR", Rung: "cnn", ModelGen: 1})
+	l.Record(&m.Pattern, Entry{Fingerprint: sparse.Fingerprint(m), Format: "DIA", Rung: "dtree", FellBack: true, CacheHit: true, ModelGen: 1})
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -105,7 +105,7 @@ func TestLoggerRotatesBySize(t *testing.T) {
 	l := newTestLogger(t, dir, func(c *LoggerConfig) { c.MaxSegmentBytes = 512 })
 	for i := int64(0); i < 12; i++ {
 		m := testMatrix(t, i)
-		l.Record(m, Entry{Fingerprint: sparse.Fingerprint(m), Format: "CSR", Rung: "cnn"})
+		l.Record(&m.Pattern, Entry{Fingerprint: sparse.Fingerprint(m), Format: "CSR", Rung: "cnn"})
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -135,13 +135,13 @@ func TestLoggerEstimatesTimings(t *testing.T) {
 	dir := t.TempDir()
 	l := newTestLogger(t, dir, nil)
 	m := testMatrix(t, 3)
-	l.Record(m, Entry{Fingerprint: sparse.Fingerprint(m), Format: "CSR", Rung: "cnn"})
+	l.Record(&m.Pattern, Entry{Fingerprint: sparse.Fingerprint(m), Format: "CSR", Rung: "cnn"})
 	// A client-reported timing suppresses the estimate.
-	l.Record(m, Entry{Fingerprint: sparse.Fingerprint(m), Format: "CSR", Rung: "cnn", ClientSec: 0.5})
+	l.Record(&m.Pattern, Entry{Fingerprint: sparse.Fingerprint(m), Format: "CSR", Rung: "cnn", ClientSec: 0.5})
 	// A scattered matrix answered as DIA: ~16k diagonals of 8192 lanes
 	// would be a gigabyte to materialise; the estimate converts nothing.
 	scattered := synthgen.Build(synthgen.Spec{Family: synthgen.FamilyRandom, N: 8192, NNZ: 20000, Seed: 9})
-	l.Record(scattered, Entry{Fingerprint: sparse.Fingerprint(scattered), Format: "DIA", Rung: "dtree"})
+	l.Record(&scattered.Pattern, Entry{Fingerprint: sparse.Fingerprint(scattered), Format: "DIA", Rung: "dtree"})
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -187,7 +187,7 @@ func fillSegments(t *testing.T, dir string, seeds []int64) {
 	l := newTestLogger(t, dir, nil)
 	for _, s := range seeds {
 		m := testMatrix(t, s)
-		l.Record(m, Entry{Fingerprint: sparse.Fingerprint(m), Format: "CSR", Rung: "cnn", ModelGen: 1})
+		l.Record(&m.Pattern, Entry{Fingerprint: sparse.Fingerprint(m), Format: "CSR", Rung: "cnn", ModelGen: 1})
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

@@ -2,12 +2,14 @@ package feedback
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,13 +35,13 @@ type LoggerConfig struct {
 	// when small (default 30s) — bounding how stale the collector's
 	// view can be under light traffic.
 	MaxSegmentAge time.Duration
-	// FlushInterval is the background batch-flush period (default
-	// 200ms).
+	// FlushInterval is the period at which the background flusher
+	// drains the queue and flushes what it wrote (default 200ms).
 	FlushInterval time.Duration
-	// QueueDepth bounds entries waiting for the background flusher;
-	// beyond it entries are dropped (counted, never blocking the
-	// request path — feedback is telemetry, not a dependency). Default
-	// 1024.
+	// QueueDepth bounds entries waiting for the background flusher —
+	// it takes them once per FlushInterval; beyond it entries are
+	// dropped (counted, never blocking the request path — feedback is
+	// telemetry, not a dependency). Default 1024.
 	QueueDepth int
 	// MaxPatternNNZ caps which matrices get their COO pattern embedded
 	// in the entry (default 4096; negative disables pattern capture).
@@ -105,19 +107,20 @@ func newLoggerMetrics(r *obs.Registry) *loggerMetrics {
 // xeonlike is core.Options' default.
 var estPlatform = machine.XeonLike()
 
-// pending is one capture awaiting background processing. The matrix
-// rides along so stats, pattern and estimate are computed off the
-// request path.
+// pending is one capture awaiting background processing. The pattern
+// rides along so stats, the captured positions and the estimate are
+// computed off the request path; until the flusher gets to it a queued
+// pending pins the two index arrays, 8 bytes a nonzero.
 type pending struct {
-	m *sparse.COO
-	e Entry
+	pat *sparse.Pattern
+	e   Entry
 }
 
 // Logger is the crash-safe feedback capture sink. Record is the hot
-// path: it stamps the entry and hands it to a single background
-// flusher over a bounded queue (full queue = counted drop, never a
-// stall). The flusher computes the expensive fields, appends JSONL to
-// the active segment with batched flushes, and rotates segments by
+// path: it stamps the entry and leaves it on a bounded queue (full
+// queue = counted drop, never a stall) that a single background flusher
+// drains every FlushInterval. The flusher computes the expensive
+// fields, appends JSONL to the active segment, and rotates segments by
 // size and age with an fsync'd atomic rename — a crash can lose at
 // most the unflushed tail of the active file, and a torn final line is
 // skipped (and counted) by the Collector.
@@ -138,6 +141,7 @@ type Logger struct {
 	seq       int
 	unflushed int
 	firstErr  error
+	enc       entryEncoder
 }
 
 // NewLogger opens (or creates) the feedback log in cfg.Dir. An active
@@ -218,17 +222,18 @@ func (l *Logger) openActive() error {
 	return nil
 }
 
-// Record captures one prediction outcome. It never blocks: the entry is
-// stamped and enqueued for the background flusher, and a full queue
-// drops it (feedback_dropped_total). The matrix is referenced, not
-// copied — serve's matrices are immutable after parse.
-func (l *Logger) Record(m *sparse.COO, e Entry) {
+// Record captures one prediction outcome. It never blocks and does no
+// work proportional to the matrix: the entry is stamped and enqueued
+// for the background flusher with a reference to the pattern (serve's
+// patterns are immutable after the scan), and a full queue drops it
+// (feedback_dropped_total).
+func (l *Logger) Record(pat *sparse.Pattern, e Entry) {
 	if l.closed.Load() {
 		return
 	}
 	e.Time = time.Now().UnixNano()
 	select {
-	case l.ch <- pending{m: m, e: e}:
+	case l.ch <- pending{pat: pat, e: e}:
 		l.met.entries.Inc()
 	default:
 		l.met.dropped.Inc()
@@ -248,38 +253,44 @@ func (l *Logger) Close() error {
 }
 
 // flusher is the single background goroutine owning the file state.
+// It drains the queue on its own clock and is never parked on the
+// channel: a send that has to wake a sleeping receiver is a futex call
+// on the request goroutine, and a request owes capture a channel send,
+// no more. The queue therefore absorbs QueueDepth entries per
+// FlushInterval; beyond that rate entries are dropped and counted, as
+// beyond any other rate the flusher cannot keep up with.
 func (l *Logger) flusher() {
 	defer l.wg.Done()
 	ticker := time.NewTicker(l.cfg.FlushInterval)
 	defer ticker.Stop()
 	for {
 		select {
-		case p := <-l.ch:
-			l.process(p)
-			if l.unflushed >= 64 {
-				l.flush()
-			}
-			l.maybeRotate()
 		case <-ticker.C:
-			l.flush()
+			l.drain()
 			l.maybeRotate()
 		case <-l.quit:
-			for {
-				select {
-				case p := <-l.ch:
-					l.process(p)
-					l.maybeRotate()
-				default:
-					l.flush()
-					if l.segBytes > 0 {
-						l.rotate()
-					}
-					if l.file != nil {
-						l.file.Close()
-					}
-					return
-				}
+			l.drain()
+			if l.segBytes > 0 {
+				l.rotate()
 			}
+			if l.file != nil {
+				l.file.Close()
+			}
+			return
+		}
+	}
+}
+
+// drain processes every queued entry and flushes what it wrote.
+func (l *Logger) drain() {
+	for {
+		select {
+		case p := <-l.ch:
+			l.process(p)
+			l.maybeRotate()
+		default:
+			l.flush()
+			return
 		}
 	}
 }
@@ -291,10 +302,10 @@ func (l *Logger) process(p pending) {
 		return
 	}
 	e := p.e
-	e.Stats = sparse.ComputeStats(p.m)
-	if n := p.m.NNZ(); l.cfg.MaxPatternNNZ >= 0 && n <= l.cfg.MaxPatternNNZ {
-		e.PatRows = p.m.Rows
-		e.PatCols = p.m.Cols
+	e.Stats = p.pat.Stats()
+	if n := p.pat.NNZ(); l.cfg.MaxPatternNNZ >= 0 && n <= l.cfg.MaxPatternNNZ {
+		e.PatRows = p.pat.Rows
+		e.PatCols = p.pat.Cols
 	}
 	if e.ClientSec == 0 {
 		if f, err := sparse.ParseFormat(e.Format); err == nil {
@@ -302,12 +313,11 @@ func (l *Logger) process(p pending) {
 			l.met.estimates.Inc()
 		}
 	}
-	line, err := json.Marshal(&e)
+	line, err := l.enc.line(&e)
 	if err != nil {
 		l.writeError(err)
 		return
 	}
-	line = append(line, '\n')
 	if _, err := l.w.Write(line); err != nil {
 		l.writeError(err)
 		return
@@ -374,4 +384,53 @@ func (l *Logger) writeError(err error) {
 			fmt.Fprintf(l.cfg.Log, "feedback: log write error: %v\n", err)
 		}
 	}
+}
+
+// entryEncoder renders entries as JSONL lines in a buffer it reuses.
+type entryEncoder struct {
+	buf  bytes.Buffer
+	enc  *json.Encoder
+	head Entry
+}
+
+// line returns e as json.Marshal(e) would render it, plus a newline;
+// the bytes are valid until the next call. encoding/json reflects over
+// every element of the two pattern arrays — most of what an entry costs
+// to render — so the entry is marshalled without them and they are
+// appended as digits: they are the struct's last two fields and both
+// omitempty, so the result is the same bytes.
+func (w *entryEncoder) line(e *Entry) ([]byte, error) {
+	if w.enc == nil {
+		w.enc = json.NewEncoder(&w.buf)
+	}
+	w.buf.Reset()
+	w.head = *e
+	w.head.PatRows, w.head.PatCols = nil, nil
+	if err := w.enc.Encode(&w.head); err != nil {
+		return nil, err
+	}
+	w.buf.Truncate(w.buf.Len() - len("}\n"))
+	// An int32 is at most 11 bytes and a comma.
+	w.buf.Grow(2*len(`,"pat_rows":[]`) + 12*(len(e.PatRows)+len(e.PatCols)) + len("}\n"))
+	b := w.buf.AvailableBuffer()
+	b = appendInt32s(b, `,"pat_rows":[`, e.PatRows)
+	b = appendInt32s(b, `,"pat_cols":[`, e.PatCols)
+	w.buf.Write(append(b, '}', '\n'))
+	return w.buf.Bytes(), nil
+}
+
+// appendInt32s appends key and xs as a JSON array, nothing when xs is
+// empty (omitempty).
+func appendInt32s(b []byte, key string, xs []int32) []byte {
+	if len(xs) == 0 {
+		return b
+	}
+	b = append(b, key...)
+	for i, x := range xs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return append(b, ']')
 }

@@ -37,7 +37,7 @@ func BenchmarkNormalizeInto(b *testing.B) {
 		b.Run(k.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if err := Into(dst, m, cfg); err != nil {
+				if err := Into(dst, &m.Pattern, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}

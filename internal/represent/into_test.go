@@ -149,10 +149,10 @@ func TestIntoMatchesReference(t *testing.T) {
 				for i := range f64 {
 					f64[i], f32[i] = -3, -3
 				}
-				if err := Into(f64, nm.m, cfg); err != nil {
+				if err := Into(f64, &nm.m.Pattern, cfg); err != nil {
 					t.Fatal(err)
 				}
-				if err := Into(f32, nm.m, cfg); err != nil {
+				if err := Into(f32, &nm.m.Pattern, cfg); err != nil {
 					t.Fatal(err)
 				}
 				for i, w := range want {
@@ -182,7 +182,7 @@ func TestIntoMatchesReference(t *testing.T) {
 
 func TestIntoRejectsWrongLength(t *testing.T) {
 	cfg := Config{Kind: KindHistogram, Size: 8, Bins: 4}
-	if err := Into(make([]float32, cfg.Len()-1), scattered(9, 9, 5, 1), cfg); err == nil {
+	if err := Into(make([]float32, cfg.Len()-1), &scattered(9, 9, 5, 1).Pattern, cfg); err == nil {
 		t.Fatal("short destination accepted")
 	}
 }
@@ -195,8 +195,8 @@ func TestIntoZeroAllocs(t *testing.T) {
 		f32 := make([]float32, cfg.Len())
 		f64 := make([]float64, cfg.Len())
 		if n := testing.AllocsPerRun(20, func() {
-			_ = Into(f32, m, cfg)
-			_ = Into(f64, m, cfg)
+			_ = Into(f32, &m.Pattern, cfg)
+			_ = Into(f64, &m.Pattern, cfg)
 		}); n != 0 {
 			t.Fatalf("%v: Into allocates %.0f objects per call, want 0", kind, n)
 		}

@@ -115,7 +115,7 @@ func (c Config) Len() int {
 // single tower.
 func Normalize(m *sparse.COO, cfg Config) ([]*tensor.Tensor, error) {
 	data := make([]float64, cfg.Len())
-	if err := Into(data, m, cfg); err != nil {
+	if err := Into(data, &m.Pattern, cfg); err != nil {
 		return nil, err
 	}
 	h, w := cfg.ChannelShape()
@@ -130,13 +130,14 @@ func Normalize(m *sparse.COO, cfg Config) ([]*tensor.Tensor, error) {
 // float32 slot still holds exactly.
 const exactCount = 1 << 24
 
-// Into writes the representation of m into dst, which must hold
+// Into writes the representation of m into dst — a function of where
+// the nonzeros are, so it takes the pattern — which must hold
 // cfg.Len() elements: the channels row-major and back to back, the
 // layout both merging structures consume. One pass over the nonzeros,
 // no allocation. Every cell is computed in float64 and converted at
 // the store, so the float32 instantiation is exactly float32 of the
 // float64 one.
-func Into[T Elem](dst []T, m *sparse.COO, cfg Config) error {
+func Into[T Elem](dst []T, m *sparse.Pattern, cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -189,7 +190,7 @@ func (g grid) slot(p int32) int {
 }
 
 // sweep is the one pass over the nonzeros.
-func sweep[T Elem](dst []T, m *sparse.COO, cfg Config) {
+func sweep[T Elem](dst []T, m *sparse.Pattern, cfg Config) {
 	rows, cols := m.Dims()
 	byRows, byCols := newGrid(cfg.Size, rows), newGrid(cfg.Size, cols)
 

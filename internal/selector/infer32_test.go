@@ -50,7 +50,7 @@ func TestPredictFloat32MatchesFloat64(t *testing.T) {
 // Predict must reproduce from the current weights.
 func referencePredict(t *testing.T, s *Selector, m *sparse.COO) (sparse.Format, map[sparse.Format]float64) {
 	t.Helper()
-	inputs, err := s.inputsFor(m)
+	inputs, err := s.inputsFor(&m.Pattern)
 	if err != nil {
 		t.Fatal(err)
 	}

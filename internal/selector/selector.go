@@ -81,11 +81,11 @@ func New(cfg Config) (*Selector, error) {
 	return &Selector{Cfg: cfg, Model: m}, nil
 }
 
-// inputsFor normalises a matrix into the model's float64 tower inputs
+// inputsFor normalises a pattern into the model's float64 tower inputs
 // (training samples and the reference forward pass): views of one
 // representation, channels back to back — one (1,H,W) tensor per
 // channel under late merging, the whole (C,H,W) under early merging.
-func (s *Selector) inputsFor(m *sparse.COO) ([]*tensor.Tensor, error) {
+func (s *Selector) inputsFor(m *sparse.Pattern) ([]*tensor.Tensor, error) {
 	data := make([]float64, s.Cfg.Represent.Len())
 	if err := represent.Into(data, m, s.Cfg.Represent); err != nil {
 		return nil, err
@@ -100,9 +100,9 @@ func (s *Selector) inputsFor(m *sparse.COO) ([]*tensor.Tensor, error) {
 	return inputs, nil
 }
 
-// validateInput rejects matrices that cannot be normalised or whose
+// validateInput rejects patterns that cannot be normalised or whose
 // "prediction" would be meaningless.
-func validateInput(m *sparse.COO) error {
+func validateInput(m *sparse.Pattern) error {
 	if m == nil {
 		return fmt.Errorf("%w: nil matrix", ErrBadInput)
 	}
@@ -116,17 +116,23 @@ func validateInput(m *sparse.COO) error {
 	return nil
 }
 
-// Predict returns the predicted best format and per-format
-// probabilities for a matrix (inference, Figure 3 right half). The
-// input is validated, a panic anywhere in representation or inference
-// is recovered into the returned error, and non-finite model output is
-// rejected — a hardened service entry point.
+// Predict is PredictPattern of m's pattern: the decision reads no
+// value.
+func (s *Selector) Predict(m *sparse.COO) (sparse.Format, map[sparse.Format]float64, error) {
+	return s.PredictPattern(sparse.PatternOf(m))
+}
+
+// PredictPattern returns the predicted best format and per-format
+// probabilities for a sparsity pattern (inference, Figure 3 right
+// half). The input is validated, a panic anywhere in representation or
+// inference is recovered into the returned error, and non-finite model
+// output is rejected — a hardened service entry point.
 //
-// Predict is safe for concurrent callers sharing one Selector: the
-// inference path reads model parameters but never writes layer or
+// PredictPattern is safe for concurrent callers sharing one Selector:
+// the inference path reads model parameters but never writes layer or
 // model state (enforced by TestPredictConcurrent under -race).
 // Training and inference must not overlap on the same Selector.
-func (s *Selector) Predict(m *sparse.COO) (f sparse.Format, probs map[sparse.Format]float64, err error) {
+func (s *Selector) PredictPattern(m *sparse.Pattern) (f sparse.Format, probs map[sparse.Format]float64, err error) {
 	if s == nil || s.Model == nil {
 		return 0, nil, ErrNoModel
 	}
@@ -222,7 +228,7 @@ func (s *Selector) Samples(d *dataset.Dataset, idx []int) ([]nn.Sample, error) {
 	if err := forChunks(s.Cfg.Workers, len(idx), func(lo, hi int) error {
 		for k := lo; k < hi; k++ {
 			r := &d.Records[idx[k]]
-			inputs, err := s.inputsFor(r.Matrix())
+			inputs, err := s.inputsFor(&r.Matrix().Pattern)
 			if err != nil {
 				return err
 			}

@@ -64,6 +64,23 @@ func BenchmarkPredictFeedback(b *testing.B) {
 	benchPredict(b, func(c *Config) { c.FeedbackDir = b.TempDir() })
 }
 
+// BenchmarkPredictUncachedTypical is a miss at the size of a typical
+// request: scan, represent, forward, render — and no value converted,
+// which at 2,088 17-digit values used to be the largest piece.
+func BenchmarkPredictUncachedTypical(b *testing.B) {
+	body, _ := benchBodies(b)
+	benchPredictBody(b, body, func(c *Config) { c.CacheSize = 0 })
+}
+
+// BenchmarkPredictFeedbackTypical is BenchmarkPredictCachedTypical with
+// feedback capture on: the guard that a hit which is logged with its
+// pattern costs a hit plus a channel send (BenchmarkPredictFeedback's
+// 24×24 body is too small to show anything else).
+func BenchmarkPredictFeedbackTypical(b *testing.B) {
+	body, _ := benchBodies(b)
+	benchPredictBody(b, body, func(c *Config) { c.FeedbackDir = b.TempDir() })
+}
+
 // benchBodies renders one 300×300 banded matrix (2,088 nonzeros with
 // 17-digit values, the shape and size of a typical request) in both
 // body encodings.

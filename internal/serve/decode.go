@@ -25,9 +25,13 @@ import (
 // after the closing brace are not examined. Dimensions and coordinates
 // past int32 are refused (413): a COO cannot index them. The body is
 // scanned once, by hand: the scan comes before the cache, so every
-// request pays for it, hits included, and it does only what a hit
-// needs (see Scanned). decode_test.go keeps the encoding/json decoder
-// as the reference this one is fuzzed against.
+// request pays for it, hits included, and it does only what a
+// prediction needs — validate the grammar, keep the coordinates, hash
+// them — leaving every value as text (see Scanned). The serving path
+// goes on with the sparse.Pattern and converts no value on any request;
+// DecodeMatrix is for callers that want the numbers. decode_test.go
+// keeps the encoding/json decoder as the reference this one is fuzzed
+// against.
 
 // ReadBody reads a request body of at most max bytes. A Content-Length
 // that fits sizes the buffer once; a body that overruns max (or its own
@@ -49,9 +53,12 @@ func ReadBody(r *http.Request, max int64) ([]byte, error) {
 
 // DecodeMatrix decodes a request body (already read into memory) as
 // JSON COO triplets or a Matrix Market document, bounded by lim: scan,
-// then materialise. Every failure wraps one of the typed sparse
-// ingestion errors (or reads as plain malformation) for IngestStatus to
-// map onto 400/413/422.
+// then convert the values. No request is served through it — a
+// prediction needs the pattern only — it is for whoever goes on to
+// multiply: the benchmark's oracle and replayer, the differential
+// tests. Every failure wraps one of the typed sparse ingestion errors
+// (or reads as plain malformation) for IngestStatus to map onto
+// 400/413/422.
 func DecodeMatrix(ctx context.Context, data []byte, contentType string, lim sparse.Limits) (*sparse.COO, error) {
 	m, _, err := DecodeMatrixMeta(ctx, data, contentType, lim)
 	return m, err
@@ -73,26 +80,28 @@ func DecodeMatrixMeta(ctx context.Context, data []byte, contentType string, lim 
 
 // Scanned is a request body after the one pass every request pays for:
 // accepted or refused for good, and fingerprinted. The prediction cache
-// is asked with Fingerprint; only an answer that has to be computed (or
-// logged with its pattern) calls Matrix. The body must not be written
-// to while the Scanned is in use.
+// is asked with Fingerprint; an answer that has to be computed, or
+// logged with its pattern, takes Pattern; nothing that serves a request
+// calls Matrix. The body must not be written to while the Scanned is in
+// use.
 //
 // A JSON body whose triplets arrive strictly row-major with no zero
 // value — canonical COO, what every writer of the format emits — is
 // "streamed": hashed coordinate by coordinate while it is validated,
 // coordinates kept as int32, each value kept as the span of its token
-// and not converted, so a cache hit never runs strconv.ParseFloat and
-// never builds a matrix. Any other JSON body (unsorted, a position
+// and not converted, so no request runs strconv.ParseFloat over it and
+// none builds a matrix. Any other JSON body (unsorted, a position
 // twice, an explicit zero) is just as correct and costs what it always
-// did: its fingerprint depends on which entries survive summing, so the
-// matrix is built before the cache is asked. Matrix Market bodies are
-// built before the cache too, by sparse.ReadMatrixMarketLimits.
+// did: which positions it has depends on which entries survive summing,
+// so the matrix is built before the cache is asked. Matrix Market
+// bodies are built before the cache too, by
+// sparse.ReadMatrixMarketLimits.
 type Scanned struct {
 	fp          uint64
 	spmvSeconds float64
 	m           *sparse.COO // nil while a streamed body's values are still text
 
-	// What Matrix builds a streamed body's matrix from.
+	// What a streamed body's Pattern and Matrix are made from.
 	rows, cols int
 	data       []byte
 	ents       triplets
@@ -104,9 +113,24 @@ func (sc *Scanned) Fingerprint() uint64 { return sc.fp }
 // SpmvSeconds is the client-reported SpMV time, 0 when absent or absurd.
 func (sc *Scanned) SpmvSeconds() float64 { return sc.spmvSeconds }
 
-// Streamed reports whether the matrix is still to be materialised: the
-// body was canonical JSON and nothing has called Matrix yet.
+// Streamed reports whether the values are still text: the body was
+// canonical JSON and nothing has called Matrix.
 func (sc *Scanned) Streamed() bool { return sc.m == nil }
+
+// Pattern returns the sparsity pattern of the matrix the body denotes:
+// a streamed body hands over the coordinates as it scanned them and
+// converts nothing, a built one lends its matrix's. It holds no
+// reference to the body.
+func (sc *Scanned) Pattern() (*sparse.Pattern, error) {
+	if sc.m != nil {
+		return &sc.m.Pattern, nil
+	}
+	p, err := sparse.NewPattern(sc.rows, sc.cols, sc.ents.ri, sc.ents.ci)
+	if err != nil {
+		return nil, fmt.Errorf("adopting scanned pattern: %w", err)
+	}
+	return p, nil
+}
 
 // Matrix returns the canonical COO the body denotes, converting a
 // streamed body's value tokens on the first call: ParseFloat on the
@@ -129,7 +153,7 @@ func (sc *Scanned) Matrix() (*sparse.COO, error) {
 
 // ScanMatrix validates a request body against the grammar and lim and
 // fingerprints it. What it refuses, DecodeMatrix refuses with the same
-// error; what it accepts, Matrix cannot refuse.
+// error; what it accepts, neither Pattern nor Matrix can refuse.
 func ScanMatrix(ctx context.Context, data []byte, contentType string, lim sparse.Limits) (*Scanned, error) {
 	if strings.Contains(contentType, "matrix-market") || bytes.HasPrefix(bytes.TrimSpace(data), []byte("%%MatrixMarket")) {
 		m, err := sparse.ReadMatrixMarketLimits(ctx, bytes.NewReader(data), lim)
@@ -607,7 +631,8 @@ func (s *bodyScanner) coordinate() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if f != math.Trunc(f) || math.Abs(f) > 1<<62 {
+	// Below 2^63 int(f) is exact, and add refuses it as too wide (413).
+	if f != math.Trunc(f) || math.Abs(f) >= 1<<63 {
 		return 0, s.errorf("coordinate %s is not an integer index", n.text)
 	}
 	return int(f), nil

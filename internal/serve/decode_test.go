@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -136,6 +137,35 @@ func stricter(body []byte) string {
 	return ""
 }
 
+// checkScannedPattern holds sc.Pattern to the matrix a whole decode of
+// the same body gives: its dimensions and index arrays, hashing to the
+// fingerprint the scan computed — asked while a streamed body's values
+// are still text, and again once Matrix has converted them.
+func checkScannedPattern(t *testing.T, sc *Scanned, want *sparse.COO) {
+	t.Helper()
+	for _, when := range []string{"after the scan", "after Matrix"} {
+		streamed := sc.Streamed()
+		p, err := sc.Pattern()
+		if err != nil {
+			t.Fatalf("%s: accepted by the scan, refused by Pattern: %v", when, err)
+		}
+		pr, pc := p.Dims()
+		wr, wc := want.Dims()
+		if pr != wr || pc != wc || !slices.Equal(p.Rows, want.Rows) || !slices.Equal(p.Cols, want.Cols) {
+			t.Fatalf("%s: pattern is %dx%d with %d positions, the decoded matrix %dx%d with %d (or they differ)", when, pr, pc, p.NNZ(), wr, wc, want.NNZ())
+		}
+		if g, w := p.Fingerprint(), sc.Fingerprint(); g != w {
+			t.Fatalf("%s: pattern fingerprints to %x, the scan to %x", when, g, w)
+		}
+		if sc.Streamed() != streamed {
+			t.Fatalf("%s: Pattern converted the body's values", when)
+		}
+		if _, err := sc.Matrix(); err != nil {
+			t.Fatalf("accepted by the scan, refused by Matrix: %v", err)
+		}
+	}
+}
+
 // predictJSONSeeds is the JSON seed corpus shared by FuzzPredictJSON
 // and FuzzDecodeJSONDifferential.
 var predictJSONSeeds = []string{
@@ -235,6 +265,9 @@ func FuzzDecodeJSONDifferential(f *testing.F) {
 		f.Add(s)
 	}
 	f.Add(string(matrixJSON(40, 30))) // past MaxNNZ
+	// A coordinate between 2^62 and 2^63 is an integer too wide (413),
+	// not a non-integer (400): found by this target.
+	f.Add(`{"entries":[[7000000000000000000,0,0]]}`)
 
 	lim := sparse.Limits{MaxRows: 1 << 10, MaxCols: 1 << 10, MaxNNZ: 1 << 10, MaxLineBytes: 1 << 8}
 	f.Fuzz(func(t *testing.T, body string) {
@@ -280,6 +313,7 @@ func FuzzDecodeJSONDifferential(f *testing.F) {
 				t.Fatalf("streamed a body whose %d triplets canonicalise to %d entries", len(req.Entries), want.NNZ())
 			}
 		}
+		checkScannedPattern(t, sc, got)
 		if m, err := sc.Matrix(); err != nil || !m.Equal(got) {
 			t.Fatalf("materialising after the scan: %v, or not the matrix the whole decode gives", err)
 		}

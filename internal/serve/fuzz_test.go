@@ -15,8 +15,9 @@ import (
 // limits, COO construction — with arbitrary bodies and content types.
 // The invariant is the robustness contract: scanBody never panics,
 // every rejection maps onto the typed 400/413/422 taxonomy (no
-// rejection may look like a server fault), and a body it accepts always
-// materialises.
+// rejection may look like a server fault), and a body it accepts —
+// streamed, built or Matrix Market — always yields its pattern without
+// converting a value, the pattern of the matrix it materialises to.
 func FuzzPredictJSON(f *testing.F) {
 	for _, body := range predictJSONSeeds {
 		f.Add(body, "application/json")
@@ -26,6 +27,10 @@ func FuzzPredictJSON(f *testing.F) {
 	f.Add("%%MatrixMarket matrix array real general\n2 2\n1\n2\n3\n4\n", "text/matrix-market")
 	f.Add("%%MatrixMarket matrix coordinate real general\n2 2 9\n1 1 1\n", "text/plain")
 	f.Add("not a matrix at all", "text/plain")
+	// Accepted off the streamed path: shuffled, a position twice, a zero.
+	f.Add(`{"rows":3,"cols":3,"entries":[[2,1,7],[0,0,1],[1,2,3]]}`, "application/json")
+	f.Add(`{"rows":3,"cols":3,"entries":[[0,0,0.25],[0,0,0.75],[1,2,3]]}`, "application/json")
+	f.Add(`{"rows":3,"cols":3,"entries":[[0,0,1],[1,1,0],[2,2,1]]}`, "application/json")
 
 	// A model-less server is enough: scanBody only needs cfg.
 	cfg := Config{
@@ -53,10 +58,11 @@ func FuzzPredictJSON(f *testing.F) {
 			}
 			return
 		}
-		m, err := sc.Matrix()
+		m, err := DecodeMatrix(context.Background(), []byte(body), contentType, cfg.Limits)
 		if err != nil {
-			t.Fatalf("accepted by the scan, refused by materialise: %v", err)
+			t.Fatalf("accepted by the scan, refused by the whole decode: %v", err)
 		}
+		checkScannedPattern(t, sc, m)
 		// Accepted matrices must respect the configured resource budget
 		// (×2 headroom: symmetric MatrixMarket entries expand to two).
 		r, c := m.Dims()

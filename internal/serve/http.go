@@ -162,8 +162,9 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	ctx = obs.WithTrace(ctx, tr)
 
 	// parse is the scan alone: the body is validated and fingerprinted
-	// here, and becomes a matrix (the materialise span) only if the
-	// cache cannot answer.
+	// here and its values stay text — a miss goes on with the
+	// coordinates the scan kept, so no request has a span for converting
+	// anything.
 	parseStart := time.Now()
 	sc, err := s.scanBody(ctx, r)
 	tr.ObserveSpan("parse", parseStart)
@@ -174,7 +175,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	meta.clientSec = sc.SpmvSeconds()
 	// A client whose bodies are never "streamed" pays the full decode on
-	// every cache hit; this is where that shows.
+	// every request, hits included; this is where that shows.
 	if sc.Streamed() {
 		s.met.parsed.With(`path="streamed"`).Inc()
 	} else {

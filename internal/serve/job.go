@@ -17,7 +17,7 @@ import (
 type job struct {
 	ctx      context.Context // job context: deadline budget (detached from any single client when coalescing is on)
 	cancel   context.CancelFunc
-	m        *sparse.COO
+	pat      *sparse.Pattern // what is predicted, logged and mirrored; no request converts a value
 	fp       uint64
 	tr       *obs.Trace // request trace (nil-safe); the worker adds queue and rung spans
 	enqueued time.Time  // when the handler submitted the job (queue span start)
@@ -107,7 +107,7 @@ func (s *Server) runJob(j *job) {
 	gen := s.gen.Load()
 	allocStart := heapAllocObjects()
 	rungStart := time.Now()
-	pred, rung := s.ladderPredict(j.ctx, sel, j.m)
+	pred, rung := s.ladderPredict(j.ctx, sel, j.pat)
 	liveNs := time.Since(rungStart).Nanoseconds()
 	if s.adm != nil && rung == rungCNN {
 		// Feed the brownout controller the CNN rung's real cost.
@@ -128,14 +128,14 @@ func (s *Server) runJob(j *job) {
 	s.finishJob(j, jobResult{pred: pred, gen: gen, rung: rung})
 	// The answer is delivered; capture it for the feedback log and run
 	// the shadow mirror strictly after it (see shadow.go).
-	s.recordFeedback(j.m, j.fp, pred, rung, gen, false, j.clientSec)
+	s.recordFeedback(j.pat, j.fp, pred, rung, gen, false, j.clientSec)
 	// Allocation pressure of the job: a process-wide heap-objects delta,
 	// not a per-goroutine count — concurrent jobs and GC background work
 	// inflate it, so it is a trend gauge, not an exact figure (the exact
 	// figure is pinned by the benchgate allocs/op gate).
 	s.met.predictAllocs.Set(float64(heapAllocObjects() - allocStart))
 	if s.shouldShadow() {
-		s.mirrorShadow(j.m, pred, liveNs)
+		s.mirrorShadow(j.pat, pred, liveNs)
 	}
 }
 

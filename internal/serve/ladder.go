@@ -67,7 +67,7 @@ func (s *Server) CurrentRung() string {
 // ladderPredict answers one request through the ladder. It always
 // returns an answer; the rung string says which layer produced it.
 // ctx carries the per-request deadline budget.
-func (s *Server) ladderPredict(ctx context.Context, sel *selector.Selector, m *sparse.COO) (selector.Prediction, string) {
+func (s *Server) ladderPredict(ctx context.Context, sel *selector.Selector, pat *sparse.Pattern) (selector.Prediction, string) {
 	var reason error
 	if s.brownedOut() {
 		// Brownout: shed quality before availability. The breaker is
@@ -76,7 +76,7 @@ func (s *Server) ladderPredict(ctx context.Context, sel *selector.Selector, m *s
 		s.met.brownoutShortCircuits.Inc()
 		reason = errBrownout
 	} else if s.breaker.Allow() {
-		pred, err := s.cnnOnce(ctx, sel, m)
+		pred, err := s.cnnOnce(ctx, sel, pat)
 		switch {
 		case err == nil:
 			s.breaker.Success()
@@ -102,7 +102,7 @@ func (s *Server) ladderPredict(ctx context.Context, sel *selector.Selector, m *s
 	}
 
 	if s.dtree != nil {
-		if f, err := s.dtree.Predict(m); err == nil {
+		if f, err := s.dtree.PredictPattern(pat); err == nil {
 			// FellBack marks any non-CNN answer; Reason records why the
 			// CNN rung did not take it.
 			return selector.Prediction{Format: f, FellBack: true, Reason: reason}, rungDTree
@@ -125,7 +125,7 @@ type cnnOut struct {
 // wedging the pool worker; the goroutine contains its own panics
 // (including injected ones) and drops its late result into a buffered
 // channel.
-func (s *Server) cnnOnce(ctx context.Context, sel *selector.Selector, m *sparse.COO) (selector.Prediction, error) {
+func (s *Server) cnnOnce(ctx context.Context, sel *selector.Selector, pat *sparse.Pattern) (selector.Prediction, error) {
 	tctx, cancel := context.WithTimeout(ctx, s.cfg.PredictTimeout)
 	defer cancel()
 
@@ -147,7 +147,7 @@ func (s *Server) cnnOnce(ctx context.Context, sel *selector.Selector, m *sparse.
 			return
 		}
 		fwdStart := time.Now()
-		f, probs, err := sel.Predict(m)
+		f, probs, err := sel.PredictPattern(pat)
 		obs.TraceFrom(ctx).ObserveSpan("forward", fwdStart)
 		if err != nil {
 			ch <- cnnOut{err: err}

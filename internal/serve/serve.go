@@ -276,11 +276,11 @@ func New(cfg Config) (*Server, error) {
 
 // recordFeedback captures one answered prediction into the feedback
 // log (no-op when capture is disabled). Never blocks.
-func (s *Server) recordFeedback(m *sparse.COO, fp uint64, pred selector.Prediction, rung string, gen uint64, cacheHit bool, clientSec float64) {
+func (s *Server) recordFeedback(pat *sparse.Pattern, fp uint64, pred selector.Prediction, rung string, gen uint64, cacheHit bool, clientSec float64) {
 	if s.fb == nil {
 		return
 	}
-	s.fb.Record(m, feedback.Entry{
+	s.fb.Record(pat, feedback.Entry{
 		Fingerprint: fp,
 		Format:      pred.Format.String(),
 		Rung:        rung,
@@ -403,13 +403,14 @@ func (s *Server) predictOne(ctx context.Context, sc *Scanned, meta *predictMeta)
 		s.met.cacheHits.Inc()
 		tr.ObserveSpan("cache", cacheStart)
 		meta.cacheStatus = "hit"
-		// A hit needs the matrix only to log its pattern.
+		// A hit under capture costs a hit plus a channel send: the log
+		// wants the positions, which the scan already holds.
 		if s.fb != nil {
-			m, err := materialise(tr, sc)
+			pat, err := sc.Pattern()
 			if err != nil {
 				return response{}, err
 			}
-			s.recordFeedback(m, fp, pred, rungCNN, gen, true, meta.clientSec)
+			s.recordFeedback(pat, fp, pred, rungCNN, gen, true, meta.clientSec)
 		}
 		// Only CNN-rung answers are ever cached, so a hit reports the
 		// cnn rung.
@@ -475,11 +476,12 @@ func (s *Server) predictOne(ctx context.Context, sc *Scanned, meta *predictMeta)
 		}
 		j.admitted = true
 	}
-	// Nothing short of a computed answer needs the matrix: the cache,
-	// an in-flight duplicate and admission were all asked without it.
-	// The job's time in the system starts once it exists.
-	m, err := materialise(tr, sc)
-	j.m, j.enqueued = m, time.Now()
+	// The job carries the pattern — all a decision reads — and not the
+	// Scanned, so the body buffer is garbage once the handler returns,
+	// however long the worker, the feedback queue or the shadow mirror
+	// hold on to the job. Its time in the system starts here.
+	pat, err := sc.Pattern()
+	j.pat, j.enqueued = pat, time.Now()
 	if err != nil {
 		s.finishJob(j, jobResult{err: err})
 		return response{}, err
@@ -506,19 +508,6 @@ func (s *Server) predictOne(ctx context.Context, sc *Scanned, meta *predictMeta)
 	case <-ctx.Done():
 		return response{}, ctx.Err()
 	}
-}
-
-// materialise is sc.Matrix, under a span of its own when there are
-// values still to convert — so a trace shows that a hit's parse was the
-// scan alone and what a miss paid on top of it.
-func materialise(tr *obs.Trace, sc *Scanned) (*sparse.COO, error) {
-	if !sc.Streamed() {
-		return sc.Matrix()
-	}
-	start := time.Now()
-	m, err := sc.Matrix()
-	tr.ObserveSpan("materialise", start)
-	return m, err
 }
 
 // waitResult converts a completed call into the handler-facing answer.

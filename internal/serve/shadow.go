@@ -106,7 +106,7 @@ func (s *Server) shouldShadow() bool {
 // response is gone, so nothing here can affect it. The forward pass is
 // bounded by PredictTimeout and panic-contained — a pathological shadow
 // burns its budget and scores an error, nothing more.
-func (s *Server) mirrorShadow(m *sparse.COO, live selector.Prediction, liveNs int64) {
+func (s *Server) mirrorShadow(pat *sparse.Pattern, live selector.Prediction, liveNs int64) {
 	st := s.shadow.Load()
 	if st == nil {
 		return
@@ -115,7 +115,7 @@ func (s *Server) mirrorShadow(m *sparse.COO, live selector.Prediction, liveNs in
 	st.liveNs.Add(liveNs)
 	s.met.shadowRequests.Inc()
 	start := time.Now()
-	pred, err := s.shadowOnce(st.sel, m)
+	pred, err := s.shadowOnce(st.sel, pat)
 	elapsed := time.Since(start)
 	st.shadowNs.Add(elapsed.Nanoseconds())
 	s.met.shadowSeconds.Observe(elapsed.Seconds())
@@ -144,7 +144,7 @@ func (s *Server) mirrorShadow(m *sparse.COO, live selector.Prediction, liveNs in
 // containment. It deliberately does not share cnnOnce: the shadow must
 // not trip fault-injection points, the breaker, or request tracing —
 // it is invisible to the serving path.
-func (s *Server) shadowOnce(sel *selector.Selector, m *sparse.COO) (selector.Prediction, error) {
+func (s *Server) shadowOnce(sel *selector.Selector, pat *sparse.Pattern) (selector.Prediction, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.PredictTimeout)
 	defer cancel()
 	ch := make(chan cnnOut, 1)
@@ -154,7 +154,7 @@ func (s *Server) shadowOnce(sel *selector.Selector, m *sparse.COO) (selector.Pre
 				ch <- cnnOut{err: fmt.Errorf("serve: shadow predict panic: %v", r)}
 			}
 		}()
-		f, probs, err := sel.Predict(m)
+		f, probs, err := sel.PredictPattern(pat)
 		if err != nil {
 			ch <- cnnOut{err: err}
 			return

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -51,7 +52,7 @@ func equivalentBodies() (canonical, shuffled, split, zero []byte) {
 // request path: however a matrix is spelled — and so whichever of the
 // streamed and built paths reads it — the answer is the one the
 // canonical body gets, cached or not, with feedback capture (which
-// materialises even on a hit) or without; and with the cache on, the
+// wants the pattern even on a hit) or without; and with the cache on, the
 // other spellings hit the entry the canonical body filled.
 func TestEquivalentBodiesOneAnswer(t *testing.T) {
 	canonical, shuffled, split, zero := equivalentBodies()
@@ -127,10 +128,12 @@ func TestEquivalentBodiesOneAnswer(t *testing.T) {
 	}
 }
 
-// TestMaterialiseSpan: a streamed body's trace has a materialise span,
-// after cache, exactly when the request had to build the matrix: on the
-// miss, not on the hit — unless feedback capture wants the pattern.
-func TestMaterialiseSpan(t *testing.T) {
+// TestServedRequestConvertsNoValue: no request has a span for turning
+// the body into a matrix, because none does — a canonical body's miss
+// goes from the cache straight to the queue, its hit under feedback
+// capture is a hit — and the Scanned a request was served from still
+// holds its values as text afterwards.
+func TestServedRequestConvertsNoValue(t *testing.T) {
 	canonical, shuffled, _, _ := equivalentBodies()
 	spans := func(ts *httptest.Server, body []byte) string {
 		_, r := traceResponse(t, ts, body)
@@ -143,8 +146,8 @@ func TestMaterialiseSpan(t *testing.T) {
 	s, _ := newTestServer(t, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	if got := spans(ts, canonical); !strings.HasPrefix(got, "parse cache materialise queue") {
-		t.Errorf("streamed miss: spans %q, want parse cache materialise queue …", got)
+	if got := spans(ts, canonical); !strings.HasPrefix(got, "parse cache queue") {
+		t.Errorf("streamed miss: spans %q, want parse cache queue …", got)
 	}
 	if got := spans(ts, canonical); got != "parse cache" {
 		t.Errorf("streamed hit: spans %q, want parse cache", got)
@@ -156,10 +159,92 @@ func TestMaterialiseSpan(t *testing.T) {
 	fb, _ := newTestServer(t, func(c *Config) { c.FeedbackDir = t.TempDir() })
 	fts := httptest.NewServer(fb.Handler())
 	defer fts.Close()
-	spans(fts, canonical)
-	if got := spans(fts, canonical); got != "parse cache materialise" {
-		t.Errorf("streamed hit with feedback capture: spans %q, want parse cache materialise", got)
+	if got := spans(fts, canonical); !strings.HasPrefix(got, "parse cache queue") {
+		t.Errorf("streamed miss with feedback capture: spans %q, want parse cache queue …", got)
 	}
+	if got := spans(fts, canonical); got != "parse cache" {
+		t.Errorf("streamed hit with feedback capture: spans %q, want parse cache", got)
+	}
+
+	// The same two requests against predictOne itself, which is handed
+	// the Scanned: a miss, then a hit that is logged with its pattern.
+	body := matrixJSON(30, 1)
+	for _, want := range []string{"miss", "hit"} {
+		sc, err := ScanMatrix(context.Background(), body, "application/json", sparse.DefaultLimits())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var meta predictMeta
+		if _, err := fb.predictOne(context.Background(), sc, &meta); err != nil {
+			t.Fatal(err)
+		}
+		if meta.cacheStatus != want {
+			t.Fatalf("request was a %q, want %q", meta.cacheStatus, want)
+		}
+		if !sc.Streamed() {
+			t.Errorf("a %s under feedback capture converted the body's values", want)
+		}
+	}
+}
+
+// TestAnswerIsAFunctionOfThePattern: two canonical bodies with the same
+// positions and different values — a negative, one near the bottom of
+// the float64 range, a 40-digit mantissa — are one matrix to the
+// server: with the cache off both get the same format and
+// probabilities, with it on the second is a hit. The values are still
+// held to the grammar: one that overflows is a 400 from the scan.
+func TestAnswerIsAFunctionOfThePattern(t *testing.T) {
+	ones := patternBody("1", "1", "1")
+	others := patternBody("-0.5", "1e-300", "0."+strings.Repeat("1234567890", 4)[:38])
+	for name, b := range map[string][]byte{"ones": ones, "others": others} {
+		sc, err := ScanMatrix(context.Background(), b, "application/json", sparse.DefaultLimits())
+		if err != nil || !sc.Streamed() {
+			t.Fatalf("%s body is not streamed (err %v)", name, err)
+		}
+	}
+
+	for _, cached := range []bool{false, true} {
+		s, _ := newTestServer(t, func(c *Config) {
+			if !cached {
+				c.CacheSize = 0
+			}
+		})
+		ts := httptest.NewServer(s.Handler())
+		_, want, _ := postPredict(t, ts, ones, "application/json")
+		_, got, _ := postPredict(t, ts, others, "application/json")
+		if got.Format != want.Format || got.Rung != rungCNN || !maps.Equal(got.Probs, want.Probs) || len(got.Probs) == 0 {
+			t.Errorf("cached=%v: same positions, other values answered %s %v, want %s %v", cached, got.Format, got.Probs, want.Format, want.Probs)
+		}
+		if got.Cached != cached {
+			t.Errorf("cached=%v: the second body's cached = %v", cached, got.Cached)
+		}
+		code, _, bad := postPredict(t, ts, patternBody("1", "1e400", "1"), "application/json")
+		if code != http.StatusBadRequest || !strings.Contains(bad.Error, "does not fit a float64") {
+			t.Errorf("cached=%v: an overflowing value answered %d %q, want 400 from the scan", cached, code, bad.Error)
+		}
+		ts.Close()
+	}
+}
+
+// patternBody renders one fixed 12×12 pattern (the diagonal and a
+// superdiagonal) canonically, its values cycling through vals.
+func patternBody(vals ...string) []byte {
+	var b strings.Builder
+	b.WriteString(`{"rows":12,"cols":12,"entries":[`)
+	for i, k := 0, 0; i < 12; i++ {
+		for _, j := range []int{i, i + 3} {
+			if j >= 12 {
+				continue
+			}
+			if k > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, "[%d,%d,%s]", i, j, vals[k%len(vals)])
+			k++
+		}
+	}
+	b.WriteString("]}")
+	return []byte(b.String())
 }
 
 // TestDecodeJSONRefusesWhatInt32CannotHold: COO indices are int32, so a

@@ -42,7 +42,7 @@ func BenchmarkComputeStatsLite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		statsSink = sparse.ComputeStatsLite(ms[i%len(ms)])
+		statsSink = ms[i%len(ms)].StatsLite()
 	}
 }
 
@@ -68,7 +68,7 @@ func BenchmarkConvert(b *testing.B) {
 	for _, f := range []sparse.Format{sparse.FormatCSR, sparse.FormatDIA, sparse.FormatELL, sparse.FormatBSR} {
 		var ms []*sparse.COO
 		for _, m := range all {
-			if fill(sparse.ComputeStatsLite(m), f) >= 0.5 {
+			if fill(m.StatsLite(), f) >= 0.5 {
 				ms = append(ms, m)
 			}
 		}

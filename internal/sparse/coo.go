@@ -7,12 +7,12 @@ import (
 // COO stores a sparse matrix in coordinate (triplet) form: parallel
 // arrays of row index, column index and value, exactly as in Figure 1 of
 // the paper. Canonical COO is sorted row-major with no duplicate or
-// explicit-zero entries; NewCOO establishes that invariant.
+// explicit-zero entries; NewCOO establishes that invariant. The index
+// arrays and dimensions are the embedded Pattern — what every
+// position-only computation takes — and Vals runs parallel to them.
 type COO struct {
-	rows, cols int
-	Rows       []int32
-	Cols       []int32
-	Vals       []float64
+	Pattern
+	Vals []float64
 }
 
 // NewCOO builds a canonical COO matrix from triplet entries. Duplicate
@@ -51,9 +51,11 @@ func NewCOOOwned(rows, cols int, es []Entry) (*COO, error) {
 		sortEntries(es)
 	}
 	c := &COO{
-		rows: rows, cols: cols,
-		Rows: make([]int32, 0, len(es)),
-		Cols: make([]int32, 0, len(es)),
+		Pattern: Pattern{
+			rows: rows, cols: cols,
+			Rows: make([]int32, 0, len(es)),
+			Cols: make([]int32, 0, len(es)),
+		},
 		Vals: make([]float64, 0, len(es)),
 	}
 	for i := 0; i < len(es); {
@@ -73,33 +75,24 @@ func NewCOOOwned(rows, cols int, es []Entry) (*COO, error) {
 	return c, nil
 }
 
-// NewCOOCanonical adopts index and value arrays that already are
-// canonical COO — every index in range, strictly row-major (so no
-// position twice), no zero value — as a reader that checked all that
-// while scanning hands them over. It verifies rather than trusts: one
-// allocation-free pass, and input that is not canonical is an error,
-// not a matrix that breaks every kernel's invariant. The slices belong
-// to the matrix afterwards.
+// NewCOOCanonical is NewPattern with values: index arrays that already
+// are canonical and a parallel array with no zero in it, verified and
+// not trusted like a Pattern's. The slices belong to the matrix
+// afterwards.
 func NewCOOCanonical(rows, cols int, ri, ci []int32, vals []float64) (*COO, error) {
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("sparse: non-positive dimensions %dx%d", rows, cols)
-	}
 	if len(ri) != len(vals) || len(ci) != len(vals) {
 		return nil, fmt.Errorf("sparse: %d rows, %d cols, %d values: not parallel arrays", len(ri), len(ci), len(vals))
 	}
-	prev := int64(-1)
-	for k, v := range vals {
-		r, c := ri[k], ci[k]
-		if r < 0 || int(r) >= rows || c < 0 || int(c) >= cols {
-			return nil, fmt.Errorf("sparse: entry (%d,%d) out of range for %dx%d matrix", r, c, rows, cols)
-		}
-		pos := int64(r)<<32 | int64(c)
-		if pos <= prev || v == 0 {
-			return nil, fmt.Errorf("sparse: entry %d (%d,%d,%g) is not canonical", k, r, c, v)
-		}
-		prev = pos
+	p, err := newPattern(rows, cols, ri, ci)
+	if err != nil {
+		return nil, err
 	}
-	return &COO{rows: rows, cols: cols, Rows: ri, Cols: ci, Vals: vals}, nil
+	for k, v := range vals {
+		if v == 0 {
+			return nil, fmt.Errorf("sparse: entry %d (%d,%d,%g) is not canonical", k, ri[k], ci[k], v)
+		}
+	}
+	return &COO{Pattern: p, Vals: vals}, nil
 }
 
 // MustCOO is NewCOO that panics on error; for use with known-good data
@@ -111,12 +104,6 @@ func MustCOO(rows, cols int, entries []Entry) *COO {
 	}
 	return c
 }
-
-// Dims returns (rows, cols).
-func (c *COO) Dims() (int, int) { return c.rows, c.cols }
-
-// NNZ returns the number of stored nonzeros.
-func (c *COO) NNZ() int { return len(c.Vals) }
 
 // Format returns FormatCOO.
 func (c *COO) Format() Format { return FormatCOO }

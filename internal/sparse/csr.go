@@ -58,9 +58,11 @@ func (m *CSR) MulVec(y, x []float64) {
 // ToCOO converts back to canonical COO.
 func (m *CSR) ToCOO() *COO {
 	c := &COO{
-		rows: m.rows, cols: m.cols,
-		Rows: make([]int32, m.NNZ()),
-		Cols: make([]int32, m.NNZ()),
+		Pattern: Pattern{
+			rows: m.rows, cols: m.cols,
+			Rows: make([]int32, m.NNZ()),
+			Cols: make([]int32, m.NNZ()),
+		},
 		Vals: make([]float64, m.NNZ()),
 	}
 	for i := 0; i < m.rows; i++ {

@@ -1,18 +1,18 @@
 package sparse
 
 // Fingerprint returns a stable 64-bit hash of a matrix's shape and
-// sparsity pattern — the identity a format selector cares about. Values
-// are deliberately excluded: every input representation the CNN
-// consumes (binary occupancy, block density, diagonal-distance
-// histograms) is computed from nonzero positions only, so two matrices
-// with the same pattern but different values always get the same
-// prediction. That makes the fingerprint a sound cache key for
-// prediction services.
+// sparsity pattern — the identity a format selector cares about. It is
+// a function of the Pattern and so cannot see a value: every input
+// representation the CNN consumes (binary occupancy, block density,
+// diagonal-distance histograms) is computed from nonzero positions
+// only, so two matrices with the same pattern but different values
+// always get the same prediction. That makes the fingerprint a sound
+// cache key for prediction services.
 //
 // The hash is order-insensitive: each (row,col) coordinate is mixed
 // independently and the per-entry hashes are combined with commutative
-// reductions (sum and xor), so the same pattern presented in any entry
-// order — canonical or not — fingerprints identically. It is stable
+// reductions (sum and xor), so a reader that meets the positions in any
+// order (see PatternHash) fingerprints them identically. It is stable
 // across processes (no per-run seeding) so caches can be warmed
 // offline.
 //
@@ -21,22 +21,27 @@ package sparse
 // collision odds are below 1e-6, which is acceptable for a cache whose
 // worst case is returning the prediction of a structurally identical
 // twin.
+func (p *Pattern) Fingerprint() uint64 {
+	var h PatternHash
+	for k := range p.Rows {
+		h = h.Add(p.Rows[k], p.Cols[k])
+	}
+	return h.Sum(p.rows, p.cols)
+}
+
+// Fingerprint is m's Pattern.Fingerprint, 0 for a nil matrix.
 func Fingerprint(m *COO) uint64 {
 	if m == nil {
 		return 0
 	}
-	var h PatternHash
-	for k := range m.Rows {
-		h = h.Add(m.Rows[k], m.Cols[k])
-	}
-	return h.Sum(m.rows, m.cols)
+	return m.Pattern.Fingerprint()
 }
 
 // PatternHash is Fingerprint computed one coordinate at a time, for a
-// reader that meets the pattern before (or instead of) building a COO.
-// Add every stored position exactly once, in any order, then Sum with
-// the dimensions: the result is Fingerprint of the canonical matrix
-// with those positions. The zero value is ready to use.
+// reader that meets the positions before (or instead of) building a
+// Pattern. Add every stored position exactly once, in any order, then
+// Sum with the dimensions: the result is Fingerprint of the canonical
+// pattern with those positions. The zero value is ready to use.
 type PatternHash struct {
 	sum, xor uint64
 	n        uint64

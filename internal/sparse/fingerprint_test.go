@@ -36,10 +36,10 @@ func TestFingerprintPermutationInvariant(t *testing.T) {
 // a COO whose triplet arrays are not in canonical (sorted) order — the
 // commutative reduction, not canonicalisation, provides the guarantee.
 func TestFingerprintOrderInsensitiveRaw(t *testing.T) {
-	a := &COO{rows: 4, cols: 4,
-		Rows: []int32{0, 1, 3}, Cols: []int32{2, 0, 3}, Vals: []float64{1, 2, 3}}
-	b := &COO{rows: 4, cols: 4,
-		Rows: []int32{3, 0, 1}, Cols: []int32{3, 2, 0}, Vals: []float64{3, 1, 2}}
+	a := &COO{Pattern: Pattern{rows: 4, cols: 4,
+		Rows: []int32{0, 1, 3}, Cols: []int32{2, 0, 3}}, Vals: []float64{1, 2, 3}}
+	b := &COO{Pattern: Pattern{rows: 4, cols: 4,
+		Rows: []int32{3, 0, 1}, Cols: []int32{3, 2, 0}}, Vals: []float64{3, 1, 2}}
 	if Fingerprint(a) != Fingerprint(b) {
 		t.Fatalf("raw entry order changed the fingerprint: %x vs %x", Fingerprint(a), Fingerprint(b))
 	}
@@ -93,8 +93,8 @@ func TestFingerprintCollisions(t *testing.T) {
 	// pattern in a 40x40 grid.
 	for r := 0; r < 40; r++ {
 		for c := 0; c < 40; c++ {
-			check("cell", &COO{rows: 40, cols: 40,
-				Rows: []int32{int32(r)}, Cols: []int32{int32(c)}, Vals: []float64{1}})
+			check("cell", &COO{Pattern: Pattern{rows: 40, cols: 40,
+				Rows: []int32{int32(r)}, Cols: []int32{int32(c)}}, Vals: []float64{1}})
 		}
 	}
 	// Random patterns across varied shapes and densities.
@@ -114,8 +114,8 @@ func TestFingerprintNilAndEmpty(t *testing.T) {
 	if Fingerprint(nil) != 0 {
 		t.Fatal("nil matrix should fingerprint to 0")
 	}
-	a := &COO{rows: 3, cols: 3}
-	b := &COO{rows: 3, cols: 4}
+	a := &COO{Pattern: Pattern{rows: 3, cols: 3}}
+	b := &COO{Pattern: Pattern{rows: 3, cols: 4}}
 	if Fingerprint(a) == Fingerprint(b) {
 		t.Fatal("empty matrices of different shape should differ")
 	}

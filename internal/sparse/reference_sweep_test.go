@@ -108,8 +108,8 @@ func TestComputeStatsMatchesReference(t *testing.T) {
 		if got, want := sparse.ComputeStats(nm.m), sparse.RefComputeStats(nm.m); got != want {
 			t.Errorf("%s: ComputeStats\n got %+v\nwant %+v", nm.name, got, want)
 		}
-		if got, want := sparse.ComputeStatsLite(nm.m), sparse.RefComputeStatsLite(nm.m); got != want {
-			t.Errorf("%s: ComputeStatsLite\n got %+v\nwant %+v", nm.name, got, want)
+		if got, want := nm.m.StatsLite(), sparse.RefComputeStatsLite(nm.m); got != want {
+			t.Errorf("%s: StatsLite\n got %+v\nwant %+v", nm.name, got, want)
 		}
 	}
 }
@@ -119,7 +119,7 @@ func TestNewDIAMatchesReference(t *testing.T) {
 	for _, nm := range append(synthSweep(80), edgeMatrices()...) {
 		// A scattered matrix opens a lane per nonzero; past 8 MB of
 		// lanes there is nothing more to learn from it.
-		if st := sparse.ComputeStatsLite(nm.m); st.NumDiags*st.Rows > 1<<20 {
+		if st := nm.m.StatsLite(); st.NumDiags*st.Rows > 1<<20 {
 			continue
 		}
 		converted++

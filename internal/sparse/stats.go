@@ -74,21 +74,20 @@ func (s *lruSet) touch(line int32) bool {
 	return miss
 }
 
-// ComputeStats derives Stats from a canonical COO matrix in one sweep
-// over the nonzeros, including the gather-cache simulation.
-func ComputeStats(c *COO) Stats {
-	return computeStats(c, true)
-}
+// Stats derives the structural statistics in one sweep over the
+// positions, including the gather-cache simulation.
+func (p *Pattern) Stats() Stats { return p.computeStats(true) }
 
-// ComputeStatsLite derives the scalar statistics only, skipping the
+// StatsLite derives the scalar statistics only, skipping the
 // gather-cache simulation — the extraction cost profile of the
 // published SMAT feature set, used by the baseline's feature extractor
 // and the §7.6 overhead accounting.
-func ComputeStatsLite(c *COO) Stats {
-	return computeStats(c, false)
-}
+func (p *Pattern) StatsLite() Stats { return p.computeStats(false) }
 
-// computeStats walks the row runs of c once. Canonical COO is strictly
+// ComputeStats is c's Pattern.Stats.
+func ComputeStats(c *COO) Stats { return c.Pattern.Stats() }
+
+// computeStats walks the row runs of c once. A Pattern is strictly
 // row-major, which turns every set the statistics need into an array:
 // a row's column span is its first and last entry, the occupied
 // diagonals are a bitmap indexed by col−row+rows−1, and because the
@@ -96,7 +95,7 @@ func ComputeStatsLite(c *COO) Stats {
 // block row that last touched it is a set of occupied blocks. Scratch
 // is that bitmap and the stamps — (rows+cols)/8 + cols bytes; the two
 // gather caches live on the stack.
-func computeStats(c *COO, gatherSim bool) Stats {
+func (c *Pattern) computeStats(gatherSim bool) Stats {
 	rows, cols := c.Dims()
 	s := Stats{Rows: rows, Cols: cols, NNZ: c.NNZ()}
 	if s.NNZ == 0 {
