@@ -19,43 +19,21 @@ test:
 check:
 	./scripts/check.sh
 
-# smoke runs only the end-to-end inference-service smoke test: train a
-# tiny model, boot cmd/serve on a free port, predict over HTTP, check
-# caching, hot reload and graceful drain.
+# The five real-binary drills, one target each; what a drill proves is
+# the doc comment of its scripts/<name>/main.go, and internal/drill is
+# the harness they share.
 smoke:
 	$(GO) run ./scripts/servesmoke
 
-# corpusdrill runs only the corpus crash drill, once per gendata source
-# (synthetic generator, MatrixMarket tree): SIGKILL a store build
-# mid-flight, resume it to a byte-identical store (through an injected
-# full disk), refuse a resume with changed flags, prove an injected
-# poison matrix is quarantined rather than fatal, then corrupt shards
-# and require training and the held-out evaluation to complete on
-# salvage (quarantine + salvage.json) instead of aborting.
 corpusdrill:
 	$(GO) run ./scripts/corpusdrill
 
-# clusterdrill runs only the cluster chaos drill: boot a router in
-# front of three serve replicas, replay heavy-tailed load, SIGKILL the
-# shard-owning replica mid-run, and require >= 99% success plus router
-# reconvergence once the victim restarts.
 clusterdrill:
 	$(GO) run ./scripts/clusterdrill
 
-# overloaddrill runs only the overload-control drill: router + two
-# SLO-armed replicas behind a retry budget, an open-loop Poisson surge
-# at 5x measured capacity, and hard assertions that goodput holds (no
-# congestion collapse), overload answers are sheds rather than errors,
-# brownout engages under the surge and the tier recovers within 10s of
-# the load dropping.
 overloaddrill:
 	$(GO) run ./scripts/overloaddrill
 
-# shepherddrill runs only the continual-learning drill: serve + shepherd
-# on real binaries, shifted traffic trips the drift detector, a
-# top-evolvement retrain shadows live traffic and is promoted through
-# the probe-validated hot reload, and a fault-injected corrupt candidate
-# is rejected while the live model keeps serving.
 shepherddrill:
 	$(GO) run ./scripts/shepherddrill
 

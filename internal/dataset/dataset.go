@@ -54,11 +54,6 @@ func (r *Record) Matrix() *sparse.COO {
 	return synthgen.Build(r.Spec)
 }
 
-// SetMatrix attaches an in-memory matrix to the record, overriding
-// spec regeneration in Matrix. The attachment is process-local and
-// never serialised.
-func (r *Record) SetMatrix(m *sparse.COO) { r.mat = m }
-
 // Dataset is a labelled corpus tied to one platform's format set.
 type Dataset struct {
 	Platform string

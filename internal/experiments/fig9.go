@@ -28,19 +28,6 @@ func (r *Fig9Result) AccuracyOf(m selector.TransferMethod) []float64 {
 	return nil
 }
 
-// SamplesToReach returns the smallest retraining size at which the
-// method reaches the target accuracy (-1 if never) — the "time to 90%"
-// comparison the paper draws from Figure 9.
-func (r *Fig9Result) SamplesToReach(m selector.TransferMethod, target float64) int {
-	acc := r.AccuracyOf(m)
-	for i, a := range acc {
-		if a >= target {
-			return r.Sizes[i]
-		}
-	}
-	return -1
-}
-
 // RunFig9 reproduces Figure 9: train a CNN+Histogram selector on the
 // Intel-like platform, then migrate it to the AMD-like platform with
 // each method, retraining on increasing amounts of target-platform

@@ -70,11 +70,6 @@ func FromStats(st sparse.Stats) []float64 {
 	return f
 }
 
-// Extract computes the feature vector directly from a pattern.
-func Extract(p *sparse.Pattern) []float64 {
-	return FromStats(p.Stats())
-}
-
 func safeDiv(a, b float64) float64 {
 	if b == 0 {
 		return 0

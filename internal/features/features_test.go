@@ -14,7 +14,7 @@ func TestDimMatchesNames(t *testing.T) {
 		t.Fatal("Dim out of sync")
 	}
 	c := sparse.MustCOO(4, 4, []sparse.Entry{{Row: 0, Col: 0, Val: 1}})
-	if got := Extract(&c.Pattern); len(got) != Dim {
+	if got := FromStats(c.Stats()); len(got) != Dim {
 		t.Fatalf("vector length %d, want %d", len(got), Dim)
 	}
 }
@@ -25,7 +25,7 @@ func TestKnownValues(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		es = append(es, sparse.Entry{Row: i, Col: i, Val: 1})
 	}
-	f := Extract(&sparse.MustCOO(8, 8, es).Pattern)
+	f := FromStats(sparse.MustCOO(8, 8, es).Stats())
 	at := func(name string) float64 {
 		for i, n := range Names {
 			if n == name {
@@ -62,7 +62,7 @@ func TestFeaturesFiniteProperty(t *testing.T) {
 		for k := 0; k < n; k++ {
 			es = append(es, sparse.Entry{Row: rng.Intn(rows), Col: rng.Intn(cols), Val: 1})
 		}
-		vec := Extract(&sparse.MustCOO(rows, cols, es).Pattern)
+		vec := FromStats(sparse.MustCOO(rows, cols, es).Stats())
 		for _, v := range vec {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return false
@@ -81,13 +81,13 @@ func TestDiagonalVsScatterSeparable(t *testing.T) {
 	for i := 0; i < n; i++ {
 		es = append(es, sparse.Entry{Row: i, Col: i, Val: 1})
 	}
-	diag := Extract(&sparse.MustCOO(n, n, es).Pattern)
+	diag := FromStats(sparse.MustCOO(n, n, es).Stats())
 	rng := rand.New(rand.NewSource(1))
 	var es2 []sparse.Entry
 	for k := 0; k < n; k++ {
 		es2 = append(es2, sparse.Entry{Row: rng.Intn(n), Col: rng.Intn(n), Val: 1})
 	}
-	scatter := Extract(&sparse.MustCOO(n, n, es2).Pattern)
+	scatter := FromStats(sparse.MustCOO(n, n, es2).Stats())
 	idx := -1
 	for i, name := range Names {
 		if name == "diag_dominance" {
@@ -108,7 +108,7 @@ func TestBaselineSubsetOfFull(t *testing.T) {
 		es = append(es, sparse.Entry{Row: i, Col: (i * 7) % 50, Val: 1})
 	}
 	c := sparse.MustCOO(50, 50, es)
-	full := Extract(&c.Pattern)
+	full := FromStats(c.Stats())
 	base := BaselineExtract(&c.Pattern)
 	if len(base) != BaselineDim {
 		t.Fatalf("baseline length %d", len(base))

@@ -98,13 +98,6 @@ func (t *Trace) ObserveSpanDur(name string, start time.Time, d time.Duration) {
 	})
 }
 
-// StartSpan begins a stage and returns its closer; defer it around the
-// stage body.
-func (t *Trace) StartSpan(name string) func() {
-	start := time.Now()
-	return func() { t.ObserveSpan(name, start) }
-}
-
 // Spans returns a copy of the recorded spans sorted by start offset.
 func (t *Trace) Spans() []Span {
 	if t == nil {

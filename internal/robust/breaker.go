@@ -46,9 +46,8 @@ type Breaker struct {
 	probesNeed  int // consecutive half-open successes required to close
 	state       BreakerState
 	consecutive int
-	probeStreak int  // successful half-open probes so far
-	probeOut    bool // a half-open probe is outstanding
-	transitions uint64
+	probeStreak int       // successful half-open probes so far
+	probeOut    bool      // a half-open probe is outstanding
 	since       time.Time // state entry time (open: for cooldown; half-open: probe age)
 	now         func() time.Time
 
@@ -96,7 +95,6 @@ func (b *Breaker) transition(to BreakerState) {
 	from := b.state
 	b.state = to
 	b.since = b.now()
-	b.transitions++
 	// The probe streak is per half-open episode; entering any state
 	// restarts it and leaving half-open clears the outstanding probe.
 	b.probeStreak = 0
@@ -106,14 +104,6 @@ func (b *Breaker) transition(to BreakerState) {
 	if b.OnTransition != nil {
 		b.OnTransition(from, to)
 	}
-}
-
-// Transitions returns the lifetime state-change count — an
-// observability counter complementing the OnTransition hook.
-func (b *Breaker) Transitions() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.transitions
 }
 
 // Consecutive returns the current consecutive-failure streak.

@@ -40,31 +40,3 @@ func MustConvert(m Matrix, target Format) Matrix {
 	}
 	return out
 }
-
-// ConversionOps estimates the work of converting from CSR (the resident
-// default) to the target format, in units of nonzero-element moves. The
-// paper (§7.6) counts format-conversion overhead in SpMV-iteration
-// equivalents; this estimate feeds that accounting in the machine cost
-// models.
-func ConversionOps(m Matrix, target Format) int64 {
-	nnz := int64(m.NNZ())
-	rows, _ := m.Dims()
-	switch target {
-	case FormatCSR, FormatCOO, FormatCSC:
-		return nnz * 2 // one scan + one scatter
-	case FormatELL:
-		return nnz*2 + int64(rows) // width scan + padded scatter
-	case FormatHYB:
-		return nnz * 3 // split decision + two scatters
-	case FormatDIA:
-		return nnz * 3 // offset discovery + lane scatter
-	case FormatBSR:
-		return nnz * 4 // block-column discovery + blocked scatter, two divides each
-	case FormatCSR5:
-		return nnz * 3 // tiling + transposition
-	case FormatSELL:
-		return nnz * 3 // window sort + chunked scatter
-	default:
-		return nnz * 2
-	}
-}

@@ -155,15 +155,6 @@ func (c *COO) RowCounts() []int {
 	return counts
 }
 
-// Transpose returns Aᵀ in canonical COO form.
-func (c *COO) Transpose() *COO {
-	es := make([]Entry, c.NNZ())
-	for k := range es {
-		es[k] = Entry{Row: int(c.Cols[k]), Col: int(c.Rows[k]), Val: c.Vals[k]}
-	}
-	return MustCOO(c.cols, c.rows, es)
-}
-
 // Equal reports whether two COO matrices have identical dimensions and
 // nonzero structure/values. Both are assumed canonical.
 func (c *COO) Equal(o *COO) bool {

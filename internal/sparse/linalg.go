@@ -1,9 +1,6 @@
 package sparse
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Elementary sparse linear algebra on canonical COO — the utility
 // surface a solver library expects around its SpMV core.
@@ -69,49 +66,4 @@ func WithDiagonal(a *COO, d []float64) (*COO, error) {
 		}
 	}
 	return NewCOO(rows, cols, es)
-}
-
-// IsSymmetric reports whether a equals its transpose (pattern and
-// values).
-func IsSymmetric(a *COO) bool {
-	rows, cols := a.Dims()
-	if rows != cols {
-		return false
-	}
-	return a.Equal(a.Transpose())
-}
-
-// IsDiagonallyDominant reports whether |a_ii| >= Σ_{j≠i} |a_ij| for
-// every row — the classical sufficient condition for Jacobi/Gauss-
-// Seidel convergence.
-func IsDiagonallyDominant(a *COO) bool {
-	rows, _ := a.Dims()
-	diag := make([]float64, rows)
-	off := make([]float64, rows)
-	for k := range a.Vals {
-		v := a.Vals[k]
-		if v < 0 {
-			v = -v
-		}
-		if a.Rows[k] == a.Cols[k] {
-			diag[a.Rows[k]] = v
-		} else {
-			off[a.Rows[k]] += v
-		}
-	}
-	for i := 0; i < rows; i++ {
-		if diag[i] < off[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// FrobeniusNorm returns sqrt(Σ a_ij²).
-func FrobeniusNorm(a *COO) float64 {
-	s := 0.0
-	for _, v := range a.Vals {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }

@@ -80,35 +80,3 @@ func TestDiagonalRoundTrip(t *testing.T) {
 		t.Fatal("short diagonal accepted")
 	}
 }
-
-func TestSymmetryAndDominance(t *testing.T) {
-	sym := MustCOO(3, 3, []Entry{{0, 1, 2}, {1, 0, 2}, {2, 2, 1}})
-	if !IsSymmetric(sym) {
-		t.Fatal("symmetric matrix rejected")
-	}
-	asym := MustCOO(3, 3, []Entry{{0, 1, 2}})
-	if IsSymmetric(asym) {
-		t.Fatal("asymmetric matrix accepted")
-	}
-	if IsSymmetric(MustCOO(2, 3, nil)) {
-		t.Fatal("non-square cannot be symmetric")
-	}
-	dom := tridiag(10) // 2 on diag, -1 off: |2| >= |-1|+|-1|
-	if !IsDiagonallyDominant(dom) {
-		t.Fatal("tridiagonal Laplacian is diagonally dominant")
-	}
-	weak := MustCOO(2, 2, []Entry{{0, 0, 1}, {0, 1, 5}})
-	if IsDiagonallyDominant(weak) {
-		t.Fatal("non-dominant matrix accepted")
-	}
-}
-
-func TestFrobeniusNorm(t *testing.T) {
-	a := MustCOO(2, 2, []Entry{{0, 0, 3}, {1, 1, 4}})
-	if got := FrobeniusNorm(a); math.Abs(got-5) > 1e-12 {
-		t.Fatalf("norm %v", got)
-	}
-	if FrobeniusNorm(MustCOO(2, 2, nil)) != 0 {
-		t.Fatal("empty norm")
-	}
-}

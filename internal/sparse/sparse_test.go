@@ -165,13 +165,6 @@ func TestNewCOOOwnedMatchesNewCOO(t *testing.T) {
 	}
 }
 
-func TestCOOTransposeInvolution(t *testing.T) {
-	c := paperMatrix(t)
-	if !c.Transpose().Transpose().Equal(c) {
-		t.Fatal("transpose twice must be identity")
-	}
-}
-
 func randomCOO(rng *rand.Rand, rows, cols, nnz int) *COO {
 	es := make([]Entry, 0, nnz)
 	for k := 0; k < nnz; k++ {
@@ -422,15 +415,6 @@ func TestBytesAccounting(t *testing.T) {
 	ell := NewELL(c)
 	if got, want := ell.Bytes(), int64(4*3*12); got != want {
 		t.Fatalf("ELL bytes = %d, want %d", got, want)
-	}
-}
-
-func TestConversionOpsPositive(t *testing.T) {
-	c := paperMatrix(t)
-	for _, f := range AllFormats() {
-		if ConversionOps(c, f) <= 0 {
-			t.Fatalf("ConversionOps(%v) not positive", f)
-		}
 	}
 }
 

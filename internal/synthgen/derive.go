@@ -63,34 +63,6 @@ func Permute(c *sparse.COO, seed int64) *sparse.COO {
 	return sparse.MustCOO(rows, cols, es)
 }
 
-// Overlay sums two matrices after embedding both in a common bounding
-// shape, producing composites whose structure mixes the parents'.
-func Overlay(a, b *sparse.COO) *sparse.COO {
-	ar, ac := a.Dims()
-	br, bc := b.Dims()
-	rows, cols := ar, ac
-	if br > rows {
-		rows = br
-	}
-	if bc > cols {
-		cols = bc
-	}
-	es := append(a.Entries(), b.Entries()...)
-	return sparse.MustCOO(rows, cols, es)
-}
-
-// DiagBlockCompose places a and b as diagonal blocks of a larger matrix
-// — the block-structured composition pattern of multiphysics problems.
-func DiagBlockCompose(a, b *sparse.COO) *sparse.COO {
-	ar, ac := a.Dims()
-	br, bc := b.Dims()
-	es := a.Entries()
-	for _, e := range b.Entries() {
-		es = append(es, sparse.Entry{Row: e.Row + ar, Col: e.Col + ac, Val: e.Val})
-	}
-	return sparse.MustCOO(ar+br, ac+bc, es)
-}
-
 // Sparsify keeps each entry with probability keep, thinning the matrix
 // while preserving its coarse spatial pattern.
 func Sparsify(c *sparse.COO, keep float64, seed int64) *sparse.COO {

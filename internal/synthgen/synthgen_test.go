@@ -162,24 +162,6 @@ func TestPermutePreservesRowDistribution(t *testing.T) {
 	}
 }
 
-func TestOverlayAndCompose(t *testing.T) {
-	a := Banded(50, 1, 1.0, 13)
-	b := Uniform(80, 3, 0, 14)
-	o := Overlay(a, b)
-	rows, cols := o.Dims()
-	if rows != 80 || cols != 80 {
-		t.Fatalf("overlay dims %dx%d", rows, cols)
-	}
-	d := DiagBlockCompose(a, b)
-	rows, cols = d.Dims()
-	if rows != 130 || cols != 130 {
-		t.Fatalf("compose dims %dx%d", rows, cols)
-	}
-	if d.NNZ() != a.NNZ()+b.NNZ() {
-		t.Fatal("compose lost entries")
-	}
-}
-
 func TestSparsifyKeepsSubset(t *testing.T) {
 	c := Uniform(100, 10, 0, 15)
 	s := Sparsify(c, 0.5, 16)

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
-# CI gate: build everything, vet, run the serve smoke test (an
-# end-to-end train→serve→predict pass over the real binaries), then run
-# the full test suite with the race detector. SHORT=1 narrows the race
-# run to the internal packages (skipping the slow experiment
-# reproductions at the repo root) and runs internal/experiments with
-# -short, which its long reproductions honour.
+# CI gate: build everything, vet, run the five real-binary drills, a
+# fuzz smoke, then the full test suite with the race detector. SHORT=1
+# shortens the drills, narrows the race run to the internal packages
+# (skipping the slow experiment reproductions at the repo root) and runs
+# internal/experiments with -short, which its long reproductions honour.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,50 +55,19 @@ if [[ "${SHORT:-0}" != "1" ]]; then
     fi
 fi
 
+# The five real-binary drills (internal/drill is their shared harness;
+# what each one proves is the doc comment of its scripts/<name>/main.go):
+# serve smoke, corpus kill->resume, cluster replica kill, overload surge,
+# continual-learning loop. SHORT=1 runs the four that have one with
+# -short.
 go run ./scripts/servesmoke
-
-# Corpus crash drill, once per gendata source (synthetic generator,
-# MatrixMarket tree): SIGKILL a real store build mid-flight, resume it
-# — through an injected full disk — to a byte-identical store, refuse a
-# resume with changed flags, quarantine injected poison matrices, then
-# corrupt shards and require train + experiments to complete on salvage
-# (quarantine + salvage.json) instead of aborting. See
-# scripts/corpusdrill.
-if [[ "${SHORT:-0}" == "1" ]]; then
-    go run ./scripts/corpusdrill -short
-else
-    go run ./scripts/corpusdrill
-fi
-
-# Cluster chaos drill: router + three replicas + heavy-tailed load,
-# SIGKILL one replica mid-run, require >= 99% success and router
-# reconvergence after the victim restarts. See scripts/clusterdrill.
-if [[ "${SHORT:-0}" == "1" ]]; then
-    go run ./scripts/clusterdrill -short
-else
-    go run ./scripts/clusterdrill
-fi
-
-# Overload-control drill: router + two SLO-armed replicas, open-loop
-# Poisson surge at 5x measured capacity; goodput must hold >= 70% of
-# capacity with zero 5xx, brownout must engage under the surge and
-# disengage within 10s of the load dropping. See scripts/overloaddrill.
-if [[ "${SHORT:-0}" == "1" ]]; then
-    go run ./scripts/overloaddrill -short
-else
-    go run ./scripts/overloaddrill
-fi
-
-# Continual-learning drill: serve + shepherd on real binaries, shifted
-# traffic must trip the drift detector, a top-evolvement retrain must
-# shadow and promote through the probe-validated hot reload, and a
-# fault-injected corrupt candidate must be rejected while the live
-# model keeps serving. See scripts/shepherddrill.
-if [[ "${SHORT:-0}" == "1" ]]; then
-    go run ./scripts/shepherddrill -short
-else
-    go run ./scripts/shepherddrill
-fi
+for drill in corpusdrill clusterdrill overloaddrill shepherddrill; do
+    if [[ "${SHORT:-0}" == "1" ]]; then
+        go run "./scripts/$drill" -short
+    else
+        go run "./scripts/$drill"
+    fi
+done
 
 # Fuzz smoke: a short native-fuzzing budget per hardened ingestion
 # surface, plus the statistics sweep against its map-based reference. A

@@ -40,27 +40,21 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/drill"
 	"repro/internal/sparse"
 	"repro/internal/synthgen"
 )
 
-func main() {
-	dir := flag.String("dir", "", "keep drill artifacts in this directory (default: temp dir, removed)")
-	short := flag.Bool("short", false, "halve the corpus sizes")
-	flag.Parse()
-	if err := run(*dir, *short); err != nil {
-		fmt.Fprintln(os.Stderr, "corpusdrill: FAIL:", err)
-		os.Exit(1)
-	}
-	fmt.Println("corpusdrill: PASS")
-}
+var keep = flag.String("dir", "", "keep drill artifacts in this directory (default: temp dir, removed)")
+var short = flag.Bool("short", false, "halve the corpus sizes")
+
+func main() { drill.Main("corpusdrill", run) }
 
 // source is one way of feeding gendata, with what its uninterrupted
 // build must report.
@@ -74,33 +68,25 @@ type source struct {
 	broken  int // items the source itself gets quarantined
 }
 
-func run(dir string, short bool) error {
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "corpusdrill")
-		if err != nil {
+func run(d *drill.D) error {
+	dir := d.Dir
+	if *keep != "" {
+		dir = *keep
+		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	} else if err := os.MkdirAll(dir, 0o755); err != nil {
+	}
+
+	d.Step("building cmd/gendata, cmd/train, cmd/experiments")
+	if err := d.Build("gendata", "train", "experiments"); err != nil {
 		return err
 	}
 
-	step("building cmd/gendata, cmd/train, cmd/experiments")
-	bins := map[string]string{}
-	for _, name := range []string{"gendata", "train", "experiments"} {
-		bin := filepath.Join(dir, name)
-		if out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+name).CombinedOutput(); err != nil {
-			return fmt.Errorf("go build ./cmd/%s: %v\n%s", name, err, out)
-		}
-		bins[name] = bin
-	}
-
 	count, files := 240, 60
-	if short {
+	if *short {
 		count, files = 120, 40
 	}
-	step("writing the MatrixMarket fixture tree")
+	d.Step("writing the MatrixMarket fixture tree")
 	tree := filepath.Join(dir, "mtx")
 	if err := writeFixtureTree(tree, files); err != nil {
 		return err
@@ -120,25 +106,25 @@ func run(dir string, short bool) error {
 		},
 	}
 	for _, src := range sources {
-		if err := drill(filepath.Join(dir, src.name), bins, src); err != nil {
+		if err := drillSource(d, filepath.Join(dir, src.name), src); err != nil {
 			return fmt.Errorf("%s source: %w", src.name, err)
 		}
 	}
 	return nil
 }
 
-func drill(dir string, bins map[string]string, src source) error {
+func drillSource(d *drill.D, dir string, src source) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
 	gendata := func(env []string, store string, extra ...string) (string, error) {
 		args := append(append([]string{}, src.args...), "-store", store)
-		return runCmd(bins["gendata"], env, append(args, extra...)...)
+		return d.Run("gendata", env, append(args, extra...)...)
 	}
 
 	// 1. Uninterrupted reference build — the bytes every other run must
 	// reproduce.
-	step(src.name + ": reference build (uninterrupted)")
+	d.Step(src.name + ": reference build (uninterrupted)")
 	refStore := filepath.Join(dir, "ref.store")
 	out, err := gendata(nil, refStore)
 	if err != nil {
@@ -153,35 +139,32 @@ func drill(dir string, bins map[string]string, src source) error {
 	// 2. The same build, slowed per matrix, SIGKILLed mid-run.
 	// Three shard files on disk means at least two are journaled: the
 	// journal write follows each publication before the next can start.
-	step(src.name + ": build with SIGKILL after >= 2 journaled shards")
+	d.Step(src.name + ": build with SIGKILL after >= 2 journaled shards")
 	liveStore := filepath.Join(dir, "live.store")
-	var killOut strings.Builder
-	kill := exec.Command(bins["gendata"], append(append([]string{}, src.args...), "-store", liveStore)...)
-	kill.Stdout, kill.Stderr = &killOut, &killOut
-	kill.Env = append(os.Environ(), "GENDATA_FAULT_INJECT=dataset.label.stall@"+src.stall)
-	if err := kill.Start(); err != nil {
+	kill, err := d.Start(drill.Child{Bin: "gendata", Quiet: true,
+		Args: append(append([]string{}, src.args...), "-store", liveStore),
+		Env:  []string{"GENDATA_FAULT_INJECT=dataset.label.stall@" + src.stall}})
+	if err != nil {
 		return err
 	}
-	exited := make(chan error, 1)
-	go func() { exited <- kill.Wait() }()
+	// Polled every 5ms, not at Await's pace: the kill has to land while
+	// the build is still publishing.
 	deadline := time.Now().Add(60 * time.Second)
 	for len(shardFiles(liveStore)) < 3 {
 		select {
-		case err := <-exited:
-			return fmt.Errorf("build exited (%v) before it could be killed; increase the stall delay\n%s", err, killOut.String())
+		case <-kill.Done():
+			return fmt.Errorf("build exited (%v) before it could be killed; increase the stall delay", kill.Err())
 		default:
 		}
 		if time.Now().After(deadline) {
-			kill.Process.Kill()
-			<-exited
-			return fmt.Errorf("no shards published within 60s\n%s", killOut.String())
+			return fmt.Errorf("no shards published within 60s")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := kill.Process.Kill(); err != nil {
+	if err := kill.Kill(); err != nil {
 		return fmt.Errorf("kill -9: %v", err)
 	}
-	if err := <-exited; err == nil {
+	if kill.Err() == nil {
 		return fmt.Errorf("killed build exited cleanly — the kill landed too late to mean anything")
 	}
 	killed := len(shardFiles(liveStore))
@@ -189,7 +172,7 @@ func drill(dir string, bins map[string]string, src source) error {
 
 	// 3. Resume onto a full disk: the first publication fails, the
 	// build aborts resumably, and nothing already published is lost.
-	step(src.name + ": resume with the disk full")
+	d.Step(src.name + ": resume with the disk full")
 	out, err = gendata([]string{"GENDATA_FAULT_INJECT=dataset.store.writefail:1"}, liveStore, "-resume")
 	if err == nil || !strings.Contains(out, "free space and rerun with -resume") {
 		return fmt.Errorf("a failed shard write should abort with the resume hint (err %v):\n%s", err, out)
@@ -200,7 +183,7 @@ func drill(dir string, bins map[string]string, src source) error {
 
 	// 4. Resume. Must reuse the published shards and converge on the
 	// reference bytes.
-	step(src.name + ": resume after kill")
+	d.Step(src.name + ": resume after kill")
 	out, err = gendata(nil, liveStore, "-resume")
 	if err != nil {
 		return fmt.Errorf("resume: %v\n%s", err, out)
@@ -219,8 +202,8 @@ func drill(dir string, bins map[string]string, src source) error {
 
 	// 5. A resume with a changed flag is refused, not mixed in and not
 	// allowed to reset the store.
-	step(src.name + ": resume with a changed flag")
-	out, err = runCmd(bins["gendata"], nil, append(append([]string{}, src.changed...), "-store", liveStore, "-resume")...)
+	d.Step(src.name + ": resume with a changed flag")
+	out, err = d.Run("gendata", nil, append(append([]string{}, src.changed...), "-store", liveStore, "-resume")...)
 	if err == nil || !strings.Contains(out, "different source or with different flags") {
 		return fmt.Errorf("resume with changed flags should be refused (err %v):\n%s", err, out)
 	}
@@ -230,7 +213,7 @@ func drill(dir string, bins map[string]string, src source) error {
 
 	// 6. Quarantine: three injected per-matrix panics must not abort the
 	// build, and must leave forensics on disk.
-	step(src.name + ": quarantine drill (3 injected label panics)")
+	d.Step(src.name + ": quarantine drill (3 injected label panics)")
 	qStore := filepath.Join(dir, "quarantine.store")
 	out, err = gendata([]string{"GENDATA_FAULT_INJECT=dataset.label.panic:3"}, qStore)
 	if err != nil {
@@ -255,12 +238,12 @@ func drill(dir string, bins map[string]string, src source) error {
 
 	// 7. Corrupt a shard, then require training and the held-out
 	// evaluation to survive on salvage rather than abort.
-	step(src.name + ": corrupting one shard, training through salvage")
+	d.Step(src.name + ": corrupting one shard, training through salvage")
 	if err := flipShardByte(filepath.Join(liveStore, "corpus-00001.bin")); err != nil {
 		return err
 	}
 	model := filepath.Join(dir, "model.gob")
-	out, err = runCmd(bins["train"], nil,
+	out, err = d.Run("train", nil,
 		"-dataset-in", liveStore, "-out", model,
 		"-epochs", "2", "-repsize", "16", "-repbins", "8", "-seed", "7")
 	if err != nil {
@@ -274,12 +257,12 @@ func drill(dir string, bins map[string]string, src source) error {
 		return fmt.Errorf("corrupt shard original was not quarantined")
 	}
 
-	step(src.name + ": corrupting another shard, held-out evaluation through salvage")
+	d.Step(src.name + ": corrupting another shard, held-out evaluation through salvage")
 	if err := flipShardByte(filepath.Join(liveStore, "corpus-00002.bin")); err != nil {
 		return err
 	}
 	report := filepath.Join(dir, "heldout.json")
-	out, err = runCmd(bins["experiments"], nil,
+	out, err = d.Run("experiments", nil,
 		"-run", "heldout", "-dataset", liveStore, "-model", model, "-report", report, "-seed", "7")
 	if err != nil {
 		return fmt.Errorf("heldout evaluation over a corrupt store aborted: %v\n%s", err, out)
@@ -383,15 +366,6 @@ func flipShardByte(path string) error {
 	}
 	raw[len(raw)/2] ^= 0x20
 	return os.WriteFile(path, raw, 0o644)
-}
-
-func step(s string) { fmt.Println("corpusdrill:", s) }
-
-func runCmd(bin string, env []string, args ...string) (string, error) {
-	cmd := exec.Command(bin, args...)
-	cmd.Env = append(os.Environ(), env...)
-	out, err := cmd.CombinedOutput()
-	return string(out), err
 }
 
 var resumedRE = regexp.MustCompile(`\((\d+) resumed`)

@@ -29,21 +29,16 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
-	"syscall"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/drill"
 )
 
 var short = flag.Bool("short", false, "shrink the load windows (for SHORT=1 check runs)")
@@ -63,97 +58,53 @@ const (
 	surgeFactor = 5.0
 )
 
-func main() {
-	flag.Parse()
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "overloaddrill: FAIL:", err)
-		os.Exit(1)
-	}
-	fmt.Println("overloaddrill: PASS")
-}
+func main() { drill.Main("overloaddrill", run) }
 
-// loadReport is the slice of cmd/loadgen's JSON report the drill reads.
-type loadReport struct {
-	Requests      int64          `json:"requests"`
-	Success       int64          `json:"success"`
-	InSLO         int64          `json:"in_slo"`
-	TransportErrs int64          `json:"transport_errors"`
-	Codes         map[string]int `json:"codes"`
-	SuccessRate   float64        `json:"success_rate"`
-	P99Ms         float64        `json:"p99_ms"`
-	ThroughputRPS float64        `json:"throughput_rps"`
-	OfferedRPS    float64        `json:"offered_rps"`
-	GoodputRPS    float64        `json:"goodput_rps"`
-}
+// engagedSeries counts a replica's brownout engagements. It is a
+// labelled counter: the page has no such series until the first one.
+const engagedSeries = `serve_brownout_transitions_total{to="engaged"}`
 
-func run() error {
-	dir, err := os.MkdirTemp("", "overloaddrill")
+func run(d *drill.D) error {
+	d.Step("training tiny model")
+	_, model, err := d.TinyModel()
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(dir)
-	model := filepath.Join(dir, "model.gob")
 
-	step("training tiny model")
-	res, err := core.Train(core.Options{
-		Count: 40, MaxN: 96, Epochs: 2, RepSize: 16, RepBins: 8, Seed: 11,
-	})
-	if err != nil {
-		return fmt.Errorf("training: %w", err)
-	}
-	if err := res.Selector.SaveFile(model); err != nil {
+	d.Step("building binaries")
+	if err := d.Build("serve", "router", "loadgen"); err != nil {
 		return err
-	}
-
-	step("building binaries")
-	bins := map[string]string{}
-	for _, name := range []string{"serve", "router", "loadgen"} {
-		bin := filepath.Join(dir, name)
-		if out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+name).CombinedOutput(); err != nil {
-			return fmt.Errorf("go build ./cmd/%s: %v\n%s", name, err, out)
-		}
-		bins[name] = bin
 	}
 
 	// Replicas: SLO-armed, cache off (every request computes, so offered
 	// load is real load), 2 workers and an injected per-inference CNN
 	// delay — capacity is ~workers/delay per replica, low enough to
 	// overwhelm cheaply and precisely.
-	step("starting replicas")
-	replicas := map[string]*exec.Cmd{}
+	d.Step("starting replicas")
+	var replicas []*drill.Proc
 	var urls []string
 	for i := 0; i < replicaCount; i++ {
-		cmd := exec.Command(bins["serve"],
-			"-addr", "127.0.0.1:0",
-			"-model", model,
-			"-watch", "0",
-			"-cache", "0",
-			"-workers", "2",
-			"-slo-target-p99", sloTarget.String(),
-			"-predict-timeout", "2s",
-			"-request-timeout", "10s",
-		)
-		cmd.Env = append(os.Environ(), "SERVE_FAULT_INJECT=serve.predict.slow@"+cnnDelay.String())
-		cmd.Stderr = io.Discard
-		stdout, err := cmd.StdoutPipe()
+		rep, err := d.Start(drill.Child{Bin: "serve", Quiet: true,
+			Env: []string{"SERVE_FAULT_INJECT=serve.predict.slow@" + cnnDelay.String()},
+			Args: []string{
+				"-addr", "127.0.0.1:0",
+				"-model", model,
+				"-watch", "0",
+				"-cache", "0",
+				"-workers", "2",
+				"-slo-target-p99", sloTarget.String(),
+				"-predict-timeout", "2s",
+				"-request-timeout", "10s",
+			}})
 		if err != nil {
-			return err
-		}
-		if err := cmd.Start(); err != nil {
-			return err
-		}
-		base, err := scrapeAddr(stdout, "serve")
-		if err != nil {
-			cmd.Process.Kill()
 			return fmt.Errorf("replica %d: %w", i, err)
 		}
-		defer func() { cmd.Process.Kill() }()
-		replicas[base] = cmd
-		urls = append(urls, base)
+		replicas = append(replicas, rep)
+		urls = append(urls, rep.URL)
 	}
 
-	step("starting router in front of " + strings.Join(urls, ", "))
-	router := exec.Command(bins["router"],
+	d.Step("starting router in front of " + strings.Join(urls, ", "))
+	router, err := d.Start(drill.Child{Bin: "router", Args: []string{
 		"-addr", "127.0.0.1:0",
 		"-replicas", strings.Join(urls, ","),
 		"-probe-interval", "100ms",
@@ -163,27 +114,15 @@ func run() error {
 		"-request-timeout", "10s",
 		"-retry-budget-ratio", "0.1",
 		"-retry-budget-burst", "10",
-	)
-	router.Stderr = os.Stderr
-	rout, err := router.StdoutPipe()
+	}})
 	if err != nil {
 		return err
 	}
-	if err := router.Start(); err != nil {
-		return err
-	}
-	defer router.Process.Kill()
-	routerURL, err := scrapeAddr(rout, "router")
-	if err != nil {
-		return err
-	}
+	routerURL := router.URL
 
-	step("waiting for router readiness at " + routerURL)
-	if err := waitFor(15*time.Second, func() (bool, error) {
-		code, _, _ := get(routerURL + "/readyz")
-		return code == http.StatusOK, nil
-	}); err != nil {
-		return fmt.Errorf("router never became ready: %w", err)
+	d.Step("waiting for router readiness at " + routerURL)
+	if err := drill.Ready(15*time.Second, routerURL); err != nil {
+		return err
 	}
 
 	// 3. Baseline capacity: a short closed loop at modest concurrency.
@@ -193,17 +132,13 @@ func run() error {
 	if *short {
 		capacityDur, surgeDur, recoveryDur = 3*time.Second, 6*time.Second, 5*time.Second
 	}
-	step(fmt.Sprintf("measuring capacity (closed loop, %s)", capacityDur))
-	baseline, err := runLoadgen(bins["loadgen"], dir, "baseline",
-		"-url", routerURL,
-		"-arrival", "closed",
-		"-duration", capacityDur.String(),
-		"-concurrency", "6",
-		"-matrices", "16",
-		"-maxn", "64",
-		"-slo", sloTarget.String(),
-		"-timeout", "10s",
-	)
+	// Every pass replays the same small pool against the same SLO.
+	loadgen := func(args ...string) (*drill.LoadReport, error) {
+		return d.Loadgen(append(args, "-url", routerURL, "-matrices", "16", "-maxn", "64",
+			"-slo", sloTarget.String(), "-timeout", "10s")...)
+	}
+	d.Step(fmt.Sprintf("measuring capacity (closed loop, %s)", capacityDur))
+	baseline, err := loadgen("-arrival", "closed", "-duration", capacityDur.String(), "-concurrency", "6")
 	if err != nil {
 		return err
 	}
@@ -216,32 +151,24 @@ func run() error {
 	// The baseline can brush the SLO hard enough to engage brownout on
 	// its own; start the surge from a clean slate so the engagement
 	// asserted below is unambiguously the surge's doing.
-	if err := awaitBrownoutClear(urls, 15*time.Second); err != nil {
-		return fmt.Errorf("brownout still engaged after the baseline run: %w", err)
+	if err := awaitBrownoutClear(urls, 15*time.Second, "brownout still engaged after the baseline run"); err != nil {
+		return err
 	}
 	engagedBefore := map[string]float64{}
 	for _, u := range urls {
-		_, page, err := get(u + "/metrics")
+		m, err := drill.Scrape(u + "/metrics")
 		if err != nil {
 			return fmt.Errorf("scraping replica %s: %w", u, err)
 		}
-		engagedBefore[u] = metricSample(page, `serve_brownout_transitions_total{to="engaged"}`)
+		// Absent here means no engagement yet, which reads as 0.
+		engagedBefore[u], _ = m.Value(engagedSeries)
 	}
 
 	// 4. The surge: open-loop Poisson at 5x capacity. Offered load does
 	// not care how the server is doing — that is the point.
 	surgeRate := capacity * surgeFactor
-	step(fmt.Sprintf("surging at %.0f req/s (%.0fx capacity, open loop, %s)", surgeRate, surgeFactor, surgeDur))
-	surge, err := runLoadgen(bins["loadgen"], dir, "surge",
-		"-url", routerURL,
-		"-arrival", "poisson",
-		"-rate", fmt.Sprintf("%f", surgeRate),
-		"-duration", surgeDur.String(),
-		"-matrices", "16",
-		"-maxn", "64",
-		"-slo", sloTarget.String(),
-		"-timeout", "10s",
-	)
+	d.Step(fmt.Sprintf("surging at %.0f req/s (%.0fx capacity, open loop, %s)", surgeRate, surgeFactor, surgeDur))
+	surge, err := loadgen("-arrival", "poisson", "-rate", fmt.Sprintf("%f", surgeRate), "-duration", surgeDur.String())
 	if err != nil {
 		return err
 	}
@@ -267,14 +194,18 @@ func run() error {
 	// cannot satisfy it.
 	engaged, dtreeAnswers := 0, 0.0
 	for _, u := range urls {
-		_, page, err := get(u + "/metrics")
+		m, err := drill.Scrape(u + "/metrics")
 		if err != nil {
 			return fmt.Errorf("scraping replica %s: %w", u, err)
 		}
-		if metricSample(page, `serve_brownout_transitions_total{to="engaged"}`) > engagedBefore[u] {
+		// Both series are absent on a replica that never engaged — one
+		// engaging is enough — so absent counts as none here, and a
+		// renamed metric fails the two checks below instead.
+		if n, _ := m.Value(engagedSeries); n > engagedBefore[u] {
 			engaged++
 		}
-		dtreeAnswers += metricSample(page, `serve_rung_total{rung="dtree"}`)
+		n, _ := m.Value(`serve_rung_total{rung="dtree"}`)
+		dtreeAnswers += n
 	}
 	if engaged == 0 {
 		return fmt.Errorf("no replica's brownout controller engaged under a %.0fx surge", surgeFactor)
@@ -290,22 +221,15 @@ func run() error {
 	// controller would (correctly) refuse to step back up. Brownout must
 	// disengage on every replica and p99 must land back inside the SLO,
 	// all within 10s of the load dropping.
-	step("checking post-surge recovery")
-	recovery, err := runLoadgen(bins["loadgen"], dir, "recovery",
-		"-url", routerURL,
-		"-arrival", "poisson",
-		"-rate", fmt.Sprintf("%f", 0.3*capacity),
-		"-duration", recoveryDur.String(),
-		"-matrices", "16",
-		"-maxn", "64",
-		"-slo", sloTarget.String(),
-		"-timeout", "10s",
-	)
+	d.Step("checking post-surge recovery")
+	recovery, err := loadgen("-arrival", "poisson", "-rate", fmt.Sprintf("%f", 0.3*capacity), "-duration", recoveryDur.String())
 	if err != nil {
 		return err
 	}
-	if err := awaitBrownoutClear(urls, 10*time.Second-time.Since(surgeEnd)); err != nil {
-		return fmt.Errorf("brownout never disengaged after the surge: %w", err)
+	// At least a second, so a slow recovery pass still gets one look.
+	left := max(10*time.Second-time.Since(surgeEnd), time.Second)
+	if err := awaitBrownoutClear(urls, left, "brownout never disengaged after the surge"); err != nil {
+		return err
 	}
 	if recovery.SuccessRate < 0.95 {
 		return fmt.Errorf("post-surge success rate %.4f, want >= 0.95", recovery.SuccessRate)
@@ -340,138 +264,36 @@ func run() error {
 	}
 
 	// 7. Clean drains.
-	step("checking graceful shutdown")
-	procs := map[string]*exec.Cmd{"router": router}
-	for url, cmd := range replicas {
-		procs["replica "+url] = cmd
-	}
-	for name, proc := range procs {
-		if err := proc.Process.Signal(syscall.SIGTERM); err != nil {
-			return fmt.Errorf("%s: %v", name, err)
-		}
-	}
-	for name, proc := range procs {
-		done := make(chan error, 1)
-		go func() { done <- proc.Wait() }()
-		select {
-		case err := <-done:
-			if err != nil {
-				return fmt.Errorf("%s exited uncleanly after SIGTERM: %v", name, err)
-			}
-		case <-time.After(15 * time.Second):
-			return fmt.Errorf("%s did not drain within 15s of SIGTERM", name)
-		}
-	}
-	return nil
+	d.Step("checking graceful shutdown")
+	return drill.Drain(15*time.Second, append(replicas, router)...)
 }
-
-// runLoadgen runs one loadgen pass and parses its JSON report.
-func runLoadgen(bin, dir, name string, args ...string) (*loadReport, error) {
-	report := filepath.Join(dir, name+".json")
-	cmd := exec.Command(bin, append(args, "-out", report)...)
-	cmd.Stdout = io.Discard
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("loadgen (%s): %v", name, err)
-	}
-	data, err := os.ReadFile(report)
-	if err != nil {
-		return nil, err
-	}
-	var rep loadReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("loadgen (%s) report: %w", name, err)
-	}
-	if rep.Requests == 0 {
-		return nil, fmt.Errorf("loadgen (%s) sent no requests", name)
-	}
-	return &rep, nil
-}
-
-func step(msg string) { fmt.Println("overloaddrill:", msg) }
 
 // awaitBrownoutClear polls every replica until serve_brownout_state is
 // 0 everywhere. Engaged replicas are nudged with a tiny predict:
 // brownout evaluation is traffic-driven, so a replica gone quiet never
 // closes the cool intervals that would step it back up.
-func awaitBrownoutClear(urls []string, limit time.Duration) error {
+func awaitBrownoutClear(urls []string, limit time.Duration, what string) error {
 	const probeBody = `{"rows":10,"cols":10,"entries":[[0,0,1],[1,1,1],[2,2,1],[3,3,1],[4,4,1],[5,5,1],[6,6,1],[7,7,1],[8,8,1],[9,9,1]]}`
-	return waitFor(limit, func() (bool, error) {
+	return drill.Await(limit, what, func() (bool, error) {
 		clear := true
 		for _, u := range urls {
-			_, page, err := get(u + "/metrics")
+			m, err := drill.Scrape(u + "/metrics")
 			if err != nil {
 				return false, nil
 			}
-			if metricSample(page, "serve_brownout_state") != 0 {
+			// The gauge is always rendered: without it "clear" would be
+			// the absence of a metric, not of brownout.
+			state, err := m.Value("serve_brownout_state")
+			if err != nil {
+				return false, fmt.Errorf("replica %s: %w", u, err)
+			}
+			if state != 0 {
 				clear = false
-				http.Post(u+"/v1/predict", "application/json", strings.NewReader(probeBody))
+				if resp, err := http.Post(u+"/v1/predict", "application/json", strings.NewReader(probeBody)); err == nil {
+					resp.Body.Close()
+				}
 			}
 		}
 		return clear, nil
 	})
-}
-
-// scrapeAddr reads a child's "<name>: listening on http://..." stdout
-// line, then keeps draining the pipe so the child never blocks.
-func scrapeAddr(r io.Reader, name string) (string, error) {
-	sc := bufio.NewScanner(r)
-	re := regexp.MustCompile(name + `: listening on (http://\S+)`)
-	deadline := time.Now().Add(15 * time.Second)
-	for sc.Scan() {
-		if m := re.FindStringSubmatch(sc.Text()); m != nil {
-			go func() {
-				for sc.Scan() {
-				}
-			}()
-			return m[1], nil
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-	}
-	return "", fmt.Errorf("%s never printed its listen address", name)
-}
-
-func waitFor(limit time.Duration, cond func() (bool, error)) error {
-	if limit < time.Second {
-		limit = time.Second
-	}
-	deadline := time.Now().Add(limit)
-	for {
-		ok, err := cond()
-		if err != nil {
-			return err
-		}
-		if ok {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("timed out after %v", limit)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-}
-
-func get(url string) (int, string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return 0, "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return resp.StatusCode, string(b), err
-}
-
-// metricSample extracts one sample value from a Prometheus text page
-// (labeled series: pass the fully rendered series name).
-func metricSample(page, series string) float64 {
-	for _, line := range strings.Split(page, "\n") {
-		if strings.HasPrefix(line, series+" ") {
-			var v float64
-			fmt.Sscanf(strings.TrimPrefix(line, series+" "), "%g", &v)
-			return v
-		}
-	}
-	return 0
 }

@@ -27,7 +27,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -36,43 +35,24 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/drill"
 	"repro/internal/selector"
 	"repro/internal/sparse"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "servesmoke: FAIL:", err)
-		os.Exit(1)
-	}
-	fmt.Println("servesmoke: PASS")
-}
+func main() { drill.Main("servesmoke", run) }
 
-func run() error {
-	dir, err := os.MkdirTemp("", "servesmoke")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	model := filepath.Join(dir, "model.gob")
-	mtx := filepath.Join(dir, "example.mtx")
+func run(d *drill.D) error {
+	mtx := filepath.Join(d.Dir, "example.mtx")
 
-	// 1. Tiny but real training run (the full Figure 3 pipeline at toy
-	// scale), saved through the checksummed envelope writer.
-	step("training tiny model")
-	res, err := core.Train(core.Options{
-		Count: 40, MaxN: 96, Epochs: 2, RepSize: 16, RepBins: 8, Seed: 11,
-	})
+	// 1. Tiny but real training run.
+	d.Step("training tiny model")
+	sel, model, err := d.TinyModel()
 	if err != nil {
-		return fmt.Errorf("training: %w", err)
-	}
-	if err := res.Selector.SaveFile(model); err != nil {
 		return err
 	}
 
@@ -87,37 +67,23 @@ func run() error {
 	}
 
 	// 2. Build and start the server.
-	step("building binaries")
-	serveBin := filepath.Join(dir, "serve")
-	predictBin := filepath.Join(dir, "predict")
-	for bin, pkg := range map[string]string{serveBin: "./cmd/serve", predictBin: "./cmd/predict"} {
-		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
-			return fmt.Errorf("go build %s: %v\n%s", pkg, err, out)
-		}
+	d.Step("building binaries")
+	if err := d.Build("serve", "predict"); err != nil {
+		return err
 	}
 
-	step("starting server")
-	feedbackDir := filepath.Join(dir, "feedback")
-	srv := exec.Command(serveBin, "-addr", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0",
-		"-model", model, "-watch", "100ms", "-cache", "64", "-feedback-dir", feedbackDir)
-	srv.Stderr = os.Stderr
-	stdout, err := srv.StdoutPipe()
+	d.Step("starting server")
+	srv, err := d.Start(drill.Child{Bin: "serve", Args: []string{
+		"-addr", "127.0.0.1:0", "-admin-addr", "127.0.0.1:0", "-model", model,
+		"-watch", "100ms", "-cache", "64", "-feedback-dir", filepath.Join(d.Dir, "feedback")}})
 	if err != nil {
 		return err
 	}
-	if err := srv.Start(); err != nil {
-		return err
-	}
-	defer srv.Process.Kill()
-
-	base, admin, err := scrapeAddrs(stdout)
-	if err != nil {
-		return err
-	}
+	base, admin := srv.URL, srv.Admin
 
 	// 3. Readiness, then predictions in both body encodings.
-	step("waiting for readiness at " + base)
-	if err := waitReady(base + "/readyz"); err != nil {
+	d.Step("waiting for readiness at " + base)
+	if err := drill.Ready(15*time.Second, base); err != nil {
 		return err
 	}
 	jsonBody := `{"rows":12,"cols":12,"entries":[` + jsonEntries(12) + `]}`
@@ -139,7 +105,7 @@ func run() error {
 	}
 
 	// 4. Cache hit on the identical pattern, visible in /metrics.
-	step("checking cache")
+	d.Step("checking cache")
 	format2, cached2, err := postPredict(base, "application/json", jsonBody)
 	if err != nil {
 		return err
@@ -147,110 +113,92 @@ func run() error {
 	if !cached2 || format2 != format1 {
 		return fmt.Errorf("repeat request: cached=%v format=%s (want cached %s)", cached2, format2, format1)
 	}
-	page, err := get(base + "/metrics")
+	page, err := drill.Scrape(base + "/metrics")
 	if err != nil {
 		return err
 	}
-	if !regexp.MustCompile(`(?m)^serve_cache_hits_total [1-9]`).MatchString(page) {
-		return fmt.Errorf("/metrics does not show cache hits")
+	if hits, err := page.Value("serve_cache_hits_total"); err != nil || hits < 1 {
+		return fmt.Errorf("/metrics does not show cache hits (%v, err %v)", hits, err)
 	}
 
 	// 4b. Admin plane: metrics, the pprof index, and the trace ring all
 	// answer on the separate -admin-addr listener.
-	step("checking admin endpoints at " + admin)
-	page, err = get(admin + "/metrics")
-	if err != nil {
+	d.Step("checking admin endpoints at " + admin)
+	if page, err = drill.Scrape(admin + "/metrics"); err != nil {
 		return err
 	}
 	for _, want := range []string{"serve_requests_total", "process_goroutines"} {
-		if !strings.Contains(page, want) {
+		if _, n := page.Sum(want); n == 0 {
 			return fmt.Errorf("admin /metrics missing %s", want)
 		}
 	}
-	if page, err = get(admin + "/debug/pprof/"); err != nil || !strings.Contains(page, "goroutine") {
+	if _, body, err := drill.Get(admin + "/debug/pprof/"); err != nil || !strings.Contains(body, "goroutine") {
 		return fmt.Errorf("admin /debug/pprof/ not serving profiles: %v", err)
 	}
-	if page, err = get(admin + "/debug/traces"); err != nil || !strings.Contains(page, `"spans"`) {
-		return fmt.Errorf("admin /debug/traces has no recorded traces: %v\n%s", err, page)
+	if _, body, err := drill.Get(admin + "/debug/traces"); err != nil || !strings.Contains(body, `"spans"`) {
+		return fmt.Errorf("admin /debug/traces has no recorded traces: %v\n%s", err, body)
 	}
 
 	// 4c. Feedback capture: the predictions above (including the cache
 	// hit) must have been appended to the feedback log, and the logger's
 	// series must be visible in /metrics.
-	step("checking feedback capture metrics")
-	if err := waitFor(10*time.Second, func() (bool, error) {
-		page, err := get(base + "/metrics")
-		if err != nil {
-			return false, nil
-		}
-		return regexp.MustCompile(`(?m)^feedback_entries_total [1-9]`).MatchString(page), nil
-	}); err != nil {
-		return fmt.Errorf("feedback_entries_total never counted the predictions: %w", err)
+	d.Step("checking feedback capture metrics")
+	if err := drill.AwaitValue(10*time.Second, "feedback_entries_total never counted the predictions",
+		base+"/metrics", "feedback_entries_total", func(n float64) bool { return n >= 1 }); err != nil {
+		return err
 	}
-	page, err = get(base + "/metrics")
-	if err != nil {
+	if page, err = drill.Scrape(base + "/metrics"); err != nil {
 		return err
 	}
 	for _, want := range []string{"feedback_entries_total", "feedback_active_bytes", "feedback_dropped_total"} {
-		if !strings.Contains(page, want) {
+		if _, n := page.Sum(want); n == 0 {
 			return fmt.Errorf("/metrics missing feedback series %s", want)
 		}
 	}
 
 	// 5. Hot reload: overwrite the model file, watch the generation.
-	step("checking hot reload")
-	if err := res.Selector.SaveFile(model); err != nil {
+	d.Step("checking hot reload")
+	if err := sel.SaveFile(model); err != nil {
 		return err
 	}
-	if err := waitFor(10*time.Second, func() (bool, error) {
-		page, err := get(base + "/metrics")
-		if err != nil {
-			return false, nil // server may be mid-poll; retry
-		}
-		return strings.Contains(page, "serve_model_generation 2"), nil
-	}); err != nil {
-		return fmt.Errorf("model overwrite was never hot-reloaded: %w", err)
+	if err := drill.AwaitValue(10*time.Second, "model overwrite was never hot-reloaded", base+"/metrics",
+		"serve_model_generation", func(gen float64) bool { return gen == 2 }); err != nil {
+		return err
 	}
 
 	// 5b. Operator-driven reload: SIGHUP must force a reload of the
 	// (unchanged) artifact and bump the generation counter again.
-	step("checking SIGHUP hot reload")
-	if err := srv.Process.Signal(syscall.SIGHUP); err != nil {
+	d.Step("checking SIGHUP hot reload")
+	if err := srv.Signal(syscall.SIGHUP); err != nil {
 		return err
 	}
-	if err := waitFor(10*time.Second, func() (bool, error) {
-		page, err := get(base + "/metrics")
-		if err != nil {
-			return false, nil
-		}
-		return strings.Contains(page, "serve_model_generation 3"), nil
-	}); err != nil {
-		return fmt.Errorf("SIGHUP never bumped the model generation: %w", err)
+	if err := drill.AwaitValue(10*time.Second, "SIGHUP never bumped the model generation", base+"/metrics",
+		"serve_model_generation", func(gen float64) bool { return gen == 3 }); err != nil {
+		return err
 	}
 
 	// 6. Thin-client mode against the live server.
-	step("checking predict -server client mode")
-	out, err := exec.Command(predictBin, "-server", base, mtx).CombinedOutput()
+	d.Step("checking predict -server client mode")
+	out, err := d.Run("predict", nil, "-server", base, mtx)
 	if err != nil {
 		return fmt.Errorf("predict -server: %v\n%s", err, out)
 	}
-	clientFormat := strings.Fields(string(out))[0]
+	clientFormat := strings.Fields(out)[0]
 	if _, err := sparse.ParseFormat(clientFormat); err != nil {
 		return fmt.Errorf("predict -server printed %q", clientFormat)
 	}
 
 	// 7. Fallback masking fix: a missing model must fail the exit code
 	// even though -fallback prints the CSR baseline.
-	step("checking predict -fallback exit code on missing model")
-	cmd := exec.Command(predictBin, "-model", filepath.Join(dir, "missing.gob"), "-fallback", mtx)
-	out, err = cmd.CombinedOutput()
+	d.Step("checking predict -fallback exit code on missing model")
+	out, err = d.Run("predict", nil, "-model", filepath.Join(d.Dir, "missing.gob"), "-fallback", mtx)
 	if err == nil {
 		return fmt.Errorf("predict -fallback with a missing model exited 0\n%s", out)
 	}
 	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
 		return fmt.Errorf("predict -fallback: %v, want exit code 1\n%s", err, out)
 	}
-	if !strings.HasPrefix(string(out), selector.FallbackFormat.String()) {
+	if !strings.HasPrefix(out, selector.FallbackFormat.String()) {
 		return fmt.Errorf("predict -fallback did not print the baseline:\n%s", out)
 	}
 
@@ -259,27 +207,18 @@ func run() error {
 	// rejections trip the breaker, and the decision-tree rung answers —
 	// the cooldown is long enough that no half-open probe can sneak the
 	// CNN back mid-assertion.
-	step("degraded-mode drill: killing the model artifact")
-	model2 := filepath.Join(dir, "model2.gob")
-	if err := res.Selector.SaveFile(model2); err != nil {
+	d.Step("degraded-mode drill: killing the model artifact")
+	model2 := filepath.Join(d.Dir, "model2.gob")
+	if err := sel.SaveFile(model2); err != nil {
 		return err
 	}
-	srv2 := exec.Command(serveBin, "-addr", "127.0.0.1:0", "-model", model2,
-		"-watch", "0", "-cache", "0", "-breaker-threshold", "3", "-breaker-cooldown", "5m")
-	srv2.Stderr = os.Stderr
-	stdout2, err := srv2.StdoutPipe()
+	srv2, err := d.Start(drill.Child{Bin: "serve", Args: []string{"-addr", "127.0.0.1:0", "-model", model2,
+		"-watch", "0", "-cache", "0", "-breaker-threshold", "3", "-breaker-cooldown", "5m"}})
 	if err != nil {
 		return err
 	}
-	if err := srv2.Start(); err != nil {
-		return err
-	}
-	defer srv2.Process.Kill()
-	base2, err := scrapeAddr(stdout2)
-	if err != nil {
-		return err
-	}
-	if err := waitReady(base2 + "/readyz"); err != nil {
+	base2 := srv2.URL
+	if err := drill.Ready(15*time.Second, base2); err != nil {
 		return err
 	}
 	r, err := postPredictFull(base2, "application/json", jsonBody)
@@ -292,19 +231,14 @@ func run() error {
 	if err := os.Remove(model2); err != nil {
 		return err
 	}
-	for i := 0; i < 3; i++ {
-		if err := srv2.Process.Signal(syscall.SIGHUP); err != nil {
+	for i := 1; i <= 3; i++ {
+		if err := srv2.Signal(syscall.SIGHUP); err != nil {
 			return err
 		}
-		want := fmt.Sprintf("serve_model_reload_failures_total %d", i+1)
-		if err := waitFor(10*time.Second, func() (bool, error) {
-			page, err := get(base2 + "/metrics")
-			if err != nil {
-				return false, nil
-			}
-			return strings.Contains(page, want), nil
-		}); err != nil {
-			return fmt.Errorf("reload failure %d never surfaced in /metrics: %w", i+1, err)
+		what := fmt.Sprintf("reload failure %d never surfaced in /metrics", i)
+		if err := drill.AwaitValue(10*time.Second, what, base2+"/metrics",
+			"serve_model_reload_failures_total", func(n float64) bool { return n == float64(i) }); err != nil {
+			return err
 		}
 	}
 	r, err = postPredictFull(base2, "application/json", jsonBody)
@@ -315,38 +249,20 @@ func run() error {
 		return fmt.Errorf("degraded server answered rung=%q fell_back=%v, want dtree fallback", r.Rung, r.FellBack)
 	}
 	fmt.Printf("servesmoke: degraded prediction %s from rung %s\n", r.Format, r.Rung)
-	page, err = get(base2 + "/metrics")
-	if err != nil {
+	if page, err = drill.Scrape(base2 + "/metrics"); err != nil {
 		return err
 	}
-	if !regexp.MustCompile(`(?m)^serve_rung_total\{rung="dtree"\} [1-9]`).MatchString(page) {
-		return fmt.Errorf("/metrics does not count the dtree rung:\n%s", page)
+	if n, err := page.Value(`serve_rung_total{rung="dtree"}`); err != nil || n < 1 {
+		return fmt.Errorf("/metrics does not count the dtree rung (%v, err %v)", n, err)
 	}
-	if !strings.Contains(page, "serve_breaker_state 1") {
-		return fmt.Errorf("/metrics does not show the breaker open")
+	if state, err := page.Value("serve_breaker_state"); err != nil || state != 1 {
+		return fmt.Errorf("/metrics does not show the breaker open (%v, err %v)", state, err)
 	}
 
 	// 9. Graceful drains on SIGTERM.
-	step("checking graceful shutdown")
-	for name, proc := range map[string]*exec.Cmd{"server": srv, "drill server": srv2} {
-		if err := proc.Process.Signal(syscall.SIGTERM); err != nil {
-			return err
-		}
-		done := make(chan error, 1)
-		go func() { done <- proc.Wait() }()
-		select {
-		case err := <-done:
-			if err != nil {
-				return fmt.Errorf("%s exited uncleanly after SIGTERM: %v", name, err)
-			}
-		case <-time.After(15 * time.Second):
-			return fmt.Errorf("%s did not drain within 15s of SIGTERM", name)
-		}
-	}
-	return nil
+	d.Step("checking graceful shutdown")
+	return drill.Drain(15*time.Second, srv, srv2)
 }
-
-func step(msg string) { fmt.Println("servesmoke:", msg) }
 
 func diagEntries(n int) []sparse.Entry {
 	var es []sparse.Entry
@@ -365,79 +281,6 @@ func jsonEntries(n int) string {
 		parts = append(parts, fmt.Sprintf("[%d,%d,%g]", e.Row, e.Col, e.Val))
 	}
 	return strings.Join(parts, ",")
-}
-
-// scrapeAddrs reads the server's listen announcements. The admin line
-// ("serve: admin listening on ...") is printed before the serving line
-// ("serve: listening on ..."); admin is empty when -admin-addr is off.
-func scrapeAddrs(r io.Reader) (base, admin string, err error) {
-	sc := bufio.NewScanner(r)
-	mainRe := regexp.MustCompile(`serve: listening on (http://\S+)`)
-	adminRe := regexp.MustCompile(`serve: admin listening on (http://\S+)`)
-	deadline := time.Now().Add(10 * time.Second)
-	for sc.Scan() {
-		if m := adminRe.FindStringSubmatch(sc.Text()); m != nil {
-			admin = m[1]
-			continue
-		}
-		if m := mainRe.FindStringSubmatch(sc.Text()); m != nil {
-			// Keep draining stdout so the child never blocks on a full pipe.
-			go func() {
-				for sc.Scan() {
-				}
-			}()
-			return m[1], admin, nil
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-	}
-	return "", "", fmt.Errorf("server never printed its listen address")
-}
-
-// scrapeAddr is scrapeAddrs for servers started without -admin-addr.
-func scrapeAddr(r io.Reader) (string, error) {
-	base, _, err := scrapeAddrs(r)
-	return base, err
-}
-
-func waitReady(url string) error {
-	return waitFor(15*time.Second, func() (bool, error) {
-		resp, err := http.Get(url)
-		if err != nil {
-			return false, nil
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode == http.StatusOK, nil
-	})
-}
-
-func waitFor(limit time.Duration, cond func() (bool, error)) error {
-	deadline := time.Now().Add(limit)
-	for {
-		ok, err := cond()
-		if err != nil {
-			return err
-		}
-		if ok {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("timed out after %v", limit)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-}
-
-func get(url string) (string, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(resp.Body)
-	return string(b), err
 }
 
 // predictResult is the subset of the predict response the smoke needs.

@@ -29,7 +29,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
@@ -39,19 +38,16 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/drill"
 	"repro/internal/feedback"
 	"repro/internal/machine"
-	"repro/internal/obs"
 	"repro/internal/sparse"
 	"repro/internal/synthgen"
 )
@@ -64,22 +60,9 @@ const (
 	labSeed  = 7
 )
 
-func main() {
-	flag.Parse()
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "shepherddrill: FAIL:", err)
-		os.Exit(1)
-	}
-	fmt.Println("shepherddrill: PASS")
-}
+func main() { drill.Main("shepherddrill", run) }
 
-func run() error {
-	dir, err := os.MkdirTemp("", "shepherddrill")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
+func run(d *drill.D) error {
 	corpusN := 140
 	if *short {
 		corpusN = 100
@@ -88,7 +71,7 @@ func run() error {
 	// 1. A deliberately narrow training corpus: banded matrices only, so
 	// the drift baseline has tight feature spreads and the shifted
 	// workload later is unambiguously out of distribution.
-	step("building banded training corpus")
+	d.Step("building banded training corpus")
 	p, err := machine.PlatformByName(platform)
 	if err != nil {
 		return err
@@ -111,17 +94,17 @@ func run() error {
 			ID: uint64(i), Spec: spec, Stats: st, Label: label, Times: times,
 		})
 	}
-	trainPath := filepath.Join(dir, "train.store")
+	trainPath := filepath.Join(d.Dir, "train.store")
 	if _, err := dataset.WriteStore(trainPath, train, 32); err != nil {
 		return err
 	}
 
-	step("training tiny model on it")
+	d.Step("training tiny model on it")
 	epochs := 3
 	if *short {
 		epochs = 2
 	}
-	model := filepath.Join(dir, "model.gob")
+	model := filepath.Join(d.Dir, "model.gob")
 	res, err := core.Train(core.Options{
 		Platform: platform, DatasetPath: trainPath,
 		Epochs: epochs, RepSize: 16, RepBins: 8, Seed: labSeed,
@@ -133,90 +116,68 @@ func run() error {
 		return err
 	}
 
-	step("building binaries")
-	bins := map[string]string{}
-	for _, name := range []string{"serve", "shepherd"} {
-		bin := filepath.Join(dir, name)
-		if out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+name).CombinedOutput(); err != nil {
-			return fmt.Errorf("go build ./cmd/%s: %v\n%s", name, err, out)
-		}
-		bins[name] = bin
+	d.Step("building binaries")
+	if err := d.Build("serve", "shepherd"); err != nil {
+		return err
 	}
 
 	bodies := corpusBodies(train)
 
 	// Leg 1: the full happy path — drift, retrain, shadow, promote.
-	if err := happyLeg(dir, bins, model, trainPath, bodies); err != nil {
+	if err := happyLeg(d, model, trainPath, bodies); err != nil {
 		return fmt.Errorf("happy path: %w", err)
 	}
 
 	// Leg 2: same loop, but fault injection corrupts the retrained
 	// candidate — the probe-validated shadow load must reject it and
 	// the live model must keep serving.
-	if err := corruptLeg(dir, bins, model, trainPath); err != nil {
+	if err := corruptLeg(d, model, trainPath); err != nil {
 		return fmt.Errorf("corrupt-candidate path: %w", err)
 	}
 	return nil
 }
 
-// procs is one serve+shepherd pair with its scrape-derived endpoints.
+// procs is one serve+shepherd pair: serve.URL takes traffic, serve.Admin
+// is shadow control + metrics, shepherd.Metrics the supervisor's page.
 type procs struct {
-	serve, shepherd   *exec.Cmd
-	serveURL          string // traffic
-	adminURL          string // serve admin (shadow control + metrics)
-	shepMetricsURL    string
-	workDir, feedback string
+	serve, shepherd *drill.Proc
+	workDir         string
 }
 
-// start boots a serve replica and a shepherd supervising it.
-// shepherdEnv entries are appended to the shepherd's environment.
-func start(dir string, bins map[string]string, model, trainPath, tag string, shepherdEnv []string) (*procs, error) {
-	pr := &procs{
-		workDir:  filepath.Join(dir, "work-"+tag),
-		feedback: filepath.Join(dir, "feedback-"+tag),
-	}
-	if err := os.MkdirAll(pr.feedback, 0o755); err != nil {
+// start boots a serve replica and, once it is ready, a shepherd
+// supervising it. shepherdEnv entries are appended to the shepherd's
+// environment.
+func start(d *drill.D, model, trainPath, tag string, shepherdEnv []string) (*procs, error) {
+	pr := &procs{workDir: filepath.Join(d.Dir, "work-"+tag)}
+	feedbackDir := filepath.Join(d.Dir, "feedback-"+tag)
+	if err := os.MkdirAll(feedbackDir, 0o755); err != nil {
 		return nil, err
 	}
 
-	serve := exec.Command(bins["serve"],
+	var err error
+	pr.serve, err = d.Start(drill.Child{Bin: "serve", Quiet: true, Args: []string{
 		"-addr", "127.0.0.1:0",
 		"-admin-addr", "127.0.0.1:0",
 		"-model", model,
 		"-watch", "100ms",
 		"-cache", "512",
-		"-feedback-dir", pr.feedback,
+		"-feedback-dir", feedbackDir,
 		"-feedback-segment-age", "250ms",
 		"-shadow-sample", "1",
-	)
-	serve.Stderr = io.Discard
-	sout, err := serve.StdoutPipe()
+	}})
 	if err != nil {
 		return nil, err
 	}
-	if err := serve.Start(); err != nil {
-		return nil, err
-	}
-	pr.serve = serve
-	got, err := scrapeLines(sout, map[string]*regexp.Regexp{
-		"admin":   regexp.MustCompile(`serve: admin listening on (http://\S+)`),
-		"traffic": regexp.MustCompile(`serve: listening on (http://\S+)`),
-	})
-	if err != nil {
-		serve.Process.Kill()
-		return nil, err
-	}
-	pr.adminURL, pr.serveURL = got["admin"], got["traffic"]
 
 	minRecords, window := "48", "12"
 	if *short {
 		minRecords = "36"
 	}
-	shep := exec.Command(bins["shepherd"],
+	pr.shepherd, err = d.Start(drill.Child{Bin: "shepherd", Env: shepherdEnv, Args: []string{
 		"-work", pr.workDir,
 		"-model", model,
-		"-admin", pr.adminURL,
-		"-feedback-dir", pr.feedback,
+		"-admin", pr.serve.Admin,
+		"-feedback-dir", feedbackDir,
 		"-train-dataset", trainPath,
 		"-platform", platform,
 		"-seed", fmt.Sprint(labSeed),
@@ -236,179 +197,110 @@ func start(dir string, bins map[string]string, model, trainPath, tag string, she
 		"-shadow-min-samples", "8",
 		"-promote-timeout", "30s",
 		"-metrics-addr", "127.0.0.1:0",
-	)
-	shep.Env = append(os.Environ(), shepherdEnv...)
-	shep.Stderr = os.Stderr
-	shout, err := shep.StdoutPipe()
+	}})
 	if err != nil {
-		serve.Process.Kill()
 		return nil, err
 	}
-	if err := shep.Start(); err != nil {
-		serve.Process.Kill()
-		return nil, err
-	}
-	pr.shepherd = shep
-	got, err = scrapeLines(shout, map[string]*regexp.Regexp{
-		"metrics": regexp.MustCompile(`shepherd: metrics listening on (http://\S+)`),
-	})
+	return pr, drill.Ready(20*time.Second, pr.serve.URL)
+}
+
+// value reads one series the page at url must have.
+func value(url, series string) (float64, error) {
+	m, err := drill.Scrape(url)
 	if err != nil {
-		serve.Process.Kill()
-		shep.Process.Kill()
-		return nil, err
+		return 0, err
 	}
-	pr.shepMetricsURL = got["metrics"]
-	return pr, nil
+	return m.Value(series)
 }
 
-func (pr *procs) kill() {
-	if pr.serve != nil {
-		pr.serve.Process.Kill()
-	}
-	if pr.shepherd != nil {
-		pr.shepherd.Process.Kill()
-	}
-}
-
-// drain SIGTERMs both processes and requires clean exits.
-func (pr *procs) drain() error {
-	for name, proc := range map[string]*exec.Cmd{"serve": pr.serve, "shepherd": pr.shepherd} {
-		if err := proc.Process.Signal(syscall.SIGTERM); err != nil {
-			return fmt.Errorf("%s: %v", name, err)
-		}
-	}
-	for name, proc := range map[string]*exec.Cmd{"serve": pr.serve, "shepherd": pr.shepherd} {
-		done := make(chan error, 1)
-		go func() { done <- proc.Wait() }()
-		select {
-		case err := <-done:
-			if err != nil {
-				return fmt.Errorf("%s exited uncleanly after SIGTERM: %v", name, err)
-			}
-		case <-time.After(20 * time.Second):
-			return fmt.Errorf("%s did not drain within 20s of SIGTERM", name)
-		}
-	}
-	return nil
-}
-
-func happyLeg(dir string, bins map[string]string, model, trainPath string, bodies [][]byte) error {
-	step("starting serve + shepherd (happy path)")
-	pr, err := start(dir, bins, model, trainPath, "happy", nil)
+func happyLeg(d *drill.D, model, trainPath string, bodies [][]byte) error {
+	d.Step("starting serve + shepherd (happy path)")
+	pr, err := start(d, model, trainPath, "happy", nil)
 	if err != nil {
 		return err
 	}
-	defer pr.kill()
-
-	if err := waitReady(pr.serveURL); err != nil {
-		return err
-	}
+	serveURL, serveMetrics, shepMetrics := pr.serve.URL, pr.serve.Admin+"/metrics", pr.shepherd.Metrics+"/metrics"
 
 	// 3. Baseline traffic: replay the training corpus. The detector must
 	// stay quiet — this is the distribution it was profiled on.
-	step(fmt.Sprintf("sending %d baseline requests (training distribution)", len(bodies)))
+	d.Step(fmt.Sprintf("sending %d baseline requests (training distribution)", len(bodies)))
 	for i, b := range bodies {
-		if err := post(pr.serveURL, b); err != nil {
+		if err := post(serveURL, b); err != nil {
 			return fmt.Errorf("baseline request %d: %w", i, err)
 		}
 	}
 	// Let the rotation + fold pipeline catch up, then check no drift.
-	if err := waitFor(20*time.Second, func() (bool, error) {
-		vals, err := scrape(pr.shepMetricsURL + "/metrics")
-		if err != nil {
-			return false, nil
-		}
-		return vals["feedback_shepherd_corpus_records"] >= float64(len(bodies))*0.8, nil
-	}); err != nil {
-		return fmt.Errorf("baseline feedback never reached the online corpus: %w", err)
+	if err := drill.AwaitValue(20*time.Second, "baseline feedback never reached the online corpus", shepMetrics,
+		"feedback_shepherd_corpus_records", func(n float64) bool { return n >= float64(len(bodies))*0.8 }); err != nil {
+		return err
 	}
-	vals, err := scrape(pr.shepMetricsURL + "/metrics")
+	state, err := value(shepMetrics, "feedback_drift_state")
 	if err != nil {
 		return err
 	}
-	if vals["feedback_drift_state"] != 0 {
-		return fmt.Errorf("drift state %v after in-distribution traffic, want 0 (stable)", vals["feedback_drift_state"])
+	if state != 0 {
+		return fmt.Errorf("drift state %v after in-distribution traffic, want 0 (stable)", state)
 	}
-	sv, err := scrape(pr.adminURL + "/metrics")
+	logged, err := value(serveMetrics, "feedback_entries_total")
 	if err != nil {
 		return err
 	}
-	if sv["feedback_entries_total"] < float64(len(bodies)) {
-		return fmt.Errorf("feedback_entries_total = %v after %d requests", sv["feedback_entries_total"], len(bodies))
+	if logged < float64(len(bodies)) {
+		return fmt.Errorf("feedback_entries_total = %v after %d requests", logged, len(bodies))
 	}
-	step("baseline clean: drift state stable, corpus folded")
+	d.Step("baseline clean: drift state stable, corpus folded")
 
 	// 4. Shifted workload in the background. Every response must stay
 	// healthy for the rest of the leg — shadow mirroring included.
-	step("starting shifted workload (out-of-distribution)")
-	stop := make(chan struct{})
-	var reqs, failures atomic.Int64
-	var firstFail atomic.Value
-	go func() {
-		r := rand.New(rand.NewSource(99))
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := post(pr.serveURL, shiftedBody(r)); err != nil {
-				failures.Add(1)
-				firstFail.CompareAndSwap(nil, err)
-			}
-			reqs.Add(1)
-			time.Sleep(5 * time.Millisecond)
-		}
-	}()
-	defer close(stop)
+	d.Step("starting shifted workload (out-of-distribution)")
+	load := startShifted(serveURL, 99)
+	defer close(load.stop)
 
 	// 5. The loop must close by itself. Stages are asserted in order so
 	// a hang points at the broken stage.
-	step("waiting for drift to be confirmed")
-	if err := waitFor(90*time.Second, func() (bool, error) {
-		vals, err := scrape(pr.shepMetricsURL + "/metrics")
+	d.Step("waiting for drift to be confirmed")
+	if err := drill.Await(90*time.Second, "drift never confirmed under shifted load", func() (bool, error) {
+		m, err := drill.Scrape(shepMetrics)
 		if err != nil {
 			return false, nil
 		}
-		return vals["feedback_shepherd_retrains_total"] >= 1 || vals["feedback_drift_state"] == 2, nil
+		retrains, err := m.Value("feedback_shepherd_retrains_total")
+		if err != nil {
+			return false, err
+		}
+		state, err := m.Value("feedback_drift_state")
+		return retrains >= 1 || state == 2, err
 	}); err != nil {
-		return fmt.Errorf("drift never confirmed under shifted load: %w", err)
+		return err
 	}
-	step("drift confirmed; waiting for retrain + shadow traffic")
-	if err := waitFor(120*time.Second, func() (bool, error) {
-		sv, err := scrape(pr.adminURL + "/metrics")
-		if err != nil {
-			return false, nil
-		}
-		return sv["serve_shadow_requests_total"] >= 1, nil
-	}); err != nil {
-		return fmt.Errorf("candidate never mirrored live traffic: %w", err)
+	d.Step("drift confirmed; waiting for retrain + shadow traffic")
+	if err := drill.AwaitValue(120*time.Second, "candidate never mirrored live traffic", serveMetrics,
+		"serve_shadow_requests_total", func(n float64) bool { return n >= 1 }); err != nil {
+		return err
 	}
-	step("candidate shadowing live traffic; waiting for promotion")
-	if err := waitFor(120*time.Second, func() (bool, error) {
-		sv, err := scrape(pr.adminURL + "/metrics")
-		if err != nil {
-			return false, nil
-		}
-		shv, err := scrape(pr.shepMetricsURL + "/metrics")
-		if err != nil {
-			return false, nil
-		}
-		return sv["serve_model_generation"] >= 2 && shv["feedback_shepherd_promotions_total"] >= 1, nil
-	}); err != nil {
-		return fmt.Errorf("candidate was never promoted: %w", err)
+	d.Step("candidate shadowing live traffic; waiting for promotion")
+	// Both counters only rise, so waiting for one and then the other
+	// against one deadline is waiting for both.
+	promoteBy := time.Now().Add(120 * time.Second)
+	if err := drill.AwaitValue(time.Until(promoteBy), "candidate was never promoted", serveMetrics,
+		"serve_model_generation", func(gen float64) bool { return gen >= 2 }); err != nil {
+		return err
 	}
-	step("candidate promoted through hot reload")
+	if err := drill.AwaitValue(time.Until(promoteBy), "candidate was never promoted", shepMetrics,
+		"feedback_shepherd_promotions_total", func(n float64) bool { return n >= 1 }); err != nil {
+		return err
+	}
+	d.Step("candidate promoted through hot reload")
 
 	// Traffic stayed healthy through shadow + promotion.
-	if n := failures.Load(); n > 0 {
+	if n := load.failures.Load(); n > 0 {
 		return fmt.Errorf("%d/%d shifted requests failed (first: %v) — shadowing leaked into responses",
-			n, reqs.Load(), firstFail.Load())
+			n, load.reqs.Load(), load.firstFail.Load())
 	}
-	if reqs.Load() < 50 {
-		return fmt.Errorf("only %d shifted requests flowed; the drill measured nothing", reqs.Load())
+	if load.reqs.Load() < 50 {
+		return fmt.Errorf("only %d shifted requests flowed; the drill measured nothing", load.reqs.Load())
 	}
-	fmt.Printf("shepherddrill: %d shifted requests, 0 failures\n", reqs.Load())
+	fmt.Printf("shepherddrill: %d shifted requests, 0 failures\n", load.reqs.Load())
 
 	// The journal must show the machine walking the full cycle. The
 	// promotion counter moves before the closing transition is journaled
@@ -416,7 +308,7 @@ func happyLeg(dir string, bins map[string]string, model, trainPath string, bodie
 	// between), so the last entry gets a moment to land.
 	var entries []feedback.JournalEntry
 	var cycleErr error
-	if err := waitFor(10*time.Second, func() (bool, error) {
+	if err := drill.Await(10*time.Second, "journal never showed the full cycle", func() (bool, error) {
 		var err error
 		if entries, err = feedback.ReadJournal(filepath.Join(pr.workDir, "journal.jsonl")); err != nil {
 			return false, err
@@ -456,19 +348,15 @@ func happyLeg(dir string, bins map[string]string, model, trainPath string, bodie
 	}
 
 	// 8 (first half). Clean drains.
-	step("checking graceful shutdown")
-	return pr.drain()
+	d.Step("checking graceful shutdown")
+	return drill.Drain(20*time.Second, pr.serve, pr.shepherd)
 }
 
-func corruptLeg(dir string, bins map[string]string, model, trainPath string) error {
-	step("starting serve + shepherd (corrupt-candidate path)")
-	pr, err := start(dir, bins, model, trainPath, "corrupt",
+func corruptLeg(d *drill.D, model, trainPath string) error {
+	d.Step("starting serve + shepherd (corrupt-candidate path)")
+	pr, err := start(d, model, trainPath, "corrupt",
 		[]string{"SHEPHERD_FAULT_INJECT=shepherd.candidate.corrupt:1"})
 	if err != nil {
-		return err
-	}
-	defer pr.kill()
-	if err := waitReady(pr.serveURL); err != nil {
 		return err
 	}
 
@@ -476,29 +364,12 @@ func corruptLeg(dir string, bins map[string]string, model, trainPath string) err
 	// trained on banded data, and more to the point the leg-2 baseline
 	// profile is still the banded corpus — drift trips, a retrain runs,
 	// and fault injection corrupts the candidate artifact.
-	stop := make(chan struct{})
-	var failures atomic.Int64
-	var firstFail atomic.Value
-	go func() {
-		r := rand.New(rand.NewSource(1234))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := post(pr.serveURL, shiftedBody(r)); err != nil {
-				failures.Add(1)
-				firstFail.CompareAndSwap(nil, err)
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}()
-	defer close(stop)
+	load := startShifted(pr.serve.URL, 1234)
+	defer close(load.stop)
 
-	step("waiting for the corrupted candidate to be rejected")
+	d.Step("waiting for the corrupted candidate to be rejected")
 	journal := filepath.Join(pr.workDir, "journal.jsonl")
-	if err := waitFor(180*time.Second, func() (bool, error) {
+	if err := drill.Await(180*time.Second, "corrupted candidate was never rejected", func() (bool, error) {
 		entries, err := feedback.ReadJournal(journal)
 		if err != nil {
 			return false, nil
@@ -510,34 +381,65 @@ func corruptLeg(dir string, bins map[string]string, model, trainPath string) err
 		}
 		return false, nil
 	}); err != nil {
-		return fmt.Errorf("corrupted candidate was never rejected: %w", err)
+		return err
 	}
 
 	// The rejection must have left the live model untouched and serving.
-	sv, err := scrape(pr.adminURL + "/metrics")
+	gen, err := value(pr.serve.Admin+"/metrics", "serve_model_generation")
 	if err != nil {
 		return err
 	}
-	if sv["serve_model_generation"] != 1 {
-		return fmt.Errorf("model generation %v after corrupt candidate, want 1 (no promotion)", sv["serve_model_generation"])
+	if gen != 1 {
+		return fmt.Errorf("model generation %v after corrupt candidate, want 1 (no promotion)", gen)
 	}
-	if sv["serve_shadow_rejects_total"] < 1 {
-		return fmt.Errorf("serve_shadow_rejects_total = %v, want >= 1", sv["serve_shadow_rejects_total"])
-	}
-	shv, err := scrape(pr.shepMetricsURL + "/metrics")
-	if err != nil {
+	if n, err := value(pr.serve.Admin+"/metrics", "serve_shadow_rejects_total"); err != nil {
 		return err
+	} else if n < 1 {
+		return fmt.Errorf("serve_shadow_rejects_total = %v, want >= 1", n)
 	}
-	if shv["feedback_shepherd_rejections_total"] < 1 {
-		return fmt.Errorf("feedback_shepherd_rejections_total = %v, want >= 1", shv["feedback_shepherd_rejections_total"])
+	if n, err := value(pr.shepherd.Metrics+"/metrics", "feedback_shepherd_rejections_total"); err != nil {
+		return err
+	} else if n < 1 {
+		return fmt.Errorf("feedback_shepherd_rejections_total = %v, want >= 1", n)
 	}
-	if n := failures.Load(); n > 0 {
-		return fmt.Errorf("%d requests failed during the corrupt-candidate drill (first: %v)", n, firstFail.Load())
+	if n := load.failures.Load(); n > 0 {
+		return fmt.Errorf("%d requests failed during the corrupt-candidate drill (first: %v)", n, load.firstFail.Load())
 	}
-	step("corrupt candidate rejected; live model kept serving")
+	d.Step("corrupt candidate rejected; live model kept serving")
 
-	step("checking graceful shutdown")
-	return pr.drain()
+	d.Step("checking graceful shutdown")
+	return drill.Drain(20*time.Second, pr.serve, pr.shepherd)
+}
+
+// shifted is the background out-of-distribution workload of one leg;
+// close(stop) ends it.
+type shifted struct {
+	stop           chan struct{}
+	reqs, failures atomic.Int64
+	firstFail      atomic.Value
+}
+
+// startShifted posts shifted bodies at base until stopped: every answer
+// must stay healthy for the rest of the leg.
+func startShifted(base string, seed int64) *shifted {
+	l := &shifted{stop: make(chan struct{})}
+	go func() {
+		r := rand.New(rand.NewSource(seed))
+		for {
+			select {
+			case <-l.stop:
+				return
+			default:
+			}
+			if err := post(base, shiftedBody(r)); err != nil {
+				l.failures.Add(1)
+				l.firstFail.CompareAndSwap(nil, err)
+			}
+			l.reqs.Add(1)
+			time.Sleep(5 * time.Millisecond)
+		}
+	}()
+	return l
 }
 
 // expectJournalCycle asserts the To-state sequence contains the ordered
@@ -576,101 +478,32 @@ func corpusBodies(d *dataset.Dataset) [][]byte {
 // the cache and flows through the worker (and shadow) path.
 func shiftedBody(r *rand.Rand) []byte {
 	n := 200 + r.Intn(57)
-	var req struct {
-		Rows    int          `json:"rows"`
-		Cols    int          `json:"cols"`
-		Entries [][3]float64 `json:"entries"`
-	}
-	req.Rows, req.Cols = n, n
+	var entries [][3]float64
 	for i := 0; i < n; i++ {
 		for k := 0; k < 3; k++ {
-			req.Entries = append(req.Entries, [3]float64{float64(i), float64(r.Intn(n)), 1})
+			entries = append(entries, [3]float64{float64(i), float64(r.Intn(n)), 1})
 		}
 	}
-	b, _ := json.Marshal(req)
-	return b
+	return predictBody(n, n, entries)
 }
 
 func matrixBody(m *sparse.COO) []byte {
 	rows, cols := m.Dims()
-	var req struct {
+	var entries [][3]float64
+	for i := range m.Rows {
+		entries = append(entries, [3]float64{float64(m.Rows[i]), float64(m.Cols[i]), 1})
+	}
+	return predictBody(rows, cols, entries)
+}
+
+// predictBody renders a pattern as a JSON predict request.
+func predictBody(rows, cols int, entries [][3]float64) []byte {
+	b, _ := json.Marshal(struct {
 		Rows    int          `json:"rows"`
 		Cols    int          `json:"cols"`
 		Entries [][3]float64 `json:"entries"`
-	}
-	req.Rows, req.Cols = rows, cols
-	for i := range m.Rows {
-		req.Entries = append(req.Entries, [3]float64{float64(m.Rows[i]), float64(m.Cols[i]), 1})
-	}
-	b, _ := json.Marshal(req)
+	}{rows, cols, entries})
 	return b
-}
-
-func step(msg string) { fmt.Println("shepherddrill:", msg) }
-
-// scrapeLines reads a child's stdout until every pattern has matched
-// (first capture group kept), then keeps draining the pipe so the
-// child never blocks on a full pipe buffer.
-func scrapeLines(rd io.Reader, want map[string]*regexp.Regexp) (map[string]string, error) {
-	sc := bufio.NewScanner(rd)
-	got := map[string]string{}
-	deadline := time.Now().Add(30 * time.Second)
-	for sc.Scan() {
-		line := sc.Text()
-		for key, re := range want {
-			if _, ok := got[key]; ok {
-				continue
-			}
-			if m := re.FindStringSubmatch(line); m != nil {
-				got[key] = m[1]
-			}
-		}
-		if len(got) == len(want) {
-			go func() {
-				for sc.Scan() {
-				}
-			}()
-			return got, nil
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-	}
-	missing := []string{}
-	for key := range want {
-		if _, ok := got[key]; !ok {
-			missing = append(missing, key)
-		}
-	}
-	return nil, fmt.Errorf("child never printed: %s", strings.Join(missing, ", "))
-}
-
-func waitReady(base string) error {
-	return waitFor(20*time.Second, func() (bool, error) {
-		resp, err := http.Get(base + "/readyz")
-		if err != nil {
-			return false, nil
-		}
-		resp.Body.Close()
-		return resp.StatusCode == http.StatusOK, nil
-	})
-}
-
-func waitFor(limit time.Duration, cond func() (bool, error)) error {
-	deadline := time.Now().Add(limit)
-	for {
-		ok, err := cond()
-		if err != nil {
-			return err
-		}
-		if ok {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("timed out after %v", limit)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
 }
 
 // post sends one predict request and fails unless it answers 200 with
@@ -695,14 +528,4 @@ func post(base string, body []byte) error {
 		return err
 	}
 	return nil
-}
-
-// scrape fetches and parses a Prometheus text page.
-func scrape(url string) (map[string]float64, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return obs.ParseMetrics(resp.Body)
 }
