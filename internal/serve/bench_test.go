@@ -84,7 +84,7 @@ func BenchmarkPredictFeedbackTypical(b *testing.B) {
 // benchBodies renders one 300×300 banded matrix (2,088 nonzeros with
 // 17-digit values, the shape and size of a typical request) in both
 // body encodings.
-func benchBodies(b *testing.B) (jsonBody, mmBody []byte) {
+func benchBodies(b testing.TB) (jsonBody, mmBody []byte) {
 	const n, band = 300, 3
 	var es []sparse.Entry
 	for i := 0; i < n; i++ {
@@ -132,6 +132,22 @@ func BenchmarkDecodeJSON(b *testing.B) {
 // body to its fingerprint, no value converted and no matrix built.
 func BenchmarkDecodePatternJSON(b *testing.B) {
 	body, _ := benchBodies(b)
+	benchScan(b, body)
+}
+
+// BenchmarkDecodePatternJSONSpaced is BenchmarkDecodePatternJSON on the
+// body as json.MarshalIndent writes it: every triplet takes the token
+// path.
+func BenchmarkDecodePatternJSONSpaced(b *testing.B) {
+	body, _ := benchBodies(b)
+	var spaced bytes.Buffer
+	if err := json.Indent(&spaced, body, "", "  "); err != nil {
+		b.Fatal(err)
+	}
+	benchScan(b, spaced.Bytes())
+}
+
+func benchScan(b *testing.B, body []byte) {
 	lim := sparse.DefaultLimits()
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -87,10 +88,10 @@ func DecodeMatrixMeta(ctx context.Context, data []byte, contentType string, lim 
 //
 // A JSON body whose triplets arrive strictly row-major with no zero
 // value — canonical COO, what every writer of the format emits — is
-// "streamed": hashed coordinate by coordinate while it is validated,
-// coordinates kept as int32, each value kept as the span of its token
-// and not converted, so no request runs strconv.ParseFloat over it and
-// none builds a matrix. Any other JSON body (unsorted, a position
+// "streamed": coordinates kept as int32 while it is validated and
+// hashed as they stand once it is, each value kept as the span of its
+// token and not converted, so no request runs strconv.ParseFloat over
+// it and none builds a matrix. Any other JSON body (unsorted, a position
 // twice, an explicit zero) is just as correct and costs what it always
 // did: which positions it has depends on which entries survive summing,
 // so the matrix is built before the cache is asked. Matrix Market
@@ -194,7 +195,11 @@ func ScanMatrix(ctx context.Context, data []byte, contentType string, lim sparse
 		}
 	}
 	if ents.canonical {
-		sc.fp = ents.hash.Sum(sc.rows, sc.cols)
+		var h sparse.PatternHash
+		for k, r := range ents.ri {
+			h = h.Add(r, ents.ci[k])
+		}
+		sc.fp = h.Sum(sc.rows, sc.cols)
 		return sc, nil
 	}
 	es := make([]sparse.Entry, len(ents.ri))
@@ -231,11 +236,9 @@ type triplets struct {
 	vals []uint64
 	conv []float64
 
-	// hash is the fingerprint so far; it and the adopted coordinates
-	// are the answer only while canonical holds: every triplet so far
-	// after its predecessor in row-major order (so none twice) and not
-	// zero.
-	hash      sparse.PatternHash
+	// The coordinates are the pattern, adopted and hashed as they stand,
+	// only while canonical holds: every triplet so far after its
+	// predecessor in row-major order (so none twice) and not zero.
 	canonical bool
 	prev      int64 // row<<32|col of the last triplet, -1 before the first
 
@@ -414,7 +417,11 @@ func (s *bodyScanner) entries(ctx context.Context, maxNNZ int) error {
 	if maxNNZ > 0 {
 		hint = min(hint, maxNNZ)
 	}
-	t := &s.ents
+	// The triplets are recorded into a local copy, written back around
+	// the token path and at the end (a refusal leaves s.ents stale, and
+	// nothing reads it then): stores through s would each pay a write
+	// barrier.
+	t := s.ents
 	t.ri, t.ci, t.vals = make([]int32, 0, hint), make([]int32, 0, hint), make([]uint64, 0, hint)
 	for n := 0; ; n++ {
 		if maxNNZ > 0 && n == maxNNZ {
@@ -425,18 +432,103 @@ func (s *bodyScanner) entries(ctx context.Context, maxNNZ int) error {
 				return err
 			}
 		}
-		if err := s.triplet(); err != nil {
-			return err
+		if r, c, val, nonzero, end := plainTriplet(s.data, s.pos); end > 0 && t.misfit == nil {
+			t.record(r, c, val, nonzero)
+			s.pos = end
+		} else {
+			s.ents = t
+			err := s.triplet()
+			t = s.ents
+			if err != nil {
+				return err
+			}
 		}
 		if s.peek() == ',' {
 			s.pos++
 			continue
 		}
+		s.ents = t
 		return s.expect(']', "entries")
 	}
 }
 
-// triplet scans one [row, col, value].
+// plainTriplet reads d[i:] as one triplet in the shape every encoder
+// writes — "[", row, ",", col, ",", value, "]" with no space; row and
+// col plain digits, at most 9 of them and no leading zero; the value a
+// JSON number without exponent and at most maxSpan bytes long — in one
+// pass with no call per token. It returns what add would record for it
+// (val is the span word) and the offset past the "]"; end is 0 for
+// anything else, which triplet then reads token by token from the same
+// first byte, so what it refuses and why is the token path's alone.
+func plainTriplet(d []byte, i int) (r, c int32, val uint64, nonzero bool, end int) {
+	if i >= len(d) || d[i] != '[' {
+		return
+	}
+	if r, i = plainIndex(d, i+1); i < 0 {
+		return
+	}
+	if c, i = plainIndex(d, i); i < 0 {
+		return
+	}
+	start := i
+	if i < len(d) && d[i] == '-' {
+		i++
+	}
+	first := i
+	var digits uint64 // the OR of every digit byte
+	for ; i < len(d) && d[i]-'0' <= 9; i++ {
+		digits |= uint64(d[i])
+	}
+	if i == first || (d[first] == '0' && i-first > 1) {
+		return
+	}
+	if i < len(d) && d[i] == '.' {
+		i++
+		frac := i
+		for ; i+8 <= len(d); i += 8 {
+			x := binary.LittleEndian.Uint64(d[i:])
+			if !eightDigits(x) {
+				break
+			}
+			digits |= x
+		}
+		for ; i < len(d) && d[i]-'0' <= 9; i++ {
+			digits |= uint64(d[i])
+		}
+		if i == frac {
+			return
+		}
+	}
+	if i-start > maxSpan || i >= len(d) || d[i] != ']' {
+		return
+	}
+	return r, c, uint64(start)<<8 | uint64(i-start), digits&0x0F0F0F0F0F0F0F0F != 0, i + 1
+}
+
+// plainIndex reads a coordinate of plainTriplet's shape and the comma
+// after it, returning the offset past the comma, -1 if it is not one.
+func plainIndex(d []byte, i int) (int32, int) {
+	first := i
+	var v int32
+	for ; i < len(d) && d[i]-'0' <= 9; i++ {
+		v = v*10 + int32(d[i]-'0')
+	}
+	if n := i - first; uint(n-1) > 8 || (n > 1 && d[first] == '0') || i >= len(d) || d[i] != ',' {
+		return 0, -1
+	}
+	return v, i + 1
+}
+
+// eightDigits reports whether all eight bytes of x are ASCII digits:
+// each high nibble is 3, and still is with 6 added (a byte that carries
+// into the next has a high nibble of F and fails on its own).
+func eightDigits(x uint64) bool {
+	const hi = 0xF0F0F0F0F0F0F0F0
+	return x&hi|(x+0x0606060606060606)&hi>>4 == 0x3333333333333333
+}
+
+// triplet scans one [row, col, value] token by token: whatever
+// plainTriplet does not read.
 func (s *bodyScanner) triplet() error {
 	if err := s.expect('[', "a triplet"); err != nil {
 		return err
@@ -484,22 +576,9 @@ func (s *bodyScanner) add(row, col int, v number) error {
 		_, err := s.float(v)
 		return err
 	}
-	r, c := int32(row), int32(col)
-	pos := int64(row)<<32 | int64(col)
-	if pos <= t.prev {
-		t.canonical = false
-	}
-	t.prev = pos
-	t.maxRow, t.maxCol = max(t.maxRow, r), max(t.maxCol, c)
-	t.hash = t.hash.Add(r, c)
-	t.ri, t.ci = append(t.ri, r), append(t.ci, c)
-
 	if !v.exp && len(v.text) <= maxSpan {
-		if !v.nonzero {
-			t.canonical = false
-		}
 		off := s.pos - len(v.text)
-		t.vals = append(t.vals, uint64(off)<<8|uint64(len(v.text)))
+		t.record(int32(row), int32(col), uint64(off)<<8|uint64(len(v.text)), v.nonzero)
 		return nil
 	}
 	// An exponent or a very long mantissa can overflow (refused here,
@@ -508,12 +587,23 @@ func (s *bodyScanner) add(row, col int, v number) error {
 	if err != nil {
 		return err
 	}
-	if f == 0 {
-		t.canonical = false
-	}
-	t.vals = append(t.vals, uint64(len(t.conv))<<8)
+	t.record(int32(row), int32(col), uint64(len(t.conv))<<8, f != 0)
 	t.conv = append(t.conv, f)
 	return nil
+}
+
+// record appends one triplet whose coordinates fit and whose value is
+// the vals word val, and keeps the running maxima and canonical flag.
+// It is small enough to inline into entries; the hash, which is not,
+// is taken over ri and ci once the scan has ended.
+func (t *triplets) record(r, c int32, val uint64, nonzero bool) {
+	pos := int64(r)<<32 | int64(c)
+	if pos <= t.prev || !nonzero {
+		t.canonical = false
+	}
+	t.prev = pos
+	t.maxRow, t.maxCol = max(t.maxRow, r), max(t.maxCol, c)
+	t.ri, t.ci, t.vals = append(t.ri, r), append(t.ci, c), append(t.vals, val)
 }
 
 // number is one token of the JSON number grammar.

@@ -269,74 +269,133 @@ func FuzzDecodeJSONDifferential(f *testing.F) {
 	// not a non-integer (400): found by this target.
 	f.Add(`{"entries":[[7000000000000000000,0,0]]}`)
 
+	// Both shapes in one array: the straight-line triplet, then one with
+	// a space and one with an exponent, which take the token path, then
+	// the straight-line one again.
+	f.Add(`{"rows":3,"cols":3,"entries":[[0,0,1],[0, 1,2],[0,2,3e0],[1,0,0.25]]}`)
+	// Each spelling of zero in the shape the straight-line pass reads.
+	for _, zero := range []string{"0", "-0", "0.000"} {
+		f.Add(`{"rows":3,"cols":3,"entries":[[0,0,1],[1,1,` + zero + `],[2,2,1]]}`)
+	}
+
 	lim := sparse.Limits{MaxRows: 1 << 10, MaxCols: 1 << 10, MaxNNZ: 1 << 10, MaxLineBytes: 1 << 8}
 	f.Fuzz(func(t *testing.T, body string) {
 		data := []byte(body)
 		if bytes.HasPrefix(bytes.TrimSpace(data), []byte("%%MatrixMarket")) {
 			t.Skip() // sniffed as Matrix Market: not this decoder's
 		}
-		sc, scErr := ScanMatrix(context.Background(), data, "application/json", lim)
-		got, gotSec, gotErr := DecodeMatrixMeta(context.Background(), data, "application/json", lim)
-		want, wantSec, wantErr := decodeJSONReference(data, lim)
-		if (scErr == nil) != (gotErr == nil) || IngestStatus(scErr) != IngestStatus(gotErr) {
-			t.Fatalf("the scan says %v, the whole decode %v", scErr, gotErr)
+		checkAgainstReference(t, data, lim)
+	})
+}
+
+// checkAgainstReference holds the scanner to FuzzDecodeJSONDifferential's
+// contract on one body.
+func checkAgainstReference(t *testing.T, data []byte, lim sparse.Limits) {
+	t.Helper()
+	sc, scErr := ScanMatrix(context.Background(), data, "application/json", lim)
+	got, gotSec, gotErr := DecodeMatrixMeta(context.Background(), data, "application/json", lim)
+	want, wantSec, wantErr := decodeJSONReference(data, lim)
+	if (scErr == nil) != (gotErr == nil) || IngestStatus(scErr) != IngestStatus(gotErr) {
+		t.Fatalf("the scan says %v, the whole decode %v", scErr, gotErr)
+	}
+	if gotErr != nil {
+		st := IngestStatus(gotErr)
+		if st != 400 && st != 413 {
+			t.Fatalf("rejection mapped to status %d (err %v)", st, gotErr)
 		}
-		if gotErr != nil {
-			st := IngestStatus(gotErr)
-			if st != 400 && st != 413 {
-				t.Fatalf("rejection mapped to status %d (err %v)", st, gotErr)
-			}
-			if wantErr == nil {
-				if stricter(data) == "" {
-					t.Fatalf("refused a body the reference accepts, under no listed rule: %v", gotErr)
-				}
-				return
-			}
-			if ref := IngestStatus(wantErr); st != ref && !statusMayDiffer(data, lim, st) {
-				t.Fatalf("refused with %d (%v), the reference with %d (%v)", st, gotErr, ref, wantErr)
+		if wantErr == nil {
+			if stricter(data) == "" {
+				t.Fatalf("refused a body the reference accepts, under no listed rule: %v", gotErr)
 			}
 			return
 		}
-		if wantErr != nil {
-			t.Fatalf("accepted a body the reference refuses: %v", wantErr)
+		if ref := IngestStatus(wantErr); st != ref && !statusMayDiffer(data, lim, st) {
+			t.Fatalf("refused with %d (%v), the reference with %d (%v)", st, gotErr, ref, wantErr)
 		}
-		if why := stricter(data); why != "" {
-			t.Fatalf("accepted a body that has %s", why)
+		return
+	}
+	if wantErr != nil {
+		t.Fatalf("accepted a body the reference refuses: %v", wantErr)
+	}
+	if why := stricter(data); why != "" {
+		t.Fatalf("accepted a body that has %s", why)
+	}
+	if g, w := sc.Fingerprint(), sparse.Fingerprint(want); g != w {
+		t.Fatalf("scanned fingerprint %x (streamed %v), reference %x", g, sc.Streamed(), w)
+	}
+	if sc.Streamed() {
+		var req predictRequest
+		json.NewDecoder(bytes.NewReader(data)).Decode(&req)
+		if want.NNZ() != len(req.Entries) {
+			t.Fatalf("streamed a body whose %d triplets canonicalise to %d entries", len(req.Entries), want.NNZ())
 		}
-		if g, w := sc.Fingerprint(), sparse.Fingerprint(want); g != w {
-			t.Fatalf("scanned fingerprint %x (streamed %v), reference %x", g, sc.Streamed(), w)
+	}
+	checkScannedPattern(t, sc, got)
+	if m, err := sc.Matrix(); err != nil || !m.Equal(got) {
+		t.Fatalf("materialising after the scan: %v, or not the matrix the whole decode gives", err)
+	}
+	gr, gc := got.Dims()
+	wr, wc := want.Dims()
+	if gr != wr || gc != wc || got.NNZ() != want.NNZ() {
+		t.Fatalf("decoded %dx%d nnz %d, reference %dx%d nnz %d", gr, gc, got.NNZ(), wr, wc, want.NNZ())
+	}
+	for k := range want.Vals {
+		if got.Rows[k] != want.Rows[k] || got.Cols[k] != want.Cols[k] ||
+			math.Float64bits(got.Vals[k]) != math.Float64bits(want.Vals[k]) {
+			t.Fatalf("entry %d: (%d,%d,%x), reference (%d,%d,%x)", k,
+				got.Rows[k], got.Cols[k], math.Float64bits(got.Vals[k]),
+				want.Rows[k], want.Cols[k], math.Float64bits(want.Vals[k]))
 		}
-		if sc.Streamed() {
-			var req predictRequest
-			json.NewDecoder(bytes.NewReader(data)).Decode(&req)
-			if want.NNZ() != len(req.Entries) {
-				t.Fatalf("streamed a body whose %d triplets canonicalise to %d entries", len(req.Entries), want.NNZ())
+	}
+	if g, w := sparse.Fingerprint(got), sparse.Fingerprint(want); g != w {
+		t.Fatalf("fingerprint %x, reference %x", g, w)
+	}
+	if math.Float64bits(gotSec) != math.Float64bits(wantSec) {
+		t.Fatalf("spmv_seconds %v, reference %v", gotSec, wantSec)
+	}
+}
+
+// TestDecodeJSONShapeBoundary is FuzzDecodeJSONDifferential's contract,
+// deterministically, at the edges of the straight-line triplet shape:
+// coordinates of 9 and 10 digits, values of 40 and 41 bytes, a negative
+// one. Every prefix of each body, and every body with one byte deleted,
+// a space inserted before it, or it replaced by a byte that can end,
+// extend or break a token, is held to the reference.
+func TestDecodeJSONShapeBoundary(t *testing.T) {
+	long := "0." + strings.Repeat("1234567890", 4)[:38] // 40 bytes
+	bodies := []string{
+		`{"rows":2147483647,"cols":2147483647,"entries":[[0,999999999,-0.5],[999999999,1000000000,` + long + `],[1000000000,2147483646,` + long + `1],[2147483646,7,1]]}`,
+		// 2^31-1 as a coordinate is outside any matrix an int32 can
+		// index (400), 2^31 does not fit one (413): these are refused
+		// until a mutation shortens them.
+		`{"rows":2147483647,"cols":9,"entries":[[0,0,1],[2147483647,8,-0.5]]}`,
+		`{"rows":9,"cols":9,"entries":[[0,0,1],[2147483648,8,-0.5]]}`,
+	}
+	lim := sparse.Limits{MaxNNZ: 1 << 10, MaxLineBytes: 1 << 8}
+	if sc, err := ScanMatrix(context.Background(), []byte(bodies[0]), "", lim); err != nil || !sc.Streamed() {
+		t.Fatalf("the sweep's first body is not streamed (err %v)", err)
+	}
+	check := func(body string) {
+		t.Helper()
+		defer func() {
+			if t.Failed() {
+				t.Logf("body %q", body)
+			}
+		}()
+		checkAgainstReference(t, []byte(body), lim)
+	}
+	for _, body := range bodies {
+		for n := 0; n <= len(body); n++ {
+			check(body[:n])
+		}
+		for i := 0; i < len(body); i++ {
+			check(body[:i] + body[i+1:])
+			check(body[:i] + " " + body[i:])
+			for _, b := range "e0-.,]1" {
+				check(body[:i] + string(b) + body[i+1:])
 			}
 		}
-		checkScannedPattern(t, sc, got)
-		if m, err := sc.Matrix(); err != nil || !m.Equal(got) {
-			t.Fatalf("materialising after the scan: %v, or not the matrix the whole decode gives", err)
-		}
-		gr, gc := got.Dims()
-		wr, wc := want.Dims()
-		if gr != wr || gc != wc || got.NNZ() != want.NNZ() {
-			t.Fatalf("decoded %dx%d nnz %d, reference %dx%d nnz %d", gr, gc, got.NNZ(), wr, wc, want.NNZ())
-		}
-		for k := range want.Vals {
-			if got.Rows[k] != want.Rows[k] || got.Cols[k] != want.Cols[k] ||
-				math.Float64bits(got.Vals[k]) != math.Float64bits(want.Vals[k]) {
-				t.Fatalf("entry %d: (%d,%d,%x), reference (%d,%d,%x)", k,
-					got.Rows[k], got.Cols[k], math.Float64bits(got.Vals[k]),
-					want.Rows[k], want.Cols[k], math.Float64bits(want.Vals[k]))
-			}
-		}
-		if g, w := sparse.Fingerprint(got), sparse.Fingerprint(want); g != w {
-			t.Fatalf("fingerprint %x, reference %x", g, w)
-		}
-		if math.Float64bits(gotSec) != math.Float64bits(wantSec) {
-			t.Fatalf("spmv_seconds %v, reference %v", gotSec, wantSec)
-		}
-	})
+	}
 }
 
 // statusMayDiffer reports whether a body both decoders refuse may be a

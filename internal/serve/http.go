@@ -330,9 +330,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.met.request("metrics", http.StatusOK, start)
 }
 
+var formatLabels = newLabelTable(func(f sparse.Format) string {
+	return fmt.Sprintf("format=%q", f.String())
+}, sparse.AllFormats()...)
+
 // formatLabel renders the label set for a served prediction.
 func formatLabel(f sparse.Format) string {
-	return fmt.Sprintf("format=%q", f.String())
+	return formatLabels.label(f)
 }
 
 // reasonLabel classifies a fallback cause into a bounded label set

@@ -164,9 +164,13 @@ func (s *Server) cnnOnce(ctx context.Context, sel *selector.Selector, pat *spars
 	}
 }
 
+var rungLabels = newLabelTable(func(rung string) string {
+	return fmt.Sprintf("rung=%q", rung)
+}, rungCNN, rungDTree, rungCSR)
+
 // rungLabel renders the label set for the serve_rung_total counter.
 func rungLabel(rung string) string {
-	return fmt.Sprintf("rung=%q", rung)
+	return rungLabels.label(rung)
 }
 
 // cnnFailureLabel classifies a CNN-rung failure into a bounded label

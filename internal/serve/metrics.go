@@ -11,22 +11,79 @@ import (
 	"repro/internal/robust"
 )
 
+// labelTable holds the label sets of a closed set of values, rendered
+// once at start-up: a request looks its own up, where rendering it
+// would allocate on every request. A value outside the set is rendered
+// on the spot, the same way.
+type labelTable[K comparable] struct {
+	m      map[K]string
+	render func(K) string
+}
+
+func newLabelTable[K comparable](render func(K) string, keys ...K) labelTable[K] {
+	t := labelTable[K]{m: make(map[K]string, len(keys)), render: render}
+	for _, k := range keys {
+		t.m[k] = render(k)
+	}
+	return t
+}
+
+func (t labelTable[K]) label(k K) string {
+	if l, ok := t.m[k]; ok {
+		return l
+	}
+	return t.render(k)
+}
+
+// endpoints are the values of the endpoint label, and statusCodes the
+// codes the handlers answer with.
+var (
+	endpoints   = []string{"cache", "healthz", "metrics", "predict", "readyz"}
+	statusCodes = []int{200, 400, 405, 413, 422, 429, 503}
+)
+
+// requestKey is what a completed request's label set says.
+type requestKey struct {
+	endpoint string
+	code     int
+	retried  bool
+}
+
+var (
+	requestLabels = newLabelTable(func(k requestKey) string {
+		l := fmt.Sprintf("code=%q,endpoint=%q", strconv.Itoa(k.code), k.endpoint)
+		if k.retried {
+			l += `,retried="true"`
+		}
+		return l
+	}, requestKeys()...)
+	endpointLabels = newLabelTable(func(ep string) string {
+		return fmt.Sprintf("endpoint=%q", ep)
+	}, endpoints...)
+)
+
+func requestKeys() []requestKey {
+	var ks []requestKey
+	for _, ep := range endpoints {
+		for _, code := range statusCodes {
+			ks = append(ks, requestKey{ep, code, false}, requestKey{ep, code, true})
+		}
+	}
+	return ks
+}
+
 // requestLabel renders the label set of one completed request,
 // byte-identical to the pre-obs exposition for first attempts. Router
 // retries and hedges gain a trailing retried="true" label (appended
 // last to keep the alphabetical label order the renderer pins), so
 // fleet dashboards can subtract failover duplicates from true demand.
 func requestLabel(endpoint string, code int, retried bool) string {
-	l := fmt.Sprintf("code=%q,endpoint=%q", strconv.Itoa(code), endpoint)
-	if retried {
-		l += `,retried="true"`
-	}
-	return l
+	return requestLabels.label(requestKey{endpoint, code, retried})
 }
 
 // endpointLabel renders the latency histogram's label set.
 func endpointLabel(endpoint string) string {
-	return fmt.Sprintf("endpoint=%q", endpoint)
+	return endpointLabels.label(endpoint)
 }
 
 // This file wires the server's instrument set onto the shared obs
@@ -96,7 +153,7 @@ func newMetrics() *metrics {
 	m.latency = r.HistogramVec("serve_request_seconds", "Request latency by endpoint.", obs.DefLatencyBuckets())
 	// Pre-create the endpoint series so a fresh server's scrape already
 	// shows the full latency name set.
-	for _, ep := range []string{"cache", "healthz", "metrics", "predict", "readyz"} {
+	for _, ep := range endpoints {
 		m.latency.With(endpointLabel(ep))
 	}
 	m.predictions = r.CounterVec("serve_predictions_total", "Predictions served, by chosen format.")

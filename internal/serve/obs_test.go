@@ -3,12 +3,17 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/sparse"
 )
 
 // preRefactorMetricNames is the frozen contract: every metric the serve
@@ -71,6 +76,46 @@ func TestMetricsNameSuperset(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing rendered series %q in:\n%s", want, out)
 		}
+	}
+}
+
+// TestLabelsAsRendered: every label set a handler emits is the text
+// fmt.Sprintf rendered before the label tables — every endpoint, code
+// and retried value, every rung and every format, and a value outside
+// the tables too — and looking one up allocates nothing.
+func TestLabelsAsRendered(t *testing.T) {
+	check := func(got, want string) {
+		t.Helper()
+		if got != want {
+			t.Errorf("label %q, want %q", got, want)
+		}
+	}
+	for _, ep := range slices.Concat(endpoints, []string{"elsewhere"}) {
+		check(endpointLabel(ep), fmt.Sprintf("endpoint=%q", ep))
+		for _, code := range slices.Concat(statusCodes, []int{500}) {
+			want := fmt.Sprintf("code=%q,endpoint=%q", strconv.Itoa(code), ep)
+			check(requestLabel(ep, code, false), want)
+			check(requestLabel(ep, code, true), want+`,retried="true"`)
+		}
+	}
+	for _, rung := range []string{rungCNN, rungDTree, rungCSR, "other"} {
+		check(rungLabel(rung), fmt.Sprintf("rung=%q", rung))
+	}
+	for _, f := range append(sparse.AllFormats(), sparse.Format(99)) {
+		check(formatLabel(f), fmt.Sprintf("format=%q", f.String()))
+	}
+
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		requestLabel("predict", 200, false)
+		requestLabel("predict", 413, true)
+		endpointLabel("predict")
+		rungLabel(rungCNN)
+		formatLabel(sparse.FormatCSR)
+	}); n != 0 {
+		t.Errorf("%v allocations to look up a request's labels", n)
 	}
 }
 

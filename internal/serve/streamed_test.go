@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -223,6 +224,34 @@ func TestAnswerIsAFunctionOfThePattern(t *testing.T) {
 			t.Errorf("cached=%v: an overflowing value answered %d %q, want 400 from the scan", cached, code, bad.Error)
 		}
 		ts.Close()
+	}
+}
+
+// TestSpacingDoesNotChangeTheScan: one body written compact, which the
+// straight-line pass reads triplet by triplet, and indented, which the
+// token path reads, is streamed both ways, to one fingerprint and one
+// pattern.
+func TestSpacingDoesNotChangeTheScan(t *testing.T) {
+	compact, _ := benchBodies(t)
+	var spaced bytes.Buffer
+	if err := json.Indent(&spaced, compact, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	var scans [2]*Scanned
+	for i, body := range [][]byte{compact, spaced.Bytes()} {
+		sc, err := ScanMatrix(context.Background(), body, "application/json", sparse.DefaultLimits())
+		if err != nil || !sc.Streamed() {
+			t.Fatalf("body %d is not streamed (err %v)", i, err)
+		}
+		scans[i] = sc
+	}
+	if a, b := scans[0].Fingerprint(), scans[1].Fingerprint(); a != b {
+		t.Fatalf("compact body fingerprints to %x, spaced %x", a, b)
+	}
+	a, _ := scans[0].Pattern()
+	b, _ := scans[1].Pattern()
+	if !slices.Equal(a.Rows, b.Rows) || !slices.Equal(a.Cols, b.Cols) || a.NNZ() != 2088 {
+		t.Fatalf("compact and spaced bodies scan to different patterns (%d and %d positions)", a.NNZ(), b.NNZ())
 	}
 }
 
