@@ -15,16 +15,21 @@ import (
 // benchPredict drives the full handler path — parse, cache, queue hop,
 // ladder, render — without network overhead.
 func benchPredict(b *testing.B, mutate func(*Config)) {
-	benchPredictBody(b, matrixJSON(24, 2), mutate)
+	benchPredictBody(b, matrixJSON(24, 2), false, mutate)
 }
 
-func benchPredictBody(b *testing.B, body []byte, mutate func(*Config)) {
+// benchPredictBody posts body to the handler b.N times; chunked sends it
+// without Content-Length, as a chunked client does.
+func benchPredictBody(b *testing.B, body []byte, chunked bool, mutate func(*Config)) {
 	s, _ := newTestServer(b, mutate)
 	h := s.Handler()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		req := httptest.NewRequest("POST", "/v1/predict", bytes.NewReader(body))
+		if chunked {
+			req.ContentLength = -1
+		}
 		req.Header.Set("Content-Type", "application/json")
 		rr := httptest.NewRecorder()
 		h.ServeHTTP(rr, req)
@@ -46,7 +51,7 @@ func BenchmarkPredictCached(b *testing.B) {
 // request, where the scan is most of it.
 func BenchmarkPredictCachedTypical(b *testing.B) {
 	body, _ := benchBodies(b)
-	benchPredictBody(b, body, nil)
+	benchPredictBody(b, body, false, nil)
 }
 
 // BenchmarkPredictUncached forces every request through the queue hop
@@ -69,7 +74,22 @@ func BenchmarkPredictFeedback(b *testing.B) {
 // which at 2,088 17-digit values used to be the largest piece.
 func BenchmarkPredictUncachedTypical(b *testing.B) {
 	body, _ := benchBodies(b)
-	benchPredictBody(b, body, func(c *Config) { c.CacheSize = 0 })
+	benchPredictBody(b, body, false, func(c *Config) { c.CacheSize = 0 })
+}
+
+// BenchmarkPredictCachedTypicalChunked and
+// BenchmarkPredictUncachedTypicalChunked are the hit and the miss on the
+// same body sent without Content-Length, as a chunked client and the
+// benchmark's in-process client send it: the read cannot size its
+// buffer up front.
+func BenchmarkPredictCachedTypicalChunked(b *testing.B) {
+	body, _ := benchBodies(b)
+	benchPredictBody(b, body, true, nil)
+}
+
+func BenchmarkPredictUncachedTypicalChunked(b *testing.B) {
+	body, _ := benchBodies(b)
+	benchPredictBody(b, body, true, func(c *Config) { c.CacheSize = 0 })
 }
 
 // BenchmarkPredictFeedbackTypical is BenchmarkPredictCachedTypical with
@@ -78,7 +98,7 @@ func BenchmarkPredictUncachedTypical(b *testing.B) {
 // 24×24 body is too small to show anything else).
 func BenchmarkPredictFeedbackTypical(b *testing.B) {
 	body, _ := benchBodies(b)
-	benchPredictBody(b, body, func(c *Config) { c.FeedbackDir = b.TempDir() })
+	benchPredictBody(b, body, false, func(c *Config) { c.FeedbackDir = b.TempDir() })
 }
 
 // benchBodies renders one 300×300 banded matrix (2,088 nonzeros with

@@ -8,8 +8,10 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/sparse"
 )
@@ -38,18 +40,40 @@ import (
 // that fits sizes the buffer once; a body that overruns max (or its own
 // declared length, then max) is sparse.ErrTooLarge all the same.
 func ReadBody(r *http.Request, max int64) ([]byte, error) {
-	var buf bytes.Buffer
+	data, err := readBody(r, max, nil)
+	if err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
+// readBody is ReadBody into buf's array, which it replaces by a larger
+// one only when the body does not fit. It returns what it read and,
+// error or not, the array it read into.
+func readBody(r *http.Request, max int64, buf []byte) ([]byte, error) {
+	buf = buf[:0]
 	if r.ContentLength > 0 && r.ContentLength <= max {
-		// ReadFrom wants MinRead spare bytes to meet EOF without growing.
-		buf.Grow(int(r.ContentLength) + bytes.MinRead)
+		// One spare byte meets EOF without growing.
+		buf = slices.Grow(buf, int(r.ContentLength)+1)
 	}
-	if _, err := buf.ReadFrom(io.LimitReader(r.Body, max+1)); err != nil {
-		return nil, fmt.Errorf("reading body: %w", err)
+	lr := io.LimitedReader{R: r.Body, N: max + 1}
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, bytes.MinRead)
+		}
+		n, err := lr.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return buf, fmt.Errorf("reading body: %w", err)
+		}
 	}
-	if int64(buf.Len()) > max {
-		return nil, fmt.Errorf("%w: body exceeds %d bytes", sparse.ErrTooLarge, max)
+	if int64(len(buf)) > max {
+		return buf, fmt.Errorf("%w: body exceeds %d bytes", sparse.ErrTooLarge, max)
 	}
-	return buf.Bytes(), nil
+	return buf, nil
 }
 
 // DecodeMatrix decodes a request body (already read into memory) as
@@ -86,6 +110,16 @@ func DecodeMatrixMeta(ctx context.Context, data []byte, contentType string, lim 
 // calls Matrix. The body must not be written to while the Scanned is in
 // use.
 //
+// A replica reads and scans every request into a Scanned from a pool
+// (scanBody), and the next request reads and scans into the same body
+// buffer and coordinate arrays once the handler has put it back; a hit
+// therefore allocates nothing that grows with its body. Nothing that
+// outlives the handler — a miss's job, the pattern the feedback log
+// keeps, the shadow mirror, an abandoned forward pass — may alias that
+// memory, so Pattern copies the coordinates out and Matrix takes them
+// over, leaving the Scanned without them. A Scanned from ScanMatrix is
+// never reused.
+//
 // A JSON body whose triplets arrive strictly row-major with no zero
 // value — canonical COO, what every writer of the format emits — is
 // "streamed": coordinates kept as int32 while it is validated and
@@ -106,7 +140,13 @@ type Scanned struct {
 	rows, cols int
 	data       []byte
 	ents       triplets
+
+	body []byte // the buffer scanBody reads into, kept for the next request
 }
+
+// scannedPool holds the Scanneds replicas read and scan requests into
+// (scanBody); the handler puts each back when it returns.
+var scannedPool = sync.Pool{New: func() any { return new(Scanned) }}
 
 // Fingerprint is sparse.Fingerprint of the matrix the body denotes.
 func (sc *Scanned) Fingerprint() uint64 { return sc.fp }
@@ -119,14 +159,20 @@ func (sc *Scanned) SpmvSeconds() float64 { return sc.spmvSeconds }
 func (sc *Scanned) Streamed() bool { return sc.m == nil }
 
 // Pattern returns the sparsity pattern of the matrix the body denotes:
-// a streamed body hands over the coordinates as it scanned them and
-// converts nothing, a built one lends its matrix's. It holds no
-// reference to the body.
+// a streamed body copies the coordinates as it scanned them into one
+// array of its own and converts nothing, a built one lends its
+// matrix's. It holds no reference to the body or to memory the Scanned
+// reuses.
 func (sc *Scanned) Pattern() (*sparse.Pattern, error) {
 	if sc.m != nil {
 		return &sc.m.Pattern, nil
 	}
-	p, err := sparse.NewPattern(sc.rows, sc.cols, sc.ents.ri, sc.ents.ci)
+	n := len(sc.ents.ri)
+	idx := make([]int32, 2*n)
+	ri, ci := idx[:n:n], idx[n:]
+	copy(ri, sc.ents.ri)
+	copy(ci, sc.ents.ci)
+	p, err := sparse.NewPattern(sc.rows, sc.cols, ri, ci)
 	if err != nil {
 		return nil, fmt.Errorf("adopting scanned pattern: %w", err)
 	}
@@ -135,7 +181,7 @@ func (sc *Scanned) Pattern() (*sparse.Pattern, error) {
 
 // Matrix returns the canonical COO the body denotes, converting a
 // streamed body's value tokens on the first call: ParseFloat on the
-// recorded spans straight into Vals, coordinates adopted as scanned.
+// recorded spans straight into Vals, coordinates taken over as scanned.
 func (sc *Scanned) Matrix() (*sparse.COO, error) {
 	if sc.m != nil {
 		return sc.m, nil
@@ -156,18 +202,33 @@ func (sc *Scanned) Matrix() (*sparse.COO, error) {
 // fingerprints it. What it refuses, DecodeMatrix refuses with the same
 // error; what it accepts, neither Pattern nor Matrix can refuse.
 func ScanMatrix(ctx context.Context, data []byte, contentType string, lim sparse.Limits) (*Scanned, error) {
+	sc := new(Scanned)
+	if err := sc.scan(ctx, data, contentType, lim); err != nil {
+		return nil, err
+	}
+	return sc, nil
+}
+
+// scan is ScanMatrix into sc, recording into the coordinate arrays an
+// earlier scan left it. After a refusal sc is good only for scanning
+// into again.
+func (sc *Scanned) scan(ctx context.Context, data []byte, contentType string, lim sparse.Limits) error {
+	t := sc.ents
+	*sc = Scanned{body: sc.body, ents: t} // a built body never reads ents
 	if strings.Contains(contentType, "matrix-market") || bytes.HasPrefix(bytes.TrimSpace(data), []byte("%%MatrixMarket")) {
 		m, err := sparse.ReadMatrixMarketLimits(ctx, bytes.NewReader(data), lim)
 		if err != nil {
-			return nil, fmt.Errorf("parsing Matrix Market body: %w", err)
+			return fmt.Errorf("parsing Matrix Market body: %w", err)
 		}
-		return &Scanned{fp: sparse.Fingerprint(m), m: m}, nil
+		sc.fp, sc.m = sparse.Fingerprint(m), m
+		return nil
 	}
-	s := bodyScanner{data: data, ents: triplets{canonical: true, prev: -1}}
-	if err := s.request(ctx, lim.MaxNNZ); err != nil {
-		return nil, fmt.Errorf("parsing JSON body: %w", err)
+	s := bodyScanner{data: data, ents: triplets{ri: t.ri[:0], ci: t.ci[:0], vals: t.vals[:0], conv: t.conv[:0], canonical: true, prev: -1}}
+	err := s.request(ctx, lim.MaxNNZ)
+	sc.rows, sc.cols, sc.spmvSeconds, sc.data, sc.ents = s.rows, s.cols, s.spmvSeconds, data, s.ents
+	if err != nil {
+		return fmt.Errorf("parsing JSON body: %w", err)
 	}
-	sc := &Scanned{rows: s.rows, cols: s.cols, spmvSeconds: s.spmvSeconds, data: data, ents: s.ents}
 	if sc.spmvSeconds < 0 || sc.spmvSeconds > 1e9 { // negative or absurd; the grammar has no NaN
 		sc.spmvSeconds = 0
 	}
@@ -175,22 +236,22 @@ func ScanMatrix(ctx context.Context, data []byte, contentType string, lim sparse
 	// Market reader (MaxNNZ was enforced entry by entry), and COO's
 	// int32 indices whatever the budget says.
 	if err := checkSide("rows", sc.rows, lim.MaxRows); err != nil {
-		return nil, err
+		return err
 	}
 	if err := checkSide("cols", sc.cols, lim.MaxCols); err != nil {
-		return nil, err
+		return err
 	}
 	ents := &sc.ents
 	if ents.misfit != nil {
-		return nil, ents.misfit
+		return ents.misfit
 	}
 	if sc.rows <= 0 || sc.cols <= 0 {
-		return nil, fmt.Errorf("%w: non-positive dimensions %dx%d", sparse.ErrMalformed, sc.rows, sc.cols)
+		return fmt.Errorf("%w: non-positive dimensions %dx%d", sparse.ErrMalformed, sc.rows, sc.cols)
 	}
 	if int(ents.maxRow) >= sc.rows || int(ents.maxCol) >= sc.cols {
 		for k, r := range ents.ri {
 			if c := ents.ci[k]; int(r) >= sc.rows || int(c) >= sc.cols {
-				return nil, fmt.Errorf("%w: entry (%d,%d) out of range for %dx%d matrix", sparse.ErrMalformed, r, c, sc.rows, sc.cols)
+				return fmt.Errorf("%w: entry (%d,%d) out of range for %dx%d matrix", sparse.ErrMalformed, r, c, sc.rows, sc.cols)
 			}
 		}
 	}
@@ -200,7 +261,7 @@ func ScanMatrix(ctx context.Context, data []byte, contentType string, lim sparse
 			h = h.Add(r, ents.ci[k])
 		}
 		sc.fp = h.Sum(sc.rows, sc.cols)
-		return sc, nil
+		return nil
 	}
 	es := make([]sparse.Entry, len(ents.ri))
 	for k := range es {
@@ -208,10 +269,10 @@ func ScanMatrix(ctx context.Context, data []byte, contentType string, lim sparse
 	}
 	m, err := sparse.NewCOOOwned(sc.rows, sc.cols, es)
 	if err != nil {
-		return nil, fmt.Errorf("building matrix: %w", err)
+		return fmt.Errorf("building matrix: %w", err)
 	}
-	sc.m, sc.fp, sc.data, sc.ents = m, sparse.Fingerprint(m), nil, triplets{}
-	return sc, nil
+	sc.m, sc.fp, sc.data = m, sparse.Fingerprint(m), nil
+	return nil
 }
 
 // checkSide refuses a dimension over its cap (0 = none) or over what an
@@ -399,11 +460,12 @@ func (s *bodyScanner) request(ctx context.Context, maxNNZ int) error {
 }
 
 // entries scans the triplet array under the cursor into slices sized
-// once. The size comes from the bytes that remain — no triplet is
-// shorter than "[0,0,0]," and each opens one bracket — and never from
-// beyond maxNNZ, so the allocation is bounded by the smaller of twice
-// the body and the cap, and a body one triplet over the cap is refused
-// at that triplet, not after it has all been stored.
+// once — the scanner's own when they have the room. The size comes from
+// the bytes that remain — no triplet is shorter than "[0,0,0]," and each
+// opens one bracket — and never from beyond maxNNZ, so an allocation is
+// bounded by the smaller of twice the body and the cap, and a body one
+// triplet over the cap is refused at that triplet, not after it has all
+// been stored.
 func (s *bodyScanner) entries(ctx context.Context, maxNNZ int) error {
 	if err := s.expect('[', "entries"); err != nil {
 		return err
@@ -422,7 +484,7 @@ func (s *bodyScanner) entries(ctx context.Context, maxNNZ int) error {
 	// nothing reads it then): stores through s would each pay a write
 	// barrier.
 	t := s.ents
-	t.ri, t.ci, t.vals = make([]int32, 0, hint), make([]int32, 0, hint), make([]uint64, 0, hint)
+	t.ri, t.ci, t.vals = room(t.ri, hint), room(t.ci, hint), room(t.vals, hint)
 	for n := 0; ; n++ {
 		if maxNNZ > 0 && n == maxNNZ {
 			return fmt.Errorf("%w: more than %d entries", sparse.ErrTooLarge, maxNNZ)
@@ -450,6 +512,15 @@ func (s *bodyScanner) entries(ctx context.Context, maxNNZ int) error {
 		s.ents = t
 		return s.expect(']', "entries")
 	}
+}
+
+// room returns s emptied, with capacity for n: s's own array when it is
+// large enough, else a new one.
+func room[E any](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, 0, n)
+	}
+	return s[:0]
 }
 
 // plainTriplet reads d[i:] as one triplet in the shape every encoder

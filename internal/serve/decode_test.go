@@ -568,7 +568,9 @@ func TestDecodeJSONEntryHintIsBounded(t *testing.T) {
 }
 
 // TestReadBody: one buffer when Content-Length tells the truth, the
-// same answers as before when it is absent or lies.
+// same answers as before when it is absent or lies — and the same again
+// read twice into one reused buffer, which the second read does not
+// replace, and into one that already has more room than max.
 func TestReadBody(t *testing.T) {
 	const max = 64
 	payload := bytes.Repeat([]byte("x"), 40)
@@ -590,26 +592,43 @@ func TestReadBody(t *testing.T) {
 		{"oversize, declared small", bytes.Repeat([]byte("x"), 3*max), 8, -1, false},
 		{"empty", nil, 0, 0, false},
 	}
+	var reused []byte
+	roomy := make([]byte, 0, 4*max)
 	for _, tc := range cases {
-		read := func() ([]byte, error) {
+		request := func() *http.Request {
 			// OneByteReader: a body that arrives in pieces, as off a socket.
 			r := httptest.NewRequest("POST", "/v1/predict", iotest.OneByteReader(bytes.NewReader(tc.body)))
 			r.ContentLength = tc.declared
-			return ReadBody(r, max)
+			return r
 		}
-		data, err := read()
-		switch {
-		case tc.want < 0:
-			if !errors.Is(err, sparse.ErrTooLarge) {
-				t.Errorf("%s: err = %v, want ErrTooLarge", tc.name, err)
+		check := func(how string, data []byte, err error) {
+			t.Helper()
+			switch {
+			case tc.want < 0:
+				if !errors.Is(err, sparse.ErrTooLarge) {
+					t.Errorf("%s, %s: err = %v, want ErrTooLarge", tc.name, how, err)
+				}
+			case err != nil:
+				t.Errorf("%s, %s: %v", tc.name, how, err)
+			case !bytes.Equal(data, tc.body):
+				t.Errorf("%s, %s: read %d bytes, want %d", tc.name, how, len(data), tc.want)
 			}
-		case err != nil:
-			t.Errorf("%s: %v", tc.name, err)
-		case !bytes.Equal(data, tc.body):
-			t.Errorf("%s: read %d bytes, want %d", tc.name, len(data), tc.want)
-		case tc.oneAlloc && int64(cap(data)) >= 2*(tc.declared+bytes.MinRead): // growing doubles
+		}
+		data, err := ReadBody(request(), max)
+		check("fresh", data, err)
+		if err == nil && tc.oneAlloc && int64(cap(data)) >= 2*(tc.declared+bytes.MinRead) { // growing doubles
 			t.Errorf("%s: buffer of %d bytes for a declared %d: it grew", tc.name, cap(data), tc.declared)
 		}
+		for pass := 1; pass <= 2; pass++ {
+			first := reused
+			reused, err = readBody(request(), max, reused)
+			check(fmt.Sprintf("reused, pass %d", pass), reused, err)
+			if pass == 2 && cap(first) > 0 && &first[:1][0] != &reused[:1][0] {
+				t.Errorf("%s: the second read into a buffer of %d bytes replaced it", tc.name, cap(first))
+			}
+		}
+		data, err = readBody(request(), max, roomy)
+		check("more room than max", data, err)
 	}
 	r := httptest.NewRequest("POST", "/v1/predict", iotest.ErrReader(io.ErrUnexpectedEOF))
 	if _, err := ReadBody(r, max); !errors.Is(err, io.ErrUnexpectedEOF) || IngestStatus(err) != http.StatusBadRequest {

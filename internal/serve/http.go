@@ -6,8 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -18,31 +21,78 @@ import (
 // wantTrace reports whether the client asked for the per-stage span
 // block in the response body (?trace=1 or an X-Trace: 1 header).
 func wantTrace(r *http.Request) bool {
-	if v := r.URL.Query().Get("trace"); v == "1" || v == "true" {
-		return true
+	if r.URL.RawQuery != "" {
+		if v := r.URL.Query().Get("trace"); v == "1" || v == "true" {
+			return true
+		}
 	}
 	v := r.Header.Get("X-Trace")
 	return v == "1" || v == "true"
 }
 
-// response is the JSON answer for POST /v1/predict. Rung reports which
-// ladder layer produced the answer: "cnn", "dtree" or "csr". TraceID
-// always carries the request's span ID (it is also the X-Trace-Id
-// header); the per-stage Trace block is included when the client asks
-// for it with ?trace=1. Coalesced marks an answer shared with an
-// in-flight computation for the same fingerprint (a router retry or
-// hedge that did not cost a second forward pass).
-type response struct {
-	Format          string             `json:"format"`
-	Probs           map[string]float64 `json:"probs,omitempty"`
-	FellBack        bool               `json:"fell_back"`
-	Reason          string             `json:"reason,omitempty"`
-	Cached          bool               `json:"cached"`
-	Coalesced       bool               `json:"coalesced,omitempty"`
-	Rung            string             `json:"rung"`
-	ModelGeneration uint64             `json:"model_generation"`
-	TraceID         string             `json:"trace_id,omitempty"`
-	Trace           []obs.Span         `json:"trace,omitempty"`
+// answer is the JSON body of a 200 to POST /v1/predict. Probs maps
+// format names to probabilities. Rung reports which ladder layer
+// produced the answer: "cnn", "dtree" or "csr". TraceID always carries
+// the request's span ID (it is also the X-Trace-Id header); the
+// per-stage Trace block is included when the client asks for it with
+// ?trace=1. Coalesced marks an answer shared with an in-flight
+// computation for the same fingerprint (a router retry or hedge that
+// did not cost a second forward pass).
+type answer struct {
+	Format          string     `json:"format"`
+	Probs           probs      `json:"probs,omitempty"`
+	FellBack        bool       `json:"fell_back"`
+	Reason          string     `json:"reason,omitempty"`
+	Cached          bool       `json:"cached"`
+	Coalesced       bool       `json:"coalesced,omitempty"`
+	Rung            string     `json:"rung"`
+	ModelGeneration uint64     `json:"model_generation"`
+	TraceID         string     `json:"trace_id,omitempty"`
+	Trace           []obs.Span `json:"trace,omitempty"`
+}
+
+// probs is a prediction's probabilities, rendered as encoding/json
+// renders a map[string]float64 of the format names — names in sorted
+// order, each number in its float64 encoding — from the prediction's
+// own map, with no map of names, no reflection and no sort of
+// reflected keys on the way.
+type probs map[sparse.Format]float64
+
+func (p probs) MarshalJSON() ([]byte, error) {
+	var keys [16]sparse.Format // every format, on the stack
+	fs := keys[:0]
+	for f := range p {
+		fs = append(fs, f)
+	}
+	slices.SortFunc(fs, func(a, b sparse.Format) int { return strings.Compare(a.String(), b.String()) })
+	b := make([]byte, 0, 2+32*len(fs))
+	b = append(b, '{')
+	for i, f := range fs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		// A format name is letters, digits and parentheses: nothing to
+		// escape.
+		b = append(b, '"')
+		b = append(b, f.String()...)
+		b = append(b, '"', ':')
+		v := p[f]
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return nil, fmt.Errorf("serve: %s probability %v has no JSON form", f, v)
+		}
+		// encoding/json's float64 form: exponent notation below 1e-6 and
+		// from 1e21, without a leading zero in the exponent.
+		form := byte('f')
+		if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			form = 'e'
+		}
+		b = strconv.AppendFloat(b, v, form, -1, 64)
+		if n := len(b); form == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return append(b, '}'), nil
 }
 
 // predictMeta carries per-request context between the handler and
@@ -60,9 +110,10 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-func makeResponse(p selector.Prediction, gen uint64, cached bool, rung string) response {
-	r := response{
+func makeAnswer(p selector.Prediction, gen uint64, cached bool, rung string) answer {
+	r := answer{
 		Format:          p.Format.String(),
+		Probs:           p.Probs,
 		FellBack:        p.FellBack,
 		Cached:          cached,
 		Rung:            rung,
@@ -70,12 +121,6 @@ func makeResponse(p selector.Prediction, gen uint64, cached bool, rung string) r
 	}
 	if p.Reason != nil {
 		r.Reason = p.Reason.Error()
-	}
-	if p.Probs != nil {
-		r.Probs = make(map[string]float64, len(p.Probs))
-		for f, v := range p.Probs {
-			r.Probs[f.String()] = v
-		}
 	}
 	return r
 }
@@ -173,6 +218,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, code, errorResponse{Error: err.Error()})
 		return
 	}
+	defer scannedPool.Put(sc)
 	meta.clientSec = sc.SpmvSeconds()
 	// A client whose bodies are never "streamed" pays the full decode on
 	// every request, hits included; this is where that shows.
@@ -276,13 +322,22 @@ func isRetryAttempt(v string) bool {
 }
 
 // scanBody reads and scans the request body, bounded by MaxBodyBytes
-// and cfg.Limits.
+// and cfg.Limits, into a Scanned from the pool whose body buffer and
+// coordinate arrays earlier requests grew. The caller puts it back once
+// nothing reads it. (The router reads with ReadBody into a buffer of
+// its own each time: a RoundTripper may still be reading a forwarded
+// body after RoundTrip has returned.)
 func (s *Server) scanBody(ctx context.Context, r *http.Request) (*Scanned, error) {
-	data, err := ReadBody(r, s.cfg.MaxBodyBytes)
+	sc := scannedPool.Get().(*Scanned)
+	var err error
+	if sc.body, err = readBody(r, s.cfg.MaxBodyBytes, sc.body); err == nil {
+		err = sc.scan(ctx, sc.body, r.Header.Get("Content-Type"), s.cfg.Limits)
+	}
 	if err != nil {
+		scannedPool.Put(sc)
 		return nil, err
 	}
-	return ScanMatrix(ctx, data, r.Header.Get("Content-Type"), s.cfg.Limits)
+	return sc, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

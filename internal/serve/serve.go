@@ -395,7 +395,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // span here and queue/rung/forward spans on the worker side. meta
 // carries the client's timing in and the cache outcome back out to the
 // handler's response header.
-func (s *Server) predictOne(ctx context.Context, sc *Scanned, meta *predictMeta) (response, error) {
+func (s *Server) predictOne(ctx context.Context, sc *Scanned, meta *predictMeta) (answer, error) {
 	tr := obs.TraceFrom(ctx)
 	cacheStart := time.Now()
 	fp := sc.Fingerprint()
@@ -408,13 +408,13 @@ func (s *Server) predictOne(ctx context.Context, sc *Scanned, meta *predictMeta)
 		if s.fb != nil {
 			pat, err := sc.Pattern()
 			if err != nil {
-				return response{}, err
+				return answer{}, err
 			}
 			s.recordFeedback(pat, fp, pred, rungCNN, gen, true, meta.clientSec)
 		}
 		// Only CNN-rung answers are ever cached, so a hit reports the
 		// cnn rung.
-		return makeResponse(pred, gen, true, rungCNN), nil
+		return makeAnswer(pred, gen, true, rungCNN), nil
 	}
 	s.met.cacheMisses.Inc()
 	tr.ObserveSpan("cache", cacheStart)
@@ -439,7 +439,7 @@ func (s *Server) predictOne(ctx context.Context, sc *Scanned, meta *predictMeta)
 			case <-existing.done:
 				return waitResult(existing)
 			case <-ctx.Done():
-				return response{}, ctx.Err()
+				return answer{}, ctx.Err()
 			}
 		}
 		s.inflightFP[fp] = c
@@ -472,19 +472,20 @@ func (s *Server) predictOne(ctx context.Context, sc *Scanned, meta *predictMeta)
 			s.met.queueRejects.Inc()
 			s.met.admissionRejects.With(admitReasonLabel(aerr)).Inc()
 			s.finishJob(j, jobResult{err: aerr})
-			return response{}, aerr
+			return answer{}, aerr
 		}
 		j.admitted = true
 	}
-	// The job carries the pattern — all a decision reads — and not the
-	// Scanned, so the body buffer is garbage once the handler returns,
-	// however long the worker, the feedback queue or the shadow mirror
-	// hold on to the job. Its time in the system starts here.
+	// The job carries the pattern — all a decision reads, copied out of
+	// the Scanned — and not the Scanned, which the next request scans
+	// into once this handler returns, however long the worker, the
+	// feedback queue or the shadow mirror hold on to the job. Its time in
+	// the system starts here.
 	pat, err := sc.Pattern()
 	j.pat, j.enqueued = pat, time.Now()
 	if err != nil {
 		s.finishJob(j, jobResult{err: err})
-		return response{}, err
+		return answer{}, err
 	}
 	if err := s.pool.Submit(func() { s.runJob(j) }); err != nil {
 		// Admission control: a full queue sheds immediately (the
@@ -500,22 +501,22 @@ func (s *Server) predictOne(ctx context.Context, sc *Scanned, meta *predictMeta)
 			err = errShutdown
 		}
 		s.finishJob(j, jobResult{err: err})
-		return response{}, err
+		return answer{}, err
 	}
 	select {
 	case <-c.done:
 		return waitResult(c)
 	case <-ctx.Done():
-		return response{}, ctx.Err()
+		return answer{}, ctx.Err()
 	}
 }
 
 // waitResult converts a completed call into the handler-facing answer.
-func waitResult(c *call) (response, error) {
+func waitResult(c *call) (answer, error) {
 	if c.res.err != nil {
-		return response{}, c.res.err
+		return answer{}, c.res.err
 	}
-	return makeResponse(c.res.pred, c.res.gen, false, c.res.rung), nil
+	return makeAnswer(c.res.pred, c.res.gen, false, c.res.rung), nil
 }
 
 var errOverloaded = errors.New("serve: prediction queue full")
