@@ -40,8 +40,9 @@ shepherddrill:
 # fuzz runs the native fuzz targets over the hardened ingestion
 # surfaces (MatrixMarket parsing, the predict request path, the JSON
 # body scanner against its encoding/json reference, opening and
-# salvaging a corpus store) and the differential one (the statistics
-# sweep against its map-based reference). Budget per target is FUZZTIME
+# salvaging a corpus store) and the differential ones (the statistics
+# sweep against its map-based reference, the labeler's noise source
+# against math/rand). Budget per target is FUZZTIME
 # (default 30s); CI runs a shorter smoke via scripts/check.sh.
 FUZZTIME ?= 30s
 fuzz:
@@ -51,6 +52,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeJSONDifferential$$' -fuzztime=$(FUZZTIME) ./internal/serve
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadDataset$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzSalvageShard$$' -fuzztime=$(FUZZTIME) ./internal/dataset
+	$(GO) test -run='^$$' -fuzz='^FuzzSeededSource$$' -fuzztime=$(FUZZTIME) ./internal/machine
 
 # bench runs every benchmark in the module (the per-paper-table harness
 # at the root plus the per-package hot-path benchmarks) and converts

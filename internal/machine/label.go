@@ -48,21 +48,20 @@ func (l *Labeler) FormatSet() []sparse.Format {
 // Times returns the (noisy) modelled SpMV seconds for every candidate
 // format. id must be a stable identifier of the matrix so the noise is
 // reproducible.
+//
+// Each format's noise is one NormFloat64 of rand.NewSource(s), s a hash
+// of (Seed, id, format, platform). The source is a seededSource, which
+// yields that stream's first draws without filling its 607-word state,
+// so the noise costs what the cost model costs and every label and time
+// is the one a fresh rand.NewSource(s) per format gives.
 func (l *Labeler) Times(st sparse.Stats, id uint64) map[sparse.Format]float64 {
 	out := make(map[sparse.Format]float64, len(l.FormatSet()))
-	// One generator, made on the first draw and reseeded per format:
-	// the same stream and the same number of seedings as a fresh one
-	// per format, without its 4.9 KB of state each time.
-	var rng *rand.Rand
+	var src seededSource
+	rng := rand.New(&src)
 	for _, f := range l.FormatSet() {
 		t := l.Platform.EstimateSeconds(st, f)
 		if l.NoiseSigma > 0 {
-			seed := int64(noiseSeed(uint64(l.Seed), id, uint64(f), hashString(l.Platform.Name)))
-			if rng == nil {
-				rng = rand.New(rand.NewSource(seed))
-			} else {
-				rng.Seed(seed)
-			}
+			src.Seed(int64(noiseSeed(uint64(l.Seed), id, uint64(f), hashString(l.Platform.Name))))
 			t *= math.Exp(l.NoiseSigma * rng.NormFloat64())
 		}
 		out[f] = t

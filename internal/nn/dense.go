@@ -207,12 +207,17 @@ type Dropout struct {
 	Rate      float64
 	seed      int64
 	rng       *rand.Rand
+	replicas  *atomic.Int64 // numbers the replica streams of this layer's lineage
 	lastScale []float64
 }
 
 // NewDropout builds a dropout layer with its own deterministic RNG.
 func NewDropout(rate float64, seed int64) *Dropout {
-	return &Dropout{Rate: rate, seed: seed, rng: rand.New(rand.NewSource(seed))}
+	return newDropout(rate, seed, new(atomic.Int64))
+}
+
+func newDropout(rate float64, seed int64, replicas *atomic.Int64) *Dropout {
+	return &Dropout{Rate: rate, seed: seed, rng: rand.New(rand.NewSource(seed)), replicas: replicas}
 }
 
 // Name describes the layer.
@@ -266,14 +271,15 @@ func (l *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 // Params returns nil (stateless).
 func (l *Dropout) Params() []*Param { return nil }
 
-// dropoutReplicas numbers replica RNG streams; replicas may be created
-// from multiple goroutines (parallel inference), so the derivation must
-// not touch the parent's rand.Rand, which is not thread-safe.
-var dropoutReplicas atomic.Int64
-
 // Replica returns a dropout layer with a derived, independent RNG
-// stream.
+// stream. Streams are numbered per lineage — the layer NewDropout made
+// and its replicas share one counter — so a model's dropout depends on
+// its own history, not on how many replicas the process made before
+// (nn.Clone rebuilds the layers, so a clone starts afresh). Replicas may
+// be created from multiple goroutines (parallel inference), so the
+// derivation must not touch the parent's rand.Rand, which is not
+// thread-safe.
 func (l *Dropout) Replica() Layer {
-	n := dropoutReplicas.Add(1)
-	return NewDropout(l.Rate, l.seed+n*0x9E3779B9)
+	n := l.replicas.Add(1)
+	return newDropout(l.Rate, l.seed+n*0x9E3779B9, l.replicas)
 }

@@ -203,3 +203,32 @@ func TestTopEvolvementGoldenBits(t *testing.T) {
 		}
 	}
 }
+
+// TestTopEvolvementRetrainIsRepeatable: two top-evolvement retrains
+// from one source in one process, dropout on, give bit-identical
+// weights. Each Transfer clones the source, so each retrain numbers its
+// dropout replica streams from the start, whatever ran before it.
+func TestTopEvolvementRetrainIsRepeatable(t *testing.T) {
+	d := cpuDataset(t, 48)
+	cfg := fastConfig(represent.KindHistogram)
+	cfg.Epochs = 2
+	if cfg.DropoutRate <= 0 {
+		t.Fatal("the default config has dropout off; this test needs it on")
+	}
+	src := goldenSelector(t, cfg)
+	var digests [2]string
+	for i := range digests {
+		cand, err := Transfer(src, TopEvolvement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cand.Cfg.Workers = 2
+		if _, err := cand.TrainStreamCtx(context.Background(), DatasetShards(d, 16), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		digests[i] = paramDigest(cand.Model.Params())
+	}
+	if digests[0] != digests[1] {
+		t.Errorf("two retrains from one source: parameters hash to %s, then %s", digests[0], digests[1])
+	}
+}

@@ -567,6 +567,33 @@ func TestDecodeJSONEntryHintIsBounded(t *testing.T) {
 	}
 }
 
+// TestScanMatrixMarketDeclaredNNZIsNotAllocated: a 77-byte Matrix
+// Market body that declares sixteen million nonzeros is a 400 with the
+// truncation message, and refusing it allocates under a megabyte:
+// nothing is sized from the declared count, which would be 24 MiB of
+// entries, and as many map slots again under DupReject.
+func TestScanMatrixMarketDeclaredNNZIsNotAllocated(t *testing.T) {
+	body := []byte("%%MatrixMarket matrix coordinate real general\n4000000 4000000 16000000\n1 1 1\n")
+	const msg = "parsing Matrix Market body: sparse: malformed input: stream truncated: got 1 of 16000000 declared entries"
+	reject := sparse.DefaultLimits()
+	reject.Duplicates = sparse.DupReject
+	for _, lim := range []sparse.Limits{sparse.DefaultLimits(), reject} {
+		scan := func() {
+			_, err := ScanMatrix(context.Background(), body, "text/matrix-market", lim)
+			if err == nil || err.Error() != msg || IngestStatus(err) != http.StatusBadRequest {
+				t.Fatalf("err = %v (status %d), want %q (400)", err, IngestStatus(err), msg)
+			}
+		}
+		scan()
+		if raceEnabled {
+			continue
+		}
+		if got := allocBytesPerRun(3, scan); got >= 1<<20 {
+			t.Errorf("duplicates %v: %d bytes allocated to refuse a %d-byte body", lim.Duplicates, got, len(body))
+		}
+	}
+}
+
 // TestReadBody: one buffer when Content-Length tells the truth, the
 // same answers as before when it is absent or lies — and the same again
 // read twice into one reused buffer, which the second read does not

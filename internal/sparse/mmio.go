@@ -28,6 +28,14 @@ import (
 // error taxonomy — see Limits, ErrMalformed, ErrTooLarge,
 // ErrUnsupported).
 
+const (
+	// minEntryBytes is the shortest Matrix Market entry line, "1 1\n".
+	minEntryBytes = 4
+	// streamEntryHint is the entry capacity a stream of unknown length
+	// starts with; more arrives by append as lines do.
+	streamEntryHint = 4096
+)
+
 // CtxCheckEvery is how many items (Matrix Market data lines, JSON
 // triplets) an ingestion loop reads between calls to ParseCheckpoint.
 const CtxCheckEvery = 4096
@@ -57,10 +65,18 @@ func ReadMatrixMarket(r io.Reader) (*COO, error) {
 // ErrUnsupported (matchable with errors.Is).
 func ReadMatrixMarketLimits(ctx context.Context, r io.Reader, lim Limits) (*COO, error) {
 	lim = lim.withDefaults()
+	// What the input can hold bounds every up-front allocation: a reader
+	// that knows its length (a request body) fits in a buffer one byte
+	// longer, and holds at most one entry line per minEntryBytes of it.
+	// Declared sizes are the writer's claim, not a measurement.
+	avail := -1
+	if lr, ok := r.(interface{ Len() int }); ok {
+		avail = lr.Len()
+	}
 	sc := bufio.NewScanner(r)
-	buf := 64 << 10
-	if buf > lim.MaxLineBytes {
-		buf = lim.MaxLineBytes
+	buf := minInt(64<<10, lim.MaxLineBytes)
+	if avail >= 0 {
+		buf = minInt(buf, avail+1)
 	}
 	sc.Buffer(make([]byte, buf), lim.MaxLineBytes)
 	// scanErr converts the scanner's end state into a typed error: the
@@ -149,10 +165,16 @@ func ReadMatrixMarketLimits(ctx context.Context, r io.Reader, lim Limits) (*COO,
 		return nil, fmt.Errorf("%w: %d declared nonzeros for a %dx%d matrix", ErrMalformed, nnz, rows, cols)
 	}
 
-	entries := make([]Entry, 0, minInt(nnz, 1<<20))
+	hint := minInt(nnz, 1<<20)
+	if avail >= 0 {
+		hint = minInt(hint, avail/minEntryBytes+1)
+	} else {
+		hint = minInt(hint, streamEntryHint)
+	}
+	entries := make([]Entry, 0, hint)
 	var seen map[[2]int32]struct{}
 	if lim.Duplicates == DupReject {
-		seen = make(map[[2]int32]struct{}, minInt(nnz, 1<<20))
+		seen = make(map[[2]int32]struct{}, hint)
 	}
 	read := 0
 	sinceCheck := 0

@@ -70,16 +70,17 @@ for drill in corpusdrill clusterdrill overloaddrill shepherddrill; do
 done
 
 # Fuzz smoke: a short native-fuzzing budget per hardened ingestion
-# surface, plus the statistics sweep against its map-based reference. A
-# clean run means no panic, no typed-error-taxonomy violation and no
-# Stats field that differs found within the budget; regressions crash
-# the script.
+# surface, plus the statistics sweep against its map-based reference and
+# the labeler's noise source against math/rand. A clean run means no
+# panic, no typed-error-taxonomy violation, no Stats field and no draw
+# that differs found within the budget; regressions crash the script.
 go test -run='^$' -fuzz='^FuzzReadMatrixMarket$' -fuzztime=10s ./internal/sparse
 go test -run='^$' -fuzz='^FuzzComputeStats$' -fuzztime=10s ./internal/sparse
 go test -run='^$' -fuzz='^FuzzPredictJSON$' -fuzztime=10s ./internal/serve
 go test -run='^$' -fuzz='^FuzzDecodeJSONDifferential$' -fuzztime=10s ./internal/serve
 go test -run='^$' -fuzz='^FuzzLoadDataset$' -fuzztime=10s ./internal/dataset
 go test -run='^$' -fuzz='^FuzzSalvageShard$' -fuzztime=10s ./internal/dataset
+go test -run='^$' -fuzz='^FuzzSeededSource$' -fuzztime=10s ./internal/machine
 
 # The experiment reproductions take ~2 minutes without the race
 # detector and several times that with it; the default 10m per-package
