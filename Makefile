@@ -42,8 +42,10 @@ shepherddrill:
 # body scanner against its encoding/json reference, opening and
 # salvaging a corpus store) and the differential ones (the statistics
 # sweep against its map-based reference, the labeler's noise source
-# against math/rand). Budget per target is FUZZTIME
-# (default 30s); CI runs a shorter smoke via scripts/check.sh.
+# against math/rand, the dense layer's four-row forward and params-only
+# backward against their row-at-a-time references). Budget per target
+# is FUZZTIME (default 30s); CI runs a shorter smoke via
+# scripts/check.sh.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzReadMatrixMarket$$' -fuzztime=$(FUZZTIME) ./internal/sparse
@@ -53,6 +55,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadDataset$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzSalvageShard$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzSeededSource$$' -fuzztime=$(FUZZTIME) ./internal/machine
+	$(GO) test -run='^$$' -fuzz='^FuzzDenseRows$$' -fuzztime=$(FUZZTIME) ./internal/nn
 
 # bench runs every benchmark in the module (the per-paper-table harness
 # at the root plus the per-package hot-path benchmarks) and converts

@@ -13,7 +13,11 @@ import (
 type Dense struct {
 	In, Out int
 	W, B    *Param
-	lastIn  *tensor.Tensor
+	// Train-mode state: the input the last Forward(train) read, and the
+	// buffers the output and the input gradient are written into, kept
+	// from sample to sample.
+	lastIn      []float64
+	out, gradIn *tensor.Tensor
 }
 
 // NewDense builds a fully connected layer with He-initialised weights.
@@ -35,44 +39,61 @@ func (l *Dense) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	if in.Size() != l.In {
 		panic(fmt.Sprintf("nn: %s got %d inputs", l.Name(), in.Size()))
 	}
-	x := in.Reshape(l.In)
-	out := tensor.New(l.Out)
-	od := out.Data()
-	wd := l.W.Value.Data()
-	xd := x.Data()
-	for o := 0; o < l.Out; o++ {
-		s := l.B.Value.Data()[o]
-		row := wd[o*l.In : (o+1)*l.In]
-		for i, v := range row {
-			s += v * xd[i]
+	x := in.Data()
+	if !train {
+		out := tensor.New(l.Out)
+		denseRows(out.Data(), l.W.Value.Data(), l.B.Value.Data(), x)
+		return out
+	}
+	if l.out == nil {
+		l.out = tensor.New(l.Out)
+	}
+	denseRows(l.out.Data(), l.W.Value.Data(), l.B.Value.Data(), x)
+	l.lastIn = x
+	return l.out
+}
+
+// denseRows computes dst[o] = b[o] + Σᵢ w[o·n+i]·x[i], n = len(x), four
+// rows per pass over x. Each row keeps one sum in the order a
+// row-at-a-time loop adds it — bias first, then the inputs by index —
+// so every output is that loop's to the bit; the four sums are
+// independent, so their multiply-adds overlap instead of each waiting
+// on the one before it.
+func denseRows(dst, w, b, x []float64) {
+	n := len(x)
+	o := 0
+	for ; o+4 <= len(dst); o += 4 {
+		w0, w1, w2, w3 := w[o*n:(o+1)*n], w[(o+1)*n:(o+2)*n], w[(o+2)*n:(o+3)*n], w[(o+3)*n:(o+4)*n]
+		w0, w1, w2, w3 = w0[:len(x)], w1[:len(x)], w2[:len(x)], w3[:len(x)]
+		s0, s1, s2, s3 := b[o], b[o+1], b[o+2], b[o+3]
+		for i, xi := range x {
+			s0 += w0[i] * xi
+			s1 += w1[i] * xi
+			s2 += w2[i] * xi
+			s3 += w3[i] * xi
 		}
-		od[o] = s
+		dst[o], dst[o+1], dst[o+2], dst[o+3] = s0, s1, s2, s3
 	}
-	if train {
-		l.lastIn = x
+	for ; o < len(dst); o++ {
+		row := w[o*n : (o+1)*n]
+		row = row[:len(x)]
+		s := b[o]
+		for i, xi := range x {
+			s += row[i] * xi
+		}
+		dst[o] = s
 	}
-	return out
 }
 
 // Backward accumulates dW = g⊗x, dB = g and returns Wᵀ·g.
 func (l *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
-	if l.lastIn == nil {
-		panic("nn: Dense.Backward without Forward(train)")
-	}
+	l.backwardParams(gradOut)
 	g := gradOut.Data()
-	x := l.lastIn.Data()
-	wg := l.W.Grad.Data()
-	bg := l.B.Grad.Data()
-	for o := 0; o < l.Out; o++ {
-		go_ := g[o]
-		bg[o] += go_
-		row := wg[o*l.In : (o+1)*l.In]
-		for i := range row {
-			row[i] += go_ * x[i]
-		}
+	if l.gradIn == nil {
+		l.gradIn = tensor.New(l.In)
 	}
-	gi := tensor.New(l.In)
-	gid := gi.Data()
+	gid := l.gradIn.Data()
+	clear(gid)
 	wd := l.W.Value.Data()
 	for o := 0; o < l.Out; o++ {
 		go_ := g[o]
@@ -80,11 +101,53 @@ func (l *Dense) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 			continue
 		}
 		row := wd[o*l.In : (o+1)*l.In]
+		row = row[:len(gid)]
 		for i, v := range row {
 			gid[i] += go_ * v
 		}
 	}
-	return gi
+	return l.gradIn
+}
+
+// backwardParams is Backward without the input gradient: it
+// accumulates dW = g⊗x and dB = g, for a layer nothing beneath reads
+// (Model.Backward after a codes sample). A row whose gradient is
+// exactly 0 would add ±0 to each of its dW elements, which changes no
+// bit — a gradient zeroed to +0 and only added to never becomes −0 — so
+// it is skipped; unless x holds a NaN or Inf, where 0·x is NaN and must
+// reach dW, and through it the divergence gate.
+func (l *Dense) backwardParams(gradOut *tensor.Tensor) {
+	if l.lastIn == nil {
+		panic("nn: Dense.Backward without Forward(train)")
+	}
+	g := gradOut.Data()
+	x := l.lastIn
+	wg := l.W.Grad.Data()
+	bg := l.B.Grad.Data()
+	skipZero := allFinite(x)
+	for o := 0; o < l.Out; o++ {
+		go_ := g[o]
+		bg[o] += go_
+		if go_ == 0 && skipZero {
+			continue
+		}
+		row := wg[o*l.In : (o+1)*l.In]
+		row = row[:len(x)]
+		for i, xi := range x {
+			row[i] += go_ * xi
+		}
+	}
+}
+
+// allFinite reports whether x holds no NaN and no ±Inf (v−v is 0 for a
+// finite v and NaN otherwise).
+func allFinite(x []float64) bool {
+	for _, v := range x {
+		if v-v != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // Params returns the weight and bias.
@@ -95,14 +158,16 @@ func (l *Dense) Replica() Layer {
 	c := *l
 	c.W = l.W.replica()
 	c.B = l.B.replica()
-	c.lastIn = nil
+	c.lastIn, c.out, c.gradIn = nil, nil, nil
 	return &c
 }
 
 // ReLU is the rectified linear activation.
 type ReLU struct {
-	lastMask  []bool
-	lastShape []int
+	// Train-mode state: which inputs were positive, and the output and
+	// input-gradient buffers.
+	lastMask    []bool
+	out, gradIn *tensor.Tensor
 }
 
 // NewReLU builds a ReLU layer.
@@ -116,26 +181,32 @@ func (l *ReLU) OutShape(in []int) []int { return in }
 
 // Forward clamps negatives to zero.
 func (l *ReLU) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
-	out := in.Clone()
-	d := out.Data()
-	var mask []bool
-	if train {
-		mask = make([]bool, len(d))
-	}
-	for i, v := range d {
-		if v > 0 {
-			if train {
-				mask[i] = true
+	if !train {
+		out := in.Clone()
+		d := out.Data()
+		for i, v := range d {
+			if !(v > 0) {
+				d[i] = 0
 			}
+		}
+		return out
+	}
+	l.out = buffer(l.out, in.Shape())
+	if cap(l.lastMask) < in.Size() {
+		l.lastMask = make([]bool, in.Size())
+	}
+	mask := l.lastMask[:in.Size()]
+	d := l.out.Data()
+	for i, v := range in.Data() {
+		mask[i] = v > 0
+		if mask[i] {
+			d[i] = v
 		} else {
 			d[i] = 0
 		}
 	}
-	if train {
-		l.lastMask = mask
-		l.lastShape = in.Shape()
-	}
-	return out
+	l.lastMask = mask
+	return l.out
 }
 
 // Backward gates gradients by the activation mask.
@@ -143,14 +214,16 @@ func (l *ReLU) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if l.lastMask == nil {
 		panic("nn: ReLU.Backward without Forward(train)")
 	}
-	grad := gradOut.Clone()
-	d := grad.Data()
-	for i := range d {
-		if !l.lastMask[i] {
+	l.gradIn = buffer(l.gradIn, l.out.Shape())
+	d := l.gradIn.Data()
+	for i, g := range gradOut.Data() {
+		if l.lastMask[i] {
+			d[i] = g
+		} else {
 			d[i] = 0
 		}
 	}
-	return grad.Reshape(l.lastShape...)
+	return l.gradIn
 }
 
 // Params returns nil (stateless).
@@ -204,11 +277,14 @@ func (l *Flatten) Replica() Layer { return NewFlatten() }
 // Dropout randomly zeroes a fraction of activations during training and
 // scales the survivors (inverted dropout); inference is the identity.
 type Dropout struct {
-	Rate      float64
-	seed      int64
-	rng       *rand.Rand
-	replicas  *atomic.Int64 // numbers the replica streams of this layer's lineage
-	lastScale []float64
+	Rate     float64
+	seed     int64
+	rng      *rand.Rand
+	replicas *atomic.Int64 // numbers the replica streams of this layer's lineage
+	// Train-mode state: the last mask's per-element scale (nil when the
+	// rate is 0), and the output and input-gradient buffers.
+	lastScale   []float64
+	out, gradIn *tensor.Tensor
 }
 
 // NewDropout builds a dropout layer with its own deterministic RNG.
@@ -239,20 +315,24 @@ func (l *Dropout) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 		l.lastScale = nil
 		return in
 	}
-	out := in.Clone()
-	d := out.Data()
-	scale := make([]float64, len(d))
+	l.out = buffer(l.out, in.Shape())
+	if cap(l.lastScale) < in.Size() {
+		l.lastScale = make([]float64, in.Size())
+	}
+	scale := l.lastScale[:in.Size()]
+	d := l.out.Data()
 	keep := 1 - l.Rate
-	for i := range d {
+	for i, v := range in.Data() {
 		if l.rng.Float64() < keep {
 			scale[i] = 1 / keep
-			d[i] *= scale[i]
+			d[i] = v * scale[i]
 		} else {
+			scale[i] = 0
 			d[i] = 0
 		}
 	}
 	l.lastScale = scale
-	return out
+	return l.out
 }
 
 // Backward applies the same mask to gradients.
@@ -260,12 +340,12 @@ func (l *Dropout) Backward(gradOut *tensor.Tensor) *tensor.Tensor {
 	if l.lastScale == nil {
 		return gradOut
 	}
-	grad := gradOut.Clone()
-	d := grad.Data()
-	for i := range d {
-		d[i] *= l.lastScale[i]
+	l.gradIn = buffer(l.gradIn, l.out.Shape())
+	d := l.gradIn.Data()
+	for i, g := range gradOut.Data() {
+		d[i] = g * l.lastScale[i]
 	}
-	return grad
+	return l.gradIn
 }
 
 // Params returns nil (stateless).

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -46,10 +47,14 @@ type Layer interface {
 	// OutShape computes the output shape for a given input shape.
 	OutShape(in []int) []int
 	// Forward computes the layer output, caching activations when
-	// train is set so a subsequent Backward can run.
+	// train is set so a subsequent Backward can run. In train mode the
+	// output may be a buffer the layer keeps, valid until its next
+	// Forward; inference (train=false) writes no layer state.
 	Forward(in *tensor.Tensor, train bool) *tensor.Tensor
 	// Backward consumes dL/dOutput, accumulates parameter gradients,
-	// and returns dL/dInput. It must follow a Forward with train=true.
+	// and returns dL/dInput, which may be a buffer the layer keeps,
+	// valid until its next Backward. It must follow a Forward with
+	// train=true.
 	Backward(gradOut *tensor.Tensor) *tensor.Tensor
 	// Params returns the layer's learnable parameters (nil for
 	// stateless layers).
@@ -69,6 +74,16 @@ func heInit(t *tensor.Tensor, fanIn int, rng *rand.Rand) {
 	for i := range d {
 		d[i] = rng.NormFloat64() * std
 	}
+}
+
+// buffer returns t if it has the given shape and a new tensor of that
+// shape otherwise: a train-mode buffer is sized by its first use and
+// reused while the shape holds.
+func buffer(t *tensor.Tensor, shape []int) *tensor.Tensor {
+	if t != nil && slices.Equal(t.Shape(), shape) {
+		return t
+	}
+	return tensor.New(shape...)
 }
 
 func shapeString(s []int) string {

@@ -8,39 +8,47 @@ import (
 
 // Softmax returns the softmax of the logits, computed stably.
 func Softmax(logits []float64) []float64 {
+	out := make([]float64, len(logits))
+	softmax(out, logits)
+	return out
+}
+
+// softmax writes the softmax of the logits into dst.
+func softmax(dst, logits []float64) {
 	max := math.Inf(-1)
 	for _, v := range logits {
 		if v > max {
 			max = v
 		}
 	}
-	out := make([]float64, len(logits))
 	sum := 0.0
 	for i, v := range logits {
-		out[i] = math.Exp(v - max)
-		sum += out[i]
+		dst[i] = math.Exp(v - max)
+		sum += dst[i]
 	}
-	for i := range out {
-		out[i] /= sum
+	for i := range dst {
+		dst[i] /= sum
 	}
-	return out
 }
 
 // CrossEntropyLoss computes the softmax cross-entropy loss for one
 // sample (the paper's Figure 11 loss function) and the gradient of the
 // loss with respect to the logits (probs − onehot).
 func CrossEntropyLoss(logits *tensor.Tensor, label int) (loss float64, grad *tensor.Tensor) {
-	probs := Softmax(logits.Data())
-	p := probs[label]
+	grad = tensor.New(logits.Size())
+	return crossEntropyInto(grad.Data(), logits.Data(), label), grad
+}
+
+// crossEntropyInto is CrossEntropyLoss writing the gradient into the
+// caller's grad, which has one element per logit.
+func crossEntropyInto(grad, logits []float64, label int) float64 {
+	softmax(grad, logits)
+	p := grad[label]
 	if p < 1e-15 {
 		p = 1e-15
 	}
-	loss = -math.Log(p)
-	g := tensor.New(len(probs))
-	gd := g.Data()
-	copy(gd, probs)
-	gd[label] -= 1
-	return loss, g
+	grad[label] -= 1
+	return -math.Log(p)
 }
 
 // Accuracy returns the fraction of (prediction, label) pairs that match.

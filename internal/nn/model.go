@@ -147,14 +147,19 @@ func (m *Model) forward(s Sample, train bool) *tensor.Tensor {
 // Backward propagates dL/dLogits through the head, splits the merged
 // gradient, and propagates each slice through the tower it came from —
 // every tower after an inputs sample, none after a codes sample, where
-// back-propagation stops at the head. It returns nothing: gradients
-// land in the Params.
+// back-propagation stops at the head: no tower reads dL/dCodes, so a
+// Dense first layer accumulates its parameter gradients and computes
+// no input gradient. It returns nothing: gradients land in the Params.
 func (m *Model) Backward(gradLogits *tensor.Tensor) {
 	if m.lastSizes == nil {
 		panic("nn: Model.Backward without Forward(train)")
 	}
 	g := gradLogits
 	for i := len(m.Head) - 1; i >= 0; i-- {
+		if d, ok := m.Head[i].(*Dense); ok && i == 0 && len(m.lastSizes) == 0 {
+			d.backwardParams(g)
+			return
+		}
 		g = m.Head[i].Backward(g)
 	}
 	off := 0

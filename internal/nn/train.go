@@ -133,11 +133,14 @@ func (t *Trainer) trainBatch(batch []Sample) (float64, error) {
 		}
 		rep := t.replicas[wi]
 		rep.ZeroGrads()
+		var grad *tensor.Tensor // dL/dLogits, rewritten by every sample
 		sum := 0.0
 		for _, s := range batch[lo:hi] {
 			logits := rep.forward(s, true)
-			loss, grad := CrossEntropyLoss(logits, s.Label)
-			sum += loss
+			if grad == nil {
+				grad = tensor.New(logits.Size())
+			}
+			sum += crossEntropyInto(grad.Data(), logits.Data(), s.Label)
 			if logits.ArgMax() == s.Label {
 				hits[wi]++
 			}

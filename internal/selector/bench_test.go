@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/machine"
+	"repro/internal/nn"
 	"repro/internal/represent"
 	"repro/internal/sparse"
 	"repro/internal/synthgen"
@@ -63,4 +64,51 @@ func BenchmarkTrainStreamTopEvolvement(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.N*cfg.Epochs*len(d.Records))/b.Elapsed().Seconds(), "samples/s")
+}
+
+// BenchmarkTrainStreamMemoised is the part of a top-evolvement retrain
+// that repeats: one op is one head-only epoch over 400 memoised codes
+// samples at the default Binary geometry (256→48→7, dropout on, Adam,
+// batch 32), on one worker. The code memo is filled before the timer
+// starts, so no shard is read and no tower runs. A codes sample
+// allocates nothing (TestCodesSampleAllocatesNothing in internal/nn);
+// allocs/op counts the per-chunk and per-batch bookkeeping. Guarded by
+// scripts/benchgate.
+func BenchmarkTrainStreamMemoised(b *testing.B) {
+	lab := machine.NewLabeler(machine.XeonLike(), 1)
+	d := dataset.Generate(dataset.Config{Count: 400, Seed: 42, MaxN: 512}, lab)
+	cfg := DefaultConfig(represent.KindBinary, sparse.CPUFormats())
+	cfg.Workers = 1
+	src, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cand, err := Transfer(src, TopEvolvement)
+	if err != nil {
+		b.Fatal(err)
+	}
+	codes := newStoreSource(cand, DatasetShards(d, 64))
+	st, err := codes.Stream(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for {
+		chunk, err := st.Next()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if chunk == nil {
+			break
+		}
+	}
+	tr := nn.NewTrainer(cand.Model, nn.NewAdam(cfg.LearningRate), cfg.BatchSize, cfg.Seed)
+	tr.Workers = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := tr.TrainEpochStreamCtx(context.Background(), codes); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N*len(d.Records))/b.Elapsed().Seconds(), "samples/s")
 }

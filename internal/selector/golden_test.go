@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -163,10 +162,13 @@ func paramDigest(params []*nn.Param) string {
 // -update-golden): Transfer(TopEvolvement) of a perturbed model,
 // TrainStreamCtx over a fixed corpus in five chunks (the last one
 // partial), learning-rate decay and weight decay on. One digest per
-// worker count, because the batch gradient is summed per worker.
-// Dropout is off: replica dropout streams are numbered process-wide, so
-// with it on the weights depend on which tests ran before. amd64 only,
-// as TestPredictGoldenBits.
+// worker count, because the batch gradient is summed per worker, with
+// dropout off; and one, workers=1,dropout, with dropout on, which pins
+// Dropout's train path (recorded before the head layers wrote into
+// buffers they keep). Replica dropout streams are numbered per layer
+// lineage and Transfer clones the source, so the masks depend on this
+// retrain alone, not on which tests ran before. amd64 only, as
+// TestPredictGoldenBits.
 func TestTopEvolvementGoldenBits(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden weights were recorded on amd64")
@@ -174,27 +176,40 @@ func TestTopEvolvementGoldenBits(t *testing.T) {
 	d := cpuDataset(t, 72)
 	cfg := fastConfig(represent.KindHistogram)
 	cfg.Epochs = topEvolveGoldenEpochs
-	cfg.DropoutRate = 0
-	src := goldenSelector(t, cfg)
-	towers := weightBits(src.Model.TowerParams())
+	dropout := cfg.DropoutRate
+	if dropout <= 0 {
+		t.Fatal("the default config has dropout off; the dropout digest needs it on")
+	}
+	runs := []struct {
+		name    string
+		workers int
+		dropout float64
+	}{
+		{"workers=1", 1, 0},
+		{"workers=2", 2, 0},
+		{"workers=1,dropout", 1, dropout},
+	}
 	got := map[string]string{}
-	for _, workers := range []int{1, 2} {
+	for _, r := range runs {
+		cfg.DropoutRate = r.dropout
+		src := goldenSelector(t, cfg)
+		towers := weightBits(src.Model.TowerParams())
 		cand, err := Transfer(src, TopEvolvement)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cand.Cfg.Workers = workers
+		cand.Cfg.Workers = r.workers
 		losses, err := cand.TrainStreamCtx(context.Background(), DatasetShards(d, 16), nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(losses) != topEvolveGoldenEpochs {
-			t.Fatalf("workers=%d: trained %d epochs, want %d", workers, len(losses), topEvolveGoldenEpochs)
+			t.Fatalf("%s: trained %d epochs, want %d", r.name, len(losses), topEvolveGoldenEpochs)
 		}
 		if !bitsEqual(weightBits(cand.Model.TowerParams()), towers) {
-			t.Fatalf("workers=%d: training moved the frozen towers", workers)
+			t.Fatalf("%s: training moved the frozen towers", r.name)
 		}
-		got[fmt.Sprintf("workers=%d", workers)] = paramDigest(cand.Model.Params())
+		got[r.name] = paramDigest(cand.Model.Params())
 	}
 	want := goldenDigests(t, topEvolveGoldenPath, got)
 	for name, g := range got {

@@ -70,10 +70,12 @@ for drill in corpusdrill clusterdrill overloaddrill shepherddrill; do
 done
 
 # Fuzz smoke: a short native-fuzzing budget per hardened ingestion
-# surface, plus the statistics sweep against its map-based reference and
-# the labeler's noise source against math/rand. A clean run means no
-# panic, no typed-error-taxonomy violation, no Stats field and no draw
-# that differs found within the budget; regressions crash the script.
+# surface, plus the statistics sweep against its map-based reference,
+# the labeler's noise source against math/rand and the dense layer's
+# four-row forward and params-only backward against their row-at-a-time
+# references. A clean run means no panic, no typed-error-taxonomy
+# violation, no Stats field, draw or weight bit that differs found
+# within the budget; regressions crash the script.
 go test -run='^$' -fuzz='^FuzzReadMatrixMarket$' -fuzztime=10s ./internal/sparse
 go test -run='^$' -fuzz='^FuzzComputeStats$' -fuzztime=10s ./internal/sparse
 go test -run='^$' -fuzz='^FuzzPredictJSON$' -fuzztime=10s ./internal/serve
@@ -81,6 +83,7 @@ go test -run='^$' -fuzz='^FuzzDecodeJSONDifferential$' -fuzztime=10s ./internal/
 go test -run='^$' -fuzz='^FuzzLoadDataset$' -fuzztime=10s ./internal/dataset
 go test -run='^$' -fuzz='^FuzzSalvageShard$' -fuzztime=10s ./internal/dataset
 go test -run='^$' -fuzz='^FuzzSeededSource$' -fuzztime=10s ./internal/machine
+go test -run='^$' -fuzz='^FuzzDenseRows$' -fuzztime=10s ./internal/nn
 
 # The experiment reproductions take ~2 minutes without the race
 # detector and several times that with it; the default 10m per-package
