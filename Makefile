@@ -43,7 +43,9 @@ shepherddrill:
 # salvaging a corpus store) and the differential ones (the statistics
 # sweep against its map-based reference, the labeler's noise source
 # against math/rand, the dense layer's four-row forward and params-only
-# backward against their row-at-a-time references). Budget per target
+# backward against their row-at-a-time references, the convolution
+# layer's forward and backward against the im2col path's summation
+# orders). Budget per target
 # is FUZZTIME (default 30s); CI runs a shorter smoke via
 # scripts/check.sh.
 FUZZTIME ?= 30s
@@ -56,6 +58,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzSalvageShard$$' -fuzztime=$(FUZZTIME) ./internal/dataset
 	$(GO) test -run='^$$' -fuzz='^FuzzSeededSource$$' -fuzztime=$(FUZZTIME) ./internal/machine
 	$(GO) test -run='^$$' -fuzz='^FuzzDenseRows$$' -fuzztime=$(FUZZTIME) ./internal/nn
+	$(GO) test -run='^$$' -fuzz='^FuzzConv2D$$' -fuzztime=$(FUZZTIME) ./internal/nn
 
 # bench runs every benchmark in the module (the per-paper-table harness
 # at the root plus the per-package hot-path benchmarks) and converts
@@ -68,8 +71,8 @@ fuzz:
 # 25% gate threshold hold on noisy shared runners. -benchmem is
 # mandatory on the guarded run: the alloc columns are part of the gate.
 BENCHTIME ?= 200ms
-GUARDED_PKGS = ./internal/spmv ./internal/tensor ./internal/represent ./internal/serve ./internal/dataset ./internal/nn ./internal/sparse ./internal/selector ./internal/machine ./internal/dtree
-GUARDED_BENCH = 'KernelMul|MatMul|Normalize|Predict|Decode|Fingerprint|ShardIter|Infer32|TrainStream|ComputeStats|Convert|Label'
+GUARDED_PKGS = ./internal/spmv ./internal/represent ./internal/serve ./internal/dataset ./internal/nn ./internal/sparse ./internal/selector ./internal/machine ./internal/dtree
+GUARDED_BENCH = 'KernelMul|Normalize|Predict|Decode|Fingerprint|ShardIter|Infer32|TrainStream|ComputeStats|Convert|Label'
 bench:
 	$(GO) test -bench=. -benchtime=$(BENCHTIME) -benchmem -run=^$$ ./... > BENCH.txt || { cat BENCH.txt; exit 1; }
 	$(GO) test -bench=$(GUARDED_BENCH) -benchtime=$(BENCHTIME) -benchmem -count=3 -run=^$$ $(GUARDED_PKGS) >> BENCH.txt || { cat BENCH.txt; exit 1; }

@@ -23,7 +23,6 @@ import (
 	"repro/internal/sparse"
 	"repro/internal/spmv"
 	"repro/internal/synthgen"
-	"repro/internal/tensor"
 )
 
 // benchOptions is an extra-small experiment scale so each benchmark
@@ -198,54 +197,6 @@ func BenchmarkComputeStats(b *testing.B) {
 
 // --- ablations (DESIGN.md §5) ---
 
-// BenchmarkAblationConvImpl compares the im2col+matmul convolution the
-// nn package uses against a direct nested-loop convolution.
-func BenchmarkAblationConvImpl(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	g := tensor.ConvGeom{InC: 8, InH: 32, InW: 32, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
-	in := tensor.New(g.InC, g.InH, g.InW)
-	for i := range in.Data() {
-		in.Data()[i] = rng.NormFloat64()
-	}
-	filters := tensor.New(16, g.InC*g.KH*g.KW)
-	for i := range filters.Data() {
-		filters.Data()[i] = rng.NormFloat64()
-	}
-	b.Run("im2col", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cols := tensor.Im2Col(in, g)
-			tensor.MatMul(filters, cols)
-		}
-	})
-	b.Run("direct", func(b *testing.B) {
-		oh, ow := g.OutH(), g.OutW()
-		for i := 0; i < b.N; i++ {
-			out := tensor.New(16, oh, ow)
-			for f := 0; f < 16; f++ {
-				for oy := 0; oy < oh; oy++ {
-					for ox := 0; ox < ow; ox++ {
-						s := 0.0
-						w := 0
-						for cch := 0; cch < g.InC; cch++ {
-							for kh := 0; kh < g.KH; kh++ {
-								for kw := 0; kw < g.KW; kw++ {
-									iy := oy + kh - g.PadH
-									ix := ox + kw - g.PadW
-									if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
-										s += filters.At(f, w) * in.At(cch, iy, ix)
-									}
-									w++
-								}
-							}
-						}
-						out.Set(s, f, oy, ox)
-					}
-				}
-			}
-		}
-	})
-}
-
 // BenchmarkAblationTrainWorkers sweeps the data-parallel worker count
 // for one training epoch.
 func BenchmarkAblationTrainWorkers(b *testing.B) {
@@ -321,20 +272,6 @@ func itoa(n int) string {
 }
 
 // --- NN primitives ---
-
-func BenchmarkMatMul(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	a := tensor.New(256, 256)
-	c := tensor.New(256, 256)
-	for i := range a.Data() {
-		a.Data()[i] = rng.NormFloat64()
-		c.Data()[i] = rng.NormFloat64()
-	}
-	b.SetBytes(3 * 256 * 256 * 8)
-	for i := 0; i < b.N; i++ {
-		tensor.MatMul(a, c)
-	}
-}
 
 func BenchmarkCNNInference(b *testing.B) {
 	cfg := selector.DefaultConfig(represent.KindHistogram, sparse.CPUFormats())

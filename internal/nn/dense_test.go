@@ -261,52 +261,64 @@ func TestCodesSampleAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestInferenceSharedAfterTraining: the train-mode buffers are a
-// replica's own; inference writes none of them. EvaluateModel with 4
-// workers and Predict from 4 goroutines, on a replica that has trained
-// (so its buffers exist), agree with the same calls made serially. Run
-// under -race, a buffer written by inference is a reported race.
+// TestInferenceSharedAfterTraining: the train-mode buffers and state
+// are a replica's own; inference writes none of them. EvaluateModel
+// with 4 workers and Predict from 4 goroutines, on a replica that has
+// trained (so its buffers exist), agree with the same calls made
+// serially — for the head's layers behind a dense tower, and for conv
+// towers whose replicas trained too (toyModel: Conv2D, ReLU, MaxPool2D).
+// Run under -race, a buffer written by inference is a reported race.
 func TestInferenceSharedAfterTraining(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	m := headModel(rng)
-	samples := ckptProblem(rng, 24)
-	tr := NewTrainer(m, NewAdam(0.01), 8, 1)
-	tr.Workers = 2
-	if _, err := tr.TrainEpoch(samples); err != nil {
-		t.Fatal(err)
+	models := []struct {
+		name    string
+		build   func(*rand.Rand) *Model
+		samples func(*rand.Rand, int) []Sample
+	}{
+		{"dense tower", headModel, ckptProblem},
+		{"conv towers", toyModel, makeToyProblem},
 	}
-	trained := tr.replicas[0]
-	answer := func(s Sample) string {
-		c, probs := trained.Predict(s.Inputs)
-		return fmt.Sprint(c, probs)
-	}
-	want := make([]string, len(samples))
-	for i, s := range samples {
-		want[i] = answer(s)
-	}
-	wantAcc, wantLoss, err := EvaluateModel(trained, samples, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for _, mc := range models {
+		rng := rand.New(rand.NewSource(34))
+		m := mc.build(rng)
+		samples := mc.samples(rng, 24)
+		tr := NewTrainer(m, NewAdam(0.01), 8, 1)
+		tr.Workers = 2
+		if _, err := tr.TrainEpoch(samples); err != nil {
+			t.Fatal(err)
+		}
+		trained := tr.replicas[0]
+		answer := func(s Sample) string {
+			c, probs := trained.Predict(s.Inputs)
+			return fmt.Sprint(c, probs)
+		}
+		want := make([]string, len(samples))
+		for i, s := range samples {
+			want[i] = answer(s)
+		}
+		wantAcc, wantLoss, err := EvaluateModel(trained, samples, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, s := range samples {
+					if got := answer(s); got != want[i] {
+						t.Errorf("%s, sample %d: concurrent Predict %s, serial %s", mc.name, i, got, want[i])
+					}
+				}
+			}()
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i, s := range samples {
-				if got := answer(s); got != want[i] {
-					t.Errorf("sample %d: concurrent Predict %s, serial %s", i, got, want[i])
-				}
+			acc, loss, err := EvaluateModel(trained, samples, 4)
+			if err != nil || acc != wantAcc || loss != wantLoss {
+				t.Errorf("%s: concurrent EvaluateModel: %v/%v (%v), serial %v/%v", mc.name, acc, loss, err, wantAcc, wantLoss)
 			}
 		}()
+		wg.Wait()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		acc, loss, err := EvaluateModel(trained, samples, 4)
-		if err != nil || acc != wantAcc || loss != wantLoss {
-			t.Errorf("concurrent EvaluateModel: %v/%v (%v), serial %v/%v", acc, loss, err, wantAcc, wantLoss)
-		}
-	}()
-	wg.Wait()
 }

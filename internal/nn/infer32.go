@@ -17,7 +17,8 @@ import (
 // two ping-pong activation buffers and the merged tower features — so
 // a prediction performs zero heap allocations and no layer-type
 // dispatch beyond a switch on a precompiled op code. Convolutions are
-// direct (tensor.ConvF32): no lowered matrix is ever built.
+// direct (tensor.Conv, the kernel training runs at float64): no lowered
+// matrix is ever built.
 //
 // The engine snapshots weights at build time: after further training
 // the owner must rebuild (the selector drops its engine whenever a
@@ -256,10 +257,10 @@ func (e *Infer32) runOps(ops []op32, cur []float32, s *arena32) []float32 {
 		switch op.kind {
 		case opConv:
 			if g := op.geom; g.PadH+g.PadW > 0 {
-				tensor.PadF32(s.pad, cur, g.InC, g.InH, g.InW, g.PadH, g.PadW)
+				tensor.Pad(s.pad, cur, g.InC, g.InH, g.InW, g.PadH, g.PadW)
 				cur = s.pad
 			}
-			tensor.ConvF32(dst, cur, op.w, op.b, op.geom, op.outC, op.fuseRelu)
+			tensor.Conv(dst, cur, op.w, op.b, op.geom, op.outC, op.fuseRelu)
 		case opPool:
 			tensor.MaxPoolF32(dst, cur, op.inC, op.inH, op.inW, op.kh, op.kw, op.stride, op.outH, op.outW)
 		case opDense:

@@ -66,6 +66,31 @@ func BenchmarkTrainStreamTopEvolvement(b *testing.B) {
 	b.ReportMetric(float64(b.N*cfg.Epochs*len(d.Records))/b.Elapsed().Seconds(), "samples/s")
 }
 
+// BenchmarkTrainStreamFromScratch is one epoch in which every layer
+// learns: a new model at the default Binary geometry trained for one
+// epoch over 256 records in four chunks, on one worker — each sample
+// represented, forward through the towers' Conv2D, MaxPool and ReLU
+// and the head, and back-propagated through all of them. Guarded by
+// scripts/benchgate.
+func BenchmarkTrainStreamFromScratch(b *testing.B) {
+	lab := machine.NewLabeler(machine.XeonLike(), 1)
+	d := dataset.Generate(dataset.Config{Count: 256, Seed: 42, MaxN: 512}, lab)
+	cfg := DefaultConfig(represent.KindBinary, sparse.CPUFormats())
+	cfg.Epochs, cfg.Workers = 1, 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.TrainStreamCtx(context.Background(), DatasetShards(d, 64), nil, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.N*len(d.Records))/b.Elapsed().Seconds(), "samples/s")
+}
+
 // BenchmarkTrainStreamMemoised is the part of a top-evolvement retrain
 // that repeats: one op is one head-only epoch over 400 memoised codes
 // samples at the default Binary geometry (256→48→7, dropout on, Adam,

@@ -22,9 +22,11 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite the testdata/*_golden.json digests from this build")
 
 const (
-	goldenPath            = "testdata/predict_golden.json"
-	topEvolveGoldenPath   = "testdata/top_evolvement_golden.json"
-	topEvolveGoldenEpochs = 3
+	goldenPath              = "testdata/predict_golden.json"
+	topEvolveGoldenPath     = "testdata/top_evolvement_golden.json"
+	topEvolveGoldenEpochs   = 3
+	fromScratchGoldenPath   = "testdata/from_scratch_golden.json"
+	fromScratchGoldenEpochs = 2
 )
 
 // goldenMatrices is the fixed input set of the bit-identity gate: 200
@@ -245,5 +247,54 @@ func TestTopEvolvementRetrainIsRepeatable(t *testing.T) {
 	}
 	if digests[0] != digests[1] {
 		t.Errorf("two retrains from one source: parameters hash to %s, then %s", digests[0], digests[1])
+	}
+}
+
+// TestFromScratchGoldenBits pins training with every layer learning —
+// the towers' Conv2D backward included, which top evolvement never
+// reaches — bit for bit to what the im2col + float64 GEMM convolution
+// produced (recorded on the last commit that lowered training
+// convolutions that way, with -update-golden): TrainStreamCtx on a
+// perturbed model, dropout off, per representation and worker count,
+// plus the early-merging 24×9 geometry TestPredictGoldenBits uses for
+// odd pooled widths. amd64 only, as TestPredictGoldenBits.
+func TestFromScratchGoldenBits(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden weights were recorded on amd64")
+	}
+	d := cpuDataset(t, 48)
+	early := fastConfig(represent.KindHistogram)
+	early.Structure = EarlyMerging
+	early.Represent.Size, early.Represent.Bins = 24, 9
+	runs := []struct {
+		name    string
+		cfg     Config
+		workers int
+	}{
+		{"histogram,workers=1", fastConfig(represent.KindHistogram), 1},
+		{"histogram,workers=2", fastConfig(represent.KindHistogram), 2},
+		{"binary+density,workers=1", fastConfig(represent.KindBinaryDensity), 1},
+		{"binary+density,workers=2", fastConfig(represent.KindBinaryDensity), 2},
+		{"histogram-early-24x9,workers=1", early, 1},
+	}
+	got := map[string]string{}
+	for _, r := range runs {
+		cfg := r.cfg
+		cfg.Epochs, cfg.Workers, cfg.DropoutRate = fromScratchGoldenEpochs, r.workers, 0
+		s := goldenSelector(t, cfg)
+		losses, err := s.TrainStreamCtx(context.Background(), DatasetShards(d, 16), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(losses) != fromScratchGoldenEpochs {
+			t.Fatalf("%s: trained %d epochs, want %d", r.name, len(losses), fromScratchGoldenEpochs)
+		}
+		got[r.name] = paramDigest(s.Model.Params())
+	}
+	want := goldenDigests(t, fromScratchGoldenPath, got)
+	for name, g := range got {
+		if g != want[name] {
+			t.Errorf("%s: parameters hash to %s, golden %s", name, g, want[name])
+		}
 	}
 }

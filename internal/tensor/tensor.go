@@ -1,6 +1,6 @@
 // Package tensor provides dense multi-dimensional arrays of float64 and
-// the numeric kernels (parallel matrix multiplication, im2col/col2im)
-// that the neural-network package is built on.
+// the numeric kernels — one direct convolution at float32 and float64,
+// float32 pooling and dense layers — the neural-network package uses.
 //
 // Tensors are stored in row-major (C) order. A Tensor is a shape plus a
 // flat backing slice; views are not supported — every operation that

@@ -2,9 +2,7 @@ package tensor
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewAndShape(t *testing.T) {
@@ -173,141 +171,7 @@ func TestSameShape(t *testing.T) {
 	}
 }
 
-// --- matmul ---
-
-func naiveMatMul(a, b *Tensor) *Tensor {
-	m, k, n := a.Dim(0), a.Dim(1), b.Dim(1)
-	c := New(m, n)
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for p := 0; p < k; p++ {
-				s += a.At(i, p) * b.At(p, j)
-			}
-			c.Set(s, i, j)
-		}
-	}
-	return c
-}
-
-func randTensor(rng *rand.Rand, shape ...int) *Tensor {
-	t := New(shape...)
-	for i := range t.Data() {
-		t.Data()[i] = rng.NormFloat64()
-	}
-	return t
-}
-
-func tensorsClose(a, b *Tensor, tol float64) bool {
-	if len(a.Data()) != len(b.Data()) {
-		return false
-	}
-	for i := range a.Data() {
-		if math.Abs(a.Data()[i]-b.Data()[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
-func TestMatMulAgainstNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, dims := range [][3]int{{1, 1, 1}, {2, 3, 4}, {5, 7, 3}, {64, 33, 17}, {128, 64, 96}} {
-		a := randTensor(rng, dims[0], dims[1])
-		b := randTensor(rng, dims[1], dims[2])
-		got := MatMul(a, b)
-		want := naiveMatMul(a, b)
-		if !tensorsClose(got, want, 1e-9) {
-			t.Fatalf("MatMul mismatch for dims %v", dims)
-		}
-	}
-}
-
-func TestMatMulIdentity(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randTensor(rng, 9, 9)
-	id := New(9, 9)
-	for i := 0; i < 9; i++ {
-		id.Set(1, i, i)
-	}
-	if !tensorsClose(MatMul(a, id), a, 1e-12) || !tensorsClose(MatMul(id, a), a, 1e-12) {
-		t.Fatal("identity is not neutral for MatMul")
-	}
-}
-
-func TestMatMulShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MatMul(New(2, 3), New(4, 2))
-}
-
-func TestMatMulInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randTensor(rng, 6, 5)
-	b := randTensor(rng, 5, 4)
-	c := New(6, 4)
-	c.Fill(99) // must be overwritten
-	MatMulInto(c, a, b)
-	if !tensorsClose(c, naiveMatMul(a, b), 1e-9) {
-		t.Fatal("MatMulInto mismatch")
-	}
-}
-
-func TestMatMulTransA(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randTensor(rng, 7, 5) // (k,m) -> aT is (5,7)
-	b := randTensor(rng, 7, 6)
-	got := MatMulTransA(a, b)
-	want := naiveMatMul(Transpose(a), b)
-	if !tensorsClose(got, want, 1e-9) {
-		t.Fatal("MatMulTransA mismatch")
-	}
-}
-
-func TestMatMulTransB(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	a := randTensor(rng, 40, 5)
-	b := randTensor(rng, 6, 5) // bT is (5,6)
-	got := MatMulTransB(a, b)
-	want := naiveMatMul(a, Transpose(b))
-	if !tensorsClose(got, want, 1e-9) {
-		t.Fatal("MatMulTransB mismatch")
-	}
-}
-
-func TestTransposeInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := randTensor(rng, 5, 8)
-	if !tensorsClose(Transpose(Transpose(a)), a, 0) {
-		t.Fatal("transpose twice must be identity")
-	}
-}
-
-// Property: (A+B)C == AC + BC (distributivity), via testing/quick on
-// random seeds.
-func TestMatMulDistributiveProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m, k, n := 1+rng.Intn(12), 1+rng.Intn(12), 1+rng.Intn(12)
-		a := randTensor(rng, m, k)
-		b := randTensor(rng, m, k)
-		c := randTensor(rng, k, n)
-		ab := a.Clone()
-		ab.Add(b)
-		left := MatMul(ab, c)
-		right := MatMul(a, c)
-		right.Add(MatMul(b, c))
-		return tensorsClose(left, right, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// --- im2col ---
+// --- convolution geometry ---
 
 func TestConvGeomOutDims(t *testing.T) {
 	g := ConvGeom{InC: 1, InH: 5, InW: 5, KH: 3, KW: 3, StrideH: 1, StrideW: 1}
@@ -335,95 +199,6 @@ func TestConvGeomValidate(t *testing.T) {
 	for i, g := range bad {
 		if err := g.Validate(); err == nil {
 			t.Fatalf("bad geometry %d accepted: %+v", i, g)
-		}
-	}
-}
-
-// Paper Figure 2(b): 5x5-ish example — verify im2col+matmul reproduces a
-// hand-computed direct convolution.
-func TestIm2ColMatchesDirectConv(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	g := ConvGeom{InC: 2, InH: 7, InW: 6, KH: 3, KW: 3, StrideH: 2, StrideW: 1, PadH: 1, PadW: 1}
-	in := randTensor(rng, g.InC, g.InH, g.InW)
-	filters := randTensor(rng, 4, g.InC*g.KH*g.KW) // 4 output channels
-
-	cols := Im2Col(in, g)
-	out := MatMul(filters, cols) // (4, OutH*OutW)
-
-	oh, ow := g.OutH(), g.OutW()
-	for f := 0; f < 4; f++ {
-		for oy := 0; oy < oh; oy++ {
-			for ox := 0; ox < ow; ox++ {
-				s := 0.0
-				w := 0
-				for c := 0; c < g.InC; c++ {
-					for kh := 0; kh < g.KH; kh++ {
-						for kw := 0; kw < g.KW; kw++ {
-							iy := oy*g.StrideH + kh - g.PadH
-							ix := ox*g.StrideW + kw - g.PadW
-							var v float64
-							if iy >= 0 && iy < g.InH && ix >= 0 && ix < g.InW {
-								v = in.At(c, iy, ix)
-							}
-							s += filters.At(f, w) * v
-							w++
-						}
-					}
-				}
-				if math.Abs(out.At(f, oy*ow+ox)-s) > 1e-9 {
-					t.Fatalf("conv mismatch at f=%d oy=%d ox=%d", f, oy, ox)
-				}
-			}
-		}
-	}
-}
-
-// Property: <Im2Col(x), y> == <x, Col2Im(y)> — Col2Im is the true adjoint
-// of Im2Col, which is exactly what back-propagation requires.
-func TestCol2ImAdjointProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := ConvGeom{
-			InC: 1 + rng.Intn(3), InH: 4 + rng.Intn(6), InW: 4 + rng.Intn(6),
-			KH: 1 + rng.Intn(3), KW: 1 + rng.Intn(3),
-			StrideH: 1 + rng.Intn(2), StrideW: 1 + rng.Intn(2),
-			PadH: rng.Intn(2), PadW: rng.Intn(2),
-		}
-		if g.Validate() != nil {
-			return true // skip impossible geometry
-		}
-		x := randTensor(rng, g.InC, g.InH, g.InW)
-		y := randTensor(rng, g.InC*g.KH*g.KW, g.OutH()*g.OutW())
-		lhs := Im2Col(x, g).Dot(y)
-		rhs := x.Dot(Col2Im(y, g))
-		return math.Abs(lhs-rhs) < 1e-9*(1+math.Abs(lhs))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIm2ColKnownValues(t *testing.T) {
-	// 1 channel, 3x3 input, 2x2 kernel, stride 1, no padding.
-	in := FromSlice([]float64{
-		1, 2, 3,
-		4, 5, 6,
-		7, 8, 9,
-	}, 1, 3, 3)
-	g := ConvGeom{InC: 1, InH: 3, InW: 3, KH: 2, KW: 2, StrideH: 1, StrideW: 1}
-	cols := Im2Col(in, g)
-	// Columns are output positions (2x2 of them); rows are kernel taps.
-	want := [][]float64{
-		{1, 2, 4, 5}, // tap (0,0)
-		{2, 3, 5, 6}, // tap (0,1)
-		{4, 5, 7, 8}, // tap (1,0)
-		{5, 6, 8, 9}, // tap (1,1)
-	}
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 4; c++ {
-			if cols.At(r, c) != want[r][c] {
-				t.Fatalf("Im2Col[%d][%d] = %v, want %v", r, c, cols.At(r, c), want[r][c])
-			}
 		}
 	}
 }

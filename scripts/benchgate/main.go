@@ -4,10 +4,10 @@
 //
 //	go run ./scripts/benchgate -baseline BENCH_baseline.json -current BENCH.json
 //
-// Only the guarded set is gated — the SpMV kernels, dense MatMul,
-// representation construction, the float32 inference engine, the whole
-// decision at the shipped geometry (selector.Predict), the frozen-tower
-// retrain (selector.TrainStreamCtx after Transfer(TopEvolvement)), the
+// Only the guarded set is gated — the SpMV kernels, representation
+// construction, the float32 inference engine, the whole decision at the
+// shipped geometry (selector.Predict), training (selector.TrainStreamCtx
+// from scratch, and after Transfer(TopEvolvement)), the
 // serve predict path and its parse stage (body decode, fingerprint),
 // the structural-statistics sweep with the labeler and the
 // decision-tree rung it feeds, and format conversion — because
@@ -59,7 +59,6 @@ type doc struct {
 // kernel.
 var guarded = []*regexp.Regexp{
 	regexp.MustCompile(`^repro/internal/spmv/BenchmarkKernelMul/`),
-	regexp.MustCompile(`^repro/internal/tensor/BenchmarkMatMul`),
 	regexp.MustCompile(`^repro/internal/represent/BenchmarkNormalize`),
 	regexp.MustCompile(`^repro/internal/serve/BenchmarkPredict`),
 	regexp.MustCompile(`^repro/internal/serve/BenchmarkDecode`),

@@ -71,11 +71,12 @@ done
 
 # Fuzz smoke: a short native-fuzzing budget per hardened ingestion
 # surface, plus the statistics sweep against its map-based reference,
-# the labeler's noise source against math/rand and the dense layer's
+# the labeler's noise source against math/rand, the dense layer's
 # four-row forward and params-only backward against their row-at-a-time
-# references. A clean run means no panic, no typed-error-taxonomy
-# violation, no Stats field, draw or weight bit that differs found
-# within the budget; regressions crash the script.
+# references and the convolution layer against its im2col reference. A
+# clean run means no panic, no typed-error-taxonomy violation, no Stats
+# field, draw or weight bit that differs found within the budget;
+# regressions crash the script.
 go test -run='^$' -fuzz='^FuzzReadMatrixMarket$' -fuzztime=10s ./internal/sparse
 go test -run='^$' -fuzz='^FuzzComputeStats$' -fuzztime=10s ./internal/sparse
 go test -run='^$' -fuzz='^FuzzPredictJSON$' -fuzztime=10s ./internal/serve
@@ -84,6 +85,7 @@ go test -run='^$' -fuzz='^FuzzLoadDataset$' -fuzztime=10s ./internal/dataset
 go test -run='^$' -fuzz='^FuzzSalvageShard$' -fuzztime=10s ./internal/dataset
 go test -run='^$' -fuzz='^FuzzSeededSource$' -fuzztime=10s ./internal/machine
 go test -run='^$' -fuzz='^FuzzDenseRows$' -fuzztime=10s ./internal/nn
+go test -run='^$' -fuzz='^FuzzConv2D$' -fuzztime=10s ./internal/nn
 
 # The experiment reproductions take ~2 minutes without the race
 # detector and several times that with it; the default 10m per-package
