@@ -50,10 +50,6 @@ func main() {
 	}
 	small := trainIdx[:budget]
 
-	testSamples, err := src.Selector.Samples(target, testIdx)
-	if err != nil {
-		log.Fatal(err)
-	}
 	trainSamples, err := src.Selector.Samples(target, small)
 	if err != nil {
 		log.Fatal(err)
@@ -71,7 +67,7 @@ func main() {
 		if _, err := migrated.TrainSamples(trainSamples); err != nil {
 			log.Fatal(err)
 		}
-		m, err := migrated.EvaluateSamples(testSamples)
+		m, err := migrated.Evaluate(target, testIdx)
 		if err != nil {
 			log.Fatal(err)
 		}

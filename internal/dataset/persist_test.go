@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"math"
@@ -175,6 +176,11 @@ func FuzzLoadDataset(f *testing.F) {
 	flipped := append([]byte(nil), shard...)
 	flipped[len(flipped)/2] ^= 0x40
 	f.Add(manifest, flipped)
+	// The manifest's own 24-byte header declaring a 2 GiB payload: the
+	// reader must refuse it without allocating the declared length.
+	huge := append([]byte(nil), manifest[:24]...)
+	binary.BigEndian.PutUint64(huge[12:20], 1<<31)
+	f.Add(huge, shard)
 
 	f.Fuzz(func(t *testing.T, manifest, shard []byte) {
 		dir := t.TempDir()

@@ -47,10 +47,6 @@ func RunFig9(o Options, w io.Writer) (*Fig9Result, error) {
 	}
 
 	trainIdx, testIdx := dst.Split(0.25, o.Seed+37)
-	testSamples, err := srcSel.Samples(dst, testIdx)
-	if err != nil {
-		return nil, err
-	}
 
 	res := &Fig9Result{Methods: selector.TransferMethods()}
 	for _, size := range o.RetrainSizes {
@@ -60,8 +56,7 @@ func RunFig9(o Options, w io.Writer) (*Fig9Result, error) {
 	}
 	res.Accuracy = make([][]float64, len(res.Methods))
 
-	// Pre-build the target-platform training samples once (they differ
-	// from test samples only by index set).
+	// Pre-build the target-platform training samples once.
 	trainSamples, err := srcSel.Samples(dst, trainIdx)
 	if err != nil {
 		return nil, err
@@ -85,7 +80,7 @@ func RunFig9(o Options, w io.Writer) (*Fig9Result, error) {
 					return nil, err
 				}
 			}
-			m, err := migrated.EvaluateSamples(testSamples)
+			m, err := migrated.Evaluate(dst, testIdx)
 			if err != nil {
 				return nil, err
 			}

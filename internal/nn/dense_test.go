@@ -262,8 +262,8 @@ func TestCodesSampleAllocatesNothing(t *testing.T) {
 }
 
 // TestInferenceSharedAfterTraining: the train-mode buffers and state
-// are a replica's own; inference writes none of them. EvaluateModel
-// with 4 workers and Predict from 4 goroutines, on a replica that has
+// are a replica's own; inference writes none of them. evaluateRef
+// with 4 workers and predictRef from 4 goroutines, on a replica that has
 // trained (so its buffers exist), agree with the same calls made
 // serially — for the head's layers behind a dense tower, and for conv
 // towers whose replicas trained too (toyModel: Conv2D, ReLU, MaxPool2D).
@@ -288,17 +288,14 @@ func TestInferenceSharedAfterTraining(t *testing.T) {
 		}
 		trained := tr.replicas[0]
 		answer := func(s Sample) string {
-			c, probs := trained.Predict(s.Inputs)
+			c, probs := predictRef(trained, s.Inputs)
 			return fmt.Sprint(c, probs)
 		}
 		want := make([]string, len(samples))
 		for i, s := range samples {
 			want[i] = answer(s)
 		}
-		wantAcc, wantLoss, err := EvaluateModel(trained, samples, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wantAcc, wantLoss := evaluateRef(trained, samples, 4)
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
@@ -314,9 +311,9 @@ func TestInferenceSharedAfterTraining(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			acc, loss, err := EvaluateModel(trained, samples, 4)
-			if err != nil || acc != wantAcc || loss != wantLoss {
-				t.Errorf("%s: concurrent EvaluateModel: %v/%v (%v), serial %v/%v", mc.name, acc, loss, err, wantAcc, wantLoss)
+			acc, loss := evaluateRef(trained, samples, 4)
+			if acc != wantAcc || loss != wantLoss {
+				t.Errorf("%s: concurrent evaluateRef: %v/%v, serial %v/%v", mc.name, acc, loss, wantAcc, wantLoss)
 			}
 		}()
 		wg.Wait()

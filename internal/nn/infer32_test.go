@@ -63,7 +63,7 @@ func TestInfer32MatchesFloat64(t *testing.T) {
 	probs := make([]float64, e.Classes())
 	for trial := 0; trial < 25; trial++ {
 		ins := randInputs(rng, shapes)
-		wantCls, wantProbs := m.Predict(ins)
+		wantCls, wantProbs := predictRef(m, ins)
 		gotCls, err := e.Predict(ins, probs)
 		if err != nil {
 			t.Fatal(err)

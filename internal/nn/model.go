@@ -202,22 +202,6 @@ func (m *Model) Replica() *Model {
 	return r
 }
 
-// Predict returns the argmax class and the softmax probabilities for
-// one sample through the float64 training layers. It is the reference
-// forward pass — training-time evaluation, experiments and the tests
-// that pin Infer32 against it; deployed inference runs on Infer32.
-func (m *Model) Predict(inputs []*tensor.Tensor) (int, []float64) {
-	logits := m.Forward(inputs, false)
-	probs := Softmax(logits.Data())
-	best := 0
-	for i, p := range probs {
-		if p > probs[best] {
-			best = i
-		}
-	}
-	return best, probs
-}
-
 // Summary renders the architecture with shapes, given per-tower input
 // shapes — the textual equivalent of the paper's Figure 10.
 func (m *Model) Summary(inputShapes [][]int) string {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/tensor"
@@ -24,6 +25,53 @@ func lossOf(m *Model, inputs []*tensor.Tensor, label int) float64 {
 	logits := m.Forward(inputs, false)
 	loss, _ := CrossEntropyLoss(logits, label)
 	return loss
+}
+
+// predictRef is the float64 reference forward pass — argmax and softmax
+// of the layers' inference mode — that the compiled engine and the
+// inference-sharing tests are checked against, as conv_test.go keeps
+// im2colRef for the convolution.
+func predictRef(m *Model, inputs []*tensor.Tensor) (int, []float64) {
+	probs := Softmax(m.Forward(inputs, false).Data())
+	best := 0
+	for i, p := range probs {
+		if p > probs[best] {
+			best = i
+		}
+	}
+	return best, probs
+}
+
+// evaluateRef is the float64 reference evaluation: accuracy and mean
+// cross-entropy over samples (inputs or codes), one contiguous chunk
+// and one replica per worker.
+func evaluateRef(m *Model, samples []Sample, workers int) (acc, meanLoss float64) {
+	hits := make([]int, workers)
+	losses := make([]float64, workers)
+	chunk := (len(samples) + workers - 1) / workers
+	var wg sync.WaitGroup
+	for wi := 0; wi < workers; wi++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep := m.Replica()
+			for _, s := range samples[min(wi*chunk, len(samples)):min((wi+1)*chunk, len(samples))] {
+				logits := rep.forward(s, false)
+				loss, _ := CrossEntropyLoss(logits, s.Label)
+				losses[wi] += loss
+				if logits.ArgMax() == s.Label {
+					hits[wi]++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	h, l := 0, 0.0
+	for wi := range hits {
+		h += hits[wi]
+		l += losses[wi]
+	}
+	return float64(h) / float64(len(samples)), l / float64(len(samples))
 }
 
 // gradCheck verifies every parameter gradient of the model against a
@@ -232,19 +280,13 @@ func TestTrainingLearnsToyProblem(t *testing.T) {
 	test := makeToyProblem(rng, 60)
 	m := toyModel(rng)
 	tr := NewTrainer(m, NewAdam(0.005), 16, 1)
-	accBefore, _, err := tr.Evaluate(test)
-	if err != nil {
-		t.Fatal(err)
-	}
+	accBefore, _ := evaluateRef(m, test, 1)
 	for e := 0; e < 12; e++ {
 		if _, err := tr.TrainEpoch(train); err != nil {
 			t.Fatal(err)
 		}
 	}
-	accAfter, loss, err := tr.Evaluate(test)
-	if err != nil {
-		t.Fatal(err)
-	}
+	accAfter, loss := evaluateRef(m, test, 1)
 	if accAfter < 0.9 {
 		t.Fatalf("accuracy after training %v (before %v), loss %v", accAfter, accBefore, loss)
 	}
@@ -541,14 +583,8 @@ func TestCodesMatchInputsOnFrozenTowers(t *testing.T) {
 		}
 	}
 	// Evaluation takes either kind of sample too.
-	ai, li, err := EvaluateModel(onInputs.Model, inputs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ac, lc, err := EvaluateModel(onCodes.Model, codes, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ai, li := evaluateRef(onInputs.Model, inputs, 2)
+	ac, lc := evaluateRef(onCodes.Model, codes, 2)
 	if ai != ac || li != lc {
 		t.Fatalf("evaluate: %v/%v on inputs, %v/%v on codes", ai, li, ac, lc)
 	}

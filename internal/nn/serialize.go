@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 
@@ -110,8 +111,19 @@ func WriteEnvelope(w io.Writer, kind uint32, payload []byte) error {
 }
 
 // ReadEnvelope validates the envelope and returns the payload. All
-// failure modes map to the typed errors above.
+// failure modes map to the typed errors above. The header's length
+// sizes no allocation: the payload grows in bounded steps as its bytes
+// arrive, so a header that declares more than r holds is ErrTruncated
+// having allocated about what r held.
 func ReadEnvelope(r io.Reader, kind uint32) ([]byte, error) {
+	return readEnvelope(r, kind, -1)
+}
+
+// readEnvelope is ReadEnvelope over a reader known to hold avail bytes
+// after the header (-1: unknown). When avail is known, a declared
+// length beyond it is ErrTruncated before anything is allocated, and
+// the payload is allocated once.
+func readEnvelope(r io.Reader, kind uint32, avail int64) ([]byte, error) {
 	hdr := make([]byte, envelopeHdrLen)
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("%w: header short read: %v", ErrTruncated, err)
@@ -126,12 +138,21 @@ func ReadEnvelope(r io.Reader, kind uint32) ([]byte, error) {
 		return nil, fmt.Errorf("%w: got kind %d, want %d", ErrWrongKind, k, kind)
 	}
 	n := binary.BigEndian.Uint64(hdr[12:20])
-	const maxPayload = 1 << 32 // 4 GiB sanity bound against a corrupt length field
-	if n > maxPayload {
-		return nil, fmt.Errorf("%w: implausible payload length %d", ErrChecksum, n)
+	var payload []byte
+	var err error
+	if avail >= 0 {
+		if n > uint64(avail) {
+			return nil, fmt.Errorf("%w: header declares %d payload bytes, %d follow it", ErrTruncated, n, avail)
+		}
+		payload = make([]byte, n)
+		_, err = io.ReadFull(r, payload)
+	} else {
+		payload, err = io.ReadAll(io.LimitReader(r, int64(min(n, math.MaxInt64))))
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if err == nil && uint64(len(payload)) < n {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		return nil, fmt.Errorf("%w: payload short read: %v", ErrTruncated, err)
 	}
 	if got, want := crc32.Checksum(payload, crcTable), binary.BigEndian.Uint32(hdr[20:24]); got != want {
@@ -153,14 +174,24 @@ func WriteEnvelopeFile(path string, kind uint32, payload []byte) error {
 	return nil
 }
 
-// ReadEnvelopeFile reads and validates an enveloped artifact.
+// ReadEnvelopeFile reads and validates an enveloped artifact. A regular
+// file's size bounds the payload: a header that declares more bytes
+// than follow it is ErrTruncated before any allocation.
 func ReadEnvelopeFile(path string, kind uint32) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("nn: %w", err)
 	}
 	defer f.Close()
-	return ReadEnvelope(f, kind)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("nn: %w", err)
+	}
+	avail := int64(-1)
+	if fi.Mode().IsRegular() {
+		avail = max(fi.Size()-envelopeHdrLen, 0)
+	}
+	return readEnvelope(f, kind, avail)
 }
 
 // LayerSpec is the serialisable description of one layer.

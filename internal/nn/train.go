@@ -273,54 +273,3 @@ func (t *Trainer) TrainSteps(samples []Sample, n int) ([]float64, error) {
 	}
 	return losses, nil
 }
-
-// Evaluate returns accuracy and mean loss over the samples, running
-// inference in parallel.
-func (t *Trainer) Evaluate(samples []Sample) (acc, meanLoss float64, err error) {
-	return EvaluateModel(t.Model, samples, t.Workers)
-}
-
-// EvaluateModel computes accuracy and mean cross-entropy of a model over
-// samples with a panic-safe parallel worker pool.
-func EvaluateModel(m *Model, samples []Sample, workers int) (acc, meanLoss float64, err error) {
-	if len(samples) == 0 {
-		return 0, 0, nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(samples) {
-		workers = len(samples)
-	}
-	hits := make([]int, workers)
-	losses := make([]float64, workers)
-	chunk := (len(samples) + workers - 1) / workers
-	if err := robust.Workers(workers, func(wi int) error {
-		lo := wi * chunk
-		hi := lo + chunk
-		if hi > len(samples) {
-			hi = len(samples)
-		}
-		if lo >= hi {
-			return nil
-		}
-		rep := m.Replica()
-		for _, s := range samples[lo:hi] {
-			logits := rep.forward(s, false)
-			loss, _ := CrossEntropyLoss(logits, s.Label)
-			losses[wi] += loss
-			if logits.ArgMax() == s.Label {
-				hits[wi]++
-			}
-		}
-		return nil
-	}); err != nil {
-		return 0, 0, fmt.Errorf("nn: evaluating: %w", err)
-	}
-	h, l := 0, 0.0
-	for wi := 0; wi < workers; wi++ {
-		h += hits[wi]
-		l += losses[wi]
-	}
-	return float64(h) / float64(len(samples)), l / float64(len(samples)), nil
-}

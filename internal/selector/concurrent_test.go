@@ -2,6 +2,7 @@ package selector
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -124,4 +125,75 @@ func TestPredictWithFallbackConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestEvaluateJudgesWhatIsServed: Evaluate's confusion matrix is the one
+// built from PredictPattern record by record, on a trained selector, at
+// one worker and at four, while Predict answers from the same engine on
+// other goroutines. Under -race, a buffer the judge and the server
+// share is a reported race.
+func TestEvaluateJudgesWhatIsServed(t *testing.T) {
+	d := cpuDataset(t, 60)
+	s, err := New(fastConfig(represent.KindHistogram))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Train(d, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := NewMetrics(s.Cfg.Formats)
+	for i := range d.Records {
+		r := &d.Records[i]
+		f, _, err := s.PredictPattern(&r.Matrix().Pattern)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		truth, err := s.classOf(r.Label)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred, err := s.classOf(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Add(truth, pred)
+	}
+	ms := hammerMatrices(t)
+	served := make([]sparse.Format, len(ms))
+	for i, m := range ms {
+		if served[i], _, err = s.Predict(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		s.Cfg.Workers = workers
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := g; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if f, _, err := s.Predict(ms[i%len(ms)]); err != nil || f != served[i%len(ms)] {
+						t.Errorf("workers=%d: concurrent Predict %v (%v), want %v", workers, f, err, served[i%len(ms)])
+						return
+					}
+				}
+			}()
+		}
+		got, err := s.Evaluate(d, nil)
+		close(stop)
+		wg.Wait()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Confusion, want.Confusion) {
+			t.Fatalf("workers=%d: Evaluate confusion %v, PredictPattern record by record %v", workers, got.Confusion, want.Confusion)
+		}
+	}
 }

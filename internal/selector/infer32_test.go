@@ -54,10 +54,14 @@ func referencePredict(t *testing.T, s *Selector, m *sparse.COO) (sparse.Format, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	cls, ps := s.Model.Predict(inputs)
+	ps := nn.Softmax(s.Model.Forward(inputs, false).Data())
+	cls := 0
 	probs := make(map[sparse.Format]float64, len(ps))
 	for i, p := range ps {
 		probs[s.Cfg.Formats[i]] = p
+		if p > ps[cls] {
+			cls = i
+		}
 	}
 	return s.Cfg.Formats[cls], probs
 }

@@ -53,7 +53,8 @@ type Selector struct {
 }
 
 // engine32 returns the compiled engine, building it on first use. A
-// model the engine cannot compile is an error every Predict returns:
+// model the engine cannot compile, or whose classes are not the
+// configured formats, is an error every Predict and Evaluate returns:
 // there is no second inference path to fall back to.
 func (s *Selector) engine32() (*nn.Infer32, error) {
 	if e := s.inf32.Load(); e != nil {
@@ -63,8 +64,31 @@ func (s *Selector) engine32() (*nn.Infer32, error) {
 	if err != nil {
 		return nil, fmt.Errorf("selector: compiling inference engine: %w", err)
 	}
+	if e.Classes() != len(s.Cfg.Formats) {
+		return nil, fmt.Errorf("%w: %d outputs for %d formats", ErrBadOutput, e.Classes(), len(s.Cfg.Formats))
+	}
 	s.inf32.Store(e)
 	return e, nil
+}
+
+// decide is the one decision: it writes m's representation straight
+// into the engine's arena, runs the forward pass, fills probs (len
+// e.Classes()) and returns the chosen class. PredictPattern serves it
+// and Evaluate scores it, so the class that is judged is the class that
+// is served. Non-finite probabilities are ErrBadOutput.
+func (s *Selector) decide(e *nn.Infer32, m *sparse.Pattern, probs []float64) (int, error) {
+	cls, err := e.PredictInto(probs, func(in []float32) error {
+		return represent.Into(in, m, s.Cfg.Represent)
+	})
+	if err != nil {
+		return 0, err
+	}
+	for _, p := range probs {
+		if math.IsNaN(p) || math.IsInf(p, 0) {
+			return 0, ErrBadOutput
+		}
+	}
+	return cls, nil
 }
 
 // SetEpochHook installs (or clears, with nil) a per-epoch telemetry
@@ -81,10 +105,11 @@ func New(cfg Config) (*Selector, error) {
 	return &Selector{Cfg: cfg, Model: m}, nil
 }
 
-// inputsFor normalises a pattern into the model's float64 tower inputs
-// (training samples and the reference forward pass): views of one
-// representation, channels back to back — one (1,H,W) tensor per
-// channel under late merging, the whole (C,H,W) under early merging.
+// inputsFor normalises a pattern into the model's float64 tower inputs,
+// which only training reads (decide judges and serves from the float32
+// engine): views of one representation, channels back to back — one
+// (1,H,W) tensor per channel under late merging, the whole (C,H,W)
+// under early merging.
 func (s *Selector) inputsFor(m *sparse.Pattern) ([]*tensor.Tensor, error) {
 	data := make([]float64, s.Cfg.Represent.Len())
 	if err := represent.Into(data, m, s.Cfg.Represent); err != nil {
@@ -148,23 +173,13 @@ func (s *Selector) PredictPattern(m *sparse.Pattern) (f sparse.Format, probs map
 	if err != nil {
 		return 0, nil, err
 	}
-	if e.Classes() != len(s.Cfg.Formats) {
-		return 0, nil, fmt.Errorf("%w: %d outputs for %d formats", ErrBadOutput, e.Classes(), len(s.Cfg.Formats))
-	}
-	// The representation is written straight into the engine's arena;
-	// probabilities leave it once, here.
 	ps := make([]float64, e.Classes())
-	cls, err := e.PredictInto(ps, func(in []float32) error {
-		return represent.Into(in, m, s.Cfg.Represent)
-	})
+	cls, err := s.decide(e, m, ps)
 	if err != nil {
 		return 0, nil, err
 	}
 	out := make(map[sparse.Format]float64, len(ps))
 	for i, p := range ps {
-		if math.IsNaN(p) || math.IsInf(p, 0) {
-			return 0, nil, ErrBadOutput
-		}
 		out[s.Cfg.Formats[i]] = p
 	}
 	return s.Cfg.Formats[cls], out, nil
@@ -214,16 +229,23 @@ func (s *Selector) classOf(f sparse.Format) (int, error) {
 	return 0, fmt.Errorf("selector: label %v not in configured formats %v", f, s.Cfg.Formats)
 }
 
+// indexOrAll returns idx, or every record index of d when idx is nil.
+func indexOrAll(d *dataset.Dataset, idx []int) []int {
+	if idx != nil {
+		return idx
+	}
+	idx = make([]int, len(d.Records))
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
 // Samples normalises the given dataset records (all of them when idx is
 // nil) into nn training samples, in parallel. Worker panics are
 // recovered and reported as errors alongside ordinary failures.
 func (s *Selector) Samples(d *dataset.Dataset, idx []int) ([]nn.Sample, error) {
-	if idx == nil {
-		idx = make([]int, len(d.Records))
-		for i := range idx {
-			idx[i] = i
-		}
-	}
+	idx = indexOrAll(d, idx)
 	samples := make([]nn.Sample, len(idx))
 	if err := forChunks(s.Cfg.Workers, len(idx), func(lo, hi int) error {
 		for k := lo; k < hi; k++ {
@@ -366,43 +388,39 @@ func (s *Selector) newTrainer() *nn.Trainer {
 	return tr
 }
 
-// Evaluate runs the selector over the given records and returns the
-// Table 2/3 metrics.
+// Evaluate scores the selector over the given records (all of them when
+// idx is nil) and returns the Table 2/3 metrics. Each record is judged
+// by decide on the engine PredictPattern serves from, built once; the
+// records are scored on parallel workers, each with one probabilities
+// buffer. A worker panic comes back as an error robust.AsPanic unwraps.
 func (s *Selector) Evaluate(d *dataset.Dataset, idx []int) (*Metrics, error) {
-	samples, err := s.Samples(d, idx)
+	idx = indexOrAll(d, idx)
+	e, err := s.engine32()
 	if err != nil {
 		return nil, err
 	}
-	return s.EvaluateSamples(samples)
-}
-
-// EvaluateSamples computes metrics over pre-built samples.
-func (s *Selector) EvaluateSamples(samples []nn.Sample) (*Metrics, error) {
-	m := NewMetrics(s.Cfg.Formats)
-	preds, err := predictAll(s.Model, samples, s.Cfg.Workers)
-	if err != nil {
-		return nil, err
-	}
-	for i, sm := range samples {
-		m.Add(sm.Label, preds[i])
-	}
-	return m, nil
-}
-
-// predictAll runs inference over samples with a panic-safe parallel
-// worker pool.
-func predictAll(model *nn.Model, samples []nn.Sample, workers int) ([]int, error) {
-	preds := make([]int, len(samples))
-	if err := forChunks(workers, len(samples), func(lo, hi int) error {
-		rep := model.Replica()
-		for i := lo; i < hi; i++ {
-			preds[i], _ = rep.Predict(samples[i].Inputs)
+	truth, pred := make([]int, len(idx)), make([]int, len(idx))
+	if err := forChunks(s.Cfg.Workers, len(idx), func(lo, hi int) error {
+		probs := make([]float64, e.Classes())
+		for k := lo; k < hi; k++ {
+			r := &d.Records[idx[k]]
+			var err error
+			if truth[k], err = s.classOf(r.Label); err != nil {
+				return err
+			}
+			if pred[k], err = s.decide(e, &r.Matrix().Pattern, probs); err != nil {
+				return err
+			}
 		}
 		return nil
 	}); err != nil {
-		return nil, fmt.Errorf("selector: predicting: %w", err)
+		return nil, fmt.Errorf("selector: evaluating: %w", err)
 	}
-	return preds, nil
+	m := NewMetrics(s.Cfg.Formats)
+	for k := range idx {
+		m.Add(truth[k], pred[k])
+	}
+	return m, nil
 }
 
 // forChunks splits [0,n) into one contiguous chunk per worker (<=0:

@@ -148,7 +148,7 @@ func (s *Selector) TrainStreamCtx(ctx context.Context, store ShardStream, cp *nn
 }
 
 // EvaluateStream computes the Table 2/3 metrics over a sharded store,
-// one shard resident at a time.
+// one shard resident at a time: Evaluate on each shard, merged.
 func (s *Selector) EvaluateStream(store ShardStream) (*Metrics, error) {
 	m := NewMetrics(s.Cfg.Formats)
 	for i := 0; i < store.NumShards(); i++ {
@@ -156,20 +156,11 @@ func (s *Selector) EvaluateStream(store ShardStream) (*Metrics, error) {
 		if err != nil {
 			return nil, fmt.Errorf("selector: evaluating shard %d: %w", i, err)
 		}
-		if len(d.Records) == 0 {
-			continue
-		}
-		samples, err := s.Samples(d, nil)
+		sm, err := s.Evaluate(d, nil)
 		if err != nil {
 			return nil, err
 		}
-		preds, err := predictAll(s.Model, samples, s.Cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		for j, sm := range samples {
-			m.Add(sm.Label, preds[j])
-		}
+		m.Merge(sm)
 	}
 	return m, nil
 }
