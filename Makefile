@@ -45,22 +45,25 @@ shepherddrill:
 # against math/rand, the dense layer's four-row forward and params-only
 # backward against their row-at-a-time references, the convolution
 # layer's forward and backward against the im2col path's summation
-# orders). Budget per target
-# is FUZZTIME (default 30s); CI runs a shorter smoke via
-# scripts/check.sh. The corpus-store targets run under a 2.5 GB
-# address-space cap: an allocation sized from a header rather than the
-# bytes behind it fails the target instead of exhausting the host.
+# orders) and loading a model file whose blob may declare sizes its
+# bytes do not back. Budget per target is FUZZTIME (default 30s); CI
+# runs a shorter smoke via scripts/check.sh. Every target runs under a
+# 2.5 GB address-space cap: an allocation sized from a declared length
+# rather than the bytes behind it fails the target instead of
+# exhausting the host.
 FUZZTIME ?= 30s
+FUZZ = ulimit -v 2500000 && $(GO) test -run='^$$' -fuzztime=$(FUZZTIME)
 fuzz:
-	$(GO) test -run='^$$' -fuzz='^FuzzReadMatrixMarket$$' -fuzztime=$(FUZZTIME) ./internal/sparse
-	$(GO) test -run='^$$' -fuzz='^FuzzComputeStats$$' -fuzztime=$(FUZZTIME) ./internal/sparse
-	$(GO) test -run='^$$' -fuzz='^FuzzPredictJSON$$' -fuzztime=$(FUZZTIME) ./internal/serve
-	$(GO) test -run='^$$' -fuzz='^FuzzDecodeJSONDifferential$$' -fuzztime=$(FUZZTIME) ./internal/serve
-	(ulimit -v 2500000 && $(GO) test -run='^$$' -fuzz='^FuzzLoadDataset$$' -fuzztime=$(FUZZTIME) ./internal/dataset)
-	(ulimit -v 2500000 && $(GO) test -run='^$$' -fuzz='^FuzzSalvageShard$$' -fuzztime=$(FUZZTIME) ./internal/dataset)
-	$(GO) test -run='^$$' -fuzz='^FuzzSeededSource$$' -fuzztime=$(FUZZTIME) ./internal/machine
-	$(GO) test -run='^$$' -fuzz='^FuzzDenseRows$$' -fuzztime=$(FUZZTIME) ./internal/nn
-	$(GO) test -run='^$$' -fuzz='^FuzzConv2D$$' -fuzztime=$(FUZZTIME) ./internal/nn
+	($(FUZZ) -fuzz='^FuzzReadMatrixMarket$$' ./internal/sparse)
+	($(FUZZ) -fuzz='^FuzzComputeStats$$' ./internal/sparse)
+	($(FUZZ) -fuzz='^FuzzPredictJSON$$' ./internal/serve)
+	($(FUZZ) -fuzz='^FuzzDecodeJSONDifferential$$' ./internal/serve)
+	($(FUZZ) -fuzz='^FuzzLoadDataset$$' ./internal/dataset)
+	($(FUZZ) -fuzz='^FuzzSalvageShard$$' ./internal/dataset)
+	($(FUZZ) -fuzz='^FuzzSeededSource$$' ./internal/machine)
+	($(FUZZ) -fuzz='^FuzzDenseRows$$' ./internal/nn)
+	($(FUZZ) -fuzz='^FuzzConv2D$$' ./internal/nn)
+	($(FUZZ) -fuzz='^FuzzLoadModel$$' ./internal/nn)
 
 # bench runs every benchmark in the module (the per-paper-table harness
 # at the root plus the per-package hot-path benchmarks) and converts

@@ -10,6 +10,7 @@
 package bench
 
 import (
+	"context"
 	"io"
 	"math/rand"
 	"runtime"
@@ -222,7 +223,7 @@ func BenchmarkAblationTrainWorkers(b *testing.B) {
 			tr.Workers = workers
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tr.TrainEpoch(samples)
+				tr.TrainEpochCtx(context.Background(), samples)
 			}
 		})
 	}

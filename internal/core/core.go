@@ -163,50 +163,9 @@ func TrainCtx(ctx context.Context, o Options) (*Result, error) {
 		o.logf("        %-5s %d", f, counts[i])
 	}
 
-	var (
-		s      *selector.Selector
-		resume *nn.Checkpoint
-	)
-	if o.Resume && o.CheckpointDir != "" {
-		s, resume, err = selector.LoadCheckpoint(o.CheckpointDir)
-		switch {
-		case err == nil:
-			o.logf("resuming from %s at epoch %d (loss %.3f)", o.CheckpointDir, resume.Epoch, resume.Loss)
-			// The target epoch count and parallelism come from this
-			// invocation; everything else (architecture, representation,
-			// hyperparameters) is restored from the checkpoint.
-			s.Cfg.Epochs = o.Epochs
-			s.Cfg.Workers = o.Workers
-		case errors.Is(err, nn.ErrNoCheckpoint):
-			o.logf("no checkpoint in %s; starting fresh", o.CheckpointDir)
-		default:
-			return nil, fmt.Errorf("core: resuming from %s: %w", o.CheckpointDir, err)
-		}
-	}
-	if s == nil {
-		cfg := selector.DefaultConfig(o.Representation, d.Formats)
-		cfg.Represent.Size = o.RepSize
-		cfg.Represent.Bins = o.RepBins
-		cfg.Epochs = o.Epochs
-		cfg.Workers = o.Workers
-		cfg.Seed = o.Seed
-		o.logf("step 2+3: %s representation (%dx%d), late-merging CNN", cfg.Represent.Kind, o.RepSize, o.RepBins)
-		s, err = selector.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	var cp *nn.Checkpointer
-	if o.CheckpointDir != "" {
-		cp, err = nn.NewCheckpointer(o.CheckpointDir, o.CheckpointEvery, 3)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	if o.EpochHook != nil {
-		s.SetEpochHook(o.EpochHook)
+	s, resume, cp, err := o.resumeOrNew(d.Formats)
+	if err != nil {
+		return nil, err
 	}
 
 	trainIdx, testIdx := d.Split(o.TestFraction, o.Seed+7)
@@ -217,19 +176,8 @@ func TrainCtx(ctx context.Context, o Options) (*Result, error) {
 	}
 	losses, err := s.TrainSamplesCtx(ctx, samples, cp, resume)
 	partial := &Result{Selector: s, Dataset: d, Train: trainIdx, Test: testIdx}
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if cp != nil {
-				o.logf("training interrupted after %d epochs this run; checkpoint flushed to %s", len(losses), o.CheckpointDir)
-			} else {
-				o.logf("training interrupted after %d epochs this run", len(losses))
-			}
-			return partial, err
-		}
-		return nil, err
-	}
-	if len(losses) > 0 {
-		o.logf("        loss %.3f -> %.3f", losses[0], losses[len(losses)-1])
+	if res, err := o.trained(partial, losses, err); err != nil {
+		return res, err
 	}
 	m, err := s.Evaluate(d, testIdx)
 	if err != nil {
@@ -258,46 +206,9 @@ func trainStoreCtx(ctx context.Context, o Options, lab *machine.Labeler) (*Resul
 	o.logf("        %d records in %d shards (%d duplicate appends skipped)",
 		store.NumRecords(), store.NumShards(), store.Dupes())
 
-	var (
-		s      *selector.Selector
-		resume *nn.Checkpoint
-	)
-	if o.Resume && o.CheckpointDir != "" {
-		s, resume, err = selector.LoadCheckpoint(o.CheckpointDir)
-		switch {
-		case err == nil:
-			o.logf("resuming from %s at epoch %d (loss %.3f)", o.CheckpointDir, resume.Epoch, resume.Loss)
-			s.Cfg.Epochs = o.Epochs
-			s.Cfg.Workers = o.Workers
-		case errors.Is(err, nn.ErrNoCheckpoint):
-			o.logf("no checkpoint in %s; starting fresh", o.CheckpointDir)
-		default:
-			return nil, fmt.Errorf("core: resuming from %s: %w", o.CheckpointDir, err)
-		}
-	}
-	if s == nil {
-		cfg := selector.DefaultConfig(o.Representation, store.Formats())
-		cfg.Represent.Size = o.RepSize
-		cfg.Represent.Bins = o.RepBins
-		cfg.Epochs = o.Epochs
-		cfg.Workers = o.Workers
-		cfg.Seed = o.Seed
-		o.logf("step 2+3: %s representation (%dx%d), late-merging CNN", cfg.Represent.Kind, o.RepSize, o.RepBins)
-		s, err = selector.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	var cp *nn.Checkpointer
-	if o.CheckpointDir != "" {
-		cp, err = nn.NewCheckpointer(o.CheckpointDir, o.CheckpointEvery, 3)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if o.EpochHook != nil {
-		s.SetEpochHook(o.EpochHook)
+	s, resume, cp, err := o.resumeOrNew(store.Formats())
+	if err != nil {
+		return nil, err
 	}
 
 	trainShards, testShards := SplitShards(store.NumShards(), o.TestFraction, o.Seed+7)
@@ -305,19 +216,8 @@ func trainStoreCtx(ctx context.Context, o Options, lab *machine.Labeler) (*Resul
 		len(trainShards), len(testShards), o.Epochs)
 	losses, err := s.TrainStreamCtx(ctx, &ShardSubset{Store: store, Idx: trainShards}, cp, resume)
 	partial := &Result{Selector: s}
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if cp != nil {
-				o.logf("training interrupted after %d epochs this run; checkpoint flushed to %s", len(losses), o.CheckpointDir)
-			} else {
-				o.logf("training interrupted after %d epochs this run", len(losses))
-			}
-			return partial, err
-		}
-		return nil, err
-	}
-	if len(losses) > 0 {
-		o.logf("        loss %.3f -> %.3f", losses[0], losses[len(losses)-1])
+	if res, err := o.trained(partial, losses, err); err != nil {
+		return res, err
 	}
 	if len(testShards) == 0 {
 		o.logf("store has a single shard; no held-out shard to evaluate")
@@ -330,6 +230,79 @@ func trainStoreCtx(ctx context.Context, o Options, lab *machine.Labeler) (*Resul
 	o.logf("held-out accuracy: %.1f%%", m.Accuracy()*100)
 	partial.Metrics = m
 	return partial, nil
+}
+
+// resumeOrNew returns the selector a run trains over formats and the
+// checkpoint it resumes from: the newest one in o.CheckpointDir when
+// o.Resume asks for it and one exists, else a fresh selector and none.
+// It also opens the run's checkpointer (nil without a CheckpointDir)
+// and attaches o.EpochHook.
+func (o *Options) resumeOrNew(formats []sparse.Format) (*selector.Selector, *nn.Checkpoint, *nn.Checkpointer, error) {
+	var (
+		s      *selector.Selector
+		resume *nn.Checkpoint
+		err    error
+	)
+	if o.Resume && o.CheckpointDir != "" {
+		s, resume, err = selector.LoadCheckpoint(o.CheckpointDir)
+		switch {
+		case err == nil:
+			o.logf("resuming from %s at epoch %d (loss %.3f)", o.CheckpointDir, resume.Epoch, resume.Loss)
+			// The target epoch count and parallelism come from this
+			// invocation; everything else (architecture, representation,
+			// hyperparameters) is restored from the checkpoint.
+			s.Cfg.Epochs = o.Epochs
+			s.Cfg.Workers = o.Workers
+		case errors.Is(err, nn.ErrNoCheckpoint):
+			o.logf("no checkpoint in %s; starting fresh", o.CheckpointDir)
+		default:
+			return nil, nil, nil, fmt.Errorf("core: resuming from %s: %w", o.CheckpointDir, err)
+		}
+	}
+	if s == nil {
+		cfg := selector.DefaultConfig(o.Representation, formats)
+		cfg.Represent.Size = o.RepSize
+		cfg.Represent.Bins = o.RepBins
+		cfg.Epochs = o.Epochs
+		cfg.Workers = o.Workers
+		cfg.Seed = o.Seed
+		o.logf("step 2+3: %s representation (%dx%d), late-merging CNN", cfg.Represent.Kind, o.RepSize, o.RepBins)
+		if s, err = selector.New(cfg); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	var cp *nn.Checkpointer
+	if o.CheckpointDir != "" {
+		if cp, err = nn.NewCheckpointer(o.CheckpointDir, o.CheckpointEvery, 3); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	if o.EpochHook != nil {
+		s.SetEpochHook(o.EpochHook)
+	}
+	return s, resume, cp, nil
+}
+
+// trained logs how training ended: the ends of the loss curve, or
+// where an interrupted run stopped. A run that did not finish ends
+// with what trained returns: an interrupted one its partial result
+// (the selector and what is known of the split, no held-out metrics)
+// with the context error, any other failure no result.
+func (o *Options) trained(partial *Result, losses []float64, err error) (*Result, error) {
+	switch {
+	case err == nil:
+		if len(losses) > 0 {
+			o.logf("        loss %.3f -> %.3f", losses[0], losses[len(losses)-1])
+		}
+		return partial, nil
+	case !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded):
+		return nil, err
+	case o.CheckpointDir != "":
+		o.logf("training interrupted after %d epochs this run; checkpoint flushed to %s", len(losses), o.CheckpointDir)
+	default:
+		o.logf("training interrupted after %d epochs this run", len(losses))
+	}
+	return partial, err
 }
 
 // SplitShards partitions shard positions into train and held-out sets

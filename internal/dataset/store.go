@@ -152,16 +152,6 @@ func fileCRC(path string) (uint32, error) {
 	return crc32.Checksum(b, crcTable), nil
 }
 
-// corruptFile flips one payload byte in place (chaos testing only).
-func corruptFile(path string) {
-	b, err := os.ReadFile(path)
-	if err != nil || len(b) == 0 {
-		return
-	}
-	b[len(b)/2] ^= 0xff
-	os.WriteFile(path, b, 0o644)
-}
-
 // CorpusStore provides append and shard-at-a-time read access to one
 // store directory. Appends buffer to ShardSize records and publish
 // full shards atomically; readers iterate one shard at a time, so peak
@@ -300,7 +290,7 @@ func OpenStore(dir string) (*CorpusStore, *SalvageReport, error) {
 	// Trust the persisted dedup index only if it is at least as large as
 	// what the shards contributed (it may additionally hold fingerprints
 	// of dupes that were skipped); otherwise the rebuild above stands.
-	if idx, err := readDedupIndex(filepath.Join(dir, storeDedupFile)); err == nil && len(idx) >= len(s.seen) {
+	if idx, err := ReadFingerprintSet(filepath.Join(dir, storeDedupFile), nn.EnvelopeCorpusIndex); err == nil && len(idx) >= len(s.seen) {
 		for _, fp := range idx {
 			s.seen[fp] = true
 		}
@@ -446,7 +436,7 @@ func (s *CorpusStore) flushLocked() error {
 		return fmt.Errorf("%w: shard %d: %v", ErrNoSpace, idx, err)
 	}
 	if err := faultinject.Inject(faultinject.PointStoreCorrupt); err != nil {
-		corruptFile(path)
+		_ = faultinject.CorruptFile(path) // a shard it cannot read fails fileCRC below
 	}
 	crc, err := fileCRC(path)
 	if err != nil {
@@ -495,28 +485,39 @@ func readStoreManifest(path string) (*storeManifest, error) {
 // writeDedupIndex persists the fingerprint set atomically. Callers
 // hold s.mu.
 func (s *CorpusStore) writeDedupIndex() error {
-	fps := make([]uint64, 0, len(s.seen))
-	for fp := range s.seen {
-		fps = append(fps, fp)
-	}
-	sort.Slice(fps, func(a, b int) bool { return fps[a] < fps[b] })
-	payload := make([]byte, 8*len(fps))
-	for i, fp := range fps {
-		binary.BigEndian.PutUint64(payload[8*i:], fp)
-	}
-	if err := nn.WriteEnvelopeFile(filepath.Join(s.dir, storeDedupFile), nn.EnvelopeCorpusIndex, payload); err != nil {
+	if err := WriteFingerprintSet(filepath.Join(s.dir, storeDedupFile), nn.EnvelopeCorpusIndex, s.seen); err != nil {
 		return fmt.Errorf("%w: dedup index: %v", ErrNoSpace, err)
 	}
 	return nil
 }
 
-func readDedupIndex(path string) ([]uint64, error) {
-	payload, err := nn.ReadEnvelopeFile(path, nn.EnvelopeCorpusIndex)
+// WriteFingerprintSet atomically publishes a set of pattern
+// fingerprints as an enveloped file of the given kind: big-endian u64s
+// in ascending order, so equal sets are equal bytes whatever order a
+// map ranges in. A store's dedup index and the feedback collector's
+// evicted set are both this file.
+func WriteFingerprintSet(path string, kind uint32, set map[uint64]bool) error {
+	fps := make([]uint64, 0, len(set))
+	for fp := range set {
+		fps = append(fps, fp)
+	}
+	slices.Sort(fps)
+	payload := make([]byte, 8*len(fps))
+	for i, fp := range fps {
+		binary.BigEndian.PutUint64(payload[8*i:], fp)
+	}
+	return nn.WriteEnvelopeFile(path, kind, payload)
+}
+
+// ReadFingerprintSet reads a file WriteFingerprintSet wrote. A missing
+// file is an error that matches fs.ErrNotExist.
+func ReadFingerprintSet(path string, kind uint32) ([]uint64, error) {
+	payload, err := nn.ReadEnvelopeFile(path, kind)
 	if err != nil {
 		return nil, err
 	}
 	if len(payload)%8 != 0 {
-		return nil, fmt.Errorf("%w: dedup index %s: odd length %d", ErrCorrupt, path, len(payload))
+		return nil, fmt.Errorf("%w: fingerprint set %s: odd length %d", ErrCorrupt, path, len(payload))
 	}
 	fps := make([]uint64, len(payload)/8)
 	for i := range fps {
@@ -668,34 +669,14 @@ func storeRecordToRecord(sr *storeRecord) (Record, error) {
 		return Record{}, err
 	}
 	if sr.HasPattern {
-		if len(sr.PatRows) != len(sr.PatCols) {
-			return Record{}, fmt.Errorf("%w: record %d pattern arrays disagree (%d rows, %d cols)",
-				ErrInvalid, rec.ID, len(sr.PatRows), len(sr.PatCols))
-		}
-		m, err := patternCOO(rec.Stats.Rows, rec.Stats.Cols, sr.PatRows, sr.PatCols)
+		m, err := sparse.UnitCOO(rec.Stats.Rows, rec.Stats.Cols, sr.PatRows, sr.PatCols)
 		if err != nil {
-			return Record{}, err
+			return Record{}, fmt.Errorf("%w: record %d pattern: %v", ErrInvalid, rec.ID, err)
 		}
 		rec.mat = m
 		rec.Spec.Family = importedFamily
 	}
 	return rec, nil
-}
-
-// patternCOO rebuilds a unit-valued COO from a stored pattern,
-// validating indices against the declared shape (NewCOO range-checks
-// and re-canonicalises, so a corrupt pattern is an error, not a panic
-// downstream).
-func patternCOO(rows, cols int, patRows, patCols []int32) (*sparse.COO, error) {
-	entries := make([]sparse.Entry, len(patRows))
-	for i := range patRows {
-		entries[i] = sparse.Entry{Row: int(patRows[i]), Col: int(patCols[i]), Val: 1}
-	}
-	m, err := sparse.NewCOO(rows, cols, entries)
-	if err != nil {
-		return nil, fmt.Errorf("%w: pattern: %v", ErrInvalid, err)
-	}
-	return m, nil
 }
 
 // Shard loads the i'th published shard (by position, not index gaps)

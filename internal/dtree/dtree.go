@@ -143,22 +143,8 @@ func (t *Tree) Predict(x []float64) int {
 	return n.class
 }
 
-// Depth returns the tree's depth (0 for a single leaf).
-func (t *Tree) Depth() int { return depthOf(t.root) }
-
 // Nodes returns the total node count.
 func (t *Tree) Nodes() int { return nodesOf(t.root) }
-
-func depthOf(n *node) int {
-	if n == nil || n.left == nil {
-		return 0
-	}
-	l, r := depthOf(n.left), depthOf(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
 
 func nodesOf(n *node) int {
 	if n == nil {

@@ -103,9 +103,20 @@ func TestDepthRegularisation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Depth() > 3 {
-		t.Fatalf("depth %d exceeds max 3", tree.Depth())
+	// Walk every root-to-leaf path: none may take more than MaxDepth
+	// splits.
+	var walk func(n *node, depth int)
+	walk = func(n *node, depth int) {
+		if n.left == nil {
+			return
+		}
+		if depth == 3 {
+			t.Fatal("tree splits deeper than MaxDepth 3")
+		}
+		walk(n.left, depth+1)
+		walk(n.right, depth+1)
 	}
+	walk(tree.root, 0)
 	if tree.Nodes() == 0 {
 		t.Fatal("no nodes")
 	}
@@ -118,8 +129,8 @@ func TestPureLeafStopsEarly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Depth() != 0 {
-		t.Fatalf("pure data should give a leaf, depth %d", tree.Depth())
+	if n := tree.Nodes(); n != 1 {
+		t.Fatalf("pure data should give a leaf, got %d nodes", n)
 	}
 	if tree.Predict([]float64{99}) != 1 {
 		t.Fatal("wrong class")
@@ -133,7 +144,7 @@ func TestConstantFeaturesGiveLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Depth() != 0 {
+	if tree.Nodes() != 1 {
 		t.Fatal("cannot split constant features")
 	}
 }

@@ -160,9 +160,13 @@ func TestFig9Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := res.AccuracyOf(selector.FromScratch)
-	cont := res.AccuracyOf(selector.ContinuousEvolvement)
-	top := res.AccuracyOf(selector.TopEvolvement)
+	accuracyOf := map[selector.TransferMethod][]float64{}
+	for i, m := range res.Methods {
+		accuracyOf[m] = res.Accuracy[i]
+	}
+	scratch := accuracyOf[selector.FromScratch]
+	cont := accuracyOf[selector.ContinuousEvolvement]
+	top := accuracyOf[selector.TopEvolvement]
 	t.Logf("fig9 sizes %v\n scratch %v\n cont    %v\n top     %v", res.Sizes, scratch, cont, top)
 	// Section 6: at small retraining budgets, the transferred models
 	// must dominate training from scratch (the whole point of

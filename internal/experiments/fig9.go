@@ -18,16 +18,6 @@ type Fig9Result struct {
 	Accuracy [][]float64 // [method][size index]
 }
 
-// AccuracyOf returns the accuracy series for a method.
-func (r *Fig9Result) AccuracyOf(m selector.TransferMethod) []float64 {
-	for i, mm := range r.Methods {
-		if mm == m {
-			return r.Accuracy[i]
-		}
-	}
-	return nil
-}
-
 // RunFig9 reproduces Figure 9: train a CNN+Histogram selector on the
 // Intel-like platform, then migrate it to the AMD-like platform with
 // each method, retraining on increasing amounts of target-platform

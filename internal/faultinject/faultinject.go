@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -230,4 +231,19 @@ func Arm(specs string) error {
 		Enable(spec, f)
 	}
 	return nil
+}
+
+// CorruptFile flips the middle byte of the file at path, the damage
+// PointCandidateCorrupt and PointStoreCorrupt do where they fire: enough
+// for an envelope checksum to reject the file downstream.
+func CorruptFile(path string) error {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if len(b) == 0 {
+		return fmt.Errorf("faultinject: cannot corrupt empty file %s", path)
+	}
+	b[len(b)/2] ^= 0xff
+	return os.WriteFile(path, b, 0o644)
 }

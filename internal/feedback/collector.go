@@ -3,7 +3,6 @@ package feedback
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -138,17 +137,13 @@ func (c *Collector) open() error {
 	if salvage != nil {
 		c.logf("feedback: online corpus needed salvage: %d shard(s) repaired, %d record(s) dropped", len(salvage.Shards), len(salvage.DroppedRecords))
 	}
-	evicted := map[uint64]bool{}
-	payload, err := nn.ReadEnvelopeFile(c.seenPath(), nn.EnvelopeFeedbackSeen)
-	switch {
-	case errors.Is(err, fs.ErrNotExist): // nothing evicted yet
-	case err != nil:
+	fps, err := dataset.ReadFingerprintSet(c.seenPath(), nn.EnvelopeFeedbackSeen)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) { // missing: nothing evicted yet
 		return fmt.Errorf("evicted-fingerprint set: %w", err)
-	case len(payload)%8 != 0:
-		return fmt.Errorf("evicted-fingerprint set: odd length %d", len(payload))
 	}
-	for ; len(payload) > 0; payload = payload[8:] {
-		evicted[binary.BigEndian.Uint64(payload)] = true
+	evicted := make(map[uint64]bool, len(fps))
+	for _, fp := range fps {
+		evicted[fp] = true
 	}
 	c.store, c.evicted = s, evicted
 	return nil
@@ -232,7 +227,7 @@ func (c *Collector) foldSegment(path string, rep *CollectReport) error {
 		case c.evicted[e.Fingerprint] || c.store.Contains(e.Fingerprint):
 			rep.Duplicates++
 		default:
-			m, err := reconstruct(e.Stats.Rows, e.Stats.Cols, e.PatRows, e.PatCols)
+			m, err := sparse.UnitCOO(e.Stats.Rows, e.Stats.Cols, e.PatRows, e.PatCols)
 			if err != nil {
 				rep.SkippedLines++ // a pattern outside its declared shape is a corrupt line
 				continue
@@ -262,17 +257,6 @@ func (c *Collector) Corpus() (*dataset.Dataset, error) {
 	return d, nil
 }
 
-func reconstruct(rows, cols int, patRows, patCols []int32) (*sparse.COO, error) {
-	if len(patRows) != len(patCols) {
-		return nil, fmt.Errorf("pattern arrays disagree (%d rows, %d cols)", len(patRows), len(patCols))
-	}
-	entries := make([]sparse.Entry, len(patRows))
-	for i := range patRows {
-		entries[i] = sparse.Entry{Row: int(patRows[i]), Col: int(patCols[i]), Val: 1}
-	}
-	return sparse.NewCOO(rows, cols, entries)
-}
-
 // evict drops the oldest records past the cap. The store only grows,
 // so eviction rewrites it: the evicted fingerprints are added to the
 // .seen set first (a crash after that merely remembers a few
@@ -291,11 +275,7 @@ func (c *Collector) evict() error {
 		c.evicted[r.ID] = true
 	}
 	d.Records = d.Records[n:]
-	payload := make([]byte, 0, 8*len(c.evicted))
-	for fp := range c.evicted {
-		payload = binary.BigEndian.AppendUint64(payload, fp)
-	}
-	if err := nn.WriteEnvelopeFile(c.seenPath(), nn.EnvelopeFeedbackSeen, payload); err != nil {
+	if err := dataset.WriteFingerprintSet(c.seenPath(), nn.EnvelopeFeedbackSeen, c.evicted); err != nil {
 		return fmt.Errorf("feedback: persisting evicted fingerprints: %w", err)
 	}
 

@@ -79,7 +79,7 @@ func TestLoggerLinesAreJSONMarshal(t *testing.T) {
 			}
 			if e.HasPattern() {
 				withPattern++
-				m, err := e.Matrix()
+				m, err := sparse.UnitCOO(e.Stats.Rows, e.Stats.Cols, e.PatRows, e.PatCols)
 				if err != nil || m.Fingerprint() != e.Fingerprint {
 					t.Fatalf("%s: entry %d does not rebuild its matrix (err %v)", name, i, err)
 				}

@@ -25,11 +25,7 @@
 //     transition so a restart resumes where it left off.
 package feedback
 
-import (
-	"fmt"
-
-	"repro/internal/sparse"
-)
+import "repro/internal/sparse"
 
 // Entry is one captured prediction outcome — a single JSONL line of the
 // feedback log. Fields the serving tier cannot cheaply produce on the
@@ -75,19 +71,4 @@ type Entry struct {
 // pattern.
 func (e *Entry) HasPattern() bool {
 	return len(e.PatRows) > 0 && len(e.PatRows) == len(e.PatCols)
-}
-
-// Matrix rebuilds the entry's matrix from the captured pattern. Values
-// are set to 1 — the selector's input representations depend only on
-// positions, which is also why the prediction cache can key on the
-// position-only fingerprint.
-func (e *Entry) Matrix() (*sparse.COO, error) {
-	if !e.HasPattern() {
-		return nil, fmt.Errorf("feedback: entry %x carries no pattern", e.Fingerprint)
-	}
-	entries := make([]sparse.Entry, len(e.PatRows))
-	for i := range e.PatRows {
-		entries[i] = sparse.Entry{Row: int(e.PatRows[i]), Col: int(e.PatCols[i]), Val: 1}
-	}
-	return sparse.NewCOO(e.Stats.Rows, e.Stats.Cols, entries)
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/dataset"
+	"repro/internal/faultinject"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/represent"
@@ -77,9 +78,9 @@ func TestLoggerRoundTrip(t *testing.T) {
 	if !got[0].HasPattern() {
 		t.Fatal("small matrix should carry its pattern")
 	}
-	rebuilt, err := got[0].Matrix()
+	rebuilt, err := sparse.UnitCOO(got[0].Stats.Rows, got[0].Stats.Cols, got[0].PatRows, got[0].PatCols)
 	if err != nil {
-		t.Fatalf("Matrix: %v", err)
+		t.Fatalf("UnitCOO: %v", err)
 	}
 	if sparse.Fingerprint(rebuilt) != got[0].Fingerprint {
 		t.Fatal("rebuilt pattern does not fingerprint-match the original")
@@ -348,6 +349,30 @@ func TestCollectorEvictionKeepsDedupSet(t *testing.T) {
 	fillSegments(t, dir, []int64{1, 2, 3, 4})
 	if rep, err = c2.Collect(); err != nil || rep.Folded != 0 || rep.Duplicates != 4 {
 		t.Fatalf("re-captured traffic after eviction and restart: %+v, %v; want 4 duplicates", rep, err)
+	}
+}
+
+// Two collectors that evict the same fingerprints write the same
+// .seen bytes: the set is written sorted, not in map order.
+func TestCollectorSeenFileIsDeterministic(t *testing.T) {
+	var seen [2][]byte
+	for i := range seen {
+		dir := t.TempDir()
+		corpus := filepath.Join(t.TempDir(), "corpus.store")
+		c, err := NewCollector(CollectorConfig{SegmentDir: dir, CorpusPath: corpus, Labeler: testLabeler(t), MaxRecords: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillSegments(t, dir, []int64{1, 2, 3, 4, 5, 6, 7, 8})
+		if rep, err := c.Collect(); err != nil || rep.Records != 2 {
+			t.Fatalf("fold = %+v, %v; want 2 records kept of 8", rep, err)
+		}
+		if seen[i], err = os.ReadFile(c.seenPath()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(seen[0], seen[1]) {
+		t.Fatal("two collectors evicting the same six fingerprints wrote different .seen files")
 	}
 }
 
@@ -631,12 +656,12 @@ func TestCorruptFileBreaksEnvelope(t *testing.T) {
 	if err := os.WriteFile(path, []byte("0123456789"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := corruptFile(path); err != nil {
+	if err := faultinject.CorruptFile(path); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(path)
 	if string(data) == "0123456789" {
-		t.Fatal("corruptFile changed nothing")
+		t.Fatal("CorruptFile changed nothing")
 	}
 }
 

@@ -449,7 +449,7 @@ func (s *Shepherd) retrain(ctx context.Context) error {
 	// Fault hook: a corrupted retrain artifact must be rejected by the
 	// serving tier's probe-validated shadow load, never promoted.
 	if ferr := faultinject.Inject(faultinject.PointCandidateCorrupt); ferr != nil {
-		if err := corruptFile(s.candidatePath()); err != nil {
+		if err := faultinject.CorruptFile(s.candidatePath()); err != nil {
 			return err
 		}
 		s.logf("shepherd: fault injection corrupted candidate artifact")
@@ -461,20 +461,6 @@ func (s *Shepherd) retrain(ctx context.Context) error {
 	return s.transition(StateShadowing, fmt.Sprintf(
 		"candidate retrained on %d records in %.2fs: live_acc=%.3f cand_acc=%.3f",
 		len(corpus.Records), trainSecs, s.liveAcc, s.candAcc), 0)
-}
-
-// corruptFile flips one byte in the middle of a file — enough for the
-// envelope checksum to reject it downstream.
-func corruptFile(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if len(data) == 0 {
-		return fmt.Errorf("feedback: cannot corrupt empty artifact")
-	}
-	data[len(data)/2] ^= 0xFF
-	return os.WriteFile(path, data, 0o644)
 }
 
 // shadow loads the candidate into the serving tier as a shadow model

@@ -76,12 +76,6 @@ func (p *Platform) FormatSet() []sparse.Format {
 	return sparse.CPUFormats()
 }
 
-// Flops returns the platform's peak double-precision multiply-add
-// throughput in operations per second.
-func (p *Platform) Flops() float64 {
-	return float64(p.Cores) * p.FreqGHz * 1e9 * float64(p.SIMDWidth)
-}
-
 // String summarises the platform.
 func (p *Platform) String() string {
 	return fmt.Sprintf("%s(%s, %d cores @ %.2f GHz, %.0f GB/s, LLC %d MB)",

@@ -213,12 +213,8 @@ func (t *Trainer) Checkpoint(loss float64, extra []byte) (*Checkpoint, error) {
 	if err := Save(&buf, t.Model); err != nil {
 		return nil, err
 	}
-	ck := &Checkpoint{Epoch: t.Epoch, Loss: loss, LR: currentLR(t.Opt),
-		Model: buf.Bytes(), Extra: extra}
-	if so, ok := t.Opt.(StatefulOptimizer); ok {
-		ck.Opt = so.StateSnapshot(t.Model.Params())
-	}
-	return ck, nil
+	return &Checkpoint{Epoch: t.Epoch, Loss: loss, LR: t.Opt.LR,
+		Model: buf.Bytes(), Opt: t.Opt.StateSnapshot(t.Model.Params()), Extra: extra}, nil
 }
 
 // RestoreCheckpoint rewinds the trainer to a checkpoint: weights are
@@ -229,27 +225,12 @@ func (t *Trainer) RestoreCheckpoint(ck *Checkpoint) error {
 	if err := RestoreWeights(t.Model, ck.Model); err != nil {
 		return err
 	}
-	if so, ok := t.Opt.(StatefulOptimizer); ok {
-		so.RestoreState(t.Model.Params(), ck.Opt)
-	}
+	t.Opt.RestoreState(t.Model.Params(), ck.Opt)
 	if ck.LR > 0 {
-		setLR(t.Opt, ck.LR)
+		t.Opt.LR = ck.LR
 	}
 	t.Epoch = ck.Epoch
 	return nil
-}
-
-func currentLR(o Optimizer) float64 {
-	if a, ok := o.(LRAdjustable); ok {
-		return a.GetLR()
-	}
-	return 0
-}
-
-func setLR(o Optimizer, lr float64) {
-	if a, ok := o.(LRAdjustable); ok {
-		a.SetLR(lr)
-	}
 }
 
 // memSnapshot is an in-memory "last good epoch" state used by the
@@ -260,20 +241,16 @@ type memSnapshot struct {
 	lr      float64
 	weights [][]float64
 	opt     OptState
-	hasOpt  bool
 }
 
 func (t *Trainer) snapshotState() *memSnapshot {
 	params := t.Model.Params()
-	s := &memSnapshot{epoch: t.Epoch, lr: currentLR(t.Opt)}
+	s := &memSnapshot{epoch: t.Epoch, lr: t.Opt.LR}
 	s.weights = make([][]float64, len(params))
 	for i, p := range params {
 		s.weights[i] = append([]float64(nil), p.Value.Data()...)
 	}
-	if so, ok := t.Opt.(StatefulOptimizer); ok {
-		s.opt = so.StateSnapshot(params)
-		s.hasOpt = true
-	}
+	s.opt = t.Opt.StateSnapshot(params)
 	return s
 }
 
@@ -283,13 +260,9 @@ func (t *Trainer) restoreState(s *memSnapshot) {
 		copy(p.Value.Data(), s.weights[i])
 		p.Grad.Zero()
 	}
-	if s.hasOpt {
-		if so, ok := t.Opt.(StatefulOptimizer); ok {
-			so.RestoreState(params, s.opt)
-		}
-	}
+	t.Opt.RestoreState(params, s.opt)
 	if s.lr > 0 {
-		setLR(t.Opt, s.lr)
+		t.Opt.LR = s.lr
 	}
 	t.Epoch = s.epoch
 }
@@ -429,7 +402,7 @@ func (t *Trainer) runLoop(ctx context.Context, o RunOpts, epochFn func(context.C
 					Loss:               loss,
 					Accuracy:           t.EpochAccuracy(),
 					GradNorm:           t.lastGradNorm,
-					LR:                 currentLR(t.Opt),
+					LR:                 t.Opt.LR,
 					Retries:            totalRetries,
 					Duration:           epochDur,
 					Checkpointed:       ckpted,
@@ -445,9 +418,9 @@ func (t *Trainer) runLoop(ctx context.Context, o RunOpts, epochFn func(context.C
 				t.restoreState(lastGood)
 				return losses, fmt.Errorf("%w after %d retries: %v", ErrDiverged, o.MaxRetries, err)
 			}
-			backedOff := currentLR(t.Opt) * o.LRBackoff
+			backedOff := t.Opt.LR * o.LRBackoff
 			t.restoreState(lastGood)
-			setLR(t.Opt, backedOff)
+			t.Opt.LR = backedOff
 		case ctx.Err() != nil:
 			// Interrupted mid-epoch: rewind to the epoch boundary so the
 			// flushed checkpoint is consistent and resume is exact.

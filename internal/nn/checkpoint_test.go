@@ -355,7 +355,7 @@ func TestRunRecoversFromInjectedNaN(t *testing.T) {
 		}
 	}
 	// Two recoveries at backoff 0.5 from LR 0.02.
-	if got, want := opt.GetLR(), 0.02*0.25; math.Abs(got-want) > 1e-12 {
+	if got, want := opt.LR, 0.02*0.25; math.Abs(got-want) > 1e-12 {
 		t.Fatalf("LR after two backoffs = %v, want %v", got, want)
 	}
 }
@@ -395,7 +395,7 @@ func TestMaxGradNormTriggersNonFinite(t *testing.T) {
 	m := ckptModel(rng)
 	tr := NewTrainer(m, NewAdam(0.01), 8, 9)
 	tr.MaxGradNorm = 1e-9 // everything "explodes"
-	_, err := tr.TrainEpoch(ckptProblem(rng, 16))
+	_, err := tr.TrainEpochCtx(context.Background(), ckptProblem(rng, 16))
 	if !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("err = %v, want ErrNonFinite", err)
 	}
@@ -412,11 +412,11 @@ func TestTrainBatchWorkerPanicIsError(t *testing.T) {
 	tr.Workers = 4
 	samples := ckptProblem(rng, 16)
 	samples[11].Inputs = nil // poison one sample: Forward will panic
-	_, err := tr.TrainEpoch(samples)
+	_, err := tr.TrainEpochCtx(context.Background(), samples)
 	if err == nil {
 		t.Fatal("worker panic did not surface as error")
 	}
-	if _, ok := robust.AsPanic(err); !ok {
+	if !errors.As(err, new(*robust.PanicError)) {
 		t.Fatalf("error %v does not carry the panic", err)
 	}
 }
@@ -457,7 +457,7 @@ func TestEvaluateModelWorkerPanicIsError(t *testing.T) {
 	if err == nil {
 		t.Fatal("worker panic did not surface as error")
 	}
-	if _, ok := robust.AsPanic(err); !ok {
+	if !errors.As(err, new(*robust.PanicError)) {
 		t.Fatalf("error %v does not carry the panic", err)
 	}
 	for i, in := range inputs {

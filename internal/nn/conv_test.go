@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -268,8 +269,14 @@ func TestConv2DAdjointProperty(t *testing.T) {
 		}
 		out := l.Forward(x, true)
 		y := randInput(rng, out.Shape()...)
-		lhs := out.Dot(y)
-		rhs := x.Dot(l.Backward(y))
+		dx := l.Backward(y)
+		lhs, rhs := 0.0, 0.0
+		for i, v := range out.Data() {
+			lhs += v * y.Data()[i]
+		}
+		for i, v := range x.Data() {
+			rhs += v * dx.Data()[i]
+		}
 		return math.Abs(lhs-rhs) < 1e-9*(1+math.Abs(lhs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -296,7 +303,7 @@ func TestNonFiniteInputTripsDivergenceGate(t *testing.T) {
 				before := modelWeights(m)
 				tr := NewTrainer(m, NewAdam(0.01), len(samples), 1)
 				tr.Workers = workers
-				if _, err := tr.TrainEpoch(samples); !errors.Is(err, ErrNonFinite) {
+				if _, err := tr.TrainEpochCtx(context.Background(), samples); !errors.Is(err, ErrNonFinite) {
 					t.Fatalf("input %v, workers=%d, zero weight %v: err = %v, want ErrNonFinite", bad, workers, zeroWeight, err)
 				}
 				weightsEqual(t, before, modelWeights(m), "after the refused step")

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -223,7 +224,7 @@ func TestNonFiniteCodeTripsDivergenceGate(t *testing.T) {
 			before := modelWeights(m)
 			tr := NewTrainer(m, NewAdam(0.01), len(samples), 1)
 			tr.Workers = workers
-			if _, err := tr.TrainEpoch(samples); !errors.Is(err, ErrNonFinite) {
+			if _, err := tr.TrainEpochCtx(context.Background(), samples); !errors.Is(err, ErrNonFinite) {
 				t.Fatalf("code %v, workers=%d: err = %v, want ErrNonFinite", bad, workers, err)
 			}
 			weightsEqual(t, before, modelWeights(m), "after the refused step")
@@ -283,7 +284,7 @@ func TestInferenceSharedAfterTraining(t *testing.T) {
 		samples := mc.samples(rng, 24)
 		tr := NewTrainer(m, NewAdam(0.01), 8, 1)
 		tr.Workers = 2
-		if _, err := tr.TrainEpoch(samples); err != nil {
+		if _, err := tr.TrainEpochCtx(context.Background(), samples); err != nil {
 			t.Fatal(err)
 		}
 		trained := tr.replicas[0]

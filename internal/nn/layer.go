@@ -1,6 +1,6 @@
 // Package nn is a from-scratch convolutional neural network framework:
 // conv/pool/dense layers with backpropagation, softmax cross-entropy,
-// SGD and Adam optimisers, goroutine data-parallel minibatch training,
+// the Adam optimiser, goroutine data-parallel minibatch training,
 // and gob serialisation. It substitutes for the TensorFlow stack the
 // paper's artifact uses; the selector package composes it into the
 // paper's early- and late-merging CNN structures.

@@ -25,9 +25,6 @@ func NewModel(towers [][]Layer, head []Layer) *Model {
 	return &Model{Towers: towers, Head: head}
 }
 
-// NumTowers returns the number of input sources the model expects.
-func (m *Model) NumTowers() int { return len(m.Towers) }
-
 // Params returns all learnable parameters, towers first then head.
 func (m *Model) Params() []*Param {
 	var ps []*Param
@@ -50,15 +47,6 @@ func (m *Model) TowerParams() []*Param {
 		for _, l := range tw {
 			ps = append(ps, l.Params()...)
 		}
-	}
-	return ps
-}
-
-// HeadParams returns only the head parameters.
-func (m *Model) HeadParams() []*Param {
-	var ps []*Param
-	for _, l := range m.Head {
-		ps = append(ps, l.Params()...)
 	}
 	return ps
 }
@@ -94,7 +82,7 @@ func (m *Model) Codes(inputs []*tensor.Tensor) *tensor.Tensor {
 }
 
 // towers runs each tower on its input and concatenates the flattened
-// features. len(inputs) must equal NumTowers.
+// features. len(inputs) must equal len(m.Towers).
 func (m *Model) towers(inputs []*tensor.Tensor, train bool) *tensor.Tensor {
 	if len(inputs) != len(m.Towers) {
 		panic(fmt.Sprintf("nn: model has %d towers, got %d inputs", len(m.Towers), len(inputs)))

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
 	"math"
 	"math/rand"
@@ -282,7 +283,7 @@ func TestTrainingLearnsToyProblem(t *testing.T) {
 	tr := NewTrainer(m, NewAdam(0.005), 16, 1)
 	accBefore, _ := evaluateRef(m, test, 1)
 	for e := 0; e < 12; e++ {
-		if _, err := tr.TrainEpoch(train); err != nil {
+		if _, err := tr.TrainEpochCtx(context.Background(), train); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -294,7 +295,10 @@ func TestTrainingLearnsToyProblem(t *testing.T) {
 
 // The parallel batch gradient must equal the serial one: training with 1
 // worker and with 4 workers from identical initial states gives
-// identical parameters.
+// identical parameters. One batch is one Adam step, whose update is
+// about LR·sign(g), so the weights alone would only compare signs; the
+// first moment m = (1−β1)·g/B carries the batch gradient itself and is
+// compared too.
 func TestDataParallelGradientExactness(t *testing.T) {
 	build := func() (*Model, []Sample) {
 		rng := rand.New(rand.NewSource(9))
@@ -304,19 +308,82 @@ func TestDataParallelGradientExactness(t *testing.T) {
 	}
 	m1, s1 := build()
 	m4, s4 := build()
-	t1 := NewTrainer(m1, NewSGD(0.01, 0.9), 32, 3)
+	t1 := NewTrainer(m1, NewAdam(0.01), 32, 3)
 	t1.Workers = 1
-	t4 := NewTrainer(m4, NewSGD(0.01, 0.9), 32, 3)
+	t4 := NewTrainer(m4, NewAdam(0.01), 32, 3)
 	t4.Workers = 4
-	t1.TrainEpoch(s1)
-	t4.TrainEpoch(s4)
+	if _, err := t1.TrainEpochCtx(context.Background(), s1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := t4.TrainEpochCtx(context.Background(), s4); err != nil {
+		t.Fatal(err)
+	}
 	p1 := m1.Params()
 	p4 := m4.Params()
+	g1 := t1.Opt.StateSnapshot(p1).Slots["m"]
+	g4 := t4.Opt.StateSnapshot(p4).Slots["m"]
+	nonzero := 0
+	for i := range p1 {
+		if len(g1[i]) != p1[i].Value.Size() || len(g4[i]) != len(g1[i]) {
+			t.Fatalf("param %d: first moment has %d (1 worker) and %d (4 workers) entries, want %d",
+				i, len(g1[i]), len(g4[i]), p1[i].Value.Size())
+		}
+		for j := range g1[i] {
+			if math.Abs(g1[i][j]-g4[i][j]) > 1e-9*(1+math.Abs(g1[i][j])) {
+				t.Fatalf("param %d[%d]: batch gradient moment diverged between 1 and 4 workers: %v vs %v",
+					i, j, g1[i][j], g4[i][j])
+			}
+			if g1[i][j] != 0 {
+				nonzero++
+			}
+		}
+	}
+	if nonzero == 0 {
+		t.Fatal("the batch gradient is zero everywhere; the comparison checks nothing")
+	}
 	for i := range p1 {
 		d1, d4 := p1[i].Value.Data(), p4[i].Value.Data()
 		for j := range d1 {
 			if math.Abs(d1[j]-d4[j]) > 1e-9 {
 				t.Fatalf("param %d diverged between 1 and 4 workers: %v vs %v", i, d1[j], d4[j])
+			}
+		}
+	}
+}
+
+// TestEpochOnSliceEqualsEpochOnStream: at epoch 0 the slice and the
+// stream shuffle seeds coincide, so one epoch of TrainEpochCtx and one
+// of TrainEpochStreamCtx over the same samples as a single chunk must
+// train the same model bit for bit — every weight and the returned loss.
+func TestEpochOnSliceEqualsEpochOnStream(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		build := func() (*Trainer, []Sample) {
+			rng := rand.New(rand.NewSource(12))
+			m := toyModel(rng)
+			tr := NewTrainer(m, NewAdam(0.01), 8, 5)
+			tr.Workers = workers
+			return tr, makeToyProblem(rng, 45)
+		}
+		onSlice, samples := build()
+		onStream, _ := build()
+		ls, err := onSlice.TrainEpochCtx(context.Background(), samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lt, err := onStream.TrainEpochStreamCtx(context.Background(), SliceSource(samples))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(ls) != math.Float64bits(lt) {
+			t.Fatalf("workers=%d: loss %v on a slice, %v on a stream", workers, ls, lt)
+		}
+		ps, pt := onSlice.Model.Params(), onStream.Model.Params()
+		for i := range ps {
+			a, b := ps[i].Value.Data(), pt[i].Value.Data()
+			for j := range a {
+				if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+					t.Fatalf("workers=%d: param %d[%d] is %v on a slice, %v on a stream", workers, i, j, a[j], b[j])
+				}
 			}
 		}
 	}
@@ -352,9 +419,10 @@ func TestFrozenParamsDoNotMove(t *testing.T) {
 	for _, p := range m.TowerParams() {
 		before = append(before, append([]float64(nil), p.Value.Data()...))
 	}
-	headBefore := append([]float64(nil), m.HeadParams()[0].Value.Data()...)
+	head := m.Params()[len(m.TowerParams())]
+	headBefore := append([]float64(nil), head.Value.Data()...)
 	tr := NewTrainer(m, NewAdam(0.01), 8, 4)
-	tr.TrainEpoch(makeToyProblem(rng, 24))
+	tr.TrainEpochCtx(context.Background(), makeToyProblem(rng, 24))
 	for i, p := range m.TowerParams() {
 		for j, v := range p.Value.Data() {
 			if v != before[i][j] {
@@ -363,7 +431,7 @@ func TestFrozenParamsDoNotMove(t *testing.T) {
 		}
 	}
 	moved := false
-	for j, v := range m.HeadParams()[0].Value.Data() {
+	for j, v := range head.Value.Data() {
 		if v != headBefore[j] {
 			moved = true
 			break
@@ -374,21 +442,19 @@ func TestFrozenParamsDoNotMove(t *testing.T) {
 	}
 }
 
-func TestSGDAndAdamStepSkipFrozen(t *testing.T) {
-	for _, opt := range []Optimizer{NewSGD(0.1, 0.9), NewAdam(0.1)} {
-		p := newParam("w", tensor.FromSlice([]float64{1, 2}, 2))
-		p.Grad.Data()[0] = 1
-		p.Grad.Data()[1] = 1
-		frozen := newParam("f", tensor.FromSlice([]float64{5}, 1))
-		frozen.Frozen = true
-		frozen.Grad.Data()[0] = 100
-		opt.Step([]*Param{p, frozen}, 1)
-		if frozen.Value.Data()[0] != 5 {
-			t.Fatalf("%T moved frozen param", opt)
-		}
-		if p.Value.Data()[0] == 1 {
-			t.Fatalf("%T did not move live param", opt)
-		}
+func TestAdamStepSkipsFrozen(t *testing.T) {
+	p := newParam("w", tensor.FromSlice([]float64{1, 2}, 2))
+	p.Grad.Data()[0] = 1
+	p.Grad.Data()[1] = 1
+	frozen := newParam("f", tensor.FromSlice([]float64{5}, 1))
+	frozen.Frozen = true
+	frozen.Grad.Data()[0] = 100
+	NewAdam(0.1).Step([]*Param{p, frozen}, 1)
+	if frozen.Value.Data()[0] != 5 {
+		t.Fatal("Adam moved a frozen param")
+	}
+	if p.Value.Data()[0] == 1 {
+		t.Fatal("Adam did not move a live param")
 	}
 }
 
@@ -559,11 +625,12 @@ func TestCodesMatchInputsOnFrozenTowers(t *testing.T) {
 		if li[0] != lc[0] {
 			t.Fatalf("step %d: loss %v on inputs, %v on codes", step, li[0], lc[0])
 		}
-		if gi, gc := onInputs.LastGradNorm(), onCodes.LastGradNorm(); gi != gc || gi == 0 {
+		if gi, gc := onInputs.lastGradNorm, onCodes.lastGradNorm; gi != gc || gi == 0 {
 			t.Fatalf("step %d: grad norm %v on inputs, %v on codes", step, gi, gc)
 		}
 	}
-	hi, hc := onInputs.Model.HeadParams(), onCodes.Model.HeadParams()
+	hi := onInputs.Model.Params()[len(onInputs.Model.TowerParams()):]
+	hc := onCodes.Model.Params()[len(towers):]
 	for i := range hi {
 		a, b := hi[i].Value.Data(), hc[i].Value.Data()
 		for j := range a {
@@ -578,8 +645,10 @@ func TestCodesMatchInputsOnFrozenTowers(t *testing.T) {
 				t.Fatalf("tower param %d[%d] moved", i, j)
 			}
 		}
-		if p.Grad.Norm2() != 0 {
-			t.Fatalf("codes samples back-propagated into tower param %d", i)
+		for _, g := range p.Grad.Data() {
+			if g != 0 {
+				t.Fatalf("codes samples back-propagated into tower param %d", i)
+			}
 		}
 	}
 	// Evaluation takes either kind of sample too.

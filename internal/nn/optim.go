@@ -2,17 +2,7 @@ package nn
 
 import "math"
 
-// Optimizer updates parameters from their accumulated gradients.
-// Implementations must skip Frozen parameters (the top-evolvement
-// transfer mechanism relies on it).
-type Optimizer interface {
-	// Step applies one update using the parameters' Grad fields,
-	// dividing by batchSize to average the accumulated sample
-	// gradients.
-	Step(params []*Param, batchSize int)
-}
-
-// OptState is a serialisable snapshot of an optimiser's internal state
+// OptState is a serialisable snapshot of the optimiser's internal state
 // (step count and per-parameter slot buffers, addressed by the
 // parameter's index in Model.Params() order). Checkpoints carry it so a
 // resumed run continues with identical optimiser dynamics instead of
@@ -20,26 +10,6 @@ type Optimizer interface {
 type OptState struct {
 	T     int
 	Slots map[string][][]float64
-}
-
-// StatefulOptimizer is implemented by optimisers whose update depends
-// on history (momentum, Adam moments); checkpointing uses it to make
-// resume bit-identical.
-type StatefulOptimizer interface {
-	Optimizer
-	// StateSnapshot deep-copies the optimiser state for the given
-	// parameter list.
-	StateSnapshot(params []*Param) OptState
-	// RestoreState replaces the optimiser state from a snapshot taken
-	// with the same parameter list (by position).
-	RestoreState(params []*Param, st OptState)
-}
-
-// LRAdjustable is implemented by optimisers with a tunable step size;
-// divergence recovery uses it to back the learning rate off.
-type LRAdjustable interface {
-	GetLR() float64
-	SetLR(lr float64)
 }
 
 // slotSnapshot deep-copies one map-backed slot in params order.
@@ -65,63 +35,11 @@ func slotRestore(slot map[*Param][]float64, params []*Param, saved [][]float64) 
 	}
 }
 
-// SGD is stochastic gradient descent with classical momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	velocity map[*Param][]float64
-}
-
-// NewSGD builds an SGD optimiser.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param][]float64)}
-}
-
-// Step applies one SGD update.
-func (o *SGD) Step(params []*Param, batchSize int) {
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	inv := 1.0 / float64(batchSize)
-	for _, p := range params {
-		if p.Frozen {
-			continue
-		}
-		v := o.velocity[p]
-		if v == nil {
-			v = make([]float64, p.Value.Size())
-			o.velocity[p] = v
-		}
-		pd := p.Value.Data()
-		gd := p.Grad.Data()
-		for i := range pd {
-			v[i] = o.Momentum*v[i] - o.LR*gd[i]*inv
-			pd[i] += v[i]
-		}
-	}
-}
-
-// GetLR returns the current learning rate.
-func (o *SGD) GetLR() float64 { return o.LR }
-
-// SetLR replaces the learning rate.
-func (o *SGD) SetLR(lr float64) { o.LR = lr }
-
-// StateSnapshot deep-copies the momentum buffers.
-func (o *SGD) StateSnapshot(params []*Param) OptState {
-	return OptState{Slots: map[string][][]float64{"vel": slotSnapshot(o.velocity, params)}}
-}
-
-// RestoreState reinstalls momentum buffers from a snapshot.
-func (o *SGD) RestoreState(params []*Param, st OptState) {
-	if o.velocity == nil {
-		o.velocity = make(map[*Param][]float64)
-	}
-	slotRestore(o.velocity, params, st.Slots["vel"])
-}
-
 // Adam is the Adam optimiser (Kingma & Ba) with optional decoupled
-// weight decay (AdamW), the de-facto default for CNN training.
+// weight decay (AdamW), the de-facto default for CNN training and the
+// one optimiser the trainer runs. Its step skips Frozen parameters (the
+// top-evolvement transfer mechanism relies on it); LR is what
+// divergence recovery backs off and checkpoints carry.
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 	WeightDecay           float64 // decoupled (AdamW-style); 0 disables
@@ -137,7 +55,8 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step applies one Adam update.
+// Step applies one Adam update using the parameters' Grad fields,
+// dividing by batchSize to average the accumulated sample gradients.
 func (o *Adam) Step(params []*Param, batchSize int) {
 	if batchSize < 1 {
 		batchSize = 1
@@ -170,12 +89,6 @@ func (o *Adam) Step(params []*Param, batchSize int) {
 		}
 	}
 }
-
-// GetLR returns the current learning rate.
-func (o *Adam) GetLR() float64 { return o.LR }
-
-// SetLR replaces the learning rate.
-func (o *Adam) SetLR(lr float64) { o.LR = lr }
 
 // StateSnapshot deep-copies the step count and moment buffers.
 func (o *Adam) StateSnapshot(params []*Param) OptState {

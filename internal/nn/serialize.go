@@ -232,17 +232,21 @@ func specOf(l Layer) (LayerSpec, error) {
 }
 
 // buildLayer reconstructs a layer from its spec. Weighted layers get
-// placeholder parameters that the caller overwrites.
-func buildLayer(s LayerSpec, rng *rand.Rand) (Layer, error) {
+// placeholder parameters that the caller overwrites. budget is how many
+// weights the blob still carries: a spec with a dimension that is not
+// positive, or whose parameters do not fit in the budget, is an error
+// before anything is allocated for it.
+func buildLayer(s LayerSpec, rng *rand.Rand, budget *int) (Layer, error) {
 	switch s.Type {
 	case "conv":
-		if len(s.Ints) != 8 {
+		i := s.Ints
+		if len(i) != 8 || i[4] <= 0 || i[5] <= 0 || i[6] < 0 || i[7] < 0 ||
+			!take(budget, i[1], i[0], i[2], i[3]) || !take(budget, i[1]) {
 			return nil, fmt.Errorf("nn: bad conv spec %v", s)
 		}
-		i := s.Ints
 		return NewConv2D(i[0], i[1], i[2], i[3], i[4], i[5], i[6], i[7], rng), nil
 	case "pool":
-		if len(s.Ints) != 2 {
+		if len(s.Ints) != 2 || s.Ints[0] <= 0 || s.Ints[1] <= 0 {
 			return nil, fmt.Errorf("nn: bad pool spec %v", s)
 		}
 		return NewMaxPool2D(s.Ints[0], s.Ints[1]), nil
@@ -251,7 +255,7 @@ func buildLayer(s LayerSpec, rng *rand.Rand) (Layer, error) {
 	case "flatten":
 		return NewFlatten(), nil
 	case "dense":
-		if len(s.Ints) != 2 {
+		if len(s.Ints) != 2 || !take(budget, s.Ints[1], s.Ints[0]) || !take(budget, s.Ints[1]) {
 			return nil, fmt.Errorf("nn: bad dense spec %v", s)
 		}
 		return NewDense(s.Ints[0], s.Ints[1], rng), nil
@@ -260,6 +264,31 @@ func buildLayer(s LayerSpec, rng *rand.Rand) (Layer, error) {
 	default:
 		return nil, fmt.Errorf("nn: unknown layer type %q", s.Type)
 	}
+}
+
+// take subtracts the product of dims from budget. It reports false,
+// leaving budget as it was, when a dimension is not positive or the
+// product exceeds the budget; the product is never formed past the
+// budget, so it cannot overflow.
+func take(budget *int, dims ...int) bool {
+	n := 1
+	for _, d := range dims {
+		if d <= 0 || n > *budget/d {
+			return false
+		}
+		n *= d
+	}
+	*budget -= n
+	return true
+}
+
+// checkCounts requires one shape and one frozen flag per weight slice.
+func (b *modelBlob) checkCounts() error {
+	if len(b.Shapes) != len(b.Weights) || len(b.Frozen) != len(b.Weights) {
+		return fmt.Errorf("nn: model blob has %d weights, %d shapes and %d frozen flags",
+			len(b.Weights), len(b.Shapes), len(b.Frozen))
+	}
+	return nil
 }
 
 // Save writes the model's architecture and weights to w as gob.
@@ -294,18 +323,30 @@ func Save(w io.Writer, m *Model) error {
 	return nil
 }
 
-// Load reconstructs a model previously written by Save.
+// Load reconstructs a model previously written by Save. Nothing the
+// blob declares is trusted: the layer specs may imply no more
+// parameters than the blob carries floats, and every weight must come
+// with a frozen flag and a shape whose product is its length, so a
+// blob that passed its envelope's CRC but lies about sizes is an
+// error, never a panic or an allocation its bytes do not pay for.
 func Load(r io.Reader) (*Model, error) {
 	var blob modelBlob
 	if err := gob.NewDecoder(r).Decode(&blob); err != nil {
 		return nil, fmt.Errorf("nn: decoding model: %w", err)
+	}
+	if err := blob.checkCounts(); err != nil {
+		return nil, err
+	}
+	budget := 0
+	for _, w := range blob.Weights {
+		budget += len(w)
 	}
 	rng := rand.New(rand.NewSource(0))
 	m := &Model{}
 	for _, specs := range blob.Towers {
 		var tw []Layer
 		for _, s := range specs {
-			l, err := buildLayer(s, rng)
+			l, err := buildLayer(s, rng, &budget)
 			if err != nil {
 				return nil, err
 			}
@@ -314,7 +355,7 @@ func Load(r io.Reader) (*Model, error) {
 		m.Towers = append(m.Towers, tw)
 	}
 	for _, s := range blob.Head {
-		l, err := buildLayer(s, rng)
+		l, err := buildLayer(s, rng, &budget)
 		if err != nil {
 			return nil, err
 		}
@@ -331,6 +372,10 @@ func Load(r io.Reader) (*Model, error) {
 		if p.Value.Size() != len(blob.Weights[i]) {
 			return nil, fmt.Errorf("nn: weight %d size mismatch: %d vs %d",
 				i, p.Value.Size(), len(blob.Weights[i]))
+		}
+		if rest := len(blob.Weights[i]); !take(&rest, blob.Shapes[i]...) || rest != 0 {
+			return nil, fmt.Errorf("nn: weight %d has %d values, shape %v",
+				i, len(blob.Weights[i]), blob.Shapes[i])
 		}
 		p.Value = tensor.FromSlice(blob.Weights[i], blob.Shapes[i]...)
 		p.Grad = tensor.New(blob.Shapes[i]...)
@@ -369,6 +414,9 @@ func RestoreWeights(m *Model, blob []byte) error {
 	var b modelBlob
 	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&b); err != nil {
 		return fmt.Errorf("nn: decoding weight blob: %w", err)
+	}
+	if err := b.checkCounts(); err != nil {
+		return err
 	}
 	params := m.Params()
 	if len(params) != len(b.Weights) {

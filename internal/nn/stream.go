@@ -30,6 +30,17 @@ type ChunkStream interface {
 // cancellation semantics match TrainEpochCtx: the error surfaces at a
 // batch boundary and the epoch counter does not advance.
 func (t *Trainer) TrainEpochStreamCtx(ctx context.Context, src SampleSource) (float64, error) {
+	return t.trainEpoch(ctx, src, func(chunk int) int64 {
+		return t.Seed*1_000_003 + int64(t.Epoch)*1_000_033 + int64(chunk) + 1
+	})
+}
+
+// trainEpoch is the one batch loop behind both epoch functions: each
+// chunk of src is shuffled by a generator seeded with seed(chunk index)
+// and run through minibatch steps. An error or cancellation surfaces at
+// a batch boundary with the mean loss so far, and the epoch counter
+// advances only when the whole stream trained.
+func (t *Trainer) trainEpoch(ctx context.Context, src SampleSource, seed func(chunk int) int64) (float64, error) {
 	t.epochHits, t.epochSeen = 0, 0
 	st, err := src.Stream(t.Epoch)
 	if err != nil {
@@ -57,8 +68,7 @@ func (t *Trainer) TrainEpochStreamCtx(ctx context.Context, src SampleSource) (fl
 		if len(chunk) == 0 {
 			continue
 		}
-		rng := rand.New(rand.NewSource(t.Seed*1_000_003 + int64(t.Epoch)*1_000_033 + int64(chunkIdx) + 1))
-		order := rng.Perm(len(chunk))
+		order := rand.New(rand.NewSource(seed(chunkIdx))).Perm(len(chunk))
 		for lo := 0; lo < len(order); lo += t.BatchSize {
 			if err := ctx.Err(); err != nil {
 				return mean(), err

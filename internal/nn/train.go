@@ -36,7 +36,7 @@ type Sample struct {
 // batch gradient regardless of worker count.
 type Trainer struct {
 	Model     *Model
-	Opt       Optimizer
+	Opt       *Adam
 	BatchSize int
 	Workers   int // <=0 means GOMAXPROCS
 	Rng       *rand.Rand
@@ -45,7 +45,7 @@ type Trainer struct {
 	// from Seed+Epoch so a trainer restored from a checkpoint replays
 	// exactly the batch order the original run would have used.
 	Seed int64
-	// Epoch counts completed epochs. TrainEpoch increments it on
+	// Epoch counts completed epochs. An epoch function increments it on
 	// success; checkpoint restore rewinds it.
 	Epoch int
 	// MaxGradNorm, when > 0, rejects batches whose summed gradient L2
@@ -69,7 +69,7 @@ type Trainer struct {
 }
 
 // NewTrainer builds a trainer with the given batch size.
-func NewTrainer(m *Model, opt Optimizer, batchSize int, seed int64) *Trainer {
+func NewTrainer(m *Model, opt *Adam, batchSize int, seed int64) *Trainer {
 	if batchSize < 1 {
 		batchSize = 1
 	}
@@ -184,7 +184,7 @@ func (t *Trainer) trainBatch(batch []Sample) (float64, error) {
 }
 
 // gradNorm computes the L2 norm of the gradient the optimiser applies:
-// frozen parameters are skipped, as Optimizer.Step skips them, so the
+// frozen parameters are skipped, as Adam.Step skips them, so the
 // divergence gate and the grad_norm telemetry read the same whether a
 // frozen tower was back-propagated into or bypassed by a codes sample.
 func gradNorm(params []*Param) float64 {
@@ -200,45 +200,15 @@ func gradNorm(params []*Param) float64 {
 	return math.Sqrt(sum)
 }
 
-// TrainEpoch runs one epoch with a background context.
-func (t *Trainer) TrainEpoch(samples []Sample) (float64, error) {
-	return t.TrainEpochCtx(context.Background(), samples)
-}
-
 // TrainEpochCtx shuffles the samples and runs them through minibatch
 // steps, returning the mean per-sample loss. Cancellation is honoured
 // at batch boundaries, leaving the model in a consistent (finite)
 // state. The shuffle order depends only on (Seed, Epoch), so a resumed
 // trainer reproduces the interrupted run.
 func (t *Trainer) TrainEpochCtx(ctx context.Context, samples []Sample) (float64, error) {
-	t.epochHits, t.epochSeen = 0, 0
-	if len(samples) == 0 {
-		t.Epoch++
-		return 0, nil
-	}
-	rng := rand.New(rand.NewSource(t.Seed*1_000_003 + int64(t.Epoch) + 1))
-	order := rng.Perm(len(samples))
-	total := 0.0
-	for lo := 0; lo < len(order); lo += t.BatchSize {
-		if err := ctx.Err(); err != nil {
-			return total / float64(len(samples)), err
-		}
-		hi := lo + t.BatchSize
-		if hi > len(order) {
-			hi = len(order)
-		}
-		batch := make([]Sample, hi-lo)
-		for i, idx := range order[lo:hi] {
-			batch[i] = samples[idx]
-		}
-		loss, err := t.trainBatch(batch)
-		if err != nil {
-			return total / float64(len(samples)), err
-		}
-		total += loss
-	}
-	t.Epoch++
-	return total / float64(len(samples)), nil
+	return t.trainEpoch(ctx, SliceSource(samples), func(int) int64 {
+		return t.Seed*1_000_003 + int64(t.Epoch) + 1
+	})
 }
 
 // EpochAccuracy returns the training accuracy accumulated over the
@@ -250,9 +220,6 @@ func (t *Trainer) EpochAccuracy() float64 {
 	}
 	return float64(t.epochHits) / float64(t.epochSeen)
 }
-
-// LastGradNorm returns the L2 gradient norm of the most recent batch.
-func (t *Trainer) LastGradNorm() float64 { return t.lastGradNorm }
 
 // TrainSteps runs exactly n minibatch steps (sampling batches with
 // replacement) and returns the per-step mean losses — the loss curves

@@ -29,15 +29,6 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("worker panic: %v", e.Value)
 }
 
-// AsPanic reports whether err contains a recovered worker panic.
-func AsPanic(err error) (*PanicError, bool) {
-	var pe *PanicError
-	if errors.As(err, &pe) {
-		return pe, true
-	}
-	return nil, false
-}
-
 // Workers runs fn(0..n-1) on n goroutines and waits for all of them.
 // A panic inside fn is recovered into a *PanicError instead of killing
 // the process, and every worker always reaches completion accounting,

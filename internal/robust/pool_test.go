@@ -33,7 +33,8 @@ func TestWorkersRecoversPanic(t *testing.T) {
 	if err == nil {
 		t.Fatal("panic not surfaced as error")
 	}
-	pe, ok := AsPanic(err)
+	var pe *PanicError
+	ok := errors.As(err, &pe)
 	if !ok {
 		t.Fatalf("error %v is not a PanicError", err)
 	}
@@ -64,14 +65,15 @@ func TestWorkersCollectsAllErrors(t *testing.T) {
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("joined error lost the plain error: %v", err)
 	}
-	if _, ok := AsPanic(err); !ok {
+	if !errors.As(err, new(*PanicError)) {
 		t.Fatalf("joined error lost the panic: %v", err)
 	}
 }
 
 func TestWorkersSingleInlineStillRecovers(t *testing.T) {
 	err := Workers(1, func(w int) error { panic(42) })
-	pe, ok := AsPanic(err)
+	var pe *PanicError
+	ok := errors.As(err, &pe)
 	if !ok || pe.Value != 42 {
 		t.Fatalf("inline worker panic not recovered: %v", err)
 	}

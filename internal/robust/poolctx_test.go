@@ -52,7 +52,7 @@ func TestWorkersCtxPanicCancelsSiblings(t *testing.T) {
 		<-ctx.Done()
 		return ctx.Err()
 	})
-	if _, ok := AsPanic(err); !ok {
+	if !errors.As(err, new(*PanicError)) {
 		t.Fatalf("err = %v, want contained panic", err)
 	}
 }

@@ -133,7 +133,7 @@ func TestSamplesWorkerPanicIsError(t *testing.T) {
 	if err == nil {
 		t.Fatal("worker panic did not surface as error")
 	}
-	if _, ok := robust.AsPanic(err); !ok {
+	if !errors.As(err, new(*robust.PanicError)) {
 		t.Fatalf("error %v does not carry the panic", err)
 	}
 }
@@ -153,7 +153,7 @@ func TestEvaluateWorkerPanicIsError(t *testing.T) {
 	if err == nil {
 		t.Fatal("worker panic did not surface as error")
 	}
-	if _, ok := robust.AsPanic(err); !ok {
+	if !errors.As(err, new(*robust.PanicError)) {
 		t.Fatalf("error %v does not carry the panic", err)
 	}
 }
@@ -174,7 +174,7 @@ func TestEvaluateSamplesWorkerPanicIsError(t *testing.T) {
 	if err == nil {
 		t.Fatal("worker panic did not surface as error")
 	}
-	if _, ok := robust.AsPanic(err); !ok {
+	if !errors.As(err, new(*robust.PanicError)) {
 		t.Fatalf("error %v does not carry the panic", err)
 	}
 	rest := []int{0, 1, 2, 3, 4, 5, 6, 8, 9, 10, 11}

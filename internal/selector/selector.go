@@ -392,7 +392,8 @@ func (s *Selector) newTrainer() *nn.Trainer {
 // idx is nil) and returns the Table 2/3 metrics. Each record is judged
 // by decide on the engine PredictPattern serves from, built once; the
 // records are scored on parallel workers, each with one probabilities
-// buffer. A worker panic comes back as an error robust.AsPanic unwraps.
+// buffer. A worker panic comes back as an error that unwraps to a
+// *robust.PanicError.
 func (s *Selector) Evaluate(d *dataset.Dataset, idx []int) (*Metrics, error) {
 	idx = indexOrAll(d, idx)
 	e, err := s.engine32()

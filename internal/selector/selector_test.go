@@ -60,8 +60,8 @@ func TestBuildModelShapes(t *testing.T) {
 			if structure == EarlyMerging {
 				wantTowers = 1
 			}
-			if m.NumTowers() != wantTowers {
-				t.Fatalf("%v/%v: %d towers, want %d", kind, structure, m.NumTowers(), wantTowers)
+			if len(m.Towers) != wantTowers {
+				t.Fatalf("%v/%v: %d towers, want %d", kind, structure, len(m.Towers), wantTowers)
 			}
 		}
 	}
@@ -275,7 +275,7 @@ func TestTransferMethods(t *testing.T) {
 			if frozen != len(dst.Model.TowerParams()) {
 				t.Fatal("top evolvement must freeze all tower params")
 			}
-			for _, p := range dst.Model.HeadParams() {
+			for _, p := range dst.Model.Params()[len(dst.Model.TowerParams()):] {
 				if p.Frozen {
 					t.Fatal("top evolvement must not freeze the head")
 				}

@@ -104,7 +104,8 @@ func frozenCount(params []*nn.Param) int {
 func TestTopEvolvementFreezesTowers(t *testing.T) {
 	src := tinySelector(t)
 	srcTowers := weightBits(src.Model.TowerParams())
-	srcHead := weightBits(src.Model.HeadParams())
+	nTower := len(src.Model.TowerParams()) // the head's params follow the towers'
+	srcHead := weightBits(src.Model.Params()[nTower:])
 
 	cand, err := Transfer(src, TopEvolvement)
 	if err != nil {
@@ -113,7 +114,7 @@ func TestTopEvolvementFreezesTowers(t *testing.T) {
 	if got, want := frozenCount(cand.Model.TowerParams()), len(cand.Model.TowerParams()); got != want {
 		t.Fatalf("top evolvement froze %d of %d tower params", got, want)
 	}
-	if got := frozenCount(cand.Model.HeadParams()); got != 0 {
+	if got := frozenCount(cand.Model.Params()[nTower:]); got != 0 {
 		t.Fatalf("top evolvement froze %d head params, want 0", got)
 	}
 	if !bitsEqual(weightBits(cand.Model.TowerParams()), srcTowers) {
@@ -127,7 +128,7 @@ func TestTopEvolvementFreezesTowers(t *testing.T) {
 	if !bitsEqual(weightBits(cand.Model.TowerParams()), srcTowers) {
 		t.Fatal("training moved frozen tower weights; top evolvement must leave them bit-identical")
 	}
-	if bitsEqual(weightBits(cand.Model.HeadParams()), srcHead) {
+	if bitsEqual(weightBits(cand.Model.Params()[nTower:]), srcHead) {
 		t.Fatal("training left every head weight bit-identical; the unfrozen head should move")
 	}
 

@@ -1,14 +1,19 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/nn"
 )
 
 func TestReloadSwapsGenerationAndResetsCache(t *testing.T) {
@@ -50,24 +55,65 @@ func TestReloadRejectsCorruptModel(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	if err := os.WriteFile(model, []byte("definitely not a model envelope"), 0o644); err != nil {
-		t.Fatal(err)
+	// Each rejection must come from the check the file was built to
+	// reach: a lying model that stopped earlier (say, because its wire
+	// layout drifted from the model blob's) would test something else.
+	for i, c := range []struct {
+		write   func() error
+		wantErr string
+	}{
+		{func() error { return os.WriteFile(model, []byte("definitely not a model envelope"), 0o644) }, "bad magic"},
+		{func() error { return writeLyingModel(model) }, "bad dense spec"},
+	} {
+		if err := c.write(); err != nil {
+			t.Fatal(err)
+		}
+		err := s.Reload()
+		if err == nil {
+			t.Fatalf("corrupt model %d accepted", i)
+		}
+		if !strings.Contains(err.Error(), c.wantErr) {
+			t.Fatalf("corrupt model %d rejected with %q, want an error mentioning %q", i, err, c.wantErr)
+		}
+		if s.Generation() != 1 {
+			t.Fatalf("generation moved to %d on a rejected reload", s.Generation())
+		}
+		// Old model keeps serving.
+		code, r, _ := postPredict(t, ts, matrixJSON(10, 1), "application/json")
+		if code != http.StatusOK || r.FellBack {
+			t.Fatalf("old model stopped serving: code %d fellback %v", code, r.FellBack)
+		}
+		page := scrapeMetrics(t, ts)
+		if fails := metricValue(t, page, "serve_model_reload_failures_total"); fails != float64(i+1) {
+			t.Fatalf("reload failures %g, want %d", fails, i+1)
+		}
 	}
-	if err := s.Reload(); err == nil {
-		t.Fatal("corrupt model accepted")
+}
+
+// writeLyingModel publishes a CRC-valid selector artifact whose model
+// blob declares a dense layer of 2^28 weights and carries 15 floats.
+// The field names are the wire format's (gob matches by name), so it
+// decodes as the real thing up to nn.Load's size checks.
+func writeLyingModel(path string) error {
+	type wireModel struct {
+		Head    []nn.LayerSpec
+		Weights [][]float64
+		Shapes  [][]int
+		Frozen  []bool
 	}
-	if s.Generation() != 1 {
-		t.Fatalf("generation moved to %d on a rejected reload", s.Generation())
+	var mbuf, sbuf bytes.Buffer
+	if err := gob.NewEncoder(&mbuf).Encode(wireModel{
+		Head:    []nn.LayerSpec{{Type: "dense", Ints: []int{1 << 14, 1 << 14}}},
+		Weights: [][]float64{make([]float64, 12), make([]float64, 3)},
+		Shapes:  [][]int{{3, 4}, {3}},
+		Frozen:  []bool{false, false},
+	}); err != nil {
+		return err
 	}
-	// Old model keeps serving.
-	code, r, _ := postPredict(t, ts, matrixJSON(10, 1), "application/json")
-	if code != http.StatusOK || r.FellBack {
-		t.Fatalf("old model stopped serving: code %d fellback %v", code, r.FellBack)
+	if err := gob.NewEncoder(&sbuf).Encode(struct{ Model []byte }{mbuf.Bytes()}); err != nil {
+		return err
 	}
-	page := scrapeMetrics(t, ts)
-	if fails := metricValue(t, page, "serve_model_reload_failures_total"); fails != 1 {
-		t.Fatalf("reload failures %g, want 1", fails)
-	}
+	return nn.WriteEnvelopeFile(path, nn.EnvelopeSelector, sbuf.Bytes())
 }
 
 func TestWatchModelPicksUpOverwrite(t *testing.T) {

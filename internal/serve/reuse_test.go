@@ -216,7 +216,10 @@ func TestScratchReuseNeverLeaks(t *testing.T) {
 		t.Fatal("no feedback entries")
 	}
 	for _, e := range entries {
-		m, err := e.Matrix()
+		if !e.HasPattern() {
+			t.Fatalf("entry %x carries no pattern", e.Fingerprint)
+		}
+		m, err := sparse.UnitCOO(e.Stats.Rows, e.Stats.Cols, e.PatRows, e.PatCols)
 		if err != nil {
 			t.Fatalf("entry %x: %v", e.Fingerprint, err)
 		}

@@ -92,15 +92,6 @@ func (m *BSR) Bytes() int64 {
 	return int64(m.BlockRows+1)*4 + int64(len(m.ColIdx))*4 + int64(len(m.Blocks))*8
 }
 
-// FillRatio returns nnz / stored block slots — low values mean the
-// matrix does not have block substructure and BSR is wasting bandwidth.
-func (m *BSR) FillRatio() float64 {
-	if len(m.Blocks) == 0 {
-		return 0
-	}
-	return float64(m.nnz) / float64(len(m.Blocks))
-}
-
 // MulVec computes y = A·x by dense B×B block multiplications.
 func (m *BSR) MulVec(y, x []float64) {
 	checkMulVecDims(m.rows, m.cols, y, x, FormatBSR)

@@ -82,9 +82,6 @@ func (m *CSR) Row(i int) ([]int32, []float64) {
 	return m.ColIdx[lo:hi], m.Vals[lo:hi]
 }
 
-// RowLen returns the number of nonzeros in row i.
-func (m *CSR) RowLen(i int) int { return int(m.RowPtr[i+1] - m.RowPtr[i]) }
-
 // CSC stores a sparse matrix in compressed sparse column form, the
 // column-major dual of CSR.
 type CSC struct {

@@ -18,7 +18,7 @@ type DIA struct {
 // contains at least one nonzero gets a full lane, so the conversion can
 // explode memory for matrices with scattered structure — that memory
 // amplification is exactly why DIA is only chosen for diagonal-
-// concentrated matrices. Use DIAFillRatio to inspect it first.
+// concentrated matrices. Stats.DIAFill measures it before converting.
 func NewDIA(c *COO) *DIA {
 	m := &DIA{rows: c.rows, cols: c.cols, Stride: c.rows, nnz: c.NNZ()}
 	// lane is indexed by offset+rows−1: first a mark per occupied
@@ -58,15 +58,6 @@ func (m *DIA) Format() Format { return FormatDIA }
 // quantity that makes DIA lose on non-diagonal matrices.
 func (m *DIA) Bytes() int64 {
 	return int64(len(m.Offsets))*4 + int64(len(m.Data))*8
-}
-
-// FillRatio returns nnz / stored slots — the fraction of the DIA lanes
-// that holds real data. Values near 1 mean dense diagonals.
-func (m *DIA) FillRatio() float64 {
-	if len(m.Data) == 0 {
-		return 0
-	}
-	return float64(m.nnz) / float64(len(m.Data))
 }
 
 // MulVec computes y = A·x with the DIA SpMV loop from Figure 1: for each

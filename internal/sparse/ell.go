@@ -53,16 +53,6 @@ func (m *ELL) Bytes() int64 {
 	return int64(m.rows) * int64(m.Width) * (4 + 8)
 }
 
-// FillRatio returns nnz / (rows·Width), the fraction of the ELL slab
-// that holds real data; low values indicate wasted bandwidth.
-func (m *ELL) FillRatio() float64 {
-	slots := m.rows * m.Width
-	if slots == 0 {
-		return 0
-	}
-	return float64(m.nnz) / float64(slots)
-}
-
 // MulVec computes y = A·x. Padding entries have value 0 and column index
 // -1; the kernel skips them by index test so x is never read out of
 // bounds.

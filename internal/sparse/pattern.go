@@ -65,6 +65,22 @@ func PatternOf(m *COO) *Pattern {
 	return &m.Pattern
 }
 
+// UnitCOO builds the matrix a stored pattern stands for: a 1 at each
+// position. The positions need not be canonical, since NewCOO range-checks
+// and sorts them, so a corrupt pattern is an error here rather than a
+// panic downstream. The values do not matter to a format decision, which
+// reads positions only.
+func UnitCOO(rows, cols int, ri, ci []int32) (*COO, error) {
+	if len(ri) != len(ci) {
+		return nil, fmt.Errorf("sparse: pattern arrays disagree (%d rows, %d cols)", len(ri), len(ci))
+	}
+	es := make([]Entry, len(ri))
+	for k := range ri {
+		es[k] = Entry{Row: int(ri[k]), Col: int(ci[k]), Val: 1}
+	}
+	return NewCOOOwned(rows, cols, es)
+}
+
 // Dims returns (rows, cols).
 func (p *Pattern) Dims() (int, int) { return p.rows, p.cols }
 

@@ -127,14 +127,6 @@ func (s *SELL) Bytes() int64 {
 		int64(len(s.Perm))*4 + int64(len(s.ChunkPtr)+len(s.ChunkLen))*4
 }
 
-// FillRatio returns nnz / stored slots.
-func (s *SELL) FillRatio() float64 {
-	if len(s.Vals) == 0 {
-		return 0
-	}
-	return float64(s.nnz) / float64(len(s.Vals))
-}
-
 // MulVec computes y = A·x chunk by chunk; lanes within a chunk walk the
 // column-major slab in lockstep (the SIMD execution shape).
 func (s *SELL) MulVec(y, x []float64) {

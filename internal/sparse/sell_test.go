@@ -39,8 +39,8 @@ func TestSELLChunkWidths(t *testing.T) {
 	if s.ChunkLen[0] != 3 || s.ChunkLen[1] != 1 {
 		t.Fatalf("chunk widths = %v, want [3 1]", s.ChunkLen)
 	}
-	if s.FillRatio() != 1 {
-		t.Fatalf("fill = %v, want 1 after sorting", s.FillRatio())
+	if len(s.Vals) != s.nnz {
+		t.Fatalf("%d slots for %d nonzeros, want no padding after sorting", len(s.Vals), s.nnz)
 	}
 	// Without sorting (sigma = C = 4), each window keeps its mixed rows:
 	// both chunks are unsorted internally but widths stay per-chunk.
@@ -71,8 +71,8 @@ func TestSELLPaddingBelowELL(t *testing.T) {
 	if sell.Bytes() >= ell.Bytes() {
 		t.Fatalf("SELL bytes %d not below ELL %d on skewed matrix", sell.Bytes(), ell.Bytes())
 	}
-	if sell.FillRatio() <= ell.FillRatio() {
-		t.Fatalf("SELL fill %v not above ELL %v", sell.FillRatio(), ell.FillRatio())
+	if len(sell.Vals) >= len(ell.Vals) {
+		t.Fatalf("SELL stores %d slots, not fewer than ELL's %d", len(sell.Vals), len(ell.Vals))
 	}
 }
 

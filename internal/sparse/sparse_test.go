@@ -287,8 +287,8 @@ func TestELLWidthAndFill(t *testing.T) {
 	if m.Width != 3 {
 		t.Fatalf("width = %d, want 3", m.Width)
 	}
-	if got, want := m.FillRatio(), 9.0/12.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("fill = %v, want %v", got, want)
+	if got, want := len(m.Vals), 12; got != want || m.nnz != 9 {
+		t.Fatalf("%d slots for %d nonzeros, want %d for 9", got, m.nnz, want)
 	}
 }
 
@@ -340,8 +340,8 @@ func TestBSRBlocks(t *testing.T) {
 	if m.NumBlocks() != 2 {
 		t.Fatalf("blocks = %d, want 2", m.NumBlocks())
 	}
-	if got, want := m.FillRatio(), 17.0/32.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("fill = %v, want %v", got, want)
+	if got, want := len(m.Blocks), 32; got != want || m.nnz != 17 {
+		t.Fatalf("%d block slots for %d nonzeros, want %d for 17", got, m.nnz, want)
 	}
 }
 
@@ -374,8 +374,8 @@ func TestDIAFillRatio(t *testing.T) {
 	if m.NumDiags() != 3 {
 		t.Fatalf("diags = %d", m.NumDiags())
 	}
-	if m.FillRatio() < 0.98 {
-		t.Fatalf("tridiagonal fill = %v", m.FillRatio())
+	if fill := float64(m.nnz) / float64(len(m.Data)); fill < 0.98 {
+		t.Fatalf("tridiagonal fill = %v", fill)
 	}
 }
 
@@ -450,7 +450,7 @@ func TestCSRRowAccess(t *testing.T) {
 	if len(cols) != 3 || cols[0] != 0 || vals[2] != 7 {
 		t.Fatalf("Row(2) = %v %v", cols, vals)
 	}
-	if m.RowLen(0) != 2 {
-		t.Fatalf("RowLen(0) = %d", m.RowLen(0))
+	if cols, _ := m.Row(0); len(cols) != 2 {
+		t.Fatalf("row 0 has %d nonzeros, want 2", len(cols))
 	}
 }

@@ -62,15 +62,6 @@ func (f Family) String() string {
 	}
 }
 
-// Families returns all generator families.
-func Families() []Family {
-	fs := make([]Family, numFamilies)
-	for i := range fs {
-		fs[i] = Family(i)
-	}
-	return fs
-}
-
 // val returns a nonzero value; format selection depends on structure,
 // not magnitudes, but realistic spread exercises numeric paths.
 func val(rng *rand.Rand) float64 {

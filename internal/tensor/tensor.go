@@ -8,10 +8,7 @@
 // documentation says otherwise.
 package tensor
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Tensor is a dense row-major array of float64.
 type Tensor struct {
@@ -124,19 +121,6 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// SameShape reports whether t and u have identical shapes.
-func (t *Tensor) SameShape(u *Tensor) bool {
-	if len(t.shape) != len(u.shape) {
-		return false
-	}
-	for i := range t.shape {
-		if t.shape[i] != u.shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // Add accumulates u into t element-wise. Shapes must match in volume.
 func (t *Tensor) Add(u *Tensor) {
 	if len(t.data) != len(u.data) {
@@ -155,35 +139,6 @@ func (t *Tensor) Sub(u *Tensor) {
 	for i, v := range u.data {
 		t.data[i] -= v
 	}
-}
-
-// Scale multiplies every element by a.
-func (t *Tensor) Scale(a float64) {
-	for i := range t.data {
-		t.data[i] *= a
-	}
-}
-
-// AXPY computes t += a*u element-wise.
-func (t *Tensor) AXPY(a float64, u *Tensor) {
-	if len(t.data) != len(u.data) {
-		panic("tensor: AXPY size mismatch")
-	}
-	for i, v := range u.data {
-		t.data[i] += a * v
-	}
-}
-
-// Dot returns the inner product of the flattened tensors.
-func (t *Tensor) Dot(u *Tensor) float64 {
-	if len(t.data) != len(u.data) {
-		panic("tensor: Dot size mismatch")
-	}
-	s := 0.0
-	for i, v := range u.data {
-		s += t.data[i] * v
-	}
-	return s
 }
 
 // Sum returns the sum of all elements.
@@ -221,22 +176,6 @@ func (t *Tensor) ArgMax() int {
 		}
 	}
 	return bi
-}
-
-// Norm2 returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) Norm2() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Apply replaces each element x with f(x).
-func (t *Tensor) Apply(f func(float64) float64) {
-	for i, v := range t.data {
-		t.data[i] = f(v)
-	}
 }
 
 // String renders small tensors for debugging.

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestNewAndShape(t *testing.T) {
 	a := New(2, 3, 4)
@@ -119,22 +116,10 @@ func TestElementwiseOps(t *testing.T) {
 			t.Fatalf("Sub: got %v want %v at %d", a.Data(), w, i)
 		}
 	}
-	a.Scale(2)
-	if a.Data()[2] != 6 {
-		t.Fatalf("Scale: got %v", a.Data())
-	}
-	a.AXPY(0.5, b) // {2,4,6} + 0.5*{10,20,30} = {7,14,21}
-	if a.Data()[0] != 7 || a.Data()[2] != 21 {
-		t.Fatalf("AXPY: got %v", a.Data())
-	}
 }
 
 func TestDotSumMaxArgMaxNorm(t *testing.T) {
 	a := FromSlice([]float64{3, -1, 4}, 3)
-	b := FromSlice([]float64{1, 1, 1}, 3)
-	if got := a.Dot(b); got != 6 {
-		t.Fatalf("Dot got %v", got)
-	}
 	if got := a.Sum(); got != 6 {
 		t.Fatalf("Sum got %v", got)
 	}
@@ -144,30 +129,17 @@ func TestDotSumMaxArgMaxNorm(t *testing.T) {
 	if got := a.ArgMax(); got != 2 {
 		t.Fatalf("ArgMax got %v", got)
 	}
-	if got := a.Norm2(); math.Abs(got-math.Sqrt(26)) > 1e-12 {
-		t.Fatalf("Norm2 got %v", got)
-	}
 }
 
 func TestFillZeroApply(t *testing.T) {
 	a := New(4)
 	a.Fill(2)
-	a.Apply(func(x float64) float64 { return x * x })
-	if a.Sum() != 16 {
-		t.Fatalf("Apply: %v", a.Data())
+	if a.Sum() != 8 {
+		t.Fatalf("Fill: %v", a.Data())
 	}
 	a.Zero()
 	if a.Sum() != 0 {
 		t.Fatal("Zero failed")
-	}
-}
-
-func TestSameShape(t *testing.T) {
-	if !New(2, 3).SameShape(New(2, 3)) {
-		t.Fatal("equal shapes reported unequal")
-	}
-	if New(2, 3).SameShape(New(3, 2)) || New(2, 3).SameShape(New(2, 3, 1)) {
-		t.Fatal("unequal shapes reported equal")
 	}
 }
 

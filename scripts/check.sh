@@ -73,22 +73,26 @@ done
 # surface, plus the statistics sweep against its map-based reference,
 # the labeler's noise source against math/rand, the dense layer's
 # four-row forward and params-only backward against their row-at-a-time
-# references and the convolution layer against its im2col reference. A
-# clean run means no panic, no typed-error-taxonomy violation, no Stats
-# field, draw or weight bit that differs found within the budget;
-# regressions crash the script. The two corpus-store targets open
-# enveloped files whose headers declare lengths; they run under a 2.5 GB
-# address-space cap, so an allocation sized from a header instead of the
-# bytes behind it is a failing input rather than an exhausted host.
-go test -run='^$' -fuzz='^FuzzReadMatrixMarket$' -fuzztime=10s ./internal/sparse
-go test -run='^$' -fuzz='^FuzzComputeStats$' -fuzztime=10s ./internal/sparse
-go test -run='^$' -fuzz='^FuzzPredictJSON$' -fuzztime=10s ./internal/serve
-go test -run='^$' -fuzz='^FuzzDecodeJSONDifferential$' -fuzztime=10s ./internal/serve
-(ulimit -v 2500000 && go test -run='^$' -fuzz='^FuzzLoadDataset$' -fuzztime=10s ./internal/dataset)
-(ulimit -v 2500000 && go test -run='^$' -fuzz='^FuzzSalvageShard$' -fuzztime=10s ./internal/dataset)
-go test -run='^$' -fuzz='^FuzzSeededSource$' -fuzztime=10s ./internal/machine
-go test -run='^$' -fuzz='^FuzzDenseRows$' -fuzztime=10s ./internal/nn
-go test -run='^$' -fuzz='^FuzzConv2D$' -fuzztime=10s ./internal/nn
+# references, the convolution layer against its im2col reference and
+# model loading over arbitrary blobs. A clean run means no panic, no
+# typed-error-taxonomy violation, no Stats field, draw or weight bit
+# that differs found within the budget; regressions crash the script.
+# Every target runs under a 2.5 GB address-space cap, so an allocation
+# sized from a declared length instead of the bytes behind it is a
+# failing input rather than an exhausted host.
+fuzz() {
+    (ulimit -v 2500000 && go test -run='^$' -fuzz="^$1\$" -fuzztime=10s "$2")
+}
+fuzz FuzzReadMatrixMarket ./internal/sparse
+fuzz FuzzComputeStats ./internal/sparse
+fuzz FuzzPredictJSON ./internal/serve
+fuzz FuzzDecodeJSONDifferential ./internal/serve
+fuzz FuzzLoadDataset ./internal/dataset
+fuzz FuzzSalvageShard ./internal/dataset
+fuzz FuzzSeededSource ./internal/machine
+fuzz FuzzDenseRows ./internal/nn
+fuzz FuzzConv2D ./internal/nn
+fuzz FuzzLoadModel ./internal/nn
 
 # The experiment reproductions take ~2 minutes without the race
 # detector and several times that with it; the default 10m per-package
