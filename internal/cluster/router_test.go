@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/robust"
+	"repro/internal/serve"
 )
 
 // fakeReplica is a scriptable backend: it answers /readyz and
@@ -229,24 +233,52 @@ func TestRouterRetriesAcrossReplicasOn5xx(t *testing.T) {
 		f.predictCode = http.StatusInternalServerError
 		f.predictBody = `{"error":"boom"}`
 	})
-	_, ts := newTestRouter(t, nil, sick, healthy)
+	rt, ts := newTestRouter(t, nil, sick, healthy)
+	sickRep := replicaByURL(rt, sick.url())
 
-	// Whatever the ranking, every request must end on the healthy
-	// replica with a 200.
-	for i := 0; i < 6; i++ {
-		res, data := postRouter(t, ts, predictBody(i))
+	// Which replica a body tries first is its fingerprint's rank over
+	// the two replica URLs, whose ports change from run to run. Choose
+	// the bodies by that rank: three the ring sends to the sick replica
+	// first, sent first, then three it sends to the healthy one.
+	var sickFirst, healthyFirst [][]byte
+	for seed := 0; seed < 40 && (len(sickFirst) < 3 || len(healthyFirst) < 3); seed++ {
+		body := predictBody(seed)
+		sc, err := serve.ScanMatrix(context.Background(), body, "application/json", rt.cfg.Limits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rt.ring.rank(sc.Fingerprint())[0] == sickRep {
+			if len(sickFirst) < 3 {
+				sickFirst = append(sickFirst, body)
+			}
+		} else if len(healthyFirst) < 3 {
+			healthyFirst = append(healthyFirst, body)
+		}
+	}
+	if len(sickFirst) == 0 {
+		t.Fatal("no body ranks the sick replica first")
+	}
+
+	// Every request must end on the healthy replica with a 200, and each
+	// one that starts on the sick replica while its breaker is still
+	// closed (the first always does) must take one upstream retry.
+	upstream := 0.0
+	for i, body := range append(sickFirst, healthyFirst...) {
+		closed := sickRep.breaker.State() == robust.BreakerClosed
+		res, data := postRouter(t, ts, body)
 		if res.StatusCode != http.StatusOK {
 			t.Fatalf("req %d: code %d body %s", i, res.StatusCode, data)
 		}
 		if got := res.Header.Get("X-Served-By"); got != healthy.url() {
 			t.Fatalf("req %d served by %q", i, got)
 		}
+		got := metricSample(scrapeRouter(t, ts), `router_retries_total{reason="upstream"}`)
+		if i < len(sickFirst) && closed && got != upstream+1 {
+			t.Fatalf("req %d ranked the sick replica first with its breaker closed: upstream retries %v -> %v, want one more", i, upstream, got)
+		}
+		upstream = got
 	}
-	page := scrapeRouter(t, ts)
-	if v := metricSum(page, "router_retries_total"); v == 0 {
-		t.Fatal("no retries recorded despite a sick replica")
-	}
-	if v := metricSample(page, `router_retries_total{reason="upstream"}`); v == 0 {
+	if upstream == 0 {
 		t.Fatal("5xx retries not classified as upstream")
 	}
 }

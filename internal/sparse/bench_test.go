@@ -51,7 +51,9 @@ var matrixSink sparse.Matrix
 // BenchmarkConvert is sparse.Convert from canonical COO to each CPU
 // format at the shipped training scale (maxn 2048). A conversion is
 // paid for the format a selector chose, so each padded format runs over
-// the matrices that fill at least half of its slots; CSR over all.
+// the matrices that fill at least half of its slots; CSR over all, and
+// again (tall/CSR) on one 200k×3.5k matrix with 1k nonzeros, whose 200k
+// row pointers are most of the work.
 func BenchmarkConvert(b *testing.B) {
 	fill := func(st sparse.Stats, f sparse.Format) float64 {
 		switch f {
@@ -79,4 +81,11 @@ func BenchmarkConvert(b *testing.B) {
 			}
 		})
 	}
+	tall := synthgen.Hypersparse(200000, 3500, 1000, 1)
+	b.Run("tall/CSR", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			matrixSink = sparse.MustConvert(tall, sparse.FormatCSR)
+		}
+	})
 }

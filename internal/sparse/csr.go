@@ -20,8 +20,12 @@ func NewCSR(c *COO) *CSR {
 	for _, r := range c.Rows {
 		m.RowPtr[r+1]++
 	}
-	for i := 0; i < c.rows; i++ {
-		m.RowPtr[i+1] += m.RowPtr[i]
+	// The running sum stays in a register: adding through RowPtr[i]
+	// would chain each store to the next load.
+	var s int32
+	for i, n := range m.RowPtr[1:] {
+		s += n
+		m.RowPtr[i+1] = s
 	}
 	copy(m.ColIdx, c.Cols)
 	copy(m.Vals, c.Vals)

@@ -45,6 +45,31 @@ func TestPaperFigure1CSR(t *testing.T) {
 	}
 }
 
+// TestNewCSRRowPtrOnTallMatrix checks NewCSR's prefix sum on a tall
+// matrix with most rows empty against a naive count: RowPtr[i] is the
+// number of nonzeros in rows before i.
+func TestNewCSRRowPtrOnTallMatrix(t *testing.T) {
+	c := randomCOO(rand.New(rand.NewSource(11)), 60000, 1500, 700)
+	m := NewCSR(c)
+	rows, _ := c.Dims()
+	want := make([]int32, rows+1)
+	for i := range want {
+		for _, r := range c.Rows {
+			if int(r) < i {
+				want[i]++
+			}
+		}
+	}
+	if len(m.RowPtr) != len(want) {
+		t.Fatalf("len(RowPtr) = %d, want %d", len(m.RowPtr), len(want))
+	}
+	for i := range want {
+		if m.RowPtr[i] != want[i] {
+			t.Fatalf("RowPtr[%d] = %d, naive count %d", i, m.RowPtr[i], want[i])
+		}
+	}
+}
+
 func TestPaperFigure1DIA(t *testing.T) {
 	m := NewDIA(paperMatrix(t))
 	wantOffsets := []int32{-2, 0, 1}

@@ -20,14 +20,30 @@ import (
 // csrBody computes rows [lo,hi) of y = A·x for a CSR matrix.
 type csrBody func(y []float64, a *sparse.CSR, x []float64, lo, hi int)
 
-// csrRowsRef is the straight Figure 1 loop.
+// Every CSR body clears its rows of y once and then walks RowPtr
+// carrying the previous pointer, entering a dot product only where two
+// neighbouring pointers differ: an empty row costs its share of the
+// clear and one compare. On a tall hypersparse matrix (most rows empty)
+// that is the whole kernel. Each nonempty row keeps the summation order
+// of the per-row references in csr_reference_test.go, which y must
+// match bit for bit.
+
+// csrRowsRef is the Figure 1 loop: one scalar sum per nonempty row.
 func csrRowsRef(y []float64, a *sparse.CSR, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	yw := y[lo:hi]
+	clear(yw)
+	ptr := a.RowPtr[lo+1 : hi+1]
+	prev := a.RowPtr[lo]
+	for i, end := range ptr {
+		if end == prev {
+			continue
+		}
 		s := 0.0
-		for j := a.RowPtr[i]; j < a.RowPtr[i+1]; j++ {
+		for j := prev; j < end; j++ {
 			s += a.Vals[j] * x[a.ColIdx[j]]
 		}
-		y[i] = s
+		yw[i] = s
+		prev = end
 	}
 }
 
@@ -36,8 +52,16 @@ func csrRowsRef(y []float64, a *sparse.CSR, x []float64, lo, hi int) {
 // hoisted so the compiler can elide per-element bounds checks on the
 // value/index streams.
 func csrRowsU4(y []float64, a *sparse.CSR, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		start, end := int(a.RowPtr[i]), int(a.RowPtr[i+1])
+	yw := y[lo:hi]
+	clear(yw)
+	ptr := a.RowPtr[lo+1 : hi+1]
+	prev := int(a.RowPtr[lo])
+	for i, p := range ptr {
+		start, end := prev, int(p)
+		if start == end {
+			continue
+		}
+		prev = end
 		v := a.Vals[start:end]
 		c := a.ColIdx[start:end]
 		var s0, s1, s2, s3 float64
@@ -52,15 +76,23 @@ func csrRowsU4(y []float64, a *sparse.CSR, x []float64, lo, hi int) {
 		for ; j < len(v); j++ {
 			s += v[j] * x[c[j]]
 		}
-		y[i] = s
+		yw[i] = s
 	}
 }
 
 // csrRowsU8 unrolls 8-wide: worth it for long, cache-resident rows
 // where the loop body (not memory) is the bottleneck.
 func csrRowsU8(y []float64, a *sparse.CSR, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		start, end := int(a.RowPtr[i]), int(a.RowPtr[i+1])
+	yw := y[lo:hi]
+	clear(yw)
+	ptr := a.RowPtr[lo+1 : hi+1]
+	prev := int(a.RowPtr[lo])
+	for i, p := range ptr {
+		start, end := prev, int(p)
+		if start == end {
+			continue
+		}
+		prev = end
 		v := a.Vals[start:end]
 		c := a.ColIdx[start:end]
 		var s0, s1, s2, s3, s4, s5, s6, s7 float64
@@ -79,7 +111,7 @@ func csrRowsU8(y []float64, a *sparse.CSR, x []float64, lo, hi int) {
 		for ; j < len(v); j++ {
 			s += v[j] * x[c[j]]
 		}
-		y[i] = s
+		yw[i] = s
 	}
 }
 
