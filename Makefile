@@ -45,9 +45,10 @@ shepherddrill:
 # against math/rand, the dense layer's four-row forward and params-only
 # backward against their row-at-a-time references, the convolution
 # layer's forward and backward against the im2col path's summation
-# orders) and loading a model file whose blob may declare sizes its
-# bytes do not back. Budget per target is FUZZTIME (default 30s); CI
-# runs a shorter smoke via scripts/check.sh. Every target runs under a
+# orders), loading a model file whose blob may declare sizes its
+# bytes do not back, and loading a selector or decision tree whose
+# blob may name a format that does not exist. Budget per target is
+# FUZZTIME (default 30s); CI runs a shorter smoke via scripts/check.sh. Every target runs under a
 # 2.5 GB address-space cap: an allocation sized from a declared length
 # rather than the bytes behind it fails the target instead of
 # exhausting the host.
@@ -64,6 +65,7 @@ fuzz:
 	($(FUZZ) -fuzz='^FuzzDenseRows$$' ./internal/nn)
 	($(FUZZ) -fuzz='^FuzzConv2D$$' ./internal/nn)
 	($(FUZZ) -fuzz='^FuzzLoadModel$$' ./internal/nn)
+	($(FUZZ) -fuzz='^FuzzLoadSelector$$' ./internal/selector)
 
 # bench runs every benchmark in the module (the per-paper-table harness
 # at the root plus the per-package hot-path benchmarks) and converts

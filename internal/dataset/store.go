@@ -479,6 +479,9 @@ func readStoreManifest(path string) (*storeManifest, error) {
 	if m.Version != storeVersion {
 		return nil, fmt.Errorf("%w: manifest %s: store version %d, supported %d", ErrCorrupt, path, m.Version, storeVersion)
 	}
+	if err := sparse.CheckFormats(m.Formats); err != nil {
+		return nil, fmt.Errorf("%w: manifest %s: %v", ErrCorrupt, path, err)
+	}
 	return &m, nil
 }
 
@@ -624,6 +627,9 @@ func readStoreShard(path string, wantIndex int) ([]storeRecord, *storeShardHeade
 	}
 	if hdr.Count != len(frames)-1 {
 		return nil, nil, fmt.Errorf("%w: shard %s declares %d records, holds %d", ErrCorrupt, path, hdr.Count, len(frames)-1)
+	}
+	if err := sparse.CheckFormats(hdr.Formats); err != nil {
+		return nil, nil, fmt.Errorf("%w: shard %s header: %v", ErrCorrupt, path, err)
 	}
 	recs := make([]storeRecord, 0, len(frames)-1)
 	for _, fb := range frames[1:] {

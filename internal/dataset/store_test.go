@@ -2,9 +2,15 @@ package dataset
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+
+	"repro/internal/nn"
+	"repro/internal/sparse"
 )
 
 // storeFixture writes the shared small dataset into a fresh sharded
@@ -225,5 +231,64 @@ func TestOpenStoreRejectsNonStore(t *testing.T) {
 	}
 	if _, _, err := OpenStore("/nonexistent-store-dir"); err == nil {
 		t.Fatal("missing directory accepted as a store")
+	}
+}
+
+// TestOpenStoreRefusesUnknownFormat: a manifest or shard header naming
+// a format number no format has — 2 and 8 once numbered CSC and
+// SELL-C-σ — is refused like any corrupt one: the manifest is rebuilt
+// from the shards, the shard is salvaged under the manifest's format
+// set, and the store never reports a format that does not exist.
+func TestOpenStoreRefusesUnknownFormat(t *testing.T) {
+	for _, bad := range []sparse.Format{-1, 2, 8, 99} {
+		t.Run(fmt.Sprintf("manifest/%d", bad), func(t *testing.T) {
+			dir, d, _ := storeFixture(t)
+			path := filepath.Join(dir, storeManifestFile)
+			man, err := readStoreManifest(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			man.Formats[0] = bad
+			payload, err := json.Marshal(man)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := nn.WriteEnvelopeFile(path, nn.EnvelopeCorpusManifest, payload); err != nil {
+				t.Fatal(err)
+			}
+			s, rep, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep == nil || !rep.ManifestRebuilt || rep.ManifestError == "" {
+				t.Fatalf("unknown format in the manifest went unreported: %+v", rep)
+			}
+			if !slices.Equal(s.Formats(), d.Formats) || s.NumRecords() != len(d.Records) {
+				t.Fatalf("rebuilt store: formats %v records %d, want %v and %d", s.Formats(), s.NumRecords(), d.Formats, len(d.Records))
+			}
+		})
+		t.Run(fmt.Sprintf("shard/%d", bad), func(t *testing.T) {
+			dir, d, _ := storeFixture(t)
+			path := shardPath(dir, 0)
+			recs, hdr, err := readStoreShard(path, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hdr.Formats[0] = bad
+			payload, err := encodeStoreShard(*hdr, recs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := writeStoreShardFile(path, payload); err != nil {
+				t.Fatal(err)
+			}
+			s, _ := mustOpenSalvaged(t, dir, 0)
+			if !slices.Equal(s.Formats(), d.Formats) || s.NumRecords() != len(d.Records) {
+				t.Fatalf("salvaged store: formats %v records %d, want %v and %d", s.Formats(), s.NumRecords(), d.Formats, len(d.Records))
+			}
+			if _, hdr, err := readStoreShard(path, 0); err != nil || !slices.Equal(hdr.Formats, d.Formats) {
+				t.Fatalf("rewritten shard: header %+v, err %v", hdr, err)
+			}
+		})
 	}
 }

@@ -39,6 +39,9 @@ func (s *Selector) validate() error {
 	if len(s.Formats) == 0 {
 		return fmt.Errorf("%w: empty format list", ErrBadSelector)
 	}
+	if err := sparse.CheckFormats(s.Formats); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadSelector, err)
+	}
 	if s.Tree.NumClasses > len(s.Formats) {
 		return fmt.Errorf("%w: tree has %d classes for %d formats", ErrBadSelector, s.Tree.NumClasses, len(s.Formats))
 	}

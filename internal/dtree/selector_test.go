@@ -169,3 +169,33 @@ func TestLoadRejectsCorruptArtifacts(t *testing.T) {
 		t.Fatal("out-of-range leaf class accepted")
 	}
 }
+
+// TestLoadRejectsUnknownFormat: a tree whose format list names a number
+// no format has — 2 and 8 once numbered CSC and SELL-C-σ — is refused,
+// not served as "Format(n)"; the same artifact unpatched loads.
+func TestLoadRejectsUnknownFormat(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Heuristic(sparse.CPUFormats()).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var blob selectorBlob
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&blob); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("unpatched tree: %v", err)
+	}
+	for _, bad := range []int{-1, 2, 8, 99} {
+		blob.Formats[0] = bad
+		var patched bytes.Buffer
+		if err := gob.NewEncoder(&patched).Encode(blob); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Load(&patched)
+		if err == nil {
+			t.Errorf("format %d: tree loaded with formats %v", bad, s.Formats)
+		} else if !errors.Is(err, ErrBadSelector) {
+			t.Errorf("format %d: %v, want ErrBadSelector", bad, err)
+		}
+	}
+}

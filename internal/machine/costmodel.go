@@ -155,25 +155,6 @@ func (p *Platform) EstimateSeconds(st sparse.Stats, f sparse.Format) float64 {
 		parallelism = math.Max(1, tiles) * float64(sparse.DefaultOmega)
 		divergence = 0 // balanced tiles: the format's raison d'être
 
-	case sparse.FormatSELL:
-		// Per-chunk padding sits between CSR (none) and ELL (global
-		// max); without chunk-level statistics, approximate the slab at
-		// 15% padding plus one slot per row.
-		slots := n*1.15 + rows
-		trafficBytes = 12*slots + gatherBytes(n) + 8*rows + 4*rows // + perm
-		flops = 2 * slots
-		simdEff, streamEff = 0.85, 0.88
-		overheadNs = rows * p.RowOverheadNs * 0.3 / cores
-		parallelism = rows
-		divergence = cv * 0.2 // sorting windows absorb most imbalance
-
-	case sparse.FormatCSC:
-		trafficBytes = 12*n + 4*(cols+1) + 8*cols + gatherBytes(n) + 16*rows
-		flops = 2 * n
-		simdEff, streamEff = 0.30, 0.75
-		overheadNs = n * p.AtomicPenaltyNs / cores
-		parallelism = cols
-
 	default:
 		trafficBytes = 16*n + gatherBytes(n)
 		flops = 2 * n

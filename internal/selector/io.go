@@ -56,8 +56,9 @@ func (s *Selector) header() selectorHeader {
 	return h
 }
 
-// configFromHeader rebuilds a Config from serialised metadata.
-func configFromHeader(h selectorHeader) Config {
+// configFromHeader rebuilds a Config from serialised metadata, refusing
+// a format number no format has.
+func configFromHeader(h selectorHeader) (Config, error) {
 	cfg := Config{
 		Represent:    represent.Config{Kind: represent.Kind(h.RepKind), Size: h.RepSize, Bins: h.RepBins},
 		Structure:    Structure(h.Structure),
@@ -71,7 +72,10 @@ func configFromHeader(h selectorHeader) Config {
 	for _, f := range h.Formats {
 		cfg.Formats = append(cfg.Formats, sparse.Format(f))
 	}
-	return cfg
+	if err := sparse.CheckFormats(cfg.Formats); err != nil {
+		return Config{}, fmt.Errorf("selector: header: %w", err)
+	}
+	return cfg, nil
 }
 
 // Save writes the selector (config + weights) to w as a raw gob stream
@@ -93,11 +97,15 @@ func Load(r io.Reader) (*Selector, error) {
 	if err := gob.NewDecoder(r).Decode(&blob); err != nil {
 		return nil, fmt.Errorf("selector: decoding: %w", err)
 	}
+	cfg, err := configFromHeader(blob.Header)
+	if err != nil {
+		return nil, err
+	}
 	m, err := nn.Load(bytes.NewReader(blob.Model))
 	if err != nil {
 		return nil, err
 	}
-	return &Selector{Cfg: configFromHeader(blob.Header), Model: m}, nil
+	return &Selector{Cfg: cfg, Model: m}, nil
 }
 
 // SaveFile writes the selector to a file inside the versioned,
@@ -147,9 +155,13 @@ func LoadCheckpoint(dir string) (*Selector, *nn.Checkpoint, error) {
 	if err := gob.NewDecoder(bytes.NewReader(ck.Extra)).Decode(&h); err != nil {
 		return nil, nil, fmt.Errorf("selector: checkpoint has no selector header: %w", err)
 	}
+	cfg, err := configFromHeader(h)
+	if err != nil {
+		return nil, nil, err
+	}
 	m, err := nn.Load(bytes.NewReader(ck.Model))
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Selector{Cfg: configFromHeader(h), Model: m}, ck, nil
+	return &Selector{Cfg: cfg, Model: m}, ck, nil
 }

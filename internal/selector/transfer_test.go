@@ -14,7 +14,7 @@ import (
 
 // tinySelector builds a small CPU-format selector suitable for a few
 // training steps in a unit test.
-func tinySelector(t *testing.T) *Selector {
+func tinySelector(t testing.TB) *Selector {
 	t.Helper()
 	cfg := DefaultConfig(represent.KindHistogram, sparse.CPUFormats())
 	cfg.Represent.Size = 16

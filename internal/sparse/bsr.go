@@ -92,39 +92,6 @@ func (m *BSR) Bytes() int64 {
 	return int64(m.BlockRows+1)*4 + int64(len(m.ColIdx))*4 + int64(len(m.Blocks))*8
 }
 
-// MulVec computes y = A·x by dense B×B block multiplications.
-func (m *BSR) MulVec(y, x []float64) {
-	checkMulVecDims(m.rows, m.cols, y, x, FormatBSR)
-	for i := range y {
-		y[i] = 0
-	}
-	b := m.B
-	for br := 0; br < m.BlockRows; br++ {
-		rowBase := br * b
-		rmax := b
-		if rowBase+rmax > m.rows {
-			rmax = m.rows - rowBase
-		}
-		for p := m.RowPtr[br]; p < m.RowPtr[br+1]; p++ {
-			colBase := int(m.ColIdx[p]) * b
-			cmax := b
-			if colBase+cmax > m.cols {
-				cmax = m.cols - colBase
-			}
-			blk := m.Blocks[int(p)*b*b:]
-			for lr := 0; lr < rmax; lr++ {
-				s := 0.0
-				row := blk[lr*b : lr*b+cmax]
-				xw := x[colBase : colBase+cmax]
-				for lc, v := range row {
-					s += v * xw[lc]
-				}
-				y[rowBase+lr] += s
-			}
-		}
-	}
-}
-
 // ToCOO converts back to canonical COO, dropping padding zeros.
 func (m *BSR) ToCOO() *COO {
 	var es []Entry

@@ -13,8 +13,6 @@ func Convert(m Matrix, target Format) (Matrix, error) {
 		return c, nil
 	case FormatCSR:
 		return NewCSR(c), nil
-	case FormatCSC:
-		return NewCSC(c), nil
 	case FormatDIA:
 		return NewDIA(c), nil
 	case FormatELL:
@@ -25,8 +23,6 @@ func Convert(m Matrix, target Format) (Matrix, error) {
 		return NewBSR(c, 0), nil
 	case FormatCSR5:
 		return NewCSR5(c, 0, 0), nil
-	case FormatSELL:
-		return NewSELL(c, 0, 0), nil
 	default:
 		return nil, fmt.Errorf("sparse: cannot convert to unknown format %v", target)
 	}

@@ -115,17 +115,6 @@ func (c *COO) ToCOO() *COO { return c }
 // value per nonzero.
 func (c *COO) Bytes() int64 { return int64(c.NNZ()) * (4 + 4 + 8) }
 
-// MulVec computes y = A·x with the COO SpMV loop from Figure 1.
-func (c *COO) MulVec(y, x []float64) {
-	checkMulVecDims(c.rows, c.cols, y, x, FormatCOO)
-	for i := range y {
-		y[i] = 0
-	}
-	for k, v := range c.Vals {
-		y[c.Rows[k]] += v * x[c.Cols[k]]
-	}
-}
-
 // Entries returns the nonzeros as a fresh triplet slice in canonical
 // (row-major) order.
 func (c *COO) Entries() []Entry {

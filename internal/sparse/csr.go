@@ -47,18 +47,6 @@ func (m *CSR) Bytes() int64 {
 	return int64(m.rows+1)*4 + int64(m.NNZ())*(4+8)
 }
 
-// MulVec computes y = A·x with the CSR SpMV loop from Figure 1.
-func (m *CSR) MulVec(y, x []float64) {
-	checkMulVecDims(m.rows, m.cols, y, x, FormatCSR)
-	for i := 0; i < m.rows; i++ {
-		s := 0.0
-		for j := m.RowPtr[i]; j < m.RowPtr[i+1]; j++ {
-			s += m.Vals[j] * x[m.ColIdx[j]]
-		}
-		y[i] = s
-	}
-}
-
 // ToCOO converts back to canonical COO.
 func (m *CSR) ToCOO() *COO {
 	c := &COO{
@@ -84,79 +72,4 @@ func (m *CSR) ToCOO() *COO {
 func (m *CSR) Row(i int) ([]int32, []float64) {
 	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
 	return m.ColIdx[lo:hi], m.Vals[lo:hi]
-}
-
-// CSC stores a sparse matrix in compressed sparse column form, the
-// column-major dual of CSR.
-type CSC struct {
-	rows, cols int
-	ColPtr     []int32
-	RowIdx     []int32
-	Vals       []float64
-}
-
-// NewCSC converts a canonical COO matrix to CSC.
-func NewCSC(c *COO) *CSC {
-	m := &CSC{rows: c.rows, cols: c.cols}
-	m.ColPtr = make([]int32, c.cols+1)
-	m.RowIdx = make([]int32, c.NNZ())
-	m.Vals = make([]float64, c.NNZ())
-	for _, col := range c.Cols {
-		m.ColPtr[col+1]++
-	}
-	for j := 0; j < c.cols; j++ {
-		m.ColPtr[j+1] += m.ColPtr[j]
-	}
-	next := make([]int32, c.cols)
-	copy(next, m.ColPtr[:c.cols])
-	for k := range c.Vals {
-		col := c.Cols[k]
-		p := next[col]
-		m.RowIdx[p] = c.Rows[k]
-		m.Vals[p] = c.Vals[k]
-		next[col]++
-	}
-	return m
-}
-
-// Dims returns (rows, cols).
-func (m *CSC) Dims() (int, int) { return m.rows, m.cols }
-
-// NNZ returns the number of stored nonzeros.
-func (m *CSC) NNZ() int { return len(m.Vals) }
-
-// Format returns FormatCSC.
-func (m *CSC) Format() Format { return FormatCSC }
-
-// Bytes reports the storage footprint.
-func (m *CSC) Bytes() int64 {
-	return int64(m.cols+1)*4 + int64(m.NNZ())*(4+8)
-}
-
-// MulVec computes y = A·x by scattering each column's contribution.
-func (m *CSC) MulVec(y, x []float64) {
-	checkMulVecDims(m.rows, m.cols, y, x, FormatCSC)
-	for i := range y {
-		y[i] = 0
-	}
-	for j := 0; j < m.cols; j++ {
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			y[m.RowIdx[p]] += m.Vals[p] * xj
-		}
-	}
-}
-
-// ToCOO converts back to canonical COO.
-func (m *CSC) ToCOO() *COO {
-	es := make([]Entry, 0, m.NNZ())
-	for j := 0; j < m.cols; j++ {
-		for p := m.ColPtr[j]; p < m.ColPtr[j+1]; p++ {
-			es = append(es, Entry{Row: int(m.RowIdx[p]), Col: j, Val: m.Vals[p]})
-		}
-	}
-	return MustCOO(m.rows, m.cols, es)
 }

@@ -115,44 +115,6 @@ func (m *CSR5) Bytes() int64 {
 		int64(len(m.TailVals))*(8+4+4)
 }
 
-// MulVec computes y = A·x by per-lane segmented sums over the transposed
-// tiles, then a COO pass over the tail. All flushes accumulate into y,
-// so segments split across lanes or tiles combine correctly.
-func (m *CSR5) MulVec(y, x []float64) {
-	checkMulVecDims(m.rows, m.cols, y, x, FormatCSR5)
-	for i := range y {
-		y[i] = 0
-	}
-	omega, sigma := m.Omega, m.Sigma
-	tileElems := omega * sigma
-	for t := 0; t < m.NumTiles; t++ {
-		base := t * tileElems
-		for l := 0; l < omega; l++ {
-			laneIdx := t*omega + l
-			flags := m.BitFlag[laneIdx]
-			cur := m.LaneRow[laneIdx]
-			seg := m.SegPtr[laneIdx]
-			sum := 0.0
-			for i := 0; i < sigma; i++ {
-				if flags&(1<<uint(i)) != 0 {
-					if i > 0 {
-						y[cur] += sum
-						sum = 0
-					}
-					cur = m.SegRows[seg]
-					seg++
-				}
-				p := base + i*omega + l
-				sum += m.ValsT[p] * x[m.ColIdxT[p]]
-			}
-			y[cur] += sum
-		}
-	}
-	for k, v := range m.TailVals {
-		y[m.TailRows[k]] += v * x[m.TailCols[k]]
-	}
-}
-
 // ToCOO converts back to canonical COO.
 func (m *CSR5) ToCOO() *COO {
 	es := make([]Entry, 0, m.nnz)

@@ -60,32 +60,6 @@ func (m *DIA) Bytes() int64 {
 	return int64(len(m.Offsets))*4 + int64(len(m.Data))*8
 }
 
-// MulVec computes y = A·x with the DIA SpMV loop from Figure 1: for each
-// diagonal, a contiguous streaming pass over a lane of Data and a
-// contiguous window of x.
-func (m *DIA) MulVec(y, x []float64) {
-	checkMulVecDims(m.rows, m.cols, y, x, FormatDIA)
-	for i := range y {
-		y[i] = 0
-	}
-	for d, off := range m.Offsets {
-		k := int(off)
-		istart := 0
-		if k < 0 {
-			istart = -k
-		}
-		jstart := istart + k
-		n := m.rows - istart
-		if w := m.cols - jstart; w < n {
-			n = w
-		}
-		lane := m.Data[d*m.Stride:]
-		for i := 0; i < n; i++ {
-			y[istart+i] += lane[istart+i] * x[jstart+i]
-		}
-	}
-}
-
 // ToCOO converts back to canonical COO, dropping padding zeros.
 func (m *DIA) ToCOO() *COO {
 	var es []Entry

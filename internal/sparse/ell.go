@@ -53,25 +53,6 @@ func (m *ELL) Bytes() int64 {
 	return int64(m.rows) * int64(m.Width) * (4 + 8)
 }
 
-// MulVec computes y = A·x. Padding entries have value 0 and column index
-// -1; the kernel skips them by index test so x is never read out of
-// bounds.
-func (m *ELL) MulVec(y, x []float64) {
-	checkMulVecDims(m.rows, m.cols, y, x, FormatELL)
-	for i := 0; i < m.rows; i++ {
-		s := 0.0
-		base := i * m.Width
-		for w := 0; w < m.Width; w++ {
-			c := m.ColIdx[base+w]
-			if c < 0 {
-				break // rows are left-justified; first pad ends the row
-			}
-			s += m.Vals[base+w] * x[c]
-		}
-		y[i] = s
-	}
-}
-
 // ToCOO converts back to canonical COO.
 func (m *ELL) ToCOO() *COO {
 	var es []Entry
@@ -105,7 +86,6 @@ type HYB struct {
 // k <= 0, a width is chosen so the ELL part covers roughly the mean row
 // length (the cuSPARSE auto heuristic).
 func NewHYB(c *COO, k int) *HYB {
-	counts := c.RowCounts()
 	if k <= 0 {
 		// Mean row length, rounded up; at least 1 when the matrix has
 		// any nonzeros.
@@ -127,7 +107,6 @@ func NewHYB(c *COO, k int) *HYB {
 			tailEntries = append(tailEntries, e)
 		}
 	}
-	_ = counts
 	h := &HYB{rows: c.rows, cols: c.cols, K: k}
 	ellCOO := MustCOO(c.rows, c.cols, ellEntries)
 	h.ELL = NewELL(ellCOO)
@@ -166,15 +145,6 @@ func (m *HYB) Format() Format { return FormatHYB }
 
 // Bytes reports the combined footprint of the ELL slab and COO tail.
 func (m *HYB) Bytes() int64 { return m.ELL.Bytes() + m.Tail.Bytes() }
-
-// MulVec computes y = A·x: a regular ELL pass plus a scattered COO tail.
-func (m *HYB) MulVec(y, x []float64) {
-	checkMulVecDims(m.rows, m.cols, y, x, FormatHYB)
-	m.ELL.MulVec(y, x)
-	for k, v := range m.Tail.Vals {
-		y[m.Tail.Rows[k]] += v * x[m.Tail.Cols[k]]
-	}
-}
 
 // ToCOO converts back to canonical COO.
 func (m *HYB) ToCOO() *COO {

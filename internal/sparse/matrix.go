@@ -1,7 +1,8 @@
-// Package sparse implements the sparse-matrix storage formats studied by
-// the paper — COO, CSR, CSC, DIA, ELL, HYB, BSR and CSR5 — together with
-// conversions between them, MatrixMarket I/O, and the structural
-// statistics used for format labelling and hand-crafted features.
+// Package sparse implements the sparse-matrix storage formats the
+// paper selects among — COO, CSR, DIA, ELL, HYB, BSR and CSR5 —
+// together with conversions between them, MatrixMarket I/O, and the
+// structural statistics used for format labelling and hand-crafted
+// features. The SpMV for each format is the spmv package's kernel.
 //
 // COO is the canonical exchange format: every other format is built from
 // and converts back to a canonical (row-major sorted, deduplicated) COO.
@@ -18,22 +19,20 @@ type Format int
 
 // The storage formats covered by the paper's evaluation: the CPU study
 // selects among COO/CSR/DIA/ELL (Table 2), the GPU study among
-// CSR/ELL/HYB/BSR/CSR5/COO (Table 3). CSC is included as a utility
-// format for transpose-heavy operations.
+// CSR/ELL/HYB/BSR/CSR5/COO (Table 3). The numbers are stored as ints in
+// selector headers, decision-tree blobs and corpus-store manifests and
+// shard headers, so none may change. 2 numbered CSC and stays a hole
+// that is never reused, and 8 (SELL-C-σ) lies past the end: an artifact
+// that names either is refused by CheckFormats instead of being read as
+// some other format.
 const (
-	FormatCOO Format = iota
-	FormatCSR
-	FormatCSC
-	FormatDIA
-	FormatELL
-	FormatHYB
-	FormatBSR
-	FormatCSR5
-	// FormatSELL is SELL-C-σ, an extension beyond the paper's selection
-	// sets (kept out of CPUFormats/GPUFormats so Tables 2/3 stay
-	// faithful; available to the library and benchmarks).
-	FormatSELL
-	numFormats
+	FormatCOO  Format = 0
+	FormatCSR  Format = 1
+	FormatDIA  Format = 3
+	FormatELL  Format = 4
+	FormatHYB  Format = 5
+	FormatBSR  Format = 6
+	FormatCSR5 Format = 7
 )
 
 // String returns the conventional short name of the format.
@@ -43,8 +42,6 @@ func (f Format) String() string {
 		return "COO"
 	case FormatCSR:
 		return "CSR"
-	case FormatCSC:
-		return "CSC"
 	case FormatDIA:
 		return "DIA"
 	case FormatELL:
@@ -55,8 +52,6 @@ func (f Format) String() string {
 		return "BSR"
 	case FormatCSR5:
 		return "CSR5"
-	case FormatSELL:
-		return "SELL"
 	default:
 		return fmt.Sprintf("Format(%d)", int(f))
 	}
@@ -64,7 +59,7 @@ func (f Format) String() string {
 
 // ParseFormat converts a short name like "CSR" to a Format.
 func ParseFormat(s string) (Format, error) {
-	for f := FormatCOO; f < numFormats; f++ {
+	for _, f := range allFormats {
 		if f.String() == s {
 			return f, nil
 		}
@@ -72,14 +67,28 @@ func ParseFormat(s string) (Format, error) {
 	return 0, fmt.Errorf("sparse: unknown format %q", s)
 }
 
-// AllFormats returns every supported format in declaration order.
-func AllFormats() []Format {
-	fs := make([]Format, numFormats)
-	for i := range fs {
-		fs[i] = Format(i)
+// CheckFormats reports the first format in fs that is not one of
+// AllFormats. Everything that reads format numbers from disk calls it,
+// so an artifact naming a number no format has is refused on load.
+func CheckFormats(fs []Format) error {
+	for _, f := range fs {
+		if !slices.Contains(allFormats, f) {
+			return fmt.Errorf("sparse: unknown format number %d", int(f))
+		}
 	}
-	return fs
+	return nil
 }
+
+// allFormats is the union of the two selection sets in number order.
+var allFormats = func() []Format {
+	fs := slices.Concat(CPUFormats(), GPUFormats())
+	slices.Sort(fs)
+	return slices.Compact(fs)
+}()
+
+// AllFormats returns every supported format — the union of CPUFormats
+// and GPUFormats — in number order.
+func AllFormats() []Format { return slices.Clone(allFormats) }
 
 // CPUFormats is the selection set used in the paper's CPU experiments
 // (Table 2, SMATLib).
@@ -101,25 +110,12 @@ type Matrix interface {
 	NNZ() int
 	// Format identifies the concrete storage format.
 	Format() Format
-	// MulVec computes y = A·x, overwriting y. It is the serial
-	// reference SpMV for the format; the spmv package provides
-	// parallel kernels. len(x) must be cols and len(y) rows.
-	MulVec(y, x []float64)
 	// ToCOO converts the matrix to canonical COO form.
 	ToCOO() *COO
 	// Bytes estimates the in-memory size of the format's index and
 	// value arrays in bytes (8-byte values, 4-byte indices), the
 	// quantity that drives memory traffic in SpMV cost models.
 	Bytes() int64
-}
-
-// checkMulVecDims panics with a clear message when MulVec operand
-// lengths do not match the matrix dimensions.
-func checkMulVecDims(rows, cols int, y, x []float64, format Format) {
-	if len(x) != cols || len(y) != rows {
-		panic(fmt.Sprintf("sparse: %s MulVec dimension mismatch: matrix %dx%d, len(y)=%d len(x)=%d",
-			format, rows, cols, len(y), len(x)))
-	}
 }
 
 // Entry is one nonzero element in triplet form.

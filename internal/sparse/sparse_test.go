@@ -1,8 +1,8 @@
 package sparse
 
 import (
-	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -92,22 +92,6 @@ func TestPaperFigure1DIA(t *testing.T) {
 	// Offset +1: 5 6 7 with padding at the end.
 	if m.Data[2*4+0] != 5 || m.Data[2*4+2] != 7 || m.Data[2*4+3] != 0 {
 		t.Fatalf("lane +1 = %v", m.Data[8:12])
-	}
-}
-
-func TestFigure1SpMVAllFormats(t *testing.T) {
-	c := paperMatrix(t)
-	x := []float64{1, 2, 3, 4}
-	want := []float64{11, 22, 45, 34} // dense A·x
-	for _, f := range AllFormats() {
-		m := MustConvert(c, f)
-		y := make([]float64, 4)
-		m.MulVec(y, x)
-		for i := range want {
-			if math.Abs(y[i]-want[i]) > 1e-12 {
-				t.Fatalf("%v: y = %v, want %v", f, y, want)
-			}
-		}
 	}
 }
 
@@ -222,54 +206,6 @@ func TestRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// Property: every format's MulVec matches the dense reference product.
-func TestSpMVAgreesWithDenseProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		rows, cols := 1+rng.Intn(60), 1+rng.Intn(60)
-		nnz := rng.Intn(rows*cols/2 + 1)
-		c := randomCOO(rng, rows, cols, nnz)
-		x := make([]float64, cols)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		dense := c.Dense()
-		want := make([]float64, rows)
-		for i := 0; i < rows; i++ {
-			s := 0.0
-			for j := 0; j < cols; j++ {
-				s += dense[i*cols+j] * x[j]
-			}
-			want[i] = s
-		}
-		y := make([]float64, rows)
-		for _, format := range AllFormats() {
-			m := MustConvert(c, format)
-			m.MulVec(y, x)
-			for i := range want {
-				if math.Abs(y[i]-want[i]) > 1e-9*(1+math.Abs(want[i])) {
-					t.Logf("%v SpMV mismatch at row %d (seed %d)", format, i, seed)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMulVecDimensionMismatchPanics(t *testing.T) {
-	c := paperMatrix(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on dimension mismatch")
-		}
-	}()
-	c.MulVec(make([]float64, 3), make([]float64, 4))
 }
 
 func TestCSR5TileStructure(t *testing.T) {
@@ -419,6 +355,43 @@ func TestFormatStringAndParse(t *testing.T) {
 	}
 }
 
+// TestFormatNumbersFrozen pins the format numbers that selector headers,
+// tree blobs and corpus stores hold on disk, and that AllFormats is the
+// two selection sets and nothing else.
+func TestFormatNumbersFrozen(t *testing.T) {
+	want := map[Format]int{
+		FormatCOO: 0, FormatCSR: 1, FormatDIA: 3, FormatELL: 4,
+		FormatHYB: 5, FormatBSR: 6, FormatCSR5: 7,
+	}
+	for f, n := range want {
+		if int(f) != n {
+			t.Errorf("%v = %d, stored artifacts say %d", f, int(f), n)
+		}
+	}
+	union := slices.Concat(CPUFormats(), GPUFormats())
+	slices.Sort(union)
+	union = slices.Compact(union)
+	if got := AllFormats(); !slices.Equal(got, union) {
+		t.Fatalf("AllFormats() = %v, want the sorted union of the selection sets %v", got, union)
+	}
+	if len(want) != len(union) {
+		t.Fatalf("%d formats pinned, %d exist", len(want), len(union))
+	}
+	for _, name := range []string{"CSC", "SELL"} {
+		if f, err := ParseFormat(name); err == nil {
+			t.Errorf("ParseFormat(%q) = %v, want an error", name, f)
+		}
+	}
+	if err := CheckFormats(AllFormats()); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{-1, 2, 8, 99} {
+		if err := CheckFormats([]Format{FormatCSR, Format(n)}); err == nil {
+			t.Errorf("CheckFormats accepted format number %d", n)
+		}
+	}
+}
+
 func TestFormatSets(t *testing.T) {
 	if len(CPUFormats()) != 4 {
 		t.Fatalf("CPU formats: %v", CPUFormats())
@@ -440,20 +413,6 @@ func TestBytesAccounting(t *testing.T) {
 	ell := NewELL(c)
 	if got, want := ell.Bytes(), int64(4*3*12); got != want {
 		t.Fatalf("ELL bytes = %d, want %d", got, want)
-	}
-}
-
-func TestCSCMulVecSkipsZeroX(t *testing.T) {
-	c := paperMatrix(t)
-	m := NewCSC(c)
-	x := []float64{0, 1, 0, 1}
-	y := make([]float64, 4)
-	m.MulVec(y, x)
-	want := []float64{5, 2, 7, 13}
-	for i := range want {
-		if math.Abs(y[i]-want[i]) > 1e-12 {
-			t.Fatalf("y = %v, want %v", y, want)
-		}
 	}
 }
 

@@ -117,10 +117,11 @@ type Table struct {
 }
 
 // dispatchTable is the compiled, immutable lookup form: a dense
-// [format][bucket] matrix swapped atomically into the process default.
+// [format][bucket] matrix swapped atomically into the process default,
+// with a row for every format number up to the last (CSR5).
 type dispatchTable struct {
-	variants [sparse.FormatSELL + 1][numBucket]variant
-	tiles    [sparse.FormatSELL + 1][numBucket]int32
+	variants [sparse.FormatCSR5 + 1][numBucket]variant
+	tiles    [sparse.FormatCSR5 + 1][numBucket]int32
 }
 
 // defaultDispatch holds the built-in choices used for cells no sweep

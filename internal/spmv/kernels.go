@@ -39,29 +39,6 @@ func (cooKernel) Mul(y []float64, m sparse.Matrix, x []float64, workers int) {
 	})
 }
 
-// cscKernel splits columns across workers; each worker scatters its
-// columns' contributions into a private vector.
-type cscKernel struct{}
-
-func (cscKernel) Format() sparse.Format { return sparse.FormatCSC }
-
-func (cscKernel) Mul(y []float64, m sparse.Matrix, x []float64, workers int) {
-	a := mustFormat[*sparse.CSC](m, sparse.FormatCSC)
-	checkDims(m, y, x)
-	_, cols := a.Dims()
-	scatterReduce(y, cols, workers, func(p []float64, lo, hi int) {
-		for j := lo; j < hi; j++ {
-			xj := x[j]
-			if xj == 0 {
-				continue
-			}
-			for q := a.ColPtr[j]; q < a.ColPtr[j+1]; q++ {
-				p[a.RowIdx[q]] += a.Vals[q] * xj
-			}
-		}
-	})
-}
-
 // diaKernel parallelises over row blocks; within a block every diagonal
 // contributes a contiguous streaming pass, preserving DIA's unit-stride
 // access pattern.
@@ -213,42 +190,6 @@ func (csr5Kernel) Mul(y []float64, m sparse.Matrix, x []float64, workers int) {
 		if tlo == 0 {
 			for k, v := range a.TailVals {
 				p[a.TailRows[k]] += v * x[a.TailCols[k]]
-			}
-		}
-	})
-}
-
-// sellKernel parallelises over chunks; each chunk's lanes write disjoint
-// permuted rows, and chunks partition the rows, so no reduction is
-// needed.
-type sellKernel struct{}
-
-func (sellKernel) Format() sparse.Format { return sparse.FormatSELL }
-
-func (sellKernel) Mul(y []float64, m sparse.Matrix, x []float64, workers int) {
-	a := mustFormat[*sparse.SELL](m, sparse.FormatSELL)
-	checkDims(m, y, x)
-	rows, _ := a.Dims()
-	c := a.C
-	parallelRows(a.NumChunks(), workers, func(clo, chi int) {
-		for ch := clo; ch < chi; ch++ {
-			base := int(a.ChunkPtr[ch])
-			width := int(a.ChunkLen[ch])
-			for lane := 0; lane < c; lane++ {
-				slot := ch*c + lane
-				if slot >= rows {
-					break
-				}
-				sum := 0.0
-				for w := 0; w < width; w++ {
-					p := base + w*c + lane
-					col := a.ColIdx[p]
-					if col < 0 {
-						break
-					}
-					sum += a.Vals[p] * x[col]
-				}
-				y[a.Perm[slot]] = sum
 			}
 		}
 	})

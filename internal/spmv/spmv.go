@@ -1,10 +1,11 @@
 // Package spmv provides parallel sparse matrix–vector multiplication
 // kernels for every storage format in the sparse package, mirroring the
 // multithreaded SpMV libraries (Intel MKL, SMATLib, cuSPARSE) the paper
-// benchmarks. Each kernel computes y = A·x; row-oriented formats are
-// parallelised by partitioning rows across a goroutine worker pool, and
-// scatter-oriented formats (COO, CSC, HYB tails) use per-worker partial
-// output vectors merged by a parallel reduction, avoiding atomics.
+// benchmarks. Each kernel computes y = A·x and is the one SpMV its
+// format has; row-oriented formats are parallelised by partitioning rows
+// across a goroutine worker pool, and scatter-oriented formats (COO,
+// CSR5) use per-worker partial output vectors merged by a parallel
+// reduction, avoiding atomics.
 package spmv
 
 import (
@@ -33,8 +34,6 @@ func ForFormat(f sparse.Format) (Kernel, error) {
 		return cooKernel{}, nil
 	case sparse.FormatCSR:
 		return csrKernel{}, nil
-	case sparse.FormatCSC:
-		return cscKernel{}, nil
 	case sparse.FormatDIA:
 		return diaKernel{}, nil
 	case sparse.FormatELL:
@@ -45,8 +44,6 @@ func ForFormat(f sparse.Format) (Kernel, error) {
 		return bsrKernel{}, nil
 	case sparse.FormatCSR5:
 		return csr5Kernel{}, nil
-	case sparse.FormatSELL:
-		return sellKernel{}, nil
 	default:
 		return nil, fmt.Errorf("spmv: no kernel for format %v", f)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -101,12 +102,42 @@ func TestMulConvenience(t *testing.T) {
 	}
 }
 
+// TestForFormatUnknown: a number no format has — 2 and 8 once numbered
+// CSC and SELL — gets neither a kernel nor a conversion.
 func TestForFormatUnknown(t *testing.T) {
-	if _, err := ForFormat(sparse.Format(99)); err == nil {
-		t.Fatal("expected error for unknown format")
+	c := randomCOO(rand.New(rand.NewSource(3)), 4, 4, 6)
+	for _, f := range []sparse.Format{-1, 2, 8, 99} {
+		if _, err := ForFormat(f); err == nil {
+			t.Errorf("ForFormat(%v): expected error for unknown format", f)
+		}
+		if _, err := sparse.Convert(c, f); err == nil {
+			t.Errorf("Convert(%v): expected error for unknown format", f)
+		}
 	}
 }
 
+// TestFigure1SpMVAllFormats runs the paper's Figure 1 example through
+// every kernel, serial and parallel.
+func TestFigure1SpMVAllFormats(t *testing.T) {
+	c := sparse.MustCOO(4, 4, []sparse.Entry{
+		{Row: 0, Col: 0, Val: 1}, {Row: 0, Col: 1, Val: 5},
+		{Row: 1, Col: 1, Val: 2}, {Row: 1, Col: 2, Val: 6},
+		{Row: 2, Col: 0, Val: 8}, {Row: 2, Col: 2, Val: 3}, {Row: 2, Col: 3, Val: 7},
+		{Row: 3, Col: 1, Val: 9}, {Row: 3, Col: 3, Val: 4},
+	})
+	x := []float64{1, 2, 3, 4}
+	want := []float64{11, 22, 45, 34} // dense A·x
+	for _, f := range sparse.AllFormats() {
+		m := sparse.MustConvert(c, f)
+		for _, workers := range []int{1, 4} {
+			y := []float64{math.NaN(), math.NaN(), math.NaN(), math.NaN()}
+			Mul(y, m, x, workers)
+			if !slices.Equal(y, want) {
+				t.Fatalf("%v with %d workers: y = %v, want %v", f, workers, y, want)
+			}
+		}
+	}
+}
 func TestKernelFormatTags(t *testing.T) {
 	for _, f := range sparse.AllFormats() {
 		k, err := ForFormat(f)
@@ -130,16 +161,24 @@ func TestKernelWrongFormatPanics(t *testing.T) {
 	k.Mul(make([]float64, 4), c, make([]float64, 4), 1)
 }
 
+// TestKernelDimMismatchPanics: every kernel refuses a y or an x whose
+// length is not the matrix's.
 func TestKernelDimMismatchPanics(t *testing.T) {
 	c := randomCOO(rand.New(rand.NewSource(2)), 4, 4, 6)
-	m := sparse.NewCSR(c)
-	k, _ := ForFormat(sparse.FormatCSR)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for bad dims")
+	for _, f := range sparse.AllFormats() {
+		m := sparse.MustConvert(c, f)
+		k, _ := ForFormat(f)
+		for _, lens := range [][2]int{{3, 4}, {4, 3}, {5, 4}, {4, 5}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%v: no panic for len(y)=%d len(x)=%d on a 4x4 matrix", f, lens[0], lens[1])
+					}
+				}()
+				k.Mul(make([]float64, lens[0]), m, make([]float64, lens[1]), 1)
+			}()
 		}
-	}()
-	k.Mul(make([]float64, 3), m, make([]float64, 4), 1)
+	}
 }
 
 func TestEmptyMatrixAllKernels(t *testing.T) {

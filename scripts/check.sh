@@ -73,10 +73,12 @@ done
 # surface, plus the statistics sweep against its map-based reference,
 # the labeler's noise source against math/rand, the dense layer's
 # four-row forward and params-only backward against their row-at-a-time
-# references, the convolution layer against its im2col reference and
-# model loading over arbitrary blobs. A clean run means no panic, no
-# typed-error-taxonomy violation, no Stats field, draw or weight bit
-# that differs found within the budget; regressions crash the script.
+# references, the convolution layer against its im2col reference, and
+# model, selector and decision-tree loading over arbitrary blobs. A
+# clean run means no panic, no typed-error-taxonomy violation, no Stats
+# field, draw or weight bit that differs and no loaded artifact naming
+# an unknown format found within the budget; regressions crash the
+# script.
 # Every target runs under a 2.5 GB address-space cap, so an allocation
 # sized from a declared length instead of the bytes behind it is a
 # failing input rather than an exhausted host.
@@ -93,6 +95,7 @@ fuzz FuzzSeededSource ./internal/machine
 fuzz FuzzDenseRows ./internal/nn
 fuzz FuzzConv2D ./internal/nn
 fuzz FuzzLoadModel ./internal/nn
+fuzz FuzzLoadSelector ./internal/selector
 
 # The experiment reproductions take ~2 minutes without the race
 # detector and several times that with it; the default 10m per-package
