@@ -17,8 +17,8 @@ import (
 	"syscall"
 
 	"repro/internal/dataset"
+	"repro/internal/durable"
 	"repro/internal/machine"
-	"repro/internal/nn"
 	"repro/internal/selector"
 )
 
@@ -53,11 +53,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	src, err := selector.LoadFile(*modelPath)
 	if err != nil {
 		switch {
-		case errors.Is(err, nn.ErrChecksum), errors.Is(err, nn.ErrTruncated):
+		case errors.Is(err, durable.ErrChecksum), errors.Is(err, durable.ErrTruncated):
 			return fail(fmt.Errorf("%s is corrupt or truncated (%v); re-export the source model", *modelPath, err))
-		case errors.Is(err, nn.ErrBadMagic), errors.Is(err, nn.ErrWrongKind):
+		case errors.Is(err, durable.ErrBadMagic), errors.Is(err, durable.ErrWrongKind):
 			return fail(fmt.Errorf("%s is not a selector model file (%v)", *modelPath, err))
-		case errors.Is(err, nn.ErrVersion):
+		case errors.Is(err, durable.ErrVersion):
 			return fail(fmt.Errorf("%s was written by an incompatible version (%v)", *modelPath, err))
 		default:
 			return fail(err)

@@ -1,12 +1,12 @@
 package dataset
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -282,7 +282,7 @@ func (j *buildJournal) write(storeDir string) error {
 	if err != nil {
 		return fmt.Errorf("dataset: build journal: %w", err)
 	}
-	if err := writeSideFile(filepath.Join(storeDir, buildJournalFile), append(b, '\n')); err != nil {
+	if err := durable.WriteBytes(filepath.Join(storeDir, buildJournalFile), append(b, '\n')); err != nil {
 		return fmt.Errorf("%w: build journal: %v", ErrNoSpace, err)
 	}
 	return nil
@@ -296,25 +296,22 @@ func writeQuarantineLog(storeDir string, qs []QuarantineEntry) {
 		os.Remove(path) // a previous build's entries are not this one's
 		return
 	}
-	var buf strings.Builder
+	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	for _, q := range qs {
 		enc.Encode(q)
 	}
 	if os.MkdirAll(filepath.Dir(path), 0o755) == nil {
-		writeSideFile(path, []byte(buf.String()))
+		durable.WriteBytes(path, buf.Bytes())
 	}
 }
 
 // appendReport appends one JSON line describing the completed build.
 // Best-effort, like the quarantine log.
 func appendReport(storeDir string, r *BuildReport) {
-	f, err := os.OpenFile(filepath.Join(storeDir, reportLogFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return
+	if b, err := json.Marshal(r); err == nil {
+		durable.AppendLine(filepath.Join(storeDir, reportLogFile), append(b, '\n'))
 	}
-	defer f.Close()
-	json.NewEncoder(f).Encode(r)
 }
 
 // dirSource is a MatrixMarket tree: every .mtx under the root, sorted
@@ -386,13 +383,4 @@ func readMatrixFile(ctx context.Context, path string, lim sparse.Limits) (m *spa
 	}
 	defer f.Close()
 	return sparse.ReadMatrixMarketLimits(ctx, f, lim)
-}
-
-// writeSideFile durably publishes one of the store's non-enveloped
-// side files.
-func writeSideFile(path string, data []byte) error {
-	return durable.WriteFile(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
 }

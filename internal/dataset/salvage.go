@@ -8,7 +8,7 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/nn"
+	"repro/internal/durable"
 )
 
 // Salvage: when a store shard fails its envelope or frame validation,
@@ -56,12 +56,12 @@ func (r *SalvageReport) Salvaged() bool {
 }
 
 // write persists the report atomically as <dir>/salvage.json and
-// appends per-record drops to quarantine/records.jsonl. Best-effort:
-// a store that cannot write its report still opens (the report is also
-// returned in memory).
+// appends per-record drops to quarantine/records.jsonl in one fsynced
+// write. Best-effort: a store that cannot write its report still opens
+// (the report is also returned in memory).
 func (r *SalvageReport) write(dir string) {
 	if b, err := json.MarshalIndent(r, "", "  "); err == nil {
-		writeSideFile(filepath.Join(dir, storeSalvageFile), append(b, '\n'))
+		durable.WriteBytes(filepath.Join(dir, storeSalvageFile), append(b, '\n'))
 	}
 	if len(r.DroppedRecords) == 0 {
 		return
@@ -70,15 +70,12 @@ func (r *SalvageReport) write(dir string) {
 	if err := os.MkdirAll(qdir, 0o755); err != nil {
 		return
 	}
-	f, err := os.OpenFile(filepath.Join(qdir, storeRecordLog), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
+	var lines bytes.Buffer
+	enc := json.NewEncoder(&lines)
 	for _, d := range r.DroppedRecords {
 		enc.Encode(d)
 	}
+	durable.AppendLine(filepath.Join(qdir, storeRecordLog), lines.Bytes())
 }
 
 // salvageShard recovers what it can from a shard that failed the
@@ -141,7 +138,7 @@ func (s *CorpusStore) salvageShard(path string, index int, report *SalvageReport
 	qdir := filepath.Join(s.dir, storeQuarantine)
 	if err := os.MkdirAll(qdir, 0o755); err == nil {
 		qpath := filepath.Join(qdir, name+".corrupt")
-		if err := os.Rename(path, qpath); err == nil {
+		if err := durable.Rename(path, qpath); err == nil {
 			sv.Quarantine = qpath
 		} else {
 			os.Remove(path)
@@ -156,13 +153,14 @@ func (s *CorpusStore) salvageShard(path string, index int, report *SalvageReport
 			Index: index, Count: len(valid),
 		}, valid)
 		if err == nil {
-			err = writeStoreShardFile(path, payload)
+			err = durable.WriteEnvelopeFile(path, durable.EnvelopeCorpusShard, payload)
 		}
 		if err != nil {
-			// Could not persist the rewrite: the records are still good
-			// in memory for this open, but the shard file is gone; report
-			// honestly and keep going.
+			// Could not persist the rewrite: the shard file is gone, so
+			// its records are lost to this open too (the manifest must
+			// not name a missing file); report honestly and keep going.
 			sv.Error = joinErrStr(sv.Error, fmt.Sprintf("rewrite failed: %v", err))
+			valid = nil
 		}
 	}
 	report.Shards = append(report.Shards, sv)
@@ -174,14 +172,14 @@ func (s *CorpusStore) salvageShard(path string, index int, report *SalvageReport
 // returns the surviving records, the count of lost frames, and a
 // description of the structural damage.
 func scanShardFrames(raw []byte, wantIndex int) (recs []storeRecord, lost int, damage string) {
-	const hdrLen = 24 // nn envelope header; CRC already known bad
-	if len(raw) <= hdrLen {
+	// Skip the envelope header; its CRC is already known bad.
+	if len(raw) <= durable.EnvelopeHeaderLen {
 		return nil, 0, "file shorter than an envelope header"
 	}
-	frames, skipped, err := walkFrames(raw[hdrLen:])
+	frames, skipped, err := durable.WalkFrames(raw[durable.EnvelopeHeaderLen:])
 	lost += skipped
 	if err != nil {
-		damage = err.Error()
+		damage = fmt.Errorf("%w: %v", ErrCorrupt, err).Error()
 	}
 	if len(frames) == 0 {
 		return nil, lost, joinErrStr(damage, "no frames recovered")
@@ -205,12 +203,6 @@ func scanShardFrames(raw []byte, wantIndex int) (recs []storeRecord, lost int, d
 		recs = append(recs, sr)
 	}
 	return recs, lost, damage
-}
-
-// writeStoreShardFile writes a salvage rewrite through the same
-// atomic envelope path as a normal shard publication.
-func writeStoreShardFile(path string, payload []byte) error {
-	return nn.WriteEnvelopeFile(path, nn.EnvelopeCorpusShard, payload)
 }
 
 func joinErrStr(a, b string) string {

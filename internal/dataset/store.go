@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"io/fs"
@@ -18,9 +17,9 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/durable"
 	"repro/internal/faultinject"
 	"repro/internal/machine"
-	"repro/internal/nn"
 	"repro/internal/sparse"
 )
 
@@ -42,14 +41,15 @@ import (
 //	                     build's quarantine.jsonl of skipped source items
 //
 // Each shard's envelope payload is a chain of CRC-framed records
-// (header frame first), so corruption is survivable at two levels: the
-// envelope CRC detects a damaged shard cheaply, and the per-record
-// frames let salvage recover every record the damage missed. Opening a
+// (durable.AppendFrame, header frame first), so corruption is
+// survivable at two levels: the envelope CRC detects a damaged shard
+// cheaply, and the per-record frames let salvage recover every record
+// the damage missed. Opening a
 // store never aborts on a bad shard — valid records are recovered,
 // the corrupt original is moved to quarantine/, and a salvage report
 // is written (see salvage.go).
 //
-// Writes are atomic (temp+fsync+rename via nn.WriteEnvelopeFile) and
+// Writes are atomic (durable.WriteEnvelopeFile) and
 // manifest-last: a shard is only trusted once the manifest names it,
 // so a crash between the two costs one shard rewrite, never a torn
 // store. A cross-shard fingerprint index deduplicates appends — the
@@ -63,10 +63,6 @@ const (
 )
 
 func storeShardFile(index int) string { return fmt.Sprintf("corpus-%05d.bin", index) }
-
-// maxFrameLen bounds a single record frame; a declared length past it
-// is treated as corruption, not an allocation request.
-const maxFrameLen = 64 << 20
 
 // ErrNoSpace reports a failed free-space preflight or a write error on
 // the shard publication path. The store is left consistent (the
@@ -90,12 +86,13 @@ type storeManifest struct {
 	Shards    []storeShardEntry
 }
 
-// storeShardEntry names one published shard with the CRC-32C of its
-// file bytes, cross-checking the envelope's own payload CRC on open.
+// storeShardEntry names one published shard and its record count.
+// The shard's integrity is its envelope's payload CRC and its frames'
+// CRCs; a manifest written with a per-shard CRC key still decodes, the
+// key is ignored.
 type storeShardEntry struct {
 	Index   int
 	Records int
-	CRC     uint32
 }
 
 // storeRecord is the framed per-record wire form. The pattern arrays
@@ -140,16 +137,6 @@ func init() {
 	}{})
 	gob.NewEncoder(io.Discard).Encode(storeRecord{})
 	gob.NewEncoder(io.Discard).Encode(storeShardHeader{})
-}
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-func fileCRC(path string) (uint32, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	return crc32.Checksum(b, crcTable), nil
 }
 
 // CorpusStore provides append and shard-at-a-time read access to one
@@ -270,11 +257,7 @@ func OpenStore(dir string) (*CorpusStore, *SalvageReport, error) {
 			s.man.Platform, s.man.Formats = hdr.Platform, hdr.Formats
 			headerSeen = true
 		}
-		crc, err := fileCRC(path)
-		if err != nil {
-			continue
-		}
-		entries = append(entries, storeShardEntry{Index: idx, Records: len(recs), CRC: crc})
+		entries = append(entries, storeShardEntry{Index: idx, Records: len(recs)})
 		records += len(recs)
 		for _, r := range recs {
 			s.seen[r.FP] = true
@@ -290,7 +273,7 @@ func OpenStore(dir string) (*CorpusStore, *SalvageReport, error) {
 	// Trust the persisted dedup index only if it is at least as large as
 	// what the shards contributed (it may additionally hold fingerprints
 	// of dupes that were skipped); otherwise the rebuild above stands.
-	if idx, err := ReadFingerprintSet(filepath.Join(dir, storeDedupFile), nn.EnvelopeCorpusIndex); err == nil && len(idx) >= len(s.seen) {
+	if idx, err := ReadFingerprintSet(filepath.Join(dir, storeDedupFile), durable.EnvelopeCorpusIndex); err == nil && len(idx) >= len(s.seen) {
 		for _, fp := range idx {
 			s.seen[fp] = true
 		}
@@ -432,17 +415,15 @@ func (s *CorpusStore) flushLocked() error {
 		return fmt.Errorf("%w: injected: %v", ErrNoSpace, err)
 	}
 	path := filepath.Join(s.dir, storeShardFile(idx))
-	if err := nn.WriteEnvelopeFile(path, nn.EnvelopeCorpusShard, payload); err != nil {
+	if err := durable.WriteEnvelopeFile(path, durable.EnvelopeCorpusShard, payload); err != nil {
 		return fmt.Errorf("%w: shard %d: %v", ErrNoSpace, idx, err)
 	}
 	if err := faultinject.Inject(faultinject.PointStoreCorrupt); err != nil {
-		_ = faultinject.CorruptFile(path) // a shard it cannot read fails fileCRC below
+		// Flips a byte mid-shard: the shard is published as if intact,
+		// and the next OpenStore's envelope check sends it to salvage.
+		_ = faultinject.CorruptFile(path)
 	}
-	crc, err := fileCRC(path)
-	if err != nil {
-		return fmt.Errorf("dataset: store: shard %d: %w", idx, err)
-	}
-	s.man.Shards = append(s.man.Shards, storeShardEntry{Index: idx, Records: len(s.buf), CRC: crc})
+	s.man.Shards = append(s.man.Shards, storeShardEntry{Index: idx, Records: len(s.buf)})
 	s.man.Records += len(s.buf)
 	s.buf = s.buf[:0]
 	if err := s.writeDedupIndex(); err != nil {
@@ -458,14 +439,14 @@ func (s *CorpusStore) writeManifest() error {
 	if err != nil {
 		return fmt.Errorf("dataset: store: manifest: %w", err)
 	}
-	if err := nn.WriteEnvelopeFile(filepath.Join(s.dir, storeManifestFile), nn.EnvelopeCorpusManifest, payload); err != nil {
+	if err := durable.WriteEnvelopeFile(filepath.Join(s.dir, storeManifestFile), durable.EnvelopeCorpusManifest, payload); err != nil {
 		return fmt.Errorf("%w: manifest: %v", ErrNoSpace, err)
 	}
 	return nil
 }
 
 func readStoreManifest(path string) (*storeManifest, error) {
-	payload, err := nn.ReadEnvelopeFile(path, nn.EnvelopeCorpusManifest)
+	payload, err := durable.ReadEnvelopeFile(path, durable.EnvelopeCorpusManifest)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, err
@@ -488,7 +469,7 @@ func readStoreManifest(path string) (*storeManifest, error) {
 // writeDedupIndex persists the fingerprint set atomically. Callers
 // hold s.mu.
 func (s *CorpusStore) writeDedupIndex() error {
-	if err := WriteFingerprintSet(filepath.Join(s.dir, storeDedupFile), nn.EnvelopeCorpusIndex, s.seen); err != nil {
+	if err := WriteFingerprintSet(filepath.Join(s.dir, storeDedupFile), durable.EnvelopeCorpusIndex, s.seen); err != nil {
 		return fmt.Errorf("%w: dedup index: %v", ErrNoSpace, err)
 	}
 	return nil
@@ -509,13 +490,13 @@ func WriteFingerprintSet(path string, kind uint32, set map[uint64]bool) error {
 	for i, fp := range fps {
 		binary.BigEndian.PutUint64(payload[8*i:], fp)
 	}
-	return nn.WriteEnvelopeFile(path, kind, payload)
+	return durable.WriteEnvelopeFile(path, kind, payload)
 }
 
 // ReadFingerprintSet reads a file WriteFingerprintSet wrote. A missing
 // file is an error that matches fs.ErrNotExist.
 func ReadFingerprintSet(path string, kind uint32) ([]uint64, error) {
-	payload, err := nn.ReadEnvelopeFile(path, kind)
+	payload, err := durable.ReadEnvelopeFile(path, kind)
 	if err != nil {
 		return nil, err
 	}
@@ -530,23 +511,15 @@ func ReadFingerprintSet(path string, kind uint32) ([]uint64, error) {
 }
 
 // encodeStoreShard builds the framed shard payload: a header frame
-// followed by one frame per record. Frame layout:
-//
-//	u32 length (gob bytes)
-//	u32 CRC-32C (gob bytes)
-//	gob bytes
+// followed by one frame per record, each frame one value's gob stream.
 func encodeStoreShard(hdr storeShardHeader, recs []storeRecord) ([]byte, error) {
-	var out bytes.Buffer
+	var out []byte
 	appendFrame := func(v any) error {
 		var b bytes.Buffer
 		if err := gob.NewEncoder(&b).Encode(v); err != nil {
 			return fmt.Errorf("dataset: store: encoding frame: %w", err)
 		}
-		var pre [8]byte
-		binary.BigEndian.PutUint32(pre[0:4], uint32(b.Len()))
-		binary.BigEndian.PutUint32(pre[4:8], crc32.Checksum(b.Bytes(), crcTable))
-		out.Write(pre[:])
-		out.Write(b.Bytes())
+		out = durable.AppendFrame(out, b.Bytes())
 		return nil
 	}
 	if err := appendFrame(hdr); err != nil {
@@ -557,46 +530,7 @@ func encodeStoreShard(hdr storeShardHeader, recs []storeRecord) ([]byte, error) 
 			return nil, err
 		}
 	}
-	return out.Bytes(), nil
-}
-
-// decodeFrames walks a framed payload, yielding each frame's gob
-// bytes. It stops (returning what it got plus an error) at the first
-// structural violation: an implausible length or a CRC mismatch.
-// strict mode is the fast path for envelope-valid shards; the salvage
-// scanner calls walkFrames directly for finer-grained recovery.
-func decodeFrames(payload []byte) ([][]byte, error) {
-	frames, _, err := walkFrames(payload)
-	return frames, err
-}
-
-// walkFrames returns the valid frames of a payload plus the count of
-// frames it had to skip (CRC-bad but structurally plausible). The walk
-// stops at truncation or an implausible declared length — past that
-// point frame boundaries are unknowable.
-func walkFrames(payload []byte) (frames [][]byte, skipped int, err error) {
-	off := 0
-	for off < len(payload) {
-		if len(payload)-off < 8 {
-			return frames, skipped, fmt.Errorf("%w: trailing %d bytes are not a frame", ErrCorrupt, len(payload)-off)
-		}
-		length := int(binary.BigEndian.Uint32(payload[off : off+4]))
-		crc := binary.BigEndian.Uint32(payload[off+4 : off+8])
-		if length <= 0 || length > maxFrameLen || off+8+length > len(payload) {
-			return frames, skipped, fmt.Errorf("%w: frame at offset %d declares %d bytes (payload %d)", ErrCorrupt, off, length, len(payload))
-		}
-		body := payload[off+8 : off+8+length]
-		if crc32.Checksum(body, crcTable) != crc {
-			// The frame chain is intact (the length was plausible), only
-			// this record's bytes are damaged: skip it and keep walking.
-			skipped++
-			off += 8 + length
-			continue
-		}
-		frames = append(frames, body)
-		off += 8 + length
-	}
-	return frames, skipped, nil
+	return out, nil
 }
 
 // readStoreShard loads one shard through the envelope fast path: the
@@ -604,16 +538,16 @@ func walkFrames(payload []byte) (frames [][]byte, skipped int, err error) {
 // every frame is intact and the frame walk cannot fail. Any error
 // means the caller should fall back to salvage.
 func readStoreShard(path string, wantIndex int) ([]storeRecord, *storeShardHeader, error) {
-	payload, err := nn.ReadEnvelopeFile(path, nn.EnvelopeCorpusShard)
+	payload, err := durable.ReadEnvelopeFile(path, durable.EnvelopeCorpusShard)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
 			return nil, nil, err
 		}
 		return nil, nil, fmt.Errorf("%w: shard %s: %v", ErrCorrupt, path, err)
 	}
-	frames, err := decodeFrames(payload)
+	frames, _, err := durable.WalkFrames(payload)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("%w: shard %s: %v", ErrCorrupt, path, err)
 	}
 	if len(frames) == 0 {
 		return nil, nil, fmt.Errorf("%w: shard %s has no header frame", ErrCorrupt, path)

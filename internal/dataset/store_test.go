@@ -9,7 +9,7 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/nn"
+	"repro/internal/durable"
 	"repro/internal/sparse"
 )
 
@@ -238,7 +238,9 @@ func TestOpenStoreRejectsNonStore(t *testing.T) {
 // a format number no format has — 2 and 8 once numbered CSC and
 // SELL-C-σ — is refused like any corrupt one: the manifest is rebuilt
 // from the shards, the shard is salvaged under the manifest's format
-// set, and the store never reports a format that does not exist.
+// set, and the store never reports a format that does not exist. A
+// manifest that is otherwise sound is not refused for a key nothing
+// reads any more: the per-shard CRC earlier builds wrote.
 func TestOpenStoreRefusesUnknownFormat(t *testing.T) {
 	for _, bad := range []sparse.Format{-1, 2, 8, 99} {
 		t.Run(fmt.Sprintf("manifest/%d", bad), func(t *testing.T) {
@@ -253,7 +255,7 @@ func TestOpenStoreRefusesUnknownFormat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := nn.WriteEnvelopeFile(path, nn.EnvelopeCorpusManifest, payload); err != nil {
+			if err := durable.WriteEnvelopeFile(path, durable.EnvelopeCorpusManifest, payload); err != nil {
 				t.Fatal(err)
 			}
 			s, rep, err := OpenStore(dir)
@@ -279,7 +281,7 @@ func TestOpenStoreRefusesUnknownFormat(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := writeStoreShardFile(path, payload); err != nil {
+			if err := durable.WriteEnvelopeFile(path, durable.EnvelopeCorpusShard, payload); err != nil {
 				t.Fatal(err)
 			}
 			s, _ := mustOpenSalvaged(t, dir, 0)
@@ -291,4 +293,42 @@ func TestOpenStoreRefusesUnknownFormat(t *testing.T) {
 			}
 		})
 	}
+	// A manifest whose shard entries still carry the per-shard CRC key
+	// earlier builds wrote: nothing reads it, so the store opens clean.
+	t.Run("manifest/shard-CRC-key", func(t *testing.T) {
+		dir, d, _ := storeFixture(t)
+		path := filepath.Join(dir, storeManifestFile)
+		man, err := readStoreManifest(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw map[string]any
+		if err := json.Unmarshal(b, &raw); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range raw["Shards"].([]any) {
+			e.(map[string]any)["CRC"] = 3735928559
+		}
+		payload, err := json.Marshal(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(payload, []byte(`"CRC":3735928559`)) {
+			t.Fatalf("hand-built manifest lacks the CRC key: %s", payload)
+		}
+		if err := durable.WriteEnvelopeFile(path, durable.EnvelopeCorpusManifest, payload); err != nil {
+			t.Fatal(err)
+		}
+		s, rep, err := OpenStore(dir)
+		if err != nil || rep != nil {
+			t.Fatalf("manifest with CRC keys: report %+v, err %v; want a clean open", rep, err)
+		}
+		if s.NumShards() != len(man.Shards) || s.NumRecords() != len(d.Records) {
+			t.Fatalf("opened store: %d shards %d records, want %d and %d", s.NumShards(), s.NumRecords(), len(man.Shards), len(d.Records))
+		}
+	})
 }

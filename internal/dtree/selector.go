@@ -8,8 +8,8 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/durable"
 	"repro/internal/features"
-	"repro/internal/nn"
 	"repro/internal/sparse"
 )
 
@@ -206,7 +206,7 @@ func unflatten(nodes []flatNode, idx int, depth int) (*node, error) {
 }
 
 // Save writes the selector to w as a raw gob stream (compose with
-// nn.WriteEnvelope for at-rest artifacts — see SaveFile).
+// durable.WriteEnvelopeFile for at-rest artifacts — see SaveFile).
 func (s *Selector) Save(w io.Writer) error {
 	if err := s.validate(); err != nil {
 		return err
@@ -261,13 +261,13 @@ func (s *Selector) SaveFile(path string) error {
 	if err := s.Save(&buf); err != nil {
 		return err
 	}
-	return nn.WriteEnvelopeFile(path, nn.EnvelopeDTree, buf.Bytes())
+	return durable.WriteEnvelopeFile(path, durable.EnvelopeDTree, buf.Bytes())
 }
 
 // LoadFile reads a selector artifact, rejecting corrupt, truncated or
 // wrong-kind files with the typed envelope errors.
 func LoadFile(path string) (*Selector, error) {
-	payload, err := nn.ReadEnvelopeFile(path, nn.EnvelopeDTree)
+	payload, err := durable.ReadEnvelopeFile(path, durable.EnvelopeDTree)
 	if err != nil {
 		return nil, fmt.Errorf("dtree: loading %s: %w", path, err)
 	}

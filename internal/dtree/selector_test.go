@@ -9,8 +9,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/features"
-	"repro/internal/nn"
 	"repro/internal/sparse"
 )
 
@@ -150,10 +150,10 @@ func TestLoadRejectsCorruptArtifacts(t *testing.T) {
 		t.Fatal("corrupt artifact accepted")
 	}
 	// A wrong-kind envelope (valid checksum, different artifact type).
-	if err := nn.WriteEnvelopeFile(bad, nn.EnvelopeSelector, []byte("nope")); err != nil {
+	if err := durable.WriteEnvelopeFile(bad, durable.EnvelopeSelector, []byte("nope")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(bad); !errors.Is(err, nn.ErrWrongKind) {
+	if _, err := LoadFile(bad); !errors.Is(err, durable.ErrWrongKind) {
 		t.Fatalf("wrong-kind artifact: %v", err)
 	}
 	// A decodable blob with an out-of-range leaf class.
@@ -162,7 +162,7 @@ func TestLoadRejectsCorruptArtifacts(t *testing.T) {
 	if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
 		t.Fatal(err)
 	}
-	if err := nn.WriteEnvelopeFile(bad, nn.EnvelopeDTree, buf.Bytes()); err != nil {
+	if err := durable.WriteEnvelopeFile(bad, durable.EnvelopeDTree, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadFile(bad); err == nil {

@@ -3,6 +3,7 @@ package durable
 import (
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -33,5 +34,53 @@ func TestWriteFileFailedWriteKeepsOldFile(t *testing.T) {
 	}
 	if len(ents) != 1 || ents[0].Name() != "artifact" {
 		t.Fatalf("directory holds %v, want only the published file", ents)
+	}
+}
+
+// A move across directories lands at the new path and leaves nothing
+// at the old one.
+func TestRenameAcrossDirectories(t *testing.T) {
+	root := t.TempDir()
+	from, to := filepath.Join(root, "a"), filepath.Join(root, "b")
+	for _, d := range []string{from, to} {
+		if err := os.Mkdir(d, 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src, dst := filepath.Join(from, "seg"), filepath.Join(to, "seg.moved")
+	if err := os.WriteFile(src, []byte("sealed"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Rename(src, dst); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(dst); err != nil || string(got) != "sealed" {
+		t.Fatalf("destination = %q, %v; want the moved bytes", got, err)
+	}
+	if _, err := os.Stat(src); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("source still present after Rename: %v", err)
+	}
+	if err := Rename(src, dst); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("renaming a missing file: got %v, want fs.ErrNotExist", err)
+	}
+}
+
+// AppendLine creates the file on first use and appends after that.
+func TestAppendLineCreatesThenAppends(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	for _, line := range []string{"{\"n\":1}\n", "{\"n\":2}\n{\"n\":3}\n"} {
+		if err := AppendLine(path, []byte(line)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "{\"n\":1}\n{\"n\":2}\n{\"n\":3}\n"; string(got) != want {
+		t.Fatalf("journal = %q, want %q", got, want)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Mode().Perm() != 0o644 {
+		t.Fatalf("journal mode = %v, %v; want 0644", fi.Mode(), err)
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"os"
 
 	"repro/internal/dataset"
+	"repro/internal/durable"
 	"repro/internal/machine"
-	"repro/internal/nn"
 	"repro/internal/sparse"
 )
 
@@ -126,7 +126,7 @@ func (c *Collector) open() error {
 	if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
 		// Either the first run, or an eviction was killed between its
 		// two renames and the rewritten store is waiting beside the path.
-		if err := os.Rename(c.compactPath(), path); err != nil {
+		if err := durable.Rename(c.compactPath(), path); err != nil {
 			return fs.ErrNotExist
 		}
 	}
@@ -137,7 +137,7 @@ func (c *Collector) open() error {
 	if salvage != nil {
 		c.logf("feedback: online corpus needed salvage: %d shard(s) repaired, %d record(s) dropped", len(salvage.Shards), len(salvage.DroppedRecords))
 	}
-	fps, err := dataset.ReadFingerprintSet(c.seenPath(), nn.EnvelopeFeedbackSeen)
+	fps, err := dataset.ReadFingerprintSet(c.seenPath(), durable.EnvelopeFeedbackSeen)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) { // missing: nothing evicted yet
 		return fmt.Errorf("evicted-fingerprint set: %w", err)
 	}
@@ -275,7 +275,7 @@ func (c *Collector) evict() error {
 		c.evicted[r.ID] = true
 	}
 	d.Records = d.Records[n:]
-	if err := dataset.WriteFingerprintSet(c.seenPath(), nn.EnvelopeFeedbackSeen, c.evicted); err != nil {
+	if err := dataset.WriteFingerprintSet(c.seenPath(), durable.EnvelopeFeedbackSeen, c.evicted); err != nil {
 		return fmt.Errorf("feedback: persisting evicted fingerprints: %w", err)
 	}
 
@@ -286,10 +286,10 @@ func (c *Collector) evict() error {
 	if _, err := dataset.WriteStore(tmp, d, 0); err != nil {
 		return fmt.Errorf("feedback: rewriting online corpus: %w", err)
 	}
-	if err := os.Rename(path, old); err != nil {
+	if err := durable.Rename(path, old); err != nil {
 		return fmt.Errorf("feedback: swapping in rewritten corpus: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := durable.Rename(tmp, path); err != nil {
 		return fmt.Errorf("feedback: swapping in rewritten corpus: %w", err)
 	}
 	os.RemoveAll(old) // left for the next eviction if this fails

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/faultinject"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/represent"
@@ -648,20 +647,6 @@ func TestShepherdRetrainRecordsWallTime(t *testing.T) {
 	if _, err := fmt.Sscanf(entries[0].Reason, "candidate retrained on %d records in %fs: live_acc=%f cand_acc=%f",
 		&n, &secs, &liveAcc, &candAcc); err != nil || n != 12 {
 		t.Fatalf("transition reason %q: %v", entries[0].Reason, err)
-	}
-}
-
-func TestCorruptFileBreaksEnvelope(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.gob")
-	if err := os.WriteFile(path, []byte("0123456789"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := faultinject.CorruptFile(path); err != nil {
-		t.Fatal(err)
-	}
-	data, _ := os.ReadFile(path)
-	if string(data) == "0123456789" {
-		t.Fatal("CorruptFile changed nothing")
 	}
 }
 

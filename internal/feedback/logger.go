@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/sparse"
@@ -165,7 +166,7 @@ func NewLogger(cfg LoggerConfig) (*Logger, error) {
 	// Crash recovery: a non-empty active file from a previous process
 	// is sealed as a segment before this process appends anything.
 	if fi, err := os.Stat(l.activePath()); err == nil && fi.Size() > 0 {
-		if err := os.Rename(l.activePath(), l.segmentPath(l.seq)); err != nil {
+		if err := durable.Rename(l.activePath(), l.segmentPath(l.seq)); err != nil {
 			return nil, fmt.Errorf("feedback: sealing stale active segment: %w", err)
 		}
 		l.seq++
@@ -364,7 +365,7 @@ func (l *Logger) rotate() {
 	if err := l.file.Close(); err != nil {
 		l.writeError(err)
 	}
-	if err := os.Rename(l.activePath(), l.segmentPath(l.seq)); err != nil {
+	if err := durable.Rename(l.activePath(), l.segmentPath(l.seq)); err != nil {
 		l.writeError(err)
 	} else {
 		l.seq++

@@ -273,19 +273,7 @@ func (s *Shepherd) transition(to, reason string, gen float64) error {
 	if err != nil {
 		return fmt.Errorf("feedback: %w", err)
 	}
-	f, err := os.OpenFile(s.journalPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("feedback: journal: %w", err)
-	}
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		f.Close()
-		return fmt.Errorf("feedback: journal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("feedback: journal: %w", err)
-	}
-	if err := f.Close(); err != nil {
+	if err := durable.AppendLine(s.journalPath(), append(line, '\n')); err != nil {
 		return fmt.Errorf("feedback: journal: %w", err)
 	}
 	s.logf("shepherd: %s -> %s (%s)", s.state, to, reason)
@@ -308,11 +296,7 @@ func (s *Shepherd) writeScorecard(decision string, shadow *ShadowScorecard) {
 	if err != nil {
 		return
 	}
-	err = durable.WriteFile(s.scorecardPath(), func(w io.Writer) error {
-		_, err := w.Write(append(data, '\n'))
-		return err
-	})
-	if err != nil {
+	if err := durable.WriteBytes(s.scorecardPath(), append(data, '\n')); err != nil {
 		s.logf("shepherd: writing scorecard: %v", err)
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"sort"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // ErrDiverged reports that training kept producing non-finite losses or
@@ -88,7 +90,7 @@ func (c *Checkpointer) Save(ck *Checkpoint) error {
 		return err
 	}
 	path := filepath.Join(c.Dir, fmt.Sprintf("ckpt-%06d.ckpt", ck.Epoch))
-	if err := WriteEnvelopeFile(path, EnvelopeCheckpoint, payload); err != nil {
+	if err := durable.WriteEnvelopeFile(path, durable.EnvelopeCheckpoint, payload); err != nil {
 		return err
 	}
 	c.noteSaved(ck.Epoch)
@@ -97,7 +99,7 @@ func (c *Checkpointer) Save(ck *Checkpoint) error {
 	}
 	if !math.IsNaN(ck.Loss) && ck.Loss < c.bestLoss {
 		c.bestLoss = ck.Loss
-		if err := WriteEnvelopeFile(filepath.Join(c.Dir, "best.ckpt"), EnvelopeCheckpoint, payload); err != nil {
+		if err := durable.WriteEnvelopeFile(filepath.Join(c.Dir, "best.ckpt"), durable.EnvelopeCheckpoint, payload); err != nil {
 			return err
 		}
 	}
@@ -143,7 +145,7 @@ func encodeCheckpoint(ck *Checkpoint) ([]byte, error) {
 // LoadCheckpointFile reads one checkpoint file, with the same typed
 // corruption errors as LoadFile.
 func LoadCheckpointFile(path string) (*Checkpoint, error) {
-	payload, err := ReadEnvelopeFile(path, EnvelopeCheckpoint)
+	payload, err := durable.ReadEnvelopeFile(path, durable.EnvelopeCheckpoint)
 	if err != nil {
 		return nil, err
 	}

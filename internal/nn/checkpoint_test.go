@@ -1,9 +1,7 @@
 package nn
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"math"
 	"math/rand"
@@ -12,6 +10,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/robust"
 	"repro/internal/tensor"
 )
@@ -87,12 +86,12 @@ func TestLoadFileTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{len(data) - 7, envelopeHdrLen, envelopeHdrLen - 5, 3} {
+	for _, n := range []int{len(data) - 7, durable.EnvelopeHeaderLen, durable.EnvelopeHeaderLen - 5, 3} {
 		if err := os.WriteFile(path, data[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, err := LoadFile(path)
-		if !errors.Is(err, ErrTruncated) {
+		if !errors.Is(err, durable.ErrTruncated) {
 			t.Fatalf("truncation to %d bytes: got %v, want ErrTruncated", n, err)
 		}
 	}
@@ -103,44 +102,8 @@ func TestLoadFileEmpty(t *testing.T) {
 	if err := os.WriteFile(path, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(path); !errors.Is(err, ErrTruncated) {
+	if _, err := LoadFile(path); !errors.Is(err, durable.ErrTruncated) {
 		t.Fatalf("empty file: got %v, want ErrTruncated", err)
-	}
-}
-
-// TestReadEnvelopeDeclaredLengthIsNotAllocated: a valid 24-byte header
-// that declares a 2 GiB payload is ErrTruncated, read from a file and
-// from a reader of unknown size, and refusing it allocates under a
-// megabyte: no length read from the header sizes an allocation before
-// the bytes behind it exist.
-func TestReadEnvelopeDeclaredLengthIsNotAllocated(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteEnvelope(&buf, EnvelopeModel, nil); err != nil {
-		t.Fatal(err)
-	}
-	hdr := buf.Bytes()
-	binary.BigEndian.PutUint64(hdr[12:20], 1<<31)
-	path := filepath.Join(t.TempDir(), "huge.bin")
-	if err := os.WriteFile(path, hdr, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	reads := []struct {
-		name string
-		read func() error
-	}{
-		{"file", func() error { _, err := ReadEnvelopeFile(path, EnvelopeModel); return err }},
-		{"reader", func() error { _, err := ReadEnvelope(bytes.NewReader(hdr), EnvelopeModel); return err }},
-	}
-	for _, rc := range reads {
-		if err := rc.read(); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("%s: got %v, want ErrTruncated", rc.name, err)
-		}
-		if raceEnabled {
-			continue
-		}
-		if got := allocBytesPerRun(3, func() { rc.read() }); got >= 1<<20 {
-			t.Errorf("%s: %d bytes allocated to refuse a %d-byte envelope", rc.name, got, len(hdr))
-		}
 	}
 }
 
@@ -165,7 +128,7 @@ func TestLoadFileFlippedByte(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(path); !errors.Is(err, ErrChecksum) {
+	if _, err := LoadFile(path); !errors.Is(err, durable.ErrChecksum) {
 		t.Fatalf("flipped byte: got %v, want ErrChecksum", err)
 	}
 }
@@ -180,7 +143,7 @@ func TestLoadFileWrongVersion(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(path); !errors.Is(err, ErrVersion) {
+	if _, err := LoadFile(path); !errors.Is(err, durable.ErrVersion) {
 		t.Fatalf("wrong version: got %v, want ErrVersion", err)
 	}
 }
@@ -190,19 +153,8 @@ func TestLoadFileBadMagic(t *testing.T) {
 	if err := os.WriteFile(path, []byte("gob gob gob not an envelope at all"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(path); !errors.Is(err, ErrBadMagic) {
+	if _, err := LoadFile(path); !errors.Is(err, durable.ErrBadMagic) {
 		t.Fatalf("bad magic: got %v, want ErrBadMagic", err)
-	}
-}
-
-func TestLoadFileWrongKind(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.bin")
-	if err := WriteEnvelopeFile(path, EnvelopeCheckpoint, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFile(path); !errors.Is(err, ErrWrongKind) {
-		t.Fatalf("wrong kind: got %v, want ErrWrongKind", err)
 	}
 }
 

@@ -2,197 +2,14 @@ package nn
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"math/rand"
-	"os"
 
 	"repro/internal/durable"
 	"repro/internal/tensor"
 )
-
-// Model files on disk are wrapped in a small versioned envelope so a
-// truncated download, a bit-flipped block, or a file from a newer
-// incompatible build is rejected with a typed error before gob ever
-// sees it — a bad deploy artifact must fail loudly and fall back, not
-// crash inference with an opaque decode panic deep in the stack.
-//
-// Envelope layout (big-endian):
-//
-//	offset 0  magic   "SMFS" (4 bytes)
-//	offset 4  version uint32 (currently 1)
-//	offset 8  kind    uint32 (model / selector / checkpoint)
-//	offset 12 length  uint64 (payload bytes)
-//	offset 20 crc     uint32 (CRC-32C of the payload)
-//	offset 24 payload
-const (
-	envelopeMagic   = "SMFS"
-	EnvelopeVersion = 1
-	envelopeHdrLen  = 24
-)
-
-// Envelope payload kinds. The kind is checked on read so a checkpoint
-// file cannot be silently loaded where a model file is expected.
-const (
-	EnvelopeModel uint32 = iota + 1
-	EnvelopeSelector
-	EnvelopeCheckpoint
-	// EnvelopeDTree holds a serialised decision-tree selector — the
-	// degradation rung the serving ladder falls back to when the CNN
-	// path is sick.
-	EnvelopeDTree
-	// Kinds 5–8 were the monolithic dataset file, the shard and manifest
-	// of its build journal, and the feedback corpus' pattern sidecar,
-	// all replaced by the corpus store below. The numbers stay retired:
-	// kinds are written to disk, so reusing one would let an old file
-	// pass a new reader's kind check.
-	_
-	_
-	_
-	_
-	// EnvelopeCorpusShard holds one shard of a sharded corpus store
-	// (internal/dataset CorpusStore): a header frame plus per-record
-	// CRC-framed payloads, so a torn shard can be salvaged record by
-	// record instead of discarded whole.
-	EnvelopeCorpusShard
-	// EnvelopeCorpusManifest holds a corpus store's manifest: platform,
-	// format set, shard size and the CRC'd list of published shards.
-	EnvelopeCorpusManifest
-	// EnvelopeCorpusIndex holds a corpus store's cross-shard fingerprint
-	// dedup index — advisory (rebuilt from the shards when absent or
-	// stale), persisted so reopening a million-record store does not
-	// re-hash the world.
-	EnvelopeCorpusIndex
-	// EnvelopeFeedbackSeen holds the fingerprints an online feedback
-	// corpus (internal/feedback) has evicted: its store's dedup index
-	// forgets a record with its shard, but re-captured traffic must
-	// still fold to nothing.
-	EnvelopeFeedbackSeen
-)
-
-// Typed envelope errors. Callers match with errors.Is to distinguish
-// "not a model file" from "damaged model file" from "future version".
-var (
-	// ErrBadMagic means the file is not an envelope at all (wrong tool,
-	// wrong file, or a legacy raw-gob artifact).
-	ErrBadMagic = errors.New("nn: not a recognised model file (bad magic)")
-	// ErrTruncated means the file ended before the declared payload.
-	ErrTruncated = errors.New("nn: model file truncated")
-	// ErrChecksum means the payload bytes do not match their CRC.
-	ErrChecksum = errors.New("nn: model file checksum mismatch (corrupt)")
-	// ErrVersion means the envelope version is not supported.
-	ErrVersion = errors.New("nn: unsupported model file version")
-	// ErrWrongKind means the envelope holds a different artifact type.
-	ErrWrongKind = errors.New("nn: model file holds a different artifact kind")
-)
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// WriteEnvelope wraps payload in the versioned, checksummed envelope.
-func WriteEnvelope(w io.Writer, kind uint32, payload []byte) error {
-	hdr := make([]byte, envelopeHdrLen)
-	copy(hdr[0:4], envelopeMagic)
-	binary.BigEndian.PutUint32(hdr[4:8], EnvelopeVersion)
-	binary.BigEndian.PutUint32(hdr[8:12], kind)
-	binary.BigEndian.PutUint64(hdr[12:20], uint64(len(payload)))
-	binary.BigEndian.PutUint32(hdr[20:24], crc32.Checksum(payload, crcTable))
-	if _, err := w.Write(hdr); err != nil {
-		return fmt.Errorf("nn: writing envelope header: %w", err)
-	}
-	if _, err := w.Write(payload); err != nil {
-		return fmt.Errorf("nn: writing envelope payload: %w", err)
-	}
-	return nil
-}
-
-// ReadEnvelope validates the envelope and returns the payload. All
-// failure modes map to the typed errors above. The header's length
-// sizes no allocation: the payload grows in bounded steps as its bytes
-// arrive, so a header that declares more than r holds is ErrTruncated
-// having allocated about what r held.
-func ReadEnvelope(r io.Reader, kind uint32) ([]byte, error) {
-	return readEnvelope(r, kind, -1)
-}
-
-// readEnvelope is ReadEnvelope over a reader known to hold avail bytes
-// after the header (-1: unknown). When avail is known, a declared
-// length beyond it is ErrTruncated before anything is allocated, and
-// the payload is allocated once.
-func readEnvelope(r io.Reader, kind uint32, avail int64) ([]byte, error) {
-	hdr := make([]byte, envelopeHdrLen)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("%w: header short read: %v", ErrTruncated, err)
-	}
-	if string(hdr[0:4]) != envelopeMagic {
-		return nil, ErrBadMagic
-	}
-	if v := binary.BigEndian.Uint32(hdr[4:8]); v != EnvelopeVersion {
-		return nil, fmt.Errorf("%w: file version %d, supported %d", ErrVersion, v, EnvelopeVersion)
-	}
-	if k := binary.BigEndian.Uint32(hdr[8:12]); k != kind {
-		return nil, fmt.Errorf("%w: got kind %d, want %d", ErrWrongKind, k, kind)
-	}
-	n := binary.BigEndian.Uint64(hdr[12:20])
-	var payload []byte
-	var err error
-	if avail >= 0 {
-		if n > uint64(avail) {
-			return nil, fmt.Errorf("%w: header declares %d payload bytes, %d follow it", ErrTruncated, n, avail)
-		}
-		payload = make([]byte, n)
-		_, err = io.ReadFull(r, payload)
-	} else {
-		payload, err = io.ReadAll(io.LimitReader(r, int64(min(n, math.MaxInt64))))
-	}
-	if err == nil && uint64(len(payload)) < n {
-		err = io.ErrUnexpectedEOF
-	}
-	if err != nil {
-		return nil, fmt.Errorf("%w: payload short read: %v", ErrTruncated, err)
-	}
-	if got, want := crc32.Checksum(payload, crcTable), binary.BigEndian.Uint32(hdr[20:24]); got != want {
-		return nil, fmt.Errorf("%w: crc %08x, header says %08x", ErrChecksum, got, want)
-	}
-	return payload, nil
-}
-
-// WriteEnvelopeFile atomically publishes an enveloped artifact through
-// durable.WriteFile: a crash mid-write can never leave a half-written
-// file at the published path.
-func WriteEnvelopeFile(path string, kind uint32, payload []byte) error {
-	err := durable.WriteFile(path, func(w io.Writer) error {
-		return WriteEnvelope(w, kind, payload)
-	})
-	if err != nil {
-		return fmt.Errorf("nn: publishing %s: %w", path, err)
-	}
-	return nil
-}
-
-// ReadEnvelopeFile reads and validates an enveloped artifact. A regular
-// file's size bounds the payload: a header that declares more bytes
-// than follow it is ErrTruncated before any allocation.
-func ReadEnvelopeFile(path string, kind uint32) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("nn: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("nn: %w", err)
-	}
-	avail := int64(-1)
-	if fi.Mode().IsRegular() {
-		avail = max(fi.Size()-envelopeHdrLen, 0)
-	}
-	return readEnvelope(f, kind, avail)
-}
 
 // LayerSpec is the serialisable description of one layer.
 type LayerSpec struct {
@@ -385,20 +202,20 @@ func Load(r io.Reader) (*Model, error) {
 }
 
 // SaveFile writes the model to a file inside the checksummed envelope,
-// atomically (temp file + fsync + rename).
+// atomically (durable.WriteEnvelopeFile).
 func SaveFile(path string, m *Model) error {
 	var buf bytes.Buffer
 	if err := Save(&buf, m); err != nil {
 		return err
 	}
-	return WriteEnvelopeFile(path, EnvelopeModel, buf.Bytes())
+	return durable.WriteEnvelopeFile(path, durable.EnvelopeModel, buf.Bytes())
 }
 
 // LoadFile reads a model from a file, rejecting truncated, corrupted,
-// wrong-kind or wrong-version files with typed errors (ErrTruncated,
-// ErrChecksum, ErrBadMagic, ErrWrongKind, ErrVersion).
+// wrong-kind or wrong-version files with durable's typed errors
+// (ErrTruncated, ErrChecksum, ErrBadMagic, ErrWrongKind, ErrVersion).
 func LoadFile(path string) (*Model, error) {
-	payload, err := ReadEnvelopeFile(path, EnvelopeModel)
+	payload, err := durable.ReadEnvelopeFile(path, durable.EnvelopeModel)
 	if err != nil {
 		return nil, err
 	}

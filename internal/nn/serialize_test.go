@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/durable"
 )
 
 // lyingBlob is one model payload that passes any envelope CRC but
@@ -71,7 +73,7 @@ func TestLoadRejectsLyingBlob(t *testing.T) {
 	dir := t.TempDir()
 	for i, lb := range lyingBlobs(t) {
 		path := filepath.Join(dir, fmt.Sprintf("lying-%d.gob", i))
-		if err := WriteEnvelopeFile(path, EnvelopeModel, lb.payload); err != nil {
+		if err := durable.WriteEnvelopeFile(path, durable.EnvelopeModel, lb.payload); err != nil {
 			t.Fatal(err)
 		}
 		var err error

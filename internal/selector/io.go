@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/durable"
 	"repro/internal/nn"
 	"repro/internal/represent"
 	"repro/internal/sparse"
@@ -79,7 +80,7 @@ func configFromHeader(h selectorHeader) (Config, error) {
 }
 
 // Save writes the selector (config + weights) to w as a raw gob stream
-// (no envelope — compose with nn.WriteEnvelope for at-rest artifacts).
+// (no envelope — SaveFile wraps it in one for at-rest artifacts).
 func (s *Selector) Save(w io.Writer) error {
 	var mbuf bytes.Buffer
 	if err := nn.Save(&mbuf, s.Model); err != nil {
@@ -109,22 +110,22 @@ func Load(r io.Reader) (*Selector, error) {
 }
 
 // SaveFile writes the selector to a file inside the versioned,
-// CRC-checksummed envelope, atomically (temp file + fsync + rename): a
+// CRC-checksummed envelope, atomically (durable.WriteEnvelopeFile): a
 // crash mid-save never leaves a truncated artifact at the model path.
 func (s *Selector) SaveFile(path string) error {
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		return err
 	}
-	return nn.WriteEnvelopeFile(path, nn.EnvelopeSelector, buf.Bytes())
+	return durable.WriteEnvelopeFile(path, durable.EnvelopeSelector, buf.Bytes())
 }
 
 // LoadFile reads a selector from a file, rejecting corrupt, truncated,
 // wrong-kind and wrong-version artifacts with the typed envelope errors
-// (nn.ErrTruncated, nn.ErrChecksum, nn.ErrBadMagic, nn.ErrWrongKind,
-// nn.ErrVersion) — the service entry point for deploy artifacts.
+// (durable.ErrTruncated, ErrChecksum, ErrBadMagic, ErrWrongKind,
+// ErrVersion) — the service entry point for deploy artifacts.
 func LoadFile(path string) (*Selector, error) {
-	payload, err := nn.ReadEnvelopeFile(path, nn.EnvelopeSelector)
+	payload, err := durable.ReadEnvelopeFile(path, durable.EnvelopeSelector)
 	if err != nil {
 		return nil, fmt.Errorf("selector: loading %s: %w", path, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/durable"
 	"repro/internal/nn"
 	"repro/internal/represent"
 	"repro/internal/robust"
@@ -81,8 +82,8 @@ func TestCorruptModelFileFallsBackToCSR(t *testing.T) {
 	}
 
 	loaded, lerr := LoadFile(path)
-	if !errors.Is(lerr, nn.ErrChecksum) {
-		t.Fatalf("corrupt load: got %v, want nn.ErrChecksum", lerr)
+	if !errors.Is(lerr, durable.ErrChecksum) {
+		t.Fatalf("corrupt load: got %v, want durable.ErrChecksum", lerr)
 	}
 	if loaded != nil {
 		t.Fatal("corrupt load returned a selector")
@@ -93,7 +94,7 @@ func TestCorruptModelFileFallsBackToCSR(t *testing.T) {
 	}
 	// The load error itself can be recorded via FallbackPrediction.
 	p = FallbackPrediction(lerr)
-	if p.Format != FallbackFormat || !errors.Is(p.Reason, nn.ErrChecksum) {
+	if p.Format != FallbackFormat || !errors.Is(p.Reason, durable.ErrChecksum) {
 		t.Fatalf("FallbackPrediction lost the reason: %+v", p)
 	}
 }
@@ -112,8 +113,8 @@ func TestLoadFileTruncatedTyped(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(path); !errors.Is(err, nn.ErrTruncated) {
-		t.Fatalf("truncated load: got %v, want nn.ErrTruncated", err)
+	if _, err := LoadFile(path); !errors.Is(err, durable.ErrTruncated) {
+		t.Fatalf("truncated load: got %v, want durable.ErrTruncated", err)
 	}
 }
 

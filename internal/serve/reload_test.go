@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/nn"
 )
 
@@ -113,7 +114,7 @@ func writeLyingModel(path string) error {
 	if err := gob.NewEncoder(&sbuf).Encode(struct{ Model []byte }{mbuf.Bytes()}); err != nil {
 		return err
 	}
-	return nn.WriteEnvelopeFile(path, nn.EnvelopeSelector, sbuf.Bytes())
+	return durable.WriteEnvelopeFile(path, durable.EnvelopeSelector, sbuf.Bytes())
 }
 
 func TestWatchModelPicksUpOverwrite(t *testing.T) {

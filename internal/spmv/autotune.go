@@ -22,6 +22,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/sparse"
 )
 
@@ -197,15 +198,14 @@ func Install(t *Table) {
 	current.Store(compile(t))
 }
 
-// SaveTableFile persists a table as JSON (atomic rename is overkill for
-// a pure cache: a torn file fails version validation on load and the
-// sweep simply reruns).
+// SaveTableFile persists a table as JSON, atomically: a sweep that is
+// killed or fails mid-write leaves the installed table as it was.
 func SaveTableFile(path string, t *Table) error {
 	data, err := json.MarshalIndent(t, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return durable.WriteBytes(path, append(data, '\n'))
 }
 
 // LoadTableFile reads a persisted table, rejecting version or schema

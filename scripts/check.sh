@@ -16,6 +16,17 @@ if [[ -n "$unformatted" ]]; then
     exit 1
 fi
 
+# Durability gate: internal/durable is the one place that renames a
+# file or computes a CRC. A non-test file elsewhere that does either
+# has skipped the directory fsync or grown a second on-disk checksum.
+stray="$(grep -rln --include='*.go' -e 'os\.Rename(' -e '"hash/crc32"' . \
+    | grep -v '_test\.go$' | grep -v '^\./internal/durable/' || true)"
+if [[ -n "$stray" ]]; then
+    echo "durable: rename or CRC outside internal/durable (use durable.Rename / the envelope):" >&2
+    echo "$stray" >&2
+    exit 1
+fi
+
 go build ./...
 go vet ./...
 
