@@ -13,7 +13,7 @@ test:
 # smoke, corpus kill→resume, cluster chaos, overload control, continual
 # learning), a fuzz smoke, and the full test suite under the race
 # detector (worker pools, the checkpointer and the serving tier are all
-# concurrency-sensitive).
+# concurrency-sensitive), then five more race runs of the cluster suite.
 # SHORT=1 shortens the drills and skips the long experiment
 # reproductions.
 check:

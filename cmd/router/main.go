@@ -1,8 +1,8 @@
 // Command router fronts a static set of serve replicas with
 // fault-tolerant request routing: per-replica circuit breakers fed by
 // active /readyz probes and passive response outcomes, bounded retries
-// with jittered exponential backoff across the healthy set, optional
-// tail-latency hedging, and consistent cache sharding — each request's
+// with jittered exponential backoff across the healthy set, one attempt
+// at a time, and consistent cache sharding — each request's
 // sparsity fingerprint is rendezvous-hashed to a shard-owning replica,
 // so the same pattern keeps landing on the same cache. Replicas never
 // call each other: a request that fails over is computed where it lands.
@@ -55,9 +55,8 @@ func main() {
 	halfOpenProbes := flag.Int("half-open-probes", 2, "consecutive successes a recovering replica needs to rejoin")
 	retries := flag.Int("retries", 2, "max attempt relaunches per request (total attempts = retries+1)")
 	backoff := flag.Duration("backoff", 25*time.Millisecond, "base retry backoff (doubles per retry, jittered)")
-	retryBudgetRatio := flag.Float64("retry-budget-ratio", 0.1, "retry tokens deposited per successful attempt (caps steady-state retries at this fraction of successes; negative disables the budget)")
+	retryBudgetRatio := flag.Float64("retry-budget-ratio", 0.1, "retry tokens deposited per successful attempt (caps steady-state retries at this fraction of successes; <= 0 means the default 0.1)")
 	retryBudgetBurst := flag.Int("retry-budget-burst", 10, "retry-budget token cap and starting balance")
-	hedgeAfter := flag.Duration("hedge-after", 0, "hedge to the next replica when the first attempt exceeds this (0 disables)")
 	requestTimeout := flag.Duration("request-timeout", 15*time.Second, "end-to-end deadline budget per routed request")
 	maxBody := flag.Int64("max-body", 32<<20, "largest accepted request body in bytes (413 beyond)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline")
@@ -78,7 +77,6 @@ func main() {
 		Backoff:          *backoff,
 		RetryBudgetRatio: *retryBudgetRatio,
 		RetryBudgetBurst: *retryBudgetBurst,
-		HedgeAfter:       *hedgeAfter,
 		RequestTimeout:   *requestTimeout,
 		MaxBodyBytes:     *maxBody,
 		Log:              os.Stderr,

@@ -21,20 +21,14 @@ type retryBudget struct {
 	burst  float64
 }
 
-// newRetryBudget builds a budget. ratio <= 0 or burst <= 0 disables it
-// (withdraw always succeeds) — the pre-budget behaviour.
+// newRetryBudget builds a full budget; Config.defaults makes ratio and
+// burst positive.
 func newRetryBudget(ratio float64, burst int) *retryBudget {
-	if ratio <= 0 || burst <= 0 {
-		return nil
-	}
 	return &retryBudget{tokens: float64(burst), ratio: ratio, burst: float64(burst)}
 }
 
-// deposit credits one successful attempt. Nil-safe.
+// deposit credits one successful attempt.
 func (b *retryBudget) deposit() {
-	if b == nil {
-		return
-	}
 	b.mu.Lock()
 	b.tokens += b.ratio
 	if b.tokens > b.burst {
@@ -44,11 +38,8 @@ func (b *retryBudget) deposit() {
 }
 
 // withdraw takes one retry token; false means the budget is dry and the
-// relaunch must not happen. Nil-safe (a nil budget never refuses).
+// relaunch must not happen.
 func (b *retryBudget) withdraw() bool {
-	if b == nil {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.tokens < 1 {
@@ -60,9 +51,6 @@ func (b *retryBudget) withdraw() bool {
 
 // balance reports the current token count (for the gauge).
 func (b *retryBudget) balance() float64 {
-	if b == nil {
-		return 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.tokens

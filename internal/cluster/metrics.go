@@ -21,7 +21,6 @@ type metrics struct {
 	budgetExhausted *obs.Counter      // relaunches refused by the retry budget
 	retryAfterWaits *obs.Counter      // retries paced by a replica Retry-After
 	failovers       *obs.Counter      // answers served by a non-owner replica
-	hedges          *obs.CounterVec   // outcome: win, lose
 	probeFailures   *obs.CounterVec   // replica
 	replicaState    *obs.GaugeVec     // replica -> 0 healthy, 1 degraded, 2 down
 	proxyLatency    *obs.HistogramVec // replica -> one-attempt seconds
@@ -31,13 +30,12 @@ func newMetrics() *metrics {
 	r := obs.NewRegistry()
 	m := &metrics{reg: r}
 	m.requests = r.CounterVec("router_requests_total", "Routed requests by final status code.")
-	m.latency = r.Histogram("router_request_seconds", "End-to-end request latency through the router, retries and hedges included.", obs.DefLatencyBuckets())
-	m.attempts = r.Histogram("router_request_attempts", "Outbound attempts per routed request (1 = no retry or hedge).", []float64{1, 2, 3, 4, 5})
+	m.latency = r.Histogram("router_request_seconds", "End-to-end request latency through the router, retries included.", obs.DefLatencyBuckets())
+	m.attempts = r.Histogram("router_request_attempts", "Outbound attempts per routed request (1 = no retry).", []float64{1, 2, 3, 4, 5})
 	m.retries = r.CounterVec("router_retries_total", "Attempt relaunches by cause (shed = replica 429/503, transport = no HTTP answer, upstream = replica 5xx).")
 	m.budgetExhausted = r.Counter("router_retry_budget_exhausted_total", "Relaunches refused because the retry budget ran dry.")
 	m.retryAfterWaits = r.Counter("router_retry_after_waits_total", "Retries whose pacing honored a replica Retry-After hint.")
 	m.failovers = r.Counter("router_failovers_total", "Requests answered by a replica other than the shard owner.")
-	m.hedges = r.CounterVec("router_hedges_total", "Hedged attempts by outcome (win = hedge answered first).")
 	m.probeFailures = r.CounterVec("router_probe_failures_total", "Failed health probes, by replica.")
 	m.replicaState = r.GaugeVec("router_replica_state", "Replica health (0=healthy, 1=degraded, 2=down).")
 	m.proxyLatency = r.HistogramVec("router_proxy_seconds", "Single-attempt proxy latency, by replica.", obs.DefLatencyBuckets())

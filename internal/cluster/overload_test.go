@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"net/http"
 	"strconv"
 	"testing"
@@ -32,43 +33,43 @@ func TestRetryBudgetBucket(t *testing.T) {
 	if got := b.balance(); got != 2 {
 		t.Fatalf("balance %g after heavy deposits, want burst cap 2", got)
 	}
-	// A nil budget (disabled) never refuses and never panics.
-	var off *retryBudget
-	off.deposit()
-	if !off.withdraw() {
-		t.Fatal("disabled budget refused a withdrawal")
-	}
 }
 
 // TestRouterRetryBudgetStopsRetries: with every replica broken, the
 // token bucket — not the per-request Retries knob — bounds total
 // relaunches: once it runs dry, each request costs exactly one attempt.
+// A non-positive RetryBudgetRatio means the default ratio, so it cannot
+// switch the budget off.
 func TestRouterRetryBudgetStopsRetries(t *testing.T) {
-	a, b := newFakeReplica(t), newFakeReplica(t)
-	for _, f := range []*fakeReplica{a, b} {
-		f.set(func(f *fakeReplica) {
-			f.predictCode = http.StatusInternalServerError
-			f.predictBody = `{"error":"boom"}`
-		})
-	}
-	_, ts := newTestRouter(t, func(c *Config) { c.RetryBudgetBurst = 1 }, a, b)
+	for _, ratio := range []float64{0, -1} {
+		t.Run(fmt.Sprintf("ratio=%g", ratio), func(t *testing.T) {
+			a, b := newFakeReplica(t), newFakeReplica(t)
+			for _, f := range []*fakeReplica{a, b} {
+				f.set(func(f *fakeReplica) {
+					f.predictCode = http.StatusInternalServerError
+					f.predictBody = `{"error":"boom"}`
+				})
+			}
+			_, ts := newTestRouter(t, func(c *Config) { c.RetryBudgetBurst, c.RetryBudgetRatio = 1, ratio }, a, b)
 
-	for i := 0; i < 3; i++ {
-		res, _ := postRouter(t, ts, predictBody(i))
-		if res.StatusCode != http.StatusBadGateway {
-			t.Fatalf("req %d: code %d, want 502", i, res.StatusCode)
-		}
-	}
-	// 3 first attempts plus the single funded retry.
-	if hits := a.hits.Load() + b.hits.Load(); hits != 4 {
-		t.Fatalf("%d outbound attempts, want 4 (budget of 1 retry)", hits)
-	}
-	page := scrapeRouter(t, ts)
-	if v := metricSum(page, "router_retries_total"); v != 1 {
-		t.Fatalf("router_retries_total %g, want 1", v)
-	}
-	if v := metricSample(page, "router_retry_budget_exhausted_total"); v < 2 {
-		t.Fatalf("router_retry_budget_exhausted_total %g, want >= 2", v)
+			for i := 0; i < 3; i++ {
+				res, _ := postRouter(t, ts, predictBody(i))
+				if res.StatusCode != http.StatusBadGateway {
+					t.Fatalf("req %d: code %d, want 502", i, res.StatusCode)
+				}
+			}
+			// 3 first attempts plus the single funded retry.
+			if hits := a.hits.Load() + b.hits.Load(); hits != 4 {
+				t.Fatalf("%d outbound attempts, want 4 (budget of 1 retry)", hits)
+			}
+			page := scrapeRouter(t, ts)
+			if v := metricSum(page, "router_retries_total"); v != 1 {
+				t.Fatalf("router_retries_total %g, want 1", v)
+			}
+			if v := metricSample(page, "router_retry_budget_exhausted_total"); v < 2 {
+				t.Fatalf("router_retry_budget_exhausted_total %g, want >= 2", v)
+			}
+		})
 	}
 }
 
@@ -109,19 +110,9 @@ func TestRouterPacesRetryWithRetryAfter(t *testing.T) {
 	})
 	rt, ts := newTestRouter(t, nil, shedding, healthy)
 
-	// Find a body whose shard owner is the shedding replica so the first
+	// A body whose shard owner is the shedding replica, so the first
 	// attempt is shed and the retry must be paced.
-	var body []byte
-	for seed := 0; seed < 64; seed++ {
-		b, fp := fingerprintedBody(t, seed)
-		if rt.Owner(fp) == shedding.url() {
-			body = b
-			break
-		}
-	}
-	if body == nil {
-		t.Fatal("no seed hashed onto the shedding replica")
-	}
+	body := ownedBody(t, rt, shedding.url())
 	start := time.Now()
 	res, _ := postRouter(t, ts, body)
 	elapsed := time.Since(start)

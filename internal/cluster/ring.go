@@ -2,9 +2,9 @@
 // internal/serve: a thin HTTP router that fronts a static set of
 // replica servers, health-checks them actively (readyz probes) and
 // passively (response codes), trips one circuit breaker per replica,
-// retries with jittered exponential backoff across the healthy set,
-// optionally hedges tail latency, and shards the replicas' prediction
-// caches by rendezvous-hashing each request's sparsity fingerprint.
+// retries one attempt at a time with jittered exponential backoff
+// across the healthy set, and shards the replicas' prediction caches by
+// rendezvous-hashing each request's sparsity fingerprint.
 //
 // The design goal mirrors the in-process degradation ladder one level
 // up: a dead, sick or slow replica costs the cluster some capacity and

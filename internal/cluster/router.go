@@ -39,24 +39,18 @@ type Config struct {
 	// probe against a flapping replica must not readmit it.
 	HalfOpenProbes int
 	// Retries bounds attempt relaunches after a failed or shed attempt;
-	// the total outbound budget per request is 1+Retries attempts,
-	// hedges included (default 2).
+	// the total outbound budget per request is 1+Retries attempts
+	// (default 2).
 	Retries int
 	// Backoff is the base of the jittered exponential backoff between
 	// retry attempts (default 25ms; doubles per retry, ±50% jitter).
 	Backoff time.Duration
-	// HedgeAfter launches a second attempt to the next-ranked replica
-	// when the first has not answered within this duration — the
-	// tail-latency hedge. 0 disables hedging (the default); it costs
-	// duplicate work, which the replicas' single-flight dedup absorbs.
-	HedgeAfter time.Duration
 	// RequestTimeout is the end-to-end deadline budget per routed
 	// request, all attempts included (default 15s).
 	RequestTimeout time.Duration
 	// RetryBudgetRatio caps steady-state retries at this fraction of
 	// successful attempts: each success deposits Ratio retry tokens,
-	// each relaunch withdraws one (default 0.1; negative disables the
-	// budget entirely — pre-budget unbounded retries).
+	// each relaunch withdraws one (default 0.1).
 	RetryBudgetRatio float64
 	// RetryBudgetBurst is both the token cap and the starting balance,
 	// so a cold router can still retry through an isolated failure
@@ -95,7 +89,7 @@ func (c *Config) defaults() {
 	if c.Backoff <= 0 {
 		c.Backoff = 25 * time.Millisecond
 	}
-	if c.RetryBudgetRatio == 0 {
+	if c.RetryBudgetRatio <= 0 {
 		c.RetryBudgetRatio = 0.1
 	}
 	if c.RetryBudgetBurst <= 0 {
@@ -113,7 +107,7 @@ func (c *Config) defaults() {
 }
 
 // Router fronts a static replica set with health-checked, breaker-
-// gated, retrying, optionally hedging request routing.
+// gated, retrying request routing.
 type Router struct {
 	cfg    Config
 	ring   *ring
@@ -163,9 +157,7 @@ func New(cfg Config) (*Router, error) {
 		}},
 		quit: make(chan struct{}),
 	}
-	if rt.budget != nil {
-		rt.met.reg.GaugeFunc("router_retry_budget_tokens", "Remaining retry-budget tokens.", rt.budget.balance)
-	}
+	rt.met.reg.GaugeFunc("router_retry_budget_tokens", "Remaining retry-budget tokens.", rt.budget.balance)
 	for _, rep := range rg.replicas {
 		// Pre-create the per-replica series so the first scrape already
 		// shows the whole fleet (state 2 until the first probe passes).
@@ -198,15 +190,18 @@ func (rt *Router) Metrics() *obs.Registry { return rt.met.reg }
 func (rt *Router) Replicas() []*Replica { return rt.ring.replicas }
 
 // Owner returns the base URL of the replica that currently owns fp's
-// cache shard: the highest-ranked replica whose breaker is not open.
-func (rt *Router) Owner(fp uint64) string {
-	ranked := rt.ring.rank(fp)
+// cache shard.
+func (rt *Router) Owner(fp uint64) string { return shardOwner(rt.ring.rank(fp)).url }
+
+// shardOwner is the first replica of a rendezvous ranking whose breaker
+// is not open, or the top-ranked one when every breaker is.
+func shardOwner(ranked []*Replica) *Replica {
 	for _, rep := range ranked {
 		if rep.state() != stateDown {
-			return rep.url
+			return rep
 		}
 	}
-	return ranked[0].url
+	return ranked[0]
 }
 
 // Handler returns the router's HTTP surface: POST /v1/predict (the
@@ -325,14 +320,13 @@ func (rt *Router) handlePredict(w http.ResponseWriter, r *http.Request) {
 // attemptResult is one outbound attempt's outcome (status 0 = no HTTP
 // response: transport error or attempt deadline).
 type attemptResult struct {
-	status  int
-	header  http.Header
-	body    []byte
-	rep     *Replica
-	attempt int
-	err     error
+	status int
+	header http.Header
+	body   []byte
+	rep    *Replica
+	err    error
 
-	launches int // filled by forward on the final result
+	launches int // attempts made for the request so far, set by forward
 }
 
 // usable reports whether the attempt's answer should be relayed to the
@@ -377,165 +371,104 @@ func retryAfterHint(a attemptResult) (time.Duration, bool) {
 	return time.Duration(secs) * time.Second, true
 }
 
-// forward routes one parsed request: rendezvous-ranked candidate order,
-// per-attempt deadline slicing, breaker-gated candidate selection,
-// jittered exponential backoff between retries, and an optional
-// tail-latency hedge. It returns the first usable answer, or the last
-// failure when the attempt budget is spent.
+// forward routes one parsed request, one attempt at a time: candidates
+// in rendezvous rank order, breaker-gated, each given a shrinking slice
+// of the request deadline, with jittered exponential backoff between
+// retries. It returns the first usable answer, or the last failure when
+// the attempt budget is spent.
 func (rt *Router) forward(ctx context.Context, fp uint64, body []byte, contentType, rawQuery string) attemptResult {
 	ranked := rt.ring.rank(fp)
-	owner := rt.Owner(fp)
+	// Read before any breaker is asked to admit an attempt.
+	owner := shardOwner(ranked)
 	deadline, _ := ctx.Deadline()
-
 	maxLaunches := 1 + rt.cfg.Retries
-	results := make(chan attemptResult, maxLaunches)
-	cancels := make([]context.CancelFunc, 0, maxLaunches)
-	defer func() {
-		for _, c := range cancels {
-			c()
-		}
-	}()
 
-	tried := map[*Replica]bool{}
 	// pick returns the next attempt's target: the best-ranked untried
 	// replica whose breaker admits traffic; failing that, the best
 	// untried one regardless (fail static: when every breaker is open,
 	// refusing to try at all guarantees failure, trying the most likely
 	// owner does not). nil when every replica has been tried.
+	tried := make([]bool, len(ranked))
 	pick := func() *Replica {
-		for _, rep := range ranked {
-			if !tried[rep] && rep.breaker.Allow() {
-				tried[rep] = true
+		for i, rep := range ranked {
+			if !tried[i] && rep.breaker.Allow() {
+				tried[i] = true
 				return rep
 			}
 		}
-		for _, rep := range ranked {
-			if !tried[rep] {
-				tried[rep] = true
+		for i, rep := range ranked {
+			if !tried[i] {
+				tried[i] = true
 				return rep
 			}
 		}
 		return nil
 	}
 
-	launches := 0
-	outstanding := 0
-	launch := func() bool {
-		if launches >= maxLaunches {
-			return false
-		}
+	var last attemptResult
+	for launches := 0; ; {
 		rep := pick()
-		if rep == nil {
-			return false
-		}
 		remaining := time.Until(deadline)
 		if remaining <= 0 {
-			return false
+			if launches == 0 {
+				return attemptResult{err: errors.New("cluster: request budget exhausted before first attempt")}
+			}
+			return last
 		}
 		// Shrinking per-attempt budget: an early attempt may not eat the
 		// whole request deadline, later ones get whatever is left.
-		per := remaining
-		if left := maxLaunches - launches; left > 1 {
-			per = remaining / time.Duration(left)
-		}
-		n := launches
+		actx, cancel := context.WithTimeout(ctx, remaining/time.Duration(maxLaunches-launches))
+		last = rt.send(actx, rep, launches, body, contentType, rawQuery)
+		cancel()
 		launches++
-		outstanding++
-		actx, acancel := context.WithTimeout(ctx, per)
-		cancels = append(cancels, acancel)
-		go func() {
-			results <- rt.send(actx, rep, n, body, contentType, rawQuery)
-		}()
-		return true
-	}
-
-	if !launch() {
-		return attemptResult{err: errors.New("cluster: request budget exhausted before first attempt"), launches: launches}
-	}
-
-	var hedgeTimer <-chan time.Time
-	hedgeIdx := -1
-	if rt.cfg.HedgeAfter > 0 {
-		hedgeTimer = time.After(rt.cfg.HedgeAfter)
-	}
-
-	var last attemptResult
-	for outstanding > 0 {
-		select {
-		case res := <-results:
-			outstanding--
-			if res.usable() {
-				// Every success funds future retries: the budget refills
-				// at RetryBudgetRatio per answered request.
-				rt.budget.deposit()
-				res.launches = launches
-				if res.rep.url != owner {
-					rt.met.failovers.Inc()
-				}
-				if hedgeIdx >= 0 {
-					if res.attempt == hedgeIdx {
-						rt.met.hedges.With(`outcome="win"`).Inc()
-					} else {
-						rt.met.hedges.With(`outcome="lose"`).Inc()
-					}
-				}
-				return res
+		last.launches = launches
+		if last.usable() {
+			// Every success funds future retries: the budget refills at
+			// RetryBudgetRatio per answered request.
+			rt.budget.deposit()
+			if last.rep != owner {
+				rt.met.failovers.Inc()
 			}
-			last = res
-			// A retry is paid for (pacing wait, budget token, counter)
-			// only when it can be launched: with every replica tried the
-			// refusal in hand is the answer.
-			if launches < maxLaunches && len(tried) < len(ranked) {
-				wait := jitter(rt.cfg.Backoff << uint(launches-1))
-				if ra, ok := retryAfterHint(res); ok {
-					// The replica said when it can take work again. A
-					// deadline that cannot cover that wait makes the shed
-					// answer final: relaying it (with its Retry-After)
-					// beats burning an attempt that will be shed too.
-					if time.Until(deadline) <= ra {
-						last.launches = launches
-						return last
-					}
-					if ra > wait {
-						wait = ra
-						rt.met.retryAfterWaits.Inc()
-					}
-				}
-				if !rt.budget.withdraw() {
-					// Fleet safety: no retry tokens, no relaunch — even
-					// with attempts left. A cluster-wide brownout must not
-					// be amplified Retries+1-fold by its own router.
-					rt.met.budgetExhausted.Inc()
-					last.launches = launches
-					return last
-				}
-				rt.met.retries.With(fmt.Sprintf("reason=%q", retryReason(res))).Inc()
-				// Backoff only when nothing else is in flight — if a
-				// hedge is still running, its answer may arrive during
-				// what would have been dead sleep.
-				if outstanding == 0 {
-					if !sleepCtx(ctx, wait) {
-						last.launches = launches
-						return last
-					}
-				}
-				launch()
+			return last
+		}
+		// The request itself is over (deadline or client gone): no
+		// relaunch, no token spent on one.
+		if ctx.Err() != nil {
+			last.err, last.status = ctx.Err(), 0
+			return last
+		}
+		// A retry is paid for (pacing wait, budget token, counter) only
+		// when it can be launched: with every replica tried the refusal
+		// in hand is the answer.
+		if launches == maxLaunches || launches == len(ranked) {
+			return last
+		}
+		wait := jitter(rt.cfg.Backoff << uint(launches-1))
+		if ra, ok := retryAfterHint(last); ok {
+			// The replica said when it can take work again. A deadline
+			// that cannot cover that wait makes the shed answer final:
+			// relaying it (with its Retry-After) beats burning an attempt
+			// that will be shed too.
+			if time.Until(deadline) <= ra {
+				return last
 			}
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			if outstanding > 0 && launches < maxLaunches {
-				hedgeIdx = launches
-				launch()
+			if ra > wait {
+				wait = ra
+				rt.met.retryAfterWaits.Inc()
 			}
-		case <-ctx.Done():
-			last.err = ctx.Err()
-			last.status = 0
-			last.launches = launches
+		}
+		if !rt.budget.withdraw() {
+			// Fleet safety: no retry tokens, no relaunch — even with
+			// attempts left. A cluster-wide brownout must not be
+			// amplified Retries+1-fold by its own router.
+			rt.met.budgetExhausted.Inc()
+			return last
+		}
+		rt.met.retries.With(fmt.Sprintf("reason=%q", retryReason(last))).Inc()
+		if !sleepCtx(ctx, wait) {
 			return last
 		}
 	}
-	last.launches = launches
-	return last
 }
 
 // send performs one outbound attempt and feeds the replica's breaker:
@@ -549,7 +482,7 @@ func (rt *Router) send(ctx context.Context, rep *Replica, attempt int, body []by
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return attemptResult{rep: rep, attempt: attempt, err: err}
+		return attemptResult{rep: rep, err: err}
 	}
 	if contentType != "" {
 		req.Header.Set("Content-Type", contentType)
@@ -560,29 +493,29 @@ func (rt *Router) send(ctx context.Context, rep *Replica, attempt int, body []by
 		req.Header.Set("X-Request-Deadline", strconv.FormatInt(dl.UnixMilli(), 10))
 	}
 	if attempt > 0 {
-		// Mark retries and hedges so replica-side accounting can keep
-		// true demand separate from router duplicates.
+		// Mark retries so replica-side accounting can keep true demand
+		// separate from router duplicates.
 		req.Header.Set("X-Retry-Attempt", strconv.Itoa(attempt))
 	}
 	res, err := rt.client.Do(req)
 	if err != nil {
 		rep.breaker.Failure()
 		rt.met.proxyLatency.With(replicaLabel(rep.url)).ObserveSince(start)
-		return attemptResult{rep: rep, attempt: attempt, err: err}
+		return attemptResult{rep: rep, err: err}
 	}
 	defer res.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(res.Body, rt.cfg.MaxBodyBytes))
 	rt.met.proxyLatency.With(replicaLabel(rep.url)).ObserveSince(start)
 	if err != nil {
 		rep.breaker.Failure()
-		return attemptResult{rep: rep, attempt: attempt, err: err}
+		return attemptResult{rep: rep, err: err}
 	}
 	if res.StatusCode >= 500 {
 		rep.breaker.Failure()
 	} else {
 		rep.breaker.Success()
 	}
-	return attemptResult{status: res.StatusCode, header: res.Header, body: data, rep: rep, attempt: attempt}
+	return attemptResult{status: res.StatusCode, header: res.Header, body: data, rep: rep}
 }
 
 // jitter spreads d by ±50% so synchronized retries from many concurrent

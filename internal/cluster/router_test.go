@@ -51,6 +51,10 @@ func newFakeReplica(t *testing.T) *fakeReplica {
 	})
 	mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) {
 		f.hits.Add(1)
+		// Read the body as a replica does: only then does the server
+		// watch the connection, so a router that gives up on the attempt
+		// cancels r.Context() and ends a delayed answer early.
+		io.Copy(io.Discard, r.Body)
 		f.mu.Lock()
 		f.retries = append(f.retries, r.Header.Get("X-Retry-Attempt"))
 		f.deadlines = append(f.deadlines, r.Header.Get("X-Request-Deadline"))
@@ -359,34 +363,72 @@ func TestRouterMarksRetriesForReplicas(t *testing.T) {
 	}
 }
 
-func TestRouterHedgesSlowReplica(t *testing.T) {
-	slow, fast := newFakeReplica(t), newFakeReplica(t)
-	slow.set(func(f *fakeReplica) { f.delay = 2 * time.Second })
-	fast.set(func(f *fakeReplica) { f.delay = 0 })
-	_, ts := newTestRouter(t, func(c *Config) {
-		c.HedgeAfter = 30 * time.Millisecond
-		c.Retries = 1 // 2 launches total: primary + hedge
-	}, slow, fast)
-
-	// Find a body whose shard owner is the slow replica, so the primary
-	// attempt stalls and the hedge (to the fast one) must win.
-	for i := 0; i < 64; i++ {
-		body := predictBody(i)
-		start := time.Now()
-		res, _ := postRouter(t, ts, body)
-		elapsed := time.Since(start)
-		if res.StatusCode != http.StatusOK {
-			t.Fatalf("req %d: code %d", i, res.StatusCode)
-		}
-		if res.Header.Get("X-Served-By") == fast.url() && elapsed < time.Second && res.Header.Get("X-Router-Attempts") == "2" {
-			page := scrapeRouter(t, ts)
-			if v := metricSample(page, `router_hedges_total{outcome="win"}`); v == 0 {
-				t.Fatal("hedge served the answer but no win recorded")
-			}
-			return
+// ownedBody returns a predict body whose fingerprint the ring ranks
+// first onto the replica at url.
+func ownedBody(t *testing.T, rt *Router, url string) []byte {
+	t.Helper()
+	for seed := 0; seed < 64; seed++ {
+		body, fp := fingerprintedBody(t, seed)
+		if rt.ring.rank(fp)[0].URL() == url {
+			return body
 		}
 	}
-	t.Fatal("no request was ever hedged off the slow owner")
+	t.Fatalf("no seed ranks %s first", url)
+	return nil
+}
+
+// TestRouterFailsOverStalledOwner: an owner that stalls past its share
+// of the deadline loses the attempt, and the successor answers inside
+// RequestTimeout on the second one.
+func TestRouterFailsOverStalledOwner(t *testing.T) {
+	stalled, successor := newFakeReplica(t), newFakeReplica(t)
+	stalled.set(func(f *fakeReplica) { f.delay = 10 * time.Second })
+	const timeout = 900 * time.Millisecond
+	rt, ts := newTestRouter(t, func(c *Config) { c.RequestTimeout = timeout }, stalled, successor)
+	body := ownedBody(t, rt, stalled.url())
+
+	start := time.Now()
+	res, data := postRouter(t, ts, body)
+	elapsed := time.Since(start)
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("code %d body %s", res.StatusCode, data)
+	}
+	if got := res.Header.Get("X-Served-By"); got != successor.url() {
+		t.Fatalf("served by %q, want the successor %q", got, successor.url())
+	}
+	if got := res.Header.Get("X-Router-Attempts"); got != "2" {
+		t.Fatalf("X-Router-Attempts %q, want 2", got)
+	}
+	if elapsed >= timeout {
+		t.Fatalf("answered in %v, past the %v request timeout", elapsed, timeout)
+	}
+	if v := metricSample(scrapeRouter(t, ts), "router_failovers_total"); v != 1 {
+		t.Fatalf("router_failovers_total %g, want 1", v)
+	}
+}
+
+// TestRouterWaitsForSlowOwnerInsideShare: an owner slow but inside its
+// share of the deadline answers the one attempt; nothing duplicates the
+// request onto another replica.
+func TestRouterWaitsForSlowOwnerInsideShare(t *testing.T) {
+	slow, other := newFakeReplica(t), newFakeReplica(t)
+	slow.set(func(f *fakeReplica) { f.delay = 100 * time.Millisecond })
+	rt, ts := newTestRouter(t, nil, slow, other)
+	body := ownedBody(t, rt, slow.url())
+
+	res, data := postRouter(t, ts, body)
+	if res.StatusCode != http.StatusOK {
+		t.Fatalf("code %d body %s", res.StatusCode, data)
+	}
+	if got := res.Header.Get("X-Served-By"); got != slow.url() {
+		t.Fatalf("served by %q, want the slow owner %q", got, slow.url())
+	}
+	if got := res.Header.Get("X-Router-Attempts"); got != "1" {
+		t.Fatalf("X-Router-Attempts %q, want 1", got)
+	}
+	if hits := slow.hits.Load() + other.hits.Load(); hits != 1 {
+		t.Fatalf("%d replica hits, want 1: the request was duplicated", hits)
+	}
 }
 
 func TestRouterReadyz(t *testing.T) {

@@ -50,19 +50,21 @@ const (
 )
 
 // Typed envelope errors. Callers match with errors.Is to distinguish
-// "not a model file" from "damaged model file" from "future version".
+// "not an artifact" from "damaged artifact" from "future version". The
+// messages name no kind: the same sentinels report models, checkpoints,
+// trees and corpus files.
 var (
 	// ErrBadMagic means the file is not an envelope at all (wrong tool,
 	// wrong file, or a legacy raw-gob artifact).
-	ErrBadMagic = errors.New("durable: not a recognised model file (bad magic)")
+	ErrBadMagic = errors.New("durable: not a recognised artifact (bad magic)")
 	// ErrTruncated means the file ended before the declared payload.
-	ErrTruncated = errors.New("durable: model file truncated")
+	ErrTruncated = errors.New("durable: artifact truncated")
 	// ErrChecksum means the payload bytes do not match their CRC.
-	ErrChecksum = errors.New("durable: model file checksum mismatch (corrupt)")
+	ErrChecksum = errors.New("durable: artifact checksum mismatch (corrupt)")
 	// ErrVersion means the envelope version is not supported.
-	ErrVersion = errors.New("durable: unsupported model file version")
+	ErrVersion = errors.New("durable: unsupported artifact version")
 	// ErrWrongKind means the envelope holds a different artifact type.
-	ErrWrongKind = errors.New("durable: model file holds a different artifact kind")
+	ErrWrongKind = errors.New("durable: artifact holds a different kind")
 )
 
 // castagnoli is the one CRC-32C table: the envelope's payload CRC and

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -117,5 +119,47 @@ func TestCorruptFileBreaksEnvelope(t *testing.T) {
 	}
 	if _, err := ReadEnvelopeFile(path, EnvelopeModel); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupted envelope: got %v, want ErrChecksum", err)
+	}
+}
+
+// Every envelope sentinel, reached by reading a damaged corpus
+// manifest, still matches errors.Is through the read's wrapping, and
+// its message names an artifact rather than a model file: the same
+// errors report every kind.
+func TestEnvelopeErrorsNameArtifact(t *testing.T) {
+	dir := t.TempDir()
+	cases := []struct {
+		name   string
+		damage func(b []byte) []byte
+		want   error
+	}{
+		{"bad-magic", func(b []byte) []byte { b[0] = 'X'; return b }, ErrBadMagic},
+		{"truncated", func(b []byte) []byte { return b[:len(b)-1] }, ErrTruncated},
+		{"checksum", func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b }, ErrChecksum},
+		{"version", func(b []byte) []byte { binary.BigEndian.PutUint32(b[4:8], EnvelopeVersion+1); return b }, ErrVersion},
+		{"wrong-kind", func(b []byte) []byte { binary.BigEndian.PutUint32(b[8:12], EnvelopeModel); return b }, ErrWrongKind},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(dir, tc.name+".bin")
+			if err := WriteEnvelopeFile(path, EnvelopeCorpusManifest, []byte("manifest payload")); err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, tc.damage(b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = ReadEnvelopeFile(path, EnvelopeCorpusManifest)
+			wrapped := fmt.Errorf("manifest %s: %w", path, err)
+			if !errors.Is(wrapped, tc.want) {
+				t.Fatalf("got %v, want %v", err, tc.want)
+			}
+			if msg := wrapped.Error(); !strings.Contains(msg, "artifact") || strings.Contains(msg, "model file") {
+				t.Fatalf("message %q should say artifact, not model file", msg)
+			}
+		})
 	}
 }

@@ -36,8 +36,8 @@ func wantTrace(r *http.Request) bool {
 // the request's span ID (it is also the X-Trace-Id header); the
 // per-stage Trace block is included when the client asks for it with
 // ?trace=1. Coalesced marks an answer shared with an in-flight
-// computation for the same fingerprint (a router retry or hedge that
-// did not cost a second forward pass).
+// computation for the same fingerprint (a duplicate that did not cost a
+// second forward pass).
 type answer struct {
 	Format          string     `json:"format"`
 	Probs           probs      `json:"probs,omitempty"`
@@ -99,7 +99,7 @@ func (p probs) MarshalJSON() ([]byte, error) {
 // predictOne: the router's retry mark and the client's timing in, the
 // cache outcome (the X-Cache-Status header) back out.
 type predictMeta struct {
-	retried     bool    // X-Retry-Attempt named a retry or hedge
+	retried     bool    // X-Retry-Attempt named a router retry
 	cacheStatus string  // "hit" or "miss"
 	coalesced   bool    // attached to an in-flight duplicate
 	clientSec   float64 // client-reported SpMV seconds (0 = none)
@@ -146,7 +146,7 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	code := http.StatusOK
-	// The router marks a retry or hedge of a request it already sent
+	// The router marks a retry of a request it already sent
 	// somewhere; those are labeled separately in serve_requests_total so
 	// fleet-level request accounting is never double-counted by failover.
 	meta := &predictMeta{retried: isRetryAttempt(r.Header.Get("X-Retry-Attempt"))}
@@ -311,7 +311,7 @@ func admitReasonLabel(err error) string {
 }
 
 // isRetryAttempt reports whether an X-Retry-Attempt header value names
-// a retry or hedge (attempt number >= 1; the first attempt is 0 or an
+// a retry (attempt number >= 1; the first attempt is 0 or an
 // absent header).
 func isRetryAttempt(v string) bool {
 	if v == "" {

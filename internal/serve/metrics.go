@@ -74,7 +74,7 @@ func requestKeys() []requestKey {
 
 // requestLabel renders the label set of one completed request,
 // byte-identical to the pre-obs exposition for first attempts. Router
-// retries and hedges gain a trailing retried="true" label (appended
+// retries gain a trailing retried="true" label (appended
 // last to keep the alphabetical label order the renderer pins), so
 // fleet dashboards can subtract failover duplicates from true demand.
 func requestLabel(endpoint string, code int, retried bool) string {
@@ -262,7 +262,7 @@ func (m *metrics) request(endpoint string, code int, start time.Time) {
 }
 
 // requestRetriable records one completed request, labeled as a router
-// retry/hedge when the attempt header said so.
+// retry when the attempt header said so.
 func (m *metrics) requestRetriable(endpoint string, code int, start time.Time, retried bool) {
 	m.requests.With(requestLabel(endpoint, code, retried)).Inc()
 	m.latency.With(endpointLabel(endpoint)).ObserveSince(start)

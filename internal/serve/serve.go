@@ -168,7 +168,7 @@ type Server struct {
 	httpSrv atomic.Pointer[http.Server]
 
 	// Single-flight window: fingerprints with a computation already in
-	// flight, so a duplicate request (a router retry or hedge, or two
+	// flight, so a duplicate request (a router retry, or two
 	// clients posting the same pattern) attaches to the running job
 	// instead of computing twice. Enabled with the cache (it is the
 	// cache's in-flight edge).
@@ -423,7 +423,7 @@ func (s *Server) predictOne(ctx context.Context, sc *Scanned, meta *predictMeta)
 	// Single-flight: if the same fingerprint is already being computed,
 	// attach to that computation instead of enqueueing a duplicate.
 	// This is what makes POST /v1/predict idempotent-by-fingerprint
-	// under router retries and hedges: the repeated request can never
+	// under router retries: the repeated request can never
 	// double-count a forward pass. The window rides on the cache
 	// (CacheSize 0 disables both — drills that must exercise the ladder
 	// on every request turn the cache off and get the old behaviour).

@@ -365,8 +365,8 @@ func postWithHeaders(t testing.TB, ts *httptest.Server, body []byte, hdr map[str
 }
 
 // TestPredictCoalescesDuplicates: concurrent identical requests share
-// one computation (idempotency-by-fingerprint under router retries and
-// hedges). The retry header only relabels accounting; the duplicate
+// one computation (idempotency-by-fingerprint under router retries).
+// The retry header only relabels accounting; the duplicate
 // never costs a second forward pass.
 func TestPredictCoalescesDuplicates(t *testing.T) {
 	hold := make(chan struct{})

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: build everything, vet, run the five real-binary drills, a
-# fuzz smoke, then the full test suite with the race detector. SHORT=1
+# fuzz smoke, the full test suite with the race detector, then a race
+# stress pass over the cluster router. SHORT=1
 # shortens the drills, narrows the race run to the internal packages
 # (skipping the slow experiment reproductions at the repo root) and runs
 # internal/experiments with -short, which its long reproductions honour.
@@ -117,3 +118,8 @@ if [[ "${SHORT:-0}" == "1" ]]; then
 else
     go test -race -timeout 45m ./...
 fi
+
+# Stress pass over the router: its tests drive real loopback replicas,
+# deadlines and breakers, so five race-detector runs in a row are what
+# turns a timing- or port-dependent test into a failing gate.
+go test -race -count=5 ./internal/cluster

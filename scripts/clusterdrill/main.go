@@ -82,7 +82,6 @@ func run(d *drill.D) error {
 		"-half-open-probes", "2",
 		"-retries", "2",
 		"-backoff", "10ms",
-		"-hedge-after", "250ms",
 	}})
 	if err != nil {
 		return err
