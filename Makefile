@@ -79,7 +79,7 @@ fuzz:
 # mandatory on the guarded run: the alloc columns are part of the gate.
 BENCHTIME ?= 200ms
 GUARDED_PKGS = ./internal/spmv ./internal/represent ./internal/serve ./internal/dataset ./internal/nn ./internal/sparse ./internal/selector ./internal/machine ./internal/dtree
-GUARDED_BENCH = 'KernelMul|Normalize|Predict|Decode|Fingerprint|ShardIter|Infer32|TrainStream|ComputeStats|Convert|Label'
+GUARDED_BENCH = 'KernelMul|Normalize|Predict|Decode|Fingerprint|ShardIter|Infer32|TrainStream|ComputeStats|Convert|Label|Load|Transfer'
 bench:
 	$(GO) test -bench=. -benchtime=$(BENCHTIME) -benchmem -run=^$$ ./... > BENCH.txt || { cat BENCH.txt; exit 1; }
 	$(GO) test -bench=$(GUARDED_BENCH) -benchtime=$(BENCHTIME) -benchmem -count=3 -run=^$$ $(GUARDED_PKGS) >> BENCH.txt || { cat BENCH.txt; exit 1; }

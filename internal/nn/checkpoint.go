@@ -222,8 +222,13 @@ func (t *Trainer) Checkpoint(loss float64, extra []byte) (*Checkpoint, error) {
 // RestoreCheckpoint rewinds the trainer to a checkpoint: weights are
 // copied in place (replicas keep sharing storage), optimiser state and
 // learning rate are reinstalled, and the epoch counter is rewound so
-// the next epoch replays the original shuffle order.
+// the next epoch replays the original shuffle order. A checkpoint whose
+// weights or optimiser slots do not fit the model is refused before
+// anything is changed.
 func (t *Trainer) RestoreCheckpoint(ck *Checkpoint) error {
+	if err := t.Opt.checkState(t.Model.Params(), ck.Opt); err != nil {
+		return err
+	}
 	if err := RestoreWeights(t.Model, ck.Model); err != nil {
 		return err
 	}

@@ -514,3 +514,68 @@ func TestLatestCheckpointSkipsCorrupt(t *testing.T) {
 		t.Fatalf("empty dir: got %v, want ErrNoCheckpoint", err)
 	}
 }
+
+// TestRestoreCheckpointRejectsLyingSlots: a checkpoint whose Adam slots
+// do not fit the model's parameters is refused with an error before the
+// trainer changes, where restoring it used to succeed and leave the
+// next step to panic indexing past a short slot.
+func TestRestoreCheckpointRejectsLyingSlots(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	samples := ckptProblem(rng, 32)
+	src := NewTrainer(ckptModel(rng), NewAdam(0.01), 8, 3)
+	if _, err := src.TrainSteps(samples, 2); err != nil {
+		t.Fatal(err)
+	}
+	good, err := src.Checkpoint(0.5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const w = 2 // the head's first dense weight
+	edits := []struct {
+		name string
+		edit func(slots map[string][][]float64)
+	}{
+		{"m slot cut to one value", func(s map[string][][]float64) { s["m"][w] = s["m"][w][:1] }},
+		{"v slot one value long", func(s map[string][][]float64) { s["v"][w] = append(s["v"][w], 0) }},
+		{"more slots than parameters", func(s map[string][][]float64) { s["m"] = append(s["m"], nil) }},
+		{"m slot without its v slot", func(s map[string][][]float64) { s["v"][w] = nil }},
+		{"v slot without its m slot", func(s map[string][][]float64) { s["m"][w] = nil }},
+		{"no v slots at all", func(s map[string][][]float64) { delete(s, "v") }},
+	}
+	for _, e := range edits {
+		ck := *good
+		ck.Epoch = 7
+		ck.LR = 0.5
+		ck.Opt = OptState{T: 99, Slots: map[string][][]float64{}}
+		for k, slot := range good.Opt.Slots {
+			for _, v := range slot {
+				ck.Opt.Slots[k] = append(ck.Opt.Slots[k], append([]float64(nil), v...))
+			}
+		}
+		e.edit(ck.Opt.Slots)
+
+		dst := NewTrainer(ckptModel(rand.New(rand.NewSource(24))), NewAdam(0.01), 8, 3)
+		if _, err := dst.TrainSteps(samples, 1); err != nil {
+			t.Fatal(err)
+		}
+		weights, opt := modelWeights(dst.Model), dst.Opt.StateSnapshot(dst.Model.Params())
+		var restoreErr error
+		if p := panicOf(func() { restoreErr = dst.RestoreCheckpoint(&ck) }); p != nil {
+			t.Fatalf("%s: RestoreCheckpoint panicked: %v", e.name, p)
+		}
+		if restoreErr == nil {
+			t.Fatalf("%s: RestoreCheckpoint accepted it", e.name)
+		}
+		weightsEqual(t, weights, modelWeights(dst.Model), e.name+": weights after refusal")
+		after := dst.Opt.StateSnapshot(dst.Model.Params())
+		if after.T != opt.T || dst.Epoch != 0 || dst.Opt.LR != 0.01 {
+			t.Fatalf("%s: refusal moved step %d→%d, epoch to %d, LR to %v", e.name, opt.T, after.T, dst.Epoch, dst.Opt.LR)
+		}
+		for _, k := range []string{"m", "v"} {
+			weightsEqual(t, opt.Slots[k], after.Slots[k], e.name+": "+k+" slots after refusal")
+		}
+		if p := panicOf(func() { _, err = dst.TrainSteps(samples, 1) }); p != nil || err != nil {
+			t.Fatalf("%s: training after the refusal: panic %v, error %v", e.name, p, err)
+		}
+	}
+}

@@ -279,7 +279,7 @@ func (l *Flatten) Replica() Layer { return NewFlatten() }
 type Dropout struct {
 	Rate     float64
 	seed     int64
-	rng      *rand.Rand
+	rng      *rand.Rand    // seeded from seed by the first Forward(train)
 	replicas *atomic.Int64 // numbers the replica streams of this layer's lineage
 	// Train-mode state: the last mask's per-element scale (nil when the
 	// rate is 0), and the output and input-gradient buffers.
@@ -287,13 +287,15 @@ type Dropout struct {
 	out, gradIn *tensor.Tensor
 }
 
-// NewDropout builds a dropout layer with its own deterministic RNG.
+// NewDropout builds a dropout layer with its own deterministic RNG,
+// seeded on its first training-mode Forward: a layer that only serves
+// never pays for seeding one.
 func NewDropout(rate float64, seed int64) *Dropout {
 	return newDropout(rate, seed, new(atomic.Int64))
 }
 
 func newDropout(rate float64, seed int64, replicas *atomic.Int64) *Dropout {
-	return &Dropout{Rate: rate, seed: seed, rng: rand.New(rand.NewSource(seed)), replicas: replicas}
+	return &Dropout{Rate: rate, seed: seed, replicas: replicas}
 }
 
 // Name describes the layer.
@@ -314,6 +316,9 @@ func (l *Dropout) Forward(in *tensor.Tensor, train bool) *tensor.Tensor {
 	if l.Rate <= 0 {
 		l.lastScale = nil
 		return in
+	}
+	if l.rng == nil {
+		l.rng = rand.New(rand.NewSource(l.seed))
 	}
 	l.out = buffer(l.out, in.Shape())
 	if cap(l.lastScale) < in.Size() {
@@ -355,10 +360,11 @@ func (l *Dropout) Params() []*Param { return nil }
 // stream. Streams are numbered per lineage — the layer NewDropout made
 // and its replicas share one counter — so a model's dropout depends on
 // its own history, not on how many replicas the process made before
-// (nn.Clone rebuilds the layers, so a clone starts afresh). Replicas may
-// be created from multiple goroutines (parallel inference), so the
-// derivation must not touch the parent's rand.Rand, which is not
-// thread-safe.
+// (Load and Clone build new layers, so a loaded or cloned model starts
+// a lineage afresh, from the seed Load's replay gives it). A replica's
+// stream derives from the lineage's seed and its number only, never
+// from the parent's rand.Rand, which is not thread-safe and may not
+// exist yet: replicas may be created from multiple goroutines.
 func (l *Dropout) Replica() Layer {
 	n := l.replicas.Add(1)
 	return newDropout(l.Rate, l.seed+n*0x9E3779B9, l.replicas)

@@ -1,6 +1,9 @@
 package nn
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // OptState is a serialisable snapshot of the optimiser's internal state
 // (step count and per-parameter slot buffers, addressed by the
@@ -99,6 +102,35 @@ func (o *Adam) StateSnapshot(params []*Param) OptState {
 			"v": slotSnapshot(o.v, params),
 		},
 	}
+}
+
+// checkState reports whether st could have been snapshotted from these
+// parameters: no more slots than parameters, every slot the size of
+// its parameter, and an m slot exactly where there is a v slot. Step
+// would index past a short slot, or a missing v, and panic.
+func (o *Adam) checkState(params []*Param, st OptState) error {
+	m, v := st.Slots["m"], st.Slots["v"]
+	if len(m) > len(params) || len(v) > len(params) {
+		return fmt.Errorf("nn: optimiser state has %d m and %d v slots for %d parameters",
+			len(m), len(v), len(params))
+	}
+	for i, p := range params {
+		var mi, vi []float64
+		if i < len(m) {
+			mi = m[i]
+		}
+		if i < len(v) {
+			vi = v[i]
+		}
+		if (mi == nil) != (vi == nil) {
+			return fmt.Errorf("nn: optimiser state for parameter %d has one of its m and v slots", i)
+		}
+		if mi != nil && (len(mi) != p.Value.Size() || len(vi) != p.Value.Size()) {
+			return fmt.Errorf("nn: optimiser state for parameter %d has slots of %d and %d values for %d",
+				i, len(mi), len(vi), p.Value.Size())
+		}
+	}
+	return nil
 }
 
 // RestoreState reinstalls the step count and moment buffers from a

@@ -48,20 +48,46 @@ func specOf(l Layer) (LayerSpec, error) {
 	}
 }
 
-// buildLayer reconstructs a layer from its spec. Weighted layers get
-// placeholder parameters that the caller overwrites. budget is how many
-// weights the blob still carries: a spec with a dimension that is not
-// positive, or whose parameters do not fit in the budget, is an error
-// before anything is allocated for it.
-func buildLayer(s LayerSpec, rng *rand.Rand, budget *int) (Layer, error) {
+// builder turns a blob's layer specs into layers, in Params() order:
+// each weighted layer is built around the blob's next weight slices,
+// adopted rather than copied, with one gradient allocated per
+// parameter, and each Dropout gets the seed every saved model's
+// dropout stream has been drawn from.
+//
+// That seed is the next Int63 of one rand.NewSource(0) after the
+// NormFloat64 draws NewConv2D and NewDense would make to He-initialise
+// every weight matrix before the Dropout, so it depends on how many
+// weights those layers hold. The builder makes the draws without
+// storing them, and only when a Dropout follows them.
+type builder struct {
+	blob    *modelBlob
+	next    int // index of the next weight slice to adopt
+	rng     *rand.Rand
+	pending int // weights initialised since the last draw
+}
+
+// layer builds one layer from its spec. A spec with a dimension that is
+// not positive, or whose parameters are not the size of the weights
+// the blob carries for them, is an error before anything is allocated
+// for it.
+func (bl *builder) layer(s LayerSpec) (Layer, error) {
 	switch s.Type {
 	case "conv":
 		i := s.Ints
-		if len(i) != 8 || i[4] <= 0 || i[5] <= 0 || i[6] < 0 || i[7] < 0 ||
-			!take(budget, i[1], i[0], i[2], i[3]) || !take(budget, i[1]) {
+		if len(i) != 8 || i[4] <= 0 || i[5] <= 0 || i[6] < 0 || i[7] < 0 {
 			return nil, fmt.Errorf("nn: bad conv spec %v", s)
 		}
-		return NewConv2D(i[0], i[1], i[2], i[3], i[4], i[5], i[6], i[7], rng), nil
+		w, err := bl.param("conv.w", i[1], i[0], i[2], i[3])
+		if err != nil {
+			return nil, fmt.Errorf("nn: bad conv spec %v: %w", s, err)
+		}
+		b, err := bl.param("conv.b", i[1])
+		if err != nil {
+			return nil, fmt.Errorf("nn: bad conv spec %v: %w", s, err)
+		}
+		bl.pending += w.Value.Size()
+		return &Conv2D{InC: i[0], OutC: i[1], KH: i[2], KW: i[3],
+			StrideH: i[4], StrideW: i[5], PadH: i[6], PadW: i[7], W: w, B: b}, nil
 	case "pool":
 		if len(s.Ints) != 2 || s.Ints[0] <= 0 || s.Ints[1] <= 0 {
 			return nil, fmt.Errorf("nn: bad pool spec %v", s)
@@ -72,15 +98,56 @@ func buildLayer(s LayerSpec, rng *rand.Rand, budget *int) (Layer, error) {
 	case "flatten":
 		return NewFlatten(), nil
 	case "dense":
-		if len(s.Ints) != 2 || !take(budget, s.Ints[1], s.Ints[0]) || !take(budget, s.Ints[1]) {
+		if len(s.Ints) != 2 {
 			return nil, fmt.Errorf("nn: bad dense spec %v", s)
 		}
-		return NewDense(s.Ints[0], s.Ints[1], rng), nil
+		w, err := bl.param("dense.w", s.Ints[1], s.Ints[0])
+		if err != nil {
+			return nil, fmt.Errorf("nn: bad dense spec %v: %w", s, err)
+		}
+		b, err := bl.param("dense.b", s.Ints[1])
+		if err != nil {
+			return nil, fmt.Errorf("nn: bad dense spec %v: %w", s, err)
+		}
+		bl.pending += w.Value.Size()
+		return &Dense{In: s.Ints[0], Out: s.Ints[1], W: w, B: b}, nil
 	case "dropout":
-		return NewDropout(s.Rate, rng.Int63()), nil
+		return NewDropout(s.Rate, bl.dropoutSeed()), nil
 	default:
 		return nil, fmt.Errorf("nn: unknown layer type %q", s.Type)
 	}
+}
+
+// param adopts the blob's next weight slice as a parameter that its
+// layer's spec sizes by dims. The slice must hold exactly that many
+// values and match its own declared shape; the product is never formed
+// past the slice's length, so a lying spec cannot overflow it.
+func (bl *builder) param(name string, dims ...int) (*Param, error) {
+	k := bl.next
+	if k == len(bl.blob.Weights) {
+		return nil, fmt.Errorf("nn: weight count mismatch: layers want more than the blob's %d", k)
+	}
+	v, shape := bl.blob.Weights[k], bl.blob.Shapes[k]
+	if rest := len(v); !take(&rest, dims...) || rest != 0 {
+		return nil, fmt.Errorf("nn: weight %d size mismatch: layer wants %v, blob has %d", k, dims, len(v))
+	}
+	if rest := len(v); !take(&rest, shape...) || rest != 0 {
+		return nil, fmt.Errorf("nn: weight %d has %d values, shape %v", k, len(v), shape)
+	}
+	bl.next++
+	return &Param{Name: name, Value: tensor.FromSlice(v, shape...),
+		Grad: tensor.New(shape...), Frozen: bl.blob.Frozen[k]}, nil
+}
+
+// dropoutSeed makes the pending draws and returns the next Int63.
+func (bl *builder) dropoutSeed() int64 {
+	if bl.rng == nil {
+		bl.rng = rand.New(rand.NewSource(0))
+	}
+	for ; bl.pending > 0; bl.pending-- {
+		bl.rng.NormFloat64()
+	}
+	return bl.rng.Int63()
 }
 
 // take subtracts the product of dims from budget. It reports false,
@@ -108,15 +175,16 @@ func (b *modelBlob) checkCounts() error {
 	return nil
 }
 
-// Save writes the model's architecture and weights to w as gob.
-func Save(w io.Writer, m *Model) error {
-	blob := modelBlob{}
+// blobOf describes m as Save writes it: the layer specs, and a copy of
+// each parameter's values and shape with its Frozen flag.
+func blobOf(m *Model) (*modelBlob, error) {
+	blob := &modelBlob{}
 	for _, tw := range m.Towers {
 		var specs []LayerSpec
 		for _, l := range tw {
 			s, err := specOf(l)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			specs = append(specs, s)
 		}
@@ -125,7 +193,7 @@ func Save(w io.Writer, m *Model) error {
 	for _, l := range m.Head {
 		s, err := specOf(l)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		blob.Head = append(blob.Head, s)
 	}
@@ -134,36 +202,25 @@ func Save(w io.Writer, m *Model) error {
 		blob.Shapes = append(blob.Shapes, append([]int(nil), p.Value.Shape()...))
 		blob.Frozen = append(blob.Frozen, p.Frozen)
 	}
-	if err := gob.NewEncoder(w).Encode(blob); err != nil {
-		return fmt.Errorf("nn: encoding model: %w", err)
-	}
-	return nil
+	return blob, nil
 }
 
-// Load reconstructs a model previously written by Save. Nothing the
-// blob declares is trusted: the layer specs may imply no more
-// parameters than the blob carries floats, and every weight must come
-// with a frozen flag and a shape whose product is its length, so a
-// blob that passed its envelope's CRC but lies about sizes is an
-// error, never a panic or an allocation its bytes do not pay for.
-func Load(r io.Reader) (*Model, error) {
-	var blob modelBlob
-	if err := gob.NewDecoder(r).Decode(&blob); err != nil {
-		return nil, fmt.Errorf("nn: decoding model: %w", err)
-	}
-	if err := blob.checkCounts(); err != nil {
+// model builds the model the blob describes, around the blob's own
+// weight slices. Nothing the blob declares is trusted: every weight
+// must come with a frozen flag and a shape whose product is its
+// length, and the layer specs must ask for exactly the weights the
+// blob carries, so a blob that lies about sizes is an error, never a
+// panic or an allocation its floats do not pay for.
+func (b *modelBlob) model() (*Model, error) {
+	if err := b.checkCounts(); err != nil {
 		return nil, err
 	}
-	budget := 0
-	for _, w := range blob.Weights {
-		budget += len(w)
-	}
-	rng := rand.New(rand.NewSource(0))
+	bl := builder{blob: b}
 	m := &Model{}
-	for _, specs := range blob.Towers {
+	for _, specs := range b.Towers {
 		var tw []Layer
 		for _, s := range specs {
-			l, err := buildLayer(s, rng, &budget)
+			l, err := bl.layer(s)
 			if err != nil {
 				return nil, err
 			}
@@ -171,34 +228,46 @@ func Load(r io.Reader) (*Model, error) {
 		}
 		m.Towers = append(m.Towers, tw)
 	}
-	for _, s := range blob.Head {
-		l, err := buildLayer(s, rng, &budget)
+	for _, s := range b.Head {
+		l, err := bl.layer(s)
 		if err != nil {
 			return nil, err
 		}
 		m.Head = append(m.Head, l)
 	}
-	params := m.Params()
-	if len(params) != len(blob.Weights) {
+	if bl.next != len(b.Weights) {
 		return nil, fmt.Errorf("nn: weight count mismatch: model has %d, blob has %d",
-			len(params), len(blob.Weights))
-	}
-	// The layers hold pointers to these Param structs, so assigning
-	// through them re-points the whole model at the loaded weights.
-	for i, p := range params {
-		if p.Value.Size() != len(blob.Weights[i]) {
-			return nil, fmt.Errorf("nn: weight %d size mismatch: %d vs %d",
-				i, p.Value.Size(), len(blob.Weights[i]))
-		}
-		if rest := len(blob.Weights[i]); !take(&rest, blob.Shapes[i]...) || rest != 0 {
-			return nil, fmt.Errorf("nn: weight %d has %d values, shape %v",
-				i, len(blob.Weights[i]), blob.Shapes[i])
-		}
-		p.Value = tensor.FromSlice(blob.Weights[i], blob.Shapes[i]...)
-		p.Grad = tensor.New(blob.Shapes[i]...)
-		p.Frozen = blob.Frozen[i]
+			bl.next, len(b.Weights))
 	}
 	return m, nil
+}
+
+// Save writes the model's architecture and weights to w as gob.
+func Save(w io.Writer, m *Model) error {
+	blob, err := blobOf(m)
+	if err != nil {
+		return err
+	}
+	if err := gob.NewEncoder(w).Encode(blob); err != nil {
+		return fmt.Errorf("nn: encoding model: %w", err)
+	}
+	return nil
+}
+
+// Load reconstructs a model previously written by Save, each layer
+// built around the weights it decoded (see modelBlob.model for what a
+// blob must satisfy). A blob carries no dropout seed: a loaded Dropout
+// is seeded by replaying the draws of building every weighted layer
+// before it, in Params() order, from rand.NewSource(0) — He
+// initialisation of each weight matrix, then one Int63 per Dropout — so
+// the seed is a function of the architecture alone, and the same on
+// every Load and every Clone of it.
+func Load(r io.Reader) (*Model, error) {
+	var blob modelBlob
+	if err := gob.NewDecoder(r).Decode(&blob); err != nil {
+		return nil, fmt.Errorf("nn: decoding model: %w", err)
+	}
+	return blob.model()
 }
 
 // SaveFile writes the model to a file inside the checksummed envelope,
@@ -254,22 +323,16 @@ func RestoreWeights(m *Model, blob []byte) error {
 	return nil
 }
 
-// Clone deep-copies a model (independent weights), used by transfer
-// learning to fork the source-platform model before fine-tuning.
+// Clone deep-copies a model (independent weights, fresh zero
+// gradients), used by transfer learning to fork the source-platform
+// model before fine-tuning. It is Load(Save(m)) without the encoding:
+// each layer is rebuilt from its spec around a copy of its parameters'
+// values, shapes and Frozen flags, and each Dropout gets the seed Load
+// gives it, so the two agree bit for bit.
 func Clone(m *Model) (*Model, error) {
-	// Round-trip through the serialiser: one code path to maintain.
-	pr, pw := io.Pipe()
-	errc := make(chan error, 1)
-	go func() {
-		errc <- Save(pw, m)
-		pw.Close()
-	}()
-	out, err := Load(pr)
+	blob, err := blobOf(m)
 	if err != nil {
 		return nil, err
 	}
-	if err := <-errc; err != nil {
-		return nil, err
-	}
-	return out, nil
+	return blob.model()
 }

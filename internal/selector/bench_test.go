@@ -2,6 +2,7 @@ package selector
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/dataset"
@@ -35,6 +36,53 @@ func BenchmarkPredict(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// benchModelFile saves an untrained selector at the end-to-end
+// benchmark model's geometry — DefaultConfig, histogram: two towers,
+// 15.6k weights — and returns its path.
+func benchModelFile(b *testing.B) string {
+	s, err := New(DefaultConfig(represent.KindHistogram, sparse.CPUFormats()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "model.gob")
+	if err := s.SaveFile(path); err != nil {
+		b.Fatal(err)
+	}
+	return path
+}
+
+// BenchmarkLoadFile is loading a deployed model: the envelope read and
+// checked, header and weights decoded, each layer built around its
+// decoded weights. Guarded by scripts/benchgate.
+func BenchmarkLoadFile(b *testing.B) {
+	path := benchModelFile(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := LoadFile(path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTransferTopEvolvement is forking a loaded model for a
+// top-evolvement retrain, as retrain_stream's set-up and cycles, the
+// shepherd's retrain and cmd/migrate do: the model cloned and its
+// towers frozen. Guarded by scripts/benchgate.
+func BenchmarkTransferTopEvolvement(b *testing.B) {
+	src, err := LoadFile(benchModelFile(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Transfer(src, TopEvolvement); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

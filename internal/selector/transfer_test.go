@@ -1,7 +1,9 @@
 package selector
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/represent"
 	"repro/internal/sparse"
 	"repro/internal/synthgen"
+	"repro/internal/tensor"
 )
 
 // tinySelector builds a small CPU-format selector suitable for a few
@@ -209,4 +212,89 @@ func mergeBits(a, b map[string][]uint64) map[string][]uint64 {
 		out[k] = v
 	}
 	return out
+}
+
+// oldLoadDropouts is how Load seeded each Dropout when it still built
+// every layer with NewConv2D and NewDense and then overwrote their
+// weights: m's layers rebuilt in Params() order from one
+// rand.NewSource(0), and each Dropout given the next Int63.
+func oldLoadDropouts(m *nn.Model) []*nn.Dropout {
+	rng := rand.New(rand.NewSource(0))
+	var out []*nn.Dropout
+	var layers []nn.Layer
+	for _, tw := range m.Towers {
+		layers = append(layers, tw...)
+	}
+	for _, l := range append(layers, m.Head...) {
+		switch v := l.(type) {
+		case *nn.Conv2D:
+			nn.NewConv2D(v.InC, v.OutC, v.KH, v.KW, v.StrideH, v.StrideW, v.PadH, v.PadW, rng)
+		case *nn.Dense:
+			nn.NewDense(v.In, v.Out, rng)
+		case *nn.Dropout:
+			out = append(out, nn.NewDropout(v.Rate, rng.Int63()))
+		}
+	}
+	return out
+}
+
+// dropoutsOf returns m's Dropout layers in order.
+func dropoutsOf(m *nn.Model) []*nn.Dropout {
+	var out []*nn.Dropout
+	for _, l := range m.Head {
+		if d, ok := l.(*nn.Dropout); ok {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+// TestLoadReplaysDropoutSeed: Load and Clone no longer build weights to
+// throw away, and a Dropout they build still draws the masks the old
+// construction's seed gives it — at the shipped geometry, the paper's
+// and under early merging.
+func TestLoadReplaysDropoutSeed(t *testing.T) {
+	early := DefaultConfig(represent.KindBinaryDensity, sparse.CPUFormats())
+	early.Structure = EarlyMerging
+	for name, cfg := range map[string]Config{
+		"default binary":    DefaultConfig(represent.KindBinary, sparse.CPUFormats()),
+		"default histogram": DefaultConfig(represent.KindHistogram, sparse.CPUFormats()),
+		"paper histogram":   PaperConfig(represent.KindHistogram, sparse.CPUFormats()),
+		"early merging":     early,
+	} {
+		src, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := nn.Save(&buf, src.Model); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := nn.Load(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clone, err := nn.Clone(src.Model)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for what, got := range map[string][]*nn.Dropout{"Load": dropoutsOf(loaded), "Clone": dropoutsOf(clone)} {
+			want := oldLoadDropouts(src.Model)
+			if len(got) != len(want) || len(want) == 0 {
+				t.Fatalf("%s: %s built %d dropout layers, want %d", name, what, len(got), len(want))
+			}
+			for i, d := range got {
+				in := tensor.New(4096)
+				in.Fill(1)
+				for step := 0; step < 3; step++ {
+					a, b := want[i].Forward(in, true).Data(), d.Forward(in, true).Data()
+					for j := range a {
+						if math.Float64bits(a[j]) != math.Float64bits(b[j]) {
+							t.Fatalf("%s: %s dropout %d mask %d differs at %d", name, what, i, step, j)
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -7,7 +7,8 @@
 // Only the guarded set is gated — the SpMV kernels, representation
 // construction, the float32 inference engine, the whole decision at the
 // shipped geometry (selector.Predict), training (selector.TrainStreamCtx
-// from scratch, and after Transfer(TopEvolvement)), the
+// from scratch, and after Transfer(TopEvolvement)), loading a model
+// file and forking it for a top-evolvement retrain, the
 // serve predict path and its parse stage (body decode, fingerprint),
 // the structural-statistics sweep with the labeler and the
 // decision-tree rung it feeds, and format conversion — because
@@ -70,6 +71,8 @@ var guarded = []*regexp.Regexp{
 	regexp.MustCompile(`^repro/internal/nn/BenchmarkInfer32Predict`),
 	regexp.MustCompile(`^repro/internal/selector/BenchmarkPredict/`),
 	regexp.MustCompile(`^repro/internal/selector/BenchmarkTrainStream`),
+	regexp.MustCompile(`^repro/internal/selector/BenchmarkLoadFile$`),
+	regexp.MustCompile(`^repro/internal/selector/BenchmarkTransferTopEvolvement$`),
 }
 
 // allocOnly names benchmarks whose allocs/op is the contract while
